@@ -135,9 +135,10 @@ impl EdgqaSystem {
                 let overlap = relation
                     .split_whitespace()
                     .filter(|w| {
-                        description.split_whitespace().any(|d| {
-                            d == w.to_lowercase() || stem(d) == stem(w) || same_group(d, w)
-                        })
+                        let w = w.to_lowercase();
+                        description
+                            .split_whitespace()
+                            .any(|d| d == w || stem(d) == stem(&w) || same_group(d, &w))
                     })
                     .count();
                 if overlap > 0 && !candidates.iter().any(|(c, _)| c == p) {

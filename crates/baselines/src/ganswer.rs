@@ -74,7 +74,7 @@ impl GAnswerSystem {
             let word_stem = stem(&lower);
             for (mention, predicates) in &self.relation_dict {
                 let matches = mention == &lower
-                    || mention == &word_stem
+                    || mention == word_stem
                     || stem(mention) == word_stem
                     || same_group(mention, &lower);
                 if matches {

@@ -7,6 +7,13 @@
 //!
 //! The coarse-grained variant (the GPT-3 sentence-embedding ablation of
 //! Table 4) instead compares a single pooled vector per string.
+//!
+//! The linker scores one phrase against every description a probe fetched,
+//! so the models embed the phrase once per batch
+//! ([`SemanticAffinity::score_many`]) and take word vectors from the
+//! process-wide memo of [`kgqan_nlp::embedding`].  Every score is
+//! bit-identical to the memo-free reference in
+//! [`kgqan_nlp::embedding::oracle`].
 
 use kgqan_nlp::embedding::{EmbeddingProvider, SentenceEmbedder};
 
@@ -15,6 +22,18 @@ use kgqan_nlp::embedding::{EmbeddingProvider, SentenceEmbedder};
 pub trait SemanticAffinity: Send + Sync {
     /// The affinity score between two phrases.
     fn score(&self, a: &str, b: &str) -> f32;
+
+    /// The scores of `phrase` against each of `candidates`, in order:
+    /// `score_many(p, cs)[i]` must equal `score(p, cs[i])` exactly.  The
+    /// linker and the filter score through this method only; the default
+    /// calls [`score`](Self::score) once per candidate, and a model
+    /// overrides it when it can do the work on `phrase` once.
+    fn score_many(&self, phrase: &str, candidates: &[&str]) -> Vec<f32> {
+        candidates
+            .iter()
+            .map(|candidate| self.score(phrase, candidate))
+            .collect()
+    }
 
     /// A short label used in experiment reports ("FG", "GPT-3 CG", …).
     fn label(&self) -> &'static str;
@@ -35,18 +54,19 @@ impl FineGrainedAffinity {
 
 impl SemanticAffinity for FineGrainedAffinity {
     fn score(&self, a: &str, b: &str) -> f32 {
-        let xs = self.provider.embed_phrase(a);
-        let ys = self.provider.embed_phrase(b);
-        if xs.is_empty() || ys.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0f32;
-        for x in &xs {
-            for y in &ys {
-                total += EmbeddingProvider::pair_similarity(x, y);
-            }
-        }
-        total / (xs.len() as f32 * ys.len() as f32)
+        self.score_many(a, &[b])[0]
+    }
+
+    fn score_many(&self, phrase: &str, candidates: &[&str]) -> Vec<f32> {
+        let xs = self.provider.embed_phrase(phrase);
+        let mut ys = Vec::new();
+        candidates
+            .iter()
+            .map(|candidate| {
+                self.provider.embed_phrase_into(candidate, &mut ys);
+                EmbeddingProvider::mean_pair_similarity(&xs, &ys)
+            })
+            .collect()
     }
 
     fn label(&self) -> &'static str {
@@ -69,7 +89,15 @@ impl CoarseGrainedAffinity {
 
 impl SemanticAffinity for CoarseGrainedAffinity {
     fn score(&self, a: &str, b: &str) -> f32 {
-        self.embedder.similarity(a, b)
+        self.score_many(a, &[b])[0]
+    }
+
+    fn score_many(&self, phrase: &str, candidates: &[&str]) -> Vec<f32> {
+        let pooled = self.embedder.embed(phrase);
+        candidates
+            .iter()
+            .map(|candidate| pooled.cosine(&self.embedder.embed(candidate)))
+            .collect()
     }
 
     fn label(&self) -> &'static str {

@@ -111,12 +111,14 @@ impl<'a> FiltrationManager<'a> {
         if candidate.classes.is_empty() {
             return true; // the KG offers no class information: keep (recall)
         }
-        let aliases = semantic_type_aliases(expected);
-        candidate.classes.iter().any(|class| {
-            let description = class.readable_form();
-            aliases
+        // One batch per alias: the alias is embedded once for all classes.
+        let descriptions: Vec<_> = candidate.classes.iter().map(Term::readable_form).collect();
+        let descriptions: Vec<&str> = descriptions.iter().map(|d| d.as_ref()).collect();
+        semantic_type_aliases(expected).iter().any(|alias| {
+            self.affinity
+                .score_many(alias, &descriptions)
                 .iter()
-                .any(|alias| self.affinity.score(alias, &description) >= self.semantic_threshold)
+                .any(|score| *score >= self.semantic_threshold)
         })
     }
 }

@@ -137,15 +137,15 @@ impl<'a> JitLinker<'a> {
                 continue;
             }
             let candidates = self.potential_relevant_vertices(&words, endpoint)?;
+            let descriptions: Vec<&str> = candidates.iter().map(|(_, d)| d.as_str()).collect();
+            let scores = self.affinity.score_many(&node.label, &descriptions);
             let mut scored: Vec<RelevantVertex> = candidates
                 .into_iter()
-                .map(|(vertex, description)| {
-                    let score = self.affinity.score(&node.label, &description);
-                    RelevantVertex {
-                        vertex,
-                        description,
-                        score,
-                    }
+                .zip(scores)
+                .map(|((vertex, description), score)| RelevantVertex {
+                    vertex,
+                    description,
+                    score,
                 })
                 .collect();
             scored.sort_by(|a, b| {
@@ -153,9 +153,7 @@ impl<'a> JitLinker<'a> {
                     .partial_cmp(&a.score)
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
-            scored.dedup_by(|a, b| a.vertex == b.vertex);
-            scored.truncate(self.config.num_vertices);
-            agp.node_annotations[node.id] = scored;
+            agp.node_annotations[node.id] = best_per_vertex(scored, self.config.num_vertices);
         }
         Ok(true)
     }
@@ -257,17 +255,23 @@ impl<'a> JitLinker<'a> {
                             self.predicate_description(p, endpoint)?
                                 .unwrap_or_else(|| p.readable_form().into_owned())
                         };
-                        let score = self.affinity.score(&edge.relation, &description);
                         candidates.push(RelevantPredicate {
                             predicate: p.clone(),
                             description,
-                            score,
+                            score: 0.0, // scored below, the whole edge in one batch
                             anchor_vertex: vertex.clone(),
                             anchor_node: *anchor_node,
                             vertex_is_object,
                         });
                     }
                 }
+            }
+
+            let descriptions: Vec<&str> =
+                candidates.iter().map(|c| c.description.as_str()).collect();
+            let scores = self.affinity.score_many(&edge.relation, &descriptions);
+            for (candidate, score) in candidates.iter_mut().zip(scores) {
+                candidate.score = score;
             }
 
             // Line 15: keep the top-k by affinity.  Deduplicate on
@@ -321,6 +325,23 @@ impl<'a> JitLinker<'a> {
         }
         Ok(None)
     }
+}
+
+/// The first `k` distinct vertices of a list sorted by descending score:
+/// a vertex fetched under several descriptions (label and alternative
+/// label) keeps its best-scoring entry and takes one slot, wherever its
+/// other entries landed in the order.
+fn best_per_vertex(sorted: Vec<RelevantVertex>, k: usize) -> Vec<RelevantVertex> {
+    let mut kept: Vec<RelevantVertex> = Vec::with_capacity(k.min(sorted.len()));
+    for candidate in sorted {
+        if kept.len() == k {
+            break;
+        }
+        if !kept.iter().any(|best| best.vertex == candidate.vertex) {
+            kept.push(candidate);
+        }
+    }
+    kept
 }
 
 /// A `SELECT DISTINCT ?p` probe over a single triple pattern.
@@ -489,6 +510,62 @@ mod tests {
         // The unknown node has no relevant vertices (Algorithm 1, lines 1-3).
         let unknown = agp.pgp.main_unknown().unwrap();
         assert!(agp.vertices_of(unknown.id).is_empty());
+    }
+
+    #[test]
+    fn a_vertex_fetched_under_two_descriptions_takes_one_slot() {
+        // `straits` is fetched under its label and a longer alternative
+        // label; `sound` scores between the two, so the duplicate is not
+        // adjacent after the sort.
+        let mut store = Store::new();
+        let label = Term::iri(vocab::RDFS_LABEL);
+        let alt_label = Term::iri("http://www.w3.org/2004/02/skos/core#altLabel");
+        let straits = Term::iri("http://e/straits");
+        let sound = Term::iri("http://e/sound");
+        let lanes = Term::iri("http://e/lanes");
+        store.insert_all([
+            Triple::new(
+                straits.clone(),
+                label.clone(),
+                Term::literal_str("Danish straits"),
+            ),
+            Triple::new(
+                straits.clone(),
+                alt_label,
+                Term::literal_str("Danish straits sea channels"),
+            ),
+            Triple::new(
+                sound.clone(),
+                label.clone(),
+                Term::literal_str("Danish straits sound"),
+            ),
+            Triple::new(
+                lanes.clone(),
+                label,
+                Term::literal_str("Danish straits old shipping lanes route"),
+            ),
+        ]);
+        let endpoint = InProcessEndpoint::new("Straits", store);
+        let affinity = FineGrainedAffinity::new();
+        let linker = JitLinker::new(
+            &affinity,
+            LinkerConfig {
+                num_vertices: 3,
+                ..Default::default()
+            },
+        );
+        let mut agp =
+            AnnotatedGraphPattern::new(PhraseGraphPattern::from_triples(&[Tp::unknown_to_entity(
+                "flow",
+                "Danish Straits",
+            )]));
+        linker.link_entities(&mut agp, &endpoint).unwrap();
+
+        let node = agp.pgp.nodes().iter().find(|n| !n.is_unknown()).unwrap();
+        let linked = agp.vertices_of(node.id);
+        let vertices: Vec<&Term> = linked.iter().map(|rv| &rv.vertex).collect();
+        assert_eq!(vertices, [&straits, &sound, &lanes]);
+        assert_eq!(linked[0].description, "Danish straits");
     }
 
     #[test]

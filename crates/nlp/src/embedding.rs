@@ -12,58 +12,145 @@
 //!   the coarse-grained affinity variant of Table 4: a mean-pooled bag of
 //!   word vectors.
 //!
-//! All vectors are L2-normalised so cosine similarity is a plain dot product.
+//! All vectors are L2-normalised and carry their norm, so a cosine is one
+//! dot product and one division.
+//!
+//! A word's vector is a pure function of its lowercase spelling, so
+//! [`EmbeddingProvider::embed_word`] keeps it in a process-wide memo: the
+//! linker scores one phrase against hundreds of descriptions per question
+//! and the same words come back in every one of them.  [`oracle`] keeps the
+//! direct, memo-free derivation as the reference the tests compare against
+//! bit for bit.
+
+pub mod oracle;
+
+use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::{Arc, LazyLock, RwLock};
 
 use crate::synonyms::group_of;
-use crate::tokenizer::{is_stop_word, tokenize_question};
+use crate::tokenizer::for_each_content_word;
 
 /// Dimensionality of all embeddings in this crate.
 pub const EMBEDDING_DIM: usize = 64;
 
-/// A dense vector.
-pub type Vector = Vec<f32>;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// Deterministic pseudo-random stream from a string seed (splitmix64 over a
-/// FNV-1a hash).  Keeps the embeddings reproducible across runs without
-/// depending on a random-number crate at run time.
-fn seeded_values(seed: &str, n: usize) -> Vec<f32> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in seed.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+/// The seed of a deterministic pseudo-random stream: an FNV-1a hash fed
+/// piecewise (a constant prefix, then the word), so no seed string is built.
+/// Keeps the embeddings reproducible across runs without depending on a
+/// random-number crate at run time.
+#[derive(Clone, Copy)]
+struct Seed(u64);
+
+impl Seed {
+    const fn of(prefix: &str) -> Seed {
+        let bytes = prefix.as_bytes();
+        let mut h = FNV_OFFSET;
+        let mut i = 0;
+        while i < bytes.len() {
+            h = (h ^ bytes[i] as u64).wrapping_mul(FNV_PRIME);
+            i += 1;
+        }
+        Seed(h)
     }
-    let mut out = Vec::with_capacity(n);
-    let mut state = h;
-    for _ in 0..n {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        // Map to [-1, 1).
-        out.push((z as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32);
+
+    fn then(self, bytes: &[u8]) -> Seed {
+        Seed(
+            bytes
+                .iter()
+                .fold(self.0, |h, b| (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME)),
+        )
     }
-    out
+
+    fn then_decimal(self, mut n: usize) -> Seed {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                return self.then(&digits[start..]);
+            }
+        }
+    }
+
+    fn then_char(self, c: char) -> Seed {
+        self.then(c.encode_utf8(&mut [0; 4]).as_bytes())
+    }
+
+    /// `out[i] += scale * draw_i`, the draws being the splitmix64 stream of
+    /// this seed mapped to `[-1, 1)`.
+    fn add_scaled(self, scale: f32, out: &mut [f32; EMBEDDING_DIM]) {
+        let mut state = self.0;
+        for x in out {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            *x += scale * (z as f64 / u64::MAX as f64 * 2.0 - 1.0) as f32;
+        }
+    }
 }
 
-fn l2_normalize(v: &mut [f32]) {
-    let norm: f32 = v.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if norm > 0.0 {
-        for x in v.iter_mut() {
-            *x /= norm;
-        }
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+fn l2_norm(v: &[f32]) -> f32 {
+    v.iter().map(|x| x * x).sum::<f32>().sqrt()
+}
+
+fn cosine_of(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
+    if norm_a == 0.0 || norm_b == 0.0 {
+        0.0
+    } else {
+        dot / (norm_a * norm_b)
     }
 }
 
 /// Cosine similarity between two vectors (assumed same length).
 pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f32 = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-    let nb: f32 = b.iter().map(|x| x * x).sum::<f32>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
+    cosine_of(dot(a, b), l2_norm(a), l2_norm(b))
+}
+
+/// An L2-normalised embedding together with its norm, computed once when
+/// the vector is built instead of once per comparison.  (The stored norm is
+/// what [`cosine`] would recompute from the values, not exactly 1.)
+/// Dereferences to its values.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NormedVector {
+    values: [f32; EMBEDDING_DIM],
+    norm: f32,
+}
+
+impl NormedVector {
+    fn normalized(mut values: [f32; EMBEDDING_DIM]) -> Self {
+        let norm = l2_norm(&values);
+        if norm > 0.0 {
+            for x in &mut values {
+                *x /= norm;
+            }
+        }
+        let norm = l2_norm(&values);
+        NormedVector { values, norm }
+    }
+
+    /// Cosine similarity with `other`: [`cosine`] over the two value
+    /// slices, bit for bit, without recomputing either norm.
+    pub fn cosine(&self, other: &NormedVector) -> f32 {
+        cosine_of(dot(&self.values, &other.values), self.norm, other.norm)
+    }
+}
+
+impl Deref for NormedVector {
+    type Target = [f32];
+
+    fn deref(&self) -> &[f32] {
+        &self.values
     }
 }
 
@@ -91,47 +178,38 @@ impl WordEmbedding {
         word.len() >= 2 && word.chars().all(|c| c.is_alphabetic())
     }
 
-    /// The embedding of a single (lowercase) word.
-    pub fn embed(&self, word: &str) -> Vector {
-        let lower = word.to_lowercase();
-        let stem = stem(&lower);
-        let mut v = vec![0.0f32; EMBEDDING_DIM];
+    /// The embedding of a single lowercase word.
+    pub fn embed(&self, word: &str) -> NormedVector {
+        const GROUP: Seed = Seed::of("group:");
+        const STEM: Seed = Seed::of("stem:");
+        const WORD: Seed = Seed::of("word:");
+        let stem = stem(word);
+        let mut v = [0.0f32; EMBEDDING_DIM];
         // Topic-group component (strong).
-        if let Some(group) = group_of(&lower).or_else(|| group_of(&stem)) {
-            let group_vec = seeded_values(&format!("group:{group}"), EMBEDDING_DIM);
-            for (x, g) in v.iter_mut().zip(&group_vec) {
-                *x += 2.0 * g;
-            }
+        if let Some(group) = group_of(word).or_else(|| group_of(stem)) {
+            GROUP.then_decimal(group).add_scaled(2.0, &mut v);
         }
         // Stem-specific component (medium) ties inflected forms together.
-        let stem_vec = seeded_values(&format!("stem:{stem}"), EMBEDDING_DIM);
-        for (x, s) in v.iter_mut().zip(&stem_vec) {
-            *x += 1.0 * s;
-        }
+        STEM.then(stem.as_bytes()).add_scaled(1.0, &mut v);
         // Surface-specific component (weak).
-        let word_vec = seeded_values(&format!("word:{lower}"), EMBEDDING_DIM);
-        for (x, w) in v.iter_mut().zip(&word_vec) {
-            *x += 0.25 * w;
-        }
-        l2_normalize(&mut v);
-        v
+        WORD.then(word.as_bytes()).add_scaled(0.25, &mut v);
+        NormedVector::normalized(v)
     }
 }
 
 /// A crude Porter-lite stemmer: strips common English suffixes so that
-/// "flows"/"flowing"/"flowed" share a stem.
-pub fn stem(word: &str) -> String {
-    let w = word.to_lowercase();
+/// "flows"/"flowing"/"flowed" share a stem.  Takes a lowercase word.
+pub fn stem(word: &str) -> &str {
     for suffix in [
         "ations", "ation", "ings", "ing", "ies", "ied", "ers", "er", "ed", "es", "s",
     ] {
-        if let Some(base) = w.strip_suffix(suffix) {
+        if let Some(base) = word.strip_suffix(suffix) {
             if base.len() >= 3 {
-                return base.to_string();
+                return base;
             }
         }
     }
-    w
+    word
 }
 
 /// Character n-gram embedding (chars2vec substitute): the normalised sum of
@@ -146,25 +224,98 @@ impl CharNgramEmbedding {
         CharNgramEmbedding
     }
 
-    /// The embedding of a word based on its character trigrams.
-    pub fn embed(&self, word: &str) -> Vector {
-        let padded: Vec<char> = format!("^{}$", word.to_lowercase()).chars().collect();
-        let mut v = vec![0.0f32; EMBEDDING_DIM];
-        if padded.len() < 3 {
-            let only = seeded_values(&format!("char:{}", word.to_lowercase()), EMBEDDING_DIM);
-            v.copy_from_slice(&only);
-            l2_normalize(&mut v);
-            return v;
+    /// The embedding of a lowercase word based on its character trigrams.
+    pub fn embed(&self, word: &str) -> NormedVector {
+        const TRIGRAM: Seed = Seed::of("3gram:");
+        const WHOLE: Seed = Seed::of("char:");
+        let mut v = [0.0f32; EMBEDDING_DIM];
+        let mut chars = word.chars();
+        let Some(mut b) = chars.next() else {
+            // The padding alone ("^$") has no trigram.
+            WHOLE.add_scaled(1.0, &mut v);
+            return NormedVector::normalized(v);
+        };
+        let mut a = '^';
+        for c in chars.chain(std::iter::once('$')) {
+            TRIGRAM
+                .then_char(a)
+                .then_char(b)
+                .then_char(c)
+                .add_scaled(1.0, &mut v);
+            (a, b) = (b, c);
         }
-        for window in padded.windows(3) {
-            let gram: String = window.iter().collect();
-            let gram_vec = seeded_values(&format!("3gram:{gram}"), EMBEDDING_DIM);
-            for (x, g) in v.iter_mut().zip(&gram_vec) {
-                *x += g;
-            }
+        NormedVector::normalized(v)
+    }
+}
+
+/// An embedding together with which model produced it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SpaceVector {
+    /// Produced by the word model.
+    Word(NormedVector),
+    /// Produced by the character model (OOV fallback).
+    Char(NormedVector),
+}
+
+impl SpaceVector {
+    fn vector(&self) -> &NormedVector {
+        match self {
+            SpaceVector::Word(v) | SpaceVector::Char(v) => v,
         }
-        l2_normalize(&mut v);
-        v
+    }
+}
+
+const MEMO_SHARDS: usize = 16;
+
+/// Words kept per shard.  A shard that reaches it is emptied and starts
+/// over — the words still in use are derived once more (microseconds each)
+/// and come straight back — so the memo's footprint is bounded (≈ 360 bytes
+/// per word, ≈ 1.4 MB full) and a lookup does no bookkeeping.
+#[cfg(not(test))]
+const MEMO_SHARD_CAP: usize = 256;
+/// Small enough that the unit tests run past it.
+#[cfg(test)]
+const MEMO_SHARD_CAP: usize = 8;
+
+/// The process-wide `lowercase word → vector` memo behind
+/// [`EmbeddingProvider::embed_word`]: sharded so that workers sharing one
+/// affinity model rarely meet on a lock, read-locked on the hit path.
+struct WordMemo {
+    shards: [RwLock<HashMap<Box<str>, Arc<SpaceVector>>>; MEMO_SHARDS],
+}
+
+static WORD_MEMO: LazyLock<WordMemo> = LazyLock::new(|| WordMemo {
+    shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+});
+
+impl WordMemo {
+    fn get_or_insert_with(
+        &self,
+        word: &str,
+        derive: impl FnOnce() -> SpaceVector,
+    ) -> Arc<SpaceVector> {
+        // Every update leaves a shard valid (a `clear`, an `insert`), so a
+        // lock poisoned by a panicking worker is still good to use.
+        let shard = &self.shards[Seed(FNV_OFFSET).then(word.as_bytes()).0 as usize % MEMO_SHARDS];
+        if let Some(hit) = shard
+            .read()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .get(word)
+        {
+            return Arc::clone(hit);
+        }
+        let vector = Arc::new(derive());
+        let mut map = shard
+            .write()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        if let Some(raced) = map.get(word) {
+            return Arc::clone(raced);
+        }
+        if map.len() >= MEMO_SHARD_CAP {
+            map.clear();
+        }
+        map.insert(word.into(), Arc::clone(&vector));
+        vector
     }
 }
 
@@ -177,47 +328,62 @@ pub struct EmbeddingProvider {
     chars: CharNgramEmbedding,
 }
 
-/// An embedding together with which model produced it.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SpaceVector {
-    /// Produced by the word model.
-    Word(Vector),
-    /// Produced by the character model (OOV fallback).
-    Char(Vector),
-}
-
 impl EmbeddingProvider {
     /// Create a provider with both models.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Embed one word, choosing the model per the OOV rule.
-    pub fn embed_word(&self, word: &str) -> SpaceVector {
-        if self.words.knows(word) {
-            SpaceVector::Word(self.words.embed(word))
-        } else {
-            SpaceVector::Char(self.chars.embed(word))
-        }
+    /// Embed one lowercase word, choosing the model per the OOV rule.  The
+    /// vector comes from the process-wide memo when the word has been seen.
+    pub fn embed_word(&self, word: &str) -> Arc<SpaceVector> {
+        WORD_MEMO.get_or_insert_with(word, || {
+            if self.words.knows(word) {
+                SpaceVector::Word(self.words.embed(word))
+            } else {
+                SpaceVector::Char(self.chars.embed(word))
+            }
+        })
     }
 
     /// Embed every content word of a phrase.
-    pub fn embed_phrase(&self, phrase: &str) -> Vec<SpaceVector> {
-        tokenize_question(phrase)
-            .into_iter()
-            .filter(|t| !is_stop_word(&t.lower))
-            .map(|t| self.embed_word(&t.lower))
-            .collect()
+    pub fn embed_phrase(&self, phrase: &str) -> Vec<Arc<SpaceVector>> {
+        let mut vectors = Vec::new();
+        self.embed_phrase_into(phrase, &mut vectors);
+        vectors
+    }
+
+    /// [`embed_phrase`](Self::embed_phrase) into a caller-owned buffer
+    /// (cleared first), so a batch of phrases reuses one allocation.
+    pub fn embed_phrase_into(&self, phrase: &str, vectors: &mut Vec<Arc<SpaceVector>>) {
+        vectors.clear();
+        for_each_content_word(phrase, |word| vectors.push(self.embed_word(word)));
     }
 
     /// Pairwise similarity honouring the cross-space rule of Equation 1:
     /// vectors from different models have similarity 0.
     pub fn pair_similarity(a: &SpaceVector, b: &SpaceVector) -> f32 {
         match (a, b) {
-            (SpaceVector::Word(x), SpaceVector::Word(y)) => cosine(x, y),
-            (SpaceVector::Char(x), SpaceVector::Char(y)) => cosine(x, y),
+            (SpaceVector::Word(x), SpaceVector::Word(y)) => x.cosine(y),
+            (SpaceVector::Char(x), SpaceVector::Char(y)) => x.cosine(y),
             _ => 0.0,
         }
+    }
+
+    /// Equation 1 over two embedded phrases: the mean of
+    /// [`pair_similarity`](Self::pair_similarity) over all word pairs, `0`
+    /// if either phrase has no content word.
+    pub fn mean_pair_similarity(xs: &[Arc<SpaceVector>], ys: &[Arc<SpaceVector>]) -> f32 {
+        if xs.is_empty() || ys.is_empty() {
+            return 0.0;
+        }
+        let mut total = 0.0f32;
+        for x in xs {
+            for y in ys {
+                total += Self::pair_similarity(x, y);
+            }
+        }
+        total / (xs.len() as f32 * ys.len() as f32)
     }
 }
 
@@ -227,8 +393,7 @@ impl EmbeddingProvider {
 /// the coarse-grained variant degrades on identifier-heavy KGs, Table 4).
 #[derive(Debug, Default, Clone)]
 pub struct SentenceEmbedder {
-    words: WordEmbedding,
-    chars: CharNgramEmbedding,
+    provider: EmbeddingProvider,
 }
 
 impl SentenceEmbedder {
@@ -238,35 +403,27 @@ impl SentenceEmbedder {
     }
 
     /// Embed an entire phrase into a single vector.
-    pub fn embed(&self, phrase: &str) -> Vector {
-        let mut v = vec![0.0f32; EMBEDDING_DIM];
+    pub fn embed(&self, phrase: &str) -> NormedVector {
+        let mut v = [0.0f32; EMBEDDING_DIM];
         let mut count = 0usize;
-        for token in tokenize_question(phrase) {
-            if is_stop_word(&token.lower) {
-                continue;
-            }
-            let wv = if self.words.knows(&token.lower) {
-                self.words.embed(&token.lower)
-            } else {
-                self.chars.embed(&token.lower)
-            };
-            for (x, y) in v.iter_mut().zip(&wv) {
+        for_each_content_word(phrase, |word| {
+            let word_vector = self.provider.embed_word(word);
+            for (x, y) in v.iter_mut().zip(word_vector.vector().iter()) {
                 *x += y;
             }
             count += 1;
-        }
+        });
         if count > 0 {
             for x in v.iter_mut() {
                 *x /= count as f32;
             }
         }
-        l2_normalize(&mut v);
-        v
+        NormedVector::normalized(v)
     }
 
     /// Cosine similarity of two phrases in the sentence space.
     pub fn similarity(&self, a: &str, b: &str) -> f32 {
-        cosine(&self.embed(a), &self.embed(b))
+        self.embed(a).cosine(&self.embed(b))
     }
 }
 
@@ -343,10 +500,10 @@ mod tests {
     #[test]
     fn provider_routes_oov_words_to_char_space() {
         let provider = EmbeddingProvider::new();
-        assert!(matches!(provider.embed_word("sea"), SpaceVector::Word(_)));
-        assert!(matches!(provider.embed_word("p227"), SpaceVector::Char(_)));
+        assert!(matches!(*provider.embed_word("sea"), SpaceVector::Word(_)));
+        assert!(matches!(*provider.embed_word("p227"), SpaceVector::Char(_)));
         assert!(matches!(
-            provider.embed_word("2279569217"),
+            *provider.embed_word("2279569217"),
             SpaceVector::Char(_)
         ));
     }
@@ -382,6 +539,89 @@ mod tests {
         assert_eq!(stem("publications"), "public");
         assert_eq!(stem("cited"), "cit");
         assert_eq!(stem("sea"), "sea");
+    }
+
+    /// Bitwise comparison of a memoised vector with the reference one.
+    fn assert_matches_oracle(provider: &EmbeddingProvider, word: &str) {
+        let (in_word_space, expected) = oracle::embed_word(word);
+        let got = provider.embed_word(word);
+        assert_eq!(
+            matches!(*got, SpaceVector::Word(_)),
+            in_word_space,
+            "{word:?}"
+        );
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got.vector()), bits(&expected), "{word:?}");
+        assert_eq!(
+            got.vector().norm.to_bits(),
+            l2_norm(&expected).to_bits(),
+            "{word:?}"
+        );
+    }
+
+    #[test]
+    fn vectors_match_the_reference_derivation_bitwise() {
+        let provider = EmbeddingProvider::new();
+        for word in [
+            "sea",
+            "flows",
+            "publications",
+            "works",
+            "kaliningrad",
+            "2279569217",
+            "p227",
+            "x",
+            "",
+            "covid-19",
+            "o'brien's",
+            "i\u{307}stanbul",
+            "οδυσσευς",
+            "straße",
+        ] {
+            assert_matches_oracle(&provider, word);
+        }
+    }
+
+    #[test]
+    fn shards_at_cap_start_over_and_scores_stay_identical() {
+        let provider = EmbeddingProvider::new();
+        // Four times the words the (test-sized) memo holds, alternating
+        // between the character space ("w17") and the word space ("wr").
+        let words: Vec<String> = (0..4 * MEMO_SHARDS * MEMO_SHARD_CAP)
+            .map(|i| match i % 2 {
+                0 => format!("w{i}"),
+                _ => format!(
+                    "w{}{}",
+                    char::from(b'a' + (i / 26 % 26) as u8),
+                    char::from(b'a' + (i % 26) as u8)
+                ),
+            })
+            .collect();
+        // Every shard is emptied several times per pass; the second pass
+        // meets a mix of words still held and words dropped.
+        for _ in 0..2 {
+            for word in &words {
+                assert_matches_oracle(&provider, word);
+            }
+        }
+        for shard in &WORD_MEMO.shards {
+            let held = shard.read().unwrap().len();
+            assert!((1..=MEMO_SHARD_CAP).contains(&held), "{held}");
+        }
+
+        let sentences = SentenceEmbedder::new();
+        for pair in words.chunks_exact(6) {
+            let (a, b) = (pair[..3].join(" "), pair[3..].join(" "));
+            let eq1 = EmbeddingProvider::mean_pair_similarity(
+                &provider.embed_phrase(&a),
+                &provider.embed_phrase(&b),
+            );
+            assert_eq!(eq1.to_bits(), oracle::fine_grained_score(&a, &b).to_bits());
+            assert_eq!(
+                sentences.similarity(&a, &b).to_bits(),
+                oracle::coarse_grained_score(&a, &b).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! target knowledge graph, so the "no per-KG prior knowledge" property of the
 //! paper is preserved.
 
+use std::collections::HashMap;
+use std::sync::LazyLock;
+
 /// Topic groups: words within one group are treated as near-synonyms.
 pub const SYNONYM_GROUPS: &[&[&str]] = &[
     // family / people
@@ -157,15 +160,22 @@ pub const SYNONYM_GROUPS: &[&[&str]] = &[
     &["name", "called", "named", "title", "label"],
 ];
 
-/// The index of the topic group containing `word`, if any.
+/// The index of the first topic group containing the lowercase `word`, if
+/// any.  Callers lowercase once, where they split their input into words.
 pub fn group_of(word: &str) -> Option<usize> {
-    let lower = word.to_lowercase();
-    SYNONYM_GROUPS
-        .iter()
-        .position(|group| group.contains(&lower.as_str()))
+    static FIRST_GROUP: LazyLock<HashMap<&'static str, usize>> = LazyLock::new(|| {
+        let mut first = HashMap::new();
+        for (index, group) in SYNONYM_GROUPS.iter().enumerate() {
+            for word in *group {
+                first.entry(*word).or_insert(index);
+            }
+        }
+        first
+    });
+    FIRST_GROUP.get(word).copied()
 }
 
-/// True if two words belong to the same topic group.
+/// True if two lowercase words belong to the same topic group.
 pub fn same_group(a: &str, b: &str) -> bool {
     match (group_of(a), group_of(b)) {
         (Some(x), Some(y)) => x == y,
@@ -200,19 +210,20 @@ mod tests {
     }
 
     #[test]
-    fn group_lookup_is_case_insensitive() {
-        assert_eq!(group_of("Wife"), group_of("spouse"));
-        assert!(group_of("WIFE").is_some());
+    fn group_lookup_takes_lowercase_words() {
+        assert_eq!(group_of("wife"), group_of("spouse"));
+        assert_eq!(group_of("Wife"), None);
     }
 
     #[test]
     fn every_group_word_maps_back_to_its_group() {
         for (i, group) in SYNONYM_GROUPS.iter().enumerate() {
             for word in *group {
-                let found = group_of(word).unwrap();
-                // A word may occur in more than one group (e.g. "work");
-                // position() returns the first, which must be <= i.
-                assert!(found <= i, "word {word} mapped to later group");
+                // A word may occur in more than one group (e.g. "work"):
+                // the lookup returns the first.
+                let first = SYNONYM_GROUPS.iter().position(|g| g.contains(word));
+                assert_eq!(group_of(word), first);
+                assert!(first.unwrap() <= i);
             }
         }
     }

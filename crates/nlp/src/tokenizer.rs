@@ -51,26 +51,50 @@ pub const QUESTION_WORDS: &[&str] = &[
     "show", "tell", "count",
 ];
 
+/// The raw token slices of `text`: maximal runs of alphanumerics, hyphens
+/// and apostrophes.
+fn token_slices(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !(c.is_alphanumeric() || c == '-' || c == '\''))
+        .filter(|run| !run.is_empty())
+}
+
 /// Tokenize a natural-language question into [`Token`]s.
 ///
 /// Splits on whitespace and punctuation but keeps intra-word hyphens and
 /// apostrophes ("Covid-19", "O'Brien") together.
 pub fn tokenize_question(question: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for c in question.chars() {
-        let keep = c.is_alphanumeric() || c == '-' || c == '\'';
-        if keep {
-            current.push(c);
-        } else if !current.is_empty() {
-            tokens.push(Token::new(&current));
-            current.clear();
+    token_slices(question).map(Token::new).collect()
+}
+
+/// Call `f` with the lowercase form of every content (non-stop) word of
+/// `phrase`, in order — the words [`content_words`] returns, without
+/// building a `Token` or a `String` per word: a token that is already
+/// lowercase ASCII is passed as a slice of `phrase`, any other goes through
+/// one buffer reused for the whole phrase.
+pub fn for_each_content_word(phrase: &str, mut f: impl FnMut(&str)) {
+    let mut buffer = String::new();
+    for token in token_slices(phrase) {
+        let lower = if token
+            .bytes()
+            .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+        {
+            token
+        } else {
+            buffer.clear();
+            if token.is_ascii() {
+                buffer.push_str(token);
+                buffer.make_ascii_lowercase();
+            } else {
+                // Same call as `Token::new`: context rules (final sigma) and
+                // length-changing mappings must agree with it exactly.
+                buffer.push_str(&token.to_lowercase());
+            }
+            &buffer
+        };
+        if !is_stop_word(lower) {
+            f(lower);
         }
     }
-    if !current.is_empty() {
-        tokens.push(Token::new(&current));
-    }
-    tokens
 }
 
 /// Lowercase, strip punctuation, collapse whitespace — used as the
@@ -85,11 +109,9 @@ pub fn normalize_question(question: &str) -> String {
 
 /// Remove stop words from a phrase (lowercased), keeping word order.
 pub fn content_words(phrase: &str) -> Vec<String> {
-    tokenize_question(phrase)
-        .into_iter()
-        .map(|t| t.lower)
-        .filter(|w| !is_stop_word(w))
-        .collect()
+    let mut words = Vec::new();
+    for_each_content_word(phrase, |word| words.push(word.to_string()));
+    words
 }
 
 #[cfg(test)]
@@ -148,6 +170,26 @@ mod tests {
             vec!["city", "shore"]
         );
         assert_eq!(content_words("of the"), Vec::<String>::new());
+    }
+
+    #[test]
+    fn content_word_walk_lowercases_like_token_new() {
+        // ASCII fast path, mixed case, final sigma, a mapping that grows
+        // ("İ" → "i̇"), digits, hyphens and apostrophes.
+        for phrase in [
+            "the City on THE shore",
+            "ΟΔΥΣΣΕΥΣ of İstanbul",
+            "Covid-19 in O'Brien's STRASSE 2279569217",
+            "of the",
+            "",
+        ] {
+            let expected: Vec<String> = tokenize_question(phrase)
+                .into_iter()
+                .map(|t| t.lower)
+                .filter(|w| !is_stop_word(w))
+                .collect();
+            assert_eq!(content_words(phrase), expected, "{phrase:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! generated knowledge graphs, using the benchmarks' gold linking pairs.
 
 use kgqan::pgp::PhraseGraphPattern;
-use kgqan::{FineGrainedAffinity, JitLinker, LinkerConfig};
+use kgqan::{FineGrainedAffinity, JitLinker, LinkerConfig, SemanticAffinity};
 use kgqan_benchmarks::suite::BenchmarkSuite;
 use kgqan_benchmarks::{KgFlavor, SuiteScale};
 use kgqan_nlp::{PhraseNode, PhraseTriplePattern};
@@ -150,4 +150,55 @@ fn relation_annotations_respect_num_predicates_knob() {
         .link(&pgp_for(entity, relation), instance.endpoint.as_ref())
         .unwrap();
     assert!(agp.predicates_of(0).len() <= 3);
+}
+
+/// A model written against the two required methods only — as models were
+/// before `score_many` existed — counting its calls.
+struct ScoreOnly {
+    inner: FineGrainedAffinity,
+    calls: std::sync::atomic::AtomicUsize,
+}
+
+impl SemanticAffinity for ScoreOnly {
+    fn score(&self, a: &str, b: &str) -> f32 {
+        self.calls
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        self.inner.score(a, b)
+    }
+
+    fn label(&self) -> &'static str {
+        "score-only"
+    }
+}
+
+#[test]
+fn a_model_implementing_only_score_links_through_the_provided_batch_method() {
+    let instance = BenchmarkSuite::build_one(KgFlavor::Dbpedia10, SuiteScale::Smoke);
+    let builtin = FineGrainedAffinity::new();
+    let custom = ScoreOnly {
+        inner: FineGrainedAffinity::new(),
+        calls: Default::default(),
+    };
+
+    for question in instance.benchmark.questions.iter().take(10) {
+        let (Some((entity, _)), Some((relation, _))) = (
+            question.linking.entities.first(),
+            question.linking.relations.first(),
+        ) else {
+            continue;
+        };
+        let pgp = pgp_for(entity, relation);
+        let link = |affinity: &dyn SemanticAffinity| {
+            JitLinker::new(affinity, LinkerConfig::default())
+                .link(&pgp, instance.endpoint.as_ref())
+                .unwrap()
+        };
+        let (expected, got) = (link(&builtin), link(&custom));
+        assert_eq!(got.node_annotations, expected.node_annotations);
+        assert_eq!(got.edge_annotations, expected.edge_annotations);
+        // One `score` call per scored description, as a decorator counts them.
+        let scored = got.total_vertex_candidates() + got.total_predicate_candidates();
+        assert!(custom.calls.load(std::sync::atomic::Ordering::Relaxed) >= scored);
+    }
+    assert!(custom.calls.load(std::sync::atomic::Ordering::Relaxed) > 0);
 }
