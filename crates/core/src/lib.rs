@@ -91,11 +91,9 @@ pub use pipeline::{
     StageTimings, Understand,
 };
 pub use platform::{AnswerOutcome, KgqanConfig, KgqanPlatform, PhaseTimings};
-// The worker pool moved next to its heaviest user, the morsel-parallel
-// query executor in `kgqan-sparql`; re-export it so `kgqan::pool` and the
-// `kgqan::{PoolConfig, …, WorkerPool}` paths keep working.
-pub use kgqan_sparql::pool;
-pub use pool::{PoolConfig, PoolStats, SubmitError, Ticket, WorkerPool};
+// The batch pool's sizing and counters are builder/metrics vocabulary;
+// the pool type itself stays an implementation detail of `kgqan-sparql`.
+pub use kgqan_sparql::{PoolConfig, PoolStats};
 pub use service::{
     AnswerRequest, AnswerResponse, AnswerSource, Budget, BudgetVerdict, ConfigOverrides, QaService,
     QaServiceBuilder, TracedAnswer,

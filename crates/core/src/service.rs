@@ -28,21 +28,21 @@
 //!   response carries the best answers collected so far, flagged
 //!   [`BudgetVerdict::Partial`] — a slow KG bounds a request's latency
 //!   instead of running unbounded.
-//! * [`QaService::answer_batch`] fans a slice of requests across a scoped
-//!   thread pool; the service itself is cheaply cloneable (`Arc` inside) and
-//!   `Send + Sync`, so callers can equally well clone it into their own
-//!   threads.
+//! * [`QaService::answer`] runs the whole pipeline on the calling thread.
+//!   [`QaService::answer_batch`] fans a slice of requests out on the
+//!   service's one persistent worker pool, started on the first batch; the
+//!   service itself is cheaply cloneable (`Arc` inside) and `Send + Sync`,
+//!   so callers can equally well clone it into their own threads.
 //!
 //! [`crate::KgqanPlatform`] remains as a thin one-endpoint compatibility
 //! wrapper over this service.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use kgqan_endpoint::{EndpointRegistry, RequestStats, SparqlEndpoint};
+use kgqan_sparql::pool::{PoolConfig, PoolStats, Ticket, WorkerPool};
 
 use crate::affinity::SemanticAffinity;
 use crate::cache::{CacheConfig, CacheReport, CacheStats};
@@ -50,7 +50,6 @@ use crate::error::KgqanError;
 use crate::linker::LinkerConfig;
 use crate::pipeline::{Pipeline, PipelineTrace, StageContext};
 use crate::platform::{AnswerOutcome, KgqanConfig, PhaseTimings};
-use crate::pool::{PoolConfig, PoolStats, SubmitError, Ticket, WorkerPool};
 use crate::understanding::QuestionUnderstanding;
 
 pub use crate::execution::QueryStat;
@@ -124,9 +123,9 @@ impl Budget {
     ///
     /// Each share is an *independent* budget of `remaining / n`, floored at
     /// [`Budget::MIN_SPLIT_SHARE`] (but never beyond what actually remains),
-    /// starting from now.  Fan-out paths — `answer_batch_within`, the
-    /// federation layer — give every branch its own share instead of the
-    /// whole deadline, so one stalled KG exhausts only its slice while its
+    /// starting from now.  Fan-out paths — the federation layer — stamp
+    /// every branch's request with its own share instead of the whole
+    /// deadline, so one stalled KG exhausts only its slice while its
     /// siblings still finish within theirs.  Splitting an unbounded budget
     /// yields unbounded shares; splitting an expired budget yields shares
     /// that are born expired.
@@ -332,10 +331,11 @@ struct ServiceInner {
     registry: EndpointRegistry,
     default_kg: Option<String>,
     next_request_id: AtomicU64,
-    /// The persistent bounded worker pool, when the service was built with
-    /// [`QaServiceBuilder::worker_pool`].  Dropping the service's last clone
-    /// shuts the pool down cleanly (accepted jobs drain, threads join).
-    pool: Option<WorkerPool>,
+    pool_config: PoolConfig,
+    /// The persistent bounded worker pool batches fan out on, started by
+    /// the first batch.  Dropping the service's last clone shuts it down
+    /// cleanly (accepted jobs drain, threads join).
+    pool: OnceLock<WorkerPool>,
 }
 
 /// A concurrent, multi-KG question-answering service.
@@ -392,49 +392,26 @@ impl QaService {
         self.inner.registry.invalidate_cache(kg)
     }
 
-    /// The persistent worker pool, when the service was built with
-    /// [`QaServiceBuilder::worker_pool`].
-    pub fn worker_pool(&self) -> Option<&WorkerPool> {
-        self.inner.pool.as_ref()
+    /// A snapshot of the batch pool's counters.  `workers` is the
+    /// configured size ([`QaServiceBuilder::worker_pool`], else
+    /// [`PoolConfig::default`]) even before the first batch has started the
+    /// threads — it is also what a serving layer sizes its admission to.
+    pub fn pool_stats(&self) -> PoolStats {
+        self.inner.pool.get().map_or(
+            PoolStats {
+                workers: self.inner.pool_config.workers.max(1),
+                ..PoolStats::default()
+            },
+            WorkerPool::stats,
+        )
     }
 
-    /// Requests waiting in the worker-pool queue right now (zero for a
-    /// service without a pool).  This is the *real* backlog an admission
-    /// layer compares against its load-shedding threshold.
-    pub fn queue_depth(&self) -> usize {
-        self.inner.pool.as_ref().map_or(0, WorkerPool::queue_depth)
-    }
-
-    /// A snapshot of the worker pool's counters, if the service has one.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.inner.pool.as_ref().map(WorkerPool::stats)
-    }
-
-    /// Enqueue one request onto the persistent worker pool without
-    /// blocking.  The returned [`Ticket`] resolves to the same
-    /// `Result<AnswerResponse, KgqanError>` that [`QaService::answer`]
-    /// would produce.
-    ///
-    /// Fails with [`SubmitError::QueueFull`] when the bounded queue is at
-    /// capacity (the caller should shed load) and
-    /// [`SubmitError::ShuttingDown`] once [`QaService::shutdown`] has begun
-    /// — or when the service was built without a pool, which accepts no
-    /// queued work by construction.
-    pub fn try_enqueue(
-        &self,
-        request: AnswerRequest,
-    ) -> Result<Ticket<Result<AnswerResponse, KgqanError>>, SubmitError> {
-        let pool = self.inner.pool.as_ref().ok_or(SubmitError::ShuttingDown)?;
-        let service = self.clone();
-        pool.try_submit(move || service.answer(request))
-    }
-
-    /// Gracefully shut the worker pool down: stop accepting queued work,
-    /// run every request already accepted to completion, and join the
-    /// worker threads.  A service without a pool returns immediately.
-    /// Direct [`QaService::answer`] calls keep working after shutdown.
+    /// Gracefully shut the batch pool down, if a batch has started it: run
+    /// every leg already accepted to completion and join the worker
+    /// threads.  Later batches run their legs on the calling thread;
+    /// [`QaService::answer`] is unaffected.
     pub fn shutdown(&self) {
-        if let Some(pool) = &self.inner.pool {
+        if let Some(pool) = self.inner.pool.get() {
             pool.shutdown();
         }
     }
@@ -524,17 +501,20 @@ impl QaService {
         Ok(run.into_response(&request.question, endpoint.name()))
     }
 
-    /// Answer a batch of requests concurrently on a scoped thread pool.
+    /// Answer a batch of requests concurrently on the service's worker
+    /// pool.
     ///
-    /// Responses come back in request order.  Workers pull requests from a
-    /// shared queue, so one slow KG does not serialise the rest of the
-    /// batch, and all workers share the per-KG cache namespaces, so
+    /// Responses come back in request order.  The pool's threads are
+    /// started by the first batch and reused by every later one; they pull
+    /// legs from a shared queue, so one slow KG does not serialise the rest
+    /// of the batch, and they share the per-KG cache namespaces, so
     /// overlapping requests in one batch hit each other's probe results.
-    /// The pool is sized to the machine's available parallelism but never
-    /// below four workers (capped by the batch size): a request's
-    /// wall-clock is dominated by endpoint round-trips, which overlap
-    /// across threads even on a single core — sizing purely by cores would
-    /// serialise IO-bound batches on small machines.
+    /// Each request runs under its own `deadline` only — a caller fanning
+    /// one budget out stamps every request with its share
+    /// ([`Budget::split`]).  A leg the bounded queue has no room for (or
+    /// that arrives after [`QaService::shutdown`]) runs on the calling
+    /// thread: a batch larger than the queue bound never fails, it just
+    /// shares the caller's core.
     pub fn answer_batch(
         &self,
         requests: &[AnswerRequest],
@@ -542,86 +522,22 @@ impl QaService {
         if requests.len() <= 1 {
             return requests.iter().map(|r| self.answer(r.clone())).collect();
         }
-        if self.inner.pool.is_some() {
-            return self.answer_batch_pooled(requests);
-        }
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-            .max(4)
-            .min(requests.len());
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<AnswerResponse, KgqanError>>>> =
-            requests.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(request) = requests.get(i) else {
-                        break;
-                    };
-                    *slots[i].lock() = Some(self.answer(request.clone()));
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("scoped workers fill every request slot")
-            })
-            .collect()
-    }
-
-    /// Answer a batch under one shared budget, carving a per-request share
-    /// out of it with [`Budget::split`].
-    ///
-    /// This is the fan-out-safe batch entry point: `answer_batch` runs each
-    /// request under its *own* deadline only, so a shared deadline passed to
-    /// every request lets one stalled KG burn the whole allowance before
-    /// its siblings run.  Here each request's deadline is clamped to
-    /// `min(own deadline, share)`, so a stalled KG exhausts only its slice
-    /// (answered `Partial`) while the others still complete within theirs.
-    /// The federation layer routes every multi-KG fan-out through this
-    /// path.
-    pub fn answer_batch_within(
-        &self,
-        requests: &[AnswerRequest],
-        budget: &Budget,
-    ) -> Vec<Result<AnswerResponse, KgqanError>> {
-        let share = budget.split(requests.len()).deadline();
-        let clamped: Vec<AnswerRequest> = requests
-            .iter()
-            .map(|request| {
-                let mut request = request.clone();
-                request.deadline = match (request.deadline, share) {
-                    (Some(own), Some(share)) => Some(own.min(share)),
-                    (own, share) => own.or(share),
-                };
-                request
-            })
-            .collect();
-        self.answer_batch(&clamped)
-    }
-
-    /// The pool-backed batch path: enqueue what fits, run the overflow on
-    /// the caller thread (natural back-pressure — a batch larger than the
-    /// queue bound never fails, it just shares the caller's core), then
-    /// collect in request order.
-    fn answer_batch_pooled(
-        &self,
-        requests: &[AnswerRequest],
-    ) -> Vec<Result<AnswerResponse, KgqanError>> {
         enum Slot {
             Queued(Ticket<Result<AnswerResponse, KgqanError>>),
             Inline(Box<Result<AnswerResponse, KgqanError>>),
         }
+        let pool = self
+            .inner
+            .pool
+            .get_or_init(|| WorkerPool::new(self.inner.pool_config));
         let slots: Vec<Slot> = requests
             .iter()
-            .map(|request| match self.try_enqueue(request.clone()) {
-                Ok(ticket) => Slot::Queued(ticket),
-                Err(_) => Slot::Inline(Box::new(self.answer(request.clone()))),
+            .map(|request| {
+                let (service, leg) = (self.clone(), request.clone());
+                match pool.try_submit(move || service.answer(leg)) {
+                    Ok(ticket) => Slot::Queued(ticket),
+                    Err(_) => Slot::Inline(Box::new(self.answer(request.clone()))),
+                }
             })
             .collect();
         slots
@@ -763,7 +679,7 @@ pub struct QaServiceBuilder {
     pending_endpoints: Vec<Arc<dyn SparqlEndpoint>>,
     cache: Option<CacheConfig>,
     default_kg: Option<String>,
-    pool: Option<PoolConfig>,
+    pool: PoolConfig,
 }
 
 impl QaServiceBuilder {
@@ -776,7 +692,7 @@ impl QaServiceBuilder {
             pending_endpoints: Vec::new(),
             cache: Some(CacheConfig::default()),
             default_kg: None,
-            pool: None,
+            pool: PoolConfig::default(),
         }
     }
 
@@ -843,17 +759,15 @@ impl QaServiceBuilder {
         self
     }
 
-    /// Give the service a persistent, bounded worker pool.
+    /// Size the service's worker pool ([`PoolConfig::default`] otherwise).
     ///
-    /// With a pool, [`QaService::answer_batch`] reuses the same threads for
-    /// every batch instead of spawning a scoped pool per call,
-    /// [`QaService::try_enqueue`] accepts single queued requests with
-    /// non-blocking back-pressure (the HTTP front-end's admission path),
-    /// [`QaService::queue_depth`] reports the real backlog, and
-    /// [`QaService::shutdown`] (or dropping the last service clone) drains
-    /// accepted work and joins the threads.
+    /// The pool runs the legs of [`QaService::answer_batch`] (and so of
+    /// every federated question); `workers` is also the number of pipeline
+    /// runs the HTTP front-end admits at once.  The threads are started by
+    /// the first batch and joined by [`QaService::shutdown`] or by dropping
+    /// the last service clone.
     pub fn worker_pool(mut self, config: PoolConfig) -> Self {
-        self.pool = Some(config);
+        self.pool = config;
         self
     }
 
@@ -901,7 +815,8 @@ impl QaServiceBuilder {
                 registry,
                 default_kg: self.default_kg,
                 next_request_id: AtomicU64::new(0),
-                pool: self.pool.map(WorkerPool::new),
+                pool_config: self.pool,
+                pool: OnceLock::new(),
             }),
         })
     }
@@ -989,42 +904,6 @@ mod tests {
             .split(0)
             .deadline()
             .is_some());
-    }
-
-    #[test]
-    fn answer_batch_within_shields_fast_kg_from_stalled_sibling() {
-        let stalled = InProcessEndpoint::new("Stalled", spouse_store())
-            .with_latency(Duration::from_millis(120));
-        let service = QaService::builder()
-            .endpoint(Arc::new(InProcessEndpoint::new("Fast", spouse_store())))
-            .endpoint(Arc::new(stalled))
-            .build()
-            .unwrap();
-
-        let question = "Who is the wife of Barack Obama?";
-        let requests = vec![
-            AnswerRequest::new(question).on_kg("Fast"),
-            AnswerRequest::new(question).on_kg("Stalled"),
-        ];
-        // A shared 100ms budget: each request gets a ~50ms share, so the
-        // stalled KG exhausts only its own slice.
-        let budget = Budget::with_deadline(Duration::from_millis(100));
-        let responses = service.answer_batch_within(&requests, &budget);
-
-        let fast = responses[0].as_ref().unwrap();
-        assert_eq!(fast.kg, "Fast");
-        assert!(!fast.is_partial());
-        assert!(fast
-            .outcome
-            .answers
-            .iter()
-            .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")));
-
-        // The stalled KG ran out of its share and degraded to Partial
-        // instead of holding the batch hostage.
-        let stalled = responses[1].as_ref().unwrap();
-        assert_eq!(stalled.kg, "Stalled");
-        assert!(stalled.is_partial());
     }
 
     #[test]
@@ -1207,66 +1086,68 @@ mod tests {
     }
 
     #[test]
-    fn pooled_service_exposes_queue_depth_and_drains_on_shutdown() {
+    fn batches_share_one_lazily_started_pool_and_survive_its_shutdown() {
+        let service = service_with_one_kg();
+        let question = "Who is the wife of Barack Obama?";
+        let direct = service.answer(AnswerRequest::new(question)).unwrap();
+        // Answering alone starts no threads; the configured size is
+        // reported all the same.
+        assert_eq!(
+            service.pool_stats(),
+            PoolStats {
+                workers: PoolConfig::default().workers,
+                ..PoolStats::default()
+            }
+        );
+
+        let requests: Vec<AnswerRequest> = (0..4)
+            .map(|i| AnswerRequest::new(question).with_id(format!("r{i}")))
+            .collect();
+        for round in 1..=2 {
+            let responses = service.answer_batch(&requests);
+            for (i, response) in responses.iter().enumerate() {
+                let response = response.as_ref().unwrap();
+                assert_eq!(response.request_id, format!("r{i}"));
+                assert_eq!(response.outcome.answers, direct.outcome.answers);
+            }
+            // The second batch ran on the workers the first one started.
+            assert_eq!(service.pool_stats().completed, 4 * round);
+        }
+
+        // After shutdown the legs run on the caller, with the same answers.
+        service.shutdown();
+        let responses = service.answer_batch(&requests);
+        assert!(responses
+            .iter()
+            .all(|r| r.as_ref().unwrap().outcome.answers == direct.outcome.answers));
+        assert_eq!(service.pool_stats().completed, 8);
+    }
+
+    #[test]
+    fn batch_larger_than_the_queue_bound_overflows_onto_the_caller() {
         let understanding = service_with_one_kg().understanding().clone();
         let service = QaService::builder()
             .shared_understanding(understanding)
             .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", spouse_store())))
-            .worker_pool(crate::pool::PoolConfig {
-                workers: 2,
-                queue_bound: 8,
+            .worker_pool(PoolConfig {
+                workers: 1,
+                queue_bound: 1,
             })
             .build()
             .unwrap();
-        assert!(service.worker_pool().is_some());
-        assert_eq!(service.queue_depth(), 0);
-
-        let question = "Who is the wife of Barack Obama?";
-        let requests: Vec<AnswerRequest> = (0..4)
-            .map(|i| AnswerRequest::new(question).with_id(format!("r{i}")))
+        let requests: Vec<AnswerRequest> = (0..6)
+            .map(|i| {
+                AnswerRequest::new("Who is the wife of Barack Obama?").with_id(format!("r{i}"))
+            })
             .collect();
         let responses = service.answer_batch(&requests);
-        assert_eq!(responses.len(), 4);
         for (i, response) in responses.iter().enumerate() {
             assert_eq!(response.as_ref().unwrap().request_id, format!("r{i}"));
         }
-        let stats = service.pool_stats().unwrap();
-        assert!(stats.completed >= 4);
-
-        // Single enqueued requests resolve to the same result as `answer`.
-        let ticket = service.try_enqueue(AnswerRequest::new(question)).unwrap();
-        let queued = ticket.wait().expect("worker survived").unwrap();
-        let direct = service.answer(AnswerRequest::new(question)).unwrap();
-        assert_eq!(queued.outcome.answers, direct.outcome.answers);
-
-        // Shutdown drains cleanly; queued work is then refused but direct
-        // answering still works.
-        service.shutdown();
-        assert!(matches!(
-            service.try_enqueue(AnswerRequest::new(question)),
-            Err(crate::pool::SubmitError::ShuttingDown)
-        ));
-        assert_eq!(service.queue_depth(), 0);
-        assert!(!service
-            .answer(AnswerRequest::new(question))
-            .unwrap()
-            .outcome
-            .answers
-            .is_empty());
-    }
-
-    #[test]
-    fn unpooled_service_refuses_queued_work() {
-        let service = service_with_one_kg();
-        assert!(service.worker_pool().is_none());
-        assert!(service.pool_stats().is_none());
-        assert_eq!(service.queue_depth(), 0);
-        assert!(matches!(
-            service.try_enqueue(AnswerRequest::new("Who is the wife of Barack Obama?")),
-            Err(crate::pool::SubmitError::ShuttingDown)
-        ));
-        // Shutdown on an unpooled service is a no-op.
-        service.shutdown();
+        // Every leg either ran on the pool or was refused and ran inline.
+        let stats = service.pool_stats();
+        assert_eq!(stats.workers, 1);
+        assert_eq!(stats.completed + stats.rejected, 6, "{stats:?}");
     }
 
     #[test]

@@ -13,8 +13,7 @@ use parking_lot::Mutex;
 use kgqan_rdf::{GraphStats, IngestBatch, IngestReport, LiveStore, Store, StoreSnapshot};
 use kgqan_sparql::eval::is_text_search_pattern;
 use kgqan_sparql::{
-    parse_query, ExecMetrics, ExecOptions, ParallelConfig, PlanSummary, Planner, Query,
-    QueryResults,
+    parse_query, ExecOptions, ParallelConfig, PlanSummary, Planner, Query, QueryResults,
 };
 
 use crate::dialect::EngineDialect;
@@ -125,10 +124,28 @@ impl InProcessEndpoint {
         }
     }
 
+    /// The planner every request and every `EXPLAIN` of this endpoint goes
+    /// through, so what `explain` shows is what the query paths run: the
+    /// *shared* snapshot handle lets a plan run its driving scan as
+    /// parallel morsels over the pinned epoch, under this endpoint's
+    /// [`ParallelConfig`].
+    fn planner<'s>(
+        &self,
+        snapshot: &'s Arc<StoreSnapshot>,
+        services: Option<&'s dyn ServiceResolver>,
+    ) -> Planner<'s> {
+        let planner = Planner::for_shared_snapshot(snapshot).with_parallelism(self.parallel);
+        match services {
+            Some(services) => planner.with_services(services),
+            None => planner,
+        }
+    }
+
     /// Evaluate a parsed query against the store, recording request stats.
-    /// When `want_plan` is set the chosen physical plan's `EXPLAIN` summary
-    /// is returned too (rendering it costs a little, so the untraced query
-    /// paths skip it).
+    /// `services` resolves `SERVICE <kg:name>` groups; without a resolver
+    /// (or with an unknown target) such a query fails at plan time.  The
+    /// plan's `EXPLAIN` summary is rendered only when `want_plan` is set
+    /// (it costs a little, so the untraced query paths skip it).
     ///
     /// Classification (text-search / ASK) is done on the AST instead of by
     /// substring inspection of the query text, and evaluation goes straight
@@ -137,24 +154,29 @@ impl InProcessEndpoint {
     fn execute_planned(
         &self,
         query: &Query,
-        want_plan: bool,
+        services: Option<&dyn ServiceResolver>,
         deadline: Option<Instant>,
-    ) -> Result<(QueryResults, Option<PlanSummary>, ExecMetrics), EndpointError> {
+        want_plan: bool,
+    ) -> Result<TracedQuery, EndpointError> {
         let start = Instant::now();
         if !self.latency.is_zero() {
             std::thread::sleep(self.latency);
         }
         // Pin one epoch for the whole request: planning statistics and
         // execution scans come from the same immutable snapshot, no matter
-        // how many epochs a concurrent writer publishes meanwhile.  The
-        // *shared* handle lets the plan run its driving scan as parallel
-        // morsels over that same pinned epoch.
+        // how many epochs a concurrent writer publishes meanwhile.
         let snapshot = self.live.snapshot();
-        let plan = Planner::for_shared_snapshot(&snapshot)
-            .with_parallelism(self.parallel)
-            .plan(query);
-        let outcome = plan
-            .execute_with(ExecOptions { deadline })
+        let outcome = self
+            .planner(&snapshot, services)
+            .plan_checked(query)
+            .and_then(|plan| {
+                let run = plan.execute_with(ExecOptions { deadline })?;
+                Ok(TracedQuery {
+                    results: run.results,
+                    plan: want_plan.then(|| plan.summary().clone()),
+                    metrics: Some(run.metrics),
+                })
+            })
             .map_err(EndpointError::from);
         let is_text = query
             .pattern
@@ -162,19 +184,14 @@ impl InProcessEndpoint {
             .iter()
             .any(|tp| is_text_search_pattern(tp));
         self.record_request(start.elapsed(), is_text, query.is_ask(), outcome.is_err());
-        let run = outcome?;
-        let summary = want_plan.then(|| plan.summary().clone());
-        Ok((run.results, summary, run.metrics))
+        outcome
     }
 
     /// The physical plan this endpoint's engine would choose for a query,
     /// without executing it — the `EXPLAIN` entry point.
     pub fn explain(&self, query: &Query) -> PlanSummary {
         let snapshot = self.live.snapshot();
-        Planner::for_snapshot(&snapshot)
-            .plan(query)
-            .summary()
-            .clone()
+        self.planner(&snapshot, None).plan(query).summary().clone()
     }
 
     /// Parse a SPARQL string and return its `EXPLAIN` plan.
@@ -195,9 +212,7 @@ impl SparqlEndpoint for InProcessEndpoint {
 
     fn query(&self, sparql: &str) -> Result<QueryResults, EndpointError> {
         match parse_query(sparql) {
-            Ok(parsed) => self
-                .execute_planned(&parsed, false, None)
-                .map(|(results, _, _)| results),
+            Ok(parsed) => self.query_parsed(&parsed),
             Err(err) => {
                 let start = Instant::now();
                 if !self.latency.is_zero() {
@@ -217,8 +232,8 @@ impl SparqlEndpoint for InProcessEndpoint {
     }
 
     fn query_parsed(&self, query: &Query) -> Result<QueryResults, EndpointError> {
-        self.execute_planned(query, false, None)
-            .map(|(results, _, _)| results)
+        self.execute_planned(query, None, None, false)
+            .map(|traced| traced.results)
     }
 
     fn query_traced(&self, query: &Query) -> Result<TracedQuery, EndpointError> {
@@ -230,12 +245,7 @@ impl SparqlEndpoint for InProcessEndpoint {
         query: &Query,
         deadline: Option<Instant>,
     ) -> Result<TracedQuery, EndpointError> {
-        let (results, plan, metrics) = self.execute_planned(query, true, deadline)?;
-        Ok(TracedQuery {
-            results,
-            plan,
-            metrics: Some(metrics),
-        })
+        self.execute_planned(query, None, deadline, true)
     }
 
     fn ingest(&self, batch: IngestBatch) -> Result<IngestReport, EndpointError> {
@@ -257,34 +267,7 @@ impl SparqlEndpoint for InProcessEndpoint {
         query: &Query,
         services: &dyn ServiceResolver,
     ) -> Result<TracedQuery, EndpointError> {
-        let start = Instant::now();
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-        // Same epoch-pinning contract as `execute_planned`, with the
-        // resolver installed so SERVICE groups can reach sibling KGs.
-        let snapshot = self.live.snapshot();
-        let planner = Planner::for_snapshot(&snapshot).with_services(services);
-        let is_text = query
-            .pattern
-            .all_triple_patterns()
-            .iter()
-            .any(|tp| is_text_search_pattern(tp));
-        let plan = match planner.plan_checked(query) {
-            Ok(plan) => plan,
-            Err(err) => {
-                self.record_request(start.elapsed(), is_text, query.is_ask(), true);
-                return Err(EndpointError::from(err));
-            }
-        };
-        let outcome = plan.execute().map_err(EndpointError::from);
-        self.record_request(start.elapsed(), is_text, query.is_ask(), outcome.is_err());
-        let run = outcome?;
-        Ok(TracedQuery {
-            results: run.results,
-            plan: Some(plan.summary().clone()),
-            metrics: Some(run.metrics),
-        })
+        self.execute_planned(query, Some(services), None, true)
     }
 
     fn stats(&self) -> RequestStats {

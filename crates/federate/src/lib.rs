@@ -12,9 +12,9 @@
 //!    service's registered KG names.  Unknown names become per-KG
 //!    [`KgStatus::Unknown`] reports (HTTP 404 at the serving layer); the
 //!    remaining KGs are asked concurrently through
-//!    [`QaService::answer_batch_within`], each under an equal share of the
-//!    request's deadline ([`kgqan::Budget::split`]), so one stalled KG can
-//!    never starve its siblings.
+//!    [`QaService::answer_batch`], each leg's request carrying an equal
+//!    share of the request's deadline ([`kgqan::Budget::split`]), so one
+//!    stalled KG can never starve its siblings.
 //! 2. **Merge** — per-KG answers are deduplicated by a normalised
 //!    equivalence key ([`answer_key`]) and re-ranked with an
 //!    agreement-boosted combined score ([`merge_answers`]); every merged
@@ -290,16 +290,21 @@ impl FederatedEndpoint {
             .filter(|name| registered.contains(name))
             .cloned()
             .collect();
+        // Every leg carries its own share of the deadline: a stalled KG
+        // exhausts only its slice (answered `Partial`) while its siblings
+        // still complete within theirs.
+        let share = budget.split(known.len()).deadline();
         let requests: Vec<AnswerRequest> = known
             .iter()
-            .map(|kg| {
-                AnswerRequest::new(&request.question)
-                    .on_kg(kg.clone())
-                    .with_overrides(request.overrides)
-                    .with_id(format!("{request_id}/{kg}"))
+            .map(|kg| AnswerRequest {
+                question: request.question.clone(),
+                kg: Some(kg.clone()),
+                overrides: request.overrides,
+                deadline: share,
+                id: Some(format!("{request_id}/{kg}")),
             })
             .collect();
-        let results = self.service.answer_batch_within(&requests, &budget);
+        let results = self.service.answer_batch(&requests);
 
         let mut report_for = std::collections::HashMap::with_capacity(selection.len());
         let mut votes = Vec::new();

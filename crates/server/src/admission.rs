@@ -1,15 +1,130 @@
-//! Admission control: per-client token-bucket rate limiting.
+//! Admission control: the pipeline gate and per-client rate limiting.
 //!
-//! The front-end's other admission mechanisms live at their natural layers
-//! — the bounded connection queue in [`crate::server`], the pipeline
-//! queue-depth load shed against [`kgqan::QaService::queue_depth`] — but
-//! rate limiting needs its own state: one [`TokenBucket`] per client,
-//! keyed by the `X-Client-Id` header when present (so load generators can
-//! multiplex clients over few sockets) and by peer IP otherwise.
+//! * [`Admission`] is the one gate every question (`/ask`,
+//!   `/federate/ask`) passes before its handler thread runs the pipeline: a
+//!   counting semaphore with as many permits as the service has configured
+//!   workers and a bounded waiting room served in arrival order.  A
+//!   request that finds the waiting room full is the server's one
+//!   load-shed `503`; it never queues unboundedly and never blocks.
+//! * [`RateLimiter`] keeps one [`TokenBucket`] per client, keyed by the
+//!   `X-Client-Id` header when present (so load generators can multiplex
+//!   clients over few sockets) and by peer IP otherwise (`429`).
+//!
+//! The third admission mechanism, the bounded connection queue, lives with
+//! the acceptor in [`crate::server`].
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
+
+use kgqan::PoolStats;
+
+/// The pipeline admission gate: `permits` pipeline runs at once, at most
+/// `max_waiting` requests blocked waiting for a permit, everything beyond
+/// that refused.
+#[derive(Debug)]
+pub struct Admission {
+    permits: usize,
+    max_waiting: usize,
+    state: Mutex<GateState>,
+    /// Signalled whenever a permit is handed to the waiting room.  Every
+    /// waiter wakes and re-checks its ticket; waiters are handler threads,
+    /// so there are never more of them than the server has handlers.
+    turn: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct GateState {
+    /// Permits out, including those handed to a waiter that has not woken
+    /// up yet.
+    running: usize,
+    /// Tickets given to requests that had to wait, and how many of them
+    /// have been handed a permit, both in arrival order: a finished run
+    /// hands its permit to the oldest waiter rather than freeing it, so a
+    /// later arrival never overtakes the waiting room.
+    tickets: u64,
+    admitted: u64,
+    completed: u64,
+    rejected: u64,
+}
+
+/// Returns its permit when dropped, so a run that unwinds frees its slot.
+struct Permit<'a>(&'a Admission);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut state = self.0.lock();
+        state.completed += 1;
+        if state.admitted < state.tickets {
+            state.admitted += 1;
+            drop(state);
+            self.0.turn.notify_all();
+        } else {
+            state.running -= 1;
+        }
+    }
+}
+
+impl Admission {
+    /// A gate with `permits` permits (at least one) and room for
+    /// `max_waiting` blocked requests.
+    pub fn new(permits: usize, max_waiting: usize) -> Self {
+        Admission {
+            permits: permits.max(1),
+            max_waiting,
+            state: Mutex::new(GateState::default()),
+            turn: Condvar::new(),
+        }
+    }
+
+    /// Every update below leaves the counters consistent before the guard
+    /// is released, so a poisoned lock is still safe to read and write.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Run `work` on the calling thread under a permit, waiting for one if
+    /// the waiting room has space.  `None` means the waiting room was full
+    /// and `work` did not run: the caller sheds the request.  The permit is
+    /// returned when `work` returns *or unwinds*.
+    pub fn run<T>(&self, work: impl FnOnce() -> T) -> Option<T> {
+        let mut state = self.lock();
+        if state.running < self.permits {
+            state.running += 1;
+        } else {
+            if state.tickets - state.admitted >= self.max_waiting as u64 {
+                state.rejected += 1;
+                return None;
+            }
+            let ticket = state.tickets;
+            state.tickets += 1;
+            while state.admitted <= ticket {
+                state = self
+                    .turn
+                    .wait(state)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
+        }
+        drop(state);
+        let _permit = Permit(self);
+        Some(work())
+    }
+
+    /// The gate's counters in the pool's vocabulary: `queued` requests
+    /// waiting for a permit, `running` under one, `workers` permits.
+    pub fn stats(&self) -> PoolStats {
+        let state = self.lock();
+        PoolStats {
+            queued: (state.tickets - state.admitted) as usize,
+            running: state.running,
+            workers: self.permits,
+            completed: state.completed,
+            rejected: state.rejected,
+        }
+    }
+}
 
 /// Requests-per-second budget enforced per client.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,6 +237,115 @@ impl RateLimiter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::{channel, Sender};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+
+    /// Occupy one permit on a thread of its own until the returned sender
+    /// is dropped; returns once the permit is held.
+    fn hold_permit(gate: &Arc<Admission>) -> (Sender<()>, JoinHandle<Option<()>>) {
+        let (release, released) = channel::<()>();
+        let (entered_tx, entered) = channel();
+        let gate = Arc::clone(gate);
+        let holder = std::thread::spawn(move || {
+            gate.run(|| {
+                entered_tx.send(()).unwrap();
+                let _ = released.recv();
+            })
+        });
+        entered.recv().unwrap();
+        (release, holder)
+    }
+
+    fn wait_until_queued(gate: &Admission, n: usize) {
+        while gate.stats().queued < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn gate_runs_up_to_its_permits_queues_up_to_its_bound_and_refuses_the_rest() {
+        let gate = Arc::new(Admission::new(1, 1));
+        assert_eq!(gate.run(|| 7), Some(7), "a free permit runs at once");
+
+        let (release, holder) = hold_permit(&gate);
+        let waiter = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || gate.run(|| "waited"))
+        };
+        wait_until_queued(&gate, 1);
+        let stats = gate.stats();
+        assert_eq!((stats.workers, stats.running, stats.queued), (1, 1, 1));
+
+        // The waiting room is full: refused without blocking or running.
+        assert_eq!(
+            gate.run(|| unreachable!("shed work must not run")),
+            None::<()>
+        );
+        assert_eq!(gate.stats().rejected, 1);
+
+        drop(release);
+        assert_eq!(holder.join().unwrap(), Some(()));
+        assert_eq!(waiter.join().unwrap(), Some("waited"));
+        let stats = gate.stats();
+        assert_eq!((stats.running, stats.queued, stats.completed), (0, 0, 3));
+    }
+
+    #[test]
+    fn a_later_arrival_never_overtakes_the_waiting_room() {
+        let gate = Arc::new(Admission::new(1, 2));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (release, holder) = hold_permit(&gate);
+        let waiter = {
+            let (gate, order) = (Arc::clone(&gate), Arc::clone(&order));
+            std::thread::spawn(move || gate.run(|| order.lock().unwrap().push("waited")))
+        };
+        wait_until_queued(&gate, 1);
+        drop(release);
+        holder.join().unwrap();
+        // The holder passed its permit on rather than freeing it, so this
+        // request queues even if the waiter has not woken up yet.
+        assert_eq!(gate.run(|| order.lock().unwrap().push("late")), Some(()));
+        assert_eq!(waiter.join().unwrap(), Some(()));
+        assert_eq!(*order.lock().unwrap(), ["waited", "late"]);
+    }
+
+    #[test]
+    fn every_waiter_gets_a_permit_whatever_the_wake_up_order() {
+        let gate = Arc::new(Admission::new(2, 6));
+        let holders = [hold_permit(&gate), hold_permit(&gate)];
+        let waiters: Vec<_> = (0..6)
+            .map(|i| {
+                let gate = Arc::clone(&gate);
+                std::thread::spawn(move || gate.run(|| i))
+            })
+            .collect();
+        wait_until_queued(&gate, 6);
+        for (release, holder) in holders {
+            drop(release);
+            holder.join().unwrap();
+        }
+        let mut ran: Vec<usize> = waiters
+            .into_iter()
+            .map(|w| w.join().unwrap().expect("a queued request is never shed"))
+            .collect();
+        ran.sort_unstable();
+        assert_eq!(ran, vec![0, 1, 2, 3, 4, 5]);
+        let stats = gate.stats();
+        assert_eq!((stats.running, stats.queued, stats.completed), (0, 0, 8));
+    }
+
+    #[test]
+    fn panicking_work_returns_its_permit() {
+        let gate = Admission::new(1, 0);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gate.run(|| -> () { panic!("stage blew up") })
+        }));
+        assert!(unwound.is_err());
+        // With one permit and no waiting room, a leaked permit would shed.
+        assert_eq!(gate.run(|| 7), Some(7));
+        assert_eq!(gate.stats().running, 0);
+    }
 
     #[test]
     fn bucket_admits_burst_then_rejects() {

@@ -15,16 +15,18 @@
 //! | `POST /kg/{name}/ingest` | Add N-Triples to KG `name`'s live store |
 //! | `GET /kg` | Registered KGs with serving epoch and triple count |
 //! | `GET /healthz` | Liveness + registered KG names |
-//! | `GET /metrics` | Counters: per-route requests/errors/latency, per-KG requests, federation fan-out, queue depth, cache stats |
+//! | `GET /metrics` | Counters: per-route requests/errors/latency, per-KG requests, federation fan-out, admission gate, cache stats |
 //!
-//! ## Admission control
+//! ## Data flow and admission control
 //!
-//! Overload produces explicit signals instead of unbounded queueing, at
-//! three decoupled layers (see [`server`] for the full picture):
-//! acceptor → **bounded connection queue** (full → direct `503`) →
-//! handler threads → per-client **token-bucket rate limits** (`429`) and
-//! **queue-depth load shedding** (`503` + `Retry-After`) → the service's
-//! bounded **worker pool**.  Per-request deadlines map onto the pipeline's
+//! One thread per request: acceptor → **bounded connection queue** (full
+//! → direct `503`) → a handler thread that parses the request *and*
+//! answers it.  On the way it applies per-client **token-bucket rate
+//! limits** (`429`) and, for questions, the one [`Admission`] **gate** —
+//! as many pipeline runs at once as the service has configured workers, a
+//! bounded waiting room, `503` + `Retry-After` beyond it (see [`server`]
+//! for the full picture).  The service's worker pool only runs the per-KG
+//! legs of `/federate/ask`.  Per-request deadlines map onto the pipeline's
 //! [`kgqan::Budget`], so a request that cannot finish in time degrades to
 //! best-so-far answers flagged `"partial": true`.
 //!
@@ -32,7 +34,7 @@
 //! use kgqan::QaService;
 //! use kgqan_server::{serve, ServerConfig};
 //!
-//! let service: QaService = /* build with endpoints + worker pool */
+//! let service: QaService = /* build with endpoints; `.workers(n)` sizes the gate */
 //! #    QaService::builder().build().unwrap();
 //! let mut handle = serve(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
 //! println!("serving on http://{}", handle.addr());
@@ -49,7 +51,7 @@ pub mod metrics;
 pub mod server;
 pub mod wire;
 
-pub use admission::{RateLimit, RateLimiter, TokenBucket};
+pub use admission::{Admission, RateLimit, RateLimiter, TokenBucket};
 pub use client::{ClientResponse, HttpClient};
 pub use http::{HttpError, Limits, Request, Response};
 pub use metrics::{Metrics, Route};

@@ -85,8 +85,10 @@ struct RouteCounters {
 pub struct Metrics {
     routes: [RouteCounters; 8],
     /// Per-KG request counters: how many requests (single-KG asks, SPARQL,
-    /// ingests, and federated fan-out legs) targeted each KG.  A mutex is
-    /// fine here — the map is touched once per request, never per row.
+    /// ingests, and federated fan-out legs) targeted each KG.  The server
+    /// records registered names only (everything else under `unknown`), so
+    /// the map is bounded.  A mutex is fine here — the map is touched once
+    /// per request, never per row.
     kg_requests: Mutex<BTreeMap<String, u64>>,
     /// Connections accepted by the acceptor thread.
     pub connections_accepted: AtomicU64,
@@ -94,7 +96,8 @@ pub struct Metrics {
     pub connections_refused: AtomicU64,
     /// Requests rejected by the per-client rate limiter (429).
     pub rate_limited: AtomicU64,
-    /// Requests shed because the pipeline queue was over threshold (503).
+    /// Questions shed because the admission gate's waiting room was full
+    /// (503).
     pub load_shed: AtomicU64,
     /// Per-KG fan-out legs issued by `POST /federate/ask` (one per
     /// selected KG per federated request, unknown names included).

@@ -1,44 +1,50 @@
 //! The serving loop: acceptor → bounded connection queue → handler
-//! threads → the service's pipeline worker pool.
+//! threads, each of which *is* the pipeline thread of the request it read.
 //!
-//! Admission control is decoupled from pipeline execution at every layer,
-//! so overload degrades with explicit signals instead of unbounded
-//! queueing:
+//! Whichever thread parses a request also answers it — `/ask`, `/sparql`,
+//! `/ingest` and `/federate/ask` alike — so a request crosses exactly one
+//! thread boundary (acceptor → handler) before its work starts.  Overload
+//! degrades with explicit signals instead of unbounded queueing:
 //!
 //! 1. The **acceptor** thread accepts sockets and pushes them onto a
 //!    *bounded* connection queue.  A full queue answers `503` directly on
 //!    the fresh socket and closes it — the server never accumulates
 //!    connections it cannot serve.
-//! 2. **Handler** threads pop connections, parse requests (keep-alive,
-//!    with byte limits from [`Limits`]), and apply per-client
-//!    [`RateLimit`]s (`429 Too Many Requests`) plus a queue-depth load
-//!    shed: when the pipeline backlog reaches
-//!    [`ServerConfig::shed_queue_depth`], ask requests are refused with
-//!    `503` + `Retry-After` instead of being enqueued.
-//! 3. Admitted ask requests go through [`QaService::try_enqueue`] onto the
-//!    service's bounded **worker pool** — the handler blocks on the
-//!    ticket, the pipeline workers do the answering.  A full pool queue is
-//!    one more `503`.  Per-request deadlines ride the existing
+//! 2. **Handler** threads pop connections — the most recently idle
+//!    handler first, so light traffic stays on few warm threads — parse
+//!    requests (keep-alive, with byte limits from [`Limits`]), and apply
+//!    per-client [`RateLimit`]s (`429 Too Many Requests`).
+//! 3. Questions (`/ask`, `/federate/ask`) then pass the one
+//!    [`Admission`] gate: as many pipeline runs at once as the service has
+//!    configured workers, at most [`ServerConfig::shed_queue_depth`]
+//!    handlers waiting for a permit, and `503` + `Retry-After` for the
+//!    rest.  The admitted handler calls [`QaService::answer`] itself; only
+//!    the legs of a federated question fan out, on the service's batch
+//!    pool.  Per-request deadlines ride the existing
 //!    [`Budget`](kgqan::Budget) machinery: a request that cannot finish in
 //!    time returns best-so-far answers flagged `"partial": true` rather
 //!    than missing its deadline entirely.
 //!
+//! A panic anywhere below a handler's routing frame becomes that
+//! request's `500`; the handler thread and its connection survive.
+//!
 //! [`ServerHandle::shutdown`] stops the acceptor, drains queued
 //! connections, lets in-flight requests finish, and joins every thread.
 
+use std::collections::VecDeque;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
-use kgqan::{QaService, SubmitError};
+use kgqan::QaService;
 use kgqan_federate::FederatedEndpoint;
 use kgqan_rdf::IngestBatch;
 
-use crate::admission::{RateLimit, RateLimiter};
+use crate::admission::{Admission, RateLimit, RateLimiter};
 use crate::http::{read_request, Limits, Request, Response};
 use crate::metrics::{Metrics, Route};
 use crate::wire;
@@ -51,9 +57,8 @@ pub struct ServerConfig {
     /// Bound of the accepted-connection queue; beyond it the acceptor
     /// answers `503` directly.
     pub conn_queue_bound: usize,
-    /// Pipeline-backlog threshold at which ask requests are shed with
-    /// `503`.  Compared against [`QaService::queue_depth`], so it only
-    /// bites on services built with a worker pool.
+    /// How many questions may wait for a pipeline permit (the
+    /// [`Admission`] gate's waiting room); one more is shed with `503`.
     pub shed_queue_depth: usize,
     /// Per-client rate limit; `None` disables the limiter.
     pub rate_limit: Option<RateLimit>,
@@ -92,11 +97,81 @@ pub struct ServerHandle {
     handlers: Vec<JoinHandle<()>>,
 }
 
+/// Accepted connections waiting for a handler, and the handlers waiting
+/// for a connection.  The most recently idle handler is woken first, so a
+/// server with more handler threads than live connections keeps its work —
+/// and the memory the allocator retains per thread for it — on as few
+/// threads as the load needs.
+struct ConnQueue {
+    bound: usize,
+    state: Mutex<ConnState>,
+}
+
+#[derive(Default)]
+struct ConnState {
+    waiting: VecDeque<TcpStream>,
+    idle: Vec<Thread>,
+    closed: bool,
+}
+
+impl ConnQueue {
+    fn lock(&self) -> MutexGuard<'_, ConnState> {
+        self.state
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Queue a connection and wake a handler; hands the connection back
+    /// when `bound` connections are already waiting.
+    fn push(&self, stream: TcpStream) -> Result<(), TcpStream> {
+        let mut state = self.lock();
+        if state.waiting.len() >= self.bound {
+            return Err(stream);
+        }
+        state.waiting.push_back(stream);
+        if let Some(handler) = state.idle.pop() {
+            handler.unpark();
+        }
+        Ok(())
+    }
+
+    /// The next connection for the calling handler; `None` once the queue
+    /// is closed and drained.
+    fn pop(&self) -> Option<TcpStream> {
+        let me = std::thread::current();
+        loop {
+            let mut state = self.lock();
+            // Still listed if the wake-up was spurious.
+            state.idle.retain(|handler| handler.id() != me.id());
+            if let Some(stream) = state.waiting.pop_front() {
+                return Some(stream);
+            }
+            if state.closed {
+                return None;
+            }
+            state.idle.push(me.clone());
+            drop(state);
+            std::thread::park();
+        }
+    }
+
+    /// No more connections will come: idle handlers drain and exit.
+    fn close(&self) {
+        let mut state = self.lock();
+        state.closed = true;
+        for handler in state.idle.drain(..) {
+            handler.unpark();
+        }
+    }
+}
+
 struct Shared {
     service: QaService,
+    conns: ConnQueue,
     /// The federation layer over the same service (the service is a cheap
     /// `Arc` clone, so both views share registry, cache, and worker pool).
     federated: FederatedEndpoint,
+    gate: Admission,
     config: ServerConfig,
     metrics: Metrics,
     limiter: Option<RateLimiter>,
@@ -117,23 +192,29 @@ pub fn serve(
     let shared = Arc::new(Shared {
         limiter: config.rate_limit.map(RateLimiter::new),
         federated: FederatedEndpoint::new(service.clone()),
+        gate: Admission::new(service.pool_stats().workers, config.shed_queue_depth),
+        conns: ConnQueue {
+            // Room for at least one, or no connection would ever be served.
+            bound: config.conn_queue_bound.max(1),
+            state: Mutex::default(),
+        },
         service,
         config,
         metrics: Metrics::new(),
         shutting_down: AtomicBool::new(false),
     });
 
-    let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(shared.config.conn_queue_bound);
-    let rx = Arc::new(Mutex::new(rx));
-
     let mut handlers = Vec::with_capacity(shared.config.handler_threads);
     for i in 0..shared.config.handler_threads.max(1) {
         let shared = Arc::clone(&shared);
-        let rx = Arc::clone(&rx);
         handlers.push(
             std::thread::Builder::new()
                 .name(format!("kgqan-http-{i}"))
-                .spawn(move || handler_loop(&shared, &rx))
+                .spawn(move || {
+                    while let Some(stream) = shared.conns.pop() {
+                        handle_connection(&shared, stream);
+                    }
+                })
                 .expect("spawn handler thread"),
         );
     }
@@ -142,7 +223,7 @@ pub fn serve(
         let shared = Arc::clone(&shared);
         std::thread::Builder::new()
             .name("kgqan-http-acceptor".into())
-            .spawn(move || acceptor_loop(&shared, &listener, &tx))
+            .spawn(move || acceptor_loop(&shared, &listener))
             .expect("spawn acceptor thread")
     };
 
@@ -175,15 +256,14 @@ impl ServerHandle {
     pub fn shutdown(&mut self) {
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         // The acceptor is blocked in accept(); a throw-away connection
-        // wakes it so it can observe the flag and exit, dropping the
-        // sender half of the connection queue.
+        // wakes it so it can observe the flag and exit.
         let _ = TcpStream::connect(self.addr);
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
-        // With the sender dropped, handlers drain what is queued, finish
-        // their current connection (bounded by the idle timeout) and see
-        // the channel disconnect.
+        // With the queue closed, handlers drain what is queued, finish
+        // their current connection (bounded by the idle timeout) and exit.
+        self.shared.conns.close();
         for handler in self.handlers.drain(..) {
             let _ = handler.join();
         }
@@ -196,7 +276,7 @@ impl Drop for ServerHandle {
     }
 }
 
-fn acceptor_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStream>) {
+fn acceptor_loop(shared: &Shared, listener: &TcpListener) {
     loop {
         let Ok((stream, _peer)) = listener.accept() else {
             // Listener-level failure: transient resource exhaustion.
@@ -212,39 +292,17 @@ fn acceptor_loop(shared: &Shared, listener: &TcpListener, tx: &SyncSender<TcpStr
             .metrics
             .connections_accepted
             .fetch_add(1, Ordering::Relaxed);
-        match tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                // Connection queue full: answer 503 on the socket directly
-                // instead of queueing unboundedly.
-                shared
-                    .metrics
-                    .connections_refused
-                    .fetch_add(1, Ordering::Relaxed);
-                let response = Response::json(
-                    503,
-                    wire::error_body(503, "server connection queue is full"),
-                )
+        if let Err(mut stream) = shared.conns.push(stream) {
+            // Connection queue full: answer 503 on the socket directly
+            // instead of queueing unboundedly.
+            shared
+                .metrics
+                .connections_refused
+                .fetch_add(1, Ordering::Relaxed);
+            let response = error_response(503, "server connection queue is full")
                 .with_header("retry-after", "1");
-                let _ = response.write_to(&mut stream, false);
-            }
-            Err(TrySendError::Disconnected(_)) => return,
+            let _ = response.write_to(&mut stream, false);
         }
-    }
-}
-
-fn handler_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
-    loop {
-        // Hold the lock only for the recv: handlers must not serialise on
-        // each other while serving connections.
-        let received = {
-            let rx = rx.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-            rx.recv()
-        };
-        let Ok(stream) = received else {
-            return; // Channel closed: shutdown.
-        };
-        handle_connection(shared, stream);
     }
 }
 
@@ -272,8 +330,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 // lost.
                 let status = e.status();
                 if status != 0 {
-                    let response = Response::json(status, wire::error_body(status, &e.to_string()));
-                    let _ = response.write_to(&mut writer, false);
+                    let _ = error_response(status, &e).write_to(&mut writer, false);
                     shared.metrics.record(Route::Other, status, Duration::ZERO);
                 }
                 return;
@@ -282,7 +339,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 
         let started = Instant::now();
         let keep_alive = request.keep_alive() && !shared.shutting_down.load(Ordering::SeqCst);
-        let (route, response) = respond(shared, &request, &peer_ip);
+        // What a request can reach through `shared` is atomics and
+        // poison-tolerant locks, so state stays usable across an unwind.
+        let responded = catch_unwind(AssertUnwindSafe(|| respond(shared, &request, &peer_ip)));
+        let (route, response) = responded.unwrap_or_else(|_| {
+            let response = error_response(500, "the request handler panicked");
+            (Route::Other, response)
+        });
         shared
             .metrics
             .record(route, response.status, started.elapsed());
@@ -292,8 +355,9 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Route and answer one request.  Never panics: every failure maps to a
-/// status code.
+/// Route and answer one request.  Expected failures map to status codes
+/// here; a panic below this frame is turned into a `500` by
+/// [`handle_connection`].
 fn respond(shared: &Shared, request: &Request, peer_ip: &str) -> (Route, Response) {
     let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
     match (request.method.as_str(), segments.as_slice()) {
@@ -313,7 +377,7 @@ fn respond(shared: &Shared, request: &Request, peer_ip: &str) -> (Route, Respons
             if let Some(response) = rate_limit(shared, request, peer_ip) {
                 return (Route::Federate, response);
             }
-            (Route::Federate, federate_ask(shared, request))
+            (Route::Federate, finish(federate_ask(shared, request)))
         }
         (_, ["federate", "ask"]) => (Route::Federate, method_not_allowed("POST")),
         (method, ["kg", kg, action @ ("ask" | "sparql" | "ingest")]) => {
@@ -327,11 +391,11 @@ fn respond(shared: &Shared, request: &Request, peer_ip: &str) -> (Route, Respons
             if let Some(response) = rate_limit(shared, request, peer_ip) {
                 return (route, response);
             }
-            shared.metrics.record_kg(kg);
+            record_kg(shared, kg);
             let response = match (method, *action) {
-                ("POST", "ask") => ask(shared, request, kg),
-                ("GET" | "POST", "sparql") => sparql(shared, request, kg),
-                ("POST", "ingest") => ingest(shared, request, kg),
+                ("POST", "ask") => finish(ask(shared, request, kg)),
+                ("GET" | "POST", "sparql") => finish(sparql(shared, request, kg)),
+                ("POST", "ingest") => finish(ingest(shared, request, kg)),
                 (_, "sparql") => method_not_allowed("GET, POST"),
                 _ => method_not_allowed("POST"),
             };
@@ -339,16 +403,39 @@ fn respond(shared: &Shared, request: &Request, peer_ip: &str) -> (Route, Respons
         }
         _ => (
             Route::Other,
-            Response::json(
-                404,
-                wire::error_body(404, &format!("no route for {}", request.path)),
-            ),
+            error_response(404, format!("no route for {}", request.path)),
         ),
     }
 }
 
+/// A handler's `Err` is the error response it bailed out with.
+fn finish(outcome: Result<Response, Response>) -> Response {
+    outcome.unwrap_or_else(|error| error)
+}
+
+/// The one JSON error shape: `status` plus a message.  Service and endpoint
+/// errors pass their own `http_status()`.
+fn error_response(status: u16, message: impl std::fmt::Display) -> Response {
+    Response::json(status, wire::error_body(status, &message.to_string()))
+}
+
 fn method_not_allowed(allow: &str) -> Response {
-    Response::json(405, wire::error_body(405, "method not allowed")).with_header("allow", allow)
+    error_response(405, "method not allowed").with_header("allow", allow)
+}
+
+/// The request body as text; every route that reads a body refuses one
+/// that is not UTF-8 instead of guessing at it.
+fn utf8_body(request: &Request) -> Result<&str, Response> {
+    std::str::from_utf8(&request.body).map_err(|_| error_response(400, "request body is not UTF-8"))
+}
+
+/// Count one request against `kg` if it is registered.  The name comes off
+/// the request line (or a federated selection), so anything the registry
+/// does not know is folded into one fixed label: the counter map stays
+/// bounded and no client-chosen text reaches `/metrics`.
+fn record_kg(shared: &Shared, kg: &str) {
+    let known = shared.service.registry().contains(kg);
+    shared.metrics.record_kg(if known { kg } else { "unknown" });
 }
 
 /// Per-client admission: `Some(429)` when the client is over its limit.
@@ -360,12 +447,20 @@ fn rate_limit(shared: &Shared, request: &Request, peer_ip: &str) -> Option<Respo
     let wait = limiter.check(client).err()?;
     shared.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
     Some(
-        Response::json(
-            429,
-            wire::error_body(429, &format!("client {client} is over its rate limit")),
-        )
-        .with_header("retry-after", format!("{}", wait.as_secs().max(1))),
+        error_response(429, format!("client {client} is over its rate limit"))
+            .with_header("retry-after", format!("{}", wait.as_secs().max(1))),
     )
+}
+
+/// Run a question's pipeline work on this handler thread under a gate
+/// permit.  A full waiting room is the server's load shed: accepted-but-
+/// unanswerable work is what melts latency, so it is refused up front.
+fn admitted<T>(shared: &Shared, work: impl FnOnce() -> T) -> Result<T, Response> {
+    shared.gate.run(work).ok_or_else(|| {
+        shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
+        error_response(503, "pipeline is at capacity and its waiting room is full")
+            .with_header("retry-after", "1")
+    })
 }
 
 fn healthz(shared: &Shared) -> Response {
@@ -382,16 +477,12 @@ fn healthz(shared: &Shared) -> Response {
 
 fn metrics_page(shared: &Shared) -> Response {
     let mut text = shared.metrics.render();
-    text.push_str(&format!(
-        "pipeline_queue_depth {}\n",
-        shared.service.queue_depth()
-    ));
-    if let Some(stats) = shared.service.pool_stats() {
-        text.push_str(&format!("pipeline_workers {}\n", stats.workers));
-        text.push_str(&format!("pipeline_running {}\n", stats.running));
-        text.push_str(&format!("pipeline_completed_total {}\n", stats.completed));
-        text.push_str(&format!("pipeline_rejected_total {}\n", stats.rejected));
-    }
+    let gate = shared.gate.stats();
+    text.push_str(&format!("pipeline_queue_depth {}\n", gate.queued));
+    text.push_str(&format!("pipeline_workers {}\n", gate.workers));
+    text.push_str(&format!("pipeline_running {}\n", gate.running));
+    text.push_str(&format!("pipeline_completed_total {}\n", gate.completed));
+    text.push_str(&format!("pipeline_rejected_total {}\n", gate.rejected));
     for (kg, stats) in &shared.service.cache_report().per_kg {
         text.push_str(&format!("cache_hits_total{{kg={kg}}} {}\n", stats.hits));
         text.push_str(&format!("cache_misses_total{{kg={kg}}} {}\n", stats.misses));
@@ -406,196 +497,104 @@ fn kg_list(shared: &Shared) -> Response {
     )
 }
 
-fn federate_ask(shared: &Shared, request: &Request) -> Response {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => return Response::json(400, wire::error_body(400, "request body is not UTF-8")),
-    };
-    let mut federated_request = match wire::parse_federate_request(body) {
-        Ok(r) => r,
-        Err(message) => return Response::json(400, wire::error_body(400, &message)),
-    };
+fn federate_ask(shared: &Shared, request: &Request) -> Result<Response, Response> {
+    let mut federated_request = wire::parse_federate_request(utf8_body(request)?)
+        .map_err(|message| error_response(400, message))?;
     if federated_request.deadline.is_none() {
         federated_request.deadline = shared.config.default_deadline;
     }
-
-    // Same pipeline-backlog shed as single-KG asks: a federated request is
-    // several pipeline runs, so it is the first thing to turn away under
-    // load.
-    if shared.service.worker_pool().is_some()
-        && shared.service.queue_depth() >= shared.config.shed_queue_depth
-    {
-        shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
-        return Response::json(
-            503,
-            wire::error_body(503, "pipeline queue is over the shed threshold"),
-        )
-        .with_header("retry-after", "1");
+    // One permit covers the whole fan-out: the legs run on the service's
+    // batch pool while this thread waits for them and merges.
+    let response = admitted(shared, || shared.federated.ask(federated_request))?
+        .map_err(|e| error_response(e.http_status(), e))?;
+    shared
+        .metrics
+        .federated_fanout
+        .fetch_add(response.reports.len() as u64, Ordering::Relaxed);
+    if response.is_partial() {
+        shared
+            .metrics
+            .federated_partial
+            .fetch_add(1, Ordering::Relaxed);
     }
-
-    match shared.federated.ask(federated_request) {
-        Ok(response) => {
-            shared
-                .metrics
-                .federated_fanout
-                .fetch_add(response.reports.len() as u64, Ordering::Relaxed);
-            if response.is_partial() {
-                shared
-                    .metrics
-                    .federated_partial
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            for report in &response.reports {
-                shared.metrics.record_kg(&report.kg);
-            }
-            Response::json(200, wire::federated_response_to_json(&response))
-        }
-        Err(e) => {
-            let status = e.http_status();
-            Response::json(status, wire::error_body(status, &e.to_string()))
-        }
+    for report in &response.reports {
+        record_kg(shared, &report.kg);
     }
+    Ok(Response::json(
+        200,
+        wire::federated_response_to_json(&response),
+    ))
 }
 
-fn ask(shared: &Shared, request: &Request, kg: &str) -> Response {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => return Response::json(400, wire::error_body(400, "request body is not UTF-8")),
-    };
-    let mut answer_request = match wire::parse_ask_request(body, kg) {
-        Ok(r) => r,
-        Err(message) => return Response::json(400, wire::error_body(400, &message)),
-    };
+fn ask(shared: &Shared, request: &Request, kg: &str) -> Result<Response, Response> {
+    let mut answer_request = wire::parse_ask_request(utf8_body(request)?, kg)
+        .map_err(|message| error_response(400, message))?;
     if answer_request.deadline.is_none() {
         answer_request.deadline = shared.config.default_deadline;
     }
-
-    // Load shed against the *pipeline* backlog, not the socket backlog:
-    // accepted-but-unanswerable work is what melts latency.
-    if shared.service.worker_pool().is_some()
-        && shared.service.queue_depth() >= shared.config.shed_queue_depth
-    {
-        shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
-        return Response::json(
-            503,
-            wire::error_body(503, "pipeline queue is over the shed threshold"),
-        )
-        .with_header("retry-after", "1");
-    }
-
-    let result = if shared.service.worker_pool().is_some() {
-        match shared.service.try_enqueue(answer_request) {
-            Ok(ticket) => match ticket.wait() {
-                Some(result) => result,
-                None => {
-                    return Response::json(
-                        500,
-                        wire::error_body(500, "pipeline worker was lost while answering"),
-                    )
-                }
-            },
-            Err(SubmitError::QueueFull { bound }) => {
-                shared.metrics.load_shed.fetch_add(1, Ordering::Relaxed);
-                return Response::json(
-                    503,
-                    wire::error_body(503, &format!("pipeline queue is full (bound {bound})")),
-                )
-                .with_header("retry-after", "1");
-            }
-            Err(SubmitError::ShuttingDown) => {
-                return Response::json(503, wire::error_body(503, "service is shutting down"))
-                    .with_header("retry-after", "1");
-            }
-        }
-    } else {
-        // No worker pool: answer on the handler thread.  Admission is then
-        // only connection-level, which is fine for small deployments.
-        shared.service.answer(answer_request)
-    };
-
-    match result {
-        Ok(response) => Response::json(200, wire::answer_response_to_json(&response)),
-        Err(e) => {
-            let status = e.http_status();
-            Response::json(status, wire::error_body(status, &e.to_string()))
-        }
-    }
+    let response = admitted(shared, || shared.service.answer(answer_request))?
+        .map_err(|e| error_response(e.http_status(), e))?;
+    Ok(Response::json(
+        200,
+        wire::answer_response_to_json(&response),
+    ))
 }
 
-fn sparql(shared: &Shared, request: &Request, kg: &str) -> Response {
+fn sparql(shared: &Shared, request: &Request, kg: &str) -> Result<Response, Response> {
     let query = if request.method == "GET" {
         request.query_param("query")
     } else {
-        let body = String::from_utf8_lossy(&request.body).into_owned();
+        let body = utf8_body(request)?;
         let content_type = request.header("content-type").unwrap_or("");
         if content_type.starts_with("application/x-www-form-urlencoded") {
             // Re-use the query-string parser on the form body.
             Request {
-                query: body,
+                query: body.to_string(),
                 ..request.clone()
             }
             .query_param("query")
         } else {
-            Some(body).filter(|b| !b.trim().is_empty())
+            Some(body.to_string()).filter(|b| !b.trim().is_empty())
         }
     };
-    let Some(query) = query else {
-        return Response::json(
-            400,
-            wire::error_body(400, "missing SPARQL query (use ?query= or a request body)"),
-        );
-    };
-    let endpoint = match shared.service.registry().get(kg) {
-        Ok(endpoint) => endpoint,
-        Err(e) => {
-            let status = e.http_status();
-            return Response::json(status, wire::error_body(status, &e.to_string()));
-        }
-    };
-    let parsed = match kgqan_sparql::parse_query(&query) {
-        Ok(parsed) => parsed,
-        Err(e) => return Response::json(400, wire::error_body(400, &e.to_string())),
-    };
+    let query = query.ok_or_else(|| {
+        error_response(400, "missing SPARQL query (use ?query= or a request body)")
+    })?;
+    let registry = shared.service.registry();
+    let endpoint = registry
+        .get(kg)
+        .map_err(|e| error_response(e.http_status(), e))?;
+    let parsed = kgqan_sparql::parse_query(&query).map_err(|e| error_response(400, e))?;
     let explain = request
         .query_param("explain")
         .is_some_and(|v| v != "0" && v != "false");
     // SERVICE groups join against other registered KGs, so they (and
     // explain requests, which need the traced plan) go through the
     // federated entry point with the registry as the resolver.
-    if explain || !parsed.pattern.service_targets().is_empty() {
-        match endpoint.query_federated(&parsed, shared.service.registry()) {
-            Ok(traced) if explain => Response::json(200, wire::traced_query_to_json(&traced)),
-            Ok(traced) => Response::json(200, wire::query_results_to_json(&traced.results)),
-            Err(e) => {
-                let status = e.http_status();
-                Response::json(status, wire::error_body(status, &e.to_string()))
-            }
+    let body = if explain || !parsed.pattern.service_targets().is_empty() {
+        let traced = endpoint
+            .query_federated(&parsed, registry)
+            .map_err(|e| error_response(e.http_status(), e))?;
+        if explain {
+            wire::traced_query_to_json(&traced)
+        } else {
+            wire::query_results_to_json(&traced.results)
         }
     } else {
-        match endpoint.query_parsed(&parsed) {
-            Ok(results) => Response::json(200, wire::query_results_to_json(&results)),
-            Err(e) => {
-                let status = e.http_status();
-                Response::json(status, wire::error_body(status, &e.to_string()))
-            }
-        }
-    }
+        let results = endpoint
+            .query_parsed(&parsed)
+            .map_err(|e| error_response(e.http_status(), e))?;
+        wire::query_results_to_json(&results)
+    };
+    Ok(Response::json(200, body))
 }
 
-fn ingest(shared: &Shared, request: &Request, kg: &str) -> Response {
-    let body = match std::str::from_utf8(&request.body) {
-        Ok(body) => body,
-        Err(_) => return Response::json(400, wire::error_body(400, "request body is not UTF-8")),
-    };
-    let triples = match kgqan_rdf::parse_ntriples(body) {
-        Ok(triples) => triples,
-        Err(e) => return Response::json(400, wire::error_body(400, &e.to_string())),
-    };
-    match shared.service.ingest(kg, IngestBatch::from(triples)) {
-        Ok(report) => Response::json(200, wire::ingest_report_to_json(&report)),
-        Err(e) => {
-            let status = e.http_status();
-            Response::json(status, wire::error_body(status, &e.to_string()))
-        }
-    }
+fn ingest(shared: &Shared, request: &Request, kg: &str) -> Result<Response, Response> {
+    let triples =
+        kgqan_rdf::parse_ntriples(utf8_body(request)?).map_err(|e| error_response(400, e))?;
+    let report = shared
+        .service
+        .ingest(kg, IngestBatch::from(triples))
+        .map_err(|e| error_response(e.http_status(), e))?;
+    Ok(Response::json(200, wire::ingest_report_to_json(&report)))
 }

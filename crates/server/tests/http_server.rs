@@ -4,14 +4,17 @@
 //! the paper's running-example KG fragment (the 7-triple DBpedia miniature
 //! of Figure 4) and drives it with the crate's own [`HttpClient`].
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use kgqan::{AnswerRequest, PoolConfig, QaService};
+use kgqan::{AnswerRequest, KgqanError, PoolConfig, QaService, Understand, Understanding};
 use kgqan_endpoint::json::Json;
-use kgqan_endpoint::InProcessEndpoint;
+use kgqan_endpoint::{
+    EndpointError, EngineDialect, InProcessEndpoint, RequestStats, SparqlEndpoint,
+};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 use kgqan_server::{serve, wire, HttpClient, RateLimit, ServerConfig, ServerHandle};
+use kgqan_sparql::{ParallelConfig, Query, QueryResults};
 
 const QUESTION: &str = "Name the sea into which Danish Straits flows and has \
                         Kaliningrad as one of the city on the shore";
@@ -210,17 +213,27 @@ fn sixteen_clients_two_kgs_match_in_process_answers() {
 fn burst_past_queue_bound_sheds_with_503_and_never_hangs() {
     // One slow worker, a queue of 2, shed threshold 2: a 16-request burst
     // must complete (nothing hangs) with a mix of 200s and 503s.
-    let service = QaService::builder()
-        .endpoint(Arc::new(
+    let slow_kg = || {
+        QaService::builder().endpoint(Arc::new(
             InProcessEndpoint::new("DBpedia", quickstart_store())
                 .with_latency(Duration::from_millis(25)),
         ))
-        .worker_pool(PoolConfig {
-            workers: 1,
-            queue_bound: 2,
-        })
-        .build()
-        .unwrap();
+    };
+    burst_sheds(
+        slow_kg()
+            .worker_pool(PoolConfig {
+                workers: 1,
+                queue_bound: 2,
+            })
+            .build()
+            .unwrap(),
+    );
+    // Built without a pool size: the default four permits plus two waiters
+    // are still fewer than the eight handlers the burst occupies.
+    burst_sheds(slow_kg().build().unwrap());
+}
+
+fn burst_sheds(service: QaService) {
     let handle = start(
         service,
         ServerConfig {
@@ -560,4 +573,310 @@ fn graceful_shutdown_finishes_in_flight_requests() {
 
     // Shutdown is idempotent (and Drop will run it again harmlessly).
     handle.shutdown();
+}
+
+#[test]
+fn full_connection_queue_refuses_on_the_socket_and_serves_the_queued() {
+    let handle = start(
+        two_kg_service(None),
+        ServerConfig {
+            handler_threads: 1,
+            conn_queue_bound: 1,
+            ..test_config()
+        },
+    );
+    // The only handler is held by an open keep-alive connection…
+    let mut holder = HttpClient::connect(handle.addr());
+    assert_eq!(holder.get("/healthz").unwrap().status, 200);
+    // …so the next connection waits in the queue (its request is answered
+    // once the handler is free) and the one after finds the queue full.
+    let queued = std::thread::spawn({
+        let addr = handle.addr();
+        move || {
+            HttpClient::connect(addr)
+                .with_timeout(Duration::from_secs(10))
+                .get("/healthz")
+        }
+    });
+    while handle
+        .metrics()
+        .connections_accepted
+        .load(std::sync::atomic::Ordering::Relaxed)
+        < 2
+    {
+        std::thread::yield_now();
+    }
+    let refused = HttpClient::connect(handle.addr())
+        .get("/healthz")
+        .expect("refusal is a real response");
+    assert_eq!(refused.status, 503);
+    assert!(refused.header("retry-after").is_some());
+    assert_eq!(
+        handle
+            .metrics()
+            .connections_refused
+            .load(std::sync::atomic::Ordering::Relaxed),
+        1
+    );
+
+    drop(holder);
+    assert_eq!(
+        queued.join().unwrap().expect("queued is served").status,
+        200
+    );
+}
+
+/// An understanding stage that notes which thread ran it.
+struct ThreadNoting {
+    inner: Arc<kgqan::QuestionUnderstanding>,
+    seen: Arc<Mutex<Vec<String>>>,
+}
+
+impl Understand for ThreadNoting {
+    fn understand(&self, question: &str) -> Result<Understanding, KgqanError> {
+        let name = std::thread::current().name().unwrap_or("").to_string();
+        self.seen.lock().unwrap().push(name);
+        self.inner.understand(question)
+    }
+}
+
+#[test]
+fn ask_runs_its_pipeline_on_the_handler_thread() {
+    let trained = two_kg_service(None);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let pipeline = trained
+        .pipeline()
+        .clone()
+        .with_understand(Arc::new(ThreadNoting {
+            inner: Arc::clone(trained.understanding()),
+            seen: Arc::clone(&seen),
+        }));
+    let service = QaService::builder()
+        .shared_understanding(Arc::clone(trained.understanding()))
+        .pipeline(pipeline)
+        .endpoint(Arc::new(InProcessEndpoint::new(
+            "DBpedia",
+            quickstart_store(),
+        )))
+        .workers(2)
+        .build()
+        .unwrap();
+    let handle = start(service, test_config());
+    let mut client = HttpClient::connect(handle.addr());
+
+    let body = format!("{{\"question\": \"{QUESTION}\"}}");
+    let response = client
+        .post("/kg/DBpedia/ask", "application/json", &body)
+        .unwrap();
+    assert_eq!(response.status, 200, "body: {}", response.text());
+    let seen = seen.lock().unwrap();
+    assert_eq!(seen.len(), 1);
+    assert!(
+        seen[0].starts_with("kgqan-http-") && seen[0] != "kgqan-http-acceptor",
+        "understanding ran on {:?}, not on the thread that read the request",
+        seen[0]
+    );
+    // Nothing but a batch starts the service's pool.
+    assert_eq!(handle.service().pool_stats().completed, 0);
+}
+
+/// An endpoint whose engine has a bug: every query panics.
+struct Boom;
+
+impl SparqlEndpoint for Boom {
+    fn name(&self) -> &str {
+        "Boom"
+    }
+    fn dialect(&self) -> EngineDialect {
+        EngineDialect::Virtuoso
+    }
+    fn query(&self, _: &str) -> Result<QueryResults, EndpointError> {
+        panic!("engine bug")
+    }
+    fn query_parsed(&self, _: &Query) -> Result<QueryResults, EndpointError> {
+        panic!("engine bug")
+    }
+    fn stats(&self) -> RequestStats {
+        RequestStats::default()
+    }
+}
+
+#[test]
+fn a_panicking_endpoint_is_a_500_and_the_only_handler_survives() {
+    let trained = two_kg_service(None);
+    let service = QaService::builder()
+        .shared_understanding(Arc::clone(trained.understanding()))
+        .endpoint(Arc::new(Boom))
+        .build()
+        .unwrap();
+    let handle = start(
+        service,
+        ServerConfig {
+            handler_threads: 1,
+            ..test_config()
+        },
+    );
+
+    let mut client = HttpClient::connect(handle.addr()).with_timeout(Duration::from_secs(10));
+    let response = client
+        .post(
+            "/kg/Boom/sparql",
+            "application/sparql-query",
+            "ASK { ?s ?p ?o }",
+        )
+        .expect("a panicking route still answers");
+    assert_eq!(response.status, 500, "body: {}", response.text());
+    // A question that panics mid-pipeline returns its permit as well.
+    let response = client
+        .post(
+            "/kg/Boom/ask",
+            "application/json",
+            &format!("{{\"question\": \"{QUESTION}\"}}"),
+        )
+        .expect("a panicking pipeline still answers");
+    assert_eq!(response.status, 500, "body: {}", response.text());
+    drop(client);
+
+    let mut fresh = HttpClient::connect(handle.addr()).with_timeout(Duration::from_secs(10));
+    assert_eq!(fresh.get("/healthz").expect("handler is alive").status, 200);
+    let text = fresh.get("/metrics").unwrap().text();
+    assert!(text.contains("pipeline_running 0"), "{text}");
+}
+
+#[test]
+fn unknown_kg_names_cannot_grow_or_forge_metrics() {
+    let handle = start(two_kg_service(None), test_config());
+    let mut client = HttpClient::connect(handle.addr());
+    let ask = "{\"question\": \"Who?\"}";
+
+    for i in 0..1000 {
+        let response = client
+            .post(&format!("/kg/bogus-{i}/ask"), "application/json", ask)
+            .unwrap();
+        assert_eq!(response.status, 404);
+    }
+    // A percent-encoded newline in the name must not become a metrics line.
+    let response = client
+        .post("/kg/x%0Ainjected_total%201/ask", "application/json", ask)
+        .unwrap();
+    assert_eq!(response.status, 404);
+    // Federated selections name KGs too.
+    let response = client
+        .post(
+            "/federate/ask",
+            "application/json",
+            "{\"question\": \"Who is the wife of Barack Obama?\", \"kgs\": [\"Celebs\", \"y\\nforged_total 1\"]}",
+        )
+        .unwrap();
+    assert_eq!(response.status, 200, "body: {}", response.text());
+
+    let text = client.get("/metrics").unwrap().text();
+    let kg_lines: Vec<&str> = text
+        .lines()
+        .filter(|line| line.starts_with("kg_requests_total{"))
+        .collect();
+    assert_eq!(
+        kg_lines,
+        vec![
+            "kg_requests_total{kg=Celebs} 1",
+            "kg_requests_total{kg=unknown} 1002"
+        ],
+        "{text}"
+    );
+    assert!(!text.contains("injected_total"), "{text}");
+    assert!(!text.contains("forged_total"), "{text}");
+}
+
+#[test]
+fn sparql_post_refuses_a_body_that_is_not_utf8() {
+    let handle = start(two_kg_service(None), test_config());
+    let mut client = HttpClient::connect(handle.addr());
+    // Lossy decoding would turn the 0xFF into U+FFFD inside the literal and
+    // run that different query.
+    let mut query = b"ASK { ?s ?p \"".to_vec();
+    query.push(0xFF);
+    query.extend_from_slice(b"\" }");
+    let response = client
+        .request(
+            "POST",
+            "/kg/DBpedia/sparql",
+            Some(&query),
+            &[("content-type", "application/sparql-query")],
+        )
+        .unwrap();
+    assert_eq!(response.status, 400, "body: {}", response.text());
+    assert!(response.text().contains("not UTF-8"), "{}", response.text());
+}
+
+#[test]
+fn explain_shows_the_parallel_plan_the_query_route_runs() {
+    // 64 triples under one predicate, and a config eager enough (or not) to
+    // split that driver scan.
+    let mut store = Store::new();
+    for i in 0..64 {
+        store.insert(Triple::new(
+            Term::iri(format!("http://e/s{i}")),
+            Term::iri("http://e/p"),
+            Term::iri(format!("http://e/o{i}")),
+        ));
+    }
+    let kg = |name: &str, max_dop: usize| {
+        Arc::new(
+            InProcessEndpoint::new(name, store.clone()).with_parallelism(ParallelConfig {
+                max_dop,
+                rows_per_worker: 8.0,
+                morsels_per_worker: 2,
+                min_page_rows: 0,
+            }),
+        )
+    };
+    let (eager, sequential) = (kg("Eager", 4), kg("Sequential", 1));
+    let trained = two_kg_service(None);
+    let service = QaService::builder()
+        .shared_understanding(Arc::clone(trained.understanding()))
+        .endpoint(Arc::clone(&eager) as Arc<dyn SparqlEndpoint>)
+        .endpoint(Arc::clone(&sequential) as Arc<dyn SparqlEndpoint>)
+        .build()
+        .unwrap();
+    let handle = start(service, test_config());
+    let mut client = HttpClient::connect(handle.addr());
+
+    let sparql = "SELECT ?s ?o WHERE { ?s <http://e/p> ?o }";
+    let parsed = kgqan_sparql::parse_query(sparql).unwrap();
+    let encoded = kgqan_server::http::percent_encode(sparql);
+    for (endpoint, runs_parallel) in [(&eager, true), (&sequential, false)] {
+        let name = endpoint.name();
+        let ran = endpoint.query_traced(&parsed).unwrap().metrics.unwrap();
+        assert_eq!(ran.parallel.is_some(), runs_parallel, "{name}");
+
+        let response = client
+            .get(&format!("/kg/{name}/sparql?query={encoded}&explain=1"))
+            .unwrap();
+        assert_eq!(response.status, 200, "body: {}", response.text());
+        let explained = Json::parse(&response.text()).unwrap();
+        let shows_parallel = explained
+            .get("plan")
+            .and_then(Json::as_array)
+            .unwrap()
+            .iter()
+            .filter_map(|op| op.get("label").and_then(Json::as_str))
+            .any(|label| label.starts_with("parallel("));
+        assert_eq!(shows_parallel, runs_parallel, "{name}: {}", response.text());
+        assert_eq!(
+            explained
+                .get("results")
+                .and_then(|r| r.get("results"))
+                .and_then(|r| r.get("bindings"))
+                .and_then(Json::as_array)
+                .map(<[Json]>::len),
+            Some(64),
+            "{name}"
+        );
+        // The endpoint's own EXPLAIN agrees with the route.
+        assert_eq!(
+            endpoint.explain(&parsed).to_string().contains("parallel("),
+            runs_parallel,
+            "{name}"
+        );
+    }
 }

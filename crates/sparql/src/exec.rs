@@ -11,6 +11,12 @@
 //! intra-query parallelism degrades gracefully under inter-query load
 //! instead of deadlocking or queueing unboundedly.
 //!
+//! This pool and a `QaService`'s batch pool are deliberately two instances
+//! of the one [`WorkerPool`] type, not one pool: a batch leg that
+//! coordinates a parallel query blocks on its morsel helpers' tickets, so
+//! with legs and helpers on one bounded pool every worker could end up
+//! holding a leg that waits for a helper queued behind it.
+//!
 //! The counters here are process-global on purpose: the HTTP front-end
 //! renders them as `executor_parallel_queries_total` and
 //! `executor_active_workers` without having to thread a handle through

@@ -1,28 +1,27 @@
-//! A persistent, bounded worker pool for pipeline requests.
+//! A persistent, bounded worker pool for fan-out work.
 //!
-//! The `kgqan` core crate's `QaService::answer_batch`
-//! historically spawned a scoped thread pool per call; that overlapped
-//! endpoint round-trips nicely, but it gave an external admission layer
-//! (the HTTP front-end in `kgqan-server`) nothing to aim at: no queue to
-//! bound, no depth to read for load shedding, and no lifecycle to drain on
-//! shutdown.  [`WorkerPool`] fixes that:
+//! Two users, one instance each: the morsel executor ([`crate::exec`])
+//! runs the helper jobs of a parallel query on it, and the `kgqan` core
+//! crate's `QaService::answer_batch` fans the legs of a batch (or of a
+//! federated question) out on it.  A single request never goes through a
+//! pool: it runs on the thread that received it.
 //!
 //! * **Bounded queue.**  Jobs wait in a FIFO of capacity
 //!   [`PoolConfig::queue_bound`]; [`WorkerPool::try_submit`] *never blocks* —
-//!   a full queue is reported as [`SubmitError::QueueFull`] so the caller
-//!   can shed load (HTTP 503) instead of buffering unboundedly.
-//! * **Observable depth.**  [`WorkerPool::queue_depth`] and
-//!   [`WorkerPool::stats`] read the real queued/running counters, so a
-//!   shedding threshold compares against actual backlog, not a guess.
+//!   a full queue is reported as [`SubmitError::QueueFull`] and the caller
+//!   runs the job itself (a batch leg) or goes on with fewer helpers (a
+//!   parallel query).
+//! * **Observable.**  [`WorkerPool::stats`] reads the real queued/running
+//!   counters.
 //! * **Clean shutdown.**  [`WorkerPool::shutdown`] stops accepting new
 //!   jobs, *drains* everything already accepted (queued jobs run to
 //!   completion — accepted work is a promise), and joins the workers.
 //!   Dropping the last handle shuts the pool down the same way, so a
 //!   `QaService` owning a pool never leaks threads.
 //! * **Tickets.**  [`WorkerPool::try_submit`] hands back a [`Ticket`] the
-//!   caller can block on ([`Ticket::wait`] / [`Ticket::wait_timeout`]).  A
-//!   job that panics poisons only its own ticket ([`Ticket::wait`] returns
-//!   `None`); the worker thread survives and keeps serving the queue.
+//!   caller blocks on ([`Ticket::wait`]).  A job that panics poisons only
+//!   its own ticket ([`Ticket::wait`] returns `None`); the worker thread
+//!   survives and keeps serving the queue.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,7 +29,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 /// Sizing of a [`WorkerPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,9 +42,8 @@ pub struct PoolConfig {
 }
 
 impl Default for PoolConfig {
-    /// Four workers (the floor `answer_batch` always used: request
-    /// wall-clock is dominated by endpoint round-trips, which overlap even
-    /// on one core) and a queue of 64.
+    /// Four workers (a request's wall-clock is dominated by endpoint
+    /// round-trips, which overlap even on one core) and a queue of 64.
     fn default() -> Self {
         PoolConfig {
             workers: 4,
@@ -172,37 +169,6 @@ impl<T> Ticket<T> {
             }
         }
     }
-
-    /// Block until the job finishes or `timeout` elapses.  `Err(self)`
-    /// returns the ticket on timeout so the caller can keep waiting;
-    /// `Ok(None)` means the job panicked.
-    pub fn wait_timeout(self, timeout: Duration) -> Result<Option<T>, Ticket<T>> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut state = self
-            .cell
-            .state
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        loop {
-            match std::mem::replace(&mut *state, TicketState::Pending) {
-                TicketState::Done(value) => return Ok(Some(value)),
-                TicketState::Lost => return Ok(None),
-                TicketState::Pending => {
-                    let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-                    if remaining.is_zero() {
-                        drop(state);
-                        return Err(self);
-                    }
-                    let (guard, _timed_out) = self
-                        .cell
-                        .ready
-                        .wait_timeout(state, remaining)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    state = guard;
-                }
-            }
-        }
-    }
 }
 
 impl<T> TicketCell<T> {
@@ -221,7 +187,6 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 struct PoolShared {
     queue: Mutex<QueueState>,
     job_ready: Condvar,
-    idle: Condvar,
     queued: AtomicUsize,
     running: AtomicUsize,
     /// Behind its own `Arc` so each queued job can count itself as done
@@ -267,7 +232,6 @@ impl PoolShared {
             // on the panic path) just before fulfilling its ticket.
             let _ = catch_unwind(AssertUnwindSafe(job));
             self.running.fetch_sub(1, Ordering::Relaxed);
-            self.idle.notify_all();
         }
     }
 }
@@ -329,7 +293,6 @@ impl WorkerPool {
                 shutting_down: false,
             }),
             job_ready: Condvar::new(),
-            idle: Condvar::new(),
             queued: AtomicUsize::new(0),
             running: AtomicUsize::new(0),
             completed: Arc::new(AtomicU64::new(0)),
@@ -402,23 +365,6 @@ impl WorkerPool {
         Ok(ticket)
     }
 
-    /// Jobs waiting in the queue right now (excludes running jobs) — the
-    /// number an admission-control layer compares against its shedding
-    /// threshold.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queued.load(Ordering::Relaxed)
-    }
-
-    /// Jobs accepted but not yet finished: queued plus running.
-    pub fn in_flight(&self) -> usize {
-        self.shared.queued.load(Ordering::Relaxed) + self.shared.running.load(Ordering::Relaxed)
-    }
-
-    /// The configured queue bound.
-    pub fn queue_bound(&self) -> usize {
-        self.shared.queue_bound
-    }
-
     /// A snapshot of the pool's counters.
     pub fn stats(&self) -> PoolStats {
         PoolStats {
@@ -430,38 +376,11 @@ impl WorkerPool {
         }
     }
 
-    /// Block until every accepted job has finished (the queue is empty and
-    /// no worker is running a job).
-    pub fn drain(&self) {
-        let mut state = self
-            .shared
-            .queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        while !state.jobs.is_empty() || self.shared.running.load(Ordering::Relaxed) > 0 {
-            state = self
-                .shared
-                .idle
-                .wait_timeout(state, Duration::from_millis(50))
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .0;
-        }
-    }
-
     /// Stop accepting new jobs, run every job already accepted to
     /// completion, and join the worker threads.  Idempotent; concurrent
     /// calls all block until the pool is down.
     pub fn shutdown(&self) {
         self.handles.shutdown();
-    }
-
-    /// True once [`WorkerPool::shutdown`] has begun.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-            .shutting_down
     }
 }
 
@@ -488,6 +407,7 @@ impl<T> Drop for LostOnDrop<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     #[test]
     fn jobs_run_and_tickets_deliver_results() {
@@ -498,7 +418,7 @@ mod tests {
         let results: Vec<usize> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
         assert_eq!(results, vec![0, 1, 4, 9, 16, 25, 36, 49]);
         assert_eq!(pool.stats().completed, 8);
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(pool.stats().queued, 0);
     }
 
     #[test]
@@ -528,7 +448,7 @@ mod tests {
         let b = pool.try_submit(|| 2).unwrap();
         let err = pool.try_submit(|| 3).unwrap_err();
         assert_eq!(err, SubmitError::QueueFull { bound: 2 });
-        assert_eq!(pool.queue_depth(), 2);
+        assert_eq!(pool.stats().queued, 2);
         assert_eq!(pool.stats().rejected, 1);
 
         let (lock, cvar) = &*gate;
@@ -567,7 +487,6 @@ mod tests {
             pool.try_submit(|| ()).unwrap_err(),
             SubmitError::ShuttingDown
         );
-        assert!(pool.is_shutting_down());
         // Idempotent.
         pool.shutdown();
     }
@@ -598,47 +517,5 @@ mod tests {
         // The worker survived and serves the next job.
         let good = pool.try_submit(|| 7usize).unwrap();
         assert_eq!(good.wait(), Some(7));
-    }
-
-    #[test]
-    fn wait_timeout_returns_ticket_while_pending() {
-        let pool = WorkerPool::new(PoolConfig::with_workers(1));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let release = Arc::clone(&gate);
-        let slow = pool
-            .try_submit(move || {
-                let (lock, cvar) = &*release;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cvar.wait(open).unwrap();
-                }
-                42usize
-            })
-            .unwrap();
-        let slow = match slow.wait_timeout(Duration::from_millis(5)) {
-            Err(ticket) => ticket,
-            Ok(v) => panic!("expected timeout, got {v:?}"),
-        };
-        let (lock, cvar) = &*gate;
-        *lock.lock().unwrap() = true;
-        cvar.notify_all();
-        assert_eq!(slow.wait(), Some(42));
-    }
-
-    #[test]
-    fn drain_waits_for_queued_and_running() {
-        let pool = WorkerPool::new(PoolConfig::with_workers(2));
-        let count = Arc::new(AtomicUsize::new(0));
-        for _ in 0..12 {
-            let count = Arc::clone(&count);
-            pool.try_submit(move || {
-                std::thread::sleep(Duration::from_millis(1));
-                count.fetch_add(1, Ordering::Relaxed);
-            })
-            .unwrap();
-        }
-        pool.drain();
-        assert_eq!(count.load(Ordering::Relaxed), 12);
-        assert_eq!(pool.in_flight(), 0);
     }
 }

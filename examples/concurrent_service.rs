@@ -120,7 +120,7 @@ fn main() {
         response.verdict,
     );
 
-    // 4. Fan a mixed-KG batch across the scoped thread pool.
+    // 4. Fan a mixed-KG batch out on the service's worker pool.
     let batch: Vec<AnswerRequest> = (0..6)
         .map(|i| {
             if i % 2 == 0 {
