@@ -972,6 +972,49 @@ mod tests {
     }
 
     #[test]
+    fn deadline_cut_join_is_flagged_and_not_cached() {
+        // A cross product whose FILTER rejects every row emits nothing, so
+        // the engine must notice the deadline from scan work alone; the
+        // flagged (empty) prefix must then stay out of the cache.
+        let mut s = Store::new();
+        for i in 0..3_000 {
+            for (side, pred) in [("l", "http://e/p"), ("r", "http://e/q")] {
+                s.insert(Triple::new(
+                    Term::iri(format!("http://e/{side}{i}")),
+                    Term::iri(pred),
+                    Term::iri("http://e/o"),
+                ));
+            }
+        }
+        let namespace = QueryCache::shared(CacheConfig::default());
+        let ep = CachingEndpoint::new(
+            Arc::new(InProcessEndpoint::new("DBpedia", s)),
+            namespace.clone(),
+        );
+        let query = parse_query(
+            "SELECT ?x ?y WHERE { ?x <http://e/p> ?a . ?y <http://e/q> ?b . FILTER (?x = ?y) }",
+        )
+        .unwrap();
+        for _ in 0..2 {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_millis(2);
+            let traced = ep.query_traced_within(&query, Some(deadline)).unwrap();
+            let metrics = traced
+                .metrics
+                .expect("a miss reports the engine's counters");
+            assert!(metrics.deadline_exceeded);
+            assert!(
+                metrics.rows_scanned < 100_000,
+                "scanned {}",
+                metrics.rows_scanned
+            );
+        }
+        // Both requests reached the engine; nothing was stored.
+        assert_eq!(ep.stats().total_requests, 2);
+        assert_eq!(namespace.stats().insertions, 0);
+        assert_eq!(namespace.stats().hits, 0);
+    }
+
+    #[test]
     fn oversized_results_are_not_cached() {
         let mut big = Store::new();
         for i in 0..8 {

@@ -223,8 +223,10 @@ impl SparqlEndpoint for InProcessEndpoint {
                 let is_text = sparql.contains("bif:contains")
                     || sparql.contains("textMatch")
                     || sparql.contains("text#query");
-                let is_ask = sparql.trim_start()[..3.min(sparql.trim_start().len())]
-                    .eq_ignore_ascii_case("ASK");
+                let is_ask = sparql
+                    .trim_start()
+                    .get(..3)
+                    .is_some_and(|head| head.eq_ignore_ascii_case("ASK"));
                 self.record_request(start.elapsed(), is_text, is_ask, true);
                 Err(EndpointError::from(err))
             }
@@ -323,6 +325,18 @@ mod tests {
         assert_eq!(stats.ask_requests, 1);
         assert_eq!(stats.text_search_requests, 1);
         assert_eq!(stats.failed_requests, 1);
+    }
+
+    #[test]
+    fn unparseable_non_ascii_text_is_an_error_not_a_panic() {
+        // Byte 3 of both strings falls inside a code point: the ASK-prefix
+        // heuristic of the parse-failure path must not slice there.
+        let ep = InProcessEndpoint::new("DBpedia", store());
+        assert!(ep.query("ab€").is_err());
+        assert!(ep.query("é").is_err());
+        let stats = ep.stats();
+        assert_eq!(stats.failed_requests, 2);
+        assert_eq!(stats.ask_requests, 0);
     }
 
     #[test]

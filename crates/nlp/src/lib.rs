@@ -43,6 +43,6 @@ pub use embedding::{
 };
 pub use lexicon::{pos_tag, PosTag};
 pub use seq2seq::{
-    BioTag, PhraseNode, PhraseTriple, PhraseTriplePattern, Seq2SeqVariant, TriplePatternGenerator,
+    BioTag, PhraseNode, PhraseTriplePattern, Seq2SeqVariant, TriplePatternGenerator,
 };
 pub use tokenizer::{normalize_question, tokenize_question, Token};

@@ -151,9 +151,6 @@ impl fmt::Display for PhraseTriplePattern {
     }
 }
 
-/// Backwards-compatible alias used by early revisions of the public API.
-pub type PhraseTriple = PhraseTriplePattern;
-
 /// Which pre-trained-language-model variant the substitute emulates
 /// (the Table 4 ablation axis).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]

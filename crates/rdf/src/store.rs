@@ -287,16 +287,6 @@ impl Store {
         self.scan(encoded).map(|t| self.decode(t)).collect()
     }
 
-    /// Match an id-level pattern, materialising the results.
-    pub fn matching_encoded(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<EncodedTriple> {
-        self.scan(EncodedTriplePattern::new(s, p, o)).collect()
-    }
-
     /// Count the matches of a term-level pattern.
     pub fn count_matching(&self, pattern: &TriplePattern) -> usize {
         match self.encode_pattern(pattern) {

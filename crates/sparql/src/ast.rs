@@ -415,13 +415,17 @@ fn write_pattern(pattern: &GraphPattern, out: &mut String, indent: usize) {
             // lines would merge into the surrounding BGP, and a child's
             // FILTER would get hoisted out of its group).
             for side in [a, b] {
-                out.push_str(&format!("{pad}{{\n"));
-                write_pattern(side, out, indent + 1);
-                out.push_str(&format!("{pad}}}\n"));
+                write_group(side, out, indent);
             }
         }
         GraphPattern::Optional(a, b) => {
-            write_pattern(a, out, indent);
+            // A FILTER scopes over its whole group, so a filtered left side
+            // needs a group of its own: written bare, the parser would hoist
+            // the filter above the OPTIONAL.
+            match **a {
+                GraphPattern::Filter(..) => write_group(a, out, indent),
+                _ => write_pattern(a, out, indent),
+            }
             out.push_str(&format!("{pad}OPTIONAL {{\n"));
             write_pattern(b, out, indent + 1);
             out.push_str(&format!("{pad}}}\n"));
@@ -443,6 +447,14 @@ fn write_pattern(pattern: &GraphPattern, out: &mut String, indent: usize) {
             out.push_str(&format!("{pad}}}\n"));
         }
     }
+}
+
+/// Append a pattern as a braced group of its own.
+fn write_group(pattern: &GraphPattern, out: &mut String, indent: usize) {
+    let pad = "  ".repeat(indent);
+    out.push_str(&format!("{pad}{{\n"));
+    write_pattern(pattern, out, indent + 1);
+    out.push_str(&format!("{pad}}}\n"));
 }
 
 impl std::fmt::Display for Query {

@@ -1,10 +1,11 @@
-//! Query evaluation over the [`kgqan_rdf::Store`].
+//! Id-space evaluation primitives shared by every evaluator of the crate,
+//! plus the [`execute`] / [`execute_query`] entry points.
 //!
 //! # The dictionary-encoded pipeline
 //!
 //! The store is dictionary-encoded: every [`Term`] is interned once into a
-//! fixed-width [`TermId`] and the triple indices operate purely on ids.  The
-//! evaluator stays in id space end-to-end:
+//! fixed-width [`TermId`] and the triple indices operate purely on ids.
+//! Evaluation stays in id space end-to-end:
 //!
 //! 1. **Plan** — [`crate::plan::Planner`] numbers the variables into a dense
 //!    `VarRegistry`, resolves each triple pattern's constant terms in the
@@ -12,12 +13,12 @@
 //!    nothing), and chooses a cardinality-ordered join order with `FILTER`
 //!    pushdown from the store's statistics.
 //! 2. **Join** — a solution row is a `Vec<Option<TermId>>` indexed by
-//!    variable number.  The planned operators stream rows through
-//!    nested-index-loop joins driving the store's iterator-based
-//!    [`Store::scan`]; join compatibility is a `u32` comparison, and
-//!    extending a row is a flat-vector copy.  `OPTIONAL` is a left outer
-//!    join, `UNION` a concatenation — both over id rows, both lazy, so
-//!    `LIMIT` stops the scans as soon as enough rows exist.
+//!    variable number.  The executor ([`crate::exec`]) walks the planned
+//!    operators depth-first as nested index loops over [`Store::scan`],
+//!    extending *one* row in place: join compatibility is a `u32`
+//!    comparison and binding a variable is a slot write that is undone on
+//!    the way back.  `OPTIONAL` is a left outer join, `UNION` runs both
+//!    branches in turn; a full `LIMIT` page stops every enclosing scan.
 //! 3. **Decode** — terms are materialised in exactly two places: `FILTER`
 //!    expressions, which need lexical values and decode the variables they
 //!    reference on demand, and final projection, which decodes only the rows
@@ -29,18 +30,18 @@
 //! store's built-in text index — which already yields `TermId`s, so the text
 //! path never decodes at all.
 //!
-//! This module keeps a second, deliberately simple evaluator:
-//! [`execute_naive`] materialises every intermediate row set and evaluates
-//! basic graph patterns in the exact order the AST lists them.  It is the
-//! reference implementation the planner is property-tested against.
+//! What lives here is what both the executor and the reference evaluator
+//! (`execute_naive`) need: the variable numbering, pattern compilation,
+//! `FILTER` expression evaluation and row decoding.
 
 use kgqan_rdf::text::tokenize;
 use kgqan_rdf::{EncodedTriplePattern, Store, Term, TermId};
 
-use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
+use crate::ast::{Expression, GraphPattern, Query, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::parser::parse_query;
-use crate::results::{Binding, QueryResults, ResultSet};
+use crate::plan::Planner;
+use crate::results::{Binding, QueryResults};
 
 /// The IRIs accepted as full-text search predicates.  The first is Virtuoso's
 /// (used verbatim in the paper's `potentialRelevantVertices` query); the
@@ -59,70 +60,15 @@ pub const TEXT_SEARCH_PREDICATES: &[&str] = &[
 const DEFAULT_TEXT_SEARCH_CAP: usize = 10_000;
 
 /// Evaluate a parsed [`Query`] against a store through the cost-based
-/// planner and streaming executor (see [`crate::plan`]).
+/// planner ([`crate::plan`]) and the executor ([`crate::exec`]).
 pub fn execute(store: &Store, query: &Query) -> Result<QueryResults, SparqlError> {
-    Evaluator::new(store).run(query)
+    Ok(Planner::new(store).plan(query).execute()?.results)
 }
 
 /// Parse and evaluate a SPARQL string against a store.
 pub fn execute_query(store: &Store, query: &str) -> Result<QueryResults, SparqlError> {
     let parsed = parse_query(query)?;
     execute(store, &parsed)
-}
-
-/// Evaluate a parsed [`Query`] with the naive reference evaluator: triple
-/// patterns are joined in the exact order the AST lists them, every
-/// intermediate row set is fully materialised, and `DISTINCT`/`OFFSET`/
-/// `LIMIT` truncate the final rows post-hoc.
-///
-/// This is **not** the production path — [`execute`] plans and streams — but
-/// the semantics oracle the planner is property-tested against, and the
-/// baseline the `sparql_planner` bench measures the planner's win over.
-/// The two paths return the same row multiset for every query; row *order*
-/// (and therefore which rows a bare `LIMIT`/`OFFSET` page selects) may
-/// differ, as SPARQL permits without `ORDER BY`.  The planned path may also
-/// skip evaluation errors the naive order would hit (and vice versa) when a
-/// reordered step proves the result empty before the erroring step runs.
-pub fn execute_naive(store: &Store, query: &Query) -> Result<QueryResults, SparqlError> {
-    let run = QueryRun::new(store, query);
-    let compiled = run.compile_pattern(&query.pattern);
-    let rows = run.eval_pattern(&compiled, vec![vec![None; run.vars.len()]])?;
-
-    match &query.form {
-        QueryForm::Ask => Ok(QueryResults::Boolean(!rows.is_empty())),
-        QueryForm::Select {
-            variables,
-            distinct,
-        } => {
-            let projected: Vec<String> = if variables.is_empty() {
-                query.pattern.variables()
-            } else {
-                variables.clone()
-            };
-            // Project, deduplicate and page while the rows are still
-            // ids; only the surviving rows are decoded to terms.
-            let slots: Vec<Option<usize>> = projected.iter().map(|v| run.vars.id_of(v)).collect();
-            let mut id_rows: Vec<IdRow> = rows
-                .into_iter()
-                .map(|row| slots.iter().map(|slot| slot.and_then(|i| row[i])).collect())
-                .collect();
-            if *distinct {
-                let mut seen = std::collections::HashSet::new();
-                id_rows.retain(|row| seen.insert(row.clone()));
-            }
-            if let Some(offset) = query.offset {
-                id_rows.drain(..offset.min(id_rows.len()));
-            }
-            if let Some(limit) = query.limit {
-                id_rows.truncate(limit);
-            }
-            let rows: Vec<Binding> = id_rows
-                .into_iter()
-                .map(|row| decode_row(run.store, &projected, &row))
-                .collect();
-            Ok(QueryResults::Solutions(ResultSet::new(projected, rows)))
-        }
-    }
 }
 
 /// A dense numbering of the variables of one query.
@@ -171,6 +117,22 @@ pub(crate) struct CompiledTriplePattern {
     pub(crate) subject: Slot,
     pub(crate) predicate: Slot,
     pub(crate) object: Slot,
+}
+
+impl CompiledTriplePattern {
+    /// The index pattern to scan for: constants as they are, each variable
+    /// position as `bound` resolves it (`None` = unbound, matches anything).
+    pub(crate) fn encoded(&self, bound: impl Fn(usize) -> Option<TermId>) -> EncodedTriplePattern {
+        let resolve = |slot: Slot| match slot {
+            Slot::Const(id) => Some(id),
+            Slot::Var(v) => bound(v),
+        };
+        EncodedTriplePattern::new(
+            resolve(self.subject),
+            resolve(self.predicate),
+            resolve(self.object),
+        )
+    }
 }
 
 /// Resolve the constants of a triple pattern against the store's dictionary
@@ -244,69 +206,6 @@ pub(crate) fn text_query_words(
     Ok(parse_text_query(&query_text))
 }
 
-/// One join step of a compiled basic graph pattern.
-#[derive(Debug, Clone, Copy)]
-enum CompiledStep<'q> {
-    /// An index scan of an id-compiled pattern.
-    Scan(CompiledTriplePattern),
-    /// A full-text probe; kept as AST because the query string may come
-    /// from a variable binding and is resolved per row.
-    TextSearch(&'q TriplePatternAst),
-    /// A constant term of the pattern is absent from the dictionary, so the
-    /// pattern provably matches nothing in this store.
-    NeverMatches,
-}
-
-/// A graph pattern compiled against the store: variables numbered, constant
-/// terms resolved to dictionary ids and basic graph patterns join-ordered.
-///
-/// Built **once** per query run, so per-row re-evaluation (every left row of
-/// an `OPTIONAL`, for instance) re-uses the resolved ids instead of
-/// re-probing the dictionary and re-sorting the join order.
-#[derive(Debug)]
-enum CompiledPattern<'q> {
-    Bgp(Vec<CompiledStep<'q>>),
-    Join(Box<CompiledPattern<'q>>, Box<CompiledPattern<'q>>),
-    Optional(Box<CompiledPattern<'q>>, Box<CompiledPattern<'q>>),
-    Union(Box<CompiledPattern<'q>>, Box<CompiledPattern<'q>>),
-    Filter(Box<CompiledPattern<'q>>, &'q Expression),
-    /// A `SERVICE <kg:name>` group.  The naive evaluator has no resolver for
-    /// other KGs, so this compiles to a deferred error (raised only if the
-    /// group is actually evaluated): federated queries go through the
-    /// planner (`Planner::with_services`).
-    Service(&'q str),
-}
-
-/// A query evaluator bound to a store.
-pub struct Evaluator<'a> {
-    store: &'a Store,
-}
-
-/// The per-query evaluation state: the store, the variable numbering and the
-/// effective text-search fan-out cap.
-struct QueryRun<'a> {
-    store: &'a Store,
-    vars: VarRegistry,
-    text_cap: usize,
-}
-
-impl<'a> Evaluator<'a> {
-    /// Create an evaluator over `store`.
-    pub fn new(store: &'a Store) -> Self {
-        Evaluator { store }
-    }
-
-    /// Run a query to completion: compile it into a [`crate::plan::PhysicalPlan`]
-    /// (cardinality-ordered joins, filter pushdown, streaming operators with
-    /// `LIMIT` early termination) and execute it.
-    pub fn run(&self, query: &Query) -> Result<QueryResults, SparqlError> {
-        Ok(crate::plan::Planner::new(self.store)
-            .plan(query)
-            .execute()?
-            .results)
-    }
-}
-
 /// The text-search fan-out cap of one query: LIMIT + OFFSET, mirroring the
 /// `LIMIT maxVR` clause of `potentialRelevantVertices`.  OFFSET must count
 /// too: `LIMIT 10 OFFSET 4` consumes 14 candidates before truncation, so
@@ -318,230 +217,6 @@ pub(crate) fn effective_text_cap(query: &Query) -> usize {
             .saturating_add(query.offset.unwrap_or(0))
             .min(DEFAULT_TEXT_SEARCH_CAP),
         None => DEFAULT_TEXT_SEARCH_CAP,
-    }
-}
-
-impl<'a> QueryRun<'a> {
-    fn new(store: &'a Store, query: &Query) -> Self {
-        QueryRun {
-            store,
-            vars: VarRegistry::from_pattern(&query.pattern),
-            text_cap: effective_text_cap(query),
-        }
-    }
-}
-
-impl QueryRun<'_> {
-    /// Compile a graph pattern for the naive evaluator: resolve every
-    /// constant term to its dictionary id, exactly once per query run,
-    /// keeping each BGP's triple patterns in AST order.
-    fn compile_pattern<'q>(&self, pattern: &'q GraphPattern) -> CompiledPattern<'q> {
-        match pattern {
-            GraphPattern::Bgp(tps) => CompiledPattern::Bgp(
-                tps.iter()
-                    .map(|tp| {
-                        if is_text_search_pattern(tp) {
-                            CompiledStep::TextSearch(tp)
-                        } else {
-                            match compile_triple_pattern(self.store, &self.vars, tp) {
-                                Some(compiled) => CompiledStep::Scan(compiled),
-                                None => CompiledStep::NeverMatches,
-                            }
-                        }
-                    })
-                    .collect(),
-            ),
-            GraphPattern::Join(a, b) => CompiledPattern::Join(
-                Box::new(self.compile_pattern(a)),
-                Box::new(self.compile_pattern(b)),
-            ),
-            GraphPattern::Optional(a, b) => CompiledPattern::Optional(
-                Box::new(self.compile_pattern(a)),
-                Box::new(self.compile_pattern(b)),
-            ),
-            GraphPattern::Union(a, b) => CompiledPattern::Union(
-                Box::new(self.compile_pattern(a)),
-                Box::new(self.compile_pattern(b)),
-            ),
-            GraphPattern::Filter(inner, expr) => {
-                CompiledPattern::Filter(Box::new(self.compile_pattern(inner)), expr)
-            }
-            GraphPattern::Service { kg, .. } => CompiledPattern::Service(kg),
-        }
-    }
-
-    fn eval_pattern(
-        &self,
-        pattern: &CompiledPattern<'_>,
-        input: Vec<IdRow>,
-    ) -> Result<Vec<IdRow>, SparqlError> {
-        match pattern {
-            CompiledPattern::Bgp(steps) => self.eval_bgp(steps, input),
-            CompiledPattern::Join(a, b) => {
-                let left = self.eval_pattern(a, input)?;
-                self.eval_pattern(b, left)
-            }
-            CompiledPattern::Optional(a, b) => {
-                let left = self.eval_pattern(a, input)?;
-                let mut out = Vec::with_capacity(left.len());
-                for row in left {
-                    let extended = self.eval_pattern(b, vec![row.clone()])?;
-                    if extended.is_empty() {
-                        out.push(row);
-                    } else {
-                        out.extend(extended);
-                    }
-                }
-                Ok(out)
-            }
-            CompiledPattern::Union(a, b) => {
-                let mut left = self.eval_pattern(a, input.clone())?;
-                let right = self.eval_pattern(b, input)?;
-                left.extend(right);
-                Ok(left)
-            }
-            CompiledPattern::Filter(inner, expr) => {
-                let rows = self.eval_pattern(inner, input)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    if eval_expression(self.store, &self.vars, expr, &row)?
-                        .map(term_truthiness)
-                        .unwrap_or(false)
-                    {
-                        out.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            CompiledPattern::Service(kg) => Err(SparqlError::Service {
-                kg: (*kg).to_string(),
-                message: "the naive evaluator cannot execute SERVICE groups; \
-                          plan the query with Planner::with_services"
-                    .to_string(),
-            }),
-        }
-    }
-
-    fn eval_bgp(
-        &self,
-        steps: &[CompiledStep<'_>],
-        input: Vec<IdRow>,
-    ) -> Result<Vec<IdRow>, SparqlError> {
-        if steps.is_empty() {
-            return Ok(input);
-        }
-        let mut current = input;
-        for step in steps {
-            let mut next = Vec::new();
-            match step {
-                CompiledStep::Scan(tp) => {
-                    for row in &current {
-                        self.extend_row(tp, row, &mut next);
-                    }
-                }
-                CompiledStep::TextSearch(tp) => {
-                    for row in &current {
-                        self.extend_with_text_search(tp, row, &mut next)?;
-                    }
-                }
-                // A constant absent from the dictionary matches nothing:
-                // `next` stays empty.
-                CompiledStep::NeverMatches => {}
-            }
-            current = next;
-            if current.is_empty() {
-                break;
-            }
-        }
-        Ok(current)
-    }
-
-    /// Extend one id row with all matches of one compiled triple pattern —
-    /// the innermost join loop.  All comparisons are `TermId` equalities and
-    /// no term is decoded.
-    fn extend_row(&self, tp: &CompiledTriplePattern, row: &IdRow, out: &mut Vec<IdRow>) {
-        let resolve = |slot: Slot| -> Option<TermId> {
-            match slot {
-                Slot::Const(id) => Some(id),
-                Slot::Var(v) => row[v],
-            }
-        };
-        let pattern = EncodedTriplePattern::new(
-            resolve(tp.subject),
-            resolve(tp.predicate),
-            resolve(tp.object),
-        );
-        for matched in self.store.scan(pattern) {
-            let mut extended = row.clone();
-            let mut compatible = true;
-            for (slot, id) in [
-                (tp.subject, matched.subject),
-                (tp.predicate, matched.predicate),
-                (tp.object, matched.object),
-            ] {
-                if let Slot::Var(v) = slot {
-                    match extended[v] {
-                        Some(existing) if existing != id => {
-                            // A variable repeated within the pattern matched
-                            // two different ids.
-                            compatible = false;
-                            break;
-                        }
-                        _ => extended[v] = Some(id),
-                    }
-                }
-            }
-            if compatible {
-                out.push(extended);
-            }
-        }
-    }
-
-    /// Evaluate a `?lit <bif:contains> "words"` pattern: bind the subject to
-    /// every string literal containing any of the query words.  The text
-    /// index yields literal `TermId`s directly, so this path stays entirely
-    /// in id space.
-    fn extend_with_text_search(
-        &self,
-        tp: &TriplePatternAst,
-        row: &IdRow,
-        out: &mut Vec<IdRow>,
-    ) -> Result<(), SparqlError> {
-        let words = text_query_words(self.store, &self.vars, tp, row)?;
-        let word_refs: Vec<&str> = words.iter().map(String::as_str).collect();
-        let matches = self
-            .store
-            .text_index()
-            .search_any(&word_refs, self.text_cap);
-
-        match &tp.subject {
-            VarOrTerm::Var(var) => {
-                let slot = self
-                    .vars
-                    .id_of(var)
-                    .expect("pattern variables are all registered");
-                for m in matches {
-                    match row[slot] {
-                        Some(existing) if existing != m.literal => continue,
-                        _ => {}
-                    }
-                    let mut extended = row.clone();
-                    extended[slot] = Some(m.literal);
-                    out.push(extended);
-                }
-            }
-            VarOrTerm::Term(term) => {
-                // Bound subject: keep the row iff that literal matches.
-                let keeps = self
-                    .store
-                    .id_of(term)
-                    .is_some_and(|id| matches.iter().any(|m| m.literal == id));
-                if keeps {
-                    out.push(row.clone());
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -741,6 +416,7 @@ fn regex_lite(text: &str, pattern: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::execute_naive;
     use kgqan_rdf::{vocab, Triple};
 
     /// The DBpedia fragment of the paper's running example 𝑞_E plus a few

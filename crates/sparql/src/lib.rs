@@ -1,8 +1,8 @@
 //! # kgqan-sparql
 //!
 //! A SPARQL subset — lexer, parser, algebra, cost-based planner
-//! ([`plan`]) and streaming executor — sufficient to run every query the
-//! KGQAn pipeline and its baselines issue against an RDF endpoint:
+//! ([`plan`]) and depth-first executor ([`exec`]) — sufficient to run every
+//! query the KGQAn pipeline and its baselines issue against an RDF endpoint:
 //!
 //! * `SELECT [DISTINCT] ?v … | * WHERE { … } [LIMIT n] [OFFSET n]`
 //! * `ASK { … }`
@@ -44,20 +44,21 @@ pub mod ast;
 pub mod error;
 pub mod eval;
 pub mod exec;
+mod explain;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
 pub mod pool;
+mod reference;
 pub mod results;
 
 pub use ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 pub use error::SparqlError;
-pub use eval::{execute, execute_naive, execute_query, Evaluator};
-pub use exec::ExecutorPool;
+pub use eval::{execute, execute_query};
+pub use exec::{ExecMetrics, ExecOptions, ExecutorPool, ParallelMetrics, PlannedExecution};
+pub use explain::{explain, PlanOp, PlanSummary};
 pub use parser::parse_query;
-pub use plan::{
-    explain, ExecMetrics, ExecOptions, ParallelConfig, ParallelMetrics, PhysicalPlan, PlanOp,
-    PlanSummary, PlannedExecution, Planner, ServiceResolver,
-};
+pub use plan::{ParallelConfig, PhysicalPlan, Planner, ServiceResolver};
 pub use pool::{PoolConfig, PoolStats, SubmitError, Ticket, WorkerPool};
+pub use reference::execute_naive;
 pub use results::{Binding, QueryResults, ResultSet};

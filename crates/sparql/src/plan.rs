@@ -1,7 +1,8 @@
-//! Cost-based query planning and streaming execution.
+//! Cost-based query planning: logical pattern → physical plan.
 //!
-//! This module is the *plan → execute* split of the engine.  [`Planner`]
-//! compiles a parsed [`Query`] into a [`PhysicalPlan`]:
+//! [`Planner`] compiles a parsed [`Query`] into a [`PhysicalPlan`] — the
+//! operator tree the executor ([`crate::exec`]) walks and `EXPLAIN`
+//! ([`PhysicalPlan::summary`]) renders:
 //!
 //! * each basic graph pattern's triple patterns are reordered into a
 //!   **greedy cardinality-ordered left-deep join**: at every step the
@@ -18,18 +19,18 @@
 //! * `FILTER` expressions are **pushed down** to the earliest join step at
 //!   which every variable they mention (and that the BGP binds at all) is
 //!   bound, so doomed rows die before fanning out;
-//! * `DISTINCT`, `OFFSET` and `LIMIT` are plan operators evaluated while
-//!   rows stream out of the join pipeline — a `LIMIT k` query stops pulling
-//!   (and therefore stops scanning) the moment the page is full, instead of
-//!   materialising every match and truncating.
+//! * `DISTINCT`, `OFFSET` and `LIMIT` are explicit output operators of the
+//!   plan, applied to each row as the joins produce it — a `LIMIT k` query
+//!   stops scanning the moment the page is full, instead of materialising
+//!   every match and truncating;
+//! * the first scan of the leftmost BGP is marked as the plan's *driver*:
+//!   when its estimate is large enough ([`ParallelConfig`]) the executor
+//!   splits exactly that scan into key-range morsels and runs them on the
+//!   shared pool.
 //!
-//! Execution ([`PhysicalPlan::execute`]) is a lazy iterator pipeline over
-//! id-level rows; nothing upstream runs until the output operator pulls.
-//! Every executed plan reports [`ExecMetrics`] — most importantly
+//! Every executed plan reports [`crate::ExecMetrics`] — most importantly
 //! `rows_scanned`, the number of index/text-index entries the joins
-//! touched — and every plan carries a human-readable [`PlanSummary`]
-//! (`EXPLAIN`), which the in-process endpoint surfaces per candidate query
-//! all the way up to `answer_traced`.
+//! touched.
 //!
 //! ```
 //! use kgqan_rdf::{Store, Term, Triple};
@@ -53,70 +54,20 @@
 //! assert_eq!(run.metrics.rows_scanned, 1); // one index entry touched
 //! ```
 
-use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, OnceLock};
 
-use kgqan_rdf::{
-    EncodedTriple, EncodedTriplePattern, PartitionRange, PlannerStats, Store, StoreSnapshot, Term,
-    TermId, TextMatch,
-};
-
-use crate::exec::{self, ExecutorPool};
+use kgqan_rdf::{PartitionRange, PlannerStats, Store, StoreSnapshot, Term};
 
 use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::eval::{
-    compile_triple_pattern, decode_row, effective_text_cap, eval_expression,
-    is_text_search_pattern, parse_text_query, term_truthiness, text_query_words,
-    CompiledTriplePattern, IdRow, Slot, VarRegistry,
+    compile_triple_pattern, effective_text_cap, is_text_search_pattern, parse_text_query,
+    CompiledTriplePattern, Slot, VarRegistry,
 };
-use crate::results::{Binding, QueryResults, ResultSet};
-
-/// Execution counters of one planned query run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecMetrics {
-    /// Index entries and text-index matches the join pipeline touched.  This
-    /// is the engine's unit of work: a `LIMIT k` query over a large store
-    /// should keep it near `k / selectivity`, not near the store size.
-    pub rows_scanned: u64,
-    /// Rows in the final result (1/0 for ASK).
-    pub rows_emitted: u64,
-    /// `true` when an [`ExecOptions::deadline`] cut the run short: the
-    /// results are a correct *prefix* of the full answer, not the full
-    /// answer.
-    pub deadline_exceeded: bool,
-    /// Set when the run used morsel-driven parallel execution; `None` for
-    /// the sequential fast path.
-    pub parallel: Option<ParallelMetrics>,
-}
-
-/// Work distribution of one morsel-parallel run, surfaced through
-/// [`ExecMetrics`] all the way up to `answer_traced`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParallelMetrics {
-    /// Workers that actually drained morsels (the coordinating thread plus
-    /// every helper the shared pool had room for) — may be lower than the
-    /// planned degree of parallelism under inter-query load.
-    pub dop: usize,
-    /// Partitions the driver scan was split into.
-    pub morsels: usize,
-    /// Index entries each participating worker scanned, coordinator first.
-    pub rows_scanned_per_worker: Vec<u64>,
-}
-
-/// Per-run execution knobs, passed to [`PhysicalPlan::execute_with`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExecOptions {
-    /// Stop producing rows at this instant and return what has been
-    /// computed so far with [`ExecMetrics::deadline_exceeded`] set.
-    /// Parallel runs check the deadline at every morsel boundary; the
-    /// sequential path checks it every few hundred output rows.
-    pub deadline: Option<Instant>,
-}
+use crate::explain::PlanSummary;
+use crate::results::QueryResults;
 
 /// Planner knobs for morsel-driven parallel execution, installed with
 /// [`Planner::with_parallelism`] (and on by default for planners built via
@@ -135,11 +86,11 @@ pub struct ParallelConfig {
     /// Driver-scan rows one worker is expected to absorb; the DOP divisor.
     pub rows_per_worker: f64,
     /// Morsels per chosen worker: more morsels mean finer-grained work
-    /// stealing (and deadline checks) at slightly more scheduling overhead.
+    /// stealing at slightly more scheduling overhead.
     pub morsels_per_worker: usize,
     /// `LIMIT`/`OFFSET` pages smaller than this stay sequential: a small
-    /// page over a huge scan finishes faster by streaming and stopping
-    /// early than by scanning every partition.
+    /// page over a huge scan finishes faster by stopping early than by
+    /// scanning every partition.
     pub min_page_rows: usize,
 }
 
@@ -156,78 +107,13 @@ impl Default for ParallelConfig {
     }
 }
 
-/// One operator line of a rendered plan: its nesting depth, a label such as
-/// `scan ?sea <…outflow> ?x .`, and the planner's cardinality estimate for
-/// the step (absolute rows for the first step of a BGP, expected rows per
-/// input row afterwards).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlanOp {
-    /// Nesting depth in the operator tree (0 = outermost).
-    pub depth: usize,
-    /// Human-readable operator description.
-    pub label: String,
-    /// The planner's cardinality estimate, where meaningful.
-    pub estimate: Option<f64>,
-}
-
-/// The `EXPLAIN`-able shape of a [`PhysicalPlan`]: a flattened pre-order
-/// walk of the operator tree.  Cheap to clone and carry in per-query
-/// statistics (`QueryStat` in the `kgqan` core crate).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct PlanSummary {
-    /// Operator lines in execution order (outer operators first).
-    pub ops: Vec<PlanOp>,
-}
-
-impl PlanSummary {
-    fn push(&mut self, depth: usize, label: impl Into<String>, estimate: Option<f64>) {
-        self.ops.push(PlanOp {
-            depth,
-            label: label.into(),
-            estimate,
-        });
-    }
-
-    /// The labels of the join steps (scan / text / never-matches / service
-    /// lines), in the order the executor runs them — handy for asserting a
-    /// join order.
-    pub fn step_labels(&self) -> Vec<&str> {
-        self.ops
-            .iter()
-            .filter(|op| {
-                op.label.starts_with("scan ")
-                    || op.label.starts_with("text ")
-                    || op.label.starts_with("never-matches ")
-                    || op.label.starts_with("service ")
-            })
-            .map(|op| op.label.as_str())
-            .collect()
-    }
-}
-
-impl fmt::Display for PlanSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for op in &self.ops {
-            for _ in 0..op.depth {
-                f.write_str("  ")?;
-            }
-            f.write_str(&op.label)?;
-            if let Some(est) = op.estimate {
-                write!(f, "  (est {est:.1})")?;
-            }
-            writeln!(f)?;
-        }
-        Ok(())
-    }
-}
-
 /// Resolves `SERVICE <kg:name>` groups to other query endpoints.
 ///
 /// The planner itself knows one [`Store`]; federation across registered KGs
 /// lives a crate up (`kgqan-endpoint`'s `EndpointRegistry` implements this
-/// trait).  Keeping the trait here lets the streaming executor call out to a
-/// remote KG mid-pipeline without `kgqan-sparql` depending on the endpoint
-/// layer.  Install one with [`Planner::with_services`].
+/// trait).  Keeping the trait here lets the executor call out to a remote KG
+/// mid-join without `kgqan-sparql` depending on the endpoint layer.  Install
+/// one with [`Planner::with_services`].
 pub trait ServiceResolver: Send + Sync {
     /// The KG names this resolver can execute against, used by
     /// [`Planner::plan_checked`] to reject unknown targets with a helpful
@@ -244,80 +130,6 @@ pub trait ServiceResolver: Send + Sync {
 /// step still schedules.
 const SERVICE_ESTIMATE: f64 = 256.0;
 
-/// First id of the run-scoped *foreign term* range: terms returned by a
-/// remote SERVICE endpoint that the local dictionary has never seen are
-/// interned here so they can flow through the id-level join pipeline.  Ids
-/// below this value are local dictionary ids; local stores would need two
-/// billion terms to collide, far beyond this engine's scale.
-const FOREIGN_BASE: u32 = 1 << 31;
-
-/// Run-scoped side dictionary for remote terms (see [`FOREIGN_BASE`]).
-///
-/// Interning is consistent within one run — the same remote term always maps
-/// to the same synthetic id, so rows from two SERVICE groups still join on
-/// equality.  A synthetic id can never equal a local id, which gives the
-/// correct join semantics for free: a remote term absent from the local
-/// store cannot match a locally-bound variable.  Local scans and FILTERs
-/// over foreign-bound variables degrade safely (match nothing / see
-/// unbound) because foreign ids resolve to no local term.
-#[derive(Default)]
-struct ForeignTerms {
-    ids: RefCell<HashMap<Term, TermId>>,
-    terms: RefCell<Vec<Term>>,
-}
-
-impl ForeignTerms {
-    /// Map a remote term to an id: the local dictionary id when the store
-    /// knows the term, a stable synthetic id otherwise.
-    fn intern(&self, store: &Store, term: &Term) -> TermId {
-        if let Some(id) = store.id_of(term) {
-            return id;
-        }
-        if let Some(id) = self.ids.borrow().get(term) {
-            return *id;
-        }
-        let mut terms = self.terms.borrow_mut();
-        let id = TermId(FOREIGN_BASE + terms.len() as u32);
-        terms.push(term.clone());
-        self.ids.borrow_mut().insert(term.clone(), id);
-        id
-    }
-
-    /// Decode an id through the local dictionary or the foreign table.
-    fn resolve(&self, store: &Store, id: TermId) -> Option<Term> {
-        if id.0 >= FOREIGN_BASE {
-            self.terms
-                .borrow()
-                .get((id.0 - FOREIGN_BASE) as usize)
-                .cloned()
-        } else {
-            store.term_of(id).cloned()
-        }
-    }
-
-    /// Decode a projected id row, falling back to the plain local-only
-    /// decoder when no foreign terms were interned this run (every
-    /// non-federated query).
-    fn decode_row(&self, store: &Store, variables: &[String], row: &IdRow) -> Binding {
-        if self.terms.borrow().is_empty() {
-            return decode_row(store, variables, row);
-        }
-        let mut binding = Binding::new();
-        for (name, id) in variables.iter().zip(row) {
-            if let Some(id) = id {
-                if let Some(term) = self.resolve(store, *id) {
-                    binding.set(name.clone(), term);
-                }
-            }
-        }
-        binding
-    }
-}
-
-/// One remote solution, projected onto local variable slots and id-interned
-/// (see [`ForeignTerms`]).
-type ServiceRow = Vec<(usize, TermId)>;
-
 /// Per-plan counters sizing the run-scoped caches: one slot per
 /// constant-string text step, one per SERVICE group.
 #[derive(Default)]
@@ -328,16 +140,15 @@ struct SlotCounters {
 
 /// What one join step does.
 #[derive(Debug, Clone)]
-enum StepKind {
+pub(crate) enum StepKind {
     /// An index scan of an id-compiled pattern.
     Scan(CompiledTriplePattern),
     /// A full-text probe (generative when its subject is unbound, a
     /// membership filter once it is bound).
     TextSearch {
         /// Index into the run's text-match cache.  The cache lives on the
-        /// *execution*, not on a pipeline closure, so a constant-string
-        /// search runs once per run even when OPTIONAL/UNION re-build the
-        /// step's pipeline once per input row.
+        /// *execution*, so a constant-string search runs once per run even
+        /// when OPTIONAL/UNION re-enter the step once per input row.
         cache_slot: usize,
         /// The search words when the query string is a constant literal —
         /// row-independent, so the match set is cacheable.  `None` when the
@@ -353,21 +164,21 @@ enum StepKind {
 /// pattern it came from (for text resolution and labels), the planner's
 /// estimate, and the filters pushed down to run right after it.
 #[derive(Debug, Clone)]
-struct PlanStep {
-    kind: StepKind,
-    ast: TriplePatternAst,
-    estimate: f64,
-    filters: Vec<Expression>,
+pub(crate) struct PlanStep {
+    pub(crate) kind: StepKind,
+    pub(crate) ast: TriplePatternAst,
+    pub(crate) estimate: f64,
+    pub(crate) filters: Vec<Expression>,
     /// `true` on the plan's *driver* scan: the first step of the leftmost
     /// BGP, the only step whose input is always the single seed row.  A
     /// parallel run partitions exactly this scan into morsels; every other
     /// step runs unchanged inside each morsel.
-    driver: bool,
+    pub(crate) driver: bool,
 }
 
 /// A planned operator tree over id rows.
 #[derive(Debug, Clone)]
-enum PlanNode {
+pub(crate) enum PlanNode {
     /// A join-ordered basic graph pattern.  `pre_filters` are pushed-down
     /// filters none of whose variables are bound by this BGP's own steps
     /// (they only see input bindings, so they run before any fan-out).
@@ -382,7 +193,7 @@ enum PlanNode {
     Filter(Box<PlanNode>, Expression),
     /// A `SERVICE <kg:name>` group: run `query` against another registered
     /// KG once per run (cached in the execution's service slot), then join
-    /// the remote rows into the stream on the shared variable slots.
+    /// the remote rows into each input row on the shared variable slots.
     Service {
         /// Registry name of the remote KG.
         kg: String,
@@ -397,41 +208,54 @@ enum PlanNode {
     },
 }
 
+/// The part of a plan every walk of it reads: the operator tree, the
+/// variable numbering and the sizes of the run-scoped caches.  Behind an
+/// `Arc` so a parallel run can hand it to `'static` morsel jobs.
+#[derive(Debug)]
+pub(crate) struct PlanBody {
+    pub(crate) root: PlanNode,
+    pub(crate) vars: VarRegistry,
+    pub(crate) text_cap: usize,
+    /// Number of text-search steps in the plan (sizes the per-run cache).
+    pub(crate) text_slots: usize,
+    /// Number of SERVICE groups in the plan (sizes the per-run cache).
+    pub(crate) service_slots: usize,
+}
+
 /// A query compiled against one store: variables numbered, constants
 /// resolved to dictionary ids, joins cost-ordered, filters pushed down, and
 /// the result operators (`DISTINCT`/`OFFSET`/`LIMIT`) made explicit.
+///
+/// Run it with [`PhysicalPlan::execute`] / [`PhysicalPlan::execute_with`]
+/// (see [`crate::exec`]); render it with [`PhysicalPlan::summary`].
 pub struct PhysicalPlan<'s> {
-    store: &'s Store,
-    vars: Arc<VarRegistry>,
-    root: Arc<PlanNode>,
+    pub(crate) store: &'s Store,
+    pub(crate) body: Arc<PlanBody>,
+    /// The driver scan's compiled pattern and cardinality estimate, when
+    /// the plan has one (see [`PlanStep::driver`]).
+    driver: Option<(CompiledTriplePattern, f64)>,
     /// The epoch snapshot this plan was compiled against, when the planner
     /// was built from one ([`Planner::for_shared_snapshot`]).  Owning the
     /// `Arc` is what lets a parallel run hand `'static` morsel jobs to the
     /// shared executor pool without copying the store.
-    shared: Option<Arc<StoreSnapshot>>,
+    pub(crate) shared: Option<Arc<StoreSnapshot>>,
     /// Morsel-parallelism knobs; `None` plans always execute sequentially.
     parallel: Option<ParallelConfig>,
-    projection: Vec<String>,
-    is_ask: bool,
-    distinct: bool,
-    limit: Option<usize>,
-    offset: usize,
-    text_cap: usize,
-    /// Number of text-search steps in the plan (sizes the per-run cache).
-    text_slots: usize,
-    /// Number of SERVICE groups in the plan (sizes the per-run cache).
-    service_slots: usize,
+    pub(crate) projection: Vec<String>,
+    pub(crate) is_ask: bool,
+    pub(crate) distinct: bool,
+    pub(crate) limit: Option<usize>,
+    pub(crate) offset: usize,
     /// Resolver for SERVICE groups, inherited from the planner.
-    services: Option<&'s dyn ServiceResolver>,
-    /// Built lazily: the untraced execution paths never pay for rendering
-    /// operator labels.
-    summary: OnceLock<PlanSummary>,
+    pub(crate) services: Option<&'s dyn ServiceResolver>,
+    /// Built lazily: untraced runs never pay for rendering operator labels.
+    pub(crate) summary: OnceLock<PlanSummary>,
 }
 
 impl fmt::Debug for PhysicalPlan<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PhysicalPlan")
-            .field("root", &self.root)
+            .field("root", &self.body.root)
             .field("projection", &self.projection)
             .field("is_ask", &self.is_ask)
             .field("distinct", &self.distinct)
@@ -440,15 +264,6 @@ impl fmt::Debug for PhysicalPlan<'_> {
             .field("has_services", &self.services.is_some())
             .finish_non_exhaustive()
     }
-}
-
-/// The output of one planned run: the results plus the work counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlannedExecution {
-    /// The query results.
-    pub results: QueryResults,
-    /// How much work the streaming pipeline did.
-    pub metrics: ExecMetrics,
 }
 
 /// Compiles queries into [`PhysicalPlan`]s over one store, using the
@@ -461,12 +276,6 @@ pub struct Planner<'s> {
     /// its plans carry for parallel execution.
     shared: Option<Arc<StoreSnapshot>>,
     parallel: Option<ParallelConfig>,
-}
-
-/// Convenience: plan and render the `EXPLAIN` summary of a query in one
-/// call.
-pub fn explain(store: &Store, query: &Query) -> PlanSummary {
-    Planner::new(store).plan(query).summary().clone()
 }
 
 impl<'s> Planner<'s> {
@@ -596,7 +405,7 @@ impl<'s> Planner<'s> {
         let mut bound: HashSet<usize> = HashSet::new();
         let mut slots = SlotCounters::default();
         let mut root = self.compile(&query.pattern, &vars, &mut bound, text_cap, &mut slots);
-        mark_driver(&mut root);
+        let driver = mark_driver(&mut root);
 
         let (projection, is_ask, distinct) = match &query.form {
             QueryForm::Ask => (Vec::new(), true, false),
@@ -615,8 +424,14 @@ impl<'s> Planner<'s> {
 
         PhysicalPlan {
             store: self.store,
-            vars: Arc::new(vars),
-            root: Arc::new(root),
+            body: Arc::new(PlanBody {
+                root,
+                vars,
+                text_cap,
+                text_slots: slots.text,
+                service_slots: slots.service,
+            }),
+            driver,
             shared: self.shared.clone(),
             parallel: self.parallel,
             projection,
@@ -624,9 +439,6 @@ impl<'s> Planner<'s> {
             distinct,
             limit: query.limit,
             offset: query.offset.unwrap_or(0),
-            text_cap,
-            text_slots: slots.text,
-            service_slots: slots.service,
             services: self.services,
             summary: OnceLock::new(),
         }
@@ -834,15 +646,7 @@ impl<'s> Planner<'s> {
                 }
             }
             StepKind::Scan(tp) => {
-                let const_of = |slot: Slot| match slot {
-                    Slot::Const(id) => Some(id),
-                    Slot::Var(_) => None,
-                };
-                let base = self.store.scan_count(EncodedTriplePattern::new(
-                    const_of(tp.subject),
-                    const_of(tp.predicate),
-                    const_of(tp.object),
-                )) as f64;
+                let base = self.store.scan_count(tp.encoded(|_| None)) as f64;
                 if base == 0.0 {
                     return 0.0;
                 }
@@ -931,483 +735,24 @@ fn push_filter(node: &mut PlanNode, expr: &Expression, vars: &VarRegistry) -> bo
     true
 }
 
-/// Mark the plan's driver scan (see [`PlanStep::driver`]): the first step
-/// of the leftmost BGP, reached by walking left through joins and filters.
-/// Union branches and SERVICE groups re-evaluate per input row, so nothing
-/// inside them can drive a partitioned scan.
-fn mark_driver(node: &mut PlanNode) {
+/// Mark the plan's driver scan (see [`PlanStep::driver`]) and return its
+/// compiled pattern and estimate: the first step of the leftmost BGP,
+/// reached by walking left through joins and filters.  Union branches and
+/// SERVICE groups re-evaluate per input row, so nothing inside them can
+/// drive a partitioned scan.
+fn mark_driver(node: &mut PlanNode) -> Option<(CompiledTriplePattern, f64)> {
     match node {
         PlanNode::Bgp { steps, .. } => {
-            if let Some(step) = steps.first_mut() {
-                if matches!(step.kind, StepKind::Scan(_)) {
-                    step.driver = true;
-                }
-            }
+            let step = steps.first_mut()?;
+            let StepKind::Scan(tp) = step.kind else {
+                return None;
+            };
+            step.driver = true;
+            Some((tp, step.estimate))
         }
         PlanNode::Join(a, _) | PlanNode::LeftJoin(a, _) => mark_driver(a),
         PlanNode::Filter(inner, _) => mark_driver(inner),
-        PlanNode::Union(..) | PlanNode::Service { .. } => {}
-    }
-}
-
-/// The marked driver step, if the plan has one (mirrors [`mark_driver`]).
-fn find_driver(node: &PlanNode) -> Option<&PlanStep> {
-    match node {
-        PlanNode::Bgp { steps, .. } => steps.first().filter(|step| step.driver),
-        PlanNode::Join(a, _) | PlanNode::LeftJoin(a, _) => find_driver(a),
-        PlanNode::Filter(inner, _) => find_driver(inner),
         PlanNode::Union(..) | PlanNode::Service { .. } => None,
-    }
-}
-
-/// Does any node of the tree call out to a remote KG?  SERVICE resolvers
-/// are borrowed (`&dyn`) and their term interner is single-threaded, so
-/// federated plans always take the sequential path.
-fn plan_has_service(node: &PlanNode) -> bool {
-    match node {
-        PlanNode::Bgp { .. } => false,
-        PlanNode::Join(a, b) | PlanNode::LeftJoin(a, b) | PlanNode::Union(a, b) => {
-            plan_has_service(a) || plan_has_service(b)
-        }
-        PlanNode::Filter(inner, _) => plan_has_service(inner),
-        PlanNode::Service { .. } => true,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Execution: a lazy iterator pipeline over id rows.
-// ---------------------------------------------------------------------------
-
-/// The item flowing through the pipeline: a row, or an evaluation error to
-/// propagate to the caller.
-type RowResult = Result<IdRow, SparqlError>;
-
-/// A boxed lazy row stream.
-type RowIter<'a> = Box<dyn Iterator<Item = RowResult> + 'a>;
-
-/// Shared per-run context, `Copy` so the iterator closures can capture it by
-/// value.
-#[derive(Clone, Copy)]
-struct ExecCtx<'a> {
-    store: &'a Store,
-    vars: &'a VarRegistry,
-    text_cap: usize,
-    scanned: &'a Cell<u64>,
-    /// One lazily-filled match-set slot per constant-string text step of
-    /// the plan, shared across the whole run.
-    text_cache: &'a [OnceCell<TextMatches>],
-    /// Resolver for SERVICE groups; `None` outside federated plans.
-    services: Option<&'a dyn ServiceResolver>,
-    /// One lazily-filled remote-result slot per SERVICE group of the plan:
-    /// the remote query runs once per run, however many input rows the
-    /// pipeline pushes through the join.
-    service_cache: &'a [OnceCell<Result<Vec<ServiceRow>, SparqlError>>],
-    /// Run-scoped side dictionary for remote terms.
-    foreign: &'a ForeignTerms,
-    /// When set, this execution is one morsel of a parallel run: the
-    /// driver scan is clipped to this key range, every other operator runs
-    /// unchanged.  `None` on the sequential path.
-    morsel: Option<PartitionRange>,
-}
-
-impl<'a> ExecCtx<'a> {
-    fn eval_node(self, node: &'a PlanNode, input: RowIter<'a>) -> RowIter<'a> {
-        match node {
-            PlanNode::Bgp {
-                pre_filters, steps, ..
-            } => {
-                let mut current = input;
-                if !pre_filters.is_empty() {
-                    current = self.filter_rows(current, pre_filters);
-                }
-                for step in steps {
-                    current = self.eval_step(step, current);
-                }
-                current
-            }
-            PlanNode::Join(a, b) => {
-                let left = self.eval_node(a, input);
-                self.eval_node(b, left)
-            }
-            // The right side runs once per left row, so constructing a fresh
-            // boxed iterator chain each time would dominate; a BGP right
-            // side (every KGQAn candidate's OPTIONAL rdf:type clause) is
-            // evaluated with direct loops instead.
-            PlanNode::LeftJoin(a, b) => {
-                let left = self.eval_node(a, input);
-                Box::new(left.flat_map(move |res| -> RowIter<'a> {
-                    let row = match res {
-                        Ok(row) => row,
-                        Err(e) => return Box::new(std::iter::once(Err(e))),
-                    };
-                    if let PlanNode::Bgp { pre_filters, steps } = &**b {
-                        return match self.eval_bgp_rows(pre_filters, steps, &row) {
-                            Err(e) => Box::new(std::iter::once(Err(e))),
-                            Ok(extended) if extended.is_empty() => {
-                                Box::new(std::iter::once(Ok(row)))
-                            }
-                            Ok(extended) => Box::new(extended.into_iter().map(Ok)),
-                        };
-                    }
-                    let extended = self.eval_node(b, Box::new(std::iter::once(Ok(row.clone()))));
-                    let mut peeked = extended.peekable();
-                    if peeked.peek().is_none() {
-                        Box::new(std::iter::once(Ok(row)))
-                    } else {
-                        Box::new(peeked)
-                    }
-                }))
-            }
-            PlanNode::Union(a, b) => Box::new(input.flat_map(move |res| -> RowIter<'a> {
-                let row = match res {
-                    Ok(row) => row,
-                    Err(e) => return Box::new(std::iter::once(Err(e))),
-                };
-                let left = self.eval_node(a, Box::new(std::iter::once(Ok(row.clone()))));
-                let right = self.eval_node(b, Box::new(std::iter::once(Ok(row))));
-                Box::new(left.chain(right))
-            })),
-            PlanNode::Filter(inner, expr) => {
-                let rows = self.eval_node(inner, input);
-                self.filter_rows(rows, std::slice::from_ref(expr))
-            }
-            PlanNode::Service {
-                kg,
-                query,
-                binds,
-                cache_slot,
-                ..
-            } => {
-                let cache_slot = *cache_slot;
-                Box::new(input.flat_map(move |res| -> RowIter<'a> {
-                    let row = match res {
-                        Ok(row) => row,
-                        Err(e) => return Box::new(std::iter::once(Err(e))),
-                    };
-                    let remote = self.service_cache[cache_slot]
-                        .get_or_init(|| self.fetch_service(kg, query, binds));
-                    match remote {
-                        Err(e) => Box::new(std::iter::once(Err(e.clone()))),
-                        Ok(remote_rows) => {
-                            let joined: Vec<RowResult> = remote_rows
-                                .iter()
-                                .filter_map(|ext| merge_service_row(&row, ext))
-                                .map(Ok)
-                                .collect();
-                            Box::new(joined.into_iter())
-                        }
-                    }
-                }))
-            }
-        }
-    }
-
-    /// Run one SERVICE group's query against the remote KG and project each
-    /// remote solution onto local variable slots, id-interned through the
-    /// run's [`ForeignTerms`] table.  Remote rows count as scanned work.
-    fn fetch_service(
-        self,
-        kg: &str,
-        query: &Query,
-        binds: &[(String, usize)],
-    ) -> Result<Vec<ServiceRow>, SparqlError> {
-        let Some(services) = self.services else {
-            return Err(SparqlError::Service {
-                kg: kg.to_string(),
-                message: "no service resolver installed (plan with Planner::with_services)"
-                    .to_string(),
-            });
-        };
-        let results = services.execute_service(kg, query)?;
-        let rows = results.rows();
-        self.scanned.set(self.scanned.get() + rows.len() as u64);
-        Ok(rows
-            .iter()
-            .map(|binding| {
-                binds
-                    .iter()
-                    .filter_map(|(var, slot)| {
-                        binding
-                            .get(var)
-                            .map(|term| (*slot, self.foreign.intern(self.store, term)))
-                    })
-                    .collect()
-            })
-            .collect())
-    }
-
-    fn eval_step(self, step: &'a PlanStep, input: RowIter<'a>) -> RowIter<'a> {
-        let extended: RowIter<'a> = match &step.kind {
-            // A constant absent from the dictionary matches nothing,
-            // whatever the input.
-            StepKind::NeverMatches => Box::new(std::iter::empty()),
-            StepKind::Scan(tp) => {
-                let tp = *tp;
-                let clip = if step.driver { self.morsel } else { None };
-                Box::new(input.flat_map(move |res| -> RowIter<'a> {
-                    match res {
-                        Err(e) => Box::new(std::iter::once(Err(e))),
-                        Ok(row) => Box::new(self.scan_extensions(tp, clip, row).map(Ok)),
-                    }
-                }))
-            }
-            StepKind::TextSearch {
-                cache_slot,
-                constant_words,
-            } => {
-                let ast = &step.ast;
-                let cache_slot = *cache_slot;
-                // A constant query string is row-independent: run the search
-                // once per *run* and reuse the match set — the cache lives
-                // on the execution, so OPTIONAL/UNION re-building this
-                // pipeline per input row still share it.  (The planner costs
-                // a bound-subject text step at ~1 row on this assumption.)
-                Box::new(input.flat_map(move |res| -> RowIter<'a> {
-                    let row = match res {
-                        Ok(row) => row,
-                        Err(e) => return Box::new(std::iter::once(Err(e))),
-                    };
-                    if let Some(words) = constant_words {
-                        let matches =
-                            self.text_cache[cache_slot].get_or_init(|| self.search_text(words));
-                        return Box::new(
-                            self.text_row_extensions(ast, row, matches)
-                                .into_iter()
-                                .map(Ok),
-                        );
-                    }
-                    match text_query_words(self.store, self.vars, ast, &row) {
-                        Err(e) => Box::new(std::iter::once(Err(e))),
-                        Ok(words) => {
-                            let matches = self.search_text(&words);
-                            Box::new(
-                                self.text_row_extensions(ast, row, &matches)
-                                    .into_iter()
-                                    .map(Ok),
-                            )
-                        }
-                    }
-                }))
-            }
-        };
-        if step.filters.is_empty() {
-            extended
-        } else {
-            self.filter_rows(extended, &step.filters)
-        }
-    }
-
-    /// All extensions of one row by one compiled scan pattern — the
-    /// innermost join loop, shared by the streaming and materialising
-    /// paths.
-    fn scan_extensions(
-        self,
-        tp: CompiledTriplePattern,
-        clip: Option<PartitionRange>,
-        row: IdRow,
-    ) -> impl Iterator<Item = IdRow> + 'a {
-        let resolve = |slot: Slot| -> Option<TermId> {
-            match slot {
-                Slot::Const(id) => Some(id),
-                Slot::Var(v) => row[v],
-            }
-        };
-        let pattern = EncodedTriplePattern::new(
-            resolve(tp.subject),
-            resolve(tp.predicate),
-            resolve(tp.object),
-        );
-        let scan = match clip {
-            // The driver scan of one morsel: same pattern, same ordering,
-            // restricted to the morsel's key range.
-            Some(range) => MorselScan::Clipped(self.store.scan_within(pattern, range)),
-            None => MorselScan::Full(self.store.scan(pattern)),
-        };
-        scan.filter_map(move |triple| {
-            self.scanned.set(self.scanned.get() + 1);
-            extend_row(&row, tp, triple)
-        })
-    }
-
-    /// Evaluate a BGP's planned steps for one input row with plain loops,
-    /// materialising the result rows.  Used where the caller materialises
-    /// anyway (the per-left-row right side of a left join): it skips the
-    /// per-row construction of a boxed iterator chain.
-    fn eval_bgp_rows(
-        self,
-        pre_filters: &[Expression],
-        steps: &[PlanStep],
-        row: &IdRow,
-    ) -> Result<Vec<IdRow>, SparqlError> {
-        for expr in pre_filters {
-            let keep = eval_expression(self.store, self.vars, expr, row)?
-                .map(term_truthiness)
-                .unwrap_or(false);
-            if !keep {
-                return Ok(Vec::new());
-            }
-        }
-        let mut current = vec![row.clone()];
-        for step in steps {
-            let mut next = Vec::new();
-            match &step.kind {
-                StepKind::NeverMatches => {}
-                StepKind::Scan(tp) => {
-                    for row in &current {
-                        // Never the driver: this path only serves the right
-                        // side of a left join, which `mark_driver` skips.
-                        next.extend(self.scan_extensions(*tp, None, row.clone()));
-                    }
-                }
-                StepKind::TextSearch {
-                    cache_slot,
-                    constant_words,
-                } => {
-                    for row in current {
-                        match constant_words {
-                            Some(words) => {
-                                let matches = self.text_cache[*cache_slot]
-                                    .get_or_init(|| self.search_text(words));
-                                next.extend(self.text_row_extensions(&step.ast, row, matches));
-                            }
-                            None => {
-                                let words =
-                                    text_query_words(self.store, self.vars, &step.ast, &row)?;
-                                let matches = self.search_text(&words);
-                                next.extend(self.text_row_extensions(&step.ast, row, &matches));
-                            }
-                        }
-                    }
-                }
-            }
-            for expr in &step.filters {
-                let mut filtered = Vec::with_capacity(next.len());
-                for row in next {
-                    if eval_expression(self.store, self.vars, expr, &row)?
-                        .map(term_truthiness)
-                        .unwrap_or(false)
-                    {
-                        filtered.push(row);
-                    }
-                }
-                next = filtered;
-            }
-            current = next;
-            if current.is_empty() {
-                break;
-            }
-        }
-        Ok(current)
-    }
-
-    /// Run one text search, reporting the matches it inspected to the scan
-    /// counter and building the membership set used for bound subjects.
-    fn search_text(self, words: &[String]) -> TextMatches {
-        let word_refs: Vec<&str> = words.iter().map(String::as_str).collect();
-        let matches = self
-            .store
-            .text_index()
-            .search_any(&word_refs, self.text_cap);
-        self.scanned.set(self.scanned.get() + matches.len() as u64);
-        let literals = matches.iter().map(|m| m.literal).collect();
-        TextMatches { matches, literals }
-    }
-
-    /// All extensions of one row by one text-search pattern over an
-    /// already-computed match set (mirrors the naive evaluator's
-    /// `extend_with_text_search`).  An already-bound subject is a set
-    /// membership test, not a walk of the match list.
-    fn text_row_extensions(
-        self,
-        tp: &TriplePatternAst,
-        row: IdRow,
-        matches: &TextMatches,
-    ) -> Vec<IdRow> {
-        let mut out = Vec::new();
-        match &tp.subject {
-            VarOrTerm::Var(var) => {
-                let slot = self
-                    .vars
-                    .id_of(var)
-                    .expect("pattern variables are all registered");
-                match row[slot] {
-                    Some(existing) => {
-                        if matches.literals.contains(&existing) {
-                            out.push(row);
-                        }
-                    }
-                    None => {
-                        for m in &matches.matches {
-                            let mut extended = row.clone();
-                            extended[slot] = Some(m.literal);
-                            out.push(extended);
-                        }
-                    }
-                }
-            }
-            VarOrTerm::Term(term) => {
-                // Bound subject: keep the row iff that literal matches.
-                let keeps = self
-                    .store
-                    .id_of(term)
-                    .is_some_and(|id| matches.literals.contains(&id));
-                if keeps {
-                    out.push(row);
-                }
-            }
-        }
-        out
-    }
-
-    fn filter_rows(self, input: RowIter<'a>, exprs: &'a [Expression]) -> RowIter<'a> {
-        Box::new(input.filter_map(move |res| -> Option<RowResult> {
-            let row = match res {
-                Ok(row) => row,
-                Err(e) => return Some(Err(e)),
-            };
-            for expr in exprs {
-                match eval_expression(self.store, self.vars, expr, &row) {
-                    Err(e) => return Some(Err(e)),
-                    Ok(value) => {
-                        if !value.map(term_truthiness).unwrap_or(false) {
-                            return None;
-                        }
-                    }
-                }
-            }
-            Some(Ok(row))
-        }))
-    }
-}
-
-/// The match set of one text-search step: the ranked matches (for
-/// generatively binding an unbound subject) plus a membership set (for
-/// subjects already bound by an earlier step).
-struct TextMatches {
-    matches: Vec<TextMatch>,
-    literals: HashSet<TermId>,
-}
-
-/// The two shapes of the innermost scan loop: a full index scan, or one
-/// morsel of a partitioned driver scan.  An enum (rather than a boxed
-/// iterator) keeps the sequential fast path free of virtual dispatch.
-enum MorselScan<A, B> {
-    Full(A),
-    Clipped(B),
-}
-
-impl<T, A, B> Iterator for MorselScan<A, B>
-where
-    A: Iterator<Item = T>,
-    B: Iterator<Item = T>,
-{
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        match self {
-            MorselScan::Full(scan) => scan.next(),
-            MorselScan::Clipped(scan) => scan.next(),
-        }
     }
 }
 
@@ -1421,561 +766,60 @@ fn constant_text_words(tp: &TriplePatternAst) -> Option<Vec<String>> {
     }
 }
 
-/// Extend one id row with one matched triple, or `None` when a repeated
-/// variable matched two different ids.
-fn extend_row(row: &IdRow, tp: CompiledTriplePattern, triple: EncodedTriple) -> Option<IdRow> {
-    let mut extended = row.clone();
-    for (slot, id) in [
-        (tp.subject, triple.subject),
-        (tp.predicate, triple.predicate),
-        (tp.object, triple.object),
-    ] {
-        if let Slot::Var(v) = slot {
-            match extended[v] {
-                Some(existing) if existing != id => return None,
-                _ => extended[v] = Some(id),
-            }
-        }
-    }
-    Some(extended)
+/// How a parallel run splits its driver scan: the chosen degree of
+/// parallelism and the morsel key ranges, in scan order.
+pub(crate) struct ParallelDecision {
+    pub(crate) dop: usize,
+    pub(crate) ranges: Vec<PartitionRange>,
 }
 
-/// Merge one remote SERVICE row into an input row, or `None` when a shared
-/// variable is bound to a different term on the two sides (the rows do not
-/// join).
-fn merge_service_row(row: &IdRow, ext: &[(usize, TermId)]) -> Option<IdRow> {
-    let mut extended = row.clone();
-    for &(slot, id) in ext {
-        match extended[slot] {
-            Some(existing) if existing != id => return None,
-            _ => extended[slot] = Some(id),
-        }
-    }
-    Some(extended)
-}
-
-impl<'s> PhysicalPlan<'s> {
-    /// The `EXPLAIN` summary of this plan (rendered on first call).
-    pub fn summary(&self) -> &PlanSummary {
-        self.summary.get_or_init(|| self.build_summary())
-    }
-
-    /// Run the plan to completion, streaming rows through the operator
-    /// pipeline.  `LIMIT`/`OFFSET`/`DISTINCT` (and ASK's one-row need) stop
-    /// the scans as soon as the output is decided.
-    pub fn execute(&self) -> Result<PlannedExecution, SparqlError> {
-        self.execute_with(ExecOptions::default())
-    }
-
-    /// [`PhysicalPlan::execute`] with per-run knobs (currently: a
-    /// deadline).  When the plan is parallel-eligible (see
-    /// [`ParallelConfig`]) the driving scan runs as morsels on the shared
-    /// [`ExecutorPool`]; results are byte-identical to the sequential path
-    /// whatever the worker interleaving, because morsel outputs are merged
-    /// in partition order before `DISTINCT`/`OFFSET`/`LIMIT` are applied.
-    pub fn execute_with(&self, opts: ExecOptions) -> Result<PlannedExecution, SparqlError> {
-        if let Some(decision) = self.parallel_decision() {
-            return self.execute_parallel(decision, opts);
-        }
-        self.execute_sequential(opts)
-    }
-
-    /// The sequential (single-thread, fully streaming) execution path.
-    fn execute_sequential(&self, opts: ExecOptions) -> Result<PlannedExecution, SparqlError> {
-        let scanned = Cell::new(0u64);
-        let text_cache: Vec<OnceCell<TextMatches>> =
-            (0..self.text_slots).map(|_| OnceCell::new()).collect();
-        let service_cache: Vec<OnceCell<Result<Vec<ServiceRow>, SparqlError>>> =
-            (0..self.service_slots).map(|_| OnceCell::new()).collect();
-        let foreign = ForeignTerms::default();
-        let ctx = ExecCtx {
-            store: self.store,
-            vars: &self.vars,
-            text_cap: self.text_cap,
-            scanned: &scanned,
-            text_cache: &text_cache,
-            services: self.services,
-            service_cache: &service_cache,
-            foreign: &foreign,
-            morsel: None,
-        };
-        let seed: IdRow = vec![None; self.vars.len()];
-        let mut rows = ctx.eval_node(&self.root, Box::new(std::iter::once(Ok(seed))));
-
-        if self.is_ask {
-            let verdict = match rows.next() {
-                None => false,
-                Some(Err(e)) => return Err(e),
-                Some(Ok(_)) => true,
-            };
-            drop(rows);
-            return Ok(PlannedExecution {
-                results: QueryResults::Boolean(verdict),
-                metrics: ExecMetrics {
-                    rows_scanned: scanned.get(),
-                    rows_emitted: u64::from(verdict),
-                    ..ExecMetrics::default()
-                },
-            });
-        }
-
-        let slots: Vec<Option<usize>> =
-            self.projection.iter().map(|v| self.vars.id_of(v)).collect();
-        let mut seen = self.distinct.then(HashSet::new);
-        let mut to_skip = self.offset;
-        let mut id_rows: Vec<IdRow> = Vec::new();
-        let mut deadline_exceeded = false;
-        let mut pulled: u64 = 0;
-        loop {
-            if self.limit.is_some_and(|limit| id_rows.len() >= limit) {
-                break;
-            }
-            // Deadline checks cost a clock read, so amortize them; the
-            // default (deadline-free) path pays only a branch.
-            if let Some(deadline) = opts.deadline {
-                if pulled.is_multiple_of(256) && Instant::now() >= deadline {
-                    deadline_exceeded = true;
-                    break;
-                }
-                pulled += 1;
-            }
-            let Some(res) = rows.next() else {
-                break;
-            };
-            let row = res?;
-            let projected: IdRow = slots.iter().map(|slot| slot.and_then(|i| row[i])).collect();
-            if let Some(seen) = &mut seen {
-                if !seen.insert(projected.clone()) {
-                    continue;
-                }
-            }
-            if to_skip > 0 {
-                to_skip -= 1;
-                continue;
-            }
-            id_rows.push(projected);
-        }
-        drop(rows);
-
-        let bindings: Vec<Binding> = id_rows
-            .iter()
-            .map(|row| foreign.decode_row(self.store, &self.projection, row))
-            .collect();
-        let metrics = ExecMetrics {
-            rows_scanned: scanned.get(),
-            rows_emitted: bindings.len() as u64,
-            deadline_exceeded,
-            parallel: None,
-        };
-        Ok(PlannedExecution {
-            results: QueryResults::Solutions(ResultSet::new(self.projection.clone(), bindings)),
-            metrics,
-        })
-    }
-
-    /// Decide whether (and how) this plan runs in parallel.  Returns `None`
-    /// — the sequential fast path — unless *all* of the following hold: a
+impl PhysicalPlan<'_> {
+    /// Decide whether (and how) this plan runs in parallel — the one
+    /// decision `execute` acts on and `EXPLAIN` shows.  Returns `None` —
+    /// the sequential fast path — unless *all* of the following hold: a
     /// parallelism config and an owned snapshot are installed, the query is
-    /// not an ASK and touches no SERVICE group, a driver scan exists, its
+    /// not an ASK and touches no SERVICE group (resolvers are borrowed and
+    /// their term interner is single-threaded), a driver scan exists, its
     /// cardinality estimate asks for at least two workers, any
     /// `LIMIT`/`OFFSET` page is big enough to be worth full scans, and the
     /// driver actually splits into more than one partition.
-    fn parallel_decision(&self) -> Option<ParallelDecision> {
+    pub(crate) fn parallel_decision(&self) -> Option<ParallelDecision> {
         let config = self.parallel?;
         self.shared.as_ref()?;
-        if self.is_ask || config.max_dop < 2 || plan_has_service(&self.root) {
+        if self.is_ask || config.max_dop < 2 || self.body.service_slots > 0 {
             return None;
         }
-        let driver = find_driver(&self.root)?;
-        let StepKind::Scan(tp) = &driver.kind else {
-            return None;
-        };
+        let (tp, estimate) = self.driver?;
         if let Some(limit) = self.limit {
             if self.offset + limit < config.min_page_rows {
                 return None;
             }
         }
-        let dop =
-            ((driver.estimate / config.rows_per_worker.max(1.0)) as usize).clamp(1, config.max_dop);
+        let dop = ((estimate / config.rows_per_worker.max(1.0)) as usize).clamp(1, config.max_dop);
         if dop < 2 {
             return None;
         }
         // The driver's input is always the single all-unbound seed row, so
         // its runtime pattern is exactly its compiled constants.
-        let const_of = |slot: Slot| match slot {
-            Slot::Const(id) => Some(id),
-            Slot::Var(_) => None,
-        };
-        let pattern = EncodedTriplePattern::new(
-            const_of(tp.subject),
-            const_of(tp.predicate),
-            const_of(tp.object),
-        );
         let ranges = self
             .store
-            .scan_partitions(pattern, dop * config.morsels_per_worker.max(1));
+            .scan_partitions(tp.encoded(|_| None), dop * config.morsels_per_worker.max(1));
         if ranges.len() < 2 {
             return None;
         }
         Some(ParallelDecision { dop, ranges })
     }
-
-    /// The morsel-parallel execution path.
-    ///
-    /// The coordinating thread submits up to `dop - 1` helper jobs to the
-    /// shared pool and then drains morsels itself, so the run makes
-    /// progress even when the pool has no free slot (saturation degrades
-    /// parallelism, never correctness).  Each worker claims morsels from a
-    /// shared counter — partition order — and materialises its morsel's
-    /// projected rows; the coordinator concatenates the outputs *in
-    /// partition order* and only then applies `DISTINCT`/`OFFSET`/`LIMIT`,
-    /// which is what makes the result byte-identical to the sequential
-    /// path regardless of thread interleaving.
-    fn execute_parallel(
-        &self,
-        decision: ParallelDecision,
-        opts: ExecOptions,
-    ) -> Result<PlannedExecution, SparqlError> {
-        let snapshot = Arc::clone(self.shared.as_ref().expect("checked by parallel_decision"));
-        let morsels = decision.ranges.len();
-        let state = Arc::new(MorselRun {
-            snapshot,
-            root: Arc::clone(&self.root),
-            vars: Arc::clone(&self.vars),
-            text_cap: self.text_cap,
-            text_slots: self.text_slots,
-            slots: self.projection.iter().map(|v| self.vars.id_of(v)).collect(),
-            distinct: self.distinct,
-            cap: self.limit.map(|limit| self.offset.saturating_add(limit)),
-            ranges: decision.ranges,
-            next: AtomicUsize::new(0),
-            outputs: (0..morsels).map(|_| Mutex::new(None)).collect(),
-            deadline: opts.deadline,
-            expired: AtomicBool::new(false),
-        });
-        exec::record_parallel_query();
-
-        let pool = ExecutorPool::shared();
-        let mut tickets = Vec::with_capacity(decision.dop - 1);
-        for _ in 1..decision.dop {
-            let job = Arc::clone(&state);
-            match pool.try_submit(move || job.drain()) {
-                Ok(ticket) => tickets.push(ticket),
-                // Pool saturated or shutting down: run with fewer helpers.
-                Err(_) => break,
-            }
-        }
-        let mut rows_scanned_per_worker = vec![state.drain()];
-        for ticket in tickets {
-            // `None` = the helper panicked; its claimed morsel is refilled
-            // below, so the run still completes.
-            if let Some(scanned) = ticket.wait() {
-                rows_scanned_per_worker.push(scanned);
-            }
-        }
-        // Refill any hole that is not a deadline hole (a panicked helper's
-        // claimed-but-unfinished morsel) on the coordinating thread.
-        if !state.expired.load(Ordering::Relaxed) {
-            for index in 0..morsels {
-                let missing = state.lock_output(index).is_none();
-                if missing {
-                    let (result, scanned) = state.run_morsel(index);
-                    rows_scanned_per_worker[0] += scanned;
-                    *state.lock_output(index) = Some(result);
-                }
-            }
-        }
-
-        // Merge in partition order; holes (all deadline-induced, and always
-        // a suffix because workers claim indices monotonically) end the
-        // prefix that gets returned.
-        let mut seen = self.distinct.then(HashSet::new);
-        let mut to_skip = self.offset;
-        let mut id_rows: Vec<IdRow> = Vec::new();
-        let mut deadline_exceeded = false;
-        let mut completed = 0usize;
-        'merge: for index in 0..morsels {
-            let Some(result) = state.lock_output(index).take() else {
-                deadline_exceeded = true;
-                break;
-            };
-            completed += 1;
-            for projected in result? {
-                if let Some(seen) = &mut seen {
-                    if !seen.insert(projected.clone()) {
-                        continue;
-                    }
-                }
-                if to_skip > 0 {
-                    to_skip -= 1;
-                    continue;
-                }
-                id_rows.push(projected);
-                if self.limit.is_some_and(|limit| id_rows.len() >= limit) {
-                    break 'merge;
-                }
-            }
-        }
-
-        let bindings: Vec<Binding> = id_rows
-            .iter()
-            .map(|row| decode_row(self.store, &self.projection, row))
-            .collect();
-        let metrics = ExecMetrics {
-            rows_scanned: rows_scanned_per_worker.iter().sum(),
-            rows_emitted: bindings.len() as u64,
-            deadline_exceeded,
-            parallel: Some(ParallelMetrics {
-                dop: rows_scanned_per_worker.len(),
-                morsels: completed,
-                rows_scanned_per_worker,
-            }),
-        };
-        Ok(PlannedExecution {
-            results: QueryResults::Solutions(ResultSet::new(self.projection.clone(), bindings)),
-            metrics,
-        })
-    }
-
-    /// Flatten the operator tree into the rendered summary.
-    fn build_summary(&self) -> PlanSummary {
-        let mut summary = PlanSummary::default();
-        let mut header = if self.is_ask {
-            "ask".to_string()
-        } else {
-            let vars: Vec<String> = self.projection.iter().map(|v| format!("?{v}")).collect();
-            format!("select {}", vars.join(" "))
-        };
-        if self.distinct {
-            header.push_str(" distinct");
-        }
-        if let Some(limit) = self.limit {
-            header.push_str(&format!(" limit {limit}"));
-        }
-        if self.offset > 0 {
-            header.push_str(&format!(" offset {}", self.offset));
-        }
-        summary.push(0, header, None);
-        // Surface the parallel decision the executor will actually take —
-        // `EXPLAIN` and `execute` call the same `parallel_decision`.
-        match self.parallel_decision() {
-            Some(decision) => {
-                summary.push(
-                    1,
-                    format!("parallel({})", decision.dop),
-                    Some(decision.ranges.len() as f64),
-                );
-                summarize_node(&self.root, 2, Some(decision.ranges.len()), &mut summary);
-            }
-            None => summarize_node(&self.root, 1, None, &mut summary),
-        }
-        summary
-    }
-}
-
-/// How a parallel run splits its driver scan: the chosen degree of
-/// parallelism and the morsel key ranges, in scan order.
-struct ParallelDecision {
-    dop: usize,
-    ranges: Vec<PartitionRange>,
-}
-
-/// One morsel's output slot: the projected id-rows it produced, or the
-/// first error its plan tail hit.
-type MorselOutput = Option<Result<Vec<IdRow>, SparqlError>>;
-
-/// The shared state of one morsel-parallel run.  Everything is owned
-/// (`Arc`s into the pinned snapshot and the plan tree), so the same value
-/// serves the coordinating thread and the `'static` helper jobs on the
-/// executor pool.
-struct MorselRun {
-    snapshot: Arc<StoreSnapshot>,
-    root: Arc<PlanNode>,
-    vars: Arc<VarRegistry>,
-    text_cap: usize,
-    text_slots: usize,
-    /// Projection: variable slot per output column.
-    slots: Vec<Option<usize>>,
-    distinct: bool,
-    /// `offset + limit` when the query pages: no morsel can contribute more
-    /// than the whole page, so each stops after this many (distinct,
-    /// when applicable) projected rows.
-    cap: Option<usize>,
-    ranges: Vec<PartitionRange>,
-    /// Next unclaimed morsel index — the work-stealing cursor.
-    next: AtomicUsize,
-    /// One slot per morsel, written by whichever worker ran it.
-    outputs: Vec<Mutex<MorselOutput>>,
-    deadline: Option<Instant>,
-    /// Latched once any worker observes the deadline passed; stops all
-    /// further morsel claims.
-    expired: AtomicBool,
-}
-
-impl MorselRun {
-    fn lock_output(&self, index: usize) -> std::sync::MutexGuard<'_, MorselOutput> {
-        self.outputs[index]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// The deadline check every worker runs *between* morsels.
-    fn expired_now(&self) -> bool {
-        let Some(deadline) = self.deadline else {
-            return false;
-        };
-        if self.expired.load(Ordering::Relaxed) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            self.expired.store(true, Ordering::Relaxed);
-            return true;
-        }
-        false
-    }
-
-    /// Claim and run morsels until none are left (or the deadline passes).
-    /// Returns the rows this worker scanned, for per-worker metrics.
-    fn drain(&self) -> u64 {
-        let mut scanned = 0u64;
-        loop {
-            if self.expired_now() {
-                break;
-            }
-            let index = self.next.fetch_add(1, Ordering::SeqCst);
-            if index >= self.ranges.len() {
-                break;
-            }
-            let (result, morsel_scanned) = self.run_morsel(index);
-            scanned += morsel_scanned;
-            *self.lock_output(index) = Some(result);
-        }
-        scanned
-    }
-
-    /// Evaluate the whole operator tree with the driver scan clipped to one
-    /// morsel's key range, materialising the morsel's projected rows.
-    fn run_morsel(&self, index: usize) -> (Result<Vec<IdRow>, SparqlError>, u64) {
-        let scanned = Cell::new(0u64);
-        let text_cache: Vec<OnceCell<TextMatches>> =
-            (0..self.text_slots).map(|_| OnceCell::new()).collect();
-        // Parallel-eligible plans never contain SERVICE groups.
-        let service_cache: Vec<OnceCell<Result<Vec<ServiceRow>, SparqlError>>> = Vec::new();
-        let foreign = ForeignTerms::default();
-        let ctx = ExecCtx {
-            store: &self.snapshot,
-            vars: &self.vars,
-            text_cap: self.text_cap,
-            scanned: &scanned,
-            text_cache: &text_cache,
-            services: None,
-            service_cache: &service_cache,
-            foreign: &foreign,
-            morsel: Some(self.ranges[index]),
-        };
-        let seed: IdRow = vec![None; self.vars.len()];
-        let rows = ctx.eval_node(&self.root, Box::new(std::iter::once(Ok(seed))));
-
-        let mut out: Vec<IdRow> = Vec::new();
-        // Morsel-local dedup is sound under a global cap: a row past a
-        // morsel's first `cap` distinct values has at least `cap` distinct
-        // predecessors in the concatenated stream, so it cannot be in the
-        // global first `cap` either.  (The coordinator dedups across
-        // morsels again.)
-        let mut seen = self.distinct.then(HashSet::new);
-        for res in rows {
-            let row = match res {
-                Ok(row) => row,
-                Err(e) => return (Err(e), scanned.get()),
-            };
-            let projected: IdRow = self
-                .slots
-                .iter()
-                .map(|slot| slot.and_then(|i| row[i]))
-                .collect();
-            if let Some(seen) = &mut seen {
-                if !seen.insert(projected.clone()) {
-                    continue;
-                }
-            }
-            out.push(projected);
-            if self.cap.is_some_and(|cap| out.len() >= cap) {
-                break;
-            }
-        }
-        (Ok(out), scanned.get())
-    }
-}
-
-/// Render one node.  `partition` carries the morsel count of a parallel
-/// run down the left spine so the driver scan can show a `partition` child
-/// op; it is `None` everywhere a driver cannot live.
-fn summarize_node(node: &PlanNode, depth: usize, partition: Option<usize>, out: &mut PlanSummary) {
-    match node {
-        PlanNode::Bgp { pre_filters, steps } => {
-            out.push(depth, "bgp", None);
-            for expr in pre_filters {
-                out.push(depth + 1, format!("filter {expr}"), None);
-            }
-            for step in steps {
-                let label = match &step.kind {
-                    StepKind::Scan(_) => format!("scan {}", step.ast),
-                    StepKind::TextSearch { .. } => format!("text {}", step.ast),
-                    StepKind::NeverMatches => format!("never-matches {}", step.ast),
-                };
-                out.push(depth + 1, label, Some(step.estimate));
-                if step.driver {
-                    if let Some(morsels) = partition {
-                        out.push(depth + 2, format!("partition ({morsels} morsels)"), None);
-                    }
-                }
-                for expr in &step.filters {
-                    out.push(depth + 2, format!("filter {expr}"), None);
-                }
-            }
-        }
-        PlanNode::Join(a, b) => {
-            out.push(depth, "join", None);
-            summarize_node(a, depth + 1, partition, out);
-            summarize_node(b, depth + 1, None, out);
-        }
-        PlanNode::LeftJoin(a, b) => {
-            out.push(depth, "left-join (optional)", None);
-            summarize_node(a, depth + 1, partition, out);
-            summarize_node(b, depth + 1, None, out);
-        }
-        PlanNode::Union(a, b) => {
-            out.push(depth, "union", None);
-            summarize_node(a, depth + 1, None, out);
-            summarize_node(b, depth + 1, None, out);
-        }
-        PlanNode::Filter(inner, expr) => {
-            out.push(depth, format!("filter {expr}"), None);
-            summarize_node(inner, depth + 1, partition, out);
-        }
-        PlanNode::Service {
-            kg,
-            query,
-            estimate,
-            ..
-        } => {
-            out.push(depth, format!("service <kg:{kg}>"), Some(*estimate));
-            for tp in query.pattern.all_triple_patterns() {
-                out.push(depth + 1, format!("remote {tp}"), None);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::parser::parse_query;
     use kgqan_rdf::{vocab, LiveStore, Triple};
 
     /// A store where join order matters: 200 people born in 4 cities, one
     /// person also a member of a tiny club.
-    fn skewed_store() -> Store {
+    pub(crate) fn skewed_store() -> Store {
         let mut store = Store::new();
         let born = Term::iri("http://e/bornIn");
         let member = Term::iri("http://e/memberOf");
@@ -2028,29 +872,6 @@ mod tests {
     }
 
     #[test]
-    fn limit_stops_scanning_early() {
-        let store = skewed_store();
-        let query = parse_query("SELECT ?p WHERE { ?p <http://e/bornIn> ?c . } LIMIT 5").unwrap();
-        let run = Planner::new(&store).plan(&query).execute().unwrap();
-        assert_eq!(run.results.rows().len(), 5);
-        assert_eq!(run.metrics.rows_emitted, 5);
-        assert!(
-            run.metrics.rows_scanned <= 5,
-            "LIMIT 5 should scan ~5 index entries, scanned {}",
-            run.metrics.rows_scanned
-        );
-    }
-
-    #[test]
-    fn ask_stops_after_first_row() {
-        let store = skewed_store();
-        let query = parse_query("ASK { ?p <http://e/bornIn> ?c . }").unwrap();
-        let run = Planner::new(&store).plan(&query).execute().unwrap();
-        assert_eq!(run.results.as_boolean(), Some(true));
-        assert!(run.metrics.rows_scanned <= 1);
-    }
-
-    #[test]
     fn text_step_runs_before_unselective_scan() {
         let store = skewed_store();
         let query =
@@ -2065,91 +886,6 @@ mod tests {
         );
         let run = plan.execute().unwrap();
         assert_eq!(run.results.rows().len(), 3);
-    }
-
-    #[test]
-    fn bound_subject_text_step_searches_once_not_per_row() {
-        // 4 <name> edges vs ~200 literals matching "person": the planner
-        // runs the selective scan first, demoting the text step to a
-        // membership filter.  The search itself must then run once per
-        // step, not once per row — total scan work stays O(rows + matches),
-        // never O(rows × matches).
-        let mut store = Store::new();
-        let name = Term::iri("http://e/name");
-        for i in 0..200 {
-            store.insert(Triple::new(
-                Term::iri(format!("http://e/x{i}")),
-                Term::iri(vocab::RDFS_LABEL),
-                Term::literal_str(format!("person alias {i}")),
-            ));
-        }
-        for i in 0..4 {
-            store.insert(Triple::new(
-                Term::iri(format!("http://e/s{i}")),
-                name.clone(),
-                Term::literal_str(format!("person name {i}")),
-            ));
-        }
-        let query = parse_query(
-            r#"SELECT ?s ?d WHERE { ?s <http://e/name> ?d . ?d <bif:contains> "'person'" . }"#,
-        )
-        .unwrap();
-        let plan = Planner::new(&store).plan(&query);
-        let labels = plan.summary().step_labels();
-        assert!(
-            labels[0].starts_with("scan "),
-            "selective scan must run first:\n{}",
-            plan.summary()
-        );
-        let run = plan.execute().unwrap();
-        assert_eq!(run.results.rows().len(), 4);
-        // One search (≤204 matches counted once) + 4 scan extensions; the
-        // old per-row search would have counted ~4×204.
-        assert!(
-            run.metrics.rows_scanned <= 204 + 4,
-            "scanned {} rows — text search re-ran per row?",
-            run.metrics.rows_scanned
-        );
-    }
-
-    #[test]
-    fn optional_text_step_shares_one_search_across_left_rows() {
-        // The OPTIONAL right side re-runs once per left row; its
-        // constant-string text search must still execute only once per run
-        // (the match cache lives on the execution, not on the per-row
-        // pipeline), keeping scan work O(rows + matches).
-        let mut store = Store::new();
-        let label = Term::iri(vocab::RDFS_LABEL);
-        let born = Term::iri("http://e/bornIn");
-        for i in 0..100 {
-            let person = Term::iri(format!("http://e/person{i}"));
-            store.insert(Triple::new(
-                person.clone(),
-                born.clone(),
-                Term::iri("http://e/city0"),
-            ));
-            store.insert(Triple::new(
-                person,
-                label.clone(),
-                Term::literal_str(format!("resident {i}")),
-            ));
-        }
-        let query = parse_query(
-            r#"SELECT ?p ?d WHERE {
-                 ?p <http://e/bornIn> <http://e/city0> .
-                 OPTIONAL { ?p <http://www.w3.org/2000/01/rdf-schema#label> ?d .
-                            ?d <bif:contains> "'resident'" . } }"#,
-        )
-        .unwrap();
-        let run = Planner::new(&store).plan(&query).execute().unwrap();
-        assert_eq!(run.results.rows().len(), 100);
-        // 100 bornIn scans + 100 label scans + ~100 text matches counted
-        // once; a per-row search would count ~100×100.
-        assert!(
-            run.metrics.rows_scanned <= 100 + 100 + 100,
-            "scanned {} rows — text search re-ran per left row?",
-            run.metrics.rows_scanned
-        );
     }
 
     #[test]
@@ -2191,71 +927,14 @@ mod tests {
         assert_eq!(run.metrics.rows_scanned, 0);
     }
 
-    #[test]
-    fn offset_and_distinct_stream_correctly() {
-        let store = skewed_store();
-        let query =
-            parse_query("SELECT DISTINCT ?c WHERE { ?p <http://e/bornIn> ?c . } LIMIT 2 OFFSET 1")
-                .unwrap();
-        let run = Planner::new(&store).plan(&query).execute().unwrap();
-        assert_eq!(run.results.rows().len(), 2);
-        // 4 distinct cities exist; the pipeline must stop once offset 1 +
-        // limit 2 = 3 distinct values have been seen, well before all 200
-        // bornIn entries are scanned.
-        assert!(
-            run.metrics.rows_scanned < 200,
-            "scanned {}",
-            run.metrics.rows_scanned
-        );
-    }
-
-    #[test]
-    fn explain_renders_an_operator_tree() {
-        let store = skewed_store();
-        let query = parse_query(
-            "SELECT ?p ?c ?n WHERE { ?p <http://e/bornIn> ?c . \
-             OPTIONAL { ?p <http://www.w3.org/2000/01/rdf-schema#label> ?n . } } LIMIT 10",
-        )
-        .unwrap();
-        let summary = explain(&store, &query);
-        let rendered = summary.to_string();
-        assert!(rendered.contains("select ?p ?c ?n limit 10"), "{rendered}");
-        assert!(rendered.contains("left-join (optional)"), "{rendered}");
-        assert!(
-            rendered.contains("scan ?p <http://e/bornIn> ?c ."),
-            "{rendered}"
-        );
-        assert!(rendered.contains("est"), "{rendered}");
-    }
-
-    #[test]
-    fn cartesian_product_still_answers_correctly() {
-        let mut store = Store::new();
-        store.insert(Triple::new(
-            Term::iri("http://e/a"),
-            Term::iri("http://e/p"),
-            Term::iri("http://e/b"),
-        ));
-        store.insert(Triple::new(
-            Term::iri("http://e/c"),
-            Term::iri("http://e/q"),
-            Term::iri("http://e/d"),
-        ));
-        // No shared variable: a forced cartesian product.
-        let query = parse_query("SELECT ?x ?y WHERE { ?x <http://e/p> ?b . ?y <http://e/q> ?d . }")
-            .unwrap();
-        let run = Planner::new(&store).plan(&query).execute().unwrap();
-        assert_eq!(run.results.rows().len(), 1);
-    }
-
     /// A [`ServiceResolver`] over in-memory stores, counting remote calls.
-    struct StoreResolver {
+    pub(crate) struct StoreResolver {
         stores: std::collections::BTreeMap<String, Store>,
-        calls: std::sync::atomic::AtomicUsize,
+        pub(crate) calls: std::sync::atomic::AtomicUsize,
     }
 
     impl StoreResolver {
-        fn new(stores: impl IntoIterator<Item = (&'static str, Store)>) -> Self {
+        pub(crate) fn new(stores: impl IntoIterator<Item = (&'static str, Store)>) -> Self {
             StoreResolver {
                 stores: stores
                     .into_iter()
@@ -2286,61 +965,19 @@ mod tests {
 
     /// The skewed store published through a live store, for snapshot
     /// pinning (the parallel path requires an owned snapshot).
-    fn skewed_live() -> std::sync::Arc<StoreSnapshot> {
+    pub(crate) fn skewed_live() -> std::sync::Arc<StoreSnapshot> {
         let live = LiveStore::new(skewed_store());
         live.snapshot()
     }
 
     /// A config aggressive enough to parallelise the 401-triple test store.
-    fn eager_parallel() -> ParallelConfig {
+    pub(crate) fn eager_parallel() -> ParallelConfig {
         ParallelConfig {
             max_dop: 8,
             rows_per_worker: 8.0,
             morsels_per_worker: 2,
             min_page_rows: 0,
         }
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential_and_reports_per_worker_metrics() {
-        let snapshot = skewed_live();
-        let query = parse_query(
-            "SELECT ?p ?c WHERE { ?p <http://e/bornIn> ?c . \
-             ?p <http://www.w3.org/2000/01/rdf-schema#label> ?n . }",
-        )
-        .unwrap();
-        let sequential = Planner::for_snapshot(&snapshot)
-            .plan(&query)
-            .execute()
-            .unwrap();
-        assert!(sequential.metrics.parallel.is_none());
-
-        let plan = Planner::for_shared_snapshot(&snapshot)
-            .with_parallelism(eager_parallel())
-            .plan(&query);
-        let parallel = plan.execute().unwrap();
-        assert_eq!(parallel.results, sequential.results);
-        let info = parallel.metrics.parallel.as_ref().expect("ran parallel");
-        assert!(info.dop >= 1 && info.morsels >= 2, "{info:?}");
-        assert_eq!(
-            info.rows_scanned_per_worker.iter().sum::<u64>(),
-            parallel.metrics.rows_scanned
-        );
-        assert!(!parallel.metrics.deadline_exceeded);
-    }
-
-    #[test]
-    fn explain_renders_parallel_and_partition_ops() {
-        let snapshot = skewed_live();
-        let query = parse_query("SELECT ?p ?c WHERE { ?p <http://e/bornIn> ?c . }").unwrap();
-        let plan = Planner::for_shared_snapshot(&snapshot)
-            .with_parallelism(eager_parallel())
-            .plan(&query);
-        let rendered = plan.summary().to_string();
-        assert!(rendered.contains("parallel("), "{rendered}");
-        assert!(rendered.contains("partition ("), "{rendered}");
-        // The scan labels stay stable for step_labels-based assertions.
-        assert_eq!(plan.summary().step_labels().len(), 1);
     }
 
     #[test]
@@ -2373,130 +1010,6 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_returns_partial_prefix_sequentially() {
-        let store = skewed_store();
-        let query = parse_query("SELECT ?p ?c WHERE { ?p <http://e/bornIn> ?c . }").unwrap();
-        let plan = Planner::new(&store).plan(&query);
-        let run = plan
-            .execute_with(ExecOptions {
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            })
-            .unwrap();
-        assert!(run.metrics.deadline_exceeded);
-        assert!(
-            run.results.rows().len() < 200,
-            "expired deadline must cut the run short, got {} rows",
-            run.results.rows().len()
-        );
-    }
-
-    #[test]
-    fn expired_deadline_stops_parallel_run_at_morsel_boundaries() {
-        let snapshot = skewed_live();
-        let query = parse_query("SELECT ?p ?c WHERE { ?p <http://e/bornIn> ?c . }").unwrap();
-        let plan = Planner::for_shared_snapshot(&snapshot)
-            .with_parallelism(eager_parallel())
-            .plan(&query);
-        // The decision *is* parallel (deadline does not affect eligibility)…
-        let rendered = plan.summary().to_string();
-        assert!(rendered.contains("parallel("), "{rendered}");
-        // …but an already-expired deadline means no morsel is ever claimed.
-        let run = plan
-            .execute_with(ExecOptions {
-                deadline: Some(Instant::now() - std::time::Duration::from_millis(1)),
-            })
-            .unwrap();
-        assert!(run.metrics.deadline_exceeded);
-        assert!(run.results.rows().is_empty());
-    }
-
-    #[test]
-    fn service_joins_rows_across_stores() {
-        let mut local = Store::new();
-        local.insert(Triple::new(
-            Term::iri("http://e/Alice"),
-            Term::iri("http://e/spouse"),
-            Term::iri("http://e/Bob"),
-        ));
-        let mut remote = Store::new();
-        // `Bob` exists in both stores; `Berlin` only remotely, so the
-        // result row must decode through the foreign-term table.
-        remote.insert(Triple::new(
-            Term::iri("http://e/Bob"),
-            Term::iri("http://e/birthPlace"),
-            Term::iri("http://e/Berlin"),
-        ));
-        remote.insert(Triple::new(
-            Term::iri("http://e/Stranger"),
-            Term::iri("http://e/birthPlace"),
-            Term::iri("http://e/Paris"),
-        ));
-        let resolver = StoreResolver::new([("remote", remote)]);
-
-        let query = parse_query(
-            "SELECT ?q ?c WHERE { <http://e/Alice> <http://e/spouse> ?q . \
-             SERVICE <kg:remote> { ?q <http://e/birthPlace> ?c . } }",
-        )
-        .unwrap();
-        let plan = Planner::new(&local)
-            .with_services(&resolver)
-            .plan_checked(&query)
-            .unwrap();
-
-        let rendered = plan.summary().to_string();
-        assert!(rendered.contains("service <kg:remote>"), "{rendered}");
-        assert!(
-            rendered.contains("remote ?q <http://e/birthPlace> ?c ."),
-            "{rendered}"
-        );
-        assert!(
-            plan.summary()
-                .step_labels()
-                .iter()
-                .any(|l| l.starts_with("service ")),
-            "{rendered}"
-        );
-
-        let run = plan.execute().unwrap();
-        let rows = run.results.rows();
-        // Only Bob's birth place joins; the stranger's row is filtered out.
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("q"), Some(&Term::iri("http://e/Bob")));
-        assert_eq!(rows[0].get("c"), Some(&Term::iri("http://e/Berlin")));
-        assert_eq!(resolver.calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn service_remote_query_runs_once_per_execution() {
-        let mut local = Store::new();
-        for i in 0..5 {
-            local.insert(Triple::new(
-                Term::iri(format!("http://e/p{i}")),
-                Term::iri("http://e/knows"),
-                Term::iri("http://e/Bob"),
-            ));
-        }
-        let mut remote = Store::new();
-        remote.insert(Triple::new(
-            Term::iri("http://e/Bob"),
-            Term::iri("http://e/age"),
-            Term::literal_str("42"),
-        ));
-        let resolver = StoreResolver::new([("remote", remote)]);
-        let query = parse_query(
-            "SELECT ?p ?a WHERE { ?p <http://e/knows> ?b . \
-             SERVICE <kg:remote> { ?b <http://e/age> ?a . } }",
-        )
-        .unwrap();
-        let plan = Planner::new(&local).with_services(&resolver).plan(&query);
-        let run = plan.execute().unwrap();
-        // Five local rows flow through the join, but the remote query runs
-        // exactly once per run.
-        assert_eq!(run.results.rows().len(), 5);
-        assert_eq!(resolver.calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn plan_checked_rejects_unknown_service_target() {
         let store = Store::new();
         let resolver = StoreResolver::new([("DBpedia", Store::new())]);
@@ -2520,22 +1033,5 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(rendered.contains("DBpedia"), "{rendered}");
-    }
-
-    #[test]
-    fn service_without_resolver_fails_at_plan_or_run_time() {
-        let store = Store::new();
-        let query =
-            parse_query("SELECT ?s WHERE { SERVICE <kg:Anywhere> { ?s <http://e/p> ?o . } }")
-                .unwrap();
-        // plan_checked fails up front…
-        let planner = Planner::new(&store);
-        assert!(matches!(
-            planner.plan_checked(&query),
-            Err(SparqlError::Service { .. })
-        ));
-        // …and the infallible plan() defers the same error to execute().
-        let err = planner.plan(&query).execute().unwrap_err();
-        assert!(matches!(err, SparqlError::Service { .. }), "{err}");
     }
 }

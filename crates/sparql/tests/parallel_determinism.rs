@@ -2,158 +2,26 @@
 //!
 //! The parallel path must be *invisible* in the results: for any query the
 //! rows — including their order, and including `DISTINCT`/`OFFSET`/`LIMIT`
-//! paging — must be byte-identical to the sequential streaming executor's,
+//! paging — must be byte-identical to the sequential run's,
 //! which in turn must agree (as a multiset) with the naive AST-order
 //! reference evaluator.  Worker count, morsel granularity and scheduling
 //! jitter may never leak into answers.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Instant;
 
+use common::{arb_pattern, arb_store, row_multiset, select_query};
 use kgqan_rdf::{LiveStore, Store, StoreSnapshot, Term, Triple};
-use kgqan_sparql::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
+use kgqan_sparql::ast::Query;
 use kgqan_sparql::{execute_naive, ExecOptions, ParallelConfig, Planner, QueryResults};
 use proptest::prelude::*;
 
-// ---------------------------------------------------------------------------
-// Store / query generation: the same closed alphabets as the planner
-// properties, so joins, repeated variables and text hits occur often.
-// ---------------------------------------------------------------------------
-
-fn arb_node() -> impl Strategy<Value = Term> {
-    (0u32..20).prop_map(|i| Term::iri(format!("http://g/n{i}")))
-}
-
-fn arb_predicate() -> impl Strategy<Value = Term> {
-    (0u32..5).prop_map(|i| Term::iri(format!("http://g/p{i}")))
-}
-
-fn arb_label() -> impl Strategy<Value = Term> {
-    prop_oneof![
-        Just("baltic sea"),
-        Just("north sea shore"),
-        Just("danish straits"),
-        Just("kaliningrad city"),
-    ]
-    .prop_map(Term::literal_str)
-}
-
-fn arb_object() -> impl Strategy<Value = Term> {
-    prop_oneof![arb_node(), arb_label(), (0i64..400).prop_map(Term::integer)]
-}
-
-fn arb_triple() -> impl Strategy<Value = Triple> {
-    (arb_node(), arb_predicate(), arb_object()).prop_map(|(s, p, o)| Triple::new(s, p, o))
-}
-
 /// Random snapshots up to ~90 triples: big enough for multi-morsel
-/// partitions, small enough to shrink well.
+/// partitions, small enough to debug.
 fn arb_snapshot() -> impl Strategy<Value = Arc<StoreSnapshot>> {
-    prop::collection::vec(arb_triple(), 0..90).prop_map(|triples| {
-        let mut store = Store::new();
-        store.insert_all(triples);
-        LiveStore::new(store).snapshot()
-    })
-}
-
-fn arb_var() -> impl Strategy<Value = String> {
-    (0u32..4).prop_map(|i| format!("v{i}"))
-}
-
-fn arb_subject_pos() -> impl Strategy<Value = VarOrTerm> {
-    prop_oneof![
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_node().prop_map(VarOrTerm::Term),
-    ]
-}
-
-fn arb_predicate_pos() -> impl Strategy<Value = VarOrTerm> {
-    prop_oneof![
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_predicate().prop_map(VarOrTerm::Term),
-        arb_predicate().prop_map(VarOrTerm::Term),
-    ]
-}
-
-fn arb_object_pos() -> impl Strategy<Value = VarOrTerm> {
-    prop_oneof![
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_object().prop_map(VarOrTerm::Term),
-    ]
-}
-
-fn arb_tp() -> impl Strategy<Value = TriplePatternAst> {
-    (arb_subject_pos(), arb_predicate_pos(), arb_object_pos())
-        .prop_map(|(s, p, o)| TriplePatternAst::new(s, p, o))
-}
-
-fn arb_text_tp() -> impl Strategy<Value = TriplePatternAst> {
-    (
-        arb_var(),
-        prop_oneof![Just("'sea'"), Just("'danish' OR 'city'"), Just("'shore'")],
-    )
-        .prop_map(|(v, words)| {
-            TriplePatternAst::new(
-                VarOrTerm::Var(v),
-                VarOrTerm::Term(Term::iri("bif:contains")),
-                VarOrTerm::Term(Term::literal_str(words)),
-            )
-        })
-}
-
-fn arb_bgp() -> impl Strategy<Value = GraphPattern> {
-    (
-        prop::collection::vec(arb_tp(), 1..4),
-        prop::option::of(arb_text_tp()),
-    )
-        .prop_map(|(mut tps, text)| {
-            if let Some(text) = text {
-                tps.push(text);
-            }
-            GraphPattern::Bgp(tps)
-        })
-}
-
-fn arb_filter_expr() -> impl Strategy<Value = Expression> {
-    let var = || arb_var().prop_map(|v| Box::new(Expression::Var(v)));
-    prop_oneof![
-        (var(), var()).prop_map(|(a, b)| Expression::Neq(a, b)),
-        arb_var().prop_map(Expression::Bound),
-        (var(), prop_oneof![Just("sea"), Just("n1")]).prop_map(|(a, w)| {
-            Expression::Contains(a, Box::new(Expression::Constant(Term::literal_str(w))))
-        }),
-    ]
-}
-
-/// BGPs, joins, OPTIONAL, UNION and filtered BGPs — everything the morsel
-/// driver may sit underneath.
-fn arb_pattern() -> impl Strategy<Value = GraphPattern> {
-    prop_oneof![
-        arb_bgp(),
-        (arb_bgp(), arb_bgp()).prop_map(|(a, b)| GraphPattern::Join(Box::new(a), Box::new(b))),
-        (arb_bgp(), arb_bgp()).prop_map(|(a, b)| GraphPattern::Optional(Box::new(a), Box::new(b))),
-        (arb_bgp(), arb_bgp()).prop_map(|(a, b)| GraphPattern::Union(Box::new(a), Box::new(b))),
-        (arb_bgp(), arb_filter_expr())
-            .prop_map(|(inner, e)| GraphPattern::Filter(Box::new(inner), e)),
-    ]
-}
-
-fn select_query(
-    pattern: GraphPattern,
-    distinct: bool,
-    limit: Option<usize>,
-    offset: Option<usize>,
-) -> Query {
-    Query {
-        form: QueryForm::Select {
-            variables: Vec::new(),
-            distinct,
-        },
-        pattern,
-        limit,
-        offset,
-    }
+    arb_store(90).prop_map(|store| LiveStore::new(store).snapshot())
 }
 
 /// A config that fans out on stores of a handful of triples: every worker
@@ -177,12 +45,6 @@ fn run(snapshot: &Arc<StoreSnapshot>, query: &Query, config: ParallelConfig) -> 
         .results
 }
 
-fn row_multiset(results: &QueryResults) -> Vec<String> {
-    let mut rows: Vec<String> = results.rows().iter().map(|b| format!("{b:?}")).collect();
-    rows.sort();
-    rows
-}
-
 proptest! {
     /// Parallel execution at varying worker counts and morsel granularities
     /// returns the sequential executor's rows *byte-identically* — same
@@ -201,7 +63,7 @@ proptest! {
             Some((limit, offset)) => (Some(limit), Some(offset)),
             None => (None, None),
         };
-        let query = select_query(pattern, distinct, limit, offset);
+        let query = Query { limit, offset, ..select_query(pattern, distinct) };
 
         let sequential = run(&snapshot, &query, eager(1, morsels_per_worker));
         let parallel = run(&snapshot, &query, eager(max_dop, morsels_per_worker));
@@ -232,7 +94,7 @@ proptest! {
         pattern in arb_pattern(),
         max_dop in 1usize..9,
     ) {
-        let query = select_query(pattern, false, None, None);
+        let query = select_query(pattern, false);
         let plan = Planner::for_shared_snapshot(&snapshot)
             .with_parallelism(eager(max_dop, 2))
             .plan(&query);

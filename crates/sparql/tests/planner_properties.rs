@@ -4,177 +4,13 @@
 //! planner ([`execute`]) and through the naive AST-order reference
 //! evaluator ([`execute_naive`]) — and the row multisets must coincide.
 
+mod common;
+
+use common::{arb_pattern, arb_store, row_multiset, select_query};
 use kgqan_rdf::{Store, Term, Triple};
-use kgqan_sparql::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
-use kgqan_sparql::{execute, execute_naive, Planner, QueryResults};
+use kgqan_sparql::ast::{Query, QueryForm};
+use kgqan_sparql::{execute, execute_naive, parse_query, Planner};
 use proptest::prelude::*;
-
-// ---------------------------------------------------------------------------
-// Store generation: small closed alphabets so joins, repeated variables and
-// text-search hits all occur frequently.
-// ---------------------------------------------------------------------------
-
-fn arb_node() -> impl Strategy<Value = Term> {
-    (0u32..20).prop_map(|i| Term::iri(format!("http://g/n{i}")))
-}
-
-fn arb_predicate() -> impl Strategy<Value = Term> {
-    (0u32..5).prop_map(|i| Term::iri(format!("http://g/p{i}")))
-}
-
-/// String literals drawn from a tiny word pool, so `bif:contains` probes
-/// and `CONTAINS` filters actually match.
-fn arb_label() -> impl Strategy<Value = Term> {
-    prop_oneof![
-        Just("baltic sea"),
-        Just("north sea shore"),
-        Just("danish straits"),
-        Just("kaliningrad city"),
-        Just("city on the shore"),
-    ]
-    .prop_map(Term::literal_str)
-}
-
-fn arb_object() -> impl Strategy<Value = Term> {
-    prop_oneof![arb_node(), arb_label(), (0i64..400).prop_map(Term::integer),]
-}
-
-fn arb_triple() -> impl Strategy<Value = Triple> {
-    (arb_node(), arb_predicate(), arb_object()).prop_map(|(s, p, o)| Triple::new(s, p, o))
-}
-
-fn arb_store() -> impl Strategy<Value = Store> {
-    prop::collection::vec(arb_triple(), 0..36).prop_map(|triples| {
-        let mut store = Store::new();
-        store.insert_all(triples);
-        store
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Pattern generation: variables from a 4-name pool (repeats guaranteed),
-// every position independently var-or-term, plus text search, OPTIONAL,
-// UNION and FILTER shapes.
-// ---------------------------------------------------------------------------
-
-fn arb_var() -> impl Strategy<Value = String> {
-    (0u32..4).prop_map(|i| format!("v{i}"))
-}
-
-fn arb_subject_pos() -> impl Strategy<Value = VarOrTerm> {
-    prop_oneof![
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_node().prop_map(VarOrTerm::Term),
-    ]
-}
-
-fn arb_predicate_pos() -> impl Strategy<Value = VarOrTerm> {
-    prop_oneof![
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_predicate().prop_map(VarOrTerm::Term),
-        arb_predicate().prop_map(VarOrTerm::Term),
-        arb_predicate().prop_map(VarOrTerm::Term),
-    ]
-}
-
-fn arb_object_pos() -> impl Strategy<Value = VarOrTerm> {
-    prop_oneof![
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_var().prop_map(VarOrTerm::Var),
-        arb_object().prop_map(VarOrTerm::Term),
-    ]
-}
-
-fn arb_tp() -> impl Strategy<Value = TriplePatternAst> {
-    (arb_subject_pos(), arb_predicate_pos(), arb_object_pos())
-        .prop_map(|(s, p, o)| TriplePatternAst::new(s, p, o))
-}
-
-/// A valid text-search pattern: variable subject, `bif:contains` predicate,
-/// constant literal query string.
-fn arb_text_tp() -> impl Strategy<Value = TriplePatternAst> {
-    (
-        arb_var(),
-        prop_oneof![Just("'sea'"), Just("'danish' OR 'city'"), Just("'shore'")],
-    )
-        .prop_map(|(v, words)| {
-            TriplePatternAst::new(
-                VarOrTerm::Var(v),
-                VarOrTerm::Term(Term::iri("bif:contains")),
-                VarOrTerm::Term(Term::literal_str(words)),
-            )
-        })
-}
-
-/// A BGP of 1–3 ordinary patterns, optionally carrying a text-search
-/// pattern at a random position.
-fn arb_bgp() -> impl Strategy<Value = GraphPattern> {
-    (
-        prop::collection::vec(arb_tp(), 1..4),
-        prop::option::of(arb_text_tp()),
-        any::<bool>(),
-    )
-        .prop_map(|(mut tps, text, front)| {
-            if let Some(text) = text {
-                if front {
-                    tps.insert(0, text);
-                } else {
-                    tps.push(text);
-                }
-            }
-            GraphPattern::Bgp(tps)
-        })
-}
-
-fn arb_filter_expr() -> impl Strategy<Value = Expression> {
-    let var = || arb_var().prop_map(|v| Box::new(Expression::Var(v)));
-    prop_oneof![
-        (var(), var()).prop_map(|(a, b)| Expression::Neq(a, b)),
-        arb_var().prop_map(Expression::Bound),
-        (var(), 0i64..400)
-            .prop_map(|(a, n)| Expression::Gt(a, Box::new(Expression::Constant(Term::integer(n))))),
-        (var(), prop_oneof![Just("sea"), Just("city"), Just("n1")]).prop_map(|(a, w)| {
-            Expression::Contains(a, Box::new(Expression::Constant(Term::literal_str(w))))
-        }),
-    ]
-}
-
-/// Composite patterns: plain BGPs, joins, OPTIONAL, UNION, filtered BGPs
-/// and a filtered OPTIONAL — the shapes KGQAn's candidate queries take.
-fn arb_pattern() -> impl Strategy<Value = GraphPattern> {
-    prop_oneof![
-        arb_bgp(),
-        (arb_bgp(), arb_bgp()).prop_map(|(a, b)| GraphPattern::Join(Box::new(a), Box::new(b))),
-        (arb_bgp(), arb_bgp()).prop_map(|(a, b)| GraphPattern::Optional(Box::new(a), Box::new(b))),
-        (arb_bgp(), arb_bgp()).prop_map(|(a, b)| GraphPattern::Union(Box::new(a), Box::new(b))),
-        (arb_bgp(), arb_filter_expr())
-            .prop_map(|(inner, e)| GraphPattern::Filter(Box::new(inner), e)),
-        (arb_bgp(), arb_bgp(), arb_filter_expr()).prop_map(|(a, b, e)| GraphPattern::Filter(
-            Box::new(GraphPattern::Optional(Box::new(a), Box::new(b))),
-            e
-        )),
-    ]
-}
-
-fn select_query(pattern: GraphPattern, distinct: bool) -> Query {
-    Query {
-        form: QueryForm::Select {
-            variables: Vec::new(),
-            distinct,
-        },
-        pattern,
-        limit: None,
-        offset: None,
-    }
-}
-
-/// Canonical multiset representation of a solution sequence.
-fn row_multiset(results: &QueryResults) -> Vec<String> {
-    let mut rows: Vec<String> = results.rows().iter().map(|b| format!("{b:?}")).collect();
-    rows.sort();
-    rows
-}
 
 proptest! {
     /// Planned (reordered, filter-pushed, streaming) execution returns
@@ -182,7 +18,7 @@ proptest! {
     /// stores and patterns including OPTIONAL/UNION/FILTER and repeated
     /// variables.
     #[test]
-    fn planned_equals_naive(store in arb_store(), pattern in arb_pattern(), distinct in any::<bool>()) {
+    fn planned_equals_naive(store in arb_store(36), pattern in arb_pattern(), distinct in any::<bool>()) {
         let query = select_query(pattern, distinct);
         let planned = execute(&store, &query).expect("planned execution succeeds");
         let naive = execute_naive(&store, &query).expect("naive execution succeeds");
@@ -191,7 +27,7 @@ proptest! {
 
     /// ASK queries agree between the two evaluators.
     #[test]
-    fn planned_ask_equals_naive(store in arb_store(), pattern in arb_pattern()) {
+    fn planned_ask_equals_naive(store in arb_store(36), pattern in arb_pattern()) {
         let query = Query { form: QueryForm::Ask, pattern, limit: None, offset: None };
         let planned = execute(&store, &query).expect("planned execution succeeds");
         let naive = execute_naive(&store, &query).expect("naive execution succeeds");
@@ -204,7 +40,7 @@ proptest! {
     /// without ORDER BY.)
     #[test]
     fn planned_page_is_subset_of_naive_rows(
-        store in arb_store(),
+        store in arb_store(36),
         pattern in arb_pattern(),
         distinct in any::<bool>(),
         limit in 0usize..8,
@@ -244,6 +80,27 @@ proptest! {
         }
     }
 
+    /// Serialising a generated query and parsing the text back yields the
+    /// same AST, however OPTIONAL / UNION / FILTER / joins are nested.
+    #[test]
+    fn to_sparql_round_trips_through_the_parser(
+        pattern in arb_pattern(),
+        distinct in any::<bool>(),
+        page in prop::option::of((0usize..8, 0usize..4)),
+    ) {
+        let mut query = select_query(pattern, distinct);
+        if let Some((limit, offset)) = page {
+            query.limit = Some(limit);
+            query.offset = Some(offset);
+        }
+        let text = query.to_sparql();
+        let reparsed = parse_query(&text);
+        prop_assert!(
+            reparsed.as_ref() == Ok(&query),
+            "round trip changed the query\ntext:\n{text}\nreparsed: {reparsed:?}"
+        );
+    }
+
     /// A `LIMIT k` scan over a store with many matches stops after ~k index
     /// entries instead of materialising all of them.
     #[test]
@@ -256,7 +113,7 @@ proptest! {
                 Term::iri(format!("http://g/n{}", i % 7)),
             ));
         }
-        let query = kgqan_sparql::parse_query(&format!(
+        let query = parse_query(&format!(
             "SELECT ?s WHERE {{ ?s <http://g/p0> ?o . }} LIMIT {k}"
         ))
         .unwrap();
@@ -282,10 +139,9 @@ fn two_hop_join_agrees_with_naive_and_reports_work() {
             Term::iri(format!("http://g/n{}", (i + 1) % 10)),
         ));
     }
-    let query = kgqan_sparql::parse_query(
-        "SELECT ?a ?b ?c WHERE { ?a <http://g/p0> ?b . ?b <http://g/p1> ?c . }",
-    )
-    .unwrap();
+    let query =
+        parse_query("SELECT ?a ?b ?c WHERE { ?a <http://g/p0> ?b . ?b <http://g/p1> ?c . }")
+            .unwrap();
     let run = Planner::new(&store).plan(&query).execute().unwrap();
     let naive = execute_naive(&store, &query).unwrap();
     assert_eq!(row_multiset(&run.results), row_multiset(&naive));
