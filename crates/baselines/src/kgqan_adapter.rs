@@ -1,107 +1,26 @@
-//! Exposes the KGQAn platform through the shared [`QaSystem`] interface so
-//! the harness can evaluate it side by side with the baselines, plus the
-//! adapters between the harness and KGQAn's staged pipeline API:
+//! Exposes KGQAn's staged pipeline through the shared [`QaSystem`]
+//! interface so the harness can evaluate it side by side with the
+//! baselines:
 //!
+//! * [`PipelineSystem`] wraps any composed [`Pipeline`] as a [`QaSystem`];
+//!   [`PipelineSystem::kgqan`] is the paper's pipeline, i.e. KGQAn itself,
 //! * [`RuleBasedUnderstand`] implements the [`Understand`] stage trait with
 //!   the baselines' curated-rule question decomposition, so a
 //!   [`Pipeline`] can swap KGQAn's learned understanding for the
-//!   gAnswer/EDGQA-style parser while keeping JIT linking and execution,
-//! * [`PipelineSystem`] wraps any composed [`Pipeline`] as a [`QaSystem`],
-//!   so mixed pipelines run in the harness side by side with the intact
-//!   systems.
+//!   gAnswer/EDGQA-style parser while keeping JIT linking and execution.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use kgqan::pipeline::{Pipeline, StageContext, Understand};
 use kgqan::{
-    Budget, KgqanConfig, KgqanError, KgqanPlatform, PhraseGraphPattern, QuestionUnderstanding,
-    Understanding,
+    Budget, KgqanConfig, KgqanError, PhraseGraphPattern, QuestionUnderstanding, Understanding,
 };
 use kgqan_endpoint::SparqlEndpoint;
 use kgqan_nlp::{AnswerDataType, AnswerTypePrediction, PhraseNode, PhraseTriplePattern};
 
 use crate::rules::parse_with_rules;
 use crate::{PreprocessingStats, QaSystem, SystemResponse};
-
-/// KGQAn wrapped as a [`QaSystem`].
-pub struct KgqanSystem {
-    platform: KgqanPlatform,
-    name: String,
-}
-
-impl KgqanSystem {
-    /// Build with the default configuration (trains the QU models once).
-    pub fn new() -> Self {
-        Self::with_config(KgqanConfig::default())
-    }
-
-    /// Build with a custom configuration.
-    pub fn with_config(config: KgqanConfig) -> Self {
-        KgqanSystem {
-            platform: KgqanPlatform::with_config(config),
-            name: "KGQAn".to_string(),
-        }
-    }
-
-    /// Build from an already-trained question-understanding component
-    /// (lets the harness train once and evaluate many configurations).
-    pub fn with_parts(understanding: QuestionUnderstanding, config: KgqanConfig) -> Self {
-        KgqanSystem {
-            platform: KgqanPlatform::with_parts(understanding, config),
-            name: "KGQAn".to_string(),
-        }
-    }
-
-    /// Override the display name (used by the Table 4 harness to label
-    /// configuration variants).
-    pub fn named(mut self, name: impl Into<String>) -> Self {
-        self.name = name.into();
-        self
-    }
-
-    /// Access the wrapped platform.
-    pub fn platform(&self) -> &KgqanPlatform {
-        &self.platform
-    }
-}
-
-impl Default for KgqanSystem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl QaSystem for KgqanSystem {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn preprocess(&mut self, _endpoint: &dyn SparqlEndpoint) -> PreprocessingStats {
-        // KGQAn's defining property: no per-KG pre-processing at all.
-        PreprocessingStats::default()
-    }
-
-    fn answer(&self, question: &str, endpoint: &dyn SparqlEndpoint) -> SystemResponse {
-        let start = Instant::now();
-        match self.platform.answer(question, endpoint) {
-            Ok(outcome) => SystemResponse {
-                answers: outcome.answers.clone(),
-                boolean: outcome.boolean,
-                understanding_ok: !outcome.understanding.pgp.is_empty(),
-                phase_seconds: (
-                    outcome.timings.understanding.as_secs_f64(),
-                    outcome.timings.linking.as_secs_f64(),
-                    outcome.timings.execution_filtration.as_secs_f64(),
-                ),
-            },
-            Err(_) => SystemResponse {
-                understanding_ok: false,
-                phase_seconds: (start.elapsed().as_secs_f64(), 0.0, 0.0),
-                ..Default::default()
-            },
-        }
-    }
-}
 
 /// The baselines' rule-based question decomposition as an [`Understand`]
 /// stage: capitalised-span entity extraction, a curated relation-phrase
@@ -185,9 +104,25 @@ impl PipelineSystem {
         }
     }
 
+    /// KGQAn itself: the paper's pipeline ([`Pipeline::kgqan`]) over an
+    /// already-trained question-understanding component and the affinity
+    /// model `config` selects (lets the harness train once and evaluate
+    /// many configurations).
+    pub fn kgqan(understanding: QuestionUnderstanding, config: KgqanConfig) -> Self {
+        let pipeline = Pipeline::kgqan(Arc::new(understanding), Arc::from(config.affinity.build()));
+        PipelineSystem::new("KGQAn", pipeline).with_config(config)
+    }
+
     /// Use a custom configuration for the stage contexts.
     pub fn with_config(mut self, config: KgqanConfig) -> Self {
         self.config = config;
+        self
+    }
+
+    /// Override the display name (used by the Table 4 harness to label
+    /// configuration variants).
+    pub fn named(mut self, name: impl Into<String>) -> Self {
+        self.name = name.into();
         self
     }
 
@@ -242,7 +177,10 @@ mod tests {
     fn kgqan_adapter_requires_no_preprocessing_and_answers() {
         let kg = GeneratedKg::generate(KgFlavor::Dbpedia10, KgScale::tiny());
         let ep = InProcessEndpoint::new("DBpedia", kg.store.clone());
-        let mut sys = KgqanSystem::new();
+        let mut sys = PipelineSystem::kgqan(
+            QuestionUnderstanding::train_default(),
+            KgqanConfig::default(),
+        );
         let stats = sys.preprocess(&ep);
         assert_eq!(stats.indexed_items, 0);
         assert_eq!(stats.index_bytes, 0);
@@ -284,8 +222,6 @@ mod tests {
 
     #[test]
     fn pipeline_system_runs_a_mixed_pipeline_in_the_harness() {
-        use std::sync::Arc;
-
         let kg = GeneratedKg::generate(KgFlavor::Dbpedia10, KgScale::tiny());
         let ep = InProcessEndpoint::new("DBpedia", kg.store.clone());
 

@@ -2,9 +2,9 @@
 //!
 //! Behaviour-model reimplementations of the two open-source comparison
 //! systems of the paper's evaluation — **gAnswer** \[27, 64] and **EDGQA**
-//! \[28] — plus a thin adapter that exposes the KGQAn platform through the
-//! same [`QaSystem`] interface so the experiment harness can run the three
-//! systems side by side.
+//! \[28] — plus a thin adapter that exposes KGQAn's staged pipeline through
+//! the same [`QaSystem`] interface so the experiment harness can run the
+//! three systems side by side.
 //!
 //! The baselines capture the *mechanisms* the paper holds responsible for
 //! the experimental gaps (Table 1–3, Figure 8–9):
@@ -32,7 +32,7 @@ pub mod rules;
 
 pub use edgqa::EdgqaSystem;
 pub use ganswer::GAnswerSystem;
-pub use kgqan_adapter::KgqanSystem;
+pub use kgqan_adapter::PipelineSystem;
 
 use std::time::Duration;
 

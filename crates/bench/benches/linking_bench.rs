@@ -6,7 +6,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kgqan::pgp::PhraseGraphPattern;
-use kgqan::{FineGrainedAffinity, JitLinker, LinkerConfig};
+use kgqan::{Budget, FineGrainedAffinity, JitLinker, LinkerConfig};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
 use kgqan_nlp::PhraseTriplePattern;
@@ -29,15 +29,16 @@ fn jit_linking(c: &mut Criterion) {
         PhraseTriplePattern::unknown_to_entity("city on the shore", city.name.clone()),
     ]);
 
+    let budget = Budget::unbounded();
     let mut group = c.benchmark_group("jit_linking");
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
     group.bench_function("single_fact_pgp", |b| {
-        b.iter(|| linker.link(&single, &endpoint).unwrap())
+        b.iter(|| linker.link(&single, &endpoint, &budget).unwrap())
     });
     group.bench_function("multi_fact_pgp", |b| {
-        b.iter(|| linker.link(&multi, &endpoint).unwrap())
+        b.iter(|| linker.link(&multi, &endpoint, &budget).unwrap())
     });
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the RDF store substrate: bulk loading,
-//! triple-pattern matching under the six-way vs three-way index layouts
-//! (the index-layout ablation called out in DESIGN.md), and full-text search.
+//! id-level triple-pattern scans over the sextuple index, and full-text
+//! search.
 
 use std::time::Duration;
 
@@ -25,51 +25,31 @@ fn load_store(c: &mut Criterion) {
     group.finish();
 }
 
+/// The id-level access path the SPARQL join loops use: pattern encoding is
+/// paid once, every probe is an iterator-driven range scan over `TermId`s,
+/// and nothing is decoded.
 fn pattern_matching(c: &mut Criterion) {
     let kg = GeneratedKg::generate(KgFlavor::Dbpedia10, KgScale::tiny());
-    let six = kg.store.clone();
-    let mut three = Store::new_three_way();
-    three.insert_all(six.iter());
+    let store = &kg.store;
     let label = Term::iri(kgqan_rdf::vocab::RDFS_LABEL);
-    let some_person = kg.facts.people[17].iri.clone();
+    let person = &kg.facts.people[17];
+    let encode = |pattern: TriplePattern| store.encode_pattern(&pattern).expect("terms interned");
+    let by_predicate = encode(TriplePattern::any().with_predicate(label));
+    let by_subject_object = encode(
+        TriplePattern::any()
+            .with_subject(person.iri.clone())
+            .with_object(Term::literal_str(person.name.clone())),
+    );
 
     let mut group = c.benchmark_group("store_pattern_matching");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
-    for (name, store) in [("six_way", &six), ("three_way", &three)] {
-        group.bench_function(BenchmarkId::new("by_predicate", name), |b| {
-            let pattern = TriplePattern::any().with_predicate(label.clone());
-            b.iter(|| store.matching(&pattern).len())
-        });
-        group.bench_function(BenchmarkId::new("by_subject_object", name), |b| {
-            let pattern = TriplePattern::any()
-                .with_subject(some_person.clone())
-                .with_object(Term::literal_str(kg.facts.people[17].name.clone()));
-            b.iter(|| store.matching(&pattern).len())
-        });
-    }
-    group.finish();
-}
-
-/// The id-level access path the SPARQL join loops use: pattern encoding is
-/// paid once, every probe is an iterator-driven range scan over `TermId`s,
-/// and nothing is decoded.  `matching_decoded` is the legacy term-level
-/// wrapper (encode + scan + decode + materialise) for comparison.
-fn encoded_scan(c: &mut Criterion) {
-    let kg = GeneratedKg::generate(KgFlavor::Dbpedia10, KgScale::tiny());
-    let store = &kg.store;
-    let label = Term::iri(kgqan_rdf::vocab::RDFS_LABEL);
-    let pattern = TriplePattern::any().with_predicate(label);
-    let encoded = store.encode_pattern(&pattern).expect("label is interned");
-
-    let mut group = c.benchmark_group("store_encoded_scan");
-    group
-        .sample_size(20)
-        .measurement_time(Duration::from_secs(3));
-    group.bench_function("scan_ids_only", |b| b.iter(|| store.scan(encoded).count()));
-    group.bench_function("matching_decoded", |b| {
-        b.iter(|| store.matching(&pattern).len())
+    group.bench_function("by_predicate", |b| {
+        b.iter(|| store.scan(by_predicate).count())
+    });
+    group.bench_function("by_subject_object", |b| {
+        b.iter(|| store.scan(by_subject_object).count())
     });
     group.finish();
 }
@@ -90,11 +70,5 @@ fn text_search(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    load_store,
-    pattern_matching,
-    encoded_scan,
-    text_search
-);
+criterion_group!(benches, load_store, pattern_matching, text_search);
 criterion_main!(area = "store"; benches);

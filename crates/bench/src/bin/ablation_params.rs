@@ -9,7 +9,7 @@
 //! ```
 
 use kgqan::{KgqanConfig, LinkerConfig, QuestionUnderstanding};
-use kgqan_baselines::KgqanSystem;
+use kgqan_baselines::PipelineSystem;
 use kgqan_bench::harness::{parse_scale, run_system_on_benchmark};
 use kgqan_bench::table::{pct, TableWriter};
 use kgqan_benchmarks::{BenchmarkSuite, KgFlavor};
@@ -74,7 +74,7 @@ fn main() {
 
     let mut table = TableWriter::new(&["Configuration", "P", "R", "Macro F1"]);
     for (label, config) in configurations {
-        let system = KgqanSystem::with_parts(QuestionUnderstanding::train_default(), config);
+        let system = PipelineSystem::kgqan(QuestionUnderstanding::train_default(), config);
         let (report, _) = run_system_on_benchmark(&system, &instance);
         table.row(&[
             label,

@@ -7,7 +7,7 @@
 //! ```
 
 use kgqan::{KgqanConfig, QuestionUnderstanding};
-use kgqan_baselines::KgqanSystem;
+use kgqan_baselines::PipelineSystem;
 use kgqan_bench::harness::{parse_scale, run_system_on_benchmark};
 use kgqan_bench::published::PAPER_FIGURE10;
 use kgqan_bench::table::{pct, TableWriter};
@@ -34,7 +34,7 @@ fn main() {
                 filtration_enabled: filtration,
                 ..KgqanConfig::default()
             };
-            let system = KgqanSystem::with_parts(QuestionUnderstanding::train_default(), config);
+            let system = PipelineSystem::kgqan(QuestionUnderstanding::train_default(), config);
             let (report, _) = run_system_on_benchmark(&system, &instance);
             let label = if filtration {
                 "KGQAn"

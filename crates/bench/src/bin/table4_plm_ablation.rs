@@ -7,7 +7,7 @@
 //! ```
 
 use kgqan::{AffinityModel, QuestionUnderstanding};
-use kgqan_baselines::KgqanSystem;
+use kgqan_baselines::PipelineSystem;
 use kgqan_bench::harness::{kgqan_config_variant, parse_scale, run_system_on_benchmark};
 use kgqan_bench::published::PAPER_TABLE4_F1;
 use kgqan_bench::table::{pct, TableWriter};
@@ -49,7 +49,7 @@ fn main() {
         let instance = BenchmarkSuite::build_one(flavor, scale);
         let mut measured = Vec::new();
         for (_, seq2seq, affinity) in variants {
-            let system = KgqanSystem::with_parts(
+            let system = PipelineSystem::kgqan(
                 QuestionUnderstanding::train_with_variant(seq2seq),
                 kgqan_config_variant(seq2seq, affinity),
             );

@@ -2,7 +2,7 @@
 //! benchmark, collect the evaluation report.
 
 use kgqan::{AffinityModel, KgqanConfig, QuestionUnderstanding};
-use kgqan_baselines::{EdgqaSystem, GAnswerSystem, KgqanSystem, PreprocessingStats, QaSystem};
+use kgqan_baselines::{EdgqaSystem, GAnswerSystem, PipelineSystem, PreprocessingStats, QaSystem};
 use kgqan_benchmarks::suite::BenchmarkInstance;
 use kgqan_benchmarks::{evaluate, EvaluationReport, SuiteScale, SystemAnswer};
 use kgqan_nlp::Seq2SeqVariant;
@@ -25,7 +25,7 @@ pub fn parse_scale(args: &[String]) -> SuiteScale {
 /// The three evaluated systems, pre-processed for one benchmark instance.
 pub struct SystemSet {
     /// KGQAn (no pre-processing needed).
-    pub kgqan: KgqanSystem,
+    pub kgqan: PipelineSystem,
     /// gAnswer with its per-KG indices built.
     pub ganswer: GAnswerSystem,
     /// EDGQA with its per-KG indices built (label predicate configured for
@@ -45,7 +45,7 @@ pub fn build_systems(
     understanding: QuestionUnderstanding,
     config: KgqanConfig,
 ) -> SystemSet {
-    let mut kgqan = KgqanSystem::with_parts(understanding, config);
+    let mut kgqan = PipelineSystem::kgqan(understanding, config);
     let kgqan_stats = kgqan.preprocess(instance.endpoint.as_ref());
 
     let mut ganswer = GAnswerSystem::new();

@@ -8,7 +8,7 @@
 //! scores the result with precision / recall / F1 over the returned sets.
 
 use kgqan::pgp::PhraseGraphPattern;
-use kgqan::{FineGrainedAffinity, JitLinker, LinkerConfig};
+use kgqan::{Budget, FineGrainedAffinity, JitLinker, LinkerConfig};
 use kgqan_baselines::{EdgqaSystem, GAnswerSystem};
 use kgqan_benchmarks::suite::BenchmarkInstance;
 use kgqan_nlp::{PhraseNode, PhraseTriplePattern};
@@ -83,9 +83,10 @@ pub fn evaluate_linking(linker: &LinkerUnderTest, instance: &BenchmarkInstance) 
                         "related to",
                         PhraseNode::Phrase(phrase.clone()),
                     )]);
-                    jit.link(&pgp, instance.endpoint.as_ref())
+                    jit.link(&pgp, instance.endpoint.as_ref(), &Budget::unbounded())
                         .ok()
-                        .and_then(|agp| {
+                        .and_then(|linked| {
+                            let agp = linked.agp;
                             let node = agp
                                 .pgp
                                 .nodes()
@@ -120,9 +121,11 @@ pub fn evaluate_linking(linker: &LinkerUnderTest, instance: &BenchmarkInstance) 
                         phrase.clone(),
                         PhraseNode::Phrase(entity_phrase.clone()),
                     )]);
-                    jit.link(&pgp, instance.endpoint.as_ref())
-                        .map(|agp| {
-                            agp.predicates_of(0)
+                    jit.link(&pgp, instance.endpoint.as_ref(), &Budget::unbounded())
+                        .map(|linked| {
+                            linked
+                                .agp
+                                .predicates_of(0)
                                 .iter()
                                 .take(1)
                                 .map(|rp| rp.predicate.clone())
@@ -187,7 +190,7 @@ mod tests {
     }
 
     #[test]
-    fn kgqan_entity_linking_beats_ganswer_on_opaque_uri_kgs() {
+    fn kgqan_entity_linking_beats_ganswer_where_uris_are_opaque() {
         // The discriminating case of the paper: gAnswer's URI-token index
         // cannot link mentions on MAG, while KGQAn's JIT text-index linking
         // still can (§7.2.3).

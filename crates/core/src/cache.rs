@@ -21,8 +21,8 @@
 //!   `EndpointRegistry::with_cache`, shared by every request the
 //!   `QaService` routes to that KG (including concurrent and batched
 //!   requests), and invalidated when the KG is re-registered.  The service
-//!   aggregates namespace counters into a [`CacheReport`] and snapshots
-//!   per-request deltas for `QaService::answer_traced`.
+//!   aggregates namespace counters into a [`CacheReport`]; one request's
+//!   cache activity is [`CacheStats::since`] over two reports.
 //!
 //! Caching changes latency, never answers: `CachingEndpoint` returns the
 //! exact results the wrapped endpoint returned for the same query, errors

@@ -14,8 +14,8 @@ use kgqan_endpoint::SparqlEndpoint;
 use kgqan_rdf::Term;
 
 use crate::bgp::{CandidateQuery, TYPE_VARIABLE};
+use crate::config::Budget;
 use crate::error::KgqanError;
-use crate::service::Budget;
 
 /// One collected answer: the term bound to the main unknown and the classes
 /// reported by the OPTIONAL `rdf:type` clause.
@@ -29,8 +29,8 @@ pub struct CollectedAnswer {
     pub query_score: f32,
 }
 
-/// Execution statistics for one candidate query, surfaced per request by
-/// the serving layer ([`crate::service::AnswerResponse::query_stats`]).
+/// Execution statistics for one candidate query, surfaced per request in
+/// the response's trace (`response.trace.execution.query_stats`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryStat {
     /// The SPARQL text of the executed query.
@@ -110,21 +110,12 @@ impl ExecutionManager {
         }
     }
 
-    /// Execute candidate queries in rank order against the endpoint.
-    pub fn execute(
-        &self,
-        queries: &[CandidateQuery],
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<ExecutionOutcome, KgqanError> {
-        self.execute_within(queries, endpoint, &Budget::unbounded())
-    }
-
     /// Execute candidate queries in rank order within a time budget.
     ///
     /// The budget is checked before every query: once it expires the
     /// remaining candidates are skipped, `deadline_exceeded` is set, and the
     /// answers collected so far are returned (best-so-far semantics).
-    pub fn execute_within(
+    pub fn execute(
         &self,
         queries: &[CandidateQuery],
         endpoint: &dyn SparqlEndpoint,
@@ -281,7 +272,9 @@ mod tests {
              OPTIONAL { ?unknown1 a ?type . } }",
             1.0,
         );
-        let outcome = ExecutionManager::default().execute(&[q], &ep).unwrap();
+        let outcome = ExecutionManager::default()
+            .execute(&[q], &ep, &Budget::unbounded())
+            .unwrap();
         assert_eq!(outcome.answers.len(), 1);
         let answer = &outcome.answers[0];
         assert_eq!(
@@ -299,7 +292,9 @@ mod tests {
         let queries: Vec<CandidateQuery> = (0..5)
             .map(|i| select_candidate(productive, 1.0 - i as f32 * 0.1))
             .collect();
-        let outcome = ExecutionManager::new(2).execute(&queries, &ep).unwrap();
+        let outcome = ExecutionManager::new(2)
+            .execute(&queries, &ep, &Budget::unbounded())
+            .unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
     }
 
@@ -312,7 +307,7 @@ mod tests {
         );
         let productive = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 0.5);
         let outcome = ExecutionManager::new(1)
-            .execute(&[empty, productive], &ep)
+            .execute(&[empty, productive], &ep, &Budget::unbounded())
             .unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
         assert!(!outcome.answers.is_empty());
@@ -342,7 +337,7 @@ mod tests {
             0.8,
         );
         let outcome = ExecutionManager::default()
-            .execute(&[no, yes], &ep)
+            .execute(&[no, yes], &ep, &Budget::unbounded())
             .unwrap();
         assert_eq!(outcome.boolean, Some(true));
         assert!(outcome.answers.is_empty());
@@ -354,7 +349,7 @@ mod tests {
         let q = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
         let budget = Budget::with_deadline(Duration::ZERO);
         let outcome = ExecutionManager::default()
-            .execute_within(&[q], &ep, &budget)
+            .execute(&[q], &ep, &budget)
             .unwrap();
         assert!(outcome.deadline_exceeded);
         assert!(outcome.executed_queries().is_empty());
@@ -371,7 +366,7 @@ mod tests {
         let ep = endpoint();
         let q = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
         let outcome = ExecutionManager::new(0)
-            .execute_within(&[q], &ep, &Budget::with_deadline(Duration::ZERO))
+            .execute(&[q], &ep, &Budget::with_deadline(Duration::ZERO))
             .unwrap();
         assert!(!outcome.deadline_exceeded);
         assert!(outcome.query_stats.is_empty());
@@ -390,7 +385,7 @@ mod tests {
             0.8,
         );
         let outcome = ExecutionManager::default()
-            .execute(&[empty, productive], &ep)
+            .execute(&[empty, productive], &ep, &Budget::unbounded())
             .unwrap();
         assert!(!outcome.deadline_exceeded);
         assert_eq!(outcome.query_stats.len(), 2);
@@ -422,7 +417,9 @@ mod tests {
              <http://dbpedia.org/property/outflow> ?o . }",
             1.0,
         );
-        let outcome = ExecutionManager::default().execute(&[q], &ep).unwrap();
+        let outcome = ExecutionManager::default()
+            .execute(&[q], &ep, &Budget::unbounded())
+            .unwrap();
         assert_eq!(outcome.query_stats.len(), 1);
         let stat = &outcome.query_stats[0];
         let plan = stat.plan.as_ref().expect("in-process endpoint plans");
@@ -434,7 +431,9 @@ mod tests {
     #[test]
     fn no_queries_yields_empty_outcome() {
         let ep = endpoint();
-        let outcome = ExecutionManager::default().execute(&[], &ep).unwrap();
+        let outcome = ExecutionManager::default()
+            .execute(&[], &ep, &Budget::unbounded())
+            .unwrap();
         assert!(outcome.answers.is_empty());
         assert!(outcome.boolean.is_none());
         assert!(outcome.executed_queries().is_empty());

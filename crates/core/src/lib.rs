@@ -29,14 +29,15 @@
 //!
 //! The serving entry point is [`service::QaService`] — one trained instance
 //! (models behind `Arc`s) answering concurrently against any number of
-//! registered KGs, with per-request config overrides, deadlines, batching,
-//! per-stage traces ([`service::QaService::answer_traced`]) and a
-//! cross-request, KG-scoped semantic [`cache`] in front of the registered
-//! endpoints.  [`KgqanPlatform`] is the classic single-shot wrapper over it:
+//! registered KGs, with per-request config overrides, deadlines, batching
+//! and a cross-request, KG-scoped semantic [`cache`] in front of the
+//! registered endpoints.  `answer(AnswerRequest) -> AnswerResponse` is the
+//! one door in; the response owns the run's full per-stage
+//! [`pipeline::PipelineTrace`]:
 //!
 //! ```
 //! use std::sync::Arc;
-//! use kgqan::{KgqanConfig, KgqanPlatform};
+//! use kgqan::{AnswerRequest, QaService};
 //! use kgqan_endpoint::InProcessEndpoint;
 //! use kgqan_rdf::{Store, Term, Triple, vocab};
 //!
@@ -51,14 +52,22 @@
 //! store.insert(Triple::new(obama, Term::iri("http://dbpedia.org/ontology/spouse"),
 //!                          michelle));
 //!
-//! let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", store));
-//! let platform = KgqanPlatform::with_config(KgqanConfig::default());
-//! let outcome = platform.answer("Who is the wife of Barack Obama?", endpoint.as_ref()).unwrap();
-//! assert!(outcome
-//!     .answers
+//! let service = QaService::builder()
+//!     .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", store)))
+//!     .build()
+//!     .unwrap();
+//! let response = service
+//!     .answer(AnswerRequest::new("Who is the wife of Barack Obama?"))
+//!     .unwrap();
+//! assert!(response
+//!     .answers()
 //!     .iter()
 //!     .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")));
+//! assert!(!response.trace.execution.query_stats.is_empty());
 //! ```
+//!
+//! A caller that holds a *borrowed* endpoint instead of a registered one
+//! runs [`pipeline::Pipeline::run`] itself (see its example).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,13 +76,13 @@ pub mod affinity;
 pub mod agp;
 pub mod bgp;
 pub mod cache;
+pub mod config;
 pub mod error;
 pub mod execution;
 pub mod filter;
 pub mod linker;
 pub mod pgp;
 pub mod pipeline;
-pub mod platform;
 pub mod service;
 pub mod understanding;
 
@@ -81,21 +90,21 @@ pub use affinity::{AffinityModel, CoarseGrainedAffinity, FineGrainedAffinity, Se
 pub use agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
 pub use bgp::{BasicGraphPattern, CandidateQuery};
 pub use cache::{CacheConfig, CacheReport, CacheStats};
+pub use config::{Budget, KgqanConfig, LinkerConfig};
 pub use error::KgqanError;
 pub use execution::{ExecutionManager, ExecutionOutcome, QueryStat};
 pub use filter::FiltrationManager;
-pub use linker::{JitLinker, LinkOutcome, LinkerConfig};
+pub use linker::{JitLinker, LinkOutcome};
 pub use pgp::{PgpEdge, PgpNode, PhraseGraphPattern};
 pub use pipeline::{
     Execute, Filter, FilteredAnswers, Link, LinkedQuestion, Pipeline, PipelineTrace, StageContext,
     StageTimings, Understand,
 };
-pub use platform::{AnswerOutcome, KgqanConfig, KgqanPlatform, PhaseTimings};
 // The batch pool's sizing and counters are builder/metrics vocabulary;
 // the pool type itself stays an implementation detail of `kgqan-sparql`.
 pub use kgqan_sparql::{PoolConfig, PoolStats};
 pub use service::{
-    AnswerRequest, AnswerResponse, AnswerSource, Budget, BudgetVerdict, ConfigOverrides, QaService,
-    QaServiceBuilder, TracedAnswer,
+    AnswerRequest, AnswerResponse, AnswerSource, BudgetVerdict, ConfigOverrides, QaService,
+    QaServiceBuilder,
 };
 pub use understanding::{QuestionUnderstanding, Understanding};

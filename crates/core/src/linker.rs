@@ -19,35 +19,9 @@ use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrT
 
 use crate::affinity::SemanticAffinity;
 use crate::agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
+use crate::config::{Budget, LinkerConfig};
 use crate::error::KgqanError;
 use crate::pgp::PhraseGraphPattern;
-use crate::service::Budget;
-
-/// Tuning knobs of the linker (the first three of the four KGQAn parameters
-/// of §7.1.6; the fourth — max candidate queries — lives in
-/// [`crate::KgqanConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkerConfig {
-    /// *Max Fetched Vertices*: LIMIT of the `potentialRelevantVertices`
-    /// query.  Paper default: 400.
-    pub max_fetched_vertices: usize,
-    /// *Number of Vertices*: how many relevant vertices annotate each PGP
-    /// node.  Paper default: 1.
-    pub num_vertices: usize,
-    /// *Number of Predicates*: how many relevant predicates annotate each
-    /// PGP edge.  Paper default: 20 (the average predicates-per-vertex).
-    pub num_predicates: usize,
-}
-
-impl Default for LinkerConfig {
-    fn default() -> Self {
-        LinkerConfig {
-            max_fetched_vertices: 400,
-            num_vertices: 1,
-            num_predicates: 20,
-        }
-    }
-}
 
 /// The result of budget-aware linking: the annotated graph pattern plus a
 /// flag saying whether every node and edge was actually probed, or the
@@ -77,49 +51,30 @@ impl<'a> JitLinker<'a> {
         self.config
     }
 
-    /// Run both linking algorithms and return the annotated graph pattern.
-    pub fn link(
-        &self,
-        pgp: &PhraseGraphPattern,
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<AnnotatedGraphPattern, KgqanError> {
-        Ok(self.link_within(pgp, endpoint, &Budget::unbounded())?.agp)
-    }
-
     /// Run both linking algorithms within a time budget.
     ///
     /// The budget is checked between endpoint probes: once it expires the
     /// remaining nodes/edges keep their (empty) annotations and the outcome
     /// is flagged incomplete, so a slow KG yields a partial AGP instead of
     /// an unbounded linking phase.
-    pub fn link_within(
+    pub fn link(
         &self,
         pgp: &PhraseGraphPattern,
         endpoint: &dyn SparqlEndpoint,
         budget: &Budget,
     ) -> Result<LinkOutcome, KgqanError> {
         let mut agp = AnnotatedGraphPattern::new(pgp.clone());
-        let entities_done = self.link_entities_within(&mut agp, endpoint, budget)?;
-        let relations_done = self.link_relations_within(&mut agp, endpoint, budget)?;
+        let entities_done = self.link_entities(&mut agp, endpoint, budget)?;
+        let relations_done = self.link_relations(&mut agp, endpoint, budget)?;
         Ok(LinkOutcome {
             agp,
             completed: entities_done && relations_done,
         })
     }
 
-    /// Algorithm 1 — KGQAnEntityLink, applied to every PGP node.
+    /// Algorithm 1 — KGQAnEntityLink, applied to every PGP node.  Returns
+    /// `false` if the budget expired before every node was probed.
     pub fn link_entities(
-        &self,
-        agp: &mut AnnotatedGraphPattern,
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<(), KgqanError> {
-        self.link_entities_within(agp, endpoint, &Budget::unbounded())
-            .map(|_| ())
-    }
-
-    /// Budget-aware Algorithm 1.  Returns `false` if the budget expired
-    /// before every node was probed.
-    pub fn link_entities_within(
         &self,
         agp: &mut AnnotatedGraphPattern,
         endpoint: &dyn SparqlEndpoint,
@@ -192,20 +147,11 @@ impl<'a> JitLinker<'a> {
         Ok(out)
     }
 
-    /// Algorithm 2 — KGQAnRelationLink, applied to every PGP edge.
+    /// Algorithm 2 — KGQAnRelationLink, applied to every PGP edge.  Returns
+    /// `false` if the budget expired before every edge was probed.  An edge
+    /// whose probes were cut mid-way still keeps the candidates scored so
+    /// far (best-effort annotation).
     pub fn link_relations(
-        &self,
-        agp: &mut AnnotatedGraphPattern,
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<(), KgqanError> {
-        self.link_relations_within(agp, endpoint, &Budget::unbounded())
-            .map(|_| ())
-    }
-
-    /// Budget-aware Algorithm 2.  Returns `false` if the budget expired
-    /// before every edge was probed.  An edge whose probes were cut mid-way
-    /// still keeps the candidates scored so far (best-effort annotation).
-    pub fn link_relations_within(
         &self,
         agp: &mut AnnotatedGraphPattern,
         endpoint: &dyn SparqlEndpoint,
@@ -478,7 +424,9 @@ mod tests {
             },
         );
         let mut agp = AnnotatedGraphPattern::new(running_example_pgp());
-        linker.link_entities(&mut agp, &endpoint).unwrap();
+        linker
+            .link_entities(&mut agp, &endpoint, &Budget::unbounded())
+            .unwrap();
 
         // "Danish Straits" node should be annotated with a Danish straits vertex.
         let straits_node = agp
@@ -559,7 +507,9 @@ mod tests {
                 "flow",
                 "Danish Straits",
             )]));
-        linker.link_entities(&mut agp, &endpoint).unwrap();
+        linker
+            .link_entities(&mut agp, &endpoint, &Budget::unbounded())
+            .unwrap();
 
         let node = agp.pgp.nodes().iter().find(|n| !n.is_unknown()).unwrap();
         let linked = agp.vertices_of(node.id);
@@ -573,7 +523,10 @@ mod tests {
         let endpoint = dbpedia_fragment();
         let affinity = FineGrainedAffinity::new();
         let linker = JitLinker::new(&affinity, LinkerConfig::default());
-        let agp = linker.link(&running_example_pgp(), &endpoint).unwrap();
+        let agp = linker
+            .link(&running_example_pgp(), &endpoint, &Budget::unbounded())
+            .unwrap()
+            .agp;
         assert!(agp.is_fully_annotated());
 
         // Edge "flow" should include dbp:outflow among its top candidates.
@@ -616,7 +569,10 @@ mod tests {
         let endpoint = dbpedia_fragment();
         let affinity = FineGrainedAffinity::new();
         let linker = JitLinker::new(&affinity, LinkerConfig::default());
-        let agp = linker.link(&running_example_pgp(), &endpoint).unwrap();
+        let agp = linker
+            .link(&running_example_pgp(), &endpoint, &Budget::unbounded())
+            .unwrap()
+            .agp;
         // dbp:outflow connects Baltic_Sea → Danish_straits, so from the
         // anchor (Danish_straits) it is an *incoming* predicate: the flag
         // must be true.
@@ -639,17 +595,12 @@ mod tests {
         let endpoint = InProcessEndpoint::new("Empty", Store::new());
         let affinity = FineGrainedAffinity::new();
         let linker = JitLinker::new(&affinity, LinkerConfig::default());
-        let agp = linker.link(&running_example_pgp(), &endpoint).unwrap();
+        let agp = linker
+            .link(&running_example_pgp(), &endpoint, &Budget::unbounded())
+            .unwrap()
+            .agp;
         assert!(!agp.is_fully_annotated());
         assert_eq!(agp.total_vertex_candidates(), 0);
-    }
-
-    #[test]
-    fn default_config_matches_paper_settings() {
-        let c = LinkerConfig::default();
-        assert_eq!(c.max_fetched_vertices, 400);
-        assert_eq!(c.num_vertices, 1);
-        assert_eq!(c.num_predicates, 20);
     }
 
     #[test]

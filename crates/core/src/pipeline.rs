@@ -21,9 +21,9 @@
 //! concurrently.
 //!
 //! [`Pipeline::run`] returns a [`PipelineTrace`]: every intermediate
-//! artifact plus per-stage wall-clock timings.  `QaService::answer` keeps
-//! only what the response needs; `QaService::answer_traced` surfaces the
-//! whole trace (plus cache statistics) to the caller.
+//! artifact plus per-stage wall-clock timings.  It is the door for a
+//! *borrowed* endpoint; `QaService::answer` is the door for registered KGs
+//! and moves the same trace into its response (`response.trace`).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,12 +34,11 @@ use kgqan_rdf::Term;
 use crate::affinity::SemanticAffinity;
 use crate::agp::AnnotatedGraphPattern;
 use crate::bgp::{generate_candidate_queries, CandidateQuery};
+use crate::config::{Budget, KgqanConfig};
 use crate::error::KgqanError;
 use crate::execution::{ExecutionManager, ExecutionOutcome};
 use crate::filter::FiltrationManager;
 use crate::linker::JitLinker;
-use crate::platform::KgqanConfig;
-use crate::service::Budget;
 use crate::understanding::{QuestionUnderstanding, Understanding};
 
 /// The per-request environment every stage runs in: the target endpoint,
@@ -174,7 +173,7 @@ impl Link for JitLinkStage {
         ctx: &StageContext<'_>,
     ) -> Result<LinkedQuestion, KgqanError> {
         let linker = JitLinker::new(self.affinity.as_ref(), ctx.config.linker);
-        let outcome = linker.link_within(&understanding.pgp, ctx.endpoint, ctx.budget)?;
+        let outcome = linker.link(&understanding.pgp, ctx.endpoint, ctx.budget)?;
         let candidates = generate_candidate_queries(&outcome.agp, ctx.config.max_candidate_queries);
         Ok(LinkedQuestion {
             agp: outcome.agp,
@@ -195,7 +194,7 @@ impl Execute for ManagedExecution {
         linked: &LinkedQuestion,
         ctx: &StageContext<'_>,
     ) -> Result<ExecutionOutcome, KgqanError> {
-        ExecutionManager::new(ctx.config.max_productive_queries).execute_within(
+        ExecutionManager::new(ctx.config.max_productive_queries).execute(
             &linked.candidates,
             ctx.endpoint,
             ctx.budget,

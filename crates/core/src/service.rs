@@ -8,15 +8,15 @@
 //! * The service is built on the staged [`Pipeline`](crate::pipeline): four
 //!   typed stages (understand → link → execute → filter) composed behind
 //!   `Arc`s.  [`QaServiceBuilder::pipeline`] swaps in alternative stage
-//!   implementations; [`QaService::answer_traced`] surfaces every stage's
-//!   artifact, per-stage timings, and cache statistics.
+//!   implementations.
 //! * Requests are [`AnswerRequest`]s: a question, an optional target KG name
 //!   (resolved through the service's [`EndpointRegistry`]), per-request
 //!   [`ConfigOverrides`], and an optional deadline.
-//! * Responses are [`AnswerResponse`]s: the classic [`AnswerOutcome`] plus a
-//!   request id, the KG that answered, per-candidate-query statistics, an
-//!   endpoint stats snapshot, and a [`BudgetVerdict`] saying whether the
-//!   deadline cut the pipeline short.
+//! * Responses are [`AnswerResponse`]s: the per-request envelope (request
+//!   id, the KG that answered, an endpoint stats snapshot, provenance, and a
+//!   [`BudgetVerdict`] saying whether the deadline cut the pipeline short)
+//!   around the [`PipelineTrace`] the run produced — every stage's artifact
+//!   and timing, moved in, never copied.
 //! * Registered KGs are served through a cross-request **semantic cache**
 //!   ([`crate::cache`]): each KG gets its own bounded namespace of linking
 //!   probes and parsed-query results, shared by concurrent and batched
@@ -34,112 +34,25 @@
 //!   service itself is cheaply cloneable (`Arc` inside) and `Send + Sync`,
 //!   so callers can equally well clone it into their own threads.
 //!
-//! [`crate::KgqanPlatform`] remains as a thin one-endpoint compatibility
-//! wrapper over this service.
+//! [`QaService::answer`] (and its batch form) is the only way into the
+//! pipeline for a registered KG; a caller holding a *borrowed* endpoint
+//! runs [`Pipeline::run`] itself.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use kgqan_endpoint::{EndpointRegistry, RequestStats, SparqlEndpoint};
+use kgqan_rdf::Term;
 use kgqan_sparql::pool::{PoolConfig, PoolStats, Ticket, WorkerPool};
 
 use crate::affinity::SemanticAffinity;
-use crate::cache::{CacheConfig, CacheReport, CacheStats};
+use crate::cache::{CacheConfig, CacheReport};
+use crate::config::{Budget, KgqanConfig, LinkerConfig};
 use crate::error::KgqanError;
-use crate::linker::LinkerConfig;
 use crate::pipeline::{Pipeline, PipelineTrace, StageContext};
-use crate::platform::{AnswerOutcome, KgqanConfig, PhaseTimings};
 use crate::understanding::QuestionUnderstanding;
-
-pub use crate::execution::QueryStat;
-
-/// A request's time budget: a start instant plus an optional deadline.
-///
-/// The budget is threaded through the linking and execution phases, which
-/// check it between endpoint round-trips; `Budget::unbounded()` never
-/// expires and compiles down to the pre-deadline behaviour.
-#[derive(Debug, Clone, Copy)]
-pub struct Budget {
-    started: Instant,
-    deadline: Option<Duration>,
-}
-
-impl Budget {
-    /// A budget that never expires.
-    pub fn unbounded() -> Self {
-        Budget {
-            started: Instant::now(),
-            deadline: None,
-        }
-    }
-
-    /// A budget expiring `deadline` from now.
-    pub fn with_deadline(deadline: Duration) -> Self {
-        Budget {
-            started: Instant::now(),
-            deadline: Some(deadline),
-        }
-    }
-
-    /// Start a budget from an optional deadline.
-    pub fn start(deadline: Option<Duration>) -> Self {
-        Budget {
-            started: Instant::now(),
-            deadline,
-        }
-    }
-
-    /// The deadline this budget enforces, if any.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Time elapsed since the budget started.
-    pub fn elapsed(&self) -> Duration {
-        self.started.elapsed()
-    }
-
-    /// Time left before the deadline (`None` for unbounded budgets, zero
-    /// once expired).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline.map(|d| d.saturating_sub(self.elapsed()))
-    }
-
-    /// True once the deadline has passed.  Unbounded budgets never expire.
-    pub fn expired(&self) -> bool {
-        match self.deadline {
-            Some(deadline) => self.elapsed() >= deadline,
-            None => false,
-        }
-    }
-
-    /// The smallest per-branch share [`Budget::split`] hands out: below
-    /// this a sub-request cannot even complete its linking probes, so the
-    /// share would buy nothing but a guaranteed `Partial`.
-    pub const MIN_SPLIT_SHARE: Duration = Duration::from_millis(25);
-
-    /// Carve a per-branch budget for fanning this request out `n` ways.
-    ///
-    /// Each share is an *independent* budget of `remaining / n`, floored at
-    /// [`Budget::MIN_SPLIT_SHARE`] (but never beyond what actually remains),
-    /// starting from now.  Fan-out paths — the federation layer — stamp
-    /// every branch's request with its own share instead of the whole
-    /// deadline, so one stalled KG exhausts only its slice while its
-    /// siblings still finish within theirs.  Splitting an unbounded budget
-    /// yields unbounded shares; splitting an expired budget yields shares
-    /// that are born expired.
-    pub fn split(&self, n: usize) -> Budget {
-        let n = n.max(1) as u32;
-        match self.remaining() {
-            None => Budget::unbounded(),
-            Some(remaining) => {
-                let share = (remaining / n).max(Self::MIN_SPLIT_SHARE).min(remaining);
-                Budget::with_deadline(share)
-            }
-        }
-    }
-}
 
 /// Whether a request completed within its budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,34 +184,36 @@ pub struct AnswerSource {
     pub plan_rows: u64,
 }
 
-/// Everything the service reports for one answered request.
+/// Everything the service reports for one answered request: the
+/// per-request envelope around the [`PipelineTrace`] the run produced.
 #[derive(Debug, Clone)]
 pub struct AnswerResponse {
     /// The request id (client-supplied or service-assigned).
     pub request_id: String,
     /// The name of the KG that answered.
     pub kg: String,
-    /// The classic pipeline outcome: answers, understanding, AGP, timings.
-    pub outcome: AnswerOutcome,
-    /// Per-candidate-query execution statistics, in execution order.
-    pub query_stats: Vec<QueryStat>,
+    /// The question as asked.
+    pub question: String,
+    /// Whether the deadline cut the pipeline short.
+    pub verdict: BudgetVerdict,
+    /// Wall-clock time the request spent in the pipeline.
+    pub elapsed: Duration,
     /// Cumulative request statistics of the answering endpoint, snapshotted
     /// when this request finished (cumulative across all requests the
     /// endpoint has served, not just this one).  For registered KGs this
     /// includes the semantic-cache hit/miss counters.
     pub endpoint_stats: RequestStats,
-    /// Whether the deadline cut the pipeline short.
-    pub verdict: BudgetVerdict,
-    /// Wall-clock time the request spent in the pipeline.
-    pub elapsed: Duration,
-    /// Provenance: the KG(s) whose evidence produced `outcome.answers` —
-    /// one entry on the single-KG paths, one per contributing KG on
-    /// federated responses.
+    /// Provenance: the KG(s) whose evidence produced the answers — one
+    /// entry on the single-KG paths, one per contributing KG on federated
+    /// responses.
     pub sources: Vec<AnswerSource>,
-    /// Ranking score per answer, parallel to `outcome.answers`: the best
-    /// Equation-2 query score that produced the term on single-KG paths,
-    /// the agreement-boosted combined score on federated responses.
+    /// Ranking score per answer, parallel to [`AnswerResponse::answers`]:
+    /// the best Equation-2 query score that produced the term.
     pub answer_scores: Vec<f64>,
+    /// Every stage's artifact and wall-clock timing: the understanding, the
+    /// AGP and ranked candidates, the per-candidate execution statistics,
+    /// the answers before and after filtration.
+    pub trace: PipelineTrace,
 }
 
 impl AnswerResponse {
@@ -306,22 +221,16 @@ impl AnswerResponse {
     pub fn is_partial(&self) -> bool {
         self.verdict.is_partial()
     }
-}
 
-/// An [`AnswerResponse`] plus the full per-stage pipeline trace and the
-/// request's semantic-cache activity, returned by
-/// [`QaService::answer_traced`].
-#[derive(Debug, Clone)]
-pub struct TracedAnswer {
-    /// The regular response.
-    pub response: AnswerResponse,
-    /// Every stage's artifact and wall-clock timing.
-    pub trace: PipelineTrace,
-    /// Change of the target KG's cache namespace counters over this
-    /// request (all-zero on an uncached service).  Under concurrent load
-    /// the delta is namespace-wide, so simultaneous requests to the same
-    /// KG may fold into each other's deltas.
-    pub cache: CacheStats,
+    /// The final (post-filtration) answers.
+    pub fn answers(&self) -> &[Term] {
+        &self.trace.filtered.answers
+    }
+
+    /// The Boolean verdict, for yes/no questions.
+    pub fn boolean(&self) -> Option<bool> {
+        self.trace.execution.boolean
+    }
 }
 
 struct ServiceInner {
@@ -461,44 +370,67 @@ impl QaService {
     pub fn answer(&self, request: AnswerRequest) -> Result<AnswerResponse, KgqanError> {
         let kg = self.resolve_kg(&request)?;
         let endpoint = self.inner.registry.get(&kg)?;
-        let run = self.run_request(&request, endpoint.as_ref())?;
-        Ok(run.into_response(&request.question, &kg))
-    }
+        let config = request.overrides.apply(&self.inner.config);
+        let budget = Budget::start(request.deadline);
+        let request_id = request.id.unwrap_or_else(|| {
+            format!(
+                "req-{}",
+                self.inner.next_request_id.fetch_add(1, Ordering::Relaxed)
+            )
+        });
 
-    /// Answer one request and return the full per-stage trace alongside the
-    /// response: every stage artifact (understanding, linked candidates,
-    /// execution outcome, filtered answers), per-stage timings, and the
-    /// request's semantic-cache counter delta.
-    pub fn answer_traced(&self, request: AnswerRequest) -> Result<TracedAnswer, KgqanError> {
-        let kg = self.resolve_kg(&request)?;
-        let endpoint = self.inner.registry.get(&kg)?;
-        let namespace = self.inner.registry.cache_of(&kg);
-        let cache_before = namespace.as_ref().map(|ns| ns.stats()).unwrap_or_default();
-        let run = self.run_request(&request, endpoint.as_ref())?;
-        let cache_after = namespace.as_ref().map(|ns| ns.stats()).unwrap_or_default();
-        // The trace survives only on this diagnostic path; the hot
-        // `answer`/`answer_on` paths move the artifacts straight into the
-        // response instead of cloning them.
-        let trace = run.trace.clone();
-        Ok(TracedAnswer {
-            response: run.into_response(&request.question, &kg),
+        let ctx = StageContext::new(endpoint.as_ref(), &budget, &config);
+        let trace = self.inner.pipeline.run(&request.question, &ctx)?;
+        let elapsed = budget.elapsed();
+
+        // Per-answer ranking scores: the best Equation-2 score among the
+        // executed queries that produced each filtered answer.
+        let mut best_score: HashMap<&Term, f64> = HashMap::new();
+        for collected in &trace.execution.answers {
+            let best = best_score.entry(&collected.answer).or_insert(0.0);
+            *best = best.max(f64::from(collected.query_score));
+        }
+        let answer_scores = trace
+            .filtered
+            .answers
+            .iter()
+            .map(|term| best_score.get(term).copied().unwrap_or(0.0))
+            .collect();
+        Ok(AnswerResponse {
+            request_id,
+            question: request.question,
+            verdict: if trace.deadline_exceeded() {
+                BudgetVerdict::Partial
+            } else {
+                BudgetVerdict::Completed
+            },
+            elapsed,
+            endpoint_stats: endpoint.stats(),
+            sources: vec![AnswerSource {
+                kg: kg.clone(),
+                epoch: endpoint.describe().map(|d| d.epoch),
+                elapsed,
+                plan_rows: trace.rows_scanned(),
+            }],
+            answer_scores,
+            kg,
             trace,
-            cache: cache_after.since(&cache_before),
         })
     }
 
-    /// Answer a request against a borrowed endpoint, bypassing the registry
-    /// (and therefore the per-KG cache namespaces).
+    /// One leg of a batch: [`QaService::answer`], with the generated
+    /// candidate list dropped by the thread that built it.
     ///
-    /// This is the compatibility path [`crate::KgqanPlatform::answer`] uses;
-    /// the response's `kg` field carries the endpoint's own name.
-    pub fn answer_on(
-        &self,
-        request: &AnswerRequest,
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<AnswerResponse, KgqanError> {
-        let run = self.run_request(request, endpoint)?;
-        Ok(run.into_response(&request.question, endpoint.name()))
+    /// The list is the one artifact nothing reads after execution and it is
+    /// hundreds of small allocations per leg (text, AST and BGP of every
+    /// candidate).  Letting it ride in the response, to be freed by the
+    /// thread that collects the batch, cost the `federate_hot` workload 23 %
+    /// of its throughput (3 300 → 2 550 requests/s, p95 1.13 → 1.65 ms);
+    /// freed here, the same workload is back at the parent's numbers.
+    fn answer_leg(&self, request: AnswerRequest) -> Result<AnswerResponse, KgqanError> {
+        let mut response = self.answer(request)?;
+        response.trace.linked.candidates = Vec::new();
+        Ok(response)
     }
 
     /// Answer a batch of requests concurrently on the service's worker
@@ -515,12 +447,19 @@ impl QaService {
     /// that arrives after [`QaService::shutdown`]) runs on the calling
     /// thread: a batch larger than the queue bound never fails, it just
     /// shares the caller's core.
+    ///
+    /// Batch responses come back with `trace.linked.candidates` empty (see
+    /// `answer_leg`); `trace.execution.query_stats` still lists every
+    /// candidate that was executed.
     pub fn answer_batch(
         &self,
         requests: &[AnswerRequest],
     ) -> Vec<Result<AnswerResponse, KgqanError>> {
         if requests.len() <= 1 {
-            return requests.iter().map(|r| self.answer(r.clone())).collect();
+            return requests
+                .iter()
+                .map(|r| self.answer_leg(r.clone()))
+                .collect();
         }
         enum Slot {
             Queued(Ticket<Result<AnswerResponse, KgqanError>>),
@@ -534,9 +473,9 @@ impl QaService {
             .iter()
             .map(|request| {
                 let (service, leg) = (self.clone(), request.clone());
-                match pool.try_submit(move || service.answer(leg)) {
+                match pool.try_submit(move || service.answer_leg(leg)) {
                     Ok(ticket) => Slot::Queued(ticket),
-                    Err(_) => Slot::Inline(Box::new(self.answer(request.clone()))),
+                    Err(_) => Slot::Inline(Box::new(self.answer_leg(request.clone()))),
                 }
             })
             .collect();
@@ -551,105 +490,6 @@ impl QaService {
                 Slot::Inline(result) => *result,
             })
             .collect()
-    }
-
-    /// Run the staged pipeline for one request.
-    fn run_request(
-        &self,
-        request: &AnswerRequest,
-        endpoint: &dyn SparqlEndpoint,
-    ) -> Result<RequestRun, KgqanError> {
-        let config = request.overrides.apply(&self.inner.config);
-        let budget = Budget::start(request.deadline);
-        let request_id = request.id.clone().unwrap_or_else(|| {
-            format!(
-                "req-{}",
-                self.inner.next_request_id.fetch_add(1, Ordering::Relaxed)
-            )
-        });
-
-        let ctx = StageContext::new(endpoint, &budget, &config);
-        let trace = self.inner.pipeline.run(&request.question, &ctx)?;
-        Ok(RequestRun {
-            request_id,
-            endpoint_stats: endpoint.stats(),
-            epoch: endpoint.describe().map(|d| d.epoch),
-            elapsed: budget.elapsed(),
-            trace,
-        })
-    }
-}
-
-/// One completed pipeline run plus its per-request metadata; consumed into
-/// an [`AnswerResponse`] without cloning the stage artifacts.
-struct RequestRun {
-    request_id: String,
-    endpoint_stats: RequestStats,
-    epoch: Option<u64>,
-    elapsed: Duration,
-    trace: PipelineTrace,
-}
-
-impl RequestRun {
-    fn into_response(self, question: &str, kg: &str) -> AnswerResponse {
-        let verdict = if self.trace.deadline_exceeded() {
-            BudgetVerdict::Partial
-        } else {
-            BudgetVerdict::Completed
-        };
-        let trace = self.trace;
-        // Per-answer ranking scores: the best Equation-2 score among the
-        // executed queries that produced each filtered answer.
-        let answer_scores: Vec<f64> = trace
-            .filtered
-            .answers
-            .iter()
-            .map(|term| {
-                trace
-                    .execution
-                    .answers
-                    .iter()
-                    .filter(|a| &a.answer == term)
-                    .map(|a| f64::from(a.query_score))
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        let plan_rows: u64 = trace
-            .execution
-            .query_stats
-            .iter()
-            .filter_map(|stat| stat.rows_scanned)
-            .sum();
-        let sources = vec![AnswerSource {
-            kg: kg.to_string(),
-            epoch: self.epoch,
-            elapsed: self.elapsed,
-            plan_rows,
-        }];
-        AnswerResponse {
-            request_id: self.request_id,
-            kg: kg.to_string(),
-            outcome: AnswerOutcome {
-                question: question.to_string(),
-                answers: trace.filtered.answers,
-                boolean: trace.execution.boolean,
-                unfiltered_answers: trace.filtered.unfiltered,
-                understanding: trace.understanding,
-                agp: trace.linked.agp,
-                executed_queries: trace.execution.executed_queries(),
-                timings: PhaseTimings {
-                    understanding: trace.timings.understand,
-                    linking: trace.timings.link,
-                    execution_filtration: trace.timings.execute + trace.timings.filter,
-                },
-            },
-            query_stats: trace.execution.query_stats,
-            endpoint_stats: self.endpoint_stats,
-            verdict,
-            elapsed: self.elapsed,
-            sources,
-            answer_scores,
-        }
     }
 }
 
@@ -825,8 +665,9 @@ impl QaServiceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheStats;
     use kgqan_endpoint::InProcessEndpoint;
-    use kgqan_rdf::{vocab, Store, Term, Triple};
+    use kgqan_rdf::{vocab, Store, Triple};
 
     fn spouse_store() -> Store {
         let mut store = Store::new();
@@ -860,53 +701,6 @@ mod tests {
     }
 
     #[test]
-    fn budget_expiry() {
-        let unbounded = Budget::unbounded();
-        assert!(!unbounded.expired());
-        assert_eq!(unbounded.remaining(), None);
-        assert_eq!(unbounded.deadline(), None);
-
-        let expired = Budget::with_deadline(Duration::ZERO);
-        assert!(expired.expired());
-        assert_eq!(expired.remaining(), Some(Duration::ZERO));
-
-        let generous = Budget::with_deadline(Duration::from_secs(3600));
-        assert!(!generous.expired());
-        assert!(generous.remaining().unwrap() > Duration::from_secs(3500));
-    }
-
-    #[test]
-    fn budget_split_floors_and_caps_shares() {
-        // Unbounded budgets split into unbounded shares.
-        assert_eq!(Budget::unbounded().split(4).deadline(), None);
-
-        // A generous budget splits evenly.
-        let share = Budget::with_deadline(Duration::from_secs(8))
-            .split(4)
-            .deadline()
-            .unwrap();
-        assert!(share <= Duration::from_secs(2));
-        assert!(share > Duration::from_millis(1900));
-
-        // A tight budget keeps the floor so a share is still usable…
-        let floored = Budget::with_deadline(Duration::from_millis(40))
-            .split(16)
-            .deadline()
-            .unwrap();
-        assert_eq!(floored, Budget::MIN_SPLIT_SHARE);
-
-        // …but the floor never exceeds what actually remains.
-        let exhausted = Budget::with_deadline(Duration::ZERO).split(4);
-        assert!(exhausted.expired());
-
-        // n = 0 is treated as 1 rather than dividing by zero.
-        assert!(Budget::with_deadline(Duration::from_secs(1))
-            .split(0)
-            .deadline()
-            .is_some());
-    }
-
-    #[test]
     fn single_kg_response_carries_provenance() {
         let service = service_with_one_kg();
         let response = service
@@ -919,7 +713,7 @@ mod tests {
         assert!(source.plan_rows > 0, "in-process engine reports scan work");
         assert!(source.elapsed > Duration::ZERO);
         // One ranking score per answer, all positive.
-        assert_eq!(response.answer_scores.len(), response.outcome.answers.len());
+        assert_eq!(response.answer_scores.len(), response.answers().len());
         assert!(!response.answer_scores.is_empty());
         assert!(response.answer_scores.iter().all(|s| *s > 0.0));
     }
@@ -971,11 +765,10 @@ mod tests {
         assert_eq!(response.verdict, BudgetVerdict::Completed);
         assert!(!response.is_partial());
         assert!(response
-            .outcome
-            .answers
+            .answers()
             .iter()
             .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")));
-        assert!(!response.query_stats.is_empty());
+        assert!(!response.trace.execution.query_stats.is_empty());
         assert!(response.endpoint_stats.total_requests > 0);
     }
 
@@ -985,7 +778,7 @@ mod tests {
         let question = "Who is the wife of Donald Trump?";
         // Before the ingest the KG knows nothing about the subject.
         let before = service.answer(AnswerRequest::new(question)).unwrap();
-        assert!(before.outcome.answers.is_empty());
+        assert!(before.answers().is_empty());
 
         let trump = Term::iri("http://dbpedia.org/resource/Donald_Trump");
         let melania = Term::iri("http://dbpedia.org/resource/Melania_Trump");
@@ -1016,8 +809,7 @@ mod tests {
         // The same question now finds the freshly ingested facts.
         let after = service.answer(AnswerRequest::new(question)).unwrap();
         assert!(after
-            .outcome
-            .answers
+            .answers()
             .iter()
             .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Melania_Trump")));
 
@@ -1081,8 +873,8 @@ mod tests {
         assert_eq!(response.verdict, BudgetVerdict::Partial);
         // Nothing was linked or executed, so there is nothing to answer —
         // but the request *returned* instead of running the full pipeline.
-        assert!(response.outcome.answers.is_empty());
-        assert!(response.query_stats.is_empty());
+        assert!(response.answers().is_empty());
+        assert!(response.trace.execution.query_stats.is_empty());
     }
 
     #[test]
@@ -1108,7 +900,14 @@ mod tests {
             for (i, response) in responses.iter().enumerate() {
                 let response = response.as_ref().unwrap();
                 assert_eq!(response.request_id, format!("r{i}"));
-                assert_eq!(response.outcome.answers, direct.outcome.answers);
+                assert_eq!(response.answers(), direct.answers());
+                // A leg leaves its candidate list on the thread that built
+                // it; what was executed still rides in the trace.
+                assert!(response.trace.linked.candidates.is_empty());
+                assert_eq!(
+                    response.trace.execution.executed_queries(),
+                    direct.trace.execution.executed_queries()
+                );
             }
             // The second batch ran on the workers the first one started.
             assert_eq!(service.pool_stats().completed, 4 * round);
@@ -1119,7 +918,7 @@ mod tests {
         let responses = service.answer_batch(&requests);
         assert!(responses
             .iter()
-            .all(|r| r.as_ref().unwrap().outcome.answers == direct.outcome.answers));
+            .all(|r| r.as_ref().unwrap().answers() == direct.answers()));
         assert_eq!(service.pool_stats().completed, 8);
     }
 
@@ -1170,32 +969,35 @@ mod tests {
     fn repeated_questions_hit_the_kg_cache() {
         let service = service_with_one_kg();
         let question = "Who is the wife of Barack Obama?";
+        let cache = || service.cache_report().total();
 
-        let cold = service.answer_traced(AnswerRequest::new(question)).unwrap();
-        assert_eq!(cold.cache.hits, 0);
-        assert!(cold.cache.misses > 0, "cold request must probe the KG");
-        let cold_requests = cold.response.endpoint_stats.total_requests;
+        let cold = service.answer(AnswerRequest::new(question)).unwrap();
+        let after_cold = cache();
+        assert_eq!(after_cold.hits, 0);
+        assert!(after_cold.misses > 0, "cold request must probe the KG");
 
-        let warm = service.answer_traced(AnswerRequest::new(question)).unwrap();
-        assert!(warm.cache.hits > 0, "repeat must hit the cache");
-        assert_eq!(warm.cache.misses, 0, "warm repeat must not re-probe");
+        let warm = service.answer(AnswerRequest::new(question)).unwrap();
+        let warm_delta = cache().since(&after_cold);
+        assert!(warm_delta.hits > 0, "repeat must hit the cache");
+        assert_eq!(warm_delta.misses, 0, "warm repeat must not re-probe");
         // The warm request reached the engine zero times.
-        assert_eq!(warm.response.endpoint_stats.total_requests, cold_requests);
+        assert_eq!(
+            warm.endpoint_stats.total_requests,
+            cold.endpoint_stats.total_requests
+        );
         // Identical answers either way.
-        assert_eq!(warm.response.outcome.answers, cold.response.outcome.answers);
-        // The aggregate report sees the same counters.
+        assert_eq!(warm.answers(), cold.answers());
+        // The per-KG report sees the same counters.
         let report = service.cache_report();
         assert_eq!(report.per_kg.len(), 1);
-        assert!(report.kg("DBpedia").unwrap().hits >= warm.cache.hits);
+        assert_eq!(report.kg("DBpedia").unwrap().hits, warm_delta.hits);
 
         // Invalidation flushes the namespace: the next request misses again.
         assert!(service.invalidate_cache("DBpedia"));
-        let after = service.answer_traced(AnswerRequest::new(question)).unwrap();
-        assert!(after.cache.misses > 0);
-        assert_eq!(
-            after.response.outcome.answers,
-            cold.response.outcome.answers
-        );
+        let before = cache();
+        let after = service.answer(AnswerRequest::new(question)).unwrap();
+        assert!(cache().since(&before).misses > 0);
+        assert_eq!(after.answers(), cold.answers());
     }
 
     #[test]
@@ -1209,36 +1011,175 @@ mod tests {
             .unwrap();
         assert!(service.cache_report().is_uncached());
         let question = "Who is the wife of Barack Obama?";
-        let first = service.answer_traced(AnswerRequest::new(question)).unwrap();
-        let second = service.answer_traced(AnswerRequest::new(question)).unwrap();
-        assert_eq!(first.cache, CacheStats::default());
-        assert_eq!(second.cache, CacheStats::default());
+        let first = service.answer(AnswerRequest::new(question)).unwrap();
+        let second = service.answer(AnswerRequest::new(question)).unwrap();
+        assert_eq!(service.cache_report().total(), CacheStats::default());
+        assert_eq!(second.endpoint_stats.cache_hits, 0);
         // Without the cache the repeat re-probes the endpoint.
-        assert!(
-            second.response.endpoint_stats.total_requests
-                > first.response.endpoint_stats.total_requests
-        );
+        assert!(second.endpoint_stats.total_requests > first.endpoint_stats.total_requests);
         assert!(!service.invalidate_cache("DBpedia"));
     }
 
     #[test]
-    fn traced_answers_expose_stage_artifacts_and_timings() {
+    fn responses_own_every_stage_artifact_and_timing() {
         let service = service_with_one_kg();
-        let traced = service
-            .answer_traced(AnswerRequest::new("Who is the wife of Barack Obama?"))
+        let response = service
+            .answer(AnswerRequest::new("Who is the wife of Barack Obama?"))
             .unwrap();
-        assert!(!traced.trace.understanding.pgp.is_empty());
-        assert!(!traced.trace.linked.candidates.is_empty());
-        assert!(!traced.trace.execution.query_stats.is_empty());
-        assert_eq!(
-            traced.trace.filtered.answers,
-            traced.response.outcome.answers
+        assert_eq!(response.question, "Who is the wife of Barack Obama?");
+        assert!(!response.trace.understanding.pgp.is_empty());
+        assert!(!response.trace.linked.candidates.is_empty());
+        assert!(!response.trace.execution.query_stats.is_empty());
+        assert_eq!(response.answers(), response.trace.filtered.answers);
+        assert_eq!(response.boolean(), None);
+        assert!(response.elapsed >= response.trace.timings.total());
+    }
+
+    /// A small DBpedia-like knowledge graph covering the paper's questions.
+    fn dbpedia_endpoint() -> InProcessEndpoint {
+        let mut store = spouse_store();
+        let label = Term::iri(vocab::RDFS_LABEL);
+        let rdf_type = Term::iri(vocab::RDF_TYPE);
+
+        let obama = Term::iri("http://dbpedia.org/resource/Barack_Obama");
+        let michelle = Term::iri("http://dbpedia.org/resource/Michelle_Obama");
+        let sea = Term::iri("http://dbpedia.org/resource/Baltic_Sea");
+        let straits = Term::iri("http://dbpedia.org/resource/Danish_straits");
+        let kali = Term::iri("http://dbpedia.org/resource/Kaliningrad");
+        let person = Term::iri("http://dbpedia.org/ontology/Person");
+
+        store.insert_all([
+            Triple::new(
+                Term::iri("http://dbpedia.org/resource/Chicago"),
+                label.clone(),
+                Term::literal_str("Chicago"),
+            ),
+            Triple::new(sea.clone(), label.clone(), Term::literal_str("Baltic Sea")),
+            Triple::new(
+                straits.clone(),
+                label.clone(),
+                Term::literal_str("Danish Straits"),
+            ),
+            Triple::new(kali.clone(), label, Term::literal_str("Kaliningrad")),
+            Triple::new(
+                obama.clone(),
+                Term::iri("http://dbpedia.org/ontology/birthPlace"),
+                Term::iri("http://dbpedia.org/resource/Honolulu"),
+            ),
+            Triple::new(obama, rdf_type.clone(), person.clone()),
+            Triple::new(michelle, rdf_type.clone(), person),
+            Triple::new(
+                sea.clone(),
+                Term::iri("http://dbpedia.org/property/outflow"),
+                straits,
+            ),
+            Triple::new(
+                sea.clone(),
+                Term::iri("http://dbpedia.org/ontology/nearestCity"),
+                kali.clone(),
+            ),
+            Triple::new(
+                sea,
+                rdf_type.clone(),
+                Term::iri("http://dbpedia.org/ontology/Sea"),
+            ),
+            Triple::new(
+                kali,
+                rdf_type,
+                Term::iri("http://dbpedia.org/ontology/City"),
+            ),
+        ]);
+        InProcessEndpoint::new("DBpedia", store)
+    }
+
+    fn dbpedia_service() -> &'static QaService {
+        static SERVICE: OnceLock<QaService> = OnceLock::new();
+        SERVICE.get_or_init(|| {
+            QaService::builder()
+                .endpoint(Arc::new(dbpedia_endpoint()))
+                .build()
+                .unwrap()
+        })
+    }
+
+    #[test]
+    fn answers_single_fact_question() {
+        let response = dbpedia_service()
+            .answer(AnswerRequest::new("Who is the wife of Barack Obama?"))
+            .unwrap();
+        assert!(
+            response
+                .answers()
+                .iter()
+                .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")),
+            "expected Michelle Obama among answers, got {:?}",
+            response.answers()
         );
-        let t = traced.trace.timings;
-        assert_eq!(
-            traced.response.outcome.timings.execution_filtration,
-            t.execute + t.filter
+        assert!(!response.trace.execution.query_stats.is_empty());
+        assert!(response.trace.timings.total() > Duration::ZERO);
+    }
+
+    #[test]
+    fn answers_running_example_with_baltic_sea() {
+        let response = dbpedia_service()
+            .answer(AnswerRequest::new(
+                "Name the sea into which Danish Straits flows and has Kaliningrad as one of the city on the shore",
+            ))
+            .unwrap();
+        assert!(
+            response
+                .answers()
+                .iter()
+                .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Baltic_Sea")),
+            "expected Baltic Sea, got {:?}",
+            response.answers()
         );
-        assert_eq!(traced.response.outcome.timings.linking, t.link);
+        let understanding = &response.trace.understanding;
+        assert_eq!(
+            understanding.answer_type.data_type,
+            kgqan_nlp::AnswerDataType::String
+        );
+        assert!(understanding.pgp.num_triples() >= 2);
+    }
+
+    #[test]
+    fn unknown_entity_produces_empty_but_not_error() {
+        let response = dbpedia_service()
+            .answer(AnswerRequest::new("Who is the wife of Zorblax Qwertyius?"))
+            .unwrap();
+        assert!(response.answers().is_empty());
+        assert!(!response.is_partial());
+    }
+
+    #[test]
+    fn filtration_toggle_affects_answers() {
+        let service = QaService::builder()
+            .shared_understanding(dbpedia_service().understanding().clone())
+            .config(KgqanConfig {
+                filtration_enabled: false,
+                ..KgqanConfig::default()
+            })
+            .endpoint(Arc::new(dbpedia_endpoint()))
+            .build()
+            .unwrap();
+        let response = service
+            .answer(AnswerRequest::new("Who is the wife of Barack Obama?"))
+            .unwrap();
+        // Without filtration every collected answer is returned.
+        assert_eq!(response.answers(), response.trace.filtered.unfiltered);
+        assert!(!response.answers().is_empty());
+        assert!(!service.config().filtration_enabled);
+    }
+
+    #[test]
+    fn timings_are_recorded_per_stage() {
+        let response = dbpedia_service()
+            .answer(AnswerRequest::new("Who is the wife of Barack Obama?"))
+            .unwrap();
+        let t = response.trace.timings;
+        assert!(t.total() >= t.understand);
+        assert!(t.total() >= t.link);
+        assert!(t.total() >= t.execute + t.filter);
+        assert_eq!(t.total(), t.understand + t.link + t.execute + t.filter);
     }
 }

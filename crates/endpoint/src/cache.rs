@@ -29,9 +29,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use kgqan_rdf::{IngestBatch, IngestReport, Term, TouchedScope};
 use kgqan_sparql::eval::{is_text_search_pattern, parse_text_query};
@@ -285,6 +283,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 }
 
+/// Lock one cache layer.  An `LruCache` is consistent between any two of
+/// its calls, so a lock poisoned by a panicking holder is recovered, like
+/// every other mutex in the workspace.
+fn lock<T>(layer: &Mutex<T>) -> MutexGuard<'_, T> {
+    layer.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One KG's cache namespace: thread-safe LRUs over probe and parsed-query
 /// round-trips, with atomic [`CacheStats`] counters.
 ///
@@ -347,7 +352,7 @@ impl QueryCache {
     /// while the namespace lock is held — callers materialise an owned copy
     /// (if they need one) outside the critical section.
     pub fn get_text(&self, sparql: &str) -> Option<Arc<QueryResults>> {
-        let found = self.probes.lock().get(sparql).cloned();
+        let found = lock(&self.probes).get(sparql).cloned();
         self.record_lookup(&found);
         found
     }
@@ -358,7 +363,7 @@ impl QueryCache {
         if !self.cacheable(&results) {
             return;
         }
-        let evicted = self.probes.lock().insert(sparql.to_string(), results);
+        let evicted = lock(&self.probes).insert(sparql.to_string(), results);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -368,7 +373,7 @@ impl QueryCache {
     /// Look up a parsed query by its AST (see [`QueryCache::get_text`] for
     /// the `Arc` contract).
     pub fn get_parsed(&self, query: &Query) -> Option<Arc<QueryResults>> {
-        let found = self.results.lock().get(query).cloned();
+        let found = lock(&self.results).get(query).cloned();
         self.record_lookup(&found);
         found
     }
@@ -379,7 +384,7 @@ impl QueryCache {
         if !self.cacheable(&results) {
             return;
         }
-        let evicted = self.results.lock().insert(query.clone(), results);
+        let evicted = lock(&self.results).insert(query.clone(), results);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -389,8 +394,8 @@ impl QueryCache {
     /// Drop every cached entry in the namespace.  Counters are monotonic and
     /// survive (the `invalidations` counter records the flush).
     pub fn invalidate(&self) {
-        self.probes.lock().clear();
-        self.results.lock().clear();
+        lock(&self.probes).clear();
+        lock(&self.results).clear();
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -423,14 +428,8 @@ impl QueryCache {
             self.invalidate();
             return;
         }
-        let dropped_probes = self
-            .probes
-            .lock()
-            .retain(|sparql, _| !scope.mentions_text(sparql));
-        let dropped_results = self
-            .results
-            .lock()
-            .retain(|query, _| !query_touches(query, scope));
+        let dropped_probes = lock(&self.probes).retain(|sparql, _| !scope.mentions_text(sparql));
+        let dropped_results = lock(&self.results).retain(|query, _| !query_touches(query, scope));
         self.scoped_invalidations.fetch_add(1, Ordering::Relaxed);
         self.scoped_evictions
             .fetch_add((dropped_probes + dropped_results) as u64, Ordering::Relaxed);
@@ -438,7 +437,7 @@ impl QueryCache {
 
     /// Number of live entries across both layers.
     pub fn len(&self) -> usize {
-        self.probes.lock().len() + self.results.lock().len()
+        lock(&self.probes).len() + lock(&self.results).len()
     }
 
     /// True when nothing is cached.

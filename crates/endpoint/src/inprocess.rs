@@ -5,10 +5,8 @@
 //! so that experiments which care about request round-trips (the linking
 //! phase issues several) exhibit a realistic cost profile.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::Mutex;
 
 use kgqan_rdf::{GraphStats, IngestBatch, IngestReport, LiveStore, Store, StoreSnapshot};
 use kgqan_sparql::eval::is_text_search_pattern;
@@ -107,10 +105,16 @@ impl InProcessEndpoint {
         self.live.snapshot().stats()
     }
 
+    /// Lock the request counters.  They are plain sums, valid at every
+    /// step, so a lock poisoned by a panicking holder is recovered.
+    fn lock_stats(&self) -> MutexGuard<'_, RequestStats> {
+        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record one served request in the endpoint statistics; the single
     /// bookkeeping point shared by the parsed and parse-failure paths.
     fn record_request(&self, elapsed: Duration, is_text: bool, is_ask: bool, failed: bool) {
-        let mut stats = self.stats.lock();
+        let mut stats = self.lock_stats();
         stats.total_requests += 1;
         stats.total_time += elapsed;
         if is_text {
@@ -273,7 +277,7 @@ impl SparqlEndpoint for InProcessEndpoint {
     }
 
     fn stats(&self) -> RequestStats {
-        *self.stats.lock()
+        *self.lock_stats()
     }
 }
 

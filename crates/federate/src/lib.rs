@@ -318,14 +318,14 @@ impl FederatedEndpoint {
                     } else {
                         KgStatus::Answered
                     };
-                    for (i, term) in response.outcome.answers.iter().enumerate() {
+                    for (i, term) in response.answers().iter().enumerate() {
                         votes.push(ScoredAnswer {
                             kg: kg.clone(),
                             term: term.clone(),
                             score: response.answer_scores.get(i).copied().unwrap_or(0.0),
                         });
                     }
-                    if let Some(b) = response.outcome.boolean {
+                    if let Some(b) = response.boolean() {
                         booleans.push(b);
                     }
                     sources.extend(response.sources.iter().cloned());
@@ -335,7 +335,7 @@ impl FederatedEndpoint {
                             kg: kg.clone(),
                             status,
                             elapsed: response.elapsed,
-                            answers: response.outcome.answers.len(),
+                            answers: response.answers().len(),
                         },
                     );
                 }

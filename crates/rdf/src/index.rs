@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 use std::iter::Peekable;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::dictionary::TermId;
 use crate::triple::EncodedTriple;
@@ -83,35 +83,6 @@ impl IndexOrder {
         EncodedTriple::new(TermId(s), TermId(p), TermId(o))
     }
 
-    /// Select the ordering whose key prefix matches the bound positions of a
-    /// pattern `(s?, p?, o?)`, so the lookup is a contiguous range scan.
-    pub fn best_for_pattern(s: bool, p: bool, o: bool) -> IndexOrder {
-        match (s, p, o) {
-            // Fully bound or fully unbound: any order works; SPO is canonical.
-            (true, true, true) | (false, false, false) => IndexOrder::Spo,
-            (true, true, false) => IndexOrder::Spo,
-            (true, false, true) => IndexOrder::Sop,
-            (true, false, false) => IndexOrder::Spo,
-            (false, true, true) => IndexOrder::Pos,
-            (false, true, false) => IndexOrder::Pso,
-            (false, false, true) => IndexOrder::Ops,
-        }
-    }
-
-    /// The number of leading key positions that are bound for a pattern, when
-    /// this ordering is used.
-    fn bound_prefix_len(&self, s: Option<u32>, p: Option<u32>, o: Option<u32>) -> usize {
-        let layout: [Option<u32>; 3] = match self {
-            IndexOrder::Spo => [s, p, o],
-            IndexOrder::Sop => [s, o, p],
-            IndexOrder::Pso => [p, s, o],
-            IndexOrder::Pos => [p, o, s],
-            IndexOrder::Osp => [o, s, p],
-            IndexOrder::Ops => [o, p, s],
-        };
-        layout.iter().take_while(|x| x.is_some()).count()
-    }
-
     /// The key prefix values for a pattern under this ordering.
     fn prefix_values(&self, s: Option<u32>, p: Option<u32>, o: Option<u32>) -> [Option<u32>; 3] {
         match self {
@@ -139,12 +110,6 @@ pub struct IndexCounters {
     /// Base runs produced directly from a pending delta when no run existed
     /// yet (the initial bulk load).
     pub base_builds: u64,
-    /// Full base-run rebuilds forced by removing a triple that lived inside
-    /// a sealed run (the only `O(n)` mutation left).
-    pub base_rebuilds: u64,
-    /// Full re-sorts of a pending-delta view, forced by removing a key that
-    /// still sat in the delta (the incremental mirror cannot be patched).
-    pub pending_sorts: u64,
     /// Incremental delta-view catches-up: keys inserted since the last range
     /// count are sorted and linearly merged into the existing sorted view —
     /// `O(d_new log d_new + d)`, never a from-scratch rebuild of the whole
@@ -157,8 +122,6 @@ pub struct IndexCounters {
 struct SharedCounters {
     base_merges: AtomicU64,
     base_builds: AtomicU64,
-    base_rebuilds: AtomicU64,
-    pending_sorts: AtomicU64,
     pending_merges: AtomicU64,
 }
 
@@ -169,14 +132,11 @@ struct SharedCounters {
 /// keys inserted since then, in arrival order.  A count first folds
 /// `unmerged` in (sort the small batch, linear-merge into `keys`), so a
 /// sustained insert/count workload pays `O(batch log batch + d)` per count —
-/// never a from-scratch `O(d log d)` rebuild of the whole delta.  Only a
-/// *removal* of a still-pending key sets `stale`, which forces the one
-/// remaining full rebuild path.
+/// never a from-scratch `O(d log d)` rebuild of the whole delta.
 #[derive(Debug, Clone, Default)]
 struct DeltaView {
     keys: Vec<[u32; 3]>,
     unmerged: Vec<[u32; 3]>,
-    stale: bool,
 }
 
 /// One maintained ordering: the immutable sorted base run plus the pending
@@ -205,7 +165,7 @@ impl Clone for OrderEntry {
             order: self.order,
             base: Arc::clone(&self.base),
             pending: self.pending.clone(),
-            delta_view: Mutex::new(self.delta_view.lock().expect("delta view lock").clone()),
+            delta_view: Mutex::new(self.view().clone()),
         }
     }
 }
@@ -220,20 +180,37 @@ impl OrderEntry {
         }
     }
 
-    /// The sorted view of the pending delta, caught up to the B-tree.
-    ///
-    /// Fresh inserts are folded in by a linear merge; only a removal of a
-    /// pending key (which marks the view stale) forces a full rebuild.
+    /// Every key of this ordering inside `range`, base run and pending
+    /// delta merge-iterated, decoded back to (s, p, o).
+    fn scan(&self, range: PartitionRange) -> impl Iterator<Item = EncodedTriple> + '_ {
+        let PartitionRange { lower, upper } = range;
+        let lo = self.base.partition_point(|key| key < &lower);
+        let hi = self.base.partition_point(|key| key <= &upper);
+        let order = self.order;
+        MergedRange {
+            base: self.base[lo..hi].iter().peekable(),
+            pending: self
+                .pending
+                .range((Bound::Included(lower), Bound::Included(upper)))
+                .peekable(),
+        }
+        .map(move |key| order.unpermute(key))
+    }
+
+    /// Lock the delta view.  Every update leaves the view a valid sorted
+    /// mirror plus an arrival-order tail, so a poisoned lock is recovered
+    /// like every other mutex in the workspace.
+    fn view(&self) -> MutexGuard<'_, DeltaView> {
+        self.delta_view
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The sorted view of the pending delta, caught up to the B-tree: fresh
+    /// inserts are folded in by a linear merge.
     fn pending_sorted(&self, counters: &SharedCounters) -> MutexGuard<'_, DeltaView> {
-        let mut view = self.delta_view.lock().expect("delta view lock");
-        if view.stale {
-            counters.pending_sorts.fetch_add(1, Ordering::Relaxed);
-            view.keys.clear();
-            let keys: Vec<[u32; 3]> = self.pending.iter().copied().collect();
-            view.keys = keys;
-            view.unmerged.clear();
-            view.stale = false;
-        } else if !view.unmerged.is_empty() {
+        let mut view = self.view();
+        if !view.unmerged.is_empty() {
             counters.pending_merges.fetch_add(1, Ordering::Relaxed);
             let mut fresh = std::mem::take(&mut view.unmerged);
             fresh.sort_unstable();
@@ -319,10 +296,6 @@ impl Iterator for MergedRange<'_> {
 }
 
 /// The sextuple index: one sorted base run + pending delta per ordering.
-///
-/// With `full_sextuple` disabled only the three orderings SPO, POS and OPS
-/// are maintained — the classic "three-index" layout — which is what the
-/// store-ablation bench compares against.
 #[derive(Debug, Clone)]
 pub struct TripleIndex {
     orders: Vec<OrderEntry>,
@@ -341,18 +314,6 @@ impl TripleIndex {
     pub fn new() -> Self {
         TripleIndex {
             orders: IndexOrder::ALL
-                .iter()
-                .map(|&o| OrderEntry::new(o))
-                .collect(),
-            len: 0,
-            counters: Arc::new(SharedCounters::default()),
-        }
-    }
-
-    /// Create an index maintaining only SPO, POS and OPS (three-way layout).
-    pub fn new_three_way() -> Self {
-        TripleIndex {
-            orders: [IndexOrder::Spo, IndexOrder::Pos, IndexOrder::Ops]
                 .iter()
                 .map(|&o| OrderEntry::new(o))
                 .collect(),
@@ -381,41 +342,14 @@ impl TripleIndex {
         for entry in &mut self.orders {
             let key = entry.order.permute(t);
             entry.pending.insert(key);
-            let view = entry.delta_view.get_mut().expect("delta view lock");
-            if !view.stale {
-                view.unmerged.push(key);
-            }
+            entry
+                .delta_view
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner)
+                .unmerged
+                .push(key);
         }
         self.len += 1;
-        true
-    }
-
-    /// Remove a triple from every maintained ordering.  Returns `true` if the
-    /// triple was present.  Removing a key that lives in a sealed base run
-    /// rebuilds the run without it (`O(n)`; counted in
-    /// [`IndexCounters::base_rebuilds`]).
-    pub fn remove(&mut self, t: EncodedTriple) -> bool {
-        if !self.contains(t) {
-            return false;
-        }
-        let mut hit_base = false;
-        for entry in &mut self.orders {
-            let key = entry.order.permute(t);
-            if entry.pending.remove(&key) {
-                // The sorted mirror can't be patched incrementally for a
-                // removal; mark it stale so the next count rebuilds it.
-                entry.delta_view.get_mut().expect("delta view lock").stale = true;
-            } else {
-                let rebuilt: Vec<[u32; 3]> =
-                    entry.base.iter().copied().filter(|k| *k != key).collect();
-                entry.base = Arc::new(rebuilt);
-                hit_base = true;
-            }
-        }
-        if hit_base {
-            self.counters.base_rebuilds.fetch_add(1, Ordering::Relaxed);
-        }
-        self.len -= 1;
         true
     }
 
@@ -441,7 +375,10 @@ impl TripleIndex {
             .collect();
             entry.base = Arc::new(merged);
             entry.pending.clear();
-            *entry.delta_view.get_mut().expect("delta view lock") = DeltaView::default();
+            *entry
+                .delta_view
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner) = DeltaView::default();
         }
         if had_base {
             self.counters.base_merges.fetch_add(1, Ordering::Relaxed);
@@ -462,8 +399,6 @@ impl TripleIndex {
         IndexCounters {
             base_merges: self.counters.base_merges.load(Ordering::Relaxed),
             base_builds: self.counters.base_builds.load(Ordering::Relaxed),
-            base_rebuilds: self.counters.base_rebuilds.load(Ordering::Relaxed),
-            pending_sorts: self.counters.pending_sorts.load(Ordering::Relaxed),
             pending_merges: self.counters.pending_merges.load(Ordering::Relaxed),
         }
     }
@@ -475,46 +410,35 @@ impl TripleIndex {
         entry.pending.contains(&key) || entry.base.binary_search(&key).is_ok()
     }
 
-    /// The maintained ordering with the longest bound key prefix for a
-    /// pattern, the inclusive key range covering that prefix, and whether any
-    /// bound position falls outside the prefix (possible in three-way mode),
-    /// which forces a post-filter.
+    /// The ordering with the longest bound key prefix for a pattern, and the
+    /// inclusive key range covering that prefix.  With all six permutations
+    /// maintained, the bound positions of any pattern form such a prefix of
+    /// some ordering, so every key in the range is a match.
     fn best_range(
         &self,
-        s: Option<u32>,
-        p: Option<u32>,
-        o: Option<u32>,
-    ) -> (&OrderEntry, [u32; 3], [u32; 3], bool) {
-        let entry = self
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> (&OrderEntry, PartitionRange) {
+        let (s, p, o) = (s.map(|x| x.0), p.map(|x| x.0), o.map(|x| x.0));
+        let (entry, prefix, prefix_len) = self
             .orders
             .iter()
-            .max_by_key(|entry| entry.order.bound_prefix_len(s, p, o))
+            .map(|entry| {
+                let prefix = entry.order.prefix_values(s, p, o);
+                let bound = prefix.iter().take_while(|x| x.is_some()).count();
+                (entry, prefix, bound)
+            })
+            .max_by_key(|&(_, _, bound)| bound)
             .expect("index always has at least one ordering");
-        let order = entry.order;
-
-        let prefix = order.prefix_values(s, p, o);
-        let prefix_len = order.bound_prefix_len(s, p, o);
-
-        let bound_at = |i: usize, fallback: u32| -> u32 {
-            if prefix_len > i {
-                prefix[i].unwrap_or(fallback)
-            } else {
-                fallback
-            }
+        // Nothing is bound past the prefix, so unbound positions alone span
+        // the range.
+        debug_assert_eq!(prefix_len, prefix.iter().flatten().count());
+        let range = PartitionRange {
+            lower: prefix.map(|bound| bound.unwrap_or(u32::MIN)),
+            upper: prefix.map(|bound| bound.unwrap_or(u32::MAX)),
         };
-        let lower = [
-            bound_at(0, u32::MIN),
-            bound_at(1, u32::MIN),
-            bound_at(2, u32::MIN),
-        ];
-        let upper = [
-            bound_at(0, u32::MAX),
-            bound_at(1, u32::MAX),
-            bound_at(2, u32::MAX),
-        ];
-
-        let bound_count = [s, p, o].iter().filter(|x| x.is_some()).count();
-        (entry, lower, upper, bound_count > prefix_len)
+        (entry, range)
     }
 
     /// Scan a triple pattern without materialising the matches; unbound
@@ -530,11 +454,8 @@ impl TripleIndex {
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
-        let sr = s.map(|x| x.0);
-        let pr = p.map(|x| x.0);
-        let or = o.map(|x| x.0);
-        let (_, lower, upper, _) = self.best_range(sr, pr, or);
-        self.iter_matching_within(s, p, o, PartitionRange { lower, upper })
+        let (entry, range) = self.best_range(s, p, o);
+        entry.scan(range)
     }
 
     /// Split a pattern scan into at most `n` contiguous key ranges.
@@ -555,10 +476,7 @@ impl TripleIndex {
         o: Option<TermId>,
         n: usize,
     ) -> Vec<PartitionRange> {
-        let s = s.map(|x| x.0);
-        let p = p.map(|x| x.0);
-        let o = o.map(|x| x.0);
-        let (entry, lower, upper, _) = self.best_range(s, p, o);
+        let (entry, PartitionRange { lower, upper }) = self.best_range(s, p, o);
         let lo = entry.base.partition_point(|key| key < &lower);
         let hi = entry.base.partition_point(|key| key <= &upper);
         let total = hi - lo;
@@ -600,67 +518,20 @@ impl TripleIndex {
         o: Option<TermId>,
         range: PartitionRange,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
-        let s = s.map(|x| x.0);
-        let p = p.map(|x| x.0);
-        let o = o.map(|x| x.0);
-
-        let (entry, _, _, needs_post_filter) = self.best_range(s, p, o);
-        let order = entry.order;
-        let PartitionRange { lower, upper } = range;
-
-        let lo = entry.base.partition_point(|key| key < &lower);
-        let hi = entry.base.partition_point(|key| key <= &upper);
-        let merged = MergedRange {
-            base: entry.base[lo..hi].iter().peekable(),
-            pending: entry
-                .pending
-                .range((Bound::Included(lower), Bound::Included(upper)))
-                .peekable(),
-        };
-
-        merged
-            .map(move |key| order.unpermute(key))
-            .filter(move |t| {
-                if !needs_post_filter {
-                    return true;
-                }
-                s.is_none_or(|v| t.subject.0 == v)
-                    && p.is_none_or(|v| t.predicate.0 == v)
-                    && o.is_none_or(|v| t.object.0 == v)
-            })
-    }
-
-    /// Match a triple pattern, materialising the results (a convenience
-    /// wrapper over [`TripleIndex::iter_matching`]).
-    pub fn matching(
-        &self,
-        s: Option<TermId>,
-        p: Option<TermId>,
-        o: Option<TermId>,
-    ) -> Vec<EncodedTriple> {
-        self.iter_matching(s, p, o).collect()
+        self.best_range(s, p, o).0.scan(range)
     }
 
     /// Count matches of a pattern without materialising — or walking — them.
     ///
-    /// When the bound positions form a contiguous key prefix of a maintained
-    /// ordering (always true with the full sextuple layout), the count is two
-    /// binary searches over that ordering's base run plus, if a pending
-    /// delta exists, two more over its lazily sorted view: `O(log n)`
-    /// whatever the match count.  Sealed stores (anything published by the
-    /// live-ingest path) have an empty delta and pay the run searches only.
-    /// This is what makes it cheap enough for the query planner to estimate
-    /// the cardinality of every triple pattern of every candidate query.  In
-    /// the reduced three-way layout a pattern may need post-filtering; that
-    /// path falls back to the `O(k)` range walk.
+    /// The count is two binary searches over the selected ordering's base
+    /// run plus, if a pending delta exists, two more over its lazily sorted
+    /// view: `O(log n)` whatever the match count.  Sealed stores (anything
+    /// published by the live-ingest path) have an empty delta and pay the
+    /// run searches only.  This is what makes it cheap enough for the query
+    /// planner to estimate the cardinality of every triple pattern of every
+    /// candidate query.
     pub fn count_matching(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        let sr = s.map(|x| x.0);
-        let pr = p.map(|x| x.0);
-        let or = o.map(|x| x.0);
-        let (entry, lower, upper, needs_post_filter) = self.best_range(sr, pr, or);
-        if needs_post_filter {
-            return self.iter_matching(s, p, o).count();
-        }
+        let (entry, PartitionRange { lower, upper }) = self.best_range(s, p, o);
         let range_count = |keys: &[[u32; 3]]| {
             let lo = keys.partition_point(|key| key < &lower);
             let hi = keys.partition_point(|key| key <= &upper);
@@ -681,18 +552,12 @@ impl TripleIndex {
         self.orders
             .iter()
             .map(|entry| {
-                let view = entry.delta_view.lock().expect("delta view lock");
+                let view = entry.view();
                 entry.base.len() * 12
                     + entry.pending.len() * (12 + 8)
                     + (view.keys.len() + view.unmerged.len()) * 12
             })
             .sum()
-    }
-
-    /// Number of maintained orderings (6 for the sextuple layout, 3 for the
-    /// reduced layout).
-    pub fn num_orders(&self) -> usize {
-        self.orders.len()
     }
 }
 
@@ -704,23 +569,24 @@ mod tests {
         EncodedTriple::new(TermId(s), TermId(p), TermId(o))
     }
 
+    impl TripleIndex {
+        /// Match a pattern, materialising the results.
+        fn matching(
+            &self,
+            s: Option<TermId>,
+            p: Option<TermId>,
+            o: Option<TermId>,
+        ) -> Vec<EncodedTriple> {
+            self.iter_matching(s, p, o).collect()
+        }
+    }
+
     #[test]
     fn insert_is_deduplicating() {
         let mut idx = TripleIndex::new();
         assert!(idx.insert(t(1, 2, 3)));
         assert!(!idx.insert(t(1, 2, 3)));
         assert_eq!(idx.len(), 1);
-    }
-
-    #[test]
-    fn remove_and_contains() {
-        let mut idx = TripleIndex::new();
-        idx.insert(t(1, 2, 3));
-        assert!(idx.contains(t(1, 2, 3)));
-        assert!(idx.remove(t(1, 2, 3)));
-        assert!(!idx.contains(t(1, 2, 3)));
-        assert!(!idx.remove(t(1, 2, 3)));
-        assert!(idx.is_empty());
     }
 
     #[test]
@@ -770,67 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn three_way_layout_returns_same_results_as_six_way() {
-        let mut six = TripleIndex::new();
-        let mut three = TripleIndex::new_three_way();
-        let triples = [
-            t(1, 10, 100),
-            t(1, 11, 101),
-            t(2, 10, 100),
-            t(2, 12, 102),
-            t(3, 10, 101),
-            t(3, 11, 100),
-        ];
-        for &tr in &triples {
-            six.insert(tr);
-            three.insert(tr);
-        }
-        assert_eq!(six.num_orders(), 6);
-        assert_eq!(three.num_orders(), 3);
-
-        let patterns: [(Option<u32>, Option<u32>, Option<u32>); 8] = [
-            (Some(1), Some(10), Some(100)),
-            (Some(1), Some(11), None),
-            (Some(2), None, Some(102)),
-            (Some(3), None, None),
-            (None, Some(10), Some(100)),
-            (None, Some(11), None),
-            (None, None, Some(101)),
-            (None, None, None),
-        ];
-        for (s, p, o) in patterns {
-            let s = s.map(TermId);
-            let p = p.map(TermId);
-            let o = o.map(TermId);
-            let mut a = six.matching(s, p, o);
-            let mut b = three.matching(s, p, o);
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "pattern {:?}", (s, p, o));
-        }
-    }
-
-    #[test]
-    fn best_for_pattern_prefers_matching_prefix() {
-        assert_eq!(
-            IndexOrder::best_for_pattern(true, true, false),
-            IndexOrder::Spo
-        );
-        assert_eq!(
-            IndexOrder::best_for_pattern(false, true, true),
-            IndexOrder::Pos
-        );
-        assert_eq!(
-            IndexOrder::best_for_pattern(false, false, true),
-            IndexOrder::Ops
-        );
-        assert_eq!(
-            IndexOrder::best_for_pattern(true, false, true),
-            IndexOrder::Sop
-        );
-    }
-
-    #[test]
     fn permute_unpermute_roundtrip() {
         let triple = t(7, 8, 9);
         for order in IndexOrder::ALL {
@@ -877,36 +682,22 @@ mod tests {
         assert_eq!(idx.count_matching(Some(TermId(1)), None, None), 1);
         idx.insert(t(1, 10, 101));
         assert_eq!(idx.count_matching(Some(TermId(1)), None, None), 2);
-        idx.remove(t(1, 10, 100));
-        assert_eq!(idx.count_matching(Some(TermId(1)), None, None), 1);
         // Cloned indices answer through their own copy of the delta.
         let cloned = idx.clone();
         assert_eq!(cloned.count_matching(None, None, Some(TermId(101))), 1);
     }
 
     #[test]
-    fn count_matching_three_way_post_filter_path() {
-        let mut idx = TripleIndex::new_three_way();
-        idx.insert(t(1, 10, 100));
-        idx.insert(t(1, 11, 100));
-        idx.insert(t(2, 10, 100));
-        // (s, ?, o) has no contiguous prefix in the SPO/POS/OPS layout, so
-        // the count must post-filter — and still be exact.
-        assert_eq!(
-            idx.count_matching(Some(TermId(1)), None, Some(TermId(100))),
-            2
-        );
-    }
-
-    #[test]
-    fn approx_bytes_scales_with_len_and_orders() {
-        let mut six = TripleIndex::new();
-        let mut three = TripleIndex::new_three_way();
+    fn approx_bytes_scales_with_len() {
+        let mut idx = TripleIndex::new();
         for i in 0..10 {
-            six.insert(t(i, i + 1, i + 2));
-            three.insert(t(i, i + 1, i + 2));
+            idx.insert(t(i, i + 1, i + 2));
         }
-        assert!(six.approx_bytes() > three.approx_bytes());
+        let ten = idx.approx_bytes();
+        for i in 10..20 {
+            idx.insert(t(i, i + 1, i + 2));
+        }
+        assert!(idx.approx_bytes() > ten);
     }
 
     #[test]
@@ -951,7 +742,6 @@ mod tests {
         let counters = idx.counters();
         assert_eq!(counters.base_merges, 1);
         assert_eq!(counters.base_builds, 1);
-        assert_eq!(counters.base_rebuilds, 0);
         assert_eq!(idx.pending_len(), 0);
         assert_eq!(idx.count_matching(Some(TermId(5000)), None, None), 1);
         assert_eq!(idx.count_matching(None, Some(TermId(1)), None), 202);
@@ -977,9 +767,7 @@ mod tests {
         assert_eq!(idx.count_matching(None, Some(TermId(1)), None), 50);
         // Counting over a pending delta is an incremental merge, not a full
         // re-sort.
-        let counters = idx.counters();
-        assert!(counters.pending_merges >= 1);
-        assert_eq!(counters.pending_sorts, 0);
+        assert!(idx.counters().pending_merges >= 1);
     }
 
     #[test]
@@ -999,17 +787,7 @@ mod tests {
                 i as usize + 1
             );
         }
-        let counters = idx.counters();
-        assert_eq!(counters.pending_sorts, 0);
-        assert_eq!(counters.pending_merges, 50);
-
-        // Removing a still-pending key is the one path that must rebuild the
-        // probed view — exactly once.
-        assert!(idx.remove(t(120, 1, 120)));
-        assert_eq!(idx.count_matching(None, Some(TermId(1)), None), 149);
-        let counters = idx.counters();
-        assert_eq!(counters.pending_sorts, 1);
-        assert_eq!(counters.pending_merges, 50);
+        assert_eq!(idx.counters().pending_merges, 50);
     }
 
     #[test]
@@ -1028,7 +806,6 @@ mod tests {
         assert_eq!(idx.count_matching(Some(TermId(70)), None, None), 1);
         let after = idx.counters();
         assert_eq!(after.pending_merges, before.pending_merges + 1);
-        assert_eq!(after.pending_sorts, before.pending_sorts);
     }
 
     #[test]
@@ -1108,20 +885,6 @@ mod tests {
                 .count(),
             1
         );
-    }
-
-    #[test]
-    fn remove_from_sealed_base_rebuilds_the_run() {
-        let mut idx = TripleIndex::new();
-        for i in 0..10u32 {
-            idx.insert(t(i, 1, i));
-        }
-        idx.flush_pending();
-        assert!(idx.remove(t(3, 1, 3)));
-        assert_eq!(idx.counters().base_rebuilds, 1);
-        assert_eq!(idx.len(), 9);
-        assert!(!idx.contains(t(3, 1, 3)));
-        assert_eq!(idx.count_matching(None, Some(TermId(1)), None), 9);
     }
 
     #[test]

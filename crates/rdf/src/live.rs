@@ -530,7 +530,6 @@ mod tests {
         );
         assert_eq!(counters.index_base_builds, 1);
         assert_eq!(counters.index_base_merges, base.index_base_merges + 5);
-        assert_eq!(counters.index_base_rebuilds, 0);
 
         // And the maintained stats agree with the from-scratch oracle.
         let oracle = PlannerStats::compute(&snap);

@@ -32,11 +32,6 @@ pub struct MaintenanceCounters {
     pub index_base_merges: u64,
     /// Sorted index base runs built from scratch (initial bulk load).
     pub index_base_builds: u64,
-    /// Sorted index base runs rebuilt because a sealed triple was removed.
-    pub index_base_rebuilds: u64,
-    /// Full re-sorts of an index pending-delta view (forced by removing a
-    /// still-pending key — the only non-incremental count path left).
-    pub index_pending_sorts: u64,
     /// Incremental catches-up of an index pending-delta view: fresh keys
     /// linearly merged into the existing sorted mirror, never a rebuild.
     pub index_pending_merges: u64,
@@ -108,15 +103,6 @@ impl Store {
     /// Create an empty store with the full sextuple index layout.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Create an empty store maintaining only three index orderings
-    /// (used by the index-layout ablation bench).
-    pub fn new_three_way() -> Self {
-        Store {
-            index: TripleIndex::new_three_way(),
-            ..Store::default()
-        }
     }
 
     /// Number of triples in the store.
@@ -235,8 +221,9 @@ impl Store {
     }
 
     /// Scan an id-level pattern, yielding matching triples without
-    /// materialising them.  This is the native access path; every other
-    /// matching method funnels through it.
+    /// materialising them.  This is the native access path; callers holding
+    /// [`Term`]s encode once ([`Store::encode_pattern`]) and decode only the
+    /// triples they keep ([`Store::decode`]).
     pub fn scan(&self, pattern: EncodedTriplePattern) -> impl Iterator<Item = EncodedTriple> + '_ {
         self.index
             .iter_matching(pattern.subject, pattern.predicate, pattern.object)
@@ -273,18 +260,6 @@ impl Store {
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
         self.index
             .iter_matching_within(pattern.subject, pattern.predicate, pattern.object, range)
-    }
-
-    /// Match a term-level pattern, returning decoded triples.
-    ///
-    /// If a bound term is not in the dictionary the pattern cannot match and
-    /// the result is empty.  Thin wrapper over [`Store::scan`]: encode once,
-    /// range-scan on ids, decode only the results.
-    pub fn matching(&self, pattern: &TriplePattern) -> Vec<Triple> {
-        let Some(encoded) = self.encode_pattern(pattern) else {
-            return Vec::new();
-        };
-        self.scan(encoded).map(|t| self.decode(t)).collect()
     }
 
     /// Count the matches of a term-level pattern.
@@ -409,8 +384,6 @@ impl Store {
             stats_incremental_installs: self.stats_incremental_installs.load(Ordering::Relaxed),
             index_base_merges: index.base_merges,
             index_base_builds: index.base_builds,
-            index_base_rebuilds: index.base_rebuilds,
-            index_pending_sorts: index.pending_sorts,
             index_pending_merges: index.pending_merges,
             dict_freezes,
             dict_merges,
@@ -446,6 +419,17 @@ impl Store {
 mod tests {
     use super::*;
     use crate::vocab;
+
+    impl Store {
+        /// Match a term-level pattern, returning decoded triples (empty when
+        /// a bound term is not in the dictionary).
+        fn matching(&self, pattern: &TriplePattern) -> Vec<Triple> {
+            let Some(encoded) = self.encode_pattern(pattern) else {
+                return Vec::new();
+            };
+            self.scan(encoded).map(|t| self.decode(t)).collect()
+        }
+    }
 
     fn example_store() -> Store {
         let mut store = Store::new();
@@ -717,16 +701,5 @@ mod tests {
         let _ = store.planner_stats();
         assert_eq!(store.maintenance_counters().stats_full_scans, 2);
         assert_eq!(store.maintenance_counters().stats_incremental_installs, 0);
-    }
-
-    #[test]
-    fn three_way_store_matches_like_six_way() {
-        let six = example_store();
-        let mut three = Store::new_three_way();
-        for t in six.iter() {
-            three.insert(t);
-        }
-        let pattern = TriplePattern::any().with_predicate(Term::iri(vocab::RDFS_LABEL));
-        assert_eq!(six.count_matching(&pattern), three.count_matching(&pattern));
     }
 }

@@ -4,13 +4,39 @@
 //! route keeps a request count, an error count, and a latency accumulator
 //! (sum of microseconds + count, enough to recover a mean; the full
 //! latency *distribution* is the load generator's job, which times from
-//! the client side).  The render is a flat `name value` text format, one
-//! counter per line, stable for scraping and diffing.
+//! the client side).  The render is the Prometheus text exposition format:
+//! one `name value` or `name{label="value"} value` sample per line, label
+//! values quoted and escaped (`write_sample`), stable for scraping and
+//! diffing.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// Append one sample line of the Prometheus text exposition format:
+/// `name value`, or `name{label="value"} value` with `\\`, `"` and newline
+/// escaped in the label value — a KG may be registered under any name.
+pub(crate) fn write_sample(out: &mut String, name: &str, label: Option<(&str, &str)>, value: u64) {
+    out.push_str(name);
+    if let Some((label, text)) = label {
+        out.push('{');
+        out.push_str(label);
+        out.push_str("=\"");
+        for c in text.chars() {
+            match c {
+                '\\' => out.push_str("\\\\"),
+                '"' => out.push_str("\\\""),
+                '\n' => out.push_str("\\n"),
+                c => out.push(c),
+            }
+        }
+        out.push_str("\"}");
+    }
+    out.push(' ');
+    out.push_str(&value.to_string());
+    out.push('\n');
+}
 
 /// The routes the server distinguishes in its metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,69 +179,50 @@ impl Metrics {
         self.routes[route.index()].errors.load(Ordering::Relaxed)
     }
 
-    /// Render every counter as `name value` lines.  The caller appends
-    /// whatever service-level gauges it wants (queue depth, cache stats)
-    /// in the same format.
+    /// Render every counter as exposition-format sample lines.  The caller
+    /// appends whatever service-level gauges it wants (queue depth, cache
+    /// stats) through `write_sample`.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for route in Route::ALL {
             let counters = &self.routes[route.index()];
-            let requests = counters.requests.load(Ordering::Relaxed);
-            let errors = counters.errors.load(Ordering::Relaxed);
-            let latency_us = counters.latency_us.load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "http_requests_total{{route={}}} {requests}\n",
-                route.name()
-            ));
-            out.push_str(&format!(
-                "http_errors_total{{route={}}} {errors}\n",
-                route.name()
-            ));
-            out.push_str(&format!(
-                "http_latency_us_total{{route={}}} {latency_us}\n",
-                route.name()
-            ));
-        }
-        out.push_str(&format!(
-            "connections_accepted_total {}\n",
-            self.connections_accepted.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "connections_refused_total {}\n",
-            self.connections_refused.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "requests_rate_limited_total {}\n",
-            self.rate_limited.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "requests_load_shed_total {}\n",
-            self.load_shed.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "federated_fanout_total {}\n",
-            self.federated_fanout.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "federated_partial_total {}\n",
-            self.federated_partial.load(Ordering::Relaxed)
-        ));
-        out.push_str(&format!(
-            "executor_parallel_queries_total {}\n",
-            kgqan_sparql::exec::parallel_queries_total()
-        ));
-        out.push_str(&format!(
-            "executor_active_workers {}\n",
-            kgqan_sparql::exec::executor_active_workers()
-        ));
-        {
-            let map = self
-                .kg_requests
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            for (kg, count) in map.iter() {
-                out.push_str(&format!("kg_requests_total{{kg={kg}}} {count}\n"));
+            let label = Some(("route", route.name()));
+            for (name, counter) in [
+                ("http_requests_total", &counters.requests),
+                ("http_errors_total", &counters.errors),
+                ("http_latency_us_total", &counters.latency_us),
+            ] {
+                write_sample(&mut out, name, label, counter.load(Ordering::Relaxed));
             }
+        }
+        for (name, value) in [
+            ("connections_accepted_total", &self.connections_accepted),
+            ("connections_refused_total", &self.connections_refused),
+            ("requests_rate_limited_total", &self.rate_limited),
+            ("requests_load_shed_total", &self.load_shed),
+            ("federated_fanout_total", &self.federated_fanout),
+            ("federated_partial_total", &self.federated_partial),
+        ] {
+            write_sample(&mut out, name, None, value.load(Ordering::Relaxed));
+        }
+        write_sample(
+            &mut out,
+            "executor_parallel_queries_total",
+            None,
+            kgqan_sparql::exec::parallel_queries_total(),
+        );
+        write_sample(
+            &mut out,
+            "executor_active_workers",
+            None,
+            kgqan_sparql::exec::executor_active_workers() as u64,
+        );
+        let map = self
+            .kg_requests
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        for (kg, count) in map.iter() {
+            write_sample(&mut out, "kg_requests_total", Some(("kg", kg)), *count);
         }
         out
     }
@@ -238,12 +245,12 @@ mod tests {
         assert_eq!(metrics.requests(Route::Healthz), 1);
 
         let text = metrics.render();
-        assert!(text.contains("http_requests_total{route=ask} 2"));
-        assert!(text.contains("http_errors_total{route=ask} 1"));
-        assert!(text.contains("http_latency_us_total{route=ask} 2000"));
+        assert!(text.contains("http_requests_total{route=\"ask\"} 2"));
+        assert!(text.contains("http_errors_total{route=\"ask\"} 1"));
+        assert!(text.contains("http_latency_us_total{route=\"ask\"} 2000"));
         assert!(text.contains("requests_load_shed_total 3"));
-        assert!(text.contains("http_requests_total{route=federate} 0"));
-        assert!(text.contains("http_requests_total{route=kg_list} 0"));
+        assert!(text.contains("http_requests_total{route=\"federate\"} 0"));
+        assert!(text.contains("http_requests_total{route=\"kg_list\"} 0"));
         assert!(text.contains("federated_fanout_total 0"));
         assert!(text.contains("federated_partial_total 0"));
         assert!(text.contains("executor_parallel_queries_total "));
@@ -264,8 +271,8 @@ mod tests {
         assert_eq!(metrics.kg_requests("YAGO"), 0);
 
         let text = metrics.render();
-        assert!(text.contains("kg_requests_total{kg=DBpedia} 2"));
-        assert!(text.contains("kg_requests_total{kg=Wikidata} 1"));
+        assert!(text.contains("kg_requests_total{kg=\"DBpedia\"} 2"));
+        assert!(text.contains("kg_requests_total{kg=\"Wikidata\"} 1"));
         assert!(text.contains("federated_fanout_total 2"));
         assert!(text.contains("federated_partial_total 1"));
     }

@@ -46,7 +46,7 @@ use kgqan_rdf::IngestBatch;
 
 use crate::admission::{Admission, RateLimit, RateLimiter};
 use crate::http::{read_request, Limits, Request, Response};
-use crate::metrics::{Metrics, Route};
+use crate::metrics::{write_sample, Metrics, Route};
 use crate::wire;
 
 /// Everything tunable about the serving loop.
@@ -478,14 +478,19 @@ fn healthz(shared: &Shared) -> Response {
 fn metrics_page(shared: &Shared) -> Response {
     let mut text = shared.metrics.render();
     let gate = shared.gate.stats();
-    text.push_str(&format!("pipeline_queue_depth {}\n", gate.queued));
-    text.push_str(&format!("pipeline_workers {}\n", gate.workers));
-    text.push_str(&format!("pipeline_running {}\n", gate.running));
-    text.push_str(&format!("pipeline_completed_total {}\n", gate.completed));
-    text.push_str(&format!("pipeline_rejected_total {}\n", gate.rejected));
+    for (name, value) in [
+        ("pipeline_queue_depth", gate.queued as u64),
+        ("pipeline_workers", gate.workers as u64),
+        ("pipeline_running", gate.running as u64),
+        ("pipeline_completed_total", gate.completed),
+        ("pipeline_rejected_total", gate.rejected),
+    ] {
+        write_sample(&mut text, name, None, value);
+    }
     for (kg, stats) in &shared.service.cache_report().per_kg {
-        text.push_str(&format!("cache_hits_total{{kg={kg}}} {}\n", stats.hits));
-        text.push_str(&format!("cache_misses_total{{kg={kg}}} {}\n", stats.misses));
+        let label = Some(("kg", kg.as_str()));
+        write_sample(&mut text, "cache_hits_total", label, stats.hits);
+        write_sample(&mut text, "cache_misses_total", label, stats.misses);
     }
     Response::text(200, text)
 }

@@ -146,16 +146,16 @@ pub fn answer_response_to_json(response: &AnswerResponse) -> String {
     out.push_str(",\"kg\":");
     write_json_string(&mut out, &response.kg);
     out.push_str(",\"question\":");
-    write_json_string(&mut out, &response.outcome.question);
+    write_json_string(&mut out, &response.question);
     out.push_str(",\"answers\":[");
-    for (i, term) in response.outcome.answers.iter().enumerate() {
+    for (i, term) in response.answers().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         write_term(&mut out, term);
     }
     out.push_str("],\"boolean\":");
-    match response.outcome.boolean {
+    match response.boolean() {
         Some(true) => out.push_str("true"),
         Some(false) => out.push_str("false"),
         None => out.push_str("null"),
@@ -169,7 +169,7 @@ pub fn answer_response_to_json(response: &AnswerResponse) -> String {
     out.push_str(",\"elapsed_ms\":");
     write_json_number(&mut out, response.elapsed.as_secs_f64() * 1e3);
     out.push_str(",\"executed_queries\":");
-    write_json_number(&mut out, response.outcome.executed_queries.len() as f64);
+    write_json_number(&mut out, response.trace.execution.query_stats.len() as f64);
     out.push_str(",\"answer_scores\":[");
     for (i, score) in response.answer_scores.iter().enumerate() {
         if i > 0 {

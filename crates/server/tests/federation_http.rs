@@ -155,16 +155,16 @@ fn federated_ask_merges_provenance_tagged_answers_over_tcp() {
     // The federation counters and per-KG request counters moved.
     let metrics = client.get("/metrics").expect("metrics").text();
     assert!(
-        metrics.contains("http_requests_total{route=federate} 1"),
+        metrics.contains("http_requests_total{route=\"federate\"} 1"),
         "{metrics}"
     );
     assert!(metrics.contains("federated_fanout_total 2"), "{metrics}");
     assert!(
-        metrics.contains("kg_requests_total{kg=People} 1"),
+        metrics.contains("kg_requests_total{kg=\"People\"} 1"),
         "{metrics}"
     );
     assert!(
-        metrics.contains("kg_requests_total{kg=Mirror} 1"),
+        metrics.contains("kg_requests_total{kg=\"Mirror\"} 1"),
         "{metrics}"
     );
 }

@@ -157,12 +157,14 @@ fn sixteen_clients_two_kgs_match_in_process_answers() {
     let expected_sea = service
         .answer(AnswerRequest::new(QUESTION).on_kg("DBpedia"))
         .unwrap()
-        .outcome
+        .trace
+        .filtered
         .answers;
     let expected_spouse = service
         .answer(AnswerRequest::new("Who is the wife of Barack Obama?").on_kg("Celebs"))
         .unwrap()
-        .outcome
+        .trace
+        .filtered
         .answers;
 
     let threads: Vec<_> = (0..16)
@@ -447,9 +449,12 @@ fn healthz_and_metrics_report_service_state() {
     let response = client.get("/metrics").expect("metrics");
     assert_eq!(response.status, 200);
     let text = response.text();
-    assert!(text.contains("http_requests_total{route=ask} 1"), "{text}");
     assert!(
-        text.contains("http_requests_total{route=healthz} 1"),
+        text.contains("http_requests_total{route=\"ask\"} 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains("http_requests_total{route=\"healthz\"} 1"),
         "{text}"
     );
     assert!(text.contains("pipeline_queue_depth 0"), "{text}");
@@ -457,6 +462,110 @@ fn healthz_and_metrics_report_service_state() {
     assert!(text.contains("connections_accepted_total 1"), "{text}");
     assert!(text.contains("executor_parallel_queries_total "), "{text}");
     assert!(text.contains("executor_active_workers "), "{text}");
+}
+
+/// One parsed sample line of the Prometheus text exposition format.
+struct Sample {
+    name: String,
+    labels: Vec<(String, String)>,
+    value: u64,
+}
+
+/// Parse one exposition line strictly: `name value` or
+/// `name{label="escaped value",…} value`.
+fn parse_sample(line: &str) -> Option<Sample> {
+    let ident_len = |text: &str| {
+        text.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_' || c == ':'))
+            .unwrap_or(text.len())
+    };
+    let name_len = ident_len(line);
+    let (name, mut rest) = line.split_at(name_len);
+    if name.is_empty() || name.starts_with(|c: char| c.is_ascii_digit()) {
+        return None;
+    }
+    let mut labels = Vec::new();
+    if let Some(inner) = rest.strip_prefix('{') {
+        rest = inner;
+        loop {
+            let (label, after) = rest.split_at(ident_len(rest));
+            let mut chars = after.strip_prefix("=\"")?.chars();
+            let mut value = String::new();
+            loop {
+                match chars.next()? {
+                    '"' => break,
+                    '\\' => value.push(match chars.next()? {
+                        '\\' => '\\',
+                        '"' => '"',
+                        'n' => '\n',
+                        _ => return None,
+                    }),
+                    '\n' => return None,
+                    c => value.push(c),
+                }
+            }
+            if label.is_empty() {
+                return None;
+            }
+            labels.push((label.to_string(), value));
+            rest = chars.as_str();
+            if let Some(after) = rest.strip_prefix(',') {
+                rest = after;
+            } else {
+                rest = rest.strip_prefix('}')?;
+                break;
+            }
+        }
+    }
+    Some(Sample {
+        name: name.to_string(),
+        labels,
+        value: rest.strip_prefix(' ')?.parse().ok()?,
+    })
+}
+
+#[test]
+fn metrics_page_round_trips_through_an_exposition_parser() {
+    // KG names a scraper must see quoted and escaped to parse the page.
+    let names = ["we\"ird}", "a b", "back\\slash"];
+    let mut builder = QaService::builder();
+    for name in names {
+        builder = builder.endpoint(Arc::new(InProcessEndpoint::new(name, spouse_store())));
+    }
+    let handle = start(builder.build().expect("service builds"), test_config());
+    let mut client = HttpClient::connect(handle.addr());
+    let response = client
+        .post(
+            "/federate/ask",
+            "application/json",
+            r#"{"question": "Who is the wife of Barack Obama?", "kgs": "*"}"#,
+        )
+        .expect("federated ask");
+    assert_eq!(response.status, 200);
+
+    let text = client.get("/metrics").expect("metrics").text();
+    let samples: Vec<Sample> = text
+        .lines()
+        .map(|line| parse_sample(line).unwrap_or_else(|| panic!("unparseable line: {line}")))
+        .collect();
+    for name in names {
+        let label = [("kg".to_string(), name.to_string())];
+        for metric in [
+            "kg_requests_total",
+            "cache_hits_total",
+            "cache_misses_total",
+        ] {
+            assert!(
+                samples
+                    .iter()
+                    .any(|sample| sample.name == metric && sample.labels == label),
+                "{metric} for {name:?} missing in:\n{text}"
+            );
+        }
+    }
+    let fanout = samples
+        .iter()
+        .find(|sample| sample.name == "federated_fanout_total");
+    assert_eq!(fanout.map(|sample| sample.value), Some(3));
 }
 
 #[test]
@@ -778,8 +887,8 @@ fn unknown_kg_names_cannot_grow_or_forge_metrics() {
     assert_eq!(
         kg_lines,
         vec![
-            "kg_requests_total{kg=Celebs} 1",
-            "kg_requests_total{kg=unknown} 1002"
+            "kg_requests_total{kg=\"Celebs\"} 1",
+            "kg_requests_total{kg=\"unknown\"} 1002"
         ],
         "{text}"
     );

@@ -93,7 +93,7 @@ pub struct ExecMetrics {
 }
 
 /// Work distribution of one morsel-parallel run, surfaced through
-/// [`ExecMetrics`] all the way up to `answer_traced`.
+/// [`ExecMetrics`] all the way up to the answer response's trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelMetrics {
     /// Workers that actually drained morsels (the coordinating thread plus

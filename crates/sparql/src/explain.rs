@@ -7,7 +7,7 @@
 //! and whether the driver scan runs as parallel morsels.  Rendering is lazy
 //! ([`PhysicalPlan::summary`]), so untraced runs never pay for it; the
 //! in-process endpoint surfaces it per candidate query all the way up to
-//! `answer_traced`.
+//! the answer response's trace (`response.trace.execution.query_stats`).
 
 use std::fmt;
 

@@ -8,8 +8,8 @@
 
 use std::sync::Arc;
 
-use kgqan::{KgqanConfig, KgqanPlatform};
-use kgqan_endpoint::{EndpointRegistry, InProcessEndpoint};
+use kgqan::{AnswerRequest, QaService};
+use kgqan_endpoint::InProcessEndpoint;
 use kgqan_rdf::{parse_ntriples, Store};
 
 /// An N-Triples document describing a tiny music knowledge graph — a domain
@@ -37,13 +37,13 @@ fn main() {
     println!("Loaded {inserted} triples into the music KG.");
 
     // 2. Register the endpoint under a name, the way a user would pick a
-    //    SPARQL endpoint URI.
-    let mut registry = EndpointRegistry::new();
-    registry.register(Arc::new(InProcessEndpoint::new("MusicKG", store)));
-    let endpoint = registry.get("MusicKG").expect("registered endpoint");
+    //    SPARQL endpoint URI.  One service, any KG.
+    let service = QaService::builder()
+        .endpoint(Arc::new(InProcessEndpoint::new("MusicKG", store)))
+        .build()
+        .expect("one registered KG");
 
-    // 3. One platform, any KG.
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    // 3. Ask, naming the KG per request.
     let questions = [
         "Who is a member of Radiohead?",
         "When was OK Computer released?",
@@ -51,14 +51,14 @@ fn main() {
     ];
     for question in questions {
         println!("\nQuestion: {question}");
-        match platform.answer(question, endpoint.as_ref()) {
-            Ok(outcome) => {
-                if let Some(verdict) = outcome.boolean {
+        match service.answer(AnswerRequest::new(question).on_kg("MusicKG")) {
+            Ok(response) => {
+                if let Some(verdict) = response.boolean() {
                     println!("  Answer: {verdict}");
-                } else if outcome.answers.is_empty() {
+                } else if response.answers().is_empty() {
                     println!("  No answer found.");
                 } else {
-                    for answer in outcome.answers.iter().take(3) {
+                    for answer in response.answers().iter().take(3) {
                         println!("  Answer: {answer}");
                     }
                 }

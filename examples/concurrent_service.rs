@@ -82,14 +82,13 @@ fn main() {
     println!(
         "[{}] {} -> {:?} ({} queries, partial: {})",
         response.kg,
-        response.outcome.question,
+        response.question,
         response
-            .outcome
-            .answers
+            .answers()
             .iter()
             .map(|t| t.readable_form().into_owned())
             .collect::<Vec<_>>(),
-        response.query_stats.len(),
+        response.trace.execution.query_stats.len(),
         response.is_partial(),
     );
 
@@ -111,8 +110,7 @@ fn main() {
         "[{}] answered {:?} within budget (elapsed {:?}, verdict {:?})",
         response.kg,
         response
-            .outcome
-            .answers
+            .answers()
             .iter()
             .map(|t| t.readable_form().into_owned())
             .collect::<Vec<_>>(),
@@ -140,8 +138,7 @@ fn main() {
             response.request_id,
             response.kg,
             response
-                .outcome
-                .answers
+                .answers()
                 .iter()
                 .map(|t| t.readable_form().into_owned())
                 .collect::<Vec<_>>(),

@@ -7,7 +7,9 @@
 //! cargo run --release --example dblp_scholarly_qa
 //! ```
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use std::sync::Arc;
+
+use kgqan::{AnswerRequest, QaService};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
 
@@ -21,10 +23,11 @@ fn main() {
         kg.facts.papers.len(),
         kg.facts.authors.len()
     );
-    let endpoint = InProcessEndpoint::new("DBLP", kg.store.clone());
-
     println!("Training question-understanding models (general-fact corpus only)…");
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = QaService::builder()
+        .endpoint(Arc::new(InProcessEndpoint::new("DBLP", kg.store.clone())))
+        .build()
+        .expect("one registered KG");
 
     let paper = &kg.facts.papers[5];
     let author = &kg.facts.authors[paper.authors[0]];
@@ -37,14 +40,14 @@ fn main() {
 
     for question in &questions {
         println!("\nQuestion: {question}");
-        match platform.answer(question, &endpoint) {
-            Ok(outcome) => {
-                if let Some(verdict) = outcome.boolean {
+        match service.answer(AnswerRequest::new(question)) {
+            Ok(response) => {
+                if let Some(verdict) = response.boolean() {
                     println!("  Answer: {verdict}");
-                } else if outcome.answers.is_empty() {
+                } else if response.answers().is_empty() {
                     println!("  No answer found.");
                 } else {
-                    for answer in &outcome.answers {
+                    for answer in response.answers() {
                         println!("  Answer: {answer}");
                     }
                 }

@@ -47,8 +47,7 @@ fn print_answers(label: &str, service: &QaService, question: &str) {
         .answer(AnswerRequest::new(question))
         .expect("the service answers");
     let answers: Vec<_> = response
-        .outcome
-        .answers
+        .answers()
         .iter()
         .map(|t| t.as_iri().unwrap_or("<literal>").to_string())
         .collect();

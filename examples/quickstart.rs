@@ -7,8 +7,8 @@
 
 use std::sync::Arc;
 
-use kgqan::{KgqanConfig, KgqanPlatform};
-use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
+use kgqan::{AnswerRequest, QaService};
+use kgqan_endpoint::InProcessEndpoint;
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
 fn main() {
@@ -56,46 +56,48 @@ fn main() {
     let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", store));
 
     // 3. Train the (KG-independent) question-understanding models and build
-    //    the platform with the paper's default configuration.
+    //    the service with the paper's default configuration.
     println!("Training question-understanding models (one-time, KG-independent)…");
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = QaService::builder()
+        .endpoint(endpoint)
+        .build()
+        .expect("one registered KG");
 
     // 4. Ask the running example question.
     let question = "Name the sea into which Danish Straits flows and has \
                     Kaliningrad as one of the city on the shore";
     println!("\nQuestion: {question}");
-    let outcome = platform
-        .answer(question, endpoint.as_ref())
+    let response = service
+        .answer(AnswerRequest::new(question))
         .expect("question should be understood");
+    // The response owns the run's full per-stage trace.
+    let trace = &response.trace;
 
     println!("\nPhrase graph pattern (the system's understanding):");
-    print!("{}", outcome.understanding.pgp);
+    print!("{}", trace.understanding.pgp);
     println!(
         "Predicted answer type: {} (semantic type: {:?})",
-        outcome.understanding.answer_type.data_type,
-        outcome.understanding.answer_type.semantic_type
+        trace.understanding.answer_type.data_type, trace.understanding.answer_type.semantic_type
     );
 
     println!(
         "\nExecuted SPARQL ({} candidate queries):",
-        outcome.executed_queries.len()
+        trace.execution.query_stats.len()
     );
-    for sparql in &outcome.executed_queries {
-        println!("{sparql}\n");
+    for stat in &trace.execution.query_stats {
+        println!("{}\n", stat.sparql);
     }
 
     println!("Answers:");
-    for answer in &outcome.answers {
+    for answer in response.answers() {
         println!("  {answer}");
     }
     println!(
-        "\nPhase timings — understanding: {:?}, linking: {:?}, execution+filtration: {:?}",
-        outcome.timings.understanding,
-        outcome.timings.linking,
-        outcome.timings.execution_filtration
+        "\nStage timings — understand: {:?}, link: {:?}, execute: {:?}, filter: {:?}",
+        trace.timings.understand, trace.timings.link, trace.timings.execute, trace.timings.filter
     );
     println!(
         "Endpoint served {} requests in total.",
-        endpoint.stats().total_requests
+        response.endpoint_stats.total_requests
     );
 }

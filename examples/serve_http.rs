@@ -139,7 +139,9 @@ fn main() {
     check("metrics is 200", metrics.status == 200);
     check(
         "ask route counted",
-        metrics.text().contains("http_requests_total{route=ask} 1"),
+        metrics
+            .text()
+            .contains("http_requests_total{route=\"ask\"} 1"),
     );
 
     println!("Unknown KG → 404, shed/limit counters exposed");

@@ -1,5 +1,5 @@
-//! The staged pipeline API and the KG-scoped semantic cache: answer a
-//! question with a full per-stage trace, watch repeated questions turn into
+//! The staged pipeline API and the KG-scoped semantic cache: read the full
+//! per-stage trace every response owns, watch repeated questions turn into
 //! cache hits, and swap a pipeline stage (the baselines' rule-based
 //! question understanding) into KGQAn's linking/execution stages.
 //!
@@ -53,12 +53,13 @@ fn main() {
 
     let question = "Who is the wife of Barack Obama?";
 
-    // A traced answer exposes every stage artifact and timing.
+    // Every response owns its run's trace: each stage's artifact and timing.
     let cold = service
-        .answer_traced(AnswerRequest::new(question))
-        .expect("traced answer");
+        .answer(AnswerRequest::new(question))
+        .expect("cold answer");
+    let after_cold = service.cache_report().total();
     println!("\n— cold request —");
-    println!("  answers:     {:?}", cold.response.outcome.answers);
+    println!("  answers:     {:?}", cold.answers());
     println!(
         "  stages:      understand {:?} | link {:?} | execute {:?} | filter {:?}",
         cold.trace.timings.understand,
@@ -73,19 +74,21 @@ fn main() {
     );
     println!(
         "  cache:       {} misses, {} hits",
-        cold.cache.misses, cold.cache.hits
+        after_cold.misses, after_cold.hits
     );
 
     // The same question again: the linking probes and candidate queries
-    // come out of the KG's cache namespace.
+    // come out of the KG's cache namespace.  A request's cache activity is
+    // the difference of two `cache_report()` reads.
     let warm = service
-        .answer_traced(AnswerRequest::new(question))
-        .expect("traced answer");
+        .answer(AnswerRequest::new(question))
+        .expect("warm answer");
+    let warm_cache = service.cache_report().total().since(&after_cold);
     println!("\n— warm repeat —");
-    println!("  answers:     {:?}", warm.response.outcome.answers);
+    println!("  answers:     {:?}", warm.answers());
     println!(
         "  cache:       {} misses, {} hits",
-        warm.cache.misses, warm.cache.hits
+        warm_cache.misses, warm_cache.hits
     );
     let report = service.cache_report();
     let stats = report.kg("DBpedia").expect("cached KG");
@@ -94,7 +97,11 @@ fn main() {
         stats.hit_rate() * 100.0,
         stats.hits + stats.misses
     );
-    assert_eq!(warm.response.outcome.answers, cold.response.outcome.answers);
+    assert_eq!(warm.answers(), cold.answers());
+    assert_eq!(
+        warm_cache.misses, 0,
+        "a warm repeat never reaches the engine"
+    );
 
     // Stage swapping: the baselines' curated-rule question decomposition in
     // stage 1, KGQAn's JIT linking / execution / filtration downstream.
@@ -112,5 +119,6 @@ fn main() {
         .answer(AnswerRequest::new(question))
         .expect("rule-based answer");
     println!("\n— rule-based understanding, same downstream stages —");
-    println!("  answers:     {:?}", swapped.outcome.answers);
+    println!("  answers:     {:?}", swapped.answers());
+    assert_eq!(swapped.answers(), cold.answers());
 }

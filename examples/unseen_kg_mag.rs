@@ -11,7 +11,9 @@
 //! cargo run --release --example unseen_kg_mag
 //! ```
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use std::sync::Arc;
+
+use kgqan::{AnswerRequest, QaService};
 use kgqan_baselines::{GAnswerSystem, QaSystem};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
@@ -23,7 +25,7 @@ fn main() {
         kg.store.len(),
         kg.facts.authors[0].iri
     );
-    let endpoint = InProcessEndpoint::new("MAG", kg.store.clone());
+    let endpoint = Arc::new(InProcessEndpoint::new("MAG", kg.store.clone()));
 
     let author = &kg.facts.authors[2];
     let question = format!("What is the primary affiliation of {}?", author.name);
@@ -32,13 +34,16 @@ fn main() {
 
     // KGQAn: no pre-processing, just-in-time linking.
     println!("\n-- KGQAn (no pre-processing) --");
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
-    match platform.answer(&question, &endpoint) {
-        Ok(outcome) => {
-            if outcome.answers.is_empty() {
+    let service = QaService::builder()
+        .endpoint(endpoint.clone())
+        .build()
+        .expect("one registered KG");
+    match service.answer(AnswerRequest::new(&question)) {
+        Ok(response) => {
+            if response.answers().is_empty() {
                 println!("  No answer found.");
             }
-            for answer in &outcome.answers {
+            for answer in response.answers() {
                 println!("  Answer: {answer}");
             }
         }
@@ -49,13 +54,13 @@ fn main() {
     // index cannot link mentions to opaque MAG URIs.
     println!("\n-- gAnswer behaviour model (URI-text index) --");
     let mut ganswer = GAnswerSystem::new();
-    let stats = ganswer.preprocess(&endpoint);
+    let stats = ganswer.preprocess(endpoint.as_ref());
     println!(
         "  Pre-processing: {:?}, index ≈ {} KB",
         stats.duration,
         stats.index_bytes / 1024
     );
-    let response = ganswer.answer(&question, &endpoint);
+    let response = ganswer.answer(&question, endpoint.as_ref());
     if response.answers.is_empty() {
         println!(
             "  No answer found (URI-based linking cannot resolve \"{}\").",

@@ -4,7 +4,7 @@
 //! the opaque-URI KG.
 
 use kgqan::{KgqanConfig, QuestionUnderstanding};
-use kgqan_baselines::{EdgqaSystem, GAnswerSystem, KgqanSystem, QaSystem};
+use kgqan_baselines::{EdgqaSystem, GAnswerSystem, PipelineSystem, QaSystem};
 use kgqan_benchmarks::suite::BenchmarkInstance;
 use kgqan_benchmarks::{evaluate, BenchmarkSuite, KgFlavor, SuiteScale, SystemAnswer};
 use kgqan_rdf::vocab;
@@ -29,7 +29,7 @@ fn run(system: &dyn QaSystem, instance: &BenchmarkInstance) -> f64 {
 
 #[test]
 fn kgqan_beats_baselines_on_unseen_scholarly_kgs() {
-    let kgqan = KgqanSystem::with_parts(
+    let kgqan = PipelineSystem::kgqan(
         QuestionUnderstanding::train_default(),
         KgqanConfig::default(),
     );
@@ -77,7 +77,7 @@ fn ganswer_scores_zero_on_mag_like_kg() {
 fn only_the_baselines_pay_preprocessing_cost() {
     let instance = BenchmarkSuite::build_one(KgFlavor::Dblp, SuiteScale::Smoke);
 
-    let mut kgqan = KgqanSystem::with_parts(
+    let mut kgqan = PipelineSystem::kgqan(
         QuestionUnderstanding::train_default(),
         KgqanConfig::default(),
     );

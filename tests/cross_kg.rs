@@ -4,10 +4,10 @@
 //! pre-processing.  This is the paper's central claim.
 
 use kgqan::{KgqanConfig, QuestionUnderstanding};
-use kgqan_baselines::{KgqanSystem, QaSystem};
+use kgqan_baselines::{PipelineSystem, QaSystem};
 use kgqan_benchmarks::{evaluate, BenchmarkSuite, KgFlavor, SuiteScale, SystemAnswer};
 
-fn run_kgqan(system: &KgqanSystem, flavor: KgFlavor) -> f64 {
+fn run_kgqan(system: &PipelineSystem, flavor: KgFlavor) -> f64 {
     let instance = BenchmarkSuite::build_one(flavor, SuiteScale::Smoke);
     let answers: Vec<SystemAnswer> = instance
         .benchmark
@@ -28,7 +28,7 @@ fn run_kgqan(system: &KgqanSystem, flavor: KgFlavor) -> f64 {
 
 #[test]
 fn one_platform_answers_on_all_five_kgs_without_preprocessing() {
-    let mut system = KgqanSystem::with_parts(
+    let mut system = PipelineSystem::kgqan(
         QuestionUnderstanding::train_default(),
         KgqanConfig::default(),
     );
@@ -72,7 +72,7 @@ fn one_platform_answers_on_all_five_kgs_without_preprocessing() {
 
 #[test]
 fn dbpedia_and_yago_use_different_vocabularies_but_both_work() {
-    let system = KgqanSystem::with_parts(
+    let system = PipelineSystem::kgqan(
         QuestionUnderstanding::train_default(),
         KgqanConfig::default(),
     );

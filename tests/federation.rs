@@ -94,9 +94,7 @@ proptest! {
             .iter()
             .map(|a| a.term.to_string())
             .collect();
-        let direct_terms: BTreeSet<String> = direct
-            .outcome
-            .answers
+        let direct_terms: BTreeSet<String> = direct.answers()
             .iter()
             .map(|t| t.to_string())
             .collect();

@@ -2,12 +2,12 @@
 //! should improve precision on a whole benchmark without destroying recall.
 
 use kgqan::{KgqanConfig, QuestionUnderstanding};
-use kgqan_baselines::{KgqanSystem, QaSystem};
+use kgqan_baselines::{PipelineSystem, QaSystem};
 use kgqan_benchmarks::{evaluate, BenchmarkSuite, KgFlavor, SuiteScale, SystemAnswer};
 
 fn run(filtration: bool) -> (f64, f64, f64) {
     let instance = BenchmarkSuite::build_one(KgFlavor::Dbpedia10, SuiteScale::Smoke);
-    let system = KgqanSystem::with_parts(
+    let system = PipelineSystem::kgqan(
         QuestionUnderstanding::train_default(),
         KgqanConfig {
             filtration_enabled: filtration,

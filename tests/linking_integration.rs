@@ -2,7 +2,7 @@
 //! generated knowledge graphs, using the benchmarks' gold linking pairs.
 
 use kgqan::pgp::PhraseGraphPattern;
-use kgqan::{FineGrainedAffinity, JitLinker, LinkerConfig, SemanticAffinity};
+use kgqan::{Budget, FineGrainedAffinity, JitLinker, LinkerConfig, SemanticAffinity};
 use kgqan_benchmarks::suite::BenchmarkSuite;
 use kgqan_benchmarks::{KgFlavor, SuiteScale};
 use kgqan_nlp::{PhraseNode, PhraseTriplePattern};
@@ -27,8 +27,13 @@ fn entity_linking_resolves_most_gold_mentions_on_dbpedia() {
         for (phrase, gold) in &question.linking.entities {
             total += 1;
             let agp = linker
-                .link(&pgp_for(phrase, "related to"), instance.endpoint.as_ref())
-                .unwrap();
+                .link(
+                    &pgp_for(phrase, "related to"),
+                    instance.endpoint.as_ref(),
+                    &Budget::unbounded(),
+                )
+                .unwrap()
+                .agp;
             let node = agp.pgp.nodes().iter().find(|n| !n.is_unknown()).unwrap().id;
             if agp.vertices_of(node).first().map(|rv| &rv.vertex) == Some(gold) {
                 correct += 1;
@@ -61,8 +66,10 @@ fn relation_linking_ranks_gold_predicate_in_top_candidates() {
                 .link(
                     &pgp_for(entity_phrase, relation_phrase),
                     instance.endpoint.as_ref(),
+                    &Budget::unbounded(),
                 )
-                .unwrap();
+                .unwrap()
+                .agp;
             if agp
                 .predicates_of(0)
                 .iter()
@@ -93,8 +100,13 @@ fn linking_works_on_opaque_uri_kg_through_descriptions() {
         for (phrase, gold) in &question.linking.entities {
             total += 1;
             let agp = linker
-                .link(&pgp_for(phrase, "related to"), instance.endpoint.as_ref())
-                .unwrap();
+                .link(
+                    &pgp_for(phrase, "related to"),
+                    instance.endpoint.as_ref(),
+                    &Budget::unbounded(),
+                )
+                .unwrap()
+                .agp;
             let node = agp.pgp.nodes().iter().find(|n| !n.is_unknown()).unwrap().id;
             if agp.vertices_of(node).first().map(|rv| &rv.vertex) == Some(gold) {
                 correct += 1;
@@ -122,8 +134,13 @@ fn num_vertices_knob_controls_annotation_width() {
             },
         );
         let agp = linker
-            .link(&pgp_for(phrase, "related to"), instance.endpoint.as_ref())
-            .unwrap();
+            .link(
+                &pgp_for(phrase, "related to"),
+                instance.endpoint.as_ref(),
+                &Budget::unbounded(),
+            )
+            .unwrap()
+            .agp;
         let node = agp.pgp.nodes().iter().find(|n| !n.is_unknown()).unwrap().id;
         assert!(
             agp.vertices_of(node).len() <= k,
@@ -147,8 +164,13 @@ fn relation_annotations_respect_num_predicates_knob() {
     let entity = &question.linking.entities[0].0;
     let relation = &question.linking.relations[0].0;
     let agp = linker
-        .link(&pgp_for(entity, relation), instance.endpoint.as_ref())
-        .unwrap();
+        .link(
+            &pgp_for(entity, relation),
+            instance.endpoint.as_ref(),
+            &Budget::unbounded(),
+        )
+        .unwrap()
+        .agp;
     assert!(agp.predicates_of(0).len() <= 3);
 }
 
@@ -190,8 +212,9 @@ fn a_model_implementing_only_score_links_through_the_provided_batch_method() {
         let pgp = pgp_for(entity, relation);
         let link = |affinity: &dyn SemanticAffinity| {
             JitLinker::new(affinity, LinkerConfig::default())
-                .link(&pgp, instance.endpoint.as_ref())
+                .link(&pgp, instance.endpoint.as_ref(), &Budget::unbounded())
                 .unwrap()
+                .agp
         };
         let (expected, got) = (link(&builtin), link(&custom));
         assert_eq!(got.node_annotations, expected.node_annotations);

@@ -190,8 +190,7 @@ fn scoped_invalidation_keeps_untouched_service_cache_entries_warm() {
     );
     let answer = service.answer(AnswerRequest::new(touched)).unwrap();
     assert!(answer
-        .outcome
-        .answers
+        .answers()
         .iter()
         .any(|t| t.as_iri() == Some("http://example.org/resource/Yves")));
 }

@@ -121,18 +121,18 @@ proptest! {
                 let uncached_result = uncached.answer(AnswerRequest::new(&question));
                 match (cached_result, uncached_result) {
                     (Ok(c), Ok(u)) => {
-                        if c.outcome.answers != u.outcome.answers {
+                        if c.answers() != u.answers() {
                             return Err(TestCaseError::fail(format!(
                                 "answers diverged on {question:?} (round {round}): \
                                  {:?} vs {:?}",
-                                c.outcome.answers, u.outcome.answers
+                                c.answers(), u.answers()
                             )));
                         }
                         prop_assert_eq!(
-                            &c.outcome.unfiltered_answers,
-                            &u.outcome.unfiltered_answers
+                            &c.trace.filtered.unfiltered,
+                            &u.trace.filtered.unfiltered
                         );
-                        prop_assert_eq!(c.outcome.boolean, u.outcome.boolean);
+                        prop_assert_eq!(c.boolean(), u.boolean());
                     }
                     (Err(c), Err(u)) => prop_assert_eq!(c.to_string(), u.to_string()),
                     (c, u) => {
@@ -165,8 +165,8 @@ fn concurrent_requests_share_one_namespace() {
     let reference = service
         .answer(AnswerRequest::new(&question))
         .unwrap()
-        .outcome
-        .answers;
+        .answers()
+        .to_vec();
     let before = service.cache_report().total();
 
     std::thread::scope(|scope| {
@@ -177,7 +177,7 @@ fn concurrent_requests_share_one_namespace() {
             scope.spawn(move || {
                 for _ in 0..5 {
                     let response = service.answer(AnswerRequest::new(&question)).unwrap();
-                    assert_eq!(response.outcome.answers, reference);
+                    assert_eq!(response.answers(), reference);
                 }
             });
         }
@@ -188,44 +188,39 @@ fn concurrent_requests_share_one_namespace() {
     assert_eq!(delta.misses, 0, "warm namespace must absorb every probe");
     // The KG endpoint itself served no additional requests after warm-up.
     let stats = service.registry().get_uncached("People").unwrap().stats();
-    let warm = service
-        .answer_traced(AnswerRequest::new(&question))
-        .unwrap();
-    assert_eq!(
-        warm.response.endpoint_stats.total_requests,
-        stats.total_requests
-    );
+    let warm = service.answer(AnswerRequest::new(&question)).unwrap();
+    assert_eq!(warm.endpoint_stats.total_requests, stats.total_requests);
 }
 
 #[test]
-fn traced_answers_report_per_stage_artifacts_through_the_public_api() {
+fn responses_report_per_stage_artifacts_through_the_public_api() {
     let kg = PeopleKg {
         couples: vec![(1, 0)],
         typed: vec![true],
     };
     let service = service(&kg, true);
     let question = kg.questions()[0].clone();
+    // A request's cache activity is the difference of two report reads.
+    let cache = || service.cache_report().total();
 
-    let cold = service
-        .answer_traced(AnswerRequest::new(&question))
-        .unwrap();
+    let cold = service.answer(AnswerRequest::new(&question)).unwrap();
+    let after_cold = cache();
     assert!(!cold.trace.understanding.pgp.is_empty());
     assert!(cold.trace.linked.completed);
     assert!(!cold.trace.linked.candidates.is_empty());
     assert!(!cold.trace.execution.query_stats.is_empty());
-    assert_eq!(cold.trace.filtered.answers, cold.response.outcome.answers);
-    assert!(cold.cache.misses > 0);
-    assert_eq!(cold.cache.hits, 0);
+    assert_eq!(cold.trace.filtered.answers, cold.answers());
+    assert!(after_cold.misses > 0);
+    assert_eq!(after_cold.hits, 0);
 
-    let warm = service
-        .answer_traced(AnswerRequest::new(&question))
-        .unwrap();
-    assert!(warm.cache.hits > 0);
-    assert_eq!(warm.cache.misses, 0);
-    assert_eq!(warm.response.outcome.answers, cold.response.outcome.answers);
+    let warm = service.answer(AnswerRequest::new(&question)).unwrap();
+    let warm_delta = cache().since(&after_cold);
+    assert!(warm_delta.hits > 0);
+    assert_eq!(warm_delta.misses, 0);
+    assert_eq!(warm.answers(), cold.answers());
     // Cache statistics surface on the endpoint stats snapshot too.
     assert_eq!(
-        warm.response.endpoint_stats.cache_hits as u64,
+        warm.endpoint_stats.cache_hits as u64,
         service.cache_report().kg("People").unwrap().hits
     );
 }

@@ -106,13 +106,11 @@ fn one_service_serves_two_kgs_from_many_threads() {
         .answer(AnswerRequest::new(SEAS_QUESTION).on_kg("Seas"))
         .unwrap();
     assert!(reference_people
-        .outcome
-        .answers
+        .answers()
         .iter()
         .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Michelle_Obama")));
     assert!(reference_seas
-        .outcome
-        .answers
+        .answers()
         .iter()
         .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Baltic_Sea")));
 
@@ -133,7 +131,7 @@ fn one_service_serves_two_kgs_from_many_threads() {
                         .unwrap();
                     assert_eq!(response.kg, kg);
                     assert_eq!(response.verdict, BudgetVerdict::Completed);
-                    (response.kg, response.outcome.answers)
+                    (response.kg, response.trace.filtered.answers)
                 })
             })
             .collect();
@@ -143,11 +141,11 @@ fn one_service_serves_two_kgs_from_many_threads() {
     // Every thread got exactly the single-threaded answers for its KG.
     for (kg, answers) in results {
         let expected = if kg == "People" {
-            &reference_people.outcome.answers
+            reference_people.answers()
         } else {
-            &reference_seas.outcome.answers
+            reference_seas.answers()
         };
-        assert_eq!(&answers, expected, "divergent answers on {kg}");
+        assert_eq!(answers, expected, "divergent answers on {kg}");
     }
 }
 
@@ -214,13 +212,10 @@ fn per_request_overrides_take_effect_without_touching_the_service() {
         )
         .unwrap();
     // With filtration disabled the response returns every collected answer.
-    assert_eq!(
-        unfiltered.outcome.answers,
-        unfiltered.outcome.unfiltered_answers
-    );
+    assert_eq!(unfiltered.answers(), unfiltered.trace.filtered.unfiltered);
     // The service-wide config is untouched by per-request overrides.
     assert!(service.config().filtration_enabled);
-    assert!(!filtered.outcome.answers.is_empty());
+    assert!(!filtered.answers().is_empty());
 
     // Capping the productive-query budget caps executed candidates.
     let capped = service
@@ -231,7 +226,13 @@ fn per_request_overrides_take_effect_without_touching_the_service() {
             }),
         )
         .unwrap();
-    let productive = capped.query_stats.iter().filter(|s| s.rows > 0).count();
+    let productive = capped
+        .trace
+        .execution
+        .query_stats
+        .iter()
+        .filter(|s| s.rows > 0)
+        .count();
     assert!(
         productive <= 1,
         "expected ≤1 productive query, got {productive}"
@@ -250,14 +251,14 @@ fn answer_batch_agrees_with_sequential_answers_across_kgs() {
 
     let sequential: Vec<_> = requests
         .iter()
-        .map(|r| service.answer(r.clone()).unwrap().outcome.answers)
+        .map(|r| service.answer(r.clone()).unwrap().trace.filtered.answers)
         .collect();
     let batched = service.answer_batch(&requests);
 
     assert_eq!(batched.len(), requests.len());
     for (i, (response, expected)) in batched.iter().zip(&sequential).enumerate() {
         let response = response.as_ref().expect("batch request succeeds");
-        assert_eq!(&response.outcome.answers, expected, "request {i} diverged");
+        assert_eq!(response.answers(), expected, "request {i} diverged");
         assert_eq!(response.kg, requests[i].kg.clone().unwrap());
     }
 }

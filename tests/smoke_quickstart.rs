@@ -2,12 +2,12 @@
 //!
 //! Builds the miniature DBpedia fragment around the paper's running example
 //! 𝑞_E (Figure 4), wraps it in an [`InProcessEndpoint`], and asserts that a
-//! default-configured [`KgqanPlatform`] produces the gold answer. This is
+//! default-configured [`QaService`] produces the gold answer. This is
 //! deliberately fast (a 7-triple KG) so it can guard every CI run.
 
 use std::sync::Arc;
 
-use kgqan::{KgqanConfig, KgqanPlatform};
+use kgqan::{AnswerRequest, QaService};
 use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
@@ -54,27 +54,30 @@ fn quickstart_store() -> Store {
 #[test]
 fn quickstart_running_example_answers_baltic_sea() {
     let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", quickstart_store()));
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+    let service = QaService::builder()
+        .endpoint(endpoint.clone())
+        .build()
+        .expect("one registered KG");
 
     let question = "Name the sea into which Danish Straits flows and has \
                     Kaliningrad as one of the city on the shore";
-    let outcome = platform
-        .answer(question, endpoint.as_ref())
+    let response = service
+        .answer(AnswerRequest::new(question))
         .expect("the running example question must be understood");
 
     // The gold answer of the running example.
     assert!(
-        outcome
-            .answers
+        response
+            .answers()
             .iter()
             .any(|t| t.as_iri() == Some("http://dbpedia.org/resource/Baltic_Sea")),
         "expected Baltic_Sea among answers, got {:?}",
-        outcome.answers
+        response.answers()
     );
 
     // The pipeline actually ran all three phases against the endpoint.
     assert!(
-        !outcome.executed_queries.is_empty(),
+        !response.trace.execution.query_stats.is_empty(),
         "no SPARQL was executed"
     );
     assert!(
@@ -84,17 +87,22 @@ fn quickstart_running_example_answers_baltic_sea() {
 }
 
 #[test]
-fn quickstart_platform_is_reusable_across_questions() {
-    let endpoint = Arc::new(InProcessEndpoint::new("DBpedia", quickstart_store()));
-    let platform = KgqanPlatform::with_config(KgqanConfig::default());
+fn quickstart_service_is_reusable_across_questions() {
+    let service = QaService::builder()
+        .endpoint(Arc::new(InProcessEndpoint::new(
+            "DBpedia",
+            quickstart_store(),
+        )))
+        .build()
+        .expect("one registered KG");
 
-    // The platform trains once and answers any number of questions; a second
+    // The service trains once and answers any number of questions; a second
     // question on the same instance must not panic or poison state.
     for question in [
         "Name the sea into which Danish Straits flows and has \
          Kaliningrad as one of the city on the shore",
         "What flows into the Baltic Sea?",
     ] {
-        let _ = platform.answer(question, endpoint.as_ref());
+        let _ = service.answer(AnswerRequest::new(question));
     }
 }
