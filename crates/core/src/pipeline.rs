@@ -269,8 +269,9 @@ impl StageTimings {
 /// plus per-stage timings.
 #[derive(Debug, Clone)]
 pub struct PipelineTrace {
-    /// The understanding artifact (stage 1).
-    pub understanding: Understanding,
+    /// The understanding artifact (stage 1), shared with every other run
+    /// of the same understood question.
+    pub understanding: Arc<Understanding>,
     /// The linking artifact (stage 2).
     pub linked: LinkedQuestion,
     /// The execution artifact (stage 3).
@@ -415,13 +416,24 @@ impl Pipeline {
         self
     }
 
-    /// Run all four stages on one question, timing each, and return the
-    /// full trace.
-    pub fn run(&self, question: &str, ctx: &StageContext<'_>) -> Result<PipelineTrace, KgqanError> {
-        let t0 = Instant::now();
-        let understanding = self.understand.understand(question)?;
-        let understand_time = t0.elapsed();
+    /// Stage 1 alone: understand one question.
+    ///
+    /// Understanding depends on no KG (the paper's Figure 4), so the result
+    /// comes back behind an `Arc`: a caller asking several KGs the same
+    /// question understands it once and hands a clone to each
+    /// [`Pipeline::run_understood`].
+    pub fn understand(&self, question: &str) -> Result<Arc<Understanding>, KgqanError> {
+        self.understand.understand(question).map(Arc::new)
+    }
 
+    /// Stages 2–4 — link, execute, filter — against `ctx.endpoint` for a
+    /// question that is already understood, timing each.  The trace's
+    /// `timings.understand` is zero: this call did not run that stage.
+    pub fn run_understood(
+        &self,
+        understanding: Arc<Understanding>,
+        ctx: &StageContext<'_>,
+    ) -> Result<PipelineTrace, KgqanError> {
         let t1 = Instant::now();
         let linked = self.link.link(&understanding, ctx)?;
         let link_time = t1.elapsed();
@@ -440,12 +452,24 @@ impl Pipeline {
             execution,
             filtered,
             timings: StageTimings {
-                understand: understand_time,
+                understand: Duration::ZERO,
                 link: link_time,
                 execute: execute_time,
                 filter: filter_time,
             },
         })
+    }
+
+    /// Run all four stages on one question, timing each, and return the
+    /// full trace: [`Pipeline::understand`] then
+    /// [`Pipeline::run_understood`].
+    pub fn run(&self, question: &str, ctx: &StageContext<'_>) -> Result<PipelineTrace, KgqanError> {
+        let t0 = Instant::now();
+        let understanding = self.understand(question)?;
+        let understand_time = t0.elapsed();
+        let mut trace = self.run_understood(understanding, ctx)?;
+        trace.timings.understand = understand_time;
+        Ok(trace)
     }
 }
 

@@ -29,30 +29,34 @@
 //!   [`BudgetVerdict::Partial`] — a slow KG bounds a request's latency
 //!   instead of running unbounded.
 //! * [`QaService::answer`] runs the whole pipeline on the calling thread.
-//!   [`QaService::answer_batch`] fans a slice of requests out on the
-//!   service's one persistent worker pool, started on the first batch; the
-//!   service itself is cheaply cloneable (`Arc` inside) and `Send + Sync`,
-//!   so callers can equally well clone it into their own threads.
+//!   [`QaService::answer_batch`] understands each distinct question of the
+//!   batch once and runs the per-KG stages of its legs from one shared
+//!   cursor: the calling thread claims and runs legs itself, and helpers
+//!   from the service's one persistent worker pool join in only while the
+//!   service has workers nobody is using.  The service itself is cheaply
+//!   cloneable (`Arc`s inside) and `Send + Sync`, so callers can equally
+//!   well clone it into their own threads.
 //!
 //! [`QaService::answer`] (and its batch form) is the only way into the
 //! pipeline for a registered KG; a caller holding a *borrowed* endpoint
 //! runs [`Pipeline::run`] itself.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use kgqan_endpoint::{EndpointRegistry, RequestStats, SparqlEndpoint};
 use kgqan_rdf::Term;
-use kgqan_sparql::pool::{PoolConfig, PoolStats, Ticket, WorkerPool};
+use kgqan_sparql::pool::{PoolConfig, PoolStats, WorkerPool};
 
 use crate::affinity::SemanticAffinity;
 use crate::cache::{CacheConfig, CacheReport};
 use crate::config::{Budget, KgqanConfig, LinkerConfig};
 use crate::error::KgqanError;
 use crate::pipeline::{Pipeline, PipelineTrace, StageContext};
-use crate::understanding::QuestionUnderstanding;
+use crate::understanding::{QuestionUnderstanding, Understanding};
 
 /// Whether a request completed within its budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -233,6 +237,10 @@ impl AnswerResponse {
     }
 }
 
+/// Everything a pipeline run needs, shared by every service clone and by
+/// the helper jobs of a batch.  The pool is *not* in here: a helper that
+/// starts late may be the last holder of this value, and dropping a pool on
+/// one of its own threads would join that thread from itself.
 struct ServiceInner {
     understanding: Arc<QuestionUnderstanding>,
     pipeline: Pipeline,
@@ -241,21 +249,27 @@ struct ServiceInner {
     default_kg: Option<String>,
     next_request_id: AtomicU64,
     pool_config: PoolConfig,
-    /// The persistent bounded worker pool batches fan out on, started by
-    /// the first batch.  Dropping the service's last clone shuts it down
-    /// cleanly (accepted jobs drain, threads join).
-    pool: OnceLock<WorkerPool>,
+    /// Pipelines running right now on any thread — the callers of
+    /// [`QaService::answer`] and the legs of every batch.  A serving layer
+    /// bounds the same number by `pool_config.workers`, so a batch reads it
+    /// to see how many workers nobody is using.
+    in_flight: AtomicUsize,
 }
 
 /// A concurrent, multi-KG question-answering service.
 ///
-/// Cloning is cheap (an `Arc` bump) and every clone shares the same trained
-/// models, configuration, endpoint registry and cache namespaces, so one
-/// service can be handed to any number of threads.  See the
+/// Cloning is cheap (two `Arc` bumps) and every clone shares the same
+/// trained models, configuration, endpoint registry and cache namespaces,
+/// so one service can be handed to any number of threads.  See the
 /// [module docs](self) for the request / response model.
 #[derive(Clone)]
 pub struct QaService {
     inner: Arc<ServiceInner>,
+    /// The persistent bounded worker pool batches enlist helpers from,
+    /// started by the first batch that finds spare capacity.  Dropping the
+    /// service's last clone shuts it down cleanly (accepted jobs drain,
+    /// threads join).
+    pool: Arc<OnceLock<WorkerPool>>,
 }
 
 impl QaService {
@@ -301,12 +315,13 @@ impl QaService {
         self.inner.registry.invalidate_cache(kg)
     }
 
-    /// A snapshot of the batch pool's counters.  `workers` is the
-    /// configured size ([`QaServiceBuilder::worker_pool`], else
-    /// [`PoolConfig::default`]) even before the first batch has started the
-    /// threads — it is also what a serving layer sizes its admission to.
+    /// A snapshot of the batch pool's counters (its jobs are the helpers of
+    /// batches, not their legs).  `workers` is the configured size
+    /// ([`QaServiceBuilder::worker_pool`], else [`PoolConfig::default`])
+    /// even before a batch has started the threads — it is also what a
+    /// serving layer sizes its admission to.
     pub fn pool_stats(&self) -> PoolStats {
-        self.inner.pool.get().map_or(
+        self.pool.get().map_or(
             PoolStats {
                 workers: self.inner.pool_config.workers.max(1),
                 ..PoolStats::default()
@@ -316,11 +331,11 @@ impl QaService {
     }
 
     /// Gracefully shut the batch pool down, if a batch has started it: run
-    /// every leg already accepted to completion and join the worker
-    /// threads.  Later batches run their legs on the calling thread;
+    /// every helper job already accepted to completion and join the worker
+    /// threads.  Later batches run all their legs on the calling thread;
     /// [`QaService::answer`] is unaffected.
     pub fn shutdown(&self) {
-        if let Some(pool) = self.inner.pool.get() {
+        if let Some(pool) = self.pool.get() {
             pool.shutdown();
         }
     }
@@ -343,6 +358,77 @@ impl QaService {
         Ok(self.inner.registry.ingest(kg, batch)?)
     }
 
+    /// Answer one request against its registered target KG, on the calling
+    /// thread.
+    pub fn answer(&self, request: AnswerRequest) -> Result<AnswerResponse, KgqanError> {
+        self.inner.serve(request, Pipeline::run)
+    }
+
+    /// Answer a batch of requests; responses come back in request order.
+    ///
+    /// **Who runs a leg.**  The legs sit behind one shared cursor.  The
+    /// calling thread claims and runs legs itself until none is left, and
+    /// then waits only for legs a helper has claimed and not yet finished —
+    /// never for a helper that has not started.  Which thread ran which leg
+    /// shows nowhere in the responses.
+    ///
+    /// **When helpers are enlisted.**  Before it starts, the caller submits
+    /// at most `min(legs − 1, workers − 1 − pipelines in flight)` helper
+    /// jobs to the service's pool (started by the first batch that enlists
+    /// any): one worker is the caller itself, and the pipelines other
+    /// threads are running right now — [`QaService::answer`] callers, legs
+    /// of other batches — already occupy theirs.  On an idle service the
+    /// legs of a batch overlap, so one slow KG does not serialise the rest;
+    /// on a saturated one a batch crosses no thread at all, because a leg
+    /// handed to a busy box costs more than running it.  A helper the
+    /// bounded queue refuses (or one submitted after
+    /// [`QaService::shutdown`]) just means fewer helpers: a batch of any
+    /// size always answers every leg.
+    ///
+    /// **Understanding is shared.**  Each distinct question text in the
+    /// batch is understood once, by whichever thread first claims a leg
+    /// asking it, and every leg asking it runs link → execute → filter over
+    /// the same `Arc<Understanding>`.  The leg that ran the stage reports
+    /// its time in `trace.timings.understand`; a leg that reused the result
+    /// reports zero.  A question that cannot be understood fails every leg
+    /// asking it with the same [`KgqanError::UnderstandingFailed`].
+    ///
+    /// Each request runs under its own `deadline` only, counted from the
+    /// moment its leg is claimed — a caller fanning one budget out stamps
+    /// every request with its share ([`Budget::split`]), so legs that run
+    /// one after another on the caller stay inside the whole.  The legs
+    /// share the per-KG cache namespaces, so overlapping requests in one
+    /// batch hit each other's probe results.  A leg whose pipeline panics
+    /// is that leg's `Err`, whichever thread ran it.
+    ///
+    /// Batch responses come back with `trace.linked.candidates` empty (see
+    /// `Batch::run_leg`); `trace.execution.query_stats` still lists every
+    /// candidate that was executed.
+    pub fn answer_batch(
+        &self,
+        requests: &[AnswerRequest],
+    ) -> Vec<Result<AnswerResponse, KgqanError>> {
+        let batch = Arc::new(Batch::new(Arc::clone(&self.inner), requests));
+        let workers = self.inner.pool_config.workers.max(1);
+        let spare = (workers - 1).saturating_sub(self.inner.in_flight.load(Ordering::Relaxed));
+        let helpers = requests.len().saturating_sub(1).min(spare);
+        if helpers > 0 {
+            let pool = self
+                .pool
+                .get_or_init(|| WorkerPool::new(self.inner.pool_config));
+            for _ in 0..helpers {
+                let batch = Arc::clone(&batch);
+                if pool.try_submit(move || batch.drain()).is_err() {
+                    break;
+                }
+            }
+        }
+        batch.drain();
+        batch.collect()
+    }
+}
+
+impl ServiceInner {
     /// Resolve which registered KG a request targets: the request's explicit
     /// choice, else the configured default, else the sole registered
     /// endpoint.
@@ -350,10 +436,10 @@ impl QaService {
         if let Some(kg) = &request.kg {
             return Ok(kg.clone());
         }
-        if let Some(default) = &self.inner.default_kg {
+        if let Some(default) = &self.default_kg {
             return Ok(default.clone());
         }
-        let names = self.inner.registry.names();
+        let names = self.registry.names();
         match names.as_slice() {
             [only] => Ok(only.clone()),
             [] => Err(KgqanError::Configuration(
@@ -366,21 +452,38 @@ impl QaService {
         }
     }
 
-    /// Answer one request against its registered target KG.
-    pub fn answer(&self, request: AnswerRequest) -> Result<AnswerResponse, KgqanError> {
+    /// The one function every pipeline run passes through, a lone
+    /// [`QaService::answer`] and a batch leg alike: resolve the request's
+    /// endpoint, configuration and budget, let `run` drive the pipeline in
+    /// that context, and wrap the trace in the response envelope.  The run
+    /// counts as in flight for as long as this function is on the stack.
+    fn serve(
+        &self,
+        request: AnswerRequest,
+        run: impl FnOnce(&Pipeline, &str, &StageContext<'_>) -> Result<PipelineTrace, KgqanError>,
+    ) -> Result<AnswerResponse, KgqanError> {
+        struct InFlight<'a>(&'a AtomicUsize);
+        impl Drop for InFlight<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        let _in_flight = InFlight(&self.in_flight);
+
         let kg = self.resolve_kg(&request)?;
-        let endpoint = self.inner.registry.get(&kg)?;
-        let config = request.overrides.apply(&self.inner.config);
+        let endpoint = self.registry.get(&kg)?;
+        let config = request.overrides.apply(&self.config);
         let budget = Budget::start(request.deadline);
         let request_id = request.id.unwrap_or_else(|| {
             format!(
                 "req-{}",
-                self.inner.next_request_id.fetch_add(1, Ordering::Relaxed)
+                self.next_request_id.fetch_add(1, Ordering::Relaxed)
             )
         });
 
         let ctx = StageContext::new(endpoint.as_ref(), &budget, &config);
-        let trace = self.inner.pipeline.run(&request.question, &ctx)?;
+        let trace = run(&self.pipeline, &request.question, &ctx)?;
         let elapsed = budget.elapsed();
 
         // Per-answer ranking scores: the best Equation-2 score among the
@@ -417,79 +520,117 @@ impl QaService {
             trace,
         })
     }
+}
 
-    /// One leg of a batch: [`QaService::answer`], with the generated
-    /// candidate list dropped by the thread that built it.
-    ///
-    /// The list is the one artifact nothing reads after execution and it is
-    /// hundreds of small allocations per leg (text, AST and BGP of every
-    /// candidate).  Letting it ride in the response, to be freed by the
-    /// thread that collects the batch, cost the `federate_hot` workload 23 %
-    /// of its throughput (3 300 → 2 550 requests/s, p95 1.13 → 1.65 ms);
-    /// freed here, the same workload is back at the parent's numbers.
-    fn answer_leg(&self, request: AnswerRequest) -> Result<AnswerResponse, KgqanError> {
-        let mut response = self.answer(request)?;
-        response.trace.linked.candidates = Vec::new();
-        Ok(response)
+/// What one leg of a batch produced.
+type LegOutput = Result<AnswerResponse, KgqanError>;
+
+/// The shared state of one [`QaService::answer_batch`] call.  Everything is
+/// owned, so the same value serves the calling thread and the `'static`
+/// helper jobs on the pool.
+struct Batch {
+    service: Arc<ServiceInner>,
+    requests: Vec<AnswerRequest>,
+    /// Per leg, the index of the first leg asking the same question text:
+    /// the slot of `understood` the leg shares.
+    first_asker: Vec<usize>,
+    /// One slot per distinct question (at its first asker's index), filled
+    /// by whichever thread first runs a leg that needs it.
+    understood: Vec<OnceLock<Result<Arc<Understanding>, KgqanError>>>,
+    /// Next unclaimed leg — the cursor the caller and the helpers share.
+    next: AtomicUsize,
+    /// One slot per leg, written by whichever thread ran it.
+    outputs: Mutex<Vec<Option<LegOutput>>>,
+    /// Signalled per finished leg; only the caller ever waits.
+    leg_done: Condvar,
+}
+
+impl Batch {
+    fn new(service: Arc<ServiceInner>, requests: &[AnswerRequest]) -> Batch {
+        let mut seen = HashMap::with_capacity(requests.len());
+        Batch {
+            service,
+            first_asker: requests
+                .iter()
+                .enumerate()
+                .map(|(leg, request)| *seen.entry(request.question.as_str()).or_insert(leg))
+                .collect(),
+            understood: requests.iter().map(|_| OnceLock::new()).collect(),
+            requests: requests.to_vec(),
+            next: AtomicUsize::new(0),
+            outputs: Mutex::new(requests.iter().map(|_| None).collect()),
+            leg_done: Condvar::new(),
+        }
     }
 
-    /// Answer a batch of requests concurrently on the service's worker
-    /// pool.
-    ///
-    /// Responses come back in request order.  The pool's threads are
-    /// started by the first batch and reused by every later one; they pull
-    /// legs from a shared queue, so one slow KG does not serialise the rest
-    /// of the batch, and they share the per-KG cache namespaces, so
-    /// overlapping requests in one batch hit each other's probe results.
-    /// Each request runs under its own `deadline` only — a caller fanning
-    /// one budget out stamps every request with its share
-    /// ([`Budget::split`]).  A leg the bounded queue has no room for (or
-    /// that arrives after [`QaService::shutdown`]) runs on the calling
-    /// thread: a batch larger than the queue bound never fails, it just
-    /// shares the caller's core.
-    ///
-    /// Batch responses come back with `trace.linked.candidates` empty (see
-    /// `answer_leg`); `trace.execution.query_stats` still lists every
-    /// candidate that was executed.
-    pub fn answer_batch(
-        &self,
-        requests: &[AnswerRequest],
-    ) -> Vec<Result<AnswerResponse, KgqanError>> {
-        if requests.len() <= 1 {
-            return requests
-                .iter()
-                .map(|r| self.answer_leg(r.clone()))
-                .collect();
-        }
-        enum Slot {
-            Queued(Ticket<Result<AnswerResponse, KgqanError>>),
-            Inline(Box<Result<AnswerResponse, KgqanError>>),
-        }
-        let pool = self
-            .inner
-            .pool
-            .get_or_init(|| WorkerPool::new(self.inner.pool_config));
-        let slots: Vec<Slot> = requests
-            .iter()
-            .map(|request| {
-                let (service, leg) = (self.clone(), request.clone());
-                match pool.try_submit(move || service.answer_leg(leg)) {
-                    Ok(ticket) => Slot::Queued(ticket),
-                    Err(_) => Slot::Inline(Box::new(self.answer_leg(request.clone()))),
-                }
-            })
-            .collect();
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Slot::Queued(ticket) => ticket.wait().unwrap_or_else(|| {
+    /// No code that can panic runs under this lock, so a poisoned one is
+    /// recovered.
+    fn lock_outputs(&self) -> std::sync::MutexGuard<'_, Vec<Option<LegOutput>>> {
+        self.outputs
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
+    /// Claim and run legs until none is left.
+    fn drain(&self) {
+        loop {
+            // Relaxed: the cursor hands out indices and publishes nothing;
+            // requests are immutable and outputs travel under their mutex.
+            let leg = self.next.fetch_add(1, Ordering::Relaxed);
+            if leg >= self.requests.len() {
+                break;
+            }
+            // A panicking stage must cost its own leg only: the caller is
+            // waiting for this slot whichever thread claimed it.
+            let output =
+                catch_unwind(AssertUnwindSafe(|| self.run_leg(leg))).unwrap_or_else(|_| {
                     Err(KgqanError::Configuration(
-                        "pipeline worker was lost while answering the request".into(),
+                        "pipeline panicked while answering the request".into(),
                     ))
-                }),
-                Slot::Inline(result) => *result,
+                });
+            self.lock_outputs()[leg] = Some(output);
+            self.leg_done.notify_one();
+        }
+    }
+
+    /// One leg: link → execute → filter over the batch's shared
+    /// understanding of the leg's question.
+    ///
+    /// The generated candidate list is dropped here, by the thread that
+    /// built it.  It is the one artifact nothing reads after execution and
+    /// it is hundreds of small allocations per leg (text, AST and BGP of
+    /// every candidate); letting it ride in the response, to be freed by
+    /// the thread that collects the batch, cost the `federate_hot` workload
+    /// 23 % of its throughput when legs ran on other threads.
+    fn run_leg(&self, leg: usize) -> LegOutput {
+        let shared = &self.understood[self.first_asker[leg]];
+        self.service
+            .serve(self.requests[leg].clone(), |pipeline, question, ctx| {
+                let mut understand_time = Duration::ZERO;
+                let understanding = shared
+                    .get_or_init(|| {
+                        let started = Instant::now();
+                        let understanding = pipeline.understand(question);
+                        understand_time = started.elapsed();
+                        understanding
+                    })
+                    .clone()?;
+                let mut trace = pipeline.run_understood(understanding, ctx)?;
+                trace.timings.understand = understand_time;
+                trace.linked.candidates = Vec::new();
+                Ok(trace)
             })
-            .collect()
+    }
+
+    /// Wait until every leg has an output and take them, in request order.
+    fn collect(&self) -> Vec<LegOutput> {
+        let mut outputs = self
+            .leg_done
+            .wait_while(self.lock_outputs(), |outputs| {
+                outputs.iter().any(Option::is_none)
+            })
+            .unwrap_or_else(|poisoned| poisoned.into_inner());
+        outputs.drain(..).flatten().collect()
     }
 }
 
@@ -601,11 +742,13 @@ impl QaServiceBuilder {
 
     /// Size the service's worker pool ([`PoolConfig::default`] otherwise).
     ///
-    /// The pool runs the legs of [`QaService::answer_batch`] (and so of
-    /// every federated question); `workers` is also the number of pipeline
-    /// runs the HTTP front-end admits at once.  The threads are started by
-    /// the first batch and joined by [`QaService::shutdown`] or by dropping
-    /// the last service clone.
+    /// `workers` is how many pipelines the service expects to run at once:
+    /// the HTTP front-end admits that many, and a
+    /// [`QaService::answer_batch`] (and so every federated question)
+    /// enlists pool threads as helpers only for the workers not running a
+    /// pipeline already.  The threads are started by the first batch that
+    /// enlists a helper and joined by [`QaService::shutdown`] or by
+    /// dropping the last service clone.
     pub fn worker_pool(mut self, config: PoolConfig) -> Self {
         self.pool = config;
         self
@@ -656,8 +799,9 @@ impl QaServiceBuilder {
                 default_kg: self.default_kg,
                 next_request_id: AtomicU64::new(0),
                 pool_config: self.pool,
-                pool: OnceLock::new(),
+                in_flight: AtomicUsize::new(0),
             }),
+            pool: Arc::new(OnceLock::new()),
         })
     }
 }
@@ -878,12 +1022,13 @@ mod tests {
     }
 
     #[test]
-    fn batches_share_one_lazily_started_pool_and_survive_its_shutdown() {
+    fn batches_answer_like_answer_before_and_after_pool_shutdown() {
         let service = service_with_one_kg();
         let question = "Who is the wife of Barack Obama?";
         let direct = service.answer(AnswerRequest::new(question)).unwrap();
         // Answering alone starts no threads; the configured size is
         // reported all the same.
+        assert!(service.pool.get().is_none());
         assert_eq!(
             service.pool_stats(),
             PoolStats {
@@ -895,12 +1040,13 @@ mod tests {
         let requests: Vec<AnswerRequest> = (0..4)
             .map(|i| AnswerRequest::new(question).with_id(format!("r{i}")))
             .collect();
-        for round in 1..=2 {
-            let responses = service.answer_batch(&requests);
+        let check = |responses: Vec<LegOutput>| {
+            assert_eq!(responses.len(), requests.len());
             for (i, response) in responses.iter().enumerate() {
                 let response = response.as_ref().unwrap();
                 assert_eq!(response.request_id, format!("r{i}"));
                 assert_eq!(response.answers(), direct.answers());
+                assert_eq!(response.answer_scores, direct.answer_scores);
                 // A leg leaves its candidate list on the thread that built
                 // it; what was executed still rides in the trace.
                 assert!(response.trace.linked.candidates.is_empty());
@@ -909,44 +1055,48 @@ mod tests {
                     direct.trace.execution.executed_queries()
                 );
             }
-            // The second batch ran on the workers the first one started.
-            assert_eq!(service.pool_stats().completed, 4 * round);
-        }
+        };
+        // An idle service with four workers enlists helpers for four legs,
+        // and the second batch reuses the pool the first one started.
+        check(service.answer_batch(&requests));
+        assert!(service.pool.get().is_some());
+        check(service.answer_batch(&requests));
 
-        // After shutdown the legs run on the caller, with the same answers.
+        // After shutdown every helper is refused: all legs on the caller.
         service.shutdown();
-        let responses = service.answer_batch(&requests);
-        assert!(responses
-            .iter()
-            .all(|r| r.as_ref().unwrap().answers() == direct.answers()));
-        assert_eq!(service.pool_stats().completed, 8);
+        check(service.answer_batch(&requests));
+        assert_eq!(service.inner.in_flight.load(Ordering::Relaxed), 0);
     }
 
     #[test]
-    fn batch_larger_than_the_queue_bound_overflows_onto_the_caller() {
+    fn batch_larger_than_the_queue_bound_still_answers_every_leg() {
         let understanding = service_with_one_kg().understanding().clone();
-        let service = QaService::builder()
-            .shared_understanding(understanding)
-            .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", spouse_store())))
-            .worker_pool(PoolConfig {
-                workers: 1,
-                queue_bound: 1,
-            })
-            .build()
-            .unwrap();
         let requests: Vec<AnswerRequest> = (0..6)
             .map(|i| {
                 AnswerRequest::new("Who is the wife of Barack Obama?").with_id(format!("r{i}"))
             })
             .collect();
-        let responses = service.answer_batch(&requests);
-        for (i, response) in responses.iter().enumerate() {
-            assert_eq!(response.as_ref().unwrap().request_id, format!("r{i}"));
+        // Four workers want three helpers, the queue holds one: whatever
+        // is refused is a helper less, never a leg less.  One worker is the
+        // caller itself: no helper, no pool.
+        for workers in [4, 1] {
+            let service = QaService::builder()
+                .shared_understanding(understanding.clone())
+                .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", spouse_store())))
+                .worker_pool(PoolConfig {
+                    workers,
+                    queue_bound: 1,
+                })
+                .build()
+                .unwrap();
+            let responses = service.answer_batch(&requests);
+            assert_eq!(responses.len(), 6);
+            for (i, response) in responses.iter().enumerate() {
+                assert_eq!(response.as_ref().unwrap().request_id, format!("r{i}"));
+            }
+            assert_eq!(service.pool_stats().workers, workers);
+            assert_eq!(service.pool.get().is_some(), workers > 1);
         }
-        // Every leg either ran on the pool or was refused and ran inline.
-        let stats = service.pool_stats();
-        assert_eq!(stats.workers, 1);
-        assert_eq!(stats.completed + stats.rejected, 6, "{stats:?}");
     }
 
     #[test]

@@ -11,10 +11,15 @@
 //! 1. **Fan-out** — the request's [`KgSelection`] is resolved against the
 //!    service's registered KG names.  Unknown names become per-KG
 //!    [`KgStatus::Unknown`] reports (HTTP 404 at the serving layer); the
-//!    remaining KGs are asked concurrently through
-//!    [`QaService::answer_batch`], each leg's request carrying an equal
-//!    share of the request's deadline ([`kgqan::Budget::split`]), so one
-//!    stalled KG can never starve its siblings.
+//!    remaining KGs are asked through one [`QaService::answer_batch`],
+//!    which understands the question once — understanding depends on no
+//!    KG — and runs linking, execution and filtration per KG over that
+//!    shared result.  The asking thread runs legs itself and pool threads
+//!    help while the service has workers to spare, so the legs overlap on
+//!    an idle service and cross no thread on a busy one.  Each leg's
+//!    request carries an equal share of the request's deadline
+//!    ([`kgqan::Budget::split`]), so one stalled KG can never starve its
+//!    siblings, whether they run beside it or after it.
 //! 2. **Merge** — per-KG answers are deduplicated by a normalised
 //!    equivalence key ([`answer_key`]) and re-ranked with an
 //!    agreement-boosted combined score ([`merge_answers`]); every merged
@@ -268,13 +273,20 @@ impl FederatedEndpoint {
     pub fn ask(&self, request: FederatedRequest) -> Result<FederatedResponse, KgqanError> {
         let budget = Budget::start(request.deadline);
         let registered = self.service.kg_names();
-        let mut selection: Vec<String> = match &request.kgs {
+        // One report per KG, in selection order: repeats of a name collapse
+        // into its first mention.
+        let selection = match request.kgs {
             KgSelection::All => registered.clone(),
-            KgSelection::Named(names) => names.clone(),
+            KgSelection::Named(names) => {
+                let mut selection = Vec::with_capacity(names.len());
+                for name in names {
+                    if !selection.contains(&name) {
+                        selection.push(name);
+                    }
+                }
+                selection
+            }
         };
-        // Dedupe while preserving selection order: one report per KG.
-        let mut seen = std::collections::BTreeSet::new();
-        selection.retain(|name| seen.insert(name.clone()));
         if selection.is_empty() {
             return Err(KgqanError::Configuration(
                 "federated request selects no KGs (none registered or empty selection)".into(),
@@ -282,20 +294,17 @@ impl FederatedEndpoint {
         }
         let request_id = request
             .id
-            .clone()
             .unwrap_or_else(|| format!("fed-{}", self.next_id.fetch_add(1, Ordering::Relaxed)));
 
-        let known: Vec<String> = selection
-            .iter()
-            .filter(|name| registered.contains(name))
-            .cloned()
-            .collect();
+        // `kg_names()` is sorted.
+        let is_registered = |kg: &String| registered.binary_search(kg).is_ok();
+        let known: Vec<&String> = selection.iter().filter(|kg| is_registered(kg)).collect();
         // Every leg carries its own share of the deadline: a stalled KG
         // exhausts only its slice (answered `Partial`) while its siblings
         // still complete within theirs.
         let share = budget.split(known.len()).deadline();
         let requests: Vec<AnswerRequest> = known
-            .iter()
+            .into_iter()
             .map(|kg| AnswerRequest {
                 question: request.question.clone(),
                 kg: Some(kg.clone()),
@@ -304,77 +313,63 @@ impl FederatedEndpoint {
                 id: Some(format!("{request_id}/{kg}")),
             })
             .collect();
-        let results = self.service.answer_batch(&requests);
+        let mut results = self.service.answer_batch(&requests).into_iter();
 
-        let mut report_for = std::collections::HashMap::with_capacity(selection.len());
         let mut votes = Vec::new();
         let mut sources = Vec::new();
         let mut booleans = Vec::new();
-        for (kg, result) in known.iter().zip(results) {
-            match result {
-                Ok(response) => {
+        let mut reports = Vec::with_capacity(selection.len());
+        for kg in selection {
+            let result = if is_registered(&kg) {
+                results.next()
+            } else {
+                None
+            };
+            let (status, elapsed, answers) = match result {
+                Some(Ok(response)) => {
+                    for (term, score) in response.answers().iter().zip(&response.answer_scores) {
+                        votes.push(ScoredAnswer {
+                            kg: kg.clone(),
+                            term: term.clone(),
+                            score: *score,
+                        });
+                    }
+                    booleans.extend(response.boolean());
                     let status = if response.is_partial() {
                         KgStatus::Partial
                     } else {
                         KgStatus::Answered
                     };
-                    for (i, term) in response.answers().iter().enumerate() {
-                        votes.push(ScoredAnswer {
-                            kg: kg.clone(),
-                            term: term.clone(),
-                            score: response.answer_scores.get(i).copied().unwrap_or(0.0),
-                        });
-                    }
-                    if let Some(b) = response.boolean() {
-                        booleans.push(b);
-                    }
-                    sources.extend(response.sources.iter().cloned());
-                    report_for.insert(
-                        kg.clone(),
-                        KgReport {
-                            kg: kg.clone(),
-                            status,
-                            elapsed: response.elapsed,
-                            answers: response.answers().len(),
-                        },
-                    );
+                    let answers = response.answers().len();
+                    sources.extend(response.sources);
+                    (status, response.elapsed, answers)
                 }
-                Err(error) => {
-                    let status = match &error {
-                        KgqanError::Endpoint(EndpointError::UnknownEndpoint {
-                            available, ..
-                        }) => KgStatus::Unknown {
-                            available: available.clone(),
-                        },
-                        other => KgStatus::Failed {
-                            message: other.to_string(),
-                        },
-                    };
-                    report_for.insert(
-                        kg.clone(),
-                        KgReport {
-                            kg: kg.clone(),
-                            status,
-                            elapsed: Duration::ZERO,
-                            answers: 0,
-                        },
-                    );
-                }
-            }
-        }
-        let reports: Vec<KgReport> = selection
-            .iter()
-            .map(|kg| {
-                report_for.remove(kg).unwrap_or_else(|| KgReport {
-                    kg: kg.clone(),
-                    status: KgStatus::Unknown {
+                Some(Err(KgqanError::Endpoint(EndpointError::UnknownEndpoint {
+                    available,
+                    ..
+                }))) => (KgStatus::Unknown { available }, Duration::ZERO, 0),
+                Some(Err(error)) => (
+                    KgStatus::Failed {
+                        message: error.to_string(),
+                    },
+                    Duration::ZERO,
+                    0,
+                ),
+                None => (
+                    KgStatus::Unknown {
                         available: registered.clone(),
                     },
-                    elapsed: Duration::ZERO,
-                    answers: 0,
-                })
-            })
-            .collect();
+                    Duration::ZERO,
+                    0,
+                ),
+            };
+            reports.push(KgReport {
+                kg,
+                status,
+                elapsed,
+                answers,
+            });
+        }
 
         let answers = merge_answers(&votes);
         let boolean = if booleans.is_empty() {

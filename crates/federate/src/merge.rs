@@ -73,12 +73,12 @@ pub fn answer_key(term: &Term) -> String {
     }
 }
 
-struct Group {
+struct Group<'a> {
     /// Highest single-vote score seen so far, electing the representative.
     best: f64,
-    term: Term,
+    term: &'a Term,
     /// Best score per contributing KG.
-    per_kg: BTreeMap<String, f64>,
+    per_kg: BTreeMap<&'a str, f64>,
 }
 
 /// Merge per-KG answer votes into a deduplicated, re-ranked answer list.
@@ -88,42 +88,39 @@ struct Group {
 /// counts.  The result is sorted by combined score descending (ties broken
 /// by key, ascending, for determinism).
 pub fn merge_answers(votes: &[ScoredAnswer]) -> Vec<FederatedAnswer> {
-    let mut groups: BTreeMap<String, Group> = BTreeMap::new();
+    let mut groups: BTreeMap<String, Group<'_>> = BTreeMap::new();
     for vote in votes {
-        let key = answer_key(&vote.term);
-        let group = groups.entry(key).or_insert_with(|| Group {
+        let group = groups.entry(answer_key(&vote.term)).or_insert(Group {
             best: f64::NEG_INFINITY,
-            term: vote.term.clone(),
+            term: &vote.term,
             per_kg: BTreeMap::new(),
         });
         if vote.score > group.best {
             group.best = vote.score;
-            group.term = vote.term.clone();
+            group.term = &vote.term;
         }
-        let kg_best = group.per_kg.entry(vote.kg.clone()).or_insert(vote.score);
+        let kg_best = group.per_kg.entry(&vote.kg).or_insert(vote.score);
         if vote.score > *kg_best {
             *kg_best = vote.score;
         }
     }
 
+    // The groups leave the map in key order and the sort is stable, so
+    // equal scores stay ordered by key without the comparator ever
+    // building one.
     let mut merged: Vec<FederatedAnswer> = groups
         .into_values()
         .map(|group| {
             let agreement = group.per_kg.len() as f64;
             let mean = group.per_kg.values().sum::<f64>() / agreement;
             FederatedAnswer {
-                term: group.term,
+                term: group.term.clone(),
                 score: mean * (1.0 + AGREEMENT_BOOST * (agreement - 1.0)),
-                kgs: group.per_kg.into_keys().collect(),
+                kgs: group.per_kg.into_keys().map(str::to_owned).collect(),
             }
         })
         .collect();
-    merged.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| answer_key(&a.term).cmp(&answer_key(&b.term)))
-    });
+    merged.sort_by(|a, b| b.score.partial_cmp(&a.score).unwrap_or(Ordering::Equal));
     merged
 }
 

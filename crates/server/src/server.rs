@@ -18,9 +18,12 @@
 //!    [`Admission`] gate: as many pipeline runs at once as the service has
 //!    configured workers, at most [`ServerConfig::shed_queue_depth`]
 //!    handlers waiting for a permit, and `503` + `Retry-After` for the
-//!    rest.  The admitted handler calls [`QaService::answer`] itself; only
-//!    the legs of a federated question fan out, on the service's batch
-//!    pool.  Per-request deadlines ride the existing
+//!    rest.  The admitted handler calls [`QaService::answer`] itself.  A
+//!    federated question is understood once and its per-KG legs are
+//!    claimed by the same handler; pool threads help only while the
+//!    service has workers no admitted request is using, so under load a
+//!    federated request too stays on its handler.  Per-request deadlines
+//!    ride the existing
 //!    [`Budget`](kgqan::Budget) machinery: a request that cannot finish in
 //!    time returns best-so-far answers flagged `"partial": true` rather
 //!    than missing its deadline entirely.
@@ -508,8 +511,9 @@ fn federate_ask(shared: &Shared, request: &Request) -> Result<Response, Response
     if federated_request.deadline.is_none() {
         federated_request.deadline = shared.config.default_deadline;
     }
-    // One permit covers the whole fan-out: the legs run on the service's
-    // batch pool while this thread waits for them and merges.
+    // One permit covers the whole fan-out: this thread runs the legs,
+    // with help from the service's pool while other permits are free, and
+    // merges.
     let response = admitted(shared, || shared.federated.ask(federated_request))?
         .map_err(|e| error_response(e.http_status(), e))?;
     shared

@@ -1,16 +1,17 @@
 //! A persistent, bounded worker pool for fan-out work.
 //!
-//! Two users, one instance each: the morsel executor ([`crate::exec`])
-//! runs the helper jobs of a parallel query on it, and the `kgqan` core
-//! crate's `QaService::answer_batch` fans the legs of a batch (or of a
-//! federated question) out on it.  A single request never goes through a
-//! pool: it runs on the thread that received it.
+//! Two users, one instance each, both for helper jobs only: the morsel
+//! executor ([`crate::exec`]) enlists helpers for a parallel query on it,
+//! and the `kgqan` core crate's `QaService::answer_batch` enlists helpers
+//! for the legs of a batch (or of a federated question).  In both the
+//! submitting thread claims work from the same cursor as its helpers, and a
+//! single request never goes through a pool: it runs on the thread that
+//! received it.
 //!
 //! * **Bounded queue.**  Jobs wait in a FIFO of capacity
 //!   [`PoolConfig::queue_bound`]; [`WorkerPool::try_submit`] *never blocks* —
 //!   a full queue is reported as [`SubmitError::QueueFull`] and the caller
-//!   runs the job itself (a batch leg) or goes on with fewer helpers (a
-//!   parallel query).
+//!   goes on with fewer helpers.
 //! * **Observable.**  [`WorkerPool::stats`] reads the real queued/running
 //!   counters.
 //! * **Clean shutdown.**  [`WorkerPool::shutdown`] stops accepting new
