@@ -5,7 +5,7 @@
 //!
 //! 1. **Fan-out scaling** — answering one question over 1, 2, and 4
 //!    registered KGs through [`FederatedEndpoint`]: the per-KG pipeline
-//!    runs overlap on the batch pool, so the 4-KG cost should stay well
+//!    runs overlap on the shared pool, so the 4-KG cost should stay well
 //!    under 4× the 1-KG cost.
 //! 2. **`SERVICE` join vs. manual merge** — joining rows across two KGs
 //!    with the planner's `SERVICE <kg:name>` operator vs. issuing two

@@ -31,7 +31,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use criterion::{record_json_line, smoke_mode, Stats};
-use kgqan::{PoolConfig, QaService};
+use kgqan::QaService;
 use kgqan_bench::perftrack::{merge_records, AreaReport, BenchRecord};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_endpoint::InProcessEndpoint;
@@ -147,10 +147,7 @@ fn main() -> ExitCode {
         // A second mirror KG so the federate scenario fans out over two
         // real endpoints (full agreement: maximal merge work).
         .endpoint(Arc::new(InProcessEndpoint::new("Mirror", kg.store.clone())))
-        .worker_pool(PoolConfig {
-            workers: 2,
-            queue_bound: 64,
-        })
+        .workers(2)
         .build()
     {
         Ok(service) => service,

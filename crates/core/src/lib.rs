@@ -100,9 +100,6 @@ pub use pipeline::{
     Execute, Filter, FilteredAnswers, Link, LinkedQuestion, Pipeline, PipelineTrace, StageContext,
     StageTimings, Understand,
 };
-// The batch pool's sizing and counters are builder/metrics vocabulary;
-// the pool type itself stays an implementation detail of `kgqan-sparql`.
-pub use kgqan_sparql::{PoolConfig, PoolStats};
 pub use service::{
     AnswerRequest, AnswerResponse, AnswerSource, BudgetVerdict, ConfigOverrides, QaService,
     QaServiceBuilder,

@@ -31,25 +31,27 @@
 //! * [`QaService::answer`] runs the whole pipeline on the calling thread.
 //!   [`QaService::answer_batch`] understands each distinct question of the
 //!   batch once and runs the per-KG stages of its legs from one shared
-//!   cursor: the calling thread claims and runs legs itself, and helpers
-//!   from the service's one persistent worker pool join in only while the
-//!   service has workers nobody is using.  The service itself is cheaply
-//!   cloneable (`Arc`s inside) and `Send + Sync`, so callers can equally
-//!   well clone it into their own threads.
+//!   cursor ([`WorkerPool::claim_all`]): the calling thread claims and runs
+//!   legs itself, and helpers from the process's shared worker pool join in
+//!   only while the service has workers nobody is using.  The service owns
+//!   no thread; it is cheaply cloneable (one `Arc` inside) and
+//!   `Send + Sync`, so callers can equally well clone it into their own
+//!   threads.
 //!
 //! [`QaService::answer`] (and its batch form) is the only way into the
 //! pipeline for a registered KG; a caller holding a *borrowed* endpoint
 //! runs [`Pipeline::run`] itself.
 
 use std::collections::HashMap;
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use kgqan_endpoint::{EndpointRegistry, RequestStats, SparqlEndpoint};
 use kgqan_rdf::Term;
-use kgqan_sparql::pool::{PoolConfig, PoolStats, WorkerPool};
+use kgqan_sparql::pool::WorkerPool;
 
 use crate::affinity::SemanticAffinity;
 use crate::cache::{CacheConfig, CacheReport};
@@ -238,9 +240,7 @@ impl AnswerResponse {
 }
 
 /// Everything a pipeline run needs, shared by every service clone and by
-/// the helper jobs of a batch.  The pool is *not* in here: a helper that
-/// starts late may be the last holder of this value, and dropping a pool on
-/// one of its own threads would join that thread from itself.
+/// the helper jobs of a batch.
 struct ServiceInner {
     understanding: Arc<QuestionUnderstanding>,
     pipeline: Pipeline,
@@ -248,28 +248,24 @@ struct ServiceInner {
     registry: EndpointRegistry,
     default_kg: Option<String>,
     next_request_id: AtomicU64,
-    pool_config: PoolConfig,
+    /// See [`QaServiceBuilder::workers`].
+    workers: usize,
     /// Pipelines running right now on any thread — the callers of
     /// [`QaService::answer`] and the legs of every batch.  A serving layer
-    /// bounds the same number by `pool_config.workers`, so a batch reads it
-    /// to see how many workers nobody is using.
+    /// bounds the same number by `workers`, so a batch reads it to see how
+    /// many workers nobody is using.
     in_flight: AtomicUsize,
 }
 
 /// A concurrent, multi-KG question-answering service.
 ///
-/// Cloning is cheap (two `Arc` bumps) and every clone shares the same
+/// Cloning is cheap (one `Arc` bump) and every clone shares the same
 /// trained models, configuration, endpoint registry and cache namespaces,
 /// so one service can be handed to any number of threads.  See the
 /// [module docs](self) for the request / response model.
 #[derive(Clone)]
 pub struct QaService {
     inner: Arc<ServiceInner>,
-    /// The persistent bounded worker pool batches enlist helpers from,
-    /// started by the first batch that finds spare capacity.  Dropping the
-    /// service's last clone shuts it down cleanly (accepted jobs drain,
-    /// threads join).
-    pool: Arc<OnceLock<WorkerPool>>,
 }
 
 impl QaService {
@@ -315,29 +311,11 @@ impl QaService {
         self.inner.registry.invalidate_cache(kg)
     }
 
-    /// A snapshot of the batch pool's counters (its jobs are the helpers of
-    /// batches, not their legs).  `workers` is the configured size
-    /// ([`QaServiceBuilder::worker_pool`], else [`PoolConfig::default`])
-    /// even before a batch has started the threads — it is also what a
-    /// serving layer sizes its admission to.
-    pub fn pool_stats(&self) -> PoolStats {
-        self.pool.get().map_or(
-            PoolStats {
-                workers: self.inner.pool_config.workers.max(1),
-                ..PoolStats::default()
-            },
-            WorkerPool::stats,
-        )
-    }
-
-    /// Gracefully shut the batch pool down, if a batch has started it: run
-    /// every helper job already accepted to completion and join the worker
-    /// threads.  Later batches run all their legs on the calling thread;
-    /// [`QaService::answer`] is unaffected.
-    pub fn shutdown(&self) {
-        if let Some(pool) = self.pool.get() {
-            pool.shutdown();
-        }
+    /// How many pipelines the service expects to run at once
+    /// ([`QaServiceBuilder::workers`]) — what a serving layer sizes its
+    /// admission to.
+    pub fn workers(&self) -> usize {
+        self.inner.workers
     }
 
     /// Ingest a batch of new triples into one registered KG's live store.
@@ -374,16 +352,15 @@ impl QaService {
     ///
     /// **When helpers are enlisted.**  Before it starts, the caller submits
     /// at most `min(legs − 1, workers − 1 − pipelines in flight)` helper
-    /// jobs to the service's pool (started by the first batch that enlists
-    /// any): one worker is the caller itself, and the pipelines other
-    /// threads are running right now — [`QaService::answer`] callers, legs
-    /// of other batches — already occupy theirs.  On an idle service the
-    /// legs of a batch overlap, so one slow KG does not serialise the rest;
-    /// on a saturated one a batch crosses no thread at all, because a leg
-    /// handed to a busy box costs more than running it.  A helper the
-    /// bounded queue refuses (or one submitted after
-    /// [`QaService::shutdown`]) just means fewer helpers: a batch of any
-    /// size always answers every leg.
+    /// jobs to the process's shared pool ([`WorkerPool::shared`]): one
+    /// worker is the caller itself, and the pipelines other threads are
+    /// running right now — [`QaService::answer`] callers, legs of other
+    /// batches — already occupy theirs.  On an idle service the legs of a
+    /// batch overlap, so one slow KG does not serialise the rest; on a
+    /// saturated one a batch crosses no thread at all, because a leg handed
+    /// to a busy box costs more than running it.  A helper the pool's
+    /// bounded queue refuses just means fewer helpers: a batch of any size
+    /// always answers every leg.
     ///
     /// **Understanding is shared.**  Each distinct question text in the
     /// batch is understood once, by whichever thread first claims a leg
@@ -408,23 +385,27 @@ impl QaService {
         &self,
         requests: &[AnswerRequest],
     ) -> Vec<Result<AnswerResponse, KgqanError>> {
-        let batch = Arc::new(Batch::new(Arc::clone(&self.inner), requests));
-        let workers = self.inner.pool_config.workers.max(1);
-        let spare = (workers - 1).saturating_sub(self.inner.in_flight.load(Ordering::Relaxed));
-        let helpers = requests.len().saturating_sub(1).min(spare);
-        if helpers > 0 {
-            let pool = self
-                .pool
-                .get_or_init(|| WorkerPool::new(self.inner.pool_config));
-            for _ in 0..helpers {
-                let batch = Arc::clone(&batch);
-                if pool.try_submit(move || batch.drain()).is_err() {
-                    break;
-                }
-            }
-        }
-        batch.drain();
-        batch.collect()
+        let batch = Batch::new(Arc::clone(&self.inner), requests);
+        let spare =
+            (self.inner.workers - 1).saturating_sub(self.inner.in_flight.load(Ordering::Relaxed));
+        WorkerPool::shared()
+            .claim_all(requests.len(), spare, move |leg| {
+                // A panicking stage costs its own leg only, whichever
+                // thread claimed it.
+                let output =
+                    catch_unwind(AssertUnwindSafe(|| batch.run_leg(leg))).unwrap_or_else(|_| {
+                        Err(KgqanError::Configuration(
+                            "pipeline panicked while answering the request".into(),
+                        ))
+                    });
+                ControlFlow::Continue(output)
+            })
+            .into_iter()
+            .map(|output| {
+                // The closure above neither closes the cursor nor unwinds.
+                output.expect("every leg of a batch is claimed and run").1
+            })
+            .collect()
     }
 }
 
@@ -525,8 +506,8 @@ impl ServiceInner {
 /// What one leg of a batch produced.
 type LegOutput = Result<AnswerResponse, KgqanError>;
 
-/// The shared state of one [`QaService::answer_batch`] call.  Everything is
-/// owned, so the same value serves the calling thread and the `'static`
+/// What the legs of one [`QaService::answer_batch`] call share.  Everything
+/// is owned, so the same value serves the calling thread and the `'static`
 /// helper jobs on the pool.
 struct Batch {
     service: Arc<ServiceInner>,
@@ -537,12 +518,6 @@ struct Batch {
     /// One slot per distinct question (at its first asker's index), filled
     /// by whichever thread first runs a leg that needs it.
     understood: Vec<OnceLock<Result<Arc<Understanding>, KgqanError>>>,
-    /// Next unclaimed leg — the cursor the caller and the helpers share.
-    next: AtomicUsize,
-    /// One slot per leg, written by whichever thread ran it.
-    outputs: Mutex<Vec<Option<LegOutput>>>,
-    /// Signalled per finished leg; only the caller ever waits.
-    leg_done: Condvar,
 }
 
 impl Batch {
@@ -557,39 +532,6 @@ impl Batch {
                 .collect(),
             understood: requests.iter().map(|_| OnceLock::new()).collect(),
             requests: requests.to_vec(),
-            next: AtomicUsize::new(0),
-            outputs: Mutex::new(requests.iter().map(|_| None).collect()),
-            leg_done: Condvar::new(),
-        }
-    }
-
-    /// No code that can panic runs under this lock, so a poisoned one is
-    /// recovered.
-    fn lock_outputs(&self) -> std::sync::MutexGuard<'_, Vec<Option<LegOutput>>> {
-        self.outputs
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Claim and run legs until none is left.
-    fn drain(&self) {
-        loop {
-            // Relaxed: the cursor hands out indices and publishes nothing;
-            // requests are immutable and outputs travel under their mutex.
-            let leg = self.next.fetch_add(1, Ordering::Relaxed);
-            if leg >= self.requests.len() {
-                break;
-            }
-            // A panicking stage must cost its own leg only: the caller is
-            // waiting for this slot whichever thread claimed it.
-            let output =
-                catch_unwind(AssertUnwindSafe(|| self.run_leg(leg))).unwrap_or_else(|_| {
-                    Err(KgqanError::Configuration(
-                        "pipeline panicked while answering the request".into(),
-                    ))
-                });
-            self.lock_outputs()[leg] = Some(output);
-            self.leg_done.notify_one();
         }
     }
 
@@ -621,17 +563,6 @@ impl Batch {
                 Ok(trace)
             })
     }
-
-    /// Wait until every leg has an output and take them, in request order.
-    fn collect(&self) -> Vec<LegOutput> {
-        let mut outputs = self
-            .leg_done
-            .wait_while(self.lock_outputs(), |outputs| {
-                outputs.iter().any(Option::is_none)
-            })
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        outputs.drain(..).flatten().collect()
-    }
 }
 
 /// Builder for [`QaService`].
@@ -660,7 +591,7 @@ pub struct QaServiceBuilder {
     pending_endpoints: Vec<Arc<dyn SparqlEndpoint>>,
     cache: Option<CacheConfig>,
     default_kg: Option<String>,
-    pool: PoolConfig,
+    workers: usize,
 }
 
 impl QaServiceBuilder {
@@ -673,7 +604,9 @@ impl QaServiceBuilder {
             pending_endpoints: Vec::new(),
             cache: Some(CacheConfig::default()),
             default_kg: None,
-            pool: PoolConfig::default(),
+            // A request's wall-clock is mostly endpoint round-trips, which
+            // overlap even on one core.
+            workers: 4,
         }
     }
 
@@ -740,24 +673,19 @@ impl QaServiceBuilder {
         self
     }
 
-    /// Size the service's worker pool ([`PoolConfig::default`] otherwise).
+    /// How many pipelines the service expects to run at once (four unless
+    /// set; at least one).
     ///
-    /// `workers` is how many pipelines the service expects to run at once:
-    /// the HTTP front-end admits that many, and a
+    /// The HTTP front-end admits that many, and a
     /// [`QaService::answer_batch`] (and so every federated question)
-    /// enlists pool threads as helpers only for the workers not running a
-    /// pipeline already.  The threads are started by the first batch that
-    /// enlists a helper and joined by [`QaService::shutdown`] or by
-    /// dropping the last service clone.
-    pub fn worker_pool(mut self, config: PoolConfig) -> Self {
-        self.pool = config;
+    /// enlists helpers from the process's shared pool only for the workers
+    /// not running a pipeline already.  The service starts and owns no
+    /// thread: building it only asks the shared pool
+    /// ([`WorkerPool::want_workers`]) to be at least this wide once
+    /// something fans out.
+    pub fn workers(mut self, n: usize) -> Self {
+        self.workers = n.max(1);
         self
-    }
-
-    /// Shorthand for [`QaServiceBuilder::worker_pool`] with `n` workers and
-    /// the default queue bound.
-    pub fn workers(self, n: usize) -> Self {
-        self.worker_pool(PoolConfig::with_workers(n))
     }
 
     /// Build the service, training the understanding models if none were
@@ -790,6 +718,7 @@ impl QaServiceBuilder {
             let affinity: Arc<dyn SemanticAffinity> = Arc::from(self.config.affinity.build());
             Pipeline::kgqan(Arc::clone(&understanding), affinity)
         });
+        WorkerPool::shared().want_workers(self.workers);
         Ok(QaService {
             inner: Arc::new(ServiceInner {
                 understanding,
@@ -798,10 +727,9 @@ impl QaServiceBuilder {
                 registry,
                 default_kg: self.default_kg,
                 next_request_id: AtomicU64::new(0),
-                pool_config: self.pool,
+                workers: self.workers,
                 in_flight: AtomicUsize::new(0),
             }),
-            pool: Arc::new(OnceLock::new()),
         })
     }
 }
@@ -1022,80 +950,45 @@ mod tests {
     }
 
     #[test]
-    fn batches_answer_like_answer_before_and_after_pool_shutdown() {
-        let service = service_with_one_kg();
+    fn batches_answer_like_answer_however_many_helpers_there_are() {
+        let understanding = service_with_one_kg().understanding().clone();
         let question = "Who is the wife of Barack Obama?";
-        let direct = service.answer(AnswerRequest::new(question)).unwrap();
-        // Answering alone starts no threads; the configured size is
-        // reported all the same.
-        assert!(service.pool.get().is_none());
-        assert_eq!(
-            service.pool_stats(),
-            PoolStats {
-                workers: PoolConfig::default().workers,
-                ..PoolStats::default()
-            }
-        );
-
-        let requests: Vec<AnswerRequest> = (0..4)
+        // More legs than any helper count below.
+        let requests: Vec<AnswerRequest> = (0..6)
             .map(|i| AnswerRequest::new(question).with_id(format!("r{i}")))
             .collect();
-        let check = |responses: Vec<LegOutput>| {
-            assert_eq!(responses.len(), requests.len());
-            for (i, response) in responses.iter().enumerate() {
-                let response = response.as_ref().unwrap();
-                assert_eq!(response.request_id, format!("r{i}"));
-                assert_eq!(response.answers(), direct.answers());
-                assert_eq!(response.answer_scores, direct.answer_scores);
-                // A leg leaves its candidate list on the thread that built
-                // it; what was executed still rides in the trace.
-                assert!(response.trace.linked.candidates.is_empty());
-                assert_eq!(
-                    response.trace.execution.executed_queries(),
-                    direct.trace.execution.executed_queries()
-                );
-            }
-        };
-        // An idle service with four workers enlists helpers for four legs,
-        // and the second batch reuses the pool the first one started.
-        check(service.answer_batch(&requests));
-        assert!(service.pool.get().is_some());
-        check(service.answer_batch(&requests));
-
-        // After shutdown every helper is refused: all legs on the caller.
-        service.shutdown();
-        check(service.answer_batch(&requests));
-        assert_eq!(service.inner.in_flight.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn batch_larger_than_the_queue_bound_still_answers_every_leg() {
-        let understanding = service_with_one_kg().understanding().clone();
-        let requests: Vec<AnswerRequest> = (0..6)
-            .map(|i| {
-                AnswerRequest::new("Who is the wife of Barack Obama?").with_id(format!("r{i}"))
-            })
-            .collect();
-        // Four workers want three helpers, the queue holds one: whatever
-        // is refused is a helper less, never a leg less.  One worker is the
-        // caller itself: no helper, no pool.
-        for workers in [4, 1] {
-            let service = QaService::builder()
+        // Unset is four workers: an idle service enlists three helpers for
+        // six legs.  One worker is the caller itself: no helper at all.
+        for workers in [None, Some(1)] {
+            let mut builder = QaService::builder()
                 .shared_understanding(understanding.clone())
-                .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", spouse_store())))
-                .worker_pool(PoolConfig {
-                    workers,
-                    queue_bound: 1,
-                })
-                .build()
-                .unwrap();
-            let responses = service.answer_batch(&requests);
-            assert_eq!(responses.len(), 6);
-            for (i, response) in responses.iter().enumerate() {
-                assert_eq!(response.as_ref().unwrap().request_id, format!("r{i}"));
+                .endpoint(Arc::new(InProcessEndpoint::new("DBpedia", spouse_store())));
+            if let Some(workers) = workers {
+                builder = builder.workers(workers);
             }
-            assert_eq!(service.pool_stats().workers, workers);
-            assert_eq!(service.pool.get().is_some(), workers > 1);
+            let service = builder.build().unwrap();
+            assert_eq!(service.workers(), workers.unwrap_or(4));
+            let direct = service.answer(AnswerRequest::new(question)).unwrap();
+
+            // The second batch finds the caches warm and the pool started.
+            for _ in 0..2 {
+                let responses = service.answer_batch(&requests);
+                assert_eq!(responses.len(), requests.len());
+                for (i, response) in responses.iter().enumerate() {
+                    let response = response.as_ref().unwrap();
+                    assert_eq!(response.request_id, format!("r{i}"));
+                    assert_eq!(response.answers(), direct.answers());
+                    assert_eq!(response.answer_scores, direct.answer_scores);
+                    // A leg leaves its candidate list on the thread that
+                    // built it; what was executed still rides in the trace.
+                    assert!(response.trace.linked.candidates.is_empty());
+                    assert_eq!(
+                        response.trace.execution.executed_queries(),
+                        direct.trace.execution.executed_queries()
+                    );
+                }
+            }
+            assert_eq!(service.inner.in_flight.load(Ordering::Relaxed), 0);
         }
     }
 

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use kgqan::PoolStats;
+use kgqan_sparql::PoolStats;
 
 /// The pipeline admission gate: `permits` pipeline runs at once, at most
 /// `max_waiting` requests blocked waiting for a permit, everything beyond

@@ -211,11 +211,13 @@ impl Metrics {
             None,
             kgqan_sparql::exec::parallel_queries_total(),
         );
+        // Helper jobs running on the shared pool right now, morsel helpers
+        // of a parallel query and leg helpers of a batch alike.
         write_sample(
             &mut out,
             "executor_active_workers",
             None,
-            kgqan_sparql::exec::executor_active_workers() as u64,
+            kgqan_sparql::WorkerPool::shared().stats().running as u64,
         );
         let map = self
             .kg_requests

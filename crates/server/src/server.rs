@@ -20,9 +20,11 @@
 //!    handlers waiting for a permit, and `503` + `Retry-After` for the
 //!    rest.  The admitted handler calls [`QaService::answer`] itself.  A
 //!    federated question is understood once and its per-KG legs are
-//!    claimed by the same handler; pool threads help only while the
-//!    service has workers no admitted request is using, so under load a
-//!    federated request too stays on its handler.  Per-request deadlines
+//!    claimed by the same handler; threads of the process's one shared
+//!    helper pool (`kgqan_sparql::pool`, which a parallel `/sparql` query
+//!    draws its morsel helpers from too) help only while the service has
+//!    workers no admitted request is using, so under load a federated
+//!    request too stays on its handler.  Per-request deadlines
 //!    ride the existing
 //!    [`Budget`](kgqan::Budget) machinery: a request that cannot finish in
 //!    time returns best-so-far answers flagged `"partial": true` rather
@@ -172,7 +174,7 @@ struct Shared {
     service: QaService,
     conns: ConnQueue,
     /// The federation layer over the same service (the service is a cheap
-    /// `Arc` clone, so both views share registry, cache, and worker pool).
+    /// `Arc` clone, so both views share registry and cache).
     federated: FederatedEndpoint,
     gate: Admission,
     config: ServerConfig,
@@ -195,7 +197,7 @@ pub fn serve(
     let shared = Arc::new(Shared {
         limiter: config.rate_limit.map(RateLimiter::new),
         federated: FederatedEndpoint::new(service.clone()),
-        gate: Admission::new(service.pool_stats().workers, config.shed_queue_depth),
+        gate: Admission::new(service.workers(), config.shed_queue_depth),
         conns: ConnQueue {
             // Room for at least one, or no connection would ever be served.
             bound: config.conn_queue_bound.max(1),
@@ -512,7 +514,7 @@ fn federate_ask(shared: &Shared, request: &Request) -> Result<Response, Response
         federated_request.deadline = shared.config.default_deadline;
     }
     // One permit covers the whole fan-out: this thread runs the legs,
-    // with help from the service's pool while other permits are free, and
+    // with help from the shared helper pool while other permits are free, and
     // merges.
     let response = admitted(shared, || shared.federated.ask(federated_request))?
         .map_err(|e| error_response(e.http_status(), e))?;

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use kgqan::{PoolConfig, QaService};
+use kgqan::QaService;
 use kgqan_endpoint::json::Json;
 use kgqan_endpoint::InProcessEndpoint;
 use kgqan_rdf::{vocab, Store, Term, Triple};
@@ -65,7 +65,7 @@ fn federation_service() -> QaService {
         .endpoint(Arc::new(InProcessEndpoint::new("People", people_store())))
         .endpoint(Arc::new(InProcessEndpoint::new("Mirror", people_store())))
         .endpoint(Arc::new(InProcessEndpoint::new("Places", places_store())))
-        .worker_pool(PoolConfig::with_workers(4))
+        .workers(4)
         .build()
         .expect("service builds")
 }
@@ -177,7 +177,7 @@ fn federated_ask_degrades_when_one_kg_stalls() {
             InProcessEndpoint::new("Stalled", people_store())
                 .with_latency(Duration::from_millis(120)),
         ))
-        .worker_pool(PoolConfig::with_workers(4))
+        .workers(4)
         .build()
         .unwrap();
     let handle = start(service);

@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use kgqan::{AnswerRequest, KgqanError, PoolConfig, QaService, Understand, Understanding};
+use kgqan::{AnswerRequest, KgqanError, QaService, Understand, Understanding};
 use kgqan_endpoint::json::Json;
 use kgqan_endpoint::{
     EndpointError, EngineDialect, InProcessEndpoint, RequestStats, SparqlEndpoint,
@@ -84,15 +84,15 @@ fn spouse_store() -> Store {
     store
 }
 
-fn two_kg_service(pool: Option<PoolConfig>) -> QaService {
+fn two_kg_service(workers: Option<usize>) -> QaService {
     let mut builder = QaService::builder()
         .endpoint(Arc::new(InProcessEndpoint::new(
             "DBpedia",
             quickstart_store(),
         )))
         .endpoint(Arc::new(InProcessEndpoint::new("Celebs", spouse_store())));
-    if let Some(pool) = pool {
-        builder = builder.worker_pool(pool);
+    if let Some(workers) = workers {
+        builder = builder.workers(workers);
     }
     builder.build().expect("service builds")
 }
@@ -110,7 +110,7 @@ fn test_config() -> ServerConfig {
 
 #[test]
 fn running_example_over_tcp_is_byte_identical_to_in_process() {
-    let service = two_kg_service(Some(PoolConfig::with_workers(2)));
+    let service = two_kg_service(Some(2));
     let handle = start(service.clone(), test_config());
     let mut client = HttpClient::connect(handle.addr());
 
@@ -147,10 +147,7 @@ fn running_example_over_tcp_is_byte_identical_to_in_process() {
 
 #[test]
 fn sixteen_clients_two_kgs_match_in_process_answers() {
-    let service = two_kg_service(Some(PoolConfig {
-        workers: 4,
-        queue_bound: 64,
-    }));
+    let service = two_kg_service(Some(4));
     let handle = start(service.clone(), test_config());
     let addr = handle.addr();
 
@@ -213,7 +210,7 @@ fn sixteen_clients_two_kgs_match_in_process_answers() {
 
 #[test]
 fn burst_past_queue_bound_sheds_with_503_and_never_hangs() {
-    // One slow worker, a queue of 2, shed threshold 2: a 16-request burst
+    // One slow worker, shed threshold 2: a 16-request burst
     // must complete (nothing hangs) with a mix of 200s and 503s.
     let slow_kg = || {
         QaService::builder().endpoint(Arc::new(
@@ -221,16 +218,8 @@ fn burst_past_queue_bound_sheds_with_503_and_never_hangs() {
                 .with_latency(Duration::from_millis(25)),
         ))
     };
-    burst_sheds(
-        slow_kg()
-            .worker_pool(PoolConfig {
-                workers: 1,
-                queue_bound: 2,
-            })
-            .build()
-            .unwrap(),
-    );
-    // Built without a pool size: the default four permits plus two waiters
+    burst_sheds(slow_kg().workers(1).build().unwrap());
+    // Built without a worker count: the default four permits plus two waiters
     // are still fewer than the eight handlers the burst occupies.
     burst_sheds(slow_kg().build().unwrap());
 }
@@ -289,7 +278,7 @@ fn burst_sheds(service: QaService) {
 
 #[test]
 fn near_deadline_requests_degrade_to_partial() {
-    let service = two_kg_service(Some(PoolConfig::with_workers(2)));
+    let service = two_kg_service(Some(2));
     let handle = start(service, test_config());
     let mut client = HttpClient::connect(handle.addr());
 
@@ -424,7 +413,7 @@ fn ingest_publishes_new_triples_to_later_queries() {
 
 #[test]
 fn healthz_and_metrics_report_service_state() {
-    let service = two_kg_service(Some(PoolConfig::with_workers(2)));
+    let service = two_kg_service(Some(2));
     let handle = start(service, test_config());
     let mut client = HttpClient::connect(handle.addr());
 
@@ -570,7 +559,7 @@ fn metrics_page_round_trips_through_an_exposition_parser() {
 
 #[test]
 fn error_statuses_follow_the_single_mapping() {
-    let service = two_kg_service(Some(PoolConfig::with_workers(2)));
+    let service = two_kg_service(Some(2));
     let handle = start(service, test_config());
     let mut client = HttpClient::connect(handle.addr());
 
@@ -648,7 +637,7 @@ fn graceful_shutdown_finishes_in_flight_requests() {
             InProcessEndpoint::new("DBpedia", quickstart_store())
                 .with_latency(Duration::from_millis(10)),
         ))
-        .worker_pool(PoolConfig::with_workers(2))
+        .workers(2)
         .build()
         .unwrap();
     let mut handle = start(service, test_config());
@@ -785,8 +774,6 @@ fn ask_runs_its_pipeline_on_the_handler_thread() {
         "understanding ran on {:?}, not on the thread that read the request",
         seen[0]
     );
-    // Nothing but a batch starts the service's pool.
-    assert_eq!(handle.service().pool_stats().completed, 0);
 }
 
 /// An endpoint whose engine has a bug: every query panics.

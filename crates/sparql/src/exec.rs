@@ -29,35 +29,30 @@
 //!
 //! # The shared pool
 //!
-//! Morsels run on the process-wide [`ExecutorPool`]: a shared
-//! [`WorkerPool`] that every parallel query run draws helper workers from,
-//! plus the observability counters the serving layer exports on `/metrics`.
+//! A query never spawns threads of its own (thread-per-query would let N
+//! concurrent large queries oversubscribe the machine N-fold).  A parallel
+//! run hands its morsels to [`WorkerPool::claim_all`] on the process-wide
+//! [`WorkerPool::shared`]: the coordinating thread claims and runs morsels
+//! itself and up to `dop - 1` pool threads help.  Enlisting a helper never
+//! blocks and the run never waits for one that has not started, so when the
+//! pool is saturated the run simply proceeds with fewer helpers (in the
+//! limit, the coordinating thread runs every morsel), and intra-query
+//! parallelism degrades gracefully under inter-query load instead of
+//! deadlocking or queueing unboundedly.  See [`crate::pool`] for why the
+//! same pool can also serve the batch legs that coordinate such runs.
 //!
-//! One pool serves the whole process — a query never spawns threads of its
-//! own (thread-per-query would let N concurrent large queries oversubscribe
-//! the machine N-fold).  Instead, each parallel run submits *morsel drain
-//! jobs* to this pool with [`WorkerPool::try_submit`], which never blocks:
-//! when the pool is saturated the run simply proceeds with fewer helpers
-//! (in the limit, the coordinating thread drains every morsel itself), so
-//! intra-query parallelism degrades gracefully under inter-query load
-//! instead of deadlocking or queueing unboundedly.
-//!
-//! This pool and a `QaService`'s batch pool are deliberately two instances
-//! of the one [`WorkerPool`] type, not one pool: a batch leg that
-//! coordinates a parallel query blocks on its morsel helpers' tickets, so
-//! with legs and helpers on one bounded pool every worker could end up
-//! holding a leg that waits for a helper queued behind it.
-//!
-//! The counters here are process-global on purpose: the HTTP front-end
-//! renders them as `executor_parallel_queries_total` and
-//! `executor_active_workers` without having to thread a handle through
+//! The run counter here is process-global on purpose: the HTTP front-end
+//! renders it as `executor_parallel_queries_total` (beside the pool's
+//! `executor_active_workers`) without having to thread a handle through
 //! every endpoint layer.
+//!
+//! [`WorkerPool::claim_all`]: crate::pool::WorkerPool::claim_all
+//! [`WorkerPool::shared`]: crate::pool::WorkerPool::shared
 
 use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 use kgqan_rdf::{EncodedTriple, PartitionRange, Store, Term, TermId, TextMatch};
@@ -69,7 +64,6 @@ use crate::eval::{
     Slot,
 };
 use crate::plan::{PhysicalPlan, PlanBody, PlanNode, PlanStep, ServiceResolver, StepKind};
-use crate::pool::{PoolConfig, SubmitError, Ticket, WorkerPool};
 use crate::results::{Binding, QueryResults, ResultSet};
 
 mod morsel;
@@ -96,13 +90,15 @@ pub struct ExecMetrics {
 /// [`ExecMetrics`] all the way up to the answer response's trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParallelMetrics {
-    /// Workers that actually drained morsels (the coordinating thread plus
-    /// every helper the shared pool had room for) — may be lower than the
-    /// planned degree of parallelism under inter-query load.
+    /// Threads that ran at least one morsel (the coordinating thread and
+    /// every helper that claimed any) — may be lower than the planned
+    /// degree of parallelism under inter-query load, or when a helper
+    /// started after the last morsel was claimed.
     pub dop: usize,
     /// Morsels that ran to completion and were merged into the result.
     pub morsels: usize,
-    /// Index entries each participating worker scanned, coordinator first.
+    /// Index entries each of those threads scanned, the coordinating
+    /// thread's first.
     pub rows_scanned_per_worker: Vec<u64>,
 }
 
@@ -457,6 +453,9 @@ impl<'a> Exec<'a> {
                 // walk of the match list.
                 let bound_subject = match &step.ast.subject {
                     VarOrTerm::Var(var) => {
+                        // Cannot fail: `body.vars` is built from the whole
+                        // graph pattern (`VarRegistry::from_pattern`) and
+                        // `step.ast` is one of that pattern's triples.
                         let slot = self
                             .body
                             .vars
@@ -608,10 +607,10 @@ impl PhysicalPlan<'_> {
     /// [`PhysicalPlan::execute`] with per-run knobs (currently: a
     /// deadline).  When the plan is parallel-eligible (see
     /// [`crate::plan::ParallelConfig`]) the driving scan runs as morsels on
-    /// the shared [`ExecutorPool`]; results are byte-identical to the
-    /// sequential path whatever the worker interleaving, because morsel
-    /// outputs are merged in partition order before
-    /// `DISTINCT`/`OFFSET`/`LIMIT` are applied.
+    /// the shared [`WorkerPool`](crate::pool::WorkerPool); results are
+    /// byte-identical to the sequential path whatever the worker
+    /// interleaving, because morsel outputs are merged in partition order
+    /// before `DISTINCT`/`OFFSET`/`LIMIT` are applied.
     pub fn execute_with(&self, opts: ExecOptions) -> Result<PlannedExecution, SparqlError> {
         let slots: Vec<Option<usize>> = self
             .projection
@@ -632,8 +631,9 @@ impl PhysicalPlan<'_> {
         let (stop, rows_scanned) = if out.is_full() {
             // `LIMIT 0`: the page is decided before anything runs.
             (None, 0)
-        } else if let Some(decision) = self.parallel_decision() {
-            let (stop, metrics) = self.run_morsels(decision, &slots, opts.deadline, &mut out);
+        } else if let (Some(decision), Some(snapshot)) = (self.parallel_decision(), &self.shared) {
+            let (stop, metrics) =
+                self.run_morsels(decision, snapshot, &slots, opts.deadline, &mut out);
             let scanned = metrics.rows_scanned_per_worker.iter().sum();
             parallel = Some(metrics);
             (stop, scanned)
@@ -671,79 +671,13 @@ impl PhysicalPlan<'_> {
     }
 }
 
-/// The shared pool parallel query runs execute their morsels on.
-///
-/// Obtain the process-wide instance with [`ExecutorPool::shared`]; it is
-/// created lazily on the first parallel run and sized to the machine
-/// ([`std::thread::available_parallelism`]).  Tests can build private pools
-/// with [`ExecutorPool::new`].
-pub struct ExecutorPool {
-    pool: WorkerPool,
-}
-
-static SHARED: OnceLock<ExecutorPool> = OnceLock::new();
-
 /// Total parallel query runs started in this process (monotonic).
 static PARALLEL_QUERIES: AtomicU64 = AtomicU64::new(0);
-
-impl ExecutorPool {
-    /// Build a private pool with `workers` threads (at least one) — used by
-    /// tests; production code shares one pool via [`ExecutorPool::shared`].
-    pub fn new(workers: usize) -> ExecutorPool {
-        ExecutorPool {
-            pool: WorkerPool::new(PoolConfig {
-                workers: workers.max(1),
-                // Generous bound: morsel jobs are small and short-lived, and
-                // rejected submissions only cost parallelism, not
-                // correctness.
-                queue_bound: 256,
-            }),
-        }
-    }
-
-    /// The process-wide executor pool, created on first use with one worker
-    /// per available core.
-    pub fn shared() -> &'static ExecutorPool {
-        SHARED.get_or_init(|| {
-            let workers = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            ExecutorPool::new(workers)
-        })
-    }
-
-    /// Worker threads serving this pool.
-    pub fn workers(&self) -> usize {
-        self.pool.stats().workers
-    }
-
-    /// Morsel jobs currently executing (the `/metrics` active-worker
-    /// gauge).
-    pub fn active_workers(&self) -> usize {
-        self.pool.stats().running
-    }
-
-    /// Submit one morsel drain job; never blocks.  Callers treat a rejected
-    /// submission as "run with fewer helpers", not as an error.
-    fn try_submit<T, F>(&self, job: F) -> Result<Ticket<T>, SubmitError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.pool.try_submit(job)
-    }
-}
 
 /// How many parallel query runs this process has started (the `/metrics`
 /// `executor_parallel_queries_total` counter).
 pub fn parallel_queries_total() -> u64 {
     PARALLEL_QUERIES.load(Ordering::Relaxed)
-}
-
-/// Morsel jobs executing on the shared pool right now; `0` when no parallel
-/// query has run yet (the pool is created lazily).
-pub fn executor_active_workers() -> usize {
-    SHARED.get().map_or(0, ExecutorPool::active_workers)
 }
 
 #[cfg(test)]
@@ -1062,26 +996,5 @@ mod tests {
         // …and the infallible plan() defers the same error to execute().
         let err = planner.plan(&query).execute().unwrap_err();
         assert!(matches!(err, SparqlError::Service { .. }), "{err}");
-    }
-
-    #[test]
-    fn private_pool_reports_workers_and_counts() {
-        let pool = ExecutorPool::new(2);
-        assert_eq!(pool.workers(), 2);
-        let ticket = pool.try_submit(|| 41 + 1).unwrap();
-        assert_eq!(ticket.wait(), Some(42));
-        // The worker fulfils the ticket *before* it clears its running
-        // flag, so the gauge may lag the wait by an instant.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while pool.active_workers() != 0 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert_eq!(pool.active_workers(), 0);
-    }
-
-    #[test]
-    fn zero_workers_is_clamped_to_one() {
-        let pool = ExecutorPool::new(0);
-        assert_eq!(pool.workers(), 1);
     }
 }

@@ -1,95 +1,75 @@
 //! The morsel driver: one parallel run of a plan.
 //!
 //! The planner's [`ParallelDecision`] splits the driver scan into key-range
-//! morsels; this module fans them out over the shared [`ExecutorPool`] and
+//! morsels; this module fans them out with [`WorkerPool::claim_all`] and
 //! merges what they collect.  Each morsel is an ordinary [`Exec`] walk with
 //! the driver scan clipped to the morsel's range.
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 use kgqan_rdf::{PartitionRange, StoreSnapshot};
 
-use super::{Collector, Exec, ExecutorPool, ParallelMetrics, Stop, PARALLEL_QUERIES};
+use super::{Collector, Exec, ParallelMetrics, Stop, PARALLEL_QUERIES};
 use crate::eval::IdRow;
 use crate::plan::{ParallelDecision, PhysicalPlan, PlanBody};
+use crate::pool::WorkerPool;
 
 impl PhysicalPlan<'_> {
     /// The morsel-parallel run: fan the driver scan out as key-range
     /// morsels and merge their rows into `out`.
     ///
-    /// The coordinating thread submits up to `dop - 1` helper jobs to the
-    /// shared pool and then drains morsels itself, so the run makes
-    /// progress even when the pool has no free slot (saturation degrades
-    /// parallelism, never correctness).  Each worker claims morsels from a
-    /// shared counter — partition order — and collects its morsel's
-    /// projected rows; the coordinator feeds the outputs *in partition
-    /// order* through the final collector, which is what makes the result
+    /// The coordinating thread and up to `dop - 1` helpers from the shared
+    /// pool claim morsels from one cursor — partition order — and each
+    /// collects its morsel's projected rows; the run makes progress even
+    /// when the pool has no free slot (saturation degrades parallelism,
+    /// never correctness).  The first morsel to see the deadline pass closes
+    /// the cursor.  The coordinator feeds the outputs *in partition order*
+    /// through the final collector, which is what makes the result
     /// byte-identical to the sequential run regardless of interleaving.
     pub(super) fn run_morsels(
         &self,
         decision: ParallelDecision,
+        snapshot: &Arc<StoreSnapshot>,
         slots: &[Option<usize>],
         deadline: Option<Instant>,
         out: &mut Collector<'_>,
     ) -> (Option<Stop>, ParallelMetrics) {
         let ParallelDecision { dop, ranges } = decision;
         let morsels = ranges.len();
-        let state = Arc::new(MorselRun {
-            snapshot: Arc::clone(self.shared.as_ref().expect("checked by parallel_decision")),
+        let run = MorselRun {
+            snapshot: Arc::clone(snapshot),
             body: Arc::clone(&self.body),
             slots: slots.to_vec(),
             distinct: self.distinct,
             cap: self.limit.map(|limit| self.offset.saturating_add(limit)),
             ranges,
-            next: AtomicUsize::new(0),
-            outputs: (0..morsels).map(|_| Mutex::new(None)).collect(),
             deadline,
-            expired: AtomicBool::new(false),
-        });
+        };
         PARALLEL_QUERIES.fetch_add(1, Ordering::Relaxed);
+        let outputs = WorkerPool::shared().claim_all(morsels, dop - 1, move |index| {
+            let output = run.run_morsel(index);
+            match output.cut {
+                Some(Stop::Deadline) => ControlFlow::Break(output),
+                _ => ControlFlow::Continue(output),
+            }
+        });
 
-        let pool = ExecutorPool::shared();
-        let mut tickets = Vec::with_capacity(dop - 1);
-        for _ in 1..dop {
-            let job = Arc::clone(&state);
-            match pool.try_submit(move || job.drain()) {
-                Ok(ticket) => tickets.push(ticket),
-                // Pool saturated or shutting down: run with fewer helpers.
-                Err(_) => break,
-            }
+        // Worker ordinals are 0 (this thread) to `dop - 1`.
+        let mut scanned_by = vec![None::<u64>; dop];
+        for (worker, output) in outputs.iter().flatten() {
+            *scanned_by[*worker].get_or_insert(0) += output.scanned;
         }
-        let mut rows_scanned_per_worker = vec![state.drain()];
-        for ticket in tickets {
-            // `None` = the helper panicked; its claimed morsel is refilled
-            // below, so the run still completes.
-            if let Some(scanned) = ticket.wait() {
-                rows_scanned_per_worker.push(scanned);
-            }
-        }
-        // Refill any hole that is not a deadline hole (a panicked helper's
-        // claimed-but-unfinished morsel) on the coordinating thread.
-        if !state.expired.load(Ordering::Relaxed) {
-            for index in 0..morsels {
-                let missing = state.lock_output(index).is_none();
-                if missing {
-                    let (output, scanned) = state.run_morsel(index);
-                    rows_scanned_per_worker[0] += scanned;
-                    *state.lock_output(index) = Some(output);
-                }
-            }
-        }
-
         // Merge in partition order.  The first morsel that is missing (never
-        // claimed: the deadline latch was set) or was cut short ends the
+        // claimed: the deadline closed the cursor) or was cut short ends the
         // prefix that gets returned; a cut-short morsel still contributes
         // the rows it produced, which are a prefix of its own output.
         let mut stop = None;
         let mut completed = 0usize;
-        for index in 0..morsels {
-            let Some((rows, cut)) = state.lock_output(index).take() else {
+        for output in outputs {
+            let Some((_, MorselOutput { rows, cut, .. })) = output else {
                 stop = Some(Stop::Deadline);
                 break;
             };
@@ -103,6 +83,7 @@ impl PhysicalPlan<'_> {
             }
             completed += 1;
         }
+        let rows_scanned_per_worker: Vec<u64> = scanned_by.into_iter().flatten().collect();
         let metrics = ParallelMetrics {
             dop: rows_scanned_per_worker.len(),
             morsels: completed,
@@ -112,14 +93,19 @@ impl PhysicalPlan<'_> {
     }
 }
 
-/// One morsel's output: the projected id-rows it collected, and why it was
-/// cut short (deadline or error), if it was.
-type MorselOutput = (Vec<IdRow>, Option<Stop>);
+/// One morsel's output.
+struct MorselOutput {
+    /// The projected id-rows the morsel collected.
+    rows: Vec<IdRow>,
+    /// Why it was cut short (deadline or error), if it was.
+    cut: Option<Stop>,
+    /// Index entries its walk scanned.
+    scanned: u64,
+}
 
-/// The shared state of one morsel-parallel run.  Everything is owned
+/// What every morsel of one parallel run reads.  Everything is owned
 /// (`Arc`s into the pinned snapshot and the plan), so the same value serves
-/// the coordinating thread and the `'static` helper jobs on the executor
-/// pool.
+/// the coordinating thread and the `'static` helper jobs on the pool.
 struct MorselRun {
     snapshot: Arc<StoreSnapshot>,
     body: Arc<PlanBody>,
@@ -131,45 +117,13 @@ struct MorselRun {
     /// when applicable) projected rows.
     cap: Option<usize>,
     ranges: Vec<PartitionRange>,
-    /// Next unclaimed morsel index — the work-stealing cursor.
-    next: AtomicUsize,
-    /// One slot per morsel, written by whichever worker ran it.
-    outputs: Vec<Mutex<Option<MorselOutput>>>,
     deadline: Option<Instant>,
-    /// Latched once any morsel observes the deadline passed; stops all
-    /// further morsel claims.
-    expired: AtomicBool,
 }
 
 impl MorselRun {
-    fn lock_output(&self, index: usize) -> std::sync::MutexGuard<'_, Option<MorselOutput>> {
-        self.outputs[index]
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Claim and run morsels until none are left (or the deadline passes).
-    /// Returns the rows this worker scanned, for per-worker metrics.
-    fn drain(&self) -> u64 {
-        let mut scanned = 0u64;
-        while !self.expired.load(Ordering::Relaxed) {
-            let index = self.next.fetch_add(1, Ordering::SeqCst);
-            if index >= self.ranges.len() {
-                break;
-            }
-            let (output, morsel_scanned) = self.run_morsel(index);
-            scanned += morsel_scanned;
-            if matches!(output.1, Some(Stop::Deadline)) {
-                self.expired.store(true, Ordering::Relaxed);
-            }
-            *self.lock_output(index) = Some(output);
-        }
-        scanned
-    }
-
     /// Walk the whole operator tree with the driver scan clipped to one
     /// morsel's key range, collecting the morsel's projected rows.
-    fn run_morsel(&self, index: usize) -> (MorselOutput, u64) {
+    fn run_morsel(&self, index: usize) -> MorselOutput {
         // Parallel-eligible plans never contain SERVICE groups.
         let exec = Exec::new(
             &self.body,
@@ -189,7 +143,11 @@ impl MorselRun {
             Some(Stop::Full) | None => None,
             cut => cut,
         };
-        ((out.rows, cut), exec.scanned.get())
+        MorselOutput {
+            rows: out.rows,
+            cut,
+            scanned: exec.scanned.get(),
+        }
     }
 }
 

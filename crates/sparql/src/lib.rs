@@ -55,10 +55,10 @@ pub mod results;
 pub use ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 pub use error::SparqlError;
 pub use eval::{execute, execute_query};
-pub use exec::{ExecMetrics, ExecOptions, ExecutorPool, ParallelMetrics, PlannedExecution};
+pub use exec::{ExecMetrics, ExecOptions, ParallelMetrics, PlannedExecution};
 pub use explain::{explain, PlanOp, PlanSummary};
 pub use parser::parse_query;
 pub use plan::{ParallelConfig, PhysicalPlan, Planner, ServiceResolver};
-pub use pool::{PoolConfig, PoolStats, SubmitError, Ticket, WorkerPool};
+pub use pool::{PoolStats, SubmitError, WorkerPool};
 pub use reference::execute_naive;
 pub use results::{Binding, QueryResults, ResultSet};

@@ -1,7 +1,9 @@
 //! The batch fan-out, seen from outside: a question is understood once
 //! however many KGs it is asked of, and nothing in a response says which
-//! thread ran which leg — after a pool shutdown, on an idle service whose
-//! helpers take legs, or on a service with no capacity to spare.
+//! thread ran which leg — on a one-worker service, on an idle service whose
+//! helpers take legs, or on a service with no capacity to spare.  And the
+//! one bounded pool behind it all serves legs and the morsels of the
+//! parallel queries those legs coordinate without ever waiting on itself.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock};
@@ -19,7 +21,7 @@ use kgqan_endpoint::{
 use kgqan_federate::{FederatedEndpoint, FederatedRequest, FederatedResponse, KgStatus};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 use kgqan_server::wire::federated_response_to_json;
-use kgqan_sparql::QueryResults;
+use kgqan_sparql::{ParallelConfig, QueryResults};
 
 const QUESTION: &str = "Who is the wife of Barack Obama?";
 const KGS: [&str; 3] = ["A", "B", "C"];
@@ -272,16 +274,10 @@ fn thread_placement_never_shows() {
     let here = std::thread::current().id();
     let latency = Duration::from_millis(5);
 
-    // (a) After shutdown no helper is accepted: every leg on the caller.
-    // (The first ask starts the pool there is to shut down.)
-    let (service_a, probes) = probed_service(4, latency, None);
-    ask(&service_a);
-    service_a.shutdown();
-    for kg in KGS {
-        assert!(service_a.invalidate_cache(kg));
-    }
-    probes.link_threads();
-    let after_shutdown = ask(&service_a);
+    // (a) One worker is the caller itself — spare capacity 0: every leg on
+    // the caller.
+    let (service_a, probes) = probed_service(1, latency, None);
+    let alone = ask(&service_a);
     assert_eq!(probes.link_threads(), vec![here; 3]);
 
     // (b) An idle service with workers to spare: while the caller waits on
@@ -312,8 +308,8 @@ fn thread_placement_never_shows() {
         saturated
     });
 
-    assert_eq!(after_shutdown.answers.len(), 4, "{after_shutdown:?}");
-    assert_eq!(visible(&after_shutdown), visible(&idle));
+    assert_eq!(alone.answers.len(), 4, "{alone:?}");
+    assert_eq!(visible(&alone), visible(&idle));
     assert_eq!(visible(&saturated), visible(&idle));
 }
 
@@ -346,4 +342,94 @@ fn legs_run_one_after_another_stay_inside_the_split_budget() {
         assert!(report.elapsed < deadline / 2 + round_trip, "{report:?}");
     }
     assert!(elapsed <= deadline + round_trip, "{elapsed:?}");
+}
+
+/// Nested fan-out on the one bounded pool: legs running on pool threads
+/// coordinate parallel queries whose morsel helpers queue on the same
+/// bounded pool, behind more legs.  Nothing waits for a queued helper, so
+/// every batch finishes — checked under a wall-clock guard, because the
+/// failure would be a hang.
+#[test]
+fn one_bounded_pool_serves_legs_and_the_morsels_they_coordinate() {
+    // Parallel from 16 driver rows up, and Barack Obama has 65 spouses.
+    let eager = ParallelConfig {
+        max_dop: 8,
+        rows_per_worker: 8.0,
+        morsels_per_worker: 2,
+        min_page_rows: 0,
+    };
+    let mut builder = QaService::builder()
+        .shared_understanding(understanding())
+        .workers(8)
+        .no_cache();
+    for kg in KGS {
+        let mut store = spouse_store(&format!("Spouse_{kg}"));
+        let obama = Term::iri("http://dbpedia.org/resource/Barack_Obama");
+        for i in 0..64 {
+            store.insert(Triple::new(
+                obama.clone(),
+                Term::iri("http://dbpedia.org/ontology/spouse"),
+                Term::iri(format!("http://dbpedia.org/resource/Spouse_{kg}_{i}")),
+            ));
+        }
+        builder = builder.endpoint(Arc::new(
+            InProcessEndpoint::new(kg, store).with_parallelism(eager),
+        ));
+    }
+    let service = builder.build().unwrap();
+    let requests: Vec<AnswerRequest> = [KGS, KGS]
+        .concat()
+        .into_iter()
+        .map(|kg| AnswerRequest::new(QUESTION).on_kg(kg))
+        .collect();
+    let sequential: Vec<Vec<Term>> = requests
+        .iter()
+        .map(|request| service.answer(request.clone()).unwrap().answers().to_vec())
+        .collect();
+    assert!(sequential.iter().all(|answers| answers.len() > 60));
+
+    const CALLERS: usize = 4;
+    const ROUNDS: usize = 3;
+    let parallel_before = kgqan_sparql::exec::parallel_queries_total();
+    let (done, finished) = std::sync::mpsc::channel();
+    let guarded = std::thread::spawn(move || {
+        let batches: Vec<Vec<Vec<Term>>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        (0..ROUNDS)
+                            .map(|_| {
+                                service
+                                    .answer_batch(&requests)
+                                    .into_iter()
+                                    .map(|leg| leg.unwrap().answers().to_vec())
+                                    .collect::<Vec<_>>()
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .flat_map(|caller| caller.join().unwrap())
+                .collect()
+        });
+        let _ = done.send(batches);
+    });
+    let batches = finished
+        .recv_timeout(Duration::from_secs(60))
+        .expect("batches sharing one pool with their own morsel helpers hung");
+    guarded.join().unwrap();
+
+    assert_eq!(batches.len(), CALLERS * ROUNDS);
+    for batch in &batches {
+        assert_eq!(batch, &sequential);
+    }
+    // Every leg did coordinate at least one parallel query.
+    let legs = (CALLERS * ROUNDS * sequential.len()) as u64;
+    let parallel_runs = kgqan_sparql::exec::parallel_queries_total() - parallel_before;
+    assert!(
+        parallel_runs >= legs,
+        "{parallel_runs} parallel runs, {legs} legs"
+    );
 }
