@@ -8,6 +8,7 @@
 //! executing the entire candidate list would only add noise for the
 //! filtration step to remove).
 
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use kgqan_endpoint::SparqlEndpoint;
@@ -193,29 +194,40 @@ impl ExecutionManager {
             productive += 1;
             first_productive_score.get_or_insert(candidate.bgp.score);
             // Group class bindings per answer term (one answer may appear in
-            // several rows, one per rdf:type).
+            // several rows, one per rdf:type).  `seen` finds an answer's
+            // entry in one lookup however many rows the candidate returns;
+            // the rows of an earlier candidate with this very score (rare)
+            // merge into the same entries, found by scanning just those.
+            let score = candidate.bgp.score;
+            let answers = &mut outcome.answers;
+            let earlier: Vec<usize> = (0..answers.len())
+                .filter(|&i| answers[i].query_score == score)
+                .collect();
+            let mut seen: HashMap<&Term, usize> = HashMap::new();
+            let Some(answer_column) = solutions.column_index("unknown1") else {
+                continue;
+            };
+            let class_column = solutions.column_index(TYPE_VARIABLE);
             for row in solutions.rows() {
-                let Some(answer) = row.get("unknown1") else {
+                let Some(answer) = row.cell(answer_column) else {
                     continue;
                 };
-                let class = row.get(TYPE_VARIABLE).cloned();
-                match outcome
-                    .answers
-                    .iter_mut()
-                    .find(|a| &a.answer == answer && a.query_score == candidate.bgp.score)
-                {
-                    Some(existing) => {
-                        if let Some(c) = class {
-                            if !existing.classes.contains(&c) {
-                                existing.classes.push(c);
-                            }
-                        }
+                let at = *seen.entry(answer).or_insert_with(|| {
+                    let merged = earlier.iter().find(|&&i| &answers[i].answer == answer);
+                    merged.copied().unwrap_or_else(|| {
+                        answers.push(CollectedAnswer {
+                            answer: answer.clone(),
+                            classes: Vec::new(),
+                            query_score: score,
+                        });
+                        answers.len() - 1
+                    })
+                });
+                if let Some(class) = class_column.and_then(|column| row.cell(column)) {
+                    let classes = &mut answers[at].classes;
+                    if !classes.contains(class) {
+                        classes.push(class.clone());
                     }
-                    None => outcome.answers.push(CollectedAnswer {
-                        answer: answer.clone(),
-                        classes: class.into_iter().collect(),
-                        query_score: candidate.bgp.score,
-                    }),
                 }
             }
         }
@@ -283,6 +295,79 @@ mod tests {
         );
         assert_eq!(answer.classes.len(), 2);
         assert_eq!(outcome.boolean, None);
+    }
+
+    #[test]
+    fn a_hub_neighbourhood_is_grouped_in_one_pass() {
+        // 5 000 answers × 2 classes = 10 000 rows from one candidate; a
+        // second candidate with the very same score returns the first 100
+        // again and must merge into the existing entries, not duplicate
+        // them.  Grouping by scanning the collected answers per row needed
+        // ~25 M term comparisons here.
+        const ANSWERS: usize = 5_000;
+        let mut store = Store::new();
+        let hub = Term::iri("http://e/hub");
+        for i in 0..ANSWERS {
+            let node = Term::iri(format!("http://e/neighbour/{i}"));
+            store.insert(Triple::new(
+                node.clone(),
+                Term::iri("http://e/linksTo"),
+                hub.clone(),
+            ));
+            if i < 100 {
+                store.insert(Triple::new(
+                    node.clone(),
+                    Term::iri("http://e/near"),
+                    hub.clone(),
+                ));
+            }
+            for class in ["http://e/Thing", "http://e/Node"] {
+                store.insert(Triple::new(
+                    node.clone(),
+                    Term::iri(vocab::RDF_TYPE),
+                    Term::iri(class),
+                ));
+            }
+        }
+        let ep = InProcessEndpoint::new("Hub", store);
+        let candidate = |predicate: &str| {
+            select_candidate(
+                &format!(
+                    "SELECT DISTINCT ?unknown1 ?type WHERE {{ ?unknown1 <http://e/{predicate}> \
+                     <http://e/hub> . OPTIONAL {{ ?unknown1 a ?type . }} }}"
+                ),
+                1.0,
+            )
+        };
+        let started = Instant::now();
+        let outcome = ExecutionManager::default()
+            .execute(
+                &[candidate("linksTo"), candidate("near")],
+                &ep,
+                &Budget::unbounded(),
+            )
+            .unwrap();
+        let elapsed = started.elapsed();
+
+        assert_eq!(outcome.query_stats.len(), 2);
+        assert_eq!(outcome.query_stats[0].rows, 2 * ANSWERS);
+        assert_eq!(outcome.query_stats[1].rows, 200);
+        assert_eq!(outcome.answers.len(), ANSWERS);
+        assert!(outcome.answers.iter().all(|a| a.classes.len() == 2));
+        // First-seen order: the engine's row order, one entry per answer.
+        let first_seen: Vec<Term> = {
+            let rows = ep.query(&candidate("linksTo").sparql).unwrap();
+            let mut terms = rows.as_solutions().unwrap().column("unknown1");
+            terms.dedup();
+            terms
+        };
+        let collected: Vec<&Term> = outcome.answers.iter().map(|a| &a.answer).collect();
+        assert_eq!(collected, first_seen.iter().collect::<Vec<_>>());
+        assert!(
+            elapsed < Duration::from_secs(3),
+            "grouping {} rows took {elapsed:?}",
+            2 * ANSWERS
+        );
     }
 
     #[test]

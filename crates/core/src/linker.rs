@@ -12,10 +12,13 @@
 //!   (`outgoingPredicate` / `incomingPredicate`), resolves descriptions for
 //!   non-human-readable predicate URIs, and keeps the top-k by affinity.
 
+use std::borrow::Cow;
+
 use kgqan_endpoint::SparqlEndpoint;
 use kgqan_nlp::tokenizer::content_words;
 use kgqan_rdf::{vocab, Term};
 use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
+use kgqan_sparql::QueryResults;
 
 use crate::affinity::SemanticAffinity;
 use crate::agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
@@ -32,6 +35,18 @@ pub struct LinkOutcome {
     pub agp: AnnotatedGraphPattern,
     /// True if every node and edge was probed within the budget.
     pub completed: bool,
+}
+
+/// One predicate candidate of an edge while it is being ranked: a row of a
+/// probe result (by position, the rows stay in the shared table) and the
+/// description it is scored by.
+struct PredicateCandidate {
+    probe: usize,
+    row: usize,
+    description: String,
+    /// Position in the edge's anchor-vertex list.
+    anchor: usize,
+    vertex_is_object: bool,
 }
 
 /// The just-in-time linker.
@@ -91,35 +106,38 @@ impl<'a> JitLinker<'a> {
             if words.is_empty() {
                 continue;
             }
-            let candidates = self.potential_relevant_vertices(&words, endpoint)?;
-            let descriptions: Vec<&str> = candidates.iter().map(|(_, d)| d.as_str()).collect();
-            let scores = self.affinity.score_many(&node.label, &descriptions);
-            let mut scored: Vec<RelevantVertex> = candidates
-                .into_iter()
-                .zip(scores)
-                .map(|((vertex, description), score)| RelevantVertex {
-                    vertex,
-                    description,
-                    score,
+            // The probe's rows are shared with the endpoint cache, so the
+            // ≤ maxVR candidates are scored and ranked where they sit; only
+            // the `num_vertices` winners are copied out.
+            let fetched = self.potential_relevant_vertices(&words, endpoint)?;
+            let candidates: Vec<(&Term, Cow<'_, str>)> = fetched
+                .rows()
+                .filter_map(|row| {
+                    let (v, d) = (row.get("v")?, row.get("d")?);
+                    v.is_iri().then(|| (v, d.readable_form()))
                 })
                 .collect();
-            scored.sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            agp.node_annotations[node.id] = best_per_vertex(scored, self.config.num_vertices);
+            let descriptions: Vec<&str> = candidates.iter().map(|(_, d)| d.as_ref()).collect();
+            let scores = self.affinity.score_many(&node.label, &descriptions);
+            let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+            ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
+            agp.node_annotations[node.id] = best_per_vertex(
+                ranked
+                    .into_iter()
+                    .map(|i| (candidates[i].0, descriptions[i], scores[i])),
+                self.config.num_vertices,
+            );
         }
         Ok(true)
     }
 
     /// The `potentialRelevantVertices(l_n, maxVR)` SPARQL query of §5.1,
-    /// phrased in the dialect of the target endpoint.
+    /// phrased in the dialect of the target endpoint: `(?v, ?d)` rows.
     fn potential_relevant_vertices(
         &self,
         words: &[String],
         endpoint: &dyn SparqlEndpoint,
-    ) -> Result<Vec<(Term, String)>, KgqanError> {
+    ) -> Result<QueryResults, KgqanError> {
         let dialect = endpoint.dialect();
         let word_refs: Vec<&str> = words.iter().map(String::as_str).collect();
         let expression = dialect.containment_expression(&word_refs);
@@ -129,22 +147,7 @@ impl<'a> JitLinker<'a> {
             expression.replace('"', ""),
             self.config.max_fetched_vertices
         );
-        let results = endpoint.query(&sparql)?;
-        let mut out = Vec::new();
-        for row in results.rows() {
-            let (Some(v), Some(d)) = (row.get("v"), row.get("d")) else {
-                continue;
-            };
-            if !v.is_iri() {
-                continue;
-            }
-            let description = d
-                .as_literal()
-                .map(|l| l.lexical.clone())
-                .unwrap_or_else(|| d.readable_form().into_owned());
-            out.push((v.clone(), description));
-        }
-        Ok(out)
+        Ok(endpoint.query(&sparql)?)
     }
 
     /// Algorithm 2 — KGQAnRelationLink, applied to every PGP edge.  Returns
@@ -174,8 +177,12 @@ impl<'a> JitLinker<'a> {
                 }
             }
 
-            let mut candidates: Vec<RelevantPredicate> = Vec::new();
-            for (anchor_node, vertex) in &anchor_vertices {
+            // A candidate is a row of a shared probe result plus where it
+            // came from; the predicate and anchor terms are copied only for
+            // the `num_predicates` that survive the ranking.
+            let mut probes: Vec<QueryResults> = Vec::new();
+            let mut candidates: Vec<PredicateCandidate> = Vec::new();
+            for (anchor, (_, vertex)) in anchor_vertices.iter().enumerate() {
                 if budget.expired() {
                     completed = false;
                     break;
@@ -189,7 +196,7 @@ impl<'a> JitLinker<'a> {
                     (true, incoming_predicate_query(vertex)),
                 ] {
                     let results = endpoint.query_parsed(&query)?;
-                    for row in results.rows() {
+                    for (position, row) in results.rows().enumerate() {
                         let Some(p) = row.get("p") else { continue };
                         if !p.is_iri() {
                             continue;
@@ -201,40 +208,54 @@ impl<'a> JitLinker<'a> {
                             self.predicate_description(p, endpoint)?
                                 .unwrap_or_else(|| p.readable_form().into_owned())
                         };
-                        candidates.push(RelevantPredicate {
-                            predicate: p.clone(),
+                        candidates.push(PredicateCandidate {
+                            probe: probes.len(),
+                            row: position,
                             description,
-                            score: 0.0, // scored below, the whole edge in one batch
-                            anchor_vertex: vertex.clone(),
-                            anchor_node: *anchor_node,
+                            anchor,
                             vertex_is_object,
                         });
                     }
+                    probes.push(results);
                 }
             }
+            let predicate_of = |c: &PredicateCandidate| {
+                let row = probes[c.probe].rows().nth(c.row);
+                row.and_then(|row| row.get("p"))
+                    .expect("candidates are made from rows that bind ?p")
+            };
 
+            // The whole edge is scored in one batch.
             let descriptions: Vec<&str> =
                 candidates.iter().map(|c| c.description.as_str()).collect();
             let scores = self.affinity.score_many(&edge.relation, &descriptions);
-            for (candidate, score) in candidates.iter_mut().zip(scores) {
-                candidate.score = score;
-            }
 
             // Line 15: keep the top-k by affinity.  Deduplicate on
             // (predicate, anchor, direction) first so one predicate does not
-            // crowd out the rest.
-            candidates.sort_by(|a, b| {
-                b.score
-                    .partial_cmp(&a.score)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            candidates.dedup_by(|a, b| {
-                a.predicate == b.predicate
-                    && a.anchor_vertex == b.anchor_vertex
+            // crowd out the rest.  Anchor vertices are distinct, so equal
+            // anchors are equal positions.
+            let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+            ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
+            ranked.dedup_by(|a, b| {
+                let (a, b) = (&candidates[*a], &candidates[*b]);
+                a.anchor == b.anchor
                     && a.vertex_is_object == b.vertex_is_object
+                    && predicate_of(a) == predicate_of(b)
             });
-            candidates.truncate(self.config.num_predicates);
-            agp.edge_annotations[edge_index] = candidates;
+            ranked.truncate(self.config.num_predicates);
+            let kept = ranked.into_iter().map(|i| {
+                let candidate = &candidates[i];
+                let (anchor_node, anchor_vertex) = &anchor_vertices[candidate.anchor];
+                RelevantPredicate {
+                    predicate: predicate_of(candidate).clone(),
+                    description: candidate.description.clone(),
+                    score: scores[i],
+                    anchor_vertex: anchor_vertex.clone(),
+                    anchor_node: *anchor_node,
+                    vertex_is_object: candidate.vertex_is_object,
+                }
+            });
+            agp.edge_annotations[edge_index] = kept.collect();
         }
         Ok(completed)
     }
@@ -273,18 +294,32 @@ impl<'a> JitLinker<'a> {
     }
 }
 
-/// The first `k` distinct vertices of a list sorted by descending score:
-/// a vertex fetched under several descriptions (label and alternative
-/// label) keeps its best-scoring entry and takes one slot, wherever its
-/// other entries landed in the order.
-fn best_per_vertex(sorted: Vec<RelevantVertex>, k: usize) -> Vec<RelevantVertex> {
-    let mut kept: Vec<RelevantVertex> = Vec::with_capacity(k.min(sorted.len()));
-    for candidate in sorted {
+/// The ranking both linking algorithms sort by: higher affinity first.
+/// Used with the stable `sort_by`, so equal scores keep their fetch order.
+fn descending(a: f32, b: f32) -> std::cmp::Ordering {
+    b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal)
+}
+
+/// The first `k` distinct vertices of `(vertex, description, score)`
+/// candidates ranked by descending score: a vertex fetched under several
+/// descriptions (label and alternative label) keeps its best-scoring entry
+/// and takes one slot, wherever its other entries landed in the order.
+/// Only the kept candidates are copied.
+fn best_per_vertex<'a>(
+    ranked: impl Iterator<Item = (&'a Term, &'a str, f32)>,
+    k: usize,
+) -> Vec<RelevantVertex> {
+    let mut kept: Vec<RelevantVertex> = Vec::new();
+    for (vertex, description, score) in ranked {
         if kept.len() == k {
             break;
         }
-        if !kept.iter().any(|best| best.vertex == candidate.vertex) {
-            kept.push(candidate);
+        if !kept.iter().any(|best| &best.vertex == vertex) {
+            kept.push(RelevantVertex {
+                vertex: vertex.clone(),
+                description: description.to_string(),
+                score,
+            });
         }
     }
     kept

@@ -21,10 +21,14 @@
 //! service-level cache layer (`kgqan::cache`).
 //!
 //! Only successful results are cached — errors always propagate and are
-//! retried on the next request.  Values are returned by clone; linking
-//! probes are LIMIT-bounded and anything larger than
+//! retried on the next request.  Values are *shared*, not copied: a
+//! [`QueryResults`] is an immutable row table behind an `Arc`
+//! (`kgqan_sparql::results`), so a hit hands the caller the cached table for
+//! the price of a reference count, and a miss inserts the very table it
+//! returns.  Linking probes are LIMIT-bounded and anything larger than
 //! [`CacheConfig::max_result_rows`] rows (candidate queries carry no LIMIT)
-//! is not inserted at all, so per-entry memory stays bounded.
+//! is not inserted at all, so per-entry memory stays bounded; what the
+//! entries add up to is reported as [`CacheStats::resident_bytes`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
@@ -100,6 +104,11 @@ pub struct CacheStats {
     /// Entries evicted by scoped invalidation passes (a subset of the
     /// namespace, unlike `invalidations` which flushes everything).
     pub scoped_evictions: u64,
+    /// Approximate bytes the live entries keep alive
+    /// ([`ResultSet::approx_bytes`](kgqan_sparql::ResultSet::approx_bytes),
+    /// taken once at insert).  A gauge, not a counter: it falls when entries
+    /// are evicted or invalidated.  Nothing is admitted or evicted by it.
+    pub resident_bytes: u64,
 }
 
 impl CacheStats {
@@ -115,7 +124,8 @@ impl CacheStats {
 
     /// Counter deltas accumulated since an `earlier` snapshot of the same
     /// cache (saturating, so snapshots taken across an invalidation that
-    /// resets nothing — counters are monotonic — still behave).
+    /// resets nothing — counters are monotonic — still behave).  The
+    /// `resident_bytes` gauge is carried over as it stands now.
     pub fn since(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits.saturating_sub(earlier.hits),
@@ -129,6 +139,7 @@ impl CacheStats {
             scoped_evictions: self
                 .scoped_evictions
                 .saturating_sub(earlier.scoped_evictions),
+            resident_bytes: self.resident_bytes,
         }
     }
 
@@ -141,6 +152,7 @@ impl CacheStats {
         self.invalidations += other.invalidations;
         self.scoped_invalidations += other.scoped_invalidations;
         self.scoped_evictions += other.scoped_evictions;
+        self.resident_bytes += other.resident_bytes;
     }
 }
 
@@ -290,6 +302,14 @@ fn lock<T>(layer: &Mutex<T>) -> MutexGuard<'_, T> {
     layer.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// One cached round-trip: the shared table and its size, measured once at
+/// insert so eviction can give the bytes back without another pass.
+#[derive(Debug)]
+struct Entry {
+    results: QueryResults,
+    approx_bytes: u64,
+}
+
 /// One KG's cache namespace: thread-safe LRUs over probe and parsed-query
 /// round-trips, with atomic [`CacheStats`] counters.
 ///
@@ -298,8 +318,8 @@ fn lock<T>(layer: &Mutex<T>) -> MutexGuard<'_, T> {
 /// concurrent and batched requests share hits.
 #[derive(Debug)]
 pub struct QueryCache {
-    probes: Mutex<LruCache<String, Arc<QueryResults>>>,
-    results: Mutex<LruCache<Query, Arc<QueryResults>>>,
+    probes: Mutex<LruCache<String, Entry>>,
+    results: Mutex<LruCache<Query, Entry>>,
     max_result_rows: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -308,6 +328,7 @@ pub struct QueryCache {
     invalidations: AtomicU64,
     scoped_invalidations: AtomicU64,
     scoped_evictions: AtomicU64,
+    resident_bytes: AtomicU64,
 }
 
 impl QueryCache {
@@ -324,6 +345,7 @@ impl QueryCache {
             invalidations: AtomicU64::new(0),
             scoped_invalidations: AtomicU64::new(0),
             scoped_evictions: AtomicU64::new(0),
+            resident_bytes: AtomicU64::new(0),
         }
     }
 
@@ -332,70 +354,106 @@ impl QueryCache {
         Arc::new(Self::new(config))
     }
 
-    fn record_lookup<V>(&self, found: &Option<V>) {
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+    /// Look up one layer and count the hit or miss.  The clone made under
+    /// the lock is two reference-count bumps, whatever the table's size.
+    fn lookup<K, Q>(&self, layer: &Mutex<LruCache<K, Entry>>, key: &Q) -> Option<QueryResults>
+    where
+        K: Eq + Hash + Clone + std::borrow::Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        let found = lock(layer).get(key).map(|entry| entry.results.clone());
+        let counter = if found.is_some() {
+            &self.hits
         } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// True if a result is small enough to cache (see
-    /// [`CacheConfig::max_result_rows`]).
-    fn cacheable(&self, results: &QueryResults) -> bool {
-        results.rows().len() <= self.max_result_rows
-    }
-
-    /// Look up a text-keyed probe query.
-    ///
-    /// Values are held behind `Arc`, so a hit only bumps a reference count
-    /// while the namespace lock is held — callers materialise an owned copy
-    /// (if they need one) outside the critical section.
-    pub fn get_text(&self, sparql: &str) -> Option<Arc<QueryResults>> {
-        let found = lock(&self.probes).get(sparql).cloned();
-        self.record_lookup(&found);
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
         found
     }
 
-    /// Cache the result of a text-keyed probe query (oversized results are
-    /// skipped, see [`CacheConfig::max_result_rows`]).
-    pub fn insert_text(&self, sparql: &str, results: Arc<QueryResults>) {
-        if !self.cacheable(&results) {
+    /// Share `results` into one layer unless it is oversized (see
+    /// [`CacheConfig::max_result_rows`]), keeping the byte gauge in step
+    /// with whatever the insert replaced or evicted.
+    fn insert<K: Eq + Hash + Clone>(
+        &self,
+        layer: &Mutex<LruCache<K, Entry>>,
+        key: K,
+        results: &QueryResults,
+    ) {
+        if results.rows().len() > self.max_result_rows {
             return;
         }
-        let evicted = lock(&self.probes).insert(sparql.to_string(), results);
+        let approx_bytes = results.as_solutions().map_or(0, |s| s.approx_bytes()) as u64;
+        let entry = Entry {
+            results: results.clone(),
+            approx_bytes,
+        };
+        // The gauge moves under the layer lock, so an entry's bytes are
+        // always added before anything can take them off again.
+        let mut layer = lock(layer);
+        let replaced = layer.peek(&key).map_or(0, |old| old.approx_bytes);
+        let evicted = layer.insert(key, entry);
+        let freed = replaced + evicted.as_ref().map_or(0, |(_, old)| old.approx_bytes);
+        self.resident_bytes
+            .fetch_add(approx_bytes, Ordering::Relaxed);
+        self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
+        drop(layer);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Look up a parsed query by its AST (see [`QueryCache::get_text`] for
-    /// the `Arc` contract).
-    pub fn get_parsed(&self, query: &Query) -> Option<Arc<QueryResults>> {
-        let found = lock(&self.results).get(query).cloned();
-        self.record_lookup(&found);
-        found
+    /// Drop the entries of one layer whose key is `stale`; returns how many
+    /// went and gives their bytes back to the gauge.
+    fn evict_where<K: Eq + Hash + Clone>(
+        &self,
+        layer: &Mutex<LruCache<K, Entry>>,
+        stale: impl Fn(&K) -> bool,
+    ) -> usize {
+        let mut freed = 0;
+        let mut layer = lock(layer);
+        let dropped = layer.retain(|key, entry| {
+            let keep = !stale(key);
+            if !keep {
+                freed += entry.approx_bytes;
+            }
+            keep
+        });
+        self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
+        dropped
+    }
+
+    /// Look up a text-keyed probe query.  A hit returns the cached table
+    /// itself — shared, not copied (see [`QueryResults`]).
+    pub fn get_text(&self, sparql: &str) -> Option<QueryResults> {
+        self.lookup(&self.probes, sparql)
+    }
+
+    /// Cache the result of a text-keyed probe query (oversized results are
+    /// skipped, see [`CacheConfig::max_result_rows`]).  The namespace keeps
+    /// a share of `results`; the caller's value is untouched.
+    pub fn insert_text(&self, sparql: &str, results: &QueryResults) {
+        self.insert(&self.probes, sparql.to_string(), results);
+    }
+
+    /// Look up a parsed query by its AST; a hit shares the cached table
+    /// like [`QueryCache::get_text`].
+    pub fn get_parsed(&self, query: &Query) -> Option<QueryResults> {
+        self.lookup(&self.results, query)
     }
 
     /// Cache the result of a parsed query (oversized results are skipped,
     /// see [`CacheConfig::max_result_rows`]).
-    pub fn insert_parsed(&self, query: &Query, results: Arc<QueryResults>) {
-        if !self.cacheable(&results) {
-            return;
-        }
-        let evicted = lock(&self.results).insert(query.clone(), results);
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-        if evicted.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
+    pub fn insert_parsed(&self, query: &Query, results: &QueryResults) {
+        self.insert(&self.results, query.clone(), results);
     }
 
     /// Drop every cached entry in the namespace.  Counters are monotonic and
     /// survive (the `invalidations` counter records the flush).
     pub fn invalidate(&self) {
-        lock(&self.probes).clear();
-        lock(&self.results).clear();
+        self.evict_where(&self.probes, |_| true);
+        self.evict_where(&self.results, |_| true);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -428,8 +486,8 @@ impl QueryCache {
             self.invalidate();
             return;
         }
-        let dropped_probes = lock(&self.probes).retain(|sparql, _| !scope.mentions_text(sparql));
-        let dropped_results = lock(&self.results).retain(|query, _| !query_touches(query, scope));
+        let dropped_probes = self.evict_where(&self.probes, |sparql| scope.mentions_text(sparql));
+        let dropped_results = self.evict_where(&self.results, |query| query_touches(query, scope));
         self.scoped_invalidations.fetch_add(1, Ordering::Relaxed);
         self.scoped_evictions
             .fetch_add((dropped_probes + dropped_results) as u64, Ordering::Relaxed);
@@ -455,6 +513,7 @@ impl QueryCache {
             invalidations: self.invalidations.load(Ordering::Relaxed),
             scoped_invalidations: self.scoped_invalidations.load(Ordering::Relaxed),
             scoped_evictions: self.scoped_evictions.load(Ordering::Relaxed),
+            resident_bytes: self.resident_bytes.load(Ordering::Relaxed),
         }
     }
 }
@@ -565,21 +624,19 @@ impl SparqlEndpoint for CachingEndpoint {
 
     fn query(&self, sparql: &str) -> Result<QueryResults, EndpointError> {
         if let Some(results) = self.cache.get_text(sparql) {
-            // The owned copy the trait demands is made outside the
-            // namespace lock (the hit itself was just an `Arc` bump).
-            return Ok(results.as_ref().clone());
+            return Ok(results);
         }
         let results = self.inner.query(sparql)?;
-        self.cache.insert_text(sparql, Arc::new(results.clone()));
+        self.cache.insert_text(sparql, &results);
         Ok(results)
     }
 
     fn query_parsed(&self, query: &Query) -> Result<QueryResults, EndpointError> {
         if let Some(results) = self.cache.get_parsed(query) {
-            return Ok(results.as_ref().clone());
+            return Ok(results);
         }
         let results = self.inner.query_parsed(query)?;
-        self.cache.insert_parsed(query, Arc::new(results.clone()));
+        self.cache.insert_parsed(query, &results);
         Ok(results)
     }
 
@@ -588,14 +645,13 @@ impl SparqlEndpoint for CachingEndpoint {
             // A hit executed nothing, so there is no plan and no scan work
             // to report — the telemetry reflects what actually ran.
             return Ok(crate::TracedQuery {
-                results: results.as_ref().clone(),
+                results,
                 plan: None,
                 metrics: None,
             });
         }
         let traced = self.inner.query_traced(query)?;
-        self.cache
-            .insert_parsed(query, Arc::new(traced.results.clone()));
+        self.cache.insert_parsed(query, &traced.results);
         Ok(traced)
     }
 
@@ -606,7 +662,7 @@ impl SparqlEndpoint for CachingEndpoint {
     ) -> Result<crate::TracedQuery, EndpointError> {
         if let Some(results) = self.cache.get_parsed(query) {
             return Ok(crate::TracedQuery {
-                results: results.as_ref().clone(),
+                results,
                 plan: None,
                 metrics: None,
             });
@@ -619,8 +675,7 @@ impl SparqlEndpoint for CachingEndpoint {
             .as_ref()
             .is_some_and(|metrics| metrics.deadline_exceeded);
         if !partial {
-            self.cache
-                .insert_parsed(query, Arc::new(traced.results.clone()));
+            self.cache.insert_parsed(query, &traced.results);
         }
         Ok(traced)
     }
@@ -1048,6 +1103,55 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_follow_inserts_evictions_and_invalidation() {
+        let mut s = Store::new();
+        for i in 0..3 {
+            s.insert(Triple::new(
+                Term::iri(format!("http://e/s{i}")),
+                Term::iri(format!("http://e/p{i}")),
+                Term::iri("http://e/o"),
+            ));
+        }
+        let namespace = QueryCache::shared(CacheConfig::with_capacity(2));
+        let ep = CachingEndpoint::new(
+            Arc::new(InProcessEndpoint::new("DBpedia", s)),
+            namespace.clone(),
+        );
+        let probe = |i: usize| format!("SELECT ?s WHERE {{ ?s <http://e/p{i}> ?o . }}");
+        let one_row = ep
+            .query(&probe(0))
+            .unwrap()
+            .as_solutions()
+            .unwrap()
+            .approx_bytes() as u64;
+        assert!(one_row >= std::mem::size_of::<Option<Term>>() as u64);
+        assert_eq!(namespace.stats().resident_bytes, one_row);
+
+        // Same-sized pages: a second entry doubles the gauge, a hit and a
+        // re-insert of a live key leave it alone, an eviction swaps bytes.
+        ep.query(&probe(1)).unwrap();
+        assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
+        let cached = ep.query(&probe(1)).unwrap();
+        namespace.insert_text(&probe(1), &cached);
+        assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
+        ep.query(&probe(2)).unwrap();
+        assert_eq!(namespace.stats().evictions, 1);
+        assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
+
+        // Scoped invalidation gives back what it drops, a flush everything.
+        ep.ingest(IngestBatch::from(vec![Triple::new(
+            Term::iri("http://e/new"),
+            Term::iri("http://e/p2"),
+            Term::iri("http://e/o"),
+        )]))
+        .unwrap();
+        assert_eq!(namespace.stats().scoped_evictions, 1);
+        assert_eq!(namespace.stats().resident_bytes, one_row);
+        namespace.invalidate();
+        assert_eq!(namespace.stats().resident_bytes, 0);
+    }
+
+    #[test]
     fn cache_stats_since_subtracts_counters() {
         let before = CacheStats {
             hits: 2,
@@ -1057,6 +1161,7 @@ mod tests {
             invalidations: 0,
             scoped_invalidations: 0,
             scoped_evictions: 0,
+            resident_bytes: 0,
         };
         let after = CacheStats {
             hits: 7,
@@ -1066,6 +1171,7 @@ mod tests {
             invalidations: 1,
             scoped_invalidations: 2,
             scoped_evictions: 5,
+            resident_bytes: 64,
         };
         let delta = after.since(&before);
         assert_eq!(delta.hits, 5);

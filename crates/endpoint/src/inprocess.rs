@@ -452,7 +452,7 @@ mod tests {
         let traced = local.query_federated(&query, &reg).unwrap();
         assert_eq!(traced.results.rows().len(), 1);
         assert_eq!(
-            traced.results.rows()[0].get("c"),
+            traced.results.rows().first().unwrap().get("c"),
             Some(&Term::iri("http://e/Berlin"))
         );
         let plan = traced.plan.expect("federated path exposes its plan");

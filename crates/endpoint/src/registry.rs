@@ -475,7 +475,7 @@ mod tests {
         let old_namespace = reg.cache_of("DBpedia").unwrap();
         let old_rows = old_serving.query(q).unwrap();
         assert_eq!(
-            old_rows.rows()[0].get("o"),
+            old_rows.rows().first().unwrap().get("o"),
             Some(&Term::iri("http://e/old"))
         );
         assert_eq!(old_namespace.len(), 1);
@@ -497,7 +497,7 @@ mod tests {
         assert_eq!(new_namespace.stats().invalidations, 0);
         let new_rows = reg.get("DBpedia").unwrap().query(q).unwrap();
         assert_eq!(
-            new_rows.rows()[0].get("o"),
+            new_rows.rows().first().unwrap().get("o"),
             Some(&Term::iri("http://e/new"))
         );
     }

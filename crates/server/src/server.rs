@@ -496,6 +496,12 @@ fn metrics_page(shared: &Shared) -> Response {
         let label = Some(("kg", kg.as_str()));
         write_sample(&mut text, "cache_hits_total", label, stats.hits);
         write_sample(&mut text, "cache_misses_total", label, stats.misses);
+        write_sample(
+            &mut text,
+            "cache_resident_bytes",
+            label,
+            stats.resident_bytes,
+        );
     }
     Response::text(200, text)
 }

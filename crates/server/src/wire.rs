@@ -471,10 +471,11 @@ mod tests {
 
     #[test]
     fn sparql_select_results_match_w3c_shape() {
-        use kgqan_sparql::{Binding, ResultSet};
+        use kgqan_sparql::ResultSet;
         let rs = ResultSet::new(
             vec!["sea".into()],
-            vec![Binding::new().with("sea", Term::iri("http://e/Baltic_Sea"))],
+            1,
+            vec![Some(Term::iri("http://e/Baltic_Sea"))],
         );
         let body = query_results_to_json(&QueryResults::Solutions(rs));
         let parsed = Json::parse(&body).unwrap();

@@ -542,6 +542,7 @@ fn metrics_page_round_trips_through_an_exposition_parser() {
             "kg_requests_total",
             "cache_hits_total",
             "cache_misses_total",
+            "cache_resident_bytes",
         ] {
             assert!(
                 samples
@@ -551,6 +552,11 @@ fn metrics_page_round_trips_through_an_exposition_parser() {
             );
         }
     }
+    // Every leg cached its probes, and the gauge counts their bytes.
+    assert!(samples
+        .iter()
+        .filter(|sample| sample.name == "cache_resident_bytes")
+        .all(|sample| sample.value > 0));
     let fanout = samples
         .iter()
         .find(|sample| sample.name == "federated_fanout_total");

@@ -23,7 +23,7 @@
 //!    expressions, which need lexical values and decode the variables they
 //!    reference on demand, and final projection, which decodes only the rows
 //!    that survive `DISTINCT`/`OFFSET`/`LIMIT` (all applied while the rows
-//!    are still ids) into term-level [`Binding`]s for [`crate::results`].
+//!    are still ids) into the cells of one [`crate::results::ResultSet`].
 //!
 //! The full-text predicates (`bif:contains`, Stardog `textMatch`, Jena
 //! `text:query`) bind their subject to the string literals matched by the
@@ -41,7 +41,7 @@ use crate::ast::{Expression, GraphPattern, Query, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::parser::parse_query;
 use crate::plan::Planner;
-use crate::results::{Binding, QueryResults};
+use crate::results::{QueryResults, ResultSet};
 
 /// The IRIs accepted as full-text search predicates.  The first is Virtuoso's
 /// (used verbatim in the paper's `potentialRelevantVertices` query); the
@@ -158,18 +158,22 @@ pub(crate) fn compile_triple_pattern(
     })
 }
 
-/// Decode a projected id row into a term-level [`Binding`] — the single
-/// point where query evaluation leaves id space.
-pub(crate) fn decode_row(store: &Store, variables: &[String], row: &IdRow) -> Binding {
-    let mut binding = Binding::new();
-    for (name, id) in variables.iter().zip(row) {
-        if let Some(id) = id {
-            if let Some(term) = store.term_of(*id) {
-                binding.set(name.clone(), term.clone());
-            }
-        }
-    }
-    binding
+/// Decode the projected id rows of a finished run into the result table —
+/// the single point where query evaluation leaves id space.  Every cell is
+/// written once, straight into the table's one shared allocation; an id
+/// `resolve` does not know stays unbound.
+pub(crate) fn decode_rows(
+    variables: Vec<String>,
+    rows: &[IdRow],
+    resolve: impl Fn(TermId) -> Option<Term>,
+) -> ResultSet {
+    let width = variables.len();
+    // Driven by a range so that `collect` knows the length up front and
+    // allocates the shared slice once, with no intermediate vector.
+    let cells: std::sync::Arc<[Option<Term>]> = (0..rows.len() * width)
+        .map(|cell| rows[cell / width][cell % width].and_then(&resolve))
+        .collect();
+    ResultSet::new(variables, rows.len(), cells)
 }
 
 /// The text-search query words of a `?lit <bif:contains> …` pattern under a
@@ -500,7 +504,7 @@ mod tests {
         let rows = results.rows();
         assert_eq!(rows.len(), 1);
         assert_eq!(
-            rows[0].get("sea"),
+            rows.first().unwrap().get("sea"),
             Some(&Term::iri("http://dbpedia.org/resource/Baltic_Sea"))
         );
     }
@@ -514,8 +518,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(results.rows().len(), 2);
-        assert!(results.rows()[0].is_bound("s"));
-        assert!(results.rows()[0].is_bound("o"));
+        assert!(results.rows().first().unwrap().is_bound("s"));
+        assert!(results.rows().first().unwrap().is_bound("o"));
     }
 
     #[test]
@@ -586,7 +590,7 @@ mod tests {
         let rs = results.as_solutions().unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(
-            rs.rows()[0].get("v"),
+            rs.rows().first().unwrap().get("v"),
             Some(&Term::iri("http://dbpedia.org/resource/Danish_straits"))
         );
 
@@ -683,7 +687,7 @@ mod tests {
         .unwrap();
         assert_eq!(results.rows().len(), 1);
         assert_eq!(
-            results.rows()[0].get("type"),
+            results.rows().first().unwrap().get("type"),
             Some(&Term::iri("http://dbpedia.org/ontology/Sea"))
         );
     }
@@ -753,7 +757,7 @@ mod tests {
         ));
         let results = execute_query(&store, "SELECT ?x WHERE { ?x ?p ?x . }").unwrap();
         assert_eq!(results.rows().len(), 1);
-        assert_eq!(results.rows()[0].get("x"), Some(&node));
+        assert_eq!(results.rows().first().unwrap().get("x"), Some(&node));
     }
 
     #[test]
@@ -827,7 +831,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(results.rows().len(), 1);
-        assert_eq!(results.rows()[0].get("s"), Some(&Term::iri("http://e/a")));
+        assert_eq!(
+            results.rows().first().unwrap().get("s"),
+            Some(&Term::iri("http://e/a"))
+        );
     }
 
     #[test]
@@ -851,9 +858,9 @@ mod tests {
             match (planned, naive) {
                 (QueryResults::Boolean(a), QueryResults::Boolean(b)) => assert_eq!(a, b, "{q}"),
                 (QueryResults::Solutions(a), QueryResults::Solutions(b)) => {
-                    let mut a: Vec<_> = a.rows().to_vec();
-                    let mut b: Vec<_> = b.rows().to_vec();
-                    let key = |r: &Binding| format!("{r:?}");
+                    let mut a: Vec<_> = a.rows().collect();
+                    let mut b: Vec<_> = b.rows().collect();
+                    let key = |r: &crate::results::Row| format!("{r:?}");
                     a.sort_by_key(key);
                     b.sort_by_key(key);
                     assert_eq!(a, b, "{q}");

@@ -60,11 +60,11 @@ use kgqan_rdf::{EncodedTriple, PartitionRange, Store, Term, TermId, TextMatch};
 use crate::ast::{Expression, Query, VarOrTerm};
 use crate::error::SparqlError;
 use crate::eval::{
-    decode_row, eval_expression, term_truthiness, text_query_words, CompiledTriplePattern, IdRow,
+    decode_rows, eval_expression, term_truthiness, text_query_words, CompiledTriplePattern, IdRow,
     Slot,
 };
 use crate::plan::{PhysicalPlan, PlanBody, PlanNode, PlanStep, ServiceResolver, StepKind};
-use crate::results::{Binding, QueryResults, ResultSet};
+use crate::results::QueryResults;
 
 mod morsel;
 
@@ -202,24 +202,6 @@ impl ForeignTerms {
         } else {
             store.term_of(id).cloned()
         }
-    }
-
-    /// Decode a projected id row, falling back to the plain local-only
-    /// decoder when no foreign terms were interned this run (every
-    /// non-federated query).
-    fn decode_row(&self, store: &Store, variables: &[String], row: &IdRow) -> Binding {
-        if self.terms.borrow().is_empty() {
-            return decode_row(store, variables, row);
-        }
-        let mut binding = Binding::new();
-        for (name, id) in variables.iter().zip(row) {
-            if let Some(id) = id {
-                if let Some(term) = self.resolve(store, *id) {
-                    binding.set(name.clone(), term);
-                }
-            }
-        }
-        binding
     }
 }
 
@@ -559,17 +541,23 @@ impl<'a> Exec<'a> {
             });
         };
         let results = services.execute_service(kg, query)?;
-        let rows = results.rows();
-        self.scanned.set(self.scanned.get() + rows.len() as u64);
-        Ok(rows
+        let Some(remote) = results.as_solutions() else {
+            return Ok(Vec::new());
+        };
+        self.scanned.set(self.scanned.get() + remote.len() as u64);
+        // Each shared variable's remote column is resolved once, not per row.
+        let columns: Vec<(usize, usize)> = binds
             .iter()
-            .map(|binding| {
-                binds
+            .filter_map(|(var, slot)| Some((remote.column_index(var)?, *slot)))
+            .collect();
+        Ok(remote
+            .rows()
+            .map(|row| {
+                columns
                     .iter()
-                    .filter_map(|(var, slot)| {
-                        binding
-                            .get(var)
-                            .map(|term| (*slot, self.foreign.intern(self.store, term)))
+                    .filter_map(|&(column, slot)| {
+                        let term = row.cell(column)?;
+                        Some((slot, self.foreign.intern(self.store, term)))
                     })
                     .collect()
             })
@@ -652,12 +640,9 @@ impl PhysicalPlan<'_> {
         let results = if self.is_ask {
             QueryResults::Boolean(!out.rows.is_empty())
         } else {
-            let bindings = out
-                .rows
-                .iter()
-                .map(|row| foreign.decode_row(self.store, &self.projection, row))
-                .collect();
-            QueryResults::Solutions(ResultSet::new(self.projection.clone(), bindings))
+            QueryResults::Solutions(decode_rows(self.projection.clone(), &out.rows, |id| {
+                foreign.resolve(self.store, id)
+            }))
         };
         Ok(PlannedExecution {
             results,
@@ -946,8 +931,14 @@ mod tests {
         let rows = run.results.rows();
         // Only Bob's birth place joins; the stranger's row is filtered out.
         assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].get("q"), Some(&Term::iri("http://e/Bob")));
-        assert_eq!(rows[0].get("c"), Some(&Term::iri("http://e/Berlin")));
+        assert_eq!(
+            rows.first().unwrap().get("q"),
+            Some(&Term::iri("http://e/Bob"))
+        );
+        assert_eq!(
+            rows.first().unwrap().get("c"),
+            Some(&Term::iri("http://e/Berlin"))
+        );
         assert_eq!(resolver.calls.load(std::sync::atomic::Ordering::SeqCst), 1);
     }
 

@@ -61,4 +61,4 @@ pub use parser::parse_query;
 pub use plan::{ParallelConfig, PhysicalPlan, Planner, ServiceResolver};
 pub use pool::{PoolStats, SubmitError, WorkerPool};
 pub use reference::execute_naive;
-pub use results::{Binding, QueryResults, ResultSet};
+pub use results::{QueryResults, ResultSet, Row, Rows};

@@ -14,11 +14,11 @@ use kgqan_rdf::Store;
 use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::eval::{
-    compile_triple_pattern, decode_row, effective_text_cap, eval_expression,
+    compile_triple_pattern, decode_rows, effective_text_cap, eval_expression,
     is_text_search_pattern, term_truthiness, text_query_words, CompiledTriplePattern, IdRow, Slot,
     VarRegistry,
 };
-use crate::results::{Binding, QueryResults, ResultSet};
+use crate::results::QueryResults;
 
 /// Evaluate a parsed [`Query`] with the naive reference evaluator: triple
 /// patterns are joined in the exact order the AST lists them, every
@@ -67,11 +67,8 @@ pub fn execute_naive(store: &Store, query: &Query) -> Result<QueryResults, Sparq
             if let Some(limit) = query.limit {
                 id_rows.truncate(limit);
             }
-            let rows: Vec<Binding> = id_rows
-                .into_iter()
-                .map(|row| decode_row(run.store, &projected, &row))
-                .collect();
-            Ok(QueryResults::Solutions(ResultSet::new(projected, rows)))
+            let decoded = decode_rows(projected, &id_rows, |id| run.store.term_of(id).cloned());
+            Ok(QueryResults::Solutions(decoded))
         }
     }
 }
