@@ -129,4 +129,4 @@ fn descriptions(tag: &str) -> Vec<String> {
 }
 
 criterion_group!(benches, affinity);
-criterion_main!(area = "e2e"; benches);
+criterion_main!(benches);

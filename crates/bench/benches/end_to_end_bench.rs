@@ -38,4 +38,4 @@ fn end_to_end(c: &mut Criterion) {
 }
 
 criterion_group!(benches, end_to_end);
-criterion_main!(area = "e2e"; benches);
+criterion_main!(benches);

@@ -1,5 +1,4 @@
-//! Criterion benchmarks for the cross-KG federation layer — the
-//! `federate` area of the persisted perf trajectory.
+//! Criterion benchmarks for the cross-KG federation layer.
 //!
 //! Two questions:
 //!
@@ -153,4 +152,4 @@ fn service_join(c: &mut Criterion) {
 }
 
 criterion_group!(benches, fan_out, service_join);
-criterion_main!(area = "federate"; benches);
+criterion_main!(benches);

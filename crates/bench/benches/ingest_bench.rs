@@ -191,4 +191,4 @@ criterion_group!(
     stats_maintenance,
     query_during_sustained_ingest
 );
-criterion_main!(area = "ingest"; benches);
+criterion_main!(benches);

@@ -44,4 +44,4 @@ fn jit_linking(c: &mut Criterion) {
 }
 
 criterion_group!(benches, jit_linking);
-criterion_main!(area = "e2e"; benches);
+criterion_main!(benches);

@@ -62,4 +62,4 @@ fn execution(c: &mut Criterion) {
 }
 
 criterion_group!(benches, parsing, execution);
-criterion_main!(area = "sparql"; benches);
+criterion_main!(benches);

@@ -99,4 +99,4 @@ fn limit_early_exit(c: &mut Criterion) {
 }
 
 criterion_group!(benches, join_order, limit_early_exit);
-criterion_main!(area = "planner"; benches);
+criterion_main!(benches);

@@ -71,4 +71,4 @@ fn text_search(c: &mut Criterion) {
 }
 
 criterion_group!(benches, load_store, pattern_matching, text_search);
-criterion_main!(area = "store"; benches);
+criterion_main!(benches);

@@ -1,4 +1,5 @@
-//! Deterministic synthetic KG generator for the `scale` benchmarks.
+//! Deterministic synthetic KG generator for the `scale_bench` suite and the
+//! repository benchmark's `sparql_join` workload.
 //!
 //! The affinity/linking benchmarks use [`kgqan_benchmarks::kg::GeneratedKg`],
 //! which produces small, richly-typed KGs shaped like the paper's evaluation
@@ -9,8 +10,7 @@
 //! very unequal work and morsel stealing actually matters.
 //!
 //! Everything is seeded and hand-rolled (splitmix64 + an inverse-CDF Zipf
-//! sampler), so two runs — or two machines — build byte-identical stores and
-//! the committed `BENCH_scale.json` baseline stays comparable over time.
+//! sampler), so two runs — or two machines — build byte-identical stores.
 
 use std::sync::Arc;
 
@@ -42,7 +42,7 @@ pub struct ZipfKgConfig {
 }
 
 impl ZipfKgConfig {
-    /// The full-scale config the `scale` criterion area benchmarks against:
+    /// The full-scale config `scale_bench` runs against:
     /// two million triples over 200k entities.
     pub fn scale_full() -> Self {
         ZipfKgConfig {

@@ -12,16 +12,6 @@
 //! cargo bench --workspace
 //! ```
 //!
-//! The crate also owns the persisted perf trajectory ([`perftrack`]): the
-//! `perf_report` binary runs the whole criterion suite and merges the
-//! shim's JSONL records into the root `BENCH_<area>.json` artifacts, and
-//! `perf_diff` gates a fresh run against those committed baselines:
-//!
-//! ```text
-//! cargo run --release -p kgqan-bench --bin perf_report -- --out-dir .
-//! cargo run --release -p kgqan-bench --bin perf_diff -- --baseline-dir . --current-dir target/bench-report
-//! ```
-//!
 //! Every binary accepts `--scale smoke|full` (default `full`): `smoke` uses
 //! small KGs and 24 questions per benchmark for a quick check, `full` uses
 //! the paper-shaped scale (150 / 300 / 100 / 100 / 100 questions).
@@ -32,14 +22,6 @@
 pub mod harness;
 pub mod kggen;
 pub mod linking_eval;
-/// The minimal hand-rolled JSON reader/writer the perf tooling records its
-/// artifacts with.  The implementation lives in [`kgqan_endpoint::json`]
-/// (the network front-end serializes its wire bodies with the same code);
-/// this alias keeps the historical `kgqan_bench::perfjson` paths working.
-pub mod perfjson {
-    pub use kgqan_endpoint::json::*;
-}
-pub mod perftrack;
 pub mod published;
 pub mod table;
 

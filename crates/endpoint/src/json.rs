@@ -1,21 +1,25 @@
-//! A minimal hand-rolled JSON reader/writer shared by the serving wire
-//! formats and the perf-trajectory tooling.
+//! A minimal hand-rolled JSON reader/writer for the serving wire formats.
 //!
 //! The build environment is offline (no serde), so every JSON document the
 //! platform reads or writes — the HTTP front-end's request/response bodies
-//! and SPARQL-JSON results in `kgqan-server`, the `BENCH_<area>.json`
-//! artifacts and the per-benchmark JSONL records of `kgqan-bench` — goes
-//! through this small recursive-descent parser and these writer helpers.
+//! and SPARQL-JSON results in `kgqan-server` — goes through this small
+//! recursive-descent parser and these writer helpers.
 //! It supports the full JSON value grammar — objects, arrays, strings (with
 //! every escape form, including `\uXXXX` surrogate pairs and raw UTF-8),
 //! numbers, booleans and `null` — which is deliberately more than the
 //! emitters produce, so a round-trip test can exercise the schema end to
-//! end.
+//! end.  Arrays and objects nest at most 128 deep: request bodies come from
+//! the network, and the parser recurses once per level.
 
 use std::fmt::Write as _;
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.  A deeper
+/// document is an ordinary parse error instead of a stack overflow, which
+/// no `catch_unwind` contains.
+const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value. Objects keep their key order (the emitters write a
-/// stable field order, and diffs of committed artifacts stay readable).
+/// stable field order).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -39,6 +43,7 @@ impl Json {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let value = parser.value()?;
@@ -99,8 +104,7 @@ impl Json {
 }
 
 /// Appends `s` to `out` as a quoted, escaped JSON string. Non-ASCII
-/// characters pass through as raw UTF-8 (legal JSON, and keeps artifacts
-/// human-readable).
+/// characters pass through as raw UTF-8 (legal JSON, and human-readable).
 pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
@@ -121,7 +125,7 @@ pub fn write_json_string(out: &mut String, s: &str) {
 
 /// Appends a finite `f64` to `out` using Rust's shortest-round-trip
 /// `Display` (never scientific notation), so parsing the text recovers the
-/// exact value. Non-finite inputs (which the tooling never produces) are
+/// exact value. Non-finite inputs (which the emitters never produce) are
 /// written as `0`.
 pub fn write_json_number(out: &mut String, x: f64) {
     if x.is_finite() {
@@ -134,6 +138,8 @@ pub fn write_json_number(out: &mut String, x: f64) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -162,8 +168,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -176,6 +182,23 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_string()),
         }
+    }
+
+    /// Runs `parse` (an array or object body) one level deeper.
+    fn nested(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<Json, String>,
+    ) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Json) -> Result<Json, String> {
@@ -379,6 +402,25 @@ mod tests {
             write_json_number(&mut out, x);
             assert_eq!(Json::parse(&out).unwrap().as_f64().unwrap(), x);
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        fn arrays(depth: usize) -> String {
+            format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+        }
+        fn objects(depth: usize) -> String {
+            format!("{}1{}", "{\"k\":".repeat(depth), "}".repeat(depth))
+        }
+        for nested in [arrays, objects] {
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("129 levels");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+        }
+        // What a hostile client sends: far past the cap, never closed.
+        assert!(Json::parse(&"[".repeat(1 << 20)).is_err());
+        // Depth is what is open, not what was seen: siblings do not count.
+        assert!(Json::parse(&format!("[{}[]]", "[],".repeat(1_000))).is_ok());
     }
 
     #[test]

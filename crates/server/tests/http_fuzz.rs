@@ -153,3 +153,49 @@ fn live_server_survives_malformed_connections() {
     let response = client.get("/healthz").expect("server survived the fuzzing");
     assert_eq!(response.status, 200);
 }
+
+/// Both body parsers recurse once per nesting level, on a handler thread's
+/// 2 MiB stack.  A stack overflow is not a panic — it aborts the process
+/// and every request in flight — so a body nested past the parsers' cap
+/// must come back as a plain `400`.
+#[test]
+fn live_server_refuses_deeply_nested_bodies() {
+    let service = kgqan::QaService::builder()
+        .endpoint(std::sync::Arc::new(kgqan_endpoint::InProcessEndpoint::new(
+            "DBpedia",
+            kgqan_rdf::Store::new(),
+        )))
+        .build()
+        .unwrap();
+    let handle = serve(service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+
+    // The JSON bodies fill `max_body_bytes` exactly.
+    let brackets = "[".repeat(Limits::default().max_body_bytes);
+    let braces = format!("SELECT ?s WHERE {}", "{".repeat(100_000));
+    let or_chain = format!(
+        "SELECT ?s WHERE {{ ?s ?p ?o FILTER(?o {}) }}",
+        "|| ?o ".repeat(100_000)
+    );
+    let attacks = [
+        ("/kg/DBpedia/ask", "application/json", &brackets),
+        ("/federate/ask", "application/json", &brackets),
+        ("/kg/DBpedia/sparql", "application/sparql-query", &braces),
+        ("/kg/DBpedia/sparql", "application/sparql-query", &or_chain),
+    ];
+    for (path, content_type, body) in attacks {
+        let refused = kgqan_server::HttpClient::connect(handle.addr())
+            .post(path, content_type, body)
+            .unwrap_or_else(|e| panic!("{path}: no reply ({e}); did the server abort?"));
+        assert_eq!(refused.status, 400, "{path}: {}", refused.text());
+
+        // A fresh connection is still served.
+        let served = kgqan_server::HttpClient::connect(handle.addr())
+            .post(
+                "/kg/DBpedia/sparql",
+                "application/sparql-query",
+                "ASK { ?s ?p ?o }",
+            )
+            .expect("server survived");
+        assert_eq!(served.status, 200, "{}", served.text());
+    }
+}

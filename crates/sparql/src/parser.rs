@@ -6,13 +6,24 @@ use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, V
 use crate::error::SparqlError;
 use crate::lexer::{tokenize, DatatypeRef, Token};
 
+/// Levels `Parser::depth` may reach.  Query text comes from the network,
+/// and the parser, the planner, the executor and `Drop` all recurse once
+/// per level of the tree: one that would grow taller is an ordinary parse
+/// error instead of a stack overflow, which no `catch_unwind` contains.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a SPARQL query string into a [`Query`].
+///
+/// `{ … }` groups and `FILTER` sub-expressions nest at most 128 deep, and a
+/// group chains at most that many operators (`OPTIONAL`, `UNION`, `FILTER`,
+/// `||`, …) on one level.
 pub fn parse_query(input: &str) -> Result<Query, SparqlError> {
     let tokens = tokenize(input)?;
     let mut parser = Parser {
         tokens,
         pos: 0,
         prefixes: Vec::new(),
+        depth: 0,
     };
     parser.parse()
 }
@@ -21,6 +32,12 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     prefixes: Vec<(String, String)>,
+    /// Levels of the tree being built above the parse position: open
+    /// groups and sub-expressions, plus the operators already chained onto
+    /// each (chains are left-deep, so every link is a level).  The one
+    /// link not counted is the join of a BGP written between two
+    /// operators, so a pattern tree is at most twice this tall.
+    depth: usize,
 }
 
 impl Parser {
@@ -138,9 +155,37 @@ impl Parser {
         }
     }
 
+    /// One level further down the tree.
+    fn descend(&mut self) -> Result<(), SparqlError> {
+        if self.depth == MAX_DEPTH {
+            return Err(SparqlError::Parse {
+                message: format!("query nests or chains more than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `parse` one level down and comes back up by however many
+    /// levels it added.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, SparqlError>,
+    ) -> Result<T, SparqlError> {
+        let outer = self.depth;
+        self.descend()?;
+        let parsed = parse(self);
+        self.depth = outer;
+        parsed
+    }
+
     /// Parse a `{ ... }` group: triple patterns, OPTIONAL groups, FILTER
     /// expressions and UNIONs, combined left-to-right.
     fn parse_group(&mut self) -> Result<GraphPattern, SparqlError> {
+        self.nested(Self::parse_group_body)
+    }
+
+    fn parse_group_body(&mut self) -> Result<GraphPattern, SparqlError> {
         self.expect(Token::LBrace)?;
         let mut current_bgp: Vec<TriplePatternAst> = Vec::new();
         let mut pattern: Option<GraphPattern> = None;
@@ -169,11 +214,13 @@ impl Parser {
                     let inner = self.parse_group()?;
                     let left = pattern.take().unwrap_or_else(GraphPattern::empty);
                     pattern = Some(GraphPattern::Optional(Box::new(left), Box::new(inner)));
+                    self.descend()?;
                 }
                 Some(Token::Keyword(k)) if k == "FILTER" => {
                     self.advance();
                     let expr = self.parse_filter_expression()?;
                     filters.push(expr);
+                    self.descend()?;
                 }
                 Some(Token::Keyword(k)) if k == "SERVICE" => {
                     self.advance();
@@ -188,6 +235,7 @@ impl Parser {
                         None => service,
                         Some(existing) => GraphPattern::Join(Box::new(existing), Box::new(service)),
                     });
+                    self.descend()?;
                 }
                 Some(Token::Keyword(k)) if k == "UNION" => {
                     self.advance();
@@ -195,6 +243,7 @@ impl Parser {
                     let right = self.parse_group()?;
                     let left = pattern.take().unwrap_or_else(GraphPattern::empty);
                     pattern = Some(GraphPattern::Union(Box::new(left), Box::new(right)));
+                    self.descend()?;
                 }
                 Some(Token::LBrace) => {
                     // Nested group (commonly the left side of a UNION).
@@ -204,6 +253,7 @@ impl Parser {
                         None => inner,
                         Some(existing) => GraphPattern::Join(Box::new(existing), Box::new(inner)),
                     });
+                    self.descend()?;
                 }
                 Some(Token::Dot) => {
                     self.advance();
@@ -314,7 +364,7 @@ impl Parser {
 
     /// Parse `FILTER` followed by a parenthesised or function-style expression.
     fn parse_filter_expression(&mut self) -> Result<Expression, SparqlError> {
-        self.parse_or_expression()
+        self.nested(Self::parse_or_expression)
     }
 
     fn parse_or_expression(&mut self) -> Result<Expression, SparqlError> {
@@ -323,6 +373,7 @@ impl Parser {
             self.advance();
             let right = self.parse_and_expression()?;
             left = Expression::Or(Box::new(left), Box::new(right));
+            self.descend()?;
         }
         Ok(left)
     }
@@ -333,6 +384,7 @@ impl Parser {
             self.advance();
             let right = self.parse_comparison()?;
             left = Expression::And(Box::new(left), Box::new(right));
+            self.descend()?;
         }
         Ok(left)
     }
@@ -364,7 +416,13 @@ impl Parser {
         Ok(left)
     }
 
+    /// An operand, `!`, a parenthesis or a function call: every way one
+    /// expression holds another comes through here.
     fn parse_unary(&mut self) -> Result<Expression, SparqlError> {
+        self.nested(Self::parse_unary_body)
+    }
+
+    fn parse_unary_body(&mut self) -> Result<Expression, SparqlError> {
         match self.peek() {
             Some(Token::Not) => {
                 self.advance();
@@ -684,5 +742,66 @@ mod tests {
             tps[0].predicate,
             VarOrTerm::Term(Term::iri("http://example.org/other/thing"))
         );
+    }
+
+    /// `n` levels (or chain links) of each way a query grows a taller tree.
+    fn tall_queries(n: usize) -> Vec<String> {
+        let tp = "?s ?p ?o";
+        vec![
+            format!(
+                "SELECT ?s WHERE {{ {tp} {}{}}}",
+                format!("OPTIONAL {{ {tp} ").repeat(n),
+                "} ".repeat(n)
+            ),
+            format!("SELECT ?s WHERE {{ {{}} {} }}", "UNION {} ".repeat(n)),
+            format!("SELECT ?s WHERE {{ {} }}", "{} ".repeat(n)),
+            format!("SELECT ?s WHERE {{ {tp} {} }}", "FILTER(?o) ".repeat(n)),
+            format!(
+                "SELECT ?s WHERE {{ {tp} FILTER({}?o{}) }}",
+                "(".repeat(n),
+                ")".repeat(n)
+            ),
+            format!("SELECT ?s WHERE {{ {tp} FILTER({}?o) }}", "!".repeat(n)),
+            format!(
+                "SELECT ?s WHERE {{ {tp} FILTER(?o {}) }}",
+                "|| ?o ".repeat(n)
+            ),
+            format!(
+                "SELECT ?s WHERE {{ {tp} FILTER(?o {}) }}",
+                "&& ?o ".repeat(n)
+            ),
+            format!(
+                "SELECT ?s WHERE {{ {tp} FILTER({}?o{}) }}",
+                "STR(".repeat(n),
+                ")".repeat(n)
+            ),
+        ]
+    }
+
+    #[test]
+    fn groups_nest_128_deep_and_no_deeper() {
+        let braces = |n: usize| format!("SELECT ?s WHERE {}{}", "{".repeat(n), "}".repeat(n));
+        let deepest = parse_query(&braces(MAX_DEPTH)).expect("128 groups parse");
+        // Everything that walks the tree does so on a handler's stack.
+        let rows = crate::execute(&kgqan_rdf::Store::new(), &deepest).expect("and run");
+        assert_eq!(rows.rows().len(), 1);
+        let err = parse_query(&braces(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("more than 128 levels"), "{err}");
+    }
+
+    #[test]
+    fn tall_trees_are_parse_errors_not_stack_overflows() {
+        for query in tall_queries(100) {
+            let parsed = parse_query(&query).unwrap_or_else(|e| panic!("{e}: {query}"));
+            assert!(crate::execute(&kgqan_rdf::Store::new(), &parsed).is_ok());
+        }
+        // Unclosed, as a hostile client would send it; each of these killed
+        // the process before the cap.
+        let mut hostile = tall_queries(100_000);
+        hostile.push(format!("SELECT ?s WHERE {}", "{".repeat(100_000)));
+        for query in tall_queries(MAX_DEPTH).into_iter().chain(hostile) {
+            let err = parse_query(&query).expect_err("taller than the cap");
+            assert!(err.to_string().contains("more than 128 levels"), "{err}");
+        }
     }
 }

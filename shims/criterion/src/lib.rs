@@ -8,24 +8,10 @@
 //! batched samples; the mean, median and tail of the per-iteration time are
 //! printed. Statistical outlier analysis, plots and criterion's own
 //! baselines are out of scope; `cargo bench` output is indicative only.
-//!
-//! ## Machine-readable reports
-//!
-//! When the `KGQAN_BENCH_JSON` environment variable names a file, every
-//! finished benchmark appends one JSON line (see [`record_json_line`]) with
-//! its per-sample statistics. The `perf_report` binary in `kgqan-bench`
-//! merges those lines into the per-area `BENCH_<area>.json` artifacts that
-//! CI diffs against the committed baselines. Benchmark executables declare
-//! which area they belong to with `criterion_main!(area = "store"; groups)`
-//! (a shim extension; plain `criterion_main!(groups)` still works and tags
-//! records with the area `"unknown"`).
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
-use std::fmt::Write as _;
-use std::io::Write as _;
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Prevents the compiler from optimising away a benchmarked value.
@@ -80,51 +66,29 @@ impl IntoBenchmarkId for String {
     }
 }
 
-/// The benchmark area tag for this process, set once by
-/// `criterion_main!(area = "…"; …)` before any group runs.
-static AREA: OnceLock<String> = OnceLock::new();
-
-/// Declares which perf-trajectory area (`store`, `sparql`, `planner`,
-/// `service`, `cache`, `e2e`, …) the benchmarks of this executable belong
-/// to. First call wins; later calls are ignored. Normally invoked through
-/// `criterion_main!(area = "…"; …)` rather than directly.
-pub fn set_area(area: &str) {
-    let _ = AREA.set(area.to_string());
-}
-
-/// The area tag declared via [`set_area`], or `"unknown"`.
-pub fn area() -> &'static str {
-    AREA.get().map(String::as_str).unwrap_or("unknown")
-}
-
 /// Hard cap on recorded samples per benchmark, bounding memory and the time
 /// spent when batch calibration undershoots (e.g. a cold first iteration).
 const MAX_SAMPLES: usize = 2_000;
 
 /// Per-iteration timing statistics over the recorded sample batches, in
 /// nanoseconds. Each sample is the mean iteration time of one timed batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Stats {
+struct Stats {
     /// Number of timed sample batches.
-    pub samples: u64,
+    samples: u64,
     /// Total routine iterations across all timed batches.
-    pub iters: u64,
+    iters: u64,
     /// Mean per-iteration time over all samples.
-    pub mean_ns: f64,
+    mean_ns: f64,
     /// Median (p50) per-iteration time over the samples.
-    pub p50_ns: f64,
+    p50_ns: f64,
     /// 95th-percentile per-iteration time over the samples.
-    pub p95_ns: f64,
-    /// Fastest sample's per-iteration time.
-    pub min_ns: f64,
-    /// Throughput implied by the mean: `1e9 / mean_ns`.
-    pub iters_per_sec: f64,
+    p95_ns: f64,
 }
 
 impl Stats {
     /// Derives the summary statistics from raw per-sample iteration times
     /// (nanoseconds per iteration, one entry per timed batch).
-    pub fn from_sample_ns(mut sample_ns: Vec<f64>, iters: u64) -> Stats {
+    fn from_sample_ns(mut sample_ns: Vec<f64>, iters: u64) -> Stats {
         assert!(!sample_ns.is_empty(), "at least one sample required");
         sample_ns.sort_by(|a, b| a.partial_cmp(b).expect("sample times are finite"));
         let n = sample_ns.len();
@@ -139,8 +103,6 @@ impl Stats {
             mean_ns,
             p50_ns: percentile(0.50),
             p95_ns: percentile(0.95),
-            min_ns: sample_ns[0],
-            iters_per_sec: if mean_ns > 0.0 { 1e9 / mean_ns } else { 0.0 },
         }
     }
 }
@@ -211,7 +173,7 @@ struct RunConfig {
 /// every bench as a fast regression smoke test with a minimal iteration
 /// budget, and per-group `sample_size`/`measurement_time` requests are
 /// ignored so no single bench can blow the time box.
-pub fn smoke_mode() -> bool {
+fn smoke_mode() -> bool {
     std::env::var_os("KGQAN_BENCH_SMOKE").is_some()
 }
 
@@ -292,93 +254,8 @@ fn report(group: &str, id: &str, stats: Option<&Stats>) {
                 stats.samples,
                 stats.iters,
             );
-            emit_json(group, id, stats);
         }
         None => println!("bench: {group}/{id:<40} (no measurement recorded)"),
-    }
-}
-
-/// Appends one JSON record for a finished benchmark to the file named by
-/// `KGQAN_BENCH_JSON`, if set. Emission failures are reported on stderr but
-/// never fail the bench run.
-fn emit_json(group: &str, id: &str, stats: &Stats) {
-    let Some(path) = std::env::var_os("KGQAN_BENCH_JSON") else {
-        return;
-    };
-    let line = record_json_line(area(), group, id, smoke_mode(), stats);
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(&path)
-        .and_then(|mut file| writeln!(file, "{line}"));
-    if let Err(err) = appended {
-        eprintln!(
-            "criterion shim: cannot append bench record to {}: {err}",
-            path.to_string_lossy()
-        );
-    }
-}
-
-/// Escapes `s` as the body of a JSON string (quotes, backslashes and
-/// control characters; non-ASCII passes through as UTF-8, which JSON
-/// permits).
-fn escape_json(out: &mut String, s: &str) {
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
-/// Renders one benchmark result as a single-line JSON object — the record
-/// format `perf_report` merges into the `BENCH_<area>.json` artifacts.
-///
-/// Floating-point fields use Rust's shortest-round-trip `Display`, so the
-/// emitted number parses back to exactly the measured value.
-pub fn record_json_line(
-    area: &str,
-    group: &str,
-    bench: &str,
-    smoke: bool,
-    stats: &Stats,
-) -> String {
-    let mut out = String::with_capacity(256);
-    out.push_str("{\"area\":\"");
-    escape_json(&mut out, area);
-    out.push_str("\",\"group\":\"");
-    escape_json(&mut out, group);
-    out.push_str("\",\"bench\":\"");
-    escape_json(&mut out, bench);
-    let _ = write!(
-        out,
-        "\",\"smoke\":{},\"samples\":{},\"iters\":{},\"mean_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\"min_ns\":{},\"iters_per_sec\":{}}}",
-        smoke,
-        stats.samples,
-        stats.iters,
-        finite(stats.mean_ns),
-        finite(stats.p50_ns),
-        finite(stats.p95_ns),
-        finite(stats.min_ns),
-        finite(stats.iters_per_sec),
-    );
-    out
-}
-
-/// Clamps non-finite values (which valid measurements never produce) to
-/// zero so the emitted text is always legal JSON.
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
     }
 }
 
@@ -431,23 +308,8 @@ macro_rules! criterion_group {
 }
 
 /// Declares the benchmark `main` function, mirroring criterion's macro.
-///
-/// The shim adds an `area = "…";` prefix form that tags every record this
-/// executable emits with a perf-trajectory area before running the groups:
-///
-/// ```ignore
-/// criterion_group!(benches, load_store);
-/// criterion_main!(area = "store"; benches);
-/// ```
 #[macro_export]
 macro_rules! criterion_main {
-    (area = $area:expr; $($group:path),+ $(,)?) => {
-        fn main() {
-            $crate::set_area($area);
-            $($group();)+
-            $crate::Criterion::default().final_summary();
-        }
-    };
     ($($group:path),+ $(,)?) => {
         fn main() {
             $($group();)+
@@ -488,8 +350,8 @@ mod tests {
         let stats = bencher.stats.expect("stats recorded");
         assert!(stats.samples >= 7, "got {} samples", stats.samples);
         assert!(stats.iters >= stats.samples);
-        assert!(stats.min_ns <= stats.p50_ns && stats.p50_ns <= stats.p95_ns);
-        assert!(stats.mean_ns > 0.0 && stats.iters_per_sec > 0.0);
+        assert!(stats.p50_ns <= stats.p95_ns);
+        assert!(stats.mean_ns > 0.0);
     }
 
     #[test]
@@ -497,21 +359,8 @@ mod tests {
         let stats = Stats::from_sample_ns(vec![5.0, 1.0, 3.0, 2.0, 4.0], 50);
         assert_eq!(stats.samples, 5);
         assert_eq!(stats.iters, 50);
-        assert_eq!(stats.min_ns, 1.0);
         assert_eq!(stats.p50_ns, 3.0);
         assert_eq!(stats.p95_ns, 5.0);
         assert!((stats.mean_ns - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn json_line_escapes_and_round_trips_shape() {
-        let stats = Stats::from_sample_ns(vec![439.25, 440.0], 2_000);
-        let line = record_json_line("store", "störe_load", "insert \"all\"/1 000", false, &stats);
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"area\":\"store\""));
-        assert!(line.contains("st\u{f6}re_load"));
-        assert!(line.contains("insert \\\"all\\\""));
-        assert!(line.contains("\"p50_ns\":"));
-        assert!(!line.contains('\n'));
     }
 }
