@@ -22,10 +22,10 @@
 //!
 //! Only successful results are cached — errors always propagate and are
 //! retried on the next request.  Values are *shared*, not copied: a
-//! [`QueryResults`] is an immutable row table behind an `Arc`
+//! [`QueryResults`] is an immutable table of dictionary ids behind an `Arc`
 //! (`kgqan_sparql::results`), so a hit hands the caller the cached table for
-//! the price of a reference count, and a miss inserts the very table it
-//! returns.  Linking probes are LIMIT-bounded and anything larger than
+//! the price of a reference count, a miss inserts the very table it
+//! returns, and a cached cell costs 4 bytes whatever its term's text.  Linking probes are LIMIT-bounded and anything larger than
 //! [`CacheConfig::max_result_rows`] rows (candidate queries carry no LIMIT)
 //! is not inserted at all, so per-entry memory stays bounded; what the
 //! entries add up to is reported as [`CacheStats::resident_bytes`].
@@ -104,10 +104,14 @@ pub struct CacheStats {
     /// Entries evicted by scoped invalidation passes (a subset of the
     /// namespace, unlike `invalidations` which flushes everything).
     pub scoped_evictions: u64,
-    /// Approximate bytes the live entries keep alive
+    /// Approximate bytes the live entries keep alive of their own
     /// ([`ResultSet::approx_bytes`](kgqan_sparql::ResultSet::approx_bytes),
-    /// taken once at insert).  A gauge, not a counter: it falls when entries
-    /// are evicted or invalidated.  Nothing is admitted or evicted by it.
+    /// taken once at insert): 4 bytes a cell plus the few terms a page
+    /// holds outside the store's dictionary.  The text of dictionary terms
+    /// is the store's and is not counted, though a page keeps the
+    /// dictionary segments it was built against alive.  A gauge, not a
+    /// counter: it falls when entries are evicted or invalidated.  Nothing
+    /// is admitted or evicted by it.
     pub resident_bytes: u64,
 }
 
@@ -1124,7 +1128,8 @@ mod tests {
             .as_solutions()
             .unwrap()
             .approx_bytes() as u64;
-        assert!(one_row >= std::mem::size_of::<Option<Term>>() as u64);
+        // One 4-byte code and the variable name: the IRI is the store's.
+        assert_eq!(one_row, 4 + "s".len() as u64);
         assert_eq!(namespace.stats().resident_bytes, one_row);
 
         // Same-sized pages: a second entry doubles the gauge, a hit and a

@@ -41,6 +41,7 @@ impl Json {
     /// error.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
             depth: 0,
@@ -136,6 +137,8 @@ pub fn write_json_number(out: &mut String, x: f64) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes; `pos` indexes both.
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -230,35 +233,34 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            // Decode at char granularity so raw UTF-8 passes through.
-            let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                .map_err(|_| "non-UTF-8 string content".to_string())?;
-            let mut chars = rest.chars();
-            let ch = chars
-                .next()
+            // Copy the run up to the next quote or backslash in one go: both
+            // are ASCII, so the run ends on a char boundary, and the input is
+            // already valid UTF-8.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
                 .ok_or_else(|| "unterminated string".to_string())?;
-            self.pos += ch.len_utf8();
-            match ch {
-                '"' => return Ok(out),
-                '\\' => {
-                    let esc = chars
-                        .next()
-                        .ok_or_else(|| "unterminated escape".to_string())?;
-                    self.pos += esc.len_utf8();
-                    match esc {
-                        '"' => out.push('"'),
-                        '\\' => out.push('\\'),
-                        '/' => out.push('/'),
-                        'b' => out.push('\u{0008}'),
-                        'f' => out.push('\u{000c}'),
-                        'n' => out.push('\n'),
-                        'r' => out.push('\r'),
-                        't' => out.push('\t'),
-                        'u' => out.push(self.unicode_escape()?),
-                        other => return Err(format!("invalid escape '\\{other}'")),
-                    }
-                }
-                c => out.push(c),
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.text[self.pos..]
+                .chars()
+                .next()
+                .ok_or_else(|| "unterminated escape".to_string())?;
+            self.pos += esc.len_utf8();
+            match esc {
+                '"' => out.push('"'),
+                '\\' => out.push('\\'),
+                '/' => out.push('/'),
+                'b' => out.push('\u{0008}'),
+                'f' => out.push('\u{000c}'),
+                'n' => out.push('\n'),
+                'r' => out.push('\r'),
+                't' => out.push('\t'),
+                'u' => out.push(self.unicode_escape()?),
+                other => return Err(format!("invalid escape '\\{other}'")),
             }
         }
     }
@@ -393,6 +395,37 @@ mod tests {
         let mut out = String::new();
         write_json_string(&mut out, tricky);
         assert_eq!(Json::parse(&out).unwrap().as_str().unwrap(), tricky);
+    }
+
+    #[test]
+    fn long_strings_round_trip_with_escapes_at_run_boundaries() {
+        // Raw multi-byte characters (é precomposed and as e + U+0301, 😀)
+        // on both sides of every escape the writer emits.
+        let pieces = [
+            "ascii ", "é", "😀", "\n", "e\u{301}", "\"", "\\", "\u{1}", "é\n😀",
+        ];
+        let (mut text, mut chars) = (String::new(), 0);
+        for i in 0.. {
+            if chars >= 400_000 {
+                break;
+            }
+            let piece = pieces[(i * 7) % pieces.len()];
+            text.push_str(piece);
+            chars += piece.chars().count();
+        }
+        let mut doc = String::new();
+        write_json_string(&mut doc, &text);
+        assert_eq!(Json::parse(&doc).unwrap().as_str(), Some(text.as_str()));
+
+        // `\u` escapes, surrogate pairs included, between raw characters.
+        let doc = r#""é\u00e9😀\ud83d\ude00e\u0301\né""#;
+        assert_eq!(
+            Json::parse(doc).unwrap().as_str(),
+            Some("éé😀😀e\u{301}\né")
+        );
+        for bad in [r#""é\"#, r#""😀\x""#, "\"é\\é\"", r#""\u00"#] {
+            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! Segments are kept geometrically sized (a freeze merges trailing segments
 //! until each is at least twice the size of its successor), so lookups probe
 //! `O(log n)` segments and merge work is amortised across freezes.
+//!
+//! The sealed segments sit behind one more `Arc` as a [`FrozenDictionary`],
+//! the handle a query result keeps to turn its ids back into terms: taking
+//! it is one reference-count bump.  Ids are append-only and never re-used,
+//! so a handle taken at any epoch resolves its ids to the same terms as
+//! every later epoch's dictionary does.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +50,6 @@ impl fmt::Display for TermId {
 
 /// One immutable run of interned terms covering the contiguous id range
 /// `start .. start + terms.len()`.
-#[derive(Debug)]
 struct DictSegment {
     start: u32,
     terms: Vec<Term>,
@@ -57,6 +62,64 @@ impl DictSegment {
     }
 }
 
+/// The sealed generations of a [`Dictionary`]: every id below
+/// [`FrozenDictionary::len`], immutable and shared.
+///
+/// Cloning is one reference-count bump, and the terms it resolves stay
+/// alive as long as the handle does, whatever the dictionary it came from
+/// freezes or merges afterwards.  Obtained with [`Dictionary::frozen`].
+#[derive(Clone, Default)]
+pub struct FrozenDictionary {
+    segments: Arc<[Arc<DictSegment>]>,
+}
+
+impl FrozenDictionary {
+    /// Resolve an id back to its term; `None` for ids this handle does not
+    /// cover.
+    pub fn term_of(&self, id: TermId) -> Option<&Term> {
+        // A fully merged dictionary (the common sealed-store layout) has one
+        // segment covering every sealed id — skip the segment search.
+        let seg = match &*self.segments {
+            [only] => only,
+            segs => {
+                let seg_idx = segs.partition_point(|seg| seg.start <= id.0);
+                segs.get(seg_idx.checked_sub(1)?)?
+            }
+        };
+        seg.terms.get(id.0.checked_sub(seg.start)? as usize)
+    }
+
+    /// Look up the id of a term, newest segment first.
+    fn id_of(&self, term: &Term) -> Option<TermId> {
+        self.segments
+            .iter()
+            .rev()
+            .find_map(|seg| seg.forward.get(term).copied())
+    }
+
+    /// Number of ids covered: `0 .. len()`.
+    pub fn len(&self) -> usize {
+        self.segments
+            .last()
+            .map_or(0, |seg| seg.start as usize + seg.len())
+    }
+
+    /// True if the handle covers no id.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Summarises, never lists: a handle may cover millions of terms.
+impl fmt::Debug for FrozenDictionary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FrozenDictionary")
+            .field("terms", &self.len())
+            .field("segments", &self.segments.len())
+            .finish()
+    }
+}
+
 /// A bidirectional mapping between [`Term`]s and [`TermId`]s.
 ///
 /// The forward direction (term → id) is a hash map per segment; the reverse
@@ -66,7 +129,8 @@ impl DictSegment {
 /// map + vector pair.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
-    frozen: Vec<Arc<DictSegment>>,
+    frozen: FrozenDictionary,
+    /// `frozen.len()`: the first id of the head.
     head_start: u32,
     head_terms: Vec<Term>,
     head_forward: FxHashMap<Term, TermId>,
@@ -96,27 +160,22 @@ impl Dictionary {
         if let Some(&id) = self.head_forward.get(term) {
             return Some(id);
         }
-        self.frozen
-            .iter()
-            .rev()
-            .find_map(|seg| seg.forward.get(term).copied())
+        self.frozen.id_of(term)
     }
 
     /// Resolve an id back to its term.
     pub fn term_of(&self, id: TermId) -> Option<&Term> {
-        if id.0 >= self.head_start {
-            return self.head_terms.get((id.0 - self.head_start) as usize);
+        match id.0.checked_sub(self.head_start) {
+            Some(offset) => self.head_terms.get(offset as usize),
+            None => self.frozen.term_of(id),
         }
-        // A fully merged dictionary (the common sealed-store layout) has one
-        // frozen segment covering `0..head_start` — skip the segment search.
-        let seg = match self.frozen.as_slice() {
-            [only] => only,
-            segs => {
-                let seg_idx = segs.partition_point(|seg| seg.start <= id.0);
-                segs.get(seg_idx.checked_sub(1)?)?
-            }
-        };
-        seg.terms.get((id.0 - seg.start) as usize)
+    }
+
+    /// The sealed part of the dictionary — every id below the head — as a
+    /// shared handle (one reference-count bump).  After a
+    /// [`Dictionary::freeze`] it covers every interned term.
+    pub fn frozen(&self) -> FrozenDictionary {
+        self.frozen.clone()
     }
 
     /// Seal the mutable head into an immutable, `Arc`-shared segment.
@@ -136,34 +195,39 @@ impl Dictionary {
             forward: std::mem::take(&mut self.head_forward),
         };
         self.head_start += segment.len() as u32;
-        self.frozen.push(Arc::new(segment));
+        // Handles taken earlier keep the old list; this one is rebuilt.
+        let mut frozen = self.frozen.segments.to_vec();
+        frozen.push(Arc::new(segment));
         self.freezes.fetch_add(1, Ordering::Relaxed);
 
-        while self.frozen.len() >= 2 {
-            let last = self.frozen[self.frozen.len() - 1].len();
-            let prev = self.frozen[self.frozen.len() - 2].len();
+        while frozen.len() >= 2 {
+            let last = frozen[frozen.len() - 1].len();
+            let prev = frozen[frozen.len() - 2].len();
             if prev >= 2 * last {
                 break;
             }
-            let b = self.frozen.pop().expect("checked len");
-            let a = self.frozen.pop().expect("checked len");
+            let b = frozen.pop().expect("checked len");
+            let a = frozen.pop().expect("checked len");
             let mut terms = Vec::with_capacity(a.len() + b.len());
             terms.extend(a.terms.iter().cloned());
             terms.extend(b.terms.iter().cloned());
             let mut forward = a.forward.clone();
             forward.extend(b.forward.iter().map(|(t, &id)| (t.clone(), id)));
-            self.frozen.push(Arc::new(DictSegment {
+            frozen.push(Arc::new(DictSegment {
                 start: a.start,
                 terms,
                 forward,
             }));
             self.merges.fetch_add(1, Ordering::Relaxed);
         }
+        self.frozen = FrozenDictionary {
+            segments: frozen.into(),
+        };
     }
 
     /// Number of frozen segments plus the head if it is non-empty.
     pub fn num_segments(&self) -> usize {
-        self.frozen.len() + usize::from(!self.head_terms.is_empty())
+        self.frozen.segments.len() + usize::from(!self.head_terms.is_empty())
     }
 
     /// Lifetime (freeze, merge) counter values, shared across clones.
@@ -187,6 +251,7 @@ impl Dictionary {
     /// Iterate over all `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TermId, &Term)> {
         self.frozen
+            .segments
             .iter()
             .flat_map(|seg| {
                 seg.terms
@@ -351,6 +416,37 @@ mod tests {
         let (freezes, merges) = dict.counter_values();
         assert_eq!(freezes, 64);
         assert!(merges > 0);
+    }
+
+    #[test]
+    fn a_frozen_handle_resolves_its_ids_after_later_merges() {
+        let mut dict = Dictionary::new();
+        let iri = |i: u32| Term::iri(format!("http://example.org/{i}"));
+        for i in 0..10 {
+            dict.intern(iri(i));
+        }
+        assert!(dict.frozen().is_empty(), "the head is not sealed yet");
+        dict.freeze();
+        let handle = dict.frozen();
+        assert_eq!(handle.len(), 10);
+        // Equal-sized generations merge into the segment the handle holds.
+        for i in 10..40 {
+            dict.intern(iri(i));
+            if i % 10 == 9 {
+                dict.freeze();
+            }
+        }
+        assert!(dict.counter_values().1 > 0);
+        for i in 0..10 {
+            assert_eq!(handle.term_of(TermId(i)), Some(&iri(i)));
+            assert_eq!(dict.term_of(TermId(i)), Some(&iri(i)));
+        }
+        assert_eq!(handle.term_of(TermId(10)), None);
+        assert_eq!(dict.frozen().len(), 40);
+        assert_eq!(
+            format!("{handle:?}"),
+            "FrozenDictionary { terms: 10, segments: 1 }"
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod text;
 pub mod triple;
 pub mod vocab;
 
-pub use dictionary::{Dictionary, TermId};
+pub use dictionary::{Dictionary, FrozenDictionary, TermId};
 pub use error::RdfError;
 pub use index::{IndexCounters, IndexOrder, PartitionRange, TripleIndex};
 pub use live::{IngestBatch, IngestReport, LiveStore, StoreSnapshot, TouchedScope};

@@ -19,11 +19,13 @@
 //!    comparison and binding a variable is a slot write that is undone on
 //!    the way back.  `OPTIONAL` is a left outer join, `UNION` runs both
 //!    branches in turn; a full `LIMIT` page stops every enclosing scan.
-//! 3. **Decode** — terms are materialised in exactly two places: `FILTER`
+//! 3. **Decode** — terms are materialised in one place: `FILTER`
 //!    expressions, which need lexical values and decode the variables they
-//!    reference on demand, and final projection, which decodes only the rows
-//!    that survive `DISTINCT`/`OFFSET`/`LIMIT` (all applied while the rows
-//!    are still ids) into the cells of one [`crate::results::ResultSet`].
+//!    reference on demand.  The rows that survive `DISTINCT`/`OFFSET`/`LIMIT`
+//!    (all applied while the rows are still ids) are *flattened*, not
+//!    decoded: their ids become the codes of one
+//!    [`crate::results::ResultSet`], which resolves them through the
+//!    store's sealed dictionary when a caller reads a row.
 //!
 //! The full-text predicates (`bif:contains`, Stardog `textMatch`, Jena
 //! `text:query`) bind their subject to the string literals matched by the
@@ -32,7 +34,7 @@
 //!
 //! What lives here is what both the executor and the reference evaluator
 //! (`execute_naive`) need: the variable numbering, pattern compilation,
-//! `FILTER` expression evaluation and row decoding.
+//! `FILTER` expression evaluation and row flattening.
 
 use kgqan_rdf::text::tokenize;
 use kgqan_rdf::{EncodedTriplePattern, Store, Term, TermId};
@@ -41,7 +43,7 @@ use crate::ast::{Expression, GraphPattern, Query, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::parser::parse_query;
 use crate::plan::Planner;
-use crate::results::{QueryResults, ResultSet};
+use crate::results::{is_side_code, side_code, QueryResults, ResultSet, TermSource, UNBOUND};
 
 /// The IRIs accepted as full-text search predicates.  The first is Virtuoso's
 /// (used verbatim in the paper's `potentialRelevantVertices` query); the
@@ -158,22 +160,46 @@ pub(crate) fn compile_triple_pattern(
     })
 }
 
-/// Decode the projected id rows of a finished run into the result table —
-/// the single point where query evaluation leaves id space.  Every cell is
-/// written once, straight into the table's one shared allocation; an id
-/// `resolve` does not know stays unbound.
-pub(crate) fn decode_rows(
+/// Flatten the projected id rows of a finished run into the result table
+/// — the point where query evaluation hands its ids over.  A cell keeps its
+/// id as its code, resolved later through the store's sealed dictionary;
+/// `foreign` (the run's `SERVICE` terms, already coded by [`side_code`])
+/// starts the table's side table, and an id of the store's unsealed head
+/// (a bare, never-compacted `Store`) is copied there once per table.
+pub(crate) fn flatten_rows(
     variables: Vec<String>,
     rows: &[IdRow],
-    resolve: impl Fn(TermId) -> Option<Term>,
+    store: &Store,
+    foreign: Vec<Term>,
 ) -> ResultSet {
+    let dictionary = store.dictionary().frozen();
+    let sealed = dictionary.len();
+    let mut side = foreign;
+    let mut unsealed = std::collections::HashMap::new();
     let width = variables.len();
     // Driven by a range so that `collect` knows the length up front and
-    // allocates the shared slice once, with no intermediate vector.
-    let cells: std::sync::Arc<[Option<Term>]> = (0..rows.len() * width)
-        .map(|cell| rows[cell / width][cell % width].and_then(&resolve))
+    // allocates the code array once, with no intermediate vector.
+    let codes: Box<[u32]> = (0..rows.len() * width)
+        .map(|cell| match rows[cell / width][cell % width] {
+            None => UNBOUND,
+            Some(id) if id.index() < sealed || is_side_code(id.0) => id.0,
+            Some(id) => *unsealed
+                .entry(id)
+                .or_insert_with(|| match store.term_of(id) {
+                    Some(term) => {
+                        side.push(term.clone());
+                        side_code(side.len() - 1)
+                    }
+                    None => UNBOUND,
+                }),
+        })
         .collect();
-    ResultSet::new(variables, rows.len(), cells)
+    ResultSet::from_codes(
+        variables,
+        rows.len(),
+        codes,
+        TermSource::new(dictionary, side),
+    )
 }
 
 /// The text-search query words of a `?lit <bif:contains> …` pattern under a

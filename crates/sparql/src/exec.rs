@@ -18,7 +18,8 @@
 //! prefix of the answer and [`ExecMetrics::deadline_exceeded`] is set.
 //!
 //! The rows that reach the root go through one `Collector` (projection →
-//! `DISTINCT` → `OFFSET` → `LIMIT`) and are decoded to terms last.  A
+//! `DISTINCT` → `OFFSET` → `LIMIT`) and are flattened into the result
+//! table last, still as ids.  A
 //! sequential run is one walk with no clip feeding that collector.  A
 //! morsel-parallel run (see [`crate::plan::ParallelConfig`]) does the same
 //! walk once per *morsel* — a key range of the plan's driver scan — each
@@ -60,11 +61,11 @@ use kgqan_rdf::{EncodedTriple, PartitionRange, Store, Term, TermId, TextMatch};
 use crate::ast::{Expression, Query, VarOrTerm};
 use crate::error::SparqlError;
 use crate::eval::{
-    decode_rows, eval_expression, term_truthiness, text_query_words, CompiledTriplePattern, IdRow,
+    eval_expression, flatten_rows, term_truthiness, text_query_words, CompiledTriplePattern, IdRow,
     Slot,
 };
 use crate::plan::{PhysicalPlan, PlanBody, PlanNode, PlanStep, ServiceResolver, StepKind};
-use crate::results::QueryResults;
+use crate::results::{side_code, QueryResults};
 
 mod morsel;
 
@@ -153,14 +154,13 @@ fn lift<T>(result: Result<T, SparqlError>) -> Flow<T> {
     }
 }
 
-/// First id of the run-scoped *foreign term* range: terms returned by a
-/// remote SERVICE endpoint that the local dictionary has never seen are
-/// interned here so they can flow through the id-level joins.  Ids below
-/// this value are local dictionary ids; local stores would need two billion
-/// terms to collide, far beyond this engine's scale.
-const FOREIGN_BASE: u32 = 1 << 31;
-
-/// Run-scoped side dictionary for remote terms (see [`FOREIGN_BASE`]).
+/// Run-scoped side dictionary for remote terms: terms returned by a remote
+/// SERVICE endpoint that the local dictionary has never seen are interned
+/// here under result side-table codes ([`side_code`]), so they can flow
+/// through the id-level joins.  Those codes start at 2³¹; local stores would
+/// need two billion terms to collide, far beyond this engine's scale.  The
+/// run's result table takes the terms over as the start of its side table,
+/// so a foreign id is already the code of its cell.
 ///
 /// Interning is consistent within one run — the same remote term always maps
 /// to the same synthetic id, so rows from two SERVICE groups still join on
@@ -186,22 +186,10 @@ impl ForeignTerms {
             return *id;
         }
         let mut terms = self.terms.borrow_mut();
-        let id = TermId(FOREIGN_BASE + terms.len() as u32);
+        let id = TermId(side_code(terms.len()));
         terms.push(term.clone());
         self.ids.borrow_mut().insert(term.clone(), id);
         id
-    }
-
-    /// Decode an id through the local dictionary or the foreign table.
-    fn resolve(&self, store: &Store, id: TermId) -> Option<Term> {
-        if id.0 >= FOREIGN_BASE {
-            self.terms
-                .borrow()
-                .get((id.0 - FOREIGN_BASE) as usize)
-                .cloned()
-        } else {
-            store.term_of(id).cloned()
-        }
     }
 }
 
@@ -614,7 +602,7 @@ impl PhysicalPlan<'_> {
 
         // Only a sequential run can meet a SERVICE group, so only it can
         // intern foreign terms.
-        let mut foreign = ForeignTerms::default();
+        let mut foreign = Vec::new();
         let mut parallel = None;
         let (stop, rows_scanned) = if out.is_full() {
             // `LIMIT 0`: the page is decided before anything runs.
@@ -628,7 +616,7 @@ impl PhysicalPlan<'_> {
         } else {
             let exec = Exec::new(&self.body, self.store, self.services, None, opts.deadline);
             let stop = exec.run_root(&mut out);
-            foreign = exec.foreign;
+            foreign = exec.foreign.terms.into_inner();
             (stop, exec.scanned.get())
         };
         let deadline_exceeded = match stop {
@@ -640,9 +628,12 @@ impl PhysicalPlan<'_> {
         let results = if self.is_ask {
             QueryResults::Boolean(!out.rows.is_empty())
         } else {
-            QueryResults::Solutions(decode_rows(self.projection.clone(), &out.rows, |id| {
-                foreign.resolve(self.store, id)
-            }))
+            QueryResults::Solutions(flatten_rows(
+                self.projection.clone(),
+                &out.rows,
+                self.store,
+                foreign,
+            ))
         };
         Ok(PlannedExecution {
             results,
@@ -890,7 +881,8 @@ mod tests {
         ));
         let mut remote = Store::new();
         // `Bob` exists in both stores; `Berlin` only remotely, so the
-        // result row must decode through the foreign-term table.
+        // result table carries it in its side table — followed there by
+        // `Bob`, whose id sits in this never-compacted store's head.
         remote.insert(Triple::new(
             Term::iri("http://e/Bob"),
             Term::iri("http://e/birthPlace"),

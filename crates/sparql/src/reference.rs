@@ -6,7 +6,7 @@
 //! materialises every intermediate row set, and applies `DISTINCT`/
 //! `OFFSET`/`LIMIT` to the finished rows.  It shares only the id-level
 //! primitives of [`crate::eval`] (variable numbering, pattern compilation,
-//! `FILTER` expressions, row decoding) with the production path; nothing in
+//! `FILTER` expressions, row flattening) with the production path; nothing in
 //! [`crate::plan`] or [`crate::exec`] depends on this module.
 
 use kgqan_rdf::Store;
@@ -14,7 +14,7 @@ use kgqan_rdf::Store;
 use crate::ast::{Expression, GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 use crate::error::SparqlError;
 use crate::eval::{
-    compile_triple_pattern, decode_rows, effective_text_cap, eval_expression,
+    compile_triple_pattern, effective_text_cap, eval_expression, flatten_rows,
     is_text_search_pattern, term_truthiness, text_query_words, CompiledTriplePattern, IdRow, Slot,
     VarRegistry,
 };
@@ -51,7 +51,7 @@ pub fn execute_naive(store: &Store, query: &Query) -> Result<QueryResults, Sparq
                 variables.clone()
             };
             // Project, deduplicate and page while the rows are still
-            // ids; only the surviving rows are decoded to terms.
+            // ids; only the surviving rows are flattened into the table.
             let slots: Vec<Option<usize>> = projected.iter().map(|v| run.vars.id_of(v)).collect();
             let mut id_rows: Vec<IdRow> = rows
                 .into_iter()
@@ -67,8 +67,8 @@ pub fn execute_naive(store: &Store, query: &Query) -> Result<QueryResults, Sparq
             if let Some(limit) = query.limit {
                 id_rows.truncate(limit);
             }
-            let decoded = decode_rows(projected, &id_rows, |id| run.store.term_of(id).cloned());
-            Ok(QueryResults::Solutions(decoded))
+            let table = flatten_rows(projected, &id_rows, run.store, Vec::new());
+            Ok(QueryResults::Solutions(table))
         }
     }
 }

@@ -3,19 +3,42 @@
 //!
 //! # Layout
 //!
-//! A [`ResultSet`] is a header plus one flat cell array, each behind an
-//! `Arc`:
+//! A [`ResultSet`] is one `Arc` holding a header, one flat array of 4-byte
+//! codes and the term source the codes resolve through:
 //!
 //! ```text
-//! header ─► variables  ["v", "d"]          projection order (the JSON "head")
-//!           by_name    [1, 0]              columns sorted by variable name
-//! cells  ─► [v₀, d₀, v₁, d₁, …]            rows × width, `None` = unbound
+//! header  variables   ["v", "d"]          projection order (the JSON "head")
+//!         by_name     [1, 0]              columns sorted by variable name
+//! codes   [v₀, d₀, v₁, d₁, …]             rows × width u32, u32::MAX = unbound
+//! source  dictionary  FrozenDictionary    code < 2³¹: the store's term id
+//!         side        [Term, …]           code ≥ 2³¹: side[code − 2³¹]
 //! ```
 //!
-//! Nothing is stored per row — no map, no copy of the variable names — and
-//! nothing is mutable after construction, so cloning a [`QueryResults`] is
-//! two reference-count bumps.  That is what lets the endpoint cache hand
-//! the very table it stores to every caller (`kgqan_endpoint::cache`).
+//! The engine evaluates over dictionary ids, and a result stays in the
+//! dictionary: a cell *is* the id, and text is borrowed from the pinned
+//! snapshot's sealed dictionary only when a row is read ([`Row::get`],
+//! [`Row::iter`], the wire writers).  Every served snapshot is sealed
+//! (`LiveStore` compacts the store it publishes) and ids are append-only,
+//! never re-used, so a table stays valid across every later epoch with no
+//! bookkeeping: its dictionary handle keeps the segments it was built
+//! against alive even after the live store has merged them away.  The side
+//! table holds what the sealed dictionary cannot: terms returned by a
+//! `SERVICE` endpoint, the cells handed to [`ResultSet::new`], and the terms
+//! of a table built over a bare `Store` whose dictionary head was never
+//! sealed.
+//!
+//! Nothing is stored per row — no map, no copy of the variable names, no
+//! text — and nothing is mutable after construction, so cloning a
+//! [`QueryResults`] is one reference-count bump.  That is what lets the
+//! endpoint cache hand the very table it stores to every caller
+//! (`kgqan_endpoint::cache`), and keep a page for 4 bytes a cell.
+//!
+//! # Equality
+//!
+//! Two tables are equal when they bind the same variables to the same
+//! *terms*: codes are compared through their sources, because two tables
+//! may come from different dictionaries (two KGs of a federation, or an
+//! engine page against one built with [`ResultSet::new`]).
 //!
 //! # Why iteration is name-ordered
 //!
@@ -27,12 +50,38 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
-use kgqan_rdf::Term;
+use kgqan_rdf::{FrozenDictionary, Term, TermId};
+
+/// The code of an unbound cell.
+pub(crate) const UNBOUND: u32 = u32::MAX;
+
+/// First side-table code: codes from here on index the table's own terms,
+/// codes below it are dictionary ids (a store would need two billion terms
+/// to reach it).  The executor interns `SERVICE` terms at the same base, so
+/// a foreign id is already its result code.
+const SIDE_BASE: u32 = 1 << 31;
+
+/// The code of the `index`-th side-table term.
+///
+/// # Panics
+/// If `index` would reach [`UNBOUND`]: a table holds fewer than 2³¹ − 1
+/// terms of its own.
+pub(crate) fn side_code(index: usize) -> u32 {
+    u32::try_from(index)
+        .ok()
+        .and_then(|index| SIDE_BASE.checked_add(index))
+        .filter(|&code| code != UNBOUND)
+        .expect("a result table holds fewer than 2^31 - 1 terms of its own")
+}
+
+/// True for a code that [`side_code`] made, i.e. not a dictionary id.
+pub(crate) fn is_side_code(code: u32) -> bool {
+    code >= SIDE_BASE
+}
 
 /// What every row of a table shares: the projection and its name order.
-#[derive(Debug, PartialEq, Eq)]
 struct Header {
     variables: Vec<String>,
     /// Column indices sorted by variable name, one per *distinct* name (a
@@ -41,80 +90,154 @@ struct Header {
 }
 
 impl Header {
+    fn new(variables: Vec<String>) -> Self {
+        let mut by_name: Vec<usize> = (0..variables.len()).collect();
+        by_name.sort_by_key(|&column| &variables[column]);
+        by_name.dedup_by_key(|column| &variables[*column]);
+        Header { variables, by_name }
+    }
+
     /// The column a variable is projected into.
     fn column_index(&self, var: &str) -> Option<usize> {
         self.variables.iter().position(|name| name == var)
     }
 }
 
-/// The header of the empty view [`QueryResults::rows`] returns for ASK.
-static NO_COLUMNS: Header = Header {
-    variables: Vec::new(),
-    by_name: Vec::new(),
-};
+/// Where a table's codes resolve: the sealed dictionary of the snapshot it
+/// was evaluated against, plus the terms that dictionary does not hold.
+#[derive(Default)]
+pub(crate) struct TermSource {
+    dictionary: FrozenDictionary,
+    side: Vec<Term>,
+}
 
-/// An ordered sequence of solutions with a projection header — see the
-/// [module docs](self) for the layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResultSet {
-    header: Arc<Header>,
-    cells: Arc<[Option<Term>]>,
-    /// Kept beside the cells because a table over the empty projection
+impl TermSource {
+    pub(crate) fn new(dictionary: FrozenDictionary, side: Vec<Term>) -> Self {
+        TermSource { dictionary, side }
+    }
+
+    /// The term behind a code; `None` for [`UNBOUND`].
+    fn resolve(&self, code: u32) -> Option<&Term> {
+        match code.checked_sub(SIDE_BASE) {
+            // `UNBOUND` lands here, far past any side table.
+            Some(index) => self.side.get(index as usize),
+            None => self.dictionary.term_of(TermId(code)),
+        }
+    }
+}
+
+/// Everything a [`ResultSet`] shares, in one allocation.
+struct Table {
+    header: Header,
+    codes: Box<[u32]>,
+    source: TermSource,
+    /// Kept beside the codes because a table over the empty projection
     /// still has a row count.
     rows: usize,
 }
 
+impl Table {
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            table: self,
+            range: 0..self.rows,
+        }
+    }
+}
+
+/// The empty table behind the rows [`QueryResults::rows`] returns for ASK.
+static NO_ROWS: LazyLock<Table> = LazyLock::new(|| Table {
+    header: Header::new(Vec::new()),
+    codes: Box::default(),
+    source: TermSource::default(),
+    rows: 0,
+});
+
+/// An ordered sequence of solutions with a projection header — see the
+/// [module docs](self) for the layout.
+#[derive(Clone)]
+pub struct ResultSet {
+    table: Arc<Table>,
+}
+
 impl ResultSet {
     /// Build a table of `rows` rows from its cells in row-major order
-    /// (`None` = unbound).
+    /// (`None` = unbound).  The terms are kept in the table's own side
+    /// table; the engine builds its tables over the store's dictionary
+    /// instead.
     ///
     /// # Panics
     /// If `cells` does not hold exactly `rows × variables.len()` cells.
-    pub fn new(variables: Vec<String>, rows: usize, cells: impl Into<Arc<[Option<Term>]>>) -> Self {
-        let cells = cells.into();
+    pub fn new(
+        variables: Vec<String>,
+        rows: usize,
+        cells: impl IntoIterator<Item = Option<Term>>,
+    ) -> Self {
+        let mut side = Vec::new();
+        let codes: Vec<u32> = cells
+            .into_iter()
+            .map(|cell| match cell {
+                None => UNBOUND,
+                Some(term) => {
+                    side.push(term);
+                    side_code(side.len() - 1)
+                }
+            })
+            .collect();
+        let source = TermSource::new(FrozenDictionary::default(), side);
+        ResultSet::from_codes(variables, rows, codes.into(), source)
+    }
+
+    /// Build a table from codes that resolve through `source`.
+    ///
+    /// # Panics
+    /// If `codes` does not hold exactly `rows × variables.len()` codes.
+    pub(crate) fn from_codes(
+        variables: Vec<String>,
+        rows: usize,
+        codes: Box<[u32]>,
+        source: TermSource,
+    ) -> Self {
         assert_eq!(
-            cells.len(),
+            codes.len(),
             rows * variables.len(),
             "a result table holds rows × width cells"
         );
-        let mut by_name: Vec<usize> = (0..variables.len()).collect();
-        by_name.sort_by_key(|&column| &variables[column]);
-        by_name.dedup_by_key(|column| &variables[*column]);
-        ResultSet {
-            header: Arc::new(Header { variables, by_name }),
-            cells,
+        let table = Table {
+            header: Header::new(variables),
+            codes,
+            source,
             rows,
+        };
+        ResultSet {
+            table: Arc::new(table),
         }
     }
 
     /// The projected variable names.
     pub fn variables(&self) -> &[String] {
-        &self.header.variables
+        &self.table.header.variables
     }
 
     /// The solution rows.
     pub fn rows(&self) -> Rows<'_> {
-        Rows {
-            header: &self.header,
-            cells: &self.cells,
-            range: 0..self.rows,
-        }
+        self.table.rows()
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.rows
+        self.table.rows
     }
 
     /// True if there are no rows.
     pub fn is_empty(&self) -> bool {
-        self.rows == 0
+        self.table.rows == 0
     }
 
     /// The column a variable is projected into, for callers that read it
     /// from many rows ([`Row::cell`]).
     pub fn column_index(&self, var: &str) -> Option<usize> {
-        self.header.column_index(var)
+        self.table.header.column_index(var)
     }
 
     /// All terms bound to `var` across the rows, in row order, skipping
@@ -128,29 +251,62 @@ impl ResultSet {
             .collect()
     }
 
-    /// Roughly how many bytes the table keeps alive: the cell array plus
-    /// the text of every term and variable name.  One pass over the cells.
+    /// Roughly how many bytes the table keeps alive of its own: 4 per cell,
+    /// the terms of its side table and the variable names.  Text borrowed
+    /// from the store's dictionary is the store's, and is not counted.
     pub fn approx_bytes(&self) -> usize {
         let text = |s: &Option<String>| s.as_ref().map_or(0, String::len);
-        let cells: usize = self
-            .cells
+        let side: usize = self
+            .table
+            .source
+            .side
             .iter()
-            .flatten()
-            .map(|term| match term {
-                Term::Iri(s) | Term::Blank(s) => s.len(),
-                Term::Literal(lit) => lit.lexical.len() + text(&lit.datatype) + text(&lit.language),
+            .map(|term| {
+                std::mem::size_of::<Term>()
+                    + match term {
+                        Term::Iri(s) | Term::Blank(s) => s.len(),
+                        Term::Literal(lit) => {
+                            lit.lexical.len() + text(&lit.datatype) + text(&lit.language)
+                        }
+                    }
             })
             .sum();
-        let names: usize = self.header.variables.iter().map(String::len).sum();
-        std::mem::size_of_val(&*self.cells) + cells + names
+        let names: usize = self.table.header.variables.iter().map(String::len).sum();
+        std::mem::size_of_val(&*self.table.codes) + side + names
+    }
+}
+
+/// Tables are equal when they project the same variables and their rows
+/// bind them to the same terms, whatever dictionaries the codes come from.
+impl PartialEq for ResultSet {
+    fn eq(&self, other: &Self) -> bool {
+        if Arc::ptr_eq(&self.table, &other.table) {
+            return true;
+        }
+        let (a, b) = (&*self.table, &*other.table);
+        a.header.variables == b.header.variables
+            && a.rows == b.rows
+            && (a.codes.iter().zip(b.codes.iter()))
+                .all(|(&x, &y)| a.source.resolve(x) == b.source.resolve(y))
+    }
+}
+
+impl Eq for ResultSet {}
+
+/// The variables and the rows, never the dictionary behind them.
+impl fmt::Debug for ResultSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ResultSet")
+            .field("variables", &self.table.header.variables)
+            .field("rows", &self.rows())
+            .finish()
     }
 }
 
 /// The rows of a table, in order: a borrowed view that is its own iterator.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Rows<'a> {
-    header: &'a Header,
-    cells: &'a [Option<Term>],
+    table: &'a Table,
     range: Range<usize>,
 }
 
@@ -179,11 +335,11 @@ impl<'a> Iterator for Rows<'a> {
     }
 
     fn nth(&mut self, n: usize) -> Option<Row<'a>> {
-        let width = self.header.variables.len();
+        let width = self.table.header.variables.len();
         let row = self.range.nth(n)?;
         Some(Row {
-            header: self.header,
-            cells: &self.cells[row * width..(row + 1) * width],
+            table: self.table,
+            codes: &self.table.codes[row * width..(row + 1) * width],
         })
     }
 
@@ -194,25 +350,32 @@ impl<'a> Iterator for Rows<'a> {
 
 impl ExactSizeIterator for Rows<'_> {}
 
+impl fmt::Debug for Rows<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// A single solution: a view of one table row, mapping variable names to
 /// terms.
 #[derive(Clone, Copy)]
 pub struct Row<'a> {
-    header: &'a Header,
-    cells: &'a [Option<Term>],
+    table: &'a Table,
+    /// This row's slice of the table's codes.
+    codes: &'a [u32],
 }
 
 impl<'a> Row<'a> {
     /// The term bound to `var`, if any (`None` too for a variable outside
     /// the projection).
     pub fn get(&self, var: &str) -> Option<&'a Term> {
-        self.cell(self.header.column_index(var)?)
+        self.cell(self.table.header.column_index(var)?)
     }
 
     /// The term in a column resolved once with
     /// [`ResultSet::column_index`].
     pub fn cell(&self, column: usize) -> Option<&'a Term> {
-        self.cells[column].as_ref()
+        self.table.source.resolve(self.codes[column])
     }
 
     /// True if `var` is bound.
@@ -223,10 +386,10 @@ impl<'a> Row<'a> {
     /// Iterate over the bound `(variable, term)` pairs in variable-name
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (&'a str, &'a Term)> + 'a {
-        let Row { header, cells } = *self;
-        header.by_name.iter().filter_map(move |&column| {
-            let term = cells[column].as_ref()?;
-            Some((header.variables[column].as_str(), term))
+        let Row { table, codes } = *self;
+        table.header.by_name.iter().filter_map(move |&column| {
+            let term = table.source.resolve(codes[column])?;
+            Some((table.header.variables[column].as_str(), term))
         })
     }
 }
@@ -290,11 +453,7 @@ impl QueryResults {
     pub fn rows(&self) -> Rows<'_> {
         match self {
             QueryResults::Solutions(rs) => rs.rows(),
-            QueryResults::Boolean(_) => Rows {
-                header: &NO_COLUMNS,
-                cells: &[],
-                range: 0..0,
-            },
+            QueryResults::Boolean(_) => NO_ROWS.rows(),
         }
     }
 }
@@ -302,6 +461,8 @@ impl QueryResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute_query;
+    use kgqan_rdf::{Store, Triple};
 
     fn int(value: i64) -> Option<Term> {
         Some(Term::integer(value))
@@ -404,14 +565,94 @@ mod tests {
     }
 
     #[test]
-    fn approx_bytes_counts_cells_and_text() {
+    fn approx_bytes_counts_codes_and_only_the_text_the_table_owns() {
+        // `ResultSet::new` keeps its terms in the table's side table.
         let rs = ResultSet::new(
             vec!["v".into()],
             2,
             vec![Some(Term::iri("http://e/abc")), None],
         );
-        let cell = std::mem::size_of::<Option<Term>>();
-        assert_eq!(rs.approx_bytes(), 2 * cell + "http://e/abc".len() + 1);
+        let term = std::mem::size_of::<Term>();
+        assert_eq!(rs.approx_bytes(), 2 * 4 + term + "http://e/abc".len() + 1);
+
+        // An engine-built table over a sealed store borrows its text from
+        // the dictionary: 4 bytes a cell and the variable name.
+        let mut store = Store::new();
+        store.insert(Triple::new(
+            Term::iri("http://e/abc"),
+            Term::iri("http://e/p"),
+            Term::literal_str("a long label the dictionary owns"),
+        ));
+        store.compact();
+        let engine = execute_query(&store, "SELECT ?v WHERE { ?v ?p ?o . }").unwrap();
+        assert_eq!(engine.as_solutions().unwrap().approx_bytes(), 4 + 1);
+    }
+
+    #[test]
+    fn a_table_of_terms_equals_an_engine_table_of_ids() {
+        let mut store = Store::new();
+        for (s, o) in [("a", "x"), ("b", "y")] {
+            store.insert(Triple::new(
+                Term::iri(format!("http://e/{s}")),
+                Term::iri("http://e/p"),
+                Term::literal_str(o),
+            ));
+        }
+        let query =
+            "SELECT ?s ?o ?none WHERE { ?s <http://e/p> ?o . OPTIONAL { ?s <http://e/q> ?none } }";
+        let by_terms = QueryResults::Solutions(ResultSet::new(
+            vec!["s".into(), "o".into(), "none".into()],
+            2,
+            vec![
+                Some(Term::iri("http://e/a")),
+                Some(Term::literal_str("x")),
+                None,
+                Some(Term::iri("http://e/b")),
+                Some(Term::literal_str("y")),
+                None,
+            ],
+        ));
+        // Over the unsealed head the engine copies its terms into the side
+        // table; over the sealed dictionary it keeps bare ids.  Both equal
+        // the table of terms, and print the same.
+        let unsealed = execute_query(&store, query).unwrap();
+        store.compact();
+        let sealed = execute_query(&store, query).unwrap();
+        for engine in [&unsealed, &sealed] {
+            assert_eq!(engine, &by_terms);
+            assert_eq!(format!("{engine:?}"), format!("{by_terms:?}"));
+        }
+        assert_eq!(
+            format!("{by_terms:?}"),
+            format!(
+                "Solutions(ResultSet {{ variables: [\"s\", \"o\", \"none\"], rows: [{{\"o\": {:?}, \"s\": {:?}}}, {{\"o\": {:?}, \"s\": {:?}}}] }})",
+                Term::literal_str("x"),
+                Term::iri("http://e/a"),
+                Term::literal_str("y"),
+                Term::iri("http://e/b"),
+            )
+        );
+        let other = ResultSet::new(
+            vec!["s".into(), "o".into(), "none".into()],
+            2,
+            vec![
+                Some(Term::iri("http://e/a")),
+                Some(Term::literal_str("x")),
+                None,
+                Some(Term::iri("http://e/b")),
+                Some(Term::literal_str("z")),
+                None,
+            ],
+        );
+        assert_ne!(sealed.as_solutions().unwrap(), &other);
+    }
+
+    #[test]
+    fn side_codes_stop_short_of_unbound() {
+        assert_eq!(side_code(0), 1 << 31);
+        assert!(is_side_code(side_code(5)) && !is_side_code(5));
+        assert_eq!(side_code((1 << 31) - 2), UNBOUND - 1);
+        assert!(std::panic::catch_unwind(|| side_code((1 << 31) - 1)).is_err());
     }
 
     #[test]
