@@ -40,6 +40,17 @@ fn affinity(c: &mut Criterion) {
     group.bench_function("fg_one_phrase_vs_400_descriptions", |b| {
         b.iter(|| fg.score_many(black_box(label), black_box(&warm)))
     });
+    // The median batch of the hot workload (five descriptions, few repeated
+    // words), and 400 descriptions in which no token repeats: the per-batch
+    // token table's worst case, every token a new row.
+    group.bench_function("fg_one_phrase_vs_5_descriptions", |b| {
+        b.iter(|| fg.score_many(black_box(label), black_box(&warm[..5])))
+    });
+    let distinct = distinct_descriptions();
+    let distinct: Vec<&str> = distinct.iter().map(String::as_str).collect();
+    group.bench_function("fg_one_phrase_vs_400_distinct_descriptions", |b| {
+        b.iter(|| fg.score_many(black_box(label), black_box(&distinct)))
+    });
     group.bench_function("fg_400_single_calls", |b| {
         b.iter(|| {
             warm.iter()
@@ -124,6 +135,33 @@ fn descriptions(tag: &str) -> Vec<String> {
                 words.push(format!("{}{tag}", 2_279_569_217u64 + i));
             }
             words.join(" ")
+        })
+        .collect()
+}
+
+/// [`descriptions`] with an alphabetic suffix on every word that makes it
+/// unique in the batch (`deepbc`, `learningbd`, …): the same word counts,
+/// and the same models (a suffixed word is still alphabetic), but no token
+/// repeats.
+fn distinct_descriptions() -> Vec<String> {
+    let mut words = 0usize;
+    let mut suffix = || {
+        words += 1;
+        let (mut n, mut letters) = (words, String::new());
+        while n > 0 {
+            letters.push(char::from(b'a' + (n % 26) as u8));
+            n /= 26;
+        }
+        letters
+    };
+    descriptions("")
+        .iter()
+        .map(|description| {
+            description
+                .split(' ')
+                .map(|word| format!("{word}{}", suffix()))
+                .collect::<Vec<_>>()
+                .join(" ")
         })
         .collect()
 }

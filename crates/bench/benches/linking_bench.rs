@@ -6,8 +6,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kgqan::pgp::PhraseGraphPattern;
-use kgqan::{Budget, FineGrainedAffinity, JitLinker, LinkerConfig};
+use kgqan::{Budget, FineGrainedAffinity, JitLinker, LinkerConfig, QuestionUnderstanding};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
+use kgqan_benchmarks::questions::questions_for;
 use kgqan_endpoint::InProcessEndpoint;
 use kgqan_nlp::PhraseTriplePattern;
 
@@ -39,6 +40,22 @@ fn jit_linking(c: &mut Criterion) {
     });
     group.bench_function("multi_fact_pgp", |b| {
         b.iter(|| linker.link(&multi, &endpoint, &budget).unwrap())
+    });
+
+    // The `ask_cold` workload's link phase on its own: the first generated
+    // MAG-Bench question the understanding phase accepts, its PGP linked
+    // against the MAG stand-in at benchmark scale through an endpoint with
+    // no cache, so every probe runs and every fetched description is scored.
+    let mag = GeneratedKg::generate(KgFlavor::Mag, KgScale::benchmark(KgFlavor::Mag));
+    let mag_endpoint = InProcessEndpoint::new("MAG", mag.store.clone());
+    let understanding = QuestionUnderstanding::train_default();
+    let question = questions_for(&mag, 16)
+        .questions
+        .iter()
+        .find_map(|q| understanding.understand(&q.text).ok())
+        .expect("a generated MAG question is understood");
+    group.bench_function("mag_question_pgp", |b| {
+        b.iter(|| linker.link(&question.pgp, &mag_endpoint, &budget).unwrap())
     });
     group.finish();
 }

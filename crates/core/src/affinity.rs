@@ -14,8 +14,36 @@
 //! process-wide memo of [`kgqan_nlp::embedding`].  Every score is
 //! bit-identical to the memo-free reference in
 //! [`kgqan_nlp::embedding::oracle`].
+//!
+//! # The fine-grained batch table
+//!
+//! The ~400 descriptions of one probe share most of their words, so
+//! [`FineGrainedAffinity::score_many`] works per *distinct token*, not per
+//! occurrence.  One table lives for the call:
+//!
+//! ```text
+//! rows  FxHashMap<&str, u32>   raw token (borrowed from the candidates) → row,
+//!                              u32::MAX for a stop word
+//! sims  Vec<f32>               row r = [sim(x₀, y_r), …, sim(x_{n−1}, y_r)]
+//!                              over the phrase's n content words
+//! ```
+//!
+//! The table holds one batch's text and is dropped when the call returns: no
+//! lock, no bound, nothing shared (the keys hash with Fx, as the store's
+//! dictionary and text index hash the same KG text).  A token is
+//! lowercased, checked against the stop words, embedded (through the memo)
+//! and compared with every phrase word the first time it appears;
+//! a candidate's score is then |phrase| × |words| additions over its rows.
+//! The additions are the ones [`EmbeddingProvider::mean_pair_similarity`]
+//! makes — the same `f32`s, summed phrase-word-major in the same order,
+//! divided the same way — so the batch score equals `score` and the oracle
+//! bit for bit.  A one-candidate batch (the filter's one-class batches) has
+//! nothing to share and is `score`, the direct loop over the two phrases'
+//! embeddings.
 
 use kgqan_nlp::embedding::{EmbeddingProvider, SentenceEmbedder};
+use kgqan_nlp::tokenizer::{for_each_content_word, tokens};
+use kgqan_rdf::hash::FxHashMap;
 
 /// A model that scores the semantic affinity of two phrases in `[−1, 1]`
 /// (in practice `[0, 1]` for related phrases).
@@ -54,17 +82,58 @@ impl FineGrainedAffinity {
 
 impl SemanticAffinity for FineGrainedAffinity {
     fn score(&self, a: &str, b: &str) -> f32 {
-        self.score_many(a, &[b])[0]
+        EmbeddingProvider::mean_pair_similarity(
+            &self.provider.embed_phrase(a),
+            &self.provider.embed_phrase(b),
+        )
     }
 
+    /// Equation 1 of `phrase` against each candidate through one per-batch
+    /// table of distinct tokens (see the [module docs](self)); a
+    /// one-candidate batch is [`score`](Self::score).
     fn score_many(&self, phrase: &str, candidates: &[&str]) -> Vec<f32> {
+        if let [candidate] = candidates {
+            return vec![self.score(phrase, candidate)];
+        }
         let xs = self.provider.embed_phrase(phrase);
-        let mut ys = Vec::new();
+        if xs.is_empty() {
+            return vec![0.0; candidates.len()];
+        }
+        const STOP_WORD: u32 = u32::MAX;
+        let width = xs.len();
+        let mut rows: FxHashMap<&str, u32> = FxHashMap::default();
+        let mut sims: Vec<f32> = Vec::new();
+        let mut words: Vec<u32> = Vec::new();
         candidates
             .iter()
             .map(|candidate| {
-                self.provider.embed_phrase_into(candidate, &mut ys);
-                EmbeddingProvider::mean_pair_similarity(&xs, &ys)
+                words.clear();
+                for token in tokens(candidate) {
+                    let row = *rows.entry(token).or_insert_with(|| {
+                        let mut row = STOP_WORD;
+                        for_each_content_word(token, |word| {
+                            let y = self.provider.embed_word(word);
+                            row = (sims.len() / width) as u32;
+                            sims.extend(
+                                xs.iter().map(|x| EmbeddingProvider::pair_similarity(x, &y)),
+                            );
+                        });
+                        row
+                    });
+                    if row != STOP_WORD {
+                        words.push(row);
+                    }
+                }
+                if words.is_empty() {
+                    return 0.0;
+                }
+                let mut total = 0.0f32;
+                for x in 0..width {
+                    for &row in &words {
+                        total += sims[row as usize * width + x];
+                    }
+                }
+                total / (width as f32 * words.len() as f32)
             })
             .collect()
     }

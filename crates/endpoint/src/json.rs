@@ -106,21 +106,33 @@ impl Json {
 
 /// Appends `s` to `out` as a quoted, escaped JSON string. Non-ASCII
 /// characters pass through as raw UTF-8 (legal JSON, and human-readable).
+///
+/// Each run up to the next byte that needs escaping (`"`, `\`, a control
+/// character) is copied in one go: those bytes are ASCII, which never
+/// occurs inside a multi-byte UTF-8 sequence, so every run ends on a char
+/// boundary.
 pub fn write_json_string(out: &mut String, s: &str) {
+    out.reserve(s.len() + 2);
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if !(byte == b'"' || byte == b'\\' || byte < 0x20) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{byte:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -352,6 +364,53 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The string writer as it was before it copied runs, one `char` at a
+    /// time: the reference for the bytes [`write_json_string`] must emit.
+    fn write_json_string_per_char(out: &mut String, s: &str) {
+        out.push('"');
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Besides the 32 control characters: the two escaped printable
+    /// characters, DEL (passed through), ASCII, and characters of two,
+    /// three and four UTF-8 bytes, a combining mark and U+2028 among them.
+    const NOT_CONTROL: [char; 10] = [
+        '"', '\\', '\u{7f}', ' ', 'a', 'é', '\u{301}', '\u{2028}', '日', '😀',
+    ];
+
+    proptest! {
+        #[test]
+        fn string_writer_matches_the_per_char_writer(
+            picks in prop::collection::vec(0..32 + NOT_CONTROL.len(), 0..48),
+        ) {
+            let s: String = picks
+                .iter()
+                .map(|&pick| match pick {
+                    0..=31 => char::from(pick as u8),
+                    _ => NOT_CONTROL[pick - 32],
+                })
+                .collect();
+            let (mut runs, mut per_char) = (String::from("[1,"), String::from("[1,"));
+            write_json_string(&mut runs, &s);
+            write_json_string_per_char(&mut per_char, &s);
+            prop_assert_eq!(runs, per_char);
+        }
+    }
 
     #[test]
     fn parses_scalars() {

@@ -349,15 +349,8 @@ impl EmbeddingProvider {
     /// Embed every content word of a phrase.
     pub fn embed_phrase(&self, phrase: &str) -> Vec<Arc<SpaceVector>> {
         let mut vectors = Vec::new();
-        self.embed_phrase_into(phrase, &mut vectors);
-        vectors
-    }
-
-    /// [`embed_phrase`](Self::embed_phrase) into a caller-owned buffer
-    /// (cleared first), so a batch of phrases reuses one allocation.
-    pub fn embed_phrase_into(&self, phrase: &str, vectors: &mut Vec<Arc<SpaceVector>>) {
-        vectors.clear();
         for_each_content_word(phrase, |word| vectors.push(self.embed_word(word)));
+        vectors
     }
 
     /// Pairwise similarity honouring the cross-space rule of Equation 1:

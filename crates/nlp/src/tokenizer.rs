@@ -52,8 +52,10 @@ pub const QUESTION_WORDS: &[&str] = &[
 ];
 
 /// The raw token slices of `text`: maximal runs of alphanumerics, hyphens
-/// and apostrophes.
-fn token_slices(text: &str) -> impl Iterator<Item = &str> {
+/// and apostrophes, in their original case.  Every tokenizer in this module
+/// splits through it, and a token splits into itself alone, so
+/// [`for_each_content_word`] applied to one yields at most one word.
+pub fn tokens(text: &str) -> impl Iterator<Item = &str> {
     text.split(|c: char| !(c.is_alphanumeric() || c == '-' || c == '\''))
         .filter(|run| !run.is_empty())
 }
@@ -63,7 +65,7 @@ fn token_slices(text: &str) -> impl Iterator<Item = &str> {
 /// Splits on whitespace and punctuation but keeps intra-word hyphens and
 /// apostrophes ("Covid-19", "O'Brien") together.
 pub fn tokenize_question(question: &str) -> Vec<Token> {
-    token_slices(question).map(Token::new).collect()
+    tokens(question).map(Token::new).collect()
 }
 
 /// Call `f` with the lowercase form of every content (non-stop) word of
@@ -73,7 +75,7 @@ pub fn tokenize_question(question: &str) -> Vec<Token> {
 /// one buffer reused for the whole phrase.
 pub fn for_each_content_word(phrase: &str, mut f: impl FnMut(&str)) {
     let mut buffer = String::new();
-    for token in token_slices(phrase) {
+    for token in tokens(phrase) {
         let lower = if token
             .bytes()
             .all(|b| b.is_ascii() && !b.is_ascii_uppercase())

@@ -318,12 +318,28 @@ pub fn query_results_to_json(results: &QueryResults) -> String {
             format!("{{\"head\":{{}},\"boolean\":{b}}}")
         }
         QueryResults::Solutions(rs) => {
-            let mut out = String::from("{\"head\":{\"vars\":[");
-            for (i, var) in rs.variables().iter().enumerate() {
+            // The head and every binding object repeat the same names:
+            // escape each once per table.
+            let variables = rs.variables();
+            let names: Vec<String> = variables
+                .iter()
+                .map(|var| {
+                    let mut name = String::new();
+                    write_json_string(&mut name, var);
+                    name
+                })
+                .collect();
+            // A bound IRI cell's `:{"type":"uri","value":"…"}` is about 57
+            // bytes with a 30-byte IRI; reserving for that spares most
+            // regrowth copies of a large page.
+            let row_bytes: usize = 3 + names.iter().map(|name| name.len() + 57).sum::<usize>();
+            let mut out = String::with_capacity(64 + rs.len() * row_bytes);
+            out.push_str("{\"head\":{\"vars\":[");
+            for (i, name) in names.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_json_string(&mut out, var);
+                out.push_str(name);
             }
             out.push_str("]},\"results\":{\"bindings\":[");
             for (i, row) in rs.rows().iter().enumerate() {
@@ -335,7 +351,8 @@ pub fn query_results_to_json(results: &QueryResults) -> String {
                     if j > 0 {
                         out.push(',');
                     }
-                    write_json_string(&mut out, var);
+                    let column = variables.iter().position(|name| name == var);
+                    out.push_str(&names[column.expect("a row binds only projected variables")]);
                     out.push(':');
                     write_term(&mut out, term);
                 }

@@ -1,7 +1,11 @@
 //! The memoised, batched affinity models against the memo-free reference
 //! derivation (`kgqan_nlp::embedding::oracle`): every score must agree bit
 //! for bit, whichever way it is asked for and however many threads ask.
+//! Batches of 1, 2 and 400 candidates drawn from one small vocabulary repeat
+//! their tokens, which is where the fine-grained model's per-batch token
+//! table does its work.
 
+use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 
 use kgqan::{AffinityModel, SemanticAffinity};
@@ -70,6 +74,78 @@ fn arb_phrase() -> impl Strategy<Value = String> {
         })
 }
 
+/// Tokens the descriptions of one probe share, so that a batch drawn from
+/// them repeats tokens: case variants of one word, stop words in caps,
+/// hyphen and apostrophe tokens (a bare `-` is a token too), non-ASCII words
+/// whose lowercase form has another byte length, numeric ids and opaque
+/// codes, and a few lexicon words.
+const SHARED_VOCABULARY: &[&str] = &[
+    "Graph",
+    "graph",
+    "GRAPH",
+    "The",
+    "OF",
+    "the",
+    "in",
+    "Covid-19",
+    "O'Brien's",
+    "state-of-the-art",
+    "-",
+    "'s",
+    "İstanbul",
+    "ẞTRASSE",
+    "ΟΔΥΣΣΕΥΣ",
+    "Ⱥlpha",
+    "2279569217",
+    "2279569218",
+    "p42",
+    "x",
+    "network",
+    "networks",
+    "spouse",
+    "wife",
+];
+
+/// Zero to four words of [`SHARED_VOCABULARY`]: the empty string is one
+/// draw in five.
+fn shared_phrase() -> impl Strategy<Value = String> {
+    (
+        prop::collection::vec(0..SHARED_VOCABULARY.len(), 0..5),
+        0usize..4,
+    )
+        .prop_map(|(words, separator)| {
+            let words: Vec<&str> = words.iter().map(|&i| SHARED_VOCABULARY[i]).collect();
+            words.join([" ", ", ", "  ", "_"][separator])
+        })
+}
+
+/// Every score of `model.score_many(phrase, candidates)` equals
+/// `model.score` of the same pair and the oracle's, bit for bit.  The oracle
+/// is asked once per distinct candidate.
+fn agrees_with_oracle(
+    model: &dyn SemanticAffinity,
+    oracle: Oracle,
+    phrase: &str,
+    candidates: &[&str],
+) -> Result<(), TestCaseError> {
+    let batch = model.score_many(phrase, candidates);
+    prop_assert_eq!(batch.len(), candidates.len());
+    let mut oracle_bits: HashMap<&str, u32> = HashMap::new();
+    for (&candidate, score) in candidates.iter().zip(batch) {
+        let expected = *oracle_bits
+            .entry(candidate)
+            .or_insert_with(|| oracle(phrase, candidate).to_bits());
+        let single = model.score(phrase, candidate).to_bits();
+        prop_assert!(
+            score.to_bits() == expected && single == expected,
+            "{} on {phrase:?} vs {candidate:?}: batch {:#x}, single {single:#x}, oracle {expected:#x}",
+            model.label(),
+            score.to_bits()
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn batch_single_and_oracle_agree_bitwise(
@@ -78,18 +154,27 @@ proptest! {
     ) {
         let candidates: Vec<&str> = candidates.iter().map(String::as_str).collect();
         for (model, oracle) in models() {
-            let batch = model.score_many(&phrase, &candidates);
-            prop_assert_eq!(batch.len(), candidates.len());
-            for (candidate, score) in candidates.iter().zip(batch) {
-                let expected = oracle(&phrase, candidate).to_bits();
-                let single = model.score(&phrase, candidate).to_bits();
-                prop_assert!(
-                    score.to_bits() == expected && single == expected,
-                    "{} on {phrase:?} vs {candidate:?}: batch {:#x}, single {single:#x}, oracle {expected:#x}",
-                    model.label(),
-                    score.to_bits()
-                );
-            }
+            agrees_with_oracle(&*model, oracle, &phrase, &candidates)?;
+        }
+    }
+
+    #[test]
+    fn batches_that_repeat_tokens_agree_bitwise(
+        phrase in prop_oneof![
+            shared_phrase(),
+            arb_phrase(),
+            // No content word at all.
+            Just("The OF the, in".to_string()),
+        ],
+        pool in prop::collection::vec(shared_phrase(), 400..401),
+        size in 0usize..3,
+    ) {
+        let candidates: Vec<&str> = pool[..[1, 2, 400][size]]
+            .iter()
+            .map(String::as_str)
+            .collect();
+        for (model, oracle) in models() {
+            agrees_with_oracle(&*model, oracle, &phrase, &candidates)?;
         }
     }
 }
