@@ -12,7 +12,7 @@ use kgqan_bench::harness::{
     build_systems, default_kgqan_config, parse_scale, run_system_on_benchmark,
 };
 use kgqan_bench::published::PAPER_FIGURE7_TOTAL_SECONDS;
-use kgqan_bench::table::{secs, TableWriter};
+use kgqan_bench::table::{micros, TableWriter};
 use kgqan_benchmarks::{BenchmarkSuite, KgFlavor};
 
 fn main() {
@@ -27,10 +27,10 @@ fn main() {
     let mut table = TableWriter::new(&[
         "Benchmark",
         "System",
-        "QU (s)",
-        "Linking (s)",
-        "E&F (s)",
-        "Total (s)",
+        "QU (µs)",
+        "Linking (µs)",
+        "E&F (µs)",
+        "Total (µs)",
         "Paper total (s)",
     ]);
 
@@ -53,16 +53,16 @@ fn main() {
             table.row(&[
                 instance.benchmark.name.clone(),
                 report.system.clone(),
-                secs(qu),
-                secs(link),
-                secs(exec),
-                secs(qu + link + exec),
+                micros(qu),
+                micros(link),
+                micros(exec),
+                micros(qu + link + exec),
                 paper,
             ]);
         }
     }
 
-    table.print("Figure 7 (mean seconds per phase)");
+    table.print("Figure 7 (mean microseconds per phase; the paper's totals in seconds)");
     println!(
         "Paper shape to check: KGQAn's time is dominated by QU, its linking is the cheapest\n\
          phase, and response time tracks pipeline complexity rather than KG size."

@@ -74,9 +74,9 @@ pub fn pct(x: f64) -> String {
     format!("{:.2}", x * 100.0)
 }
 
-/// Format a duration in seconds with three decimals.
-pub fn secs(x: f64) -> String {
-    format!("{x:.3}")
+/// Format a duration given in seconds as whole microseconds.
+pub fn micros(seconds: f64) -> String {
+    format!("{:.0}", seconds * 1e6)
 }
 
 #[cfg(test)]
@@ -98,8 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn formats_percentages_and_seconds() {
+    fn formats_percentages_and_microseconds() {
         assert_eq!(pct(0.4407), "44.07");
-        assert_eq!(secs(1.23456), "1.235");
+        assert_eq!(micros(0.000_123_4), "123");
+        assert_eq!(micros(1.5), "1500000");
     }
 }

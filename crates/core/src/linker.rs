@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 
-use kgqan_endpoint::SparqlEndpoint;
+use kgqan_endpoint::{EngineDialect, SparqlEndpoint};
 use kgqan_nlp::tokenizer::content_words;
 use kgqan_rdf::{vocab, Term};
 use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
@@ -131,23 +131,19 @@ impl<'a> JitLinker<'a> {
         Ok(true)
     }
 
-    /// The `potentialRelevantVertices(l_n, maxVR)` SPARQL query of §5.1,
-    /// phrased in the dialect of the target endpoint: `(?v, ?d)` rows.
+    /// The `potentialRelevantVertices(l_n, maxVR)` query of §5.1, phrased
+    /// in the dialect of the target endpoint: `(?v, ?d)` rows.
     fn potential_relevant_vertices(
         &self,
         words: &[String],
         endpoint: &dyn SparqlEndpoint,
     ) -> Result<QueryResults, KgqanError> {
-        let dialect = endpoint.dialect();
-        let word_refs: Vec<&str> = words.iter().map(String::as_str).collect();
-        let expression = dialect.containment_expression(&word_refs);
-        let sparql = format!(
-            "SELECT DISTINCT ?v ?d WHERE {{ ?v ?p ?d . ?d <{}> \"{}\" . }} LIMIT {}",
-            dialect.text_search_predicate(),
-            expression.replace('"', ""),
-            self.config.max_fetched_vertices
+        let query = potential_relevant_vertices_query(
+            endpoint.dialect(),
+            words,
+            self.config.max_fetched_vertices,
         );
-        Ok(endpoint.query(&sparql)?)
+        Ok(endpoint.query_parsed(&query)?)
     }
 
     /// Algorithm 2 — KGQAnRelationLink, applied to every PGP edge.  Returns
@@ -272,8 +268,8 @@ impl<'a> JitLinker<'a> {
             return Ok(None);
         }
         // Prefer rdfs:label, fall back to any literal.  Both lookups are
-        // built as ASTs and issued through the parsed path, so they share
-        // the parsed-query cache with the other probes.
+        // built as ASTs and issued through the parsed path, like every
+        // other probe.
         let labelled = description_query(predicate, VarOrTerm::iri(vocab::RDFS_LABEL), 1);
         let results = endpoint.query_parsed(&labelled)?;
         if let Some(first) = results.rows().first() {
@@ -325,55 +321,69 @@ fn best_per_vertex<'a>(
     kept
 }
 
-/// A `SELECT DISTINCT ?p` probe over a single triple pattern.
-fn predicate_probe(pattern: TriplePatternAst) -> Query {
+/// `SELECT [DISTINCT] ?variables WHERE { bgp } [LIMIT n]`: the shape of
+/// every linking probe.  Probes are built as ASTs and ride the parsed path
+/// (and cache) like the generated candidate queries; a remote endpoint
+/// receives [`Query::to_sparql`], which re-parses to the same query.
+fn select(
+    variables: &[&str],
+    distinct: bool,
+    bgp: Vec<TriplePatternAst>,
+    limit: Option<usize>,
+) -> Query {
     Query {
         form: QueryForm::Select {
-            variables: vec!["p".to_string()],
-            distinct: true,
+            variables: variables.iter().map(|v| v.to_string()).collect(),
+            distinct,
         },
-        pattern: GraphPattern::Bgp(vec![pattern]),
-        limit: None,
+        pattern: GraphPattern::Bgp(bgp),
+        limit,
         offset: None,
     }
 }
 
-/// The `outgoingPredicate(v)` query of §5.2, constructed as an AST so the
-/// probe rides the parsed-query path (and cache) like the generated
-/// candidate queries — no SPARQL string is built or re-parsed.
-pub fn outgoing_predicate_query(vertex: &Term) -> Query {
-    predicate_probe(TriplePatternAst::new(
-        VarOrTerm::term(vertex.clone()),
-        VarOrTerm::var("p"),
-        VarOrTerm::var("obj"),
-    ))
+/// The `potentialRelevantVertices(l_n, maxVR)` query of §5.1:
+/// `SELECT DISTINCT ?v ?d WHERE { ?v ?p ?d . ?d <text> "words" . } LIMIT
+/// maxVR`, with the dialect's full-text predicate and containment
+/// expression (double quotes stripped from the words).
+fn potential_relevant_vertices_query(
+    dialect: EngineDialect,
+    words: &[String],
+    limit: usize,
+) -> Query {
+    let words: Vec<&str> = words.iter().map(String::as_str).collect();
+    let expression = dialect.containment_expression(&words).replace('"', "");
+    let (v, d) = (VarOrTerm::var("v"), VarOrTerm::var("d"));
+    let text = VarOrTerm::iri(dialect.text_search_predicate());
+    let search = VarOrTerm::term(Term::literal_str(expression));
+    let bgp = vec![
+        TriplePatternAst::new(v, VarOrTerm::var("p"), d.clone()),
+        TriplePatternAst::new(d, text, search),
+    ];
+    select(&["v", "d"], true, bgp, Some(limit))
 }
 
-/// The `incomingPredicate(v)` query of §5.2 as an AST (see
-/// [`outgoing_predicate_query`]).
+/// The `outgoingPredicate(v)` query of §5.2: `SELECT DISTINCT ?p WHERE {
+/// <v> ?p ?obj }`.
+pub fn outgoing_predicate_query(vertex: &Term) -> Query {
+    let (vertex, p) = (VarOrTerm::term(vertex.clone()), VarOrTerm::var("p"));
+    let pattern = TriplePatternAst::new(vertex, p, VarOrTerm::var("obj"));
+    select(&["p"], true, vec![pattern], None)
+}
+
+/// The `incomingPredicate(v)` query of §5.2: `SELECT DISTINCT ?p WHERE {
+/// ?sub ?p <v> }`.
 pub fn incoming_predicate_query(vertex: &Term) -> Query {
-    predicate_probe(TriplePatternAst::new(
-        VarOrTerm::var("sub"),
-        VarOrTerm::var("p"),
-        VarOrTerm::term(vertex.clone()),
-    ))
+    let (vertex, p) = (VarOrTerm::term(vertex.clone()), VarOrTerm::var("p"));
+    let pattern = TriplePatternAst::new(VarOrTerm::var("sub"), p, vertex);
+    select(&["p"], true, vec![pattern], None)
 }
 
 /// A `SELECT ?d WHERE { <predicate> <via> ?d } LIMIT n` description lookup.
 fn description_query(predicate: &Term, via: VarOrTerm, limit: usize) -> Query {
-    Query {
-        form: QueryForm::Select {
-            variables: vec!["d".to_string()],
-            distinct: false,
-        },
-        pattern: GraphPattern::Bgp(vec![TriplePatternAst::new(
-            VarOrTerm::term(predicate.clone()),
-            via,
-            VarOrTerm::var("d"),
-        )]),
-        limit: Some(limit),
-        offset: None,
-    }
+    let pattern =
+        TriplePatternAst::new(VarOrTerm::term(predicate.clone()), via, VarOrTerm::var("d"));
+    select(&["d"], false, vec![pattern], Some(limit))
 }
 
 #[cfg(test)]
@@ -667,5 +677,29 @@ mod tests {
             outgoing
         );
         assert!(incoming.to_sparql().contains("?sub ?p <http://e/v> ."));
+    }
+
+    #[test]
+    fn vertex_probe_ast_is_the_formatted_text_in_every_dialect() {
+        let words = ["danish", "o'brien", "quo\"te"];
+        let owned: Vec<String> = words.iter().map(|w| w.to_string()).collect();
+        for dialect in [
+            EngineDialect::Virtuoso,
+            EngineDialect::Stardog,
+            EngineDialect::Jena,
+        ] {
+            let query = potential_relevant_vertices_query(dialect, &owned, 400);
+            // The SPARQL text the linker used to format...
+            let formatted = format!(
+                "SELECT DISTINCT ?v ?d WHERE {{ ?v ?p ?d . ?d <{}> \"{}\" . }} LIMIT 400",
+                dialect.text_search_predicate(),
+                dialect.containment_expression(&words).replace('"', ""),
+            );
+            let parse = |text: &str| kgqan_sparql::parse_query(text).expect("probe text parses");
+            assert_eq!(parse(&formatted), query, "{dialect:?}");
+            // ...and the text a remote endpoint now receives are this query.
+            assert_eq!(parse(&query.to_sparql()), query, "{dialect:?}");
+            assert!(query.has_text_search());
+        }
     }
 }

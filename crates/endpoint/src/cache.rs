@@ -9,9 +9,11 @@
 //! the mechanism:
 //!
 //! * [`LruCache`] — a plain bounded map with least-recently-used eviction,
-//! * [`QueryCache`] — one KG's thread-safe cache *namespace*: an LRU for
-//!   text-keyed probe queries plus an LRU for parsed-query results, with
-//!   atomic hit/miss/eviction counters ([`CacheStats`]),
+//! * [`QueryCache`] — one KG's thread-safe cache *namespace*: one keyspace
+//!   of query ASTs in two bounded segments — queries with a full-text
+//!   pattern (the linker's vertex fetches) and every other query — with
+//!   atomic hit/miss/eviction counters ([`CacheStats`]) and one staleness
+//!   rule for ingests,
 //! * [`CachingEndpoint`] — a [`SparqlEndpoint`] decorator that consults the
 //!   namespace before forwarding to the wrapped endpoint.
 //!
@@ -37,21 +39,21 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use kgqan_rdf::{IngestBatch, IngestReport, Term, TouchedScope};
 use kgqan_sparql::eval::{is_text_search_pattern, parse_text_query};
-use kgqan_sparql::{Query, QueryResults};
+use kgqan_sparql::{parse_query, Query, QueryResults};
 
 use crate::dialect::EngineDialect;
 use crate::error::EndpointError;
 use crate::stats::RequestStats;
-use crate::SparqlEndpoint;
+use crate::{SparqlEndpoint, TracedQuery};
 
 /// Capacity configuration of one cache namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Max entries in the text-keyed probe cache (linking probes issued as
-    /// SPARQL strings: text-search vertex fetches, description lookups).
+    /// Max entries in the probe segment: queries with a full-text search
+    /// pattern (the linker's `potentialRelevantVertices` vertex fetches).
     pub probe_capacity: usize,
-    /// Max entries in the parsed-query result cache (predicate fan-out
-    /// probes and generated candidate queries, keyed by their AST).
+    /// Max entries in the result segment: every other query (predicate
+    /// fan-out probes, description lookups, generated candidate queries).
     pub result_capacity: usize,
     /// Largest result (in solution rows) worth caching.  Linking probes are
     /// LIMIT-bounded, but generated candidate queries carry no LIMIT, and a
@@ -73,7 +75,7 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// A configuration with the same capacity for both layers.
+    /// A configuration with the same capacity for both segments.
     pub fn with_capacity(capacity: usize) -> Self {
         CacheConfig {
             probe_capacity: capacity,
@@ -97,9 +99,9 @@ pub struct CacheStats {
     /// Explicit whole-namespace invalidations.
     pub invalidations: u64,
     /// Scoped (ingest-driven) invalidation passes run against the
-    /// namespace.  A pass walks the cached keys and evicts only those whose
-    /// probe text or parsed patterns mention the touched predicates,
-    /// entities or literal tokens — untouched entries survive.
+    /// namespace.  A pass walks the cached queries and evicts only those
+    /// with a triple pattern an added triple could match — untouched
+    /// entries survive.
     pub scoped_invalidations: u64,
     /// Entries evicted by scoped invalidation passes (a subset of the
     /// namespace, unlike `invalidations` which flushes everything).
@@ -186,11 +188,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// The capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Current number of entries (always `<= capacity`).
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -209,23 +206,24 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Look up a key, marking it most-recently-used on a hit.
     ///
     /// The key is taken through [`Borrow`](std::borrow::Borrow) so a
-    /// `LruCache<String, _>` can be probed with a `&str` — no allocation on
-    /// the lookup path; refreshing recency *moves* the key between ticks in
-    /// the recency index, so a hit never clones the key either.
+    /// `LruCache<Arc<Query>, _>` can be probed with a `&Query` — no
+    /// allocation on the lookup path; refreshing recency *moves* the key
+    /// between ticks in the recency index, so a hit never clones the key
+    /// either.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
     where
         K: std::borrow::Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
         let tick = self.next_tick();
-        let (_, entry_tick) = self.entries.get_mut(key)?;
+        let (value, entry_tick) = self.entries.get_mut(key)?;
         let old_tick = std::mem::replace(entry_tick, tick);
         let stored_key = self
             .recency
             .remove(&old_tick)
             .expect("recency index tracks every entry");
         self.recency.insert(tick, stored_key);
-        self.entries.get(key).map(|(v, _)| v)
+        Some(value)
     }
 
     /// Look up a key without touching recency.
@@ -241,38 +239,25 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// is full.  Returns the evicted `(key, value)` pair, if any.
     pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         let tick = self.next_tick();
-        if let Some((_, old_tick)) = self.entries.remove(&key) {
+        let evicted = match self.entries.remove(&key) {
             // Replacing an existing entry never evicts.
-            self.recency.remove(&old_tick);
-            self.entries.insert(key.clone(), (value, tick));
-            self.recency.insert(tick, key);
-            return None;
-        }
-        let evicted = if self.entries.len() >= self.capacity {
-            let (&oldest_tick, _) = self
-                .recency
-                .iter()
-                .next()
-                .expect("a full cache has a least-recent entry");
-            let oldest_key = self
-                .recency
-                .remove(&oldest_tick)
-                .expect("tick was just observed");
-            self.entries
-                .remove(&oldest_key)
-                .map(|(v, _)| (oldest_key, v))
-        } else {
-            None
+            Some((_, old_tick)) => {
+                self.recency.remove(&old_tick);
+                None
+            }
+            None if self.entries.len() >= self.capacity => {
+                let (_, oldest_key) = self
+                    .recency
+                    .pop_first()
+                    .expect("a full cache has a least-recent entry");
+                let oldest = self.entries.remove(&oldest_key);
+                oldest.map(|(v, _)| (oldest_key, v))
+            }
+            None => None,
         };
         self.entries.insert(key.clone(), (value, tick));
         self.recency.insert(tick, key);
         evicted
-    }
-
-    /// Drop every entry (capacity is kept).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.recency.clear();
     }
 
     /// Keep only the entries for which `keep` returns true, preserving the
@@ -292,18 +277,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
         dropped_ticks.len()
     }
-
-    /// Keys ordered least- to most-recently-used (test/diagnostic helper).
-    pub fn keys_by_recency(&self) -> Vec<K> {
-        self.recency.values().cloned().collect()
-    }
 }
 
-/// Lock one cache layer.  An `LruCache` is consistent between any two of
+/// Lock one cache segment.  An `LruCache` is consistent between any two of
 /// its calls, so a lock poisoned by a panicking holder is recovered, like
 /// every other mutex in the workspace.
-fn lock<T>(layer: &Mutex<T>) -> MutexGuard<'_, T> {
-    layer.lock().unwrap_or_else(PoisonError::into_inner)
+fn lock<T>(segment: &Mutex<T>) -> MutexGuard<'_, T> {
+    segment.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One cached round-trip: the shared table and its size, measured once at
@@ -314,16 +294,25 @@ struct Entry {
     approx_bytes: u64,
 }
 
-/// One KG's cache namespace: thread-safe LRUs over probe and parsed-query
-/// round-trips, with atomic [`CacheStats`] counters.
+/// One LRU of the namespace.  A key is stored once: the map and the
+/// recency index share its `Arc`.
+type Segment = Mutex<LruCache<Arc<Query>, Entry>>;
+
+/// One KG's cache namespace: thread-safe LRUs keyed by query AST, with
+/// atomic [`CacheStats`] counters.
+///
+/// The query picks its segment: one with a full-text pattern lives among
+/// the `probe_capacity` probes, any other among the `result_capacity`
+/// results, so the 400-row vertex fetches of linking and the candidate
+/// queries of execution do not evict each other.
 ///
 /// Namespaces are shared via `Arc` — every [`CachingEndpoint`] wrapping the
 /// same namespace sees (and contributes) the same entries, which is how
 /// concurrent and batched requests share hits.
 #[derive(Debug)]
 pub struct QueryCache {
-    probes: Mutex<LruCache<String, Entry>>,
-    results: Mutex<LruCache<Query, Entry>>,
+    probes: Segment,
+    results: Segment,
     max_result_rows: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -336,9 +325,9 @@ pub struct QueryCache {
 }
 
 impl QueryCache {
-    /// Create a namespace with the given capacities.
-    pub fn new(config: CacheConfig) -> Self {
-        QueryCache {
+    /// Create a namespace with the given capacities, ready for sharing.
+    pub fn shared(config: CacheConfig) -> Arc<Self> {
+        Arc::new(QueryCache {
             probes: Mutex::new(LruCache::new(config.probe_capacity)),
             results: Mutex::new(LruCache::new(config.result_capacity)),
             max_result_rows: config.max_result_rows,
@@ -350,22 +339,26 @@ impl QueryCache {
             scoped_invalidations: AtomicU64::new(0),
             scoped_evictions: AtomicU64::new(0),
             resident_bytes: AtomicU64::new(0),
+        })
+    }
+
+    /// The segment `query` lives in: a full-text probe or anything else.
+    fn segment(&self, query: &Query) -> &Segment {
+        if query.has_text_search() {
+            &self.probes
+        } else {
+            &self.results
         }
     }
 
-    /// Create a namespace with the default capacities, ready for sharing.
-    pub fn shared(config: CacheConfig) -> Arc<Self> {
-        Arc::new(Self::new(config))
-    }
-
-    /// Look up one layer and count the hit or miss.  The clone made under
-    /// the lock is two reference-count bumps, whatever the table's size.
-    fn lookup<K, Q>(&self, layer: &Mutex<LruCache<K, Entry>>, key: &Q) -> Option<QueryResults>
-    where
-        K: Eq + Hash + Clone + std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let found = lock(layer).get(key).map(|entry| entry.results.clone());
+    /// Look up a query and count the hit or miss.  A hit returns the cached
+    /// table itself — shared, not copied (see [`QueryResults`]): the clone
+    /// made under the lock is two reference-count bumps, whatever the
+    /// table's size.
+    pub fn get(&self, query: &Query) -> Option<QueryResults> {
+        let found = lock(self.segment(query))
+            .get(query)
+            .map(|entry| entry.results.clone());
         let counter = if found.is_some() {
             &self.hits
         } else {
@@ -375,15 +368,11 @@ impl QueryCache {
         found
     }
 
-    /// Share `results` into one layer unless it is oversized (see
+    /// Cache the result of a query unless it is oversized (see
     /// [`CacheConfig::max_result_rows`]), keeping the byte gauge in step
-    /// with whatever the insert replaced or evicted.
-    fn insert<K: Eq + Hash + Clone>(
-        &self,
-        layer: &Mutex<LruCache<K, Entry>>,
-        key: K,
-        results: &QueryResults,
-    ) {
+    /// with whatever the insert replaced or evicted.  The namespace keeps a
+    /// share of `results`; the caller's value is untouched.
+    pub fn insert(&self, query: &Query, results: &QueryResults) {
         if results.rows().len() > self.max_result_rows {
             return;
         }
@@ -392,90 +381,59 @@ impl QueryCache {
             results: results.clone(),
             approx_bytes,
         };
-        // The gauge moves under the layer lock, so an entry's bytes are
+        let key = Arc::new(query.clone());
+        // The gauge moves under the segment lock, so an entry's bytes are
         // always added before anything can take them off again.
-        let mut layer = lock(layer);
-        let replaced = layer.peek(&key).map_or(0, |old| old.approx_bytes);
-        let evicted = layer.insert(key, entry);
+        let mut segment = lock(self.segment(query));
+        let replaced = segment.peek(query).map_or(0, |old| old.approx_bytes);
+        let evicted = segment.insert(key, entry);
         let freed = replaced + evicted.as_ref().map_or(0, |(_, old)| old.approx_bytes);
         self.resident_bytes
             .fetch_add(approx_bytes, Ordering::Relaxed);
         self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
-        drop(layer);
+        drop(segment);
         self.insertions.fetch_add(1, Ordering::Relaxed);
         if evicted.is_some() {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Drop the entries of one layer whose key is `stale`; returns how many
-    /// went and gives their bytes back to the gauge.
-    fn evict_where<K: Eq + Hash + Clone>(
-        &self,
-        layer: &Mutex<LruCache<K, Entry>>,
-        stale: impl Fn(&K) -> bool,
-    ) -> usize {
-        let mut freed = 0;
-        let mut layer = lock(layer);
-        let dropped = layer.retain(|key, entry| {
-            let keep = !stale(key);
-            if !keep {
-                freed += entry.approx_bytes;
-            }
-            keep
-        });
-        self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
+    /// Drop the entries whose query is `stale` from both segments; returns
+    /// how many went and gives their bytes back to the gauge.
+    fn evict_where(&self, stale: impl Fn(&Query) -> bool) -> usize {
+        let mut dropped = 0;
+        for segment in [&self.probes, &self.results] {
+            let mut freed = 0;
+            dropped += lock(segment).retain(|query, entry| {
+                let keep = !stale(query);
+                if !keep {
+                    freed += entry.approx_bytes;
+                }
+                keep
+            });
+            self.resident_bytes.fetch_sub(freed, Ordering::Relaxed);
+        }
         dropped
-    }
-
-    /// Look up a text-keyed probe query.  A hit returns the cached table
-    /// itself — shared, not copied (see [`QueryResults`]).
-    pub fn get_text(&self, sparql: &str) -> Option<QueryResults> {
-        self.lookup(&self.probes, sparql)
-    }
-
-    /// Cache the result of a text-keyed probe query (oversized results are
-    /// skipped, see [`CacheConfig::max_result_rows`]).  The namespace keeps
-    /// a share of `results`; the caller's value is untouched.
-    pub fn insert_text(&self, sparql: &str, results: &QueryResults) {
-        self.insert(&self.probes, sparql.to_string(), results);
-    }
-
-    /// Look up a parsed query by its AST; a hit shares the cached table
-    /// like [`QueryCache::get_text`].
-    pub fn get_parsed(&self, query: &Query) -> Option<QueryResults> {
-        self.lookup(&self.results, query)
-    }
-
-    /// Cache the result of a parsed query (oversized results are skipped,
-    /// see [`CacheConfig::max_result_rows`]).
-    pub fn insert_parsed(&self, query: &Query, results: &QueryResults) {
-        self.insert(&self.results, query.clone(), results);
     }
 
     /// Drop every cached entry in the namespace.  Counters are monotonic and
     /// survive (the `invalidations` counter records the flush).
     pub fn invalidate(&self) {
-        self.evict_where(&self.probes, |_| true);
-        self.evict_where(&self.results, |_| true);
+        self.evict_where(|_| true);
         self.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Evict only the entries an ingest batch could have changed, leaving
     /// the rest of the namespace warm.
     ///
-    /// The batch's [`TouchedScope`] carries the added triples plus the
-    /// predicates, entities and literal word tokens they mention.  A cached
-    /// entry is stale iff the addition could alter its result:
-    ///
-    /// * a **text-keyed probe** is evicted when its SPARQL text mentions a
-    ///   touched literal token or embeds a touched entity/predicate IRI
-    ///   ([`TouchedScope::mentions_text`]),
-    /// * a **parsed query** is evicted when one of its triple patterns
-    ///   matches an added triple in its constant positions — additions are
-    ///   monotone, so a result can only change if some pattern gained a
-    ///   matching triple ([`TouchedScope::matches_constants`]); full-text
-    ///   patterns are compared token-wise against the touched literals.
+    /// The batch's [`TouchedScope`] carries the added triples plus the word
+    /// tokens of their literals, and every cached query, probe or candidate,
+    /// is checked by one rule: it is evicted when one of its triple patterns
+    /// could match an added triple — in its constant positions
+    /// ([`TouchedScope::matches_constants`]), or, for a full-text pattern,
+    /// by a search word among the touched literal tokens.  Additions are
+    /// monotone, so a result can only change if some pattern gained a
+    /// matching triple.
     ///
     /// Very large batches fall back to a whole-namespace flush (matching
     /// every cached key against thousands of added triples costs more than
@@ -490,14 +448,13 @@ impl QueryCache {
             self.invalidate();
             return;
         }
-        let dropped_probes = self.evict_where(&self.probes, |sparql| scope.mentions_text(sparql));
-        let dropped_results = self.evict_where(&self.results, |query| query_touches(query, scope));
+        let dropped = self.evict_where(|query| query_touches(query, scope));
         self.scoped_invalidations.fetch_add(1, Ordering::Relaxed);
         self.scoped_evictions
-            .fetch_add((dropped_probes + dropped_results) as u64, Ordering::Relaxed);
+            .fetch_add(dropped as u64, Ordering::Relaxed);
     }
 
-    /// Number of live entries across both layers.
+    /// Number of live entries across both segments.
     pub fn len(&self) -> usize {
         lock(&self.probes).len() + lock(&self.results).len()
     }
@@ -530,30 +487,42 @@ const SCOPED_INVALIDATION_MAX_BATCH: usize = 256;
 
 /// Could an ingest described by `scope` change this cached query's result?
 ///
-/// Additions are monotone: a SELECT/ASK over a basic graph pattern can only
+/// Additions are monotone: a SELECT/ASK over basic graph patterns can only
 /// change if at least one of its triple patterns gained a matching triple.
-/// Each pattern is therefore tested independently — constant positions
+/// Each pattern is therefore tested on its own — constant positions
 /// against the added triples, full-text search patterns token-wise against
 /// the added literals' words.
+///
+/// A pattern whose object is the subject of a full-text pattern in the same
+/// BGP — `?v ?p ?d` in `?v ?p ?d . ?d <bif:contains> "'baltic'"` — is left
+/// to that pattern's test: `?d` only binds literals the search matches, so
+/// a new row needs an added triple whose literal holds a search word.  On
+/// its constants alone it would match every added triple, and every ingest
+/// would evict every linking probe.
 fn query_touches(query: &Query, scope: &TouchedScope) -> bool {
-    query.pattern.all_triple_patterns().iter().any(|tp| {
-        if is_text_search_pattern(tp) {
-            // `?v <bif:contains> "'baltic'"` — stale when the search words
-            // intersect the tokens of an added literal.  A variable search
-            // string is unbounded, treat it as touched.
-            return match tp.object.as_term() {
-                Some(Term::Literal(lit)) => parse_text_query(&lit.lexical)
-                    .iter()
-                    .any(|word| scope.literal_tokens().contains(word)),
-                Some(_) => false,
-                None => true,
-            };
-        }
-        scope.matches_constants(
-            tp.subject.as_term(),
-            tp.predicate.as_term(),
-            tp.object.as_term(),
-        )
+    query.pattern.any_bgp(|bgp| {
+        let searched = |var: &str| {
+            bgp.iter()
+                .any(|tp| is_text_search_pattern(tp) && tp.subject.as_var() == Some(var))
+        };
+        bgp.iter().any(|tp| {
+            if is_text_search_pattern(tp) {
+                // A variable search string is unbounded, treat it as touched.
+                return match tp.object.as_term() {
+                    Some(Term::Literal(lit)) => parse_text_query(&lit.lexical)
+                        .iter()
+                        .any(|word| scope.literal_tokens().contains(word)),
+                    Some(_) => false,
+                    None => true,
+                };
+            }
+            !tp.object.as_var().is_some_and(searched)
+                && scope.matches_constants(
+                    tp.subject.as_term(),
+                    tp.predicate.as_term(),
+                    tp.object.as_term(),
+                )
+        })
     })
 }
 
@@ -561,12 +530,11 @@ fn query_touches(query: &Query, scope: &TouchedScope) -> bool {
 /// shared [`QueryCache`] namespace instead of re-probing the wrapped
 /// endpoint.
 ///
-/// * [`SparqlEndpoint::query`] is keyed by the SPARQL text (the linking
-///   probes KGQAn still issues as strings — text-search vertex fetches and
-///   description lookups).
-/// * [`SparqlEndpoint::query_parsed`] is keyed by the query AST itself
-///   (predicate fan-out probes and generated candidate queries), so cache
-///   lookups never serialize the query.
+/// * Every query is keyed by its AST, so lookups never serialize it.
+///   [`SparqlEndpoint::query`] parses the text once and takes the
+///   [`SparqlEndpoint::query_parsed`] path: a query sent as text and the
+///   same query sent as an AST share one entry.  Text that does not parse
+///   is forwarded uncached.
 /// * [`SparqlEndpoint::stats`] forwards the wrapped endpoint's counters
 ///   with [`RequestStats::cache_hits`] / [`RequestStats::cache_misses`]
 ///   filled in from the namespace.
@@ -606,14 +574,43 @@ impl CachingEndpoint {
         CachingEndpoint { inner, cache }
     }
 
-    /// The wrapped (uncached) endpoint.
-    pub fn inner(&self) -> &Arc<dyn SparqlEndpoint> {
-        &self.inner
-    }
-
     /// The cache namespace this decorator consults.
     pub fn cache(&self) -> &Arc<QueryCache> {
         &self.cache
+    }
+
+    /// Answer `query` from the namespace, or `run` it on the wrapped
+    /// endpoint and cache what came back.  A hit executed nothing, so it
+    /// carries no plan and no scan work — the telemetry reflects what
+    /// actually ran.  A deadline-truncated answer is a *prefix*, not the
+    /// answer, so it is not cached: a later, less-hurried request must not
+    /// be served the partial rows.
+    fn lookup_or_run(
+        &self,
+        query: &Query,
+        run: impl FnOnce(&dyn SparqlEndpoint) -> Result<TracedQuery, EndpointError>,
+    ) -> Result<TracedQuery, EndpointError> {
+        if let Some(results) = self.cache.get(query) {
+            return Ok(untraced(results));
+        }
+        let traced = run(self.inner.as_ref())?;
+        let partial = traced
+            .metrics
+            .as_ref()
+            .is_some_and(|metrics| metrics.deadline_exceeded);
+        if !partial {
+            self.cache.insert(query, &traced.results);
+        }
+        Ok(traced)
+    }
+}
+
+/// Results with no execution telemetry.
+fn untraced(results: QueryResults) -> TracedQuery {
+    TracedQuery {
+        results,
+        plan: None,
+        metrics: None,
     }
 }
 
@@ -627,61 +624,28 @@ impl SparqlEndpoint for CachingEndpoint {
     }
 
     fn query(&self, sparql: &str) -> Result<QueryResults, EndpointError> {
-        if let Some(results) = self.cache.get_text(sparql) {
-            return Ok(results);
+        match parse_query(sparql) {
+            Ok(query) => self.query_parsed(&query),
+            // Nothing to key on: the engine rejects (and counts) it.
+            Err(_) => self.inner.query(sparql),
         }
-        let results = self.inner.query(sparql)?;
-        self.cache.insert_text(sparql, &results);
-        Ok(results)
     }
 
     fn query_parsed(&self, query: &Query) -> Result<QueryResults, EndpointError> {
-        if let Some(results) = self.cache.get_parsed(query) {
-            return Ok(results);
-        }
-        let results = self.inner.query_parsed(query)?;
-        self.cache.insert_parsed(query, &results);
-        Ok(results)
+        self.lookup_or_run(query, |inner| inner.query_parsed(query).map(untraced))
+            .map(|traced| traced.results)
     }
 
-    fn query_traced(&self, query: &Query) -> Result<crate::TracedQuery, EndpointError> {
-        if let Some(results) = self.cache.get_parsed(query) {
-            // A hit executed nothing, so there is no plan and no scan work
-            // to report — the telemetry reflects what actually ran.
-            return Ok(crate::TracedQuery {
-                results,
-                plan: None,
-                metrics: None,
-            });
-        }
-        let traced = self.inner.query_traced(query)?;
-        self.cache.insert_parsed(query, &traced.results);
-        Ok(traced)
+    fn query_traced(&self, query: &Query) -> Result<TracedQuery, EndpointError> {
+        self.query_traced_within(query, None)
     }
 
     fn query_traced_within(
         &self,
         query: &Query,
         deadline: Option<std::time::Instant>,
-    ) -> Result<crate::TracedQuery, EndpointError> {
-        if let Some(results) = self.cache.get_parsed(query) {
-            return Ok(crate::TracedQuery {
-                results,
-                plan: None,
-                metrics: None,
-            });
-        }
-        let traced = self.inner.query_traced_within(query, deadline)?;
-        // A deadline-truncated answer is a *prefix*, not the answer — a
-        // later, less-hurried request must not be served the partial rows.
-        let partial = traced
-            .metrics
-            .as_ref()
-            .is_some_and(|metrics| metrics.deadline_exceeded);
-        if !partial {
-            self.cache.insert_parsed(query, &traced.results);
-        }
-        Ok(traced)
+    ) -> Result<TracedQuery, EndpointError> {
+        self.lookup_or_run(query, |inner| inner.query_traced_within(query, deadline))
     }
 
     fn ingest(&self, batch: IngestBatch) -> Result<IngestReport, EndpointError> {
@@ -702,7 +666,7 @@ impl SparqlEndpoint for CachingEndpoint {
         &self,
         query: &Query,
         services: &dyn kgqan_sparql::ServiceResolver,
-    ) -> Result<crate::TracedQuery, EndpointError> {
+    ) -> Result<TracedQuery, EndpointError> {
         // A federated query's results depend on *other* KGs' epochs, which
         // this namespace's scoped invalidation cannot see — so federated
         // queries bypass the cache.  (The SERVICE groups themselves still
@@ -725,7 +689,6 @@ mod tests {
     use super::*;
     use crate::inprocess::InProcessEndpoint;
     use kgqan_rdf::{Store, Triple};
-    use kgqan_sparql::parse_query;
 
     fn store() -> Store {
         let mut s = Store::new();
@@ -743,7 +706,6 @@ mod tests {
         lru.insert(1, "a");
         lru.insert(2, "b");
         lru.insert(3, "c");
-        assert_eq!(lru.keys_by_recency(), vec![1, 2, 3]);
 
         // Touching 1 makes 2 the eviction victim.
         assert_eq!(lru.get(&1), Some(&"a"));
@@ -751,10 +713,12 @@ mod tests {
         assert_eq!(evicted, Some((2, "b")));
         assert_eq!(lru.len(), 3);
         assert!(lru.peek(&2).is_none());
-        assert_eq!(lru.keys_by_recency(), vec![3, 1, 4]);
 
-        // The next victim is 3 (oldest untouched).
+        // Then 3 (oldest untouched), 1, 4: peeking does not refresh.
+        assert_eq!(lru.peek(&3), Some(&"c"));
         assert_eq!(lru.insert(5, "e"), Some((3, "c")));
+        assert_eq!(lru.insert(6, "f"), Some((1, "a")));
+        assert_eq!(lru.insert(7, "g"), Some((4, "d")));
     }
 
     #[test]
@@ -765,7 +729,6 @@ mod tests {
             assert!(lru.len() <= 4, "len {} exceeded capacity", lru.len());
         }
         assert_eq!(lru.len(), 4);
-        assert_eq!(lru.capacity(), 4);
         // Only the four most recent survive.
         for i in 96..100 {
             assert_eq!(lru.peek(&i), Some(&(i * 10)));
@@ -779,11 +742,10 @@ mod tests {
     #[test]
     fn lru_zero_capacity_is_clamped() {
         let mut lru: LruCache<u32, u32> = LruCache::new(0);
-        assert_eq!(lru.capacity(), 1);
+        assert!(lru.is_empty());
         lru.insert(1, 1);
         assert_eq!(lru.insert(2, 2), Some((1, 1)));
-        lru.clear();
-        assert!(lru.is_empty());
+        assert_eq!(lru.len(), 1);
     }
 
     #[test]
@@ -803,14 +765,35 @@ mod tests {
         assert_eq!(ep.stats().cache_misses, 1);
         assert!((ep.stats().cache_hit_rate() - 0.5).abs() < 1e-12);
 
-        // The parsed path has its own keyspace.
+        // The same query sent as an AST is the same entry.
         let parsed = parse_query(q).unwrap();
-        let p1 = ep.query_parsed(&parsed).unwrap();
-        let p2 = ep.query_parsed(&parsed).unwrap();
-        assert_eq!(p1, p2);
-        assert_eq!(ep.stats().total_requests, 2);
-        assert_eq!(namespace.stats().hits, 2);
-        assert_eq!(namespace.stats().insertions, 2);
+        assert_eq!(ep.query_parsed(&parsed).unwrap(), first);
+        assert_eq!(ep.query_traced(&parsed).unwrap().results, first);
+        assert_eq!(ep.stats().total_requests, 1);
+        assert_eq!(namespace.stats().hits, 3);
+        assert_eq!(namespace.stats().insertions, 1);
+        assert_eq!(namespace.len(), 1);
+    }
+
+    #[test]
+    fn text_probes_and_other_queries_fill_separate_segments() {
+        let namespace = QueryCache::shared(CacheConfig {
+            probe_capacity: 1,
+            result_capacity: 1,
+            ..Default::default()
+        });
+        let ep = CachingEndpoint::new(
+            Arc::new(InProcessEndpoint::new("DBpedia", store())),
+            namespace.clone(),
+        );
+        ep.query(r#"SELECT ?v WHERE { ?v ?p ?d . ?d <bif:contains> "'o'" . }"#)
+            .unwrap();
+        ep.query("SELECT ?s WHERE { ?s ?p ?o . }").unwrap();
+        assert_eq!(namespace.len(), 2);
+        assert_eq!(namespace.stats().evictions, 0);
+        ep.query("SELECT ?o WHERE { ?s ?p ?o . }").unwrap();
+        assert_eq!(namespace.len(), 2);
+        assert_eq!(namespace.stats().evictions, 1);
     }
 
     #[test]
@@ -849,7 +832,7 @@ mod tests {
 
     #[test]
     fn lru_retain_drops_matches_and_preserves_survivor_recency() {
-        let mut lru: LruCache<u32, &str> = LruCache::new(8);
+        let mut lru: LruCache<u32, &str> = LruCache::new(4);
         for (k, v) in [(1, "a"), (2, "b"), (3, "c"), (4, "d")] {
             lru.insert(k, v);
         }
@@ -859,7 +842,11 @@ mod tests {
         assert_eq!(lru.len(), 2);
         assert!(lru.peek(&2).is_none());
         assert!(lru.peek(&4).is_none());
-        assert_eq!(lru.keys_by_recency(), vec![3, 1]);
+        // Survivors keep their order: 3 before 1 once the cache refills.
+        lru.insert(5, "e");
+        lru.insert(6, "f");
+        assert_eq!(lru.insert(7, "g"), Some((3, "c")));
+        assert_eq!(lru.insert(8, "h"), Some((1, "a")));
     }
 
     #[test]
@@ -882,14 +869,9 @@ mod tests {
         );
         let q_touched = "SELECT ?s WHERE { ?s <http://e/p1> ?o . }";
         let q_untouched = "SELECT ?s WHERE { ?s <http://e/p2> ?o . }";
-        // Warm both the text-keyed and the parsed layers.
         assert_eq!(ep.query(q_touched).unwrap().rows().len(), 1);
         ep.query(q_untouched).unwrap();
-        let parsed_touched = parse_query(q_touched).unwrap();
-        let parsed_untouched = parse_query(q_untouched).unwrap();
-        ep.query_parsed(&parsed_touched).unwrap();
-        ep.query_parsed(&parsed_untouched).unwrap();
-        assert_eq!(namespace.len(), 4);
+        assert_eq!(namespace.len(), 2);
 
         let report = ep
             .ingest(IngestBatch::from(vec![Triple::new(
@@ -900,55 +882,68 @@ mod tests {
             .unwrap();
         assert_eq!(report.added(), 1);
 
-        // Only the two p1-touching entries were dropped.
+        // Only the p1-touching entry was dropped.
         let stats = namespace.stats();
         assert_eq!(stats.scoped_invalidations, 1);
-        assert_eq!(stats.scoped_evictions, 2);
+        assert_eq!(stats.scoped_evictions, 1);
         assert_eq!(stats.invalidations, 0, "no whole-namespace flush");
-        assert_eq!(namespace.len(), 2);
+        assert_eq!(namespace.len(), 1);
 
-        // The untouched queries still hit; the touched ones re-execute and
-        // observe the new epoch.
+        // The untouched query still hits, as text or as an AST; the touched
+        // one re-executes and observes the new epoch.
         let hits_before = namespace.stats().hits;
         ep.query(q_untouched).unwrap();
-        ep.query_parsed(&parsed_untouched).unwrap();
+        ep.query_parsed(&parse_query(q_untouched).unwrap()).unwrap();
         assert_eq!(namespace.stats().hits, hits_before + 2);
         assert_eq!(ep.query(q_touched).unwrap().rows().len(), 2);
-        assert_eq!(ep.query_parsed(&parsed_touched).unwrap().rows().len(), 2);
     }
 
     #[test]
     fn scoped_invalidation_matches_text_probes_by_token() {
+        const LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
+        let fact = |s: &str, p: &str, o: Term| {
+            Triple::new(Term::iri(format!("http://e/{s}")), Term::iri(p), o)
+        };
         let mut s = Store::new();
-        s.insert(Triple::new(
-            Term::iri("http://e/baltic"),
-            Term::iri("http://www.w3.org/2000/01/rdf-schema#label"),
-            Term::literal_str("Baltic"),
-        ));
+        s.insert(fact("baltic", LABEL, Term::literal_str("Baltic")));
+        s.insert(fact("wind", LABEL, Term::literal_str("North wind")));
         let namespace = QueryCache::shared(CacheConfig::default());
         let ep = CachingEndpoint::new(
             Arc::new(InProcessEndpoint::new("DBpedia", s)),
             namespace.clone(),
         );
-        let probe_touched = r#"SELECT ?v WHERE { ?v ?p ?d . ?d <bif:contains> "'north'" . }"#;
-        let probe_untouched = r#"SELECT ?v WHERE { ?v ?p ?d . ?d <bif:contains> "'baltic'" . }"#;
-        assert_eq!(ep.query(probe_touched).unwrap().rows().len(), 0);
-        assert_eq!(ep.query(probe_untouched).unwrap().rows().len(), 1);
+        // The linker's vertex fetches, keyed by their ASTs: rows per word.
+        let rows = || {
+            ["north", "baltic", "sea"].map(|word| {
+                let probe = format!(
+                    r#"SELECT DISTINCT ?v ?d WHERE {{ ?v ?p ?d . ?d <bif:contains> "'{word}'" . }} LIMIT 400"#
+                );
+                ep.query_parsed(&parse_query(&probe).unwrap()).unwrap().rows().len()
+            })
+        };
+        // Ingest, then re-run the probes: (entries evicted, rows, hits).
+        let after = |batch: Vec<Triple>| {
+            let before = namespace.stats();
+            ep.ingest(IngestBatch::from(batch)).unwrap();
+            let evicted = namespace.stats().since(&before).scoped_evictions;
+            let rows = rows();
+            (evicted, rows, namespace.stats().since(&before).hits)
+        };
+        assert_eq!(rows(), [1, 1, 0]);
 
-        ep.ingest(IngestBatch::from(vec![Triple::new(
-            Term::iri("http://e/north"),
-            Term::iri("http://www.w3.org/2000/01/rdf-schema#label"),
-            Term::literal_str("North"),
-        )]))
-        .unwrap();
-
-        // The 'baltic' probe survived the ingest of a 'north' literal...
-        let hits_before = namespace.stats().hits;
-        assert_eq!(ep.query(probe_untouched).unwrap().rows().len(), 1);
-        assert_eq!(namespace.stats().hits, hits_before + 1);
-        // ...while the 'north' probe was evicted and now sees the new data.
-        assert_eq!(ep.query(probe_touched).unwrap().rows().len(), 1);
-        assert_eq!(namespace.stats().scoped_evictions, 1);
+        // Literals that share no word with any search keep every probe
+        // warm, though `?v ?p ?d` matches each added triple.
+        let gulf = vec![
+            fact("gulf", LABEL, Term::literal_str("Gulf")),
+            fact("gulf", "http://e/near", Term::iri("http://e/baltic")),
+        ];
+        assert_eq!(after(gulf), (0, [1, 1, 0], 3));
+        // A new vertex whose label holds a word evicts that word's probes...
+        let north_sea = fact("north_sea", LABEL, Term::literal_str("North Sea"));
+        assert_eq!(after(vec![north_sea]), (2, [2, 1, 1], 1));
+        // ...and so does a new vertex linked to an old literal holding it.
+        let gust = fact("gust", "http://e/altLabel", Term::literal_str("North wind"));
+        assert_eq!(after(vec![gust]), (1, [3, 1, 1], 2));
     }
 
     #[test]
@@ -1137,7 +1132,7 @@ mod tests {
         ep.query(&probe(1)).unwrap();
         assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
         let cached = ep.query(&probe(1)).unwrap();
-        namespace.insert_text(&probe(1), &cached);
+        namespace.insert(&parse_query(&probe(1)).unwrap(), &cached);
         assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
         ep.query(&probe(2)).unwrap();
         assert_eq!(namespace.stats().evictions, 1);

@@ -9,7 +9,6 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use kgqan_rdf::{GraphStats, IngestBatch, IngestReport, LiveStore, Store, StoreSnapshot};
-use kgqan_sparql::eval::is_text_search_pattern;
 use kgqan_sparql::{
     parse_query, ExecOptions, ParallelConfig, PlanSummary, Planner, Query, QueryResults,
 };
@@ -112,15 +111,17 @@ impl InProcessEndpoint {
     }
 
     /// Record one served request in the endpoint statistics; the single
-    /// bookkeeping point shared by the parsed and parse-failure paths.
-    fn record_request(&self, elapsed: Duration, is_text: bool, is_ask: bool, failed: bool) {
+    /// bookkeeping point shared by the parsed and parse-failure paths.  The
+    /// kind (text search, ASK) is read off the AST: text that did not parse
+    /// has none and only counts as failed.
+    fn record_request(&self, elapsed: Duration, query: Option<&Query>, failed: bool) {
         let mut stats = self.lock_stats();
         stats.total_requests += 1;
         stats.total_time += elapsed;
-        if is_text {
+        if query.is_some_and(Query::has_text_search) {
             stats.text_search_requests += 1;
         }
-        if is_ask {
+        if query.is_some_and(Query::is_ask) {
             stats.ask_requests += 1;
         }
         if failed {
@@ -151,10 +152,8 @@ impl InProcessEndpoint {
     /// plan's `EXPLAIN` summary is rendered only when `want_plan` is set
     /// (it costs a little, so the untraced query paths skip it).
     ///
-    /// Classification (text-search / ASK) is done on the AST instead of by
-    /// substring inspection of the query text, and evaluation goes straight
-    /// to the dictionary-encoded planner/executor — no SPARQL string exists
-    /// on this path.
+    /// Evaluation goes straight to the dictionary-encoded planner/executor
+    /// — no SPARQL string exists on this path.
     fn execute_planned(
         &self,
         query: &Query,
@@ -182,12 +181,7 @@ impl InProcessEndpoint {
                 })
             })
             .map_err(EndpointError::from);
-        let is_text = query
-            .pattern
-            .all_triple_patterns()
-            .iter()
-            .any(|tp| is_text_search_pattern(tp));
-        self.record_request(start.elapsed(), is_text, query.is_ask(), outcome.is_err());
+        self.record_request(start.elapsed(), Some(query), outcome.is_err());
         outcome
     }
 
@@ -222,16 +216,7 @@ impl SparqlEndpoint for InProcessEndpoint {
                 if !self.latency.is_zero() {
                     std::thread::sleep(self.latency);
                 }
-                // No AST to classify on; fall back to the text heuristics so
-                // unparseable requests are still categorised like before.
-                let is_text = sparql.contains("bif:contains")
-                    || sparql.contains("textMatch")
-                    || sparql.contains("text#query");
-                let is_ask = sparql
-                    .trim_start()
-                    .get(..3)
-                    .is_some_and(|head| head.eq_ignore_ascii_case("ASK"));
-                self.record_request(start.elapsed(), is_text, is_ask, true);
+                self.record_request(start.elapsed(), None, true);
                 Err(EndpointError::from(err))
             }
         }
@@ -333,8 +318,8 @@ mod tests {
 
     #[test]
     fn unparseable_non_ascii_text_is_an_error_not_a_panic() {
-        // Byte 3 of both strings falls inside a code point: the ASK-prefix
-        // heuristic of the parse-failure path must not slice there.
+        // Byte 3 of both strings falls inside a code point: nothing on the
+        // parse-failure path may slice there.
         let ep = InProcessEndpoint::new("DBpedia", store());
         assert!(ep.query("ab€").is_err());
         assert!(ep.query("é").is_err());

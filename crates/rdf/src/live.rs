@@ -18,9 +18,9 @@
 //!   keep answering against the previous epoch until the swap lands.
 //!
 //! The [`IngestReport`] returned per batch carries a [`TouchedScope`] — the
-//! predicates, entities and literal tokens the batch actually touched —
+//! triples the batch actually added and the words of their literals —
 //! which the endpoint layer uses for *scoped* semantic-cache invalidation
-//! (evict only the cache entries that mention the changed data, keep the
+//! (evict only the cache entries the new triples could change, keep the
 //! rest warm).
 
 use std::ops::Deref;
@@ -157,30 +157,23 @@ impl From<Vec<Triple>> for IngestBatch {
 }
 
 /// The data an applied ingest batch actually touched: the scope used for
-/// targeted cache invalidation.
+/// targeted cache invalidation — the added triples, and the words of their
+/// string literals for full-text searches.
 ///
 /// An empty scope (a no-op batch of pure duplicates) touches nothing, so
 /// nothing needs invalidating.
 #[derive(Debug, Clone, Default)]
 pub struct TouchedScope {
-    predicates: FxHashSet<Term>,
-    entities: FxHashSet<Term>,
     literal_tokens: FxHashSet<String>,
     added: Vec<Triple>,
 }
 
 impl TouchedScope {
     fn observe(&mut self, triple: &Triple) {
-        self.predicates.insert(triple.predicate.clone());
-        self.entities.insert(triple.subject.clone());
         if triple.object.is_string_literal() {
             if let Some(literal) = triple.object.as_literal() {
-                for token in tokenize(&literal.lexical) {
-                    self.literal_tokens.insert(token);
-                }
+                self.literal_tokens.extend(tokenize(&literal.lexical));
             }
-        } else {
-            self.entities.insert(triple.object.clone());
         }
         self.added.push(triple.clone());
     }
@@ -188,17 +181,6 @@ impl TouchedScope {
     /// True if the batch added nothing (all duplicates).
     pub fn is_empty(&self) -> bool {
         self.added.is_empty()
-    }
-
-    /// The predicates of the added triples.
-    pub fn predicates(&self) -> &FxHashSet<Term> {
-        &self.predicates
-    }
-
-    /// The subject/object resources (IRIs and blank nodes) of the added
-    /// triples.
-    pub fn entities(&self) -> &FxHashSet<Term> {
-        &self.entities
     }
 
     /// The lower-cased word tokens of every string-literal object added.
@@ -209,16 +191,6 @@ impl TouchedScope {
     /// The triples actually added (duplicates excluded).
     pub fn added(&self) -> &[Triple] {
         &self.added
-    }
-
-    /// True if the scope touched this predicate.
-    pub fn touches_predicate(&self, predicate: &Term) -> bool {
-        self.predicates.contains(predicate)
-    }
-
-    /// True if the scope touched this entity (as subject or object).
-    pub fn touches_entity(&self, entity: &Term) -> bool {
-        self.entities.contains(entity)
     }
 
     /// True if some added triple matches the given constant positions
@@ -237,23 +209,6 @@ impl TouchedScope {
                 && predicate.is_none_or(|p| *p == t.predicate)
                 && object.is_none_or(|o| *o == t.object)
         })
-    }
-
-    /// True if a free-text probe could observe the added data: any of the
-    /// probe's word tokens matches a token of an added string literal, or
-    /// the probe embeds the IRI of a touched entity or predicate.
-    pub fn mentions_text(&self, probe: &str) -> bool {
-        if tokenize(probe)
-            .iter()
-            .any(|token| self.literal_tokens.contains(token))
-        {
-            return true;
-        }
-        self.entities
-            .iter()
-            .chain(self.predicates.iter())
-            .filter_map(Term::as_iri)
-            .any(|iri| probe.contains(iri))
     }
 }
 
@@ -587,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn touched_scope_reports_predicates_entities_and_tokens() {
+    fn touched_scope_reports_added_triples_and_tokens() {
         let live = seeded_live_store(10);
         let report = live
             .ingest(
@@ -601,17 +556,11 @@ mod tests {
             )
             .unwrap();
         let scope = report.touched();
-        assert!(scope.touches_predicate(&Term::iri("http://e/capitalOf")));
-        assert!(scope.touches_predicate(&Term::iri(vocab::RDFS_LABEL)));
-        assert!(!scope.touches_predicate(&Term::iri("http://e/p")));
-        assert!(scope.touches_entity(&Term::iri("http://e/berlin")));
-        assert!(scope.touches_entity(&Term::iri("http://e/germany")));
         assert!(scope.literal_tokens().contains("berlin"));
         assert!(scope.literal_tokens().contains("city"));
-        assert!(scope.mentions_text("what is the capital city?"));
-        assert!(scope.mentions_text("SELECT ?x WHERE { ?x <http://e/capitalOf> ?y }"));
-        assert!(!scope.mentions_text("unrelated question about rivers"));
+        assert_eq!(scope.literal_tokens().len(), 2);
         assert!(scope.matches_constants(None, Some(&Term::iri("http://e/capitalOf")), None));
+        assert!(scope.matches_constants(None, None, Some(&Term::iri("http://e/germany"))));
         assert!(scope.matches_constants(Some(&Term::iri("http://e/berlin")), None, None));
         assert!(!scope.matches_constants(
             Some(&Term::iri("http://e/berlin")),

@@ -241,16 +241,30 @@ impl GraphPattern {
     /// All triple patterns reachable in this graph pattern (used by query
     /// analysis and the benchmark taxonomy).
     pub fn all_triple_patterns(&self) -> Vec<&TriplePatternAst> {
-        match self {
-            GraphPattern::Bgp(tps) => tps.iter().collect(),
-            GraphPattern::Join(a, b) | GraphPattern::Optional(a, b) | GraphPattern::Union(a, b) => {
-                let mut v = a.all_triple_patterns();
-                v.extend(b.all_triple_patterns());
-                v
+        let mut out = Vec::new();
+        self.any_bgp(|bgp| {
+            out.extend(bgp);
+            false
+        });
+        out
+    }
+
+    /// True if `test` holds for some basic graph pattern in the tree, tried
+    /// in pattern order.  One walk, no allocation.
+    pub fn any_bgp<'a>(&'a self, mut test: impl FnMut(&'a [TriplePatternAst]) -> bool) -> bool {
+        type Test<'t, 'a> = &'t mut dyn FnMut(&'a [TriplePatternAst]) -> bool;
+        fn walk<'a>(pattern: &'a GraphPattern, test: Test<'_, 'a>) -> bool {
+            match pattern {
+                GraphPattern::Bgp(tps) => test(tps),
+                GraphPattern::Join(a, b)
+                | GraphPattern::Optional(a, b)
+                | GraphPattern::Union(a, b) => walk(a, test) || walk(b, test),
+                GraphPattern::Filter(inner, _) | GraphPattern::Service { pattern: inner, .. } => {
+                    walk(inner, test)
+                }
             }
-            GraphPattern::Filter(inner, _) => inner.all_triple_patterns(),
-            GraphPattern::Service { pattern, .. } => pattern.all_triple_patterns(),
         }
+        walk(self, &mut test)
     }
 
     /// True if a `SERVICE` group appears anywhere in the pattern — such a
@@ -351,6 +365,14 @@ impl Query {
     /// True if this is an ASK query.
     pub fn is_ask(&self) -> bool {
         matches!(self.form, QueryForm::Ask)
+    }
+
+    /// True if the query has a full-text search pattern
+    /// ([`is_text_search_pattern`](crate::eval::is_text_search_pattern))
+    /// anywhere, found without allocating.
+    pub fn has_text_search(&self) -> bool {
+        self.pattern
+            .any_bgp(|bgp| bgp.iter().any(crate::eval::is_text_search_pattern))
     }
 
     /// Serialize the query back to SPARQL text.
@@ -537,6 +559,18 @@ mod tests {
                 .unwrap_or_else(|e| panic!("serialized query must re-parse: {e}\n{rendered}"));
             assert_eq!(parsed, reparsed, "round-trip changed the AST:\n{rendered}");
         }
+    }
+
+    #[test]
+    fn text_search_is_found_at_any_depth() {
+        let text = |q: &str| crate::parser::parse_query(q).unwrap().has_text_search();
+        assert!(text(
+            r#"SELECT ?v WHERE { ?v ?p ?d . ?d <bif:contains> "'sea'" . }"#
+        ));
+        assert!(text(
+            r#"SELECT * WHERE { ?v ?p ?d OPTIONAL { ?d <text:query> "sea" } }"#
+        ));
+        assert!(!text("SELECT ?v WHERE { ?v <http://e/contains> ?d . }"));
     }
 
     #[test]

@@ -59,13 +59,8 @@ proptest! {
         // the page can only ever be *shorter* than the clamp, never longer,
         // and never invent rows.  Without a text pattern the page length is
         // exact.
-        let has_text = query
-            .pattern
-            .all_triple_patterns()
-            .iter()
-            .any(|tp| kgqan_sparql::eval::is_text_search_pattern(tp));
         let expected = full_rows.len().saturating_sub(offset).min(limit);
-        if has_text {
+        if query.has_text_search() {
             prop_assert!(
                 page.rows().len() <= expected,
                 "page of {} rows exceeds clamp {expected} (limit {limit} offset {offset})\nquery:\n{}",

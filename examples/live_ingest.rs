@@ -5,7 +5,8 @@
 //! snapshot**: requests already holding the old snapshot keep their
 //! consistent view, new requests see the new data, and the KG's semantic
 //! cache is *scope*-invalidated — only entries the new triples could have
-//! changed are evicted.
+//! changed are evicted.  The demo asserts that: no full flush, some
+//! scoped evictions, and cache hits when the old question is asked again.
 //!
 //! ```text
 //! cargo run --release --example live_ingest
@@ -95,11 +96,16 @@ fn main() {
         report.duplicates(),
         report.epoch()
     );
+    let mut tokens: Vec<&str> = report
+        .touched()
+        .literal_tokens()
+        .iter()
+        .map(String::as_str)
+        .collect();
+    tokens.sort_unstable();
     println!(
-        "touched: {} predicates, {} entities, {} literal tokens",
-        report.touched().predicates().len(),
-        report.touched().entities().len(),
-        report.touched().literal_tokens().len()
+        "touched: {} added triples, literal tokens {tokens:?}",
+        report.touched().added().len()
     );
 
     // 4. The pinned snapshot is frozen at its epoch; the service answers
@@ -111,10 +117,12 @@ fn main() {
     );
     println!("== epoch {} ==", endpoint.epoch());
     print_answers("  ", &service, "Who is the wife of Harry Truman?");
+    let before_obama = service.cache_report().total();
     print_answers("  ", &service, "Who is the wife of Barack Obama?");
 
-    // 5. The cache counters show the invalidation was surgical: entries
-    //    about the Obamas survived the Truman ingest.
+    // 5. The cache counters show the invalidation was surgical: the Truman
+    //    batch evicted the entries about Truman, and the ones about the
+    //    Obamas survived it to answer the repeat.
     let total = service.cache_report().total();
     println!(
         "\ncache: {} hits, {} misses, {} scoped passes evicting {} entries, {} full flushes",
@@ -123,5 +131,13 @@ fn main() {
         total.scoped_invalidations,
         total.scoped_evictions,
         total.invalidations
+    );
+    assert_eq!(total.invalidations, 0, "the batch flushed the whole cache");
+    assert!(total.scoped_evictions > 0, "the batch evicted nothing");
+    let obama = total.since(&before_obama);
+    assert!(obama.hits > 0, "the Obama repeat missed the cache");
+    println!(
+        "re-asked Obama question: {} hits, {} misses",
+        obama.hits, obama.misses
     );
 }
