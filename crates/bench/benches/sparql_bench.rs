@@ -1,11 +1,13 @@
 //! Criterion micro-benchmarks for the SPARQL layer: parsing, BGP joins,
-//! OPTIONAL evaluation and the `bif:contains` text-search path used by the
-//! JIT linker.
+//! OPTIONAL evaluation, the `bif:contains` text-search path used by the
+//! JIT linker, and one empty candidate through the in-process endpoint.
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use kgqan_bench::empty_mag_candidate;
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
+use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_sparql::{execute_query, parse_query};
 
 fn parsing(c: &mut Criterion) {
@@ -61,5 +63,24 @@ fn execution(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, parsing, execution);
+/// What an executed candidate that finds nothing costs the engine: plan and
+/// execute through `InProcessEndpoint::query_parsed` (no parse, no cache)
+/// over the MAG stand-in at benchmark scale.
+fn empty_candidate(c: &mut Criterion) {
+    let mag = GeneratedKg::generate(KgFlavor::Mag, KgScale::benchmark(KgFlavor::Mag));
+    let query = parse_query(&empty_mag_candidate(&mag)).unwrap();
+    let endpoint = InProcessEndpoint::new("MAG", mag.store);
+    assert!(endpoint.query_parsed(&query).unwrap().rows().is_empty());
+
+    let mut group = c.benchmark_group("sparql_bench");
+    group
+        .sample_size(50)
+        .measurement_time(Duration::from_secs(3));
+    group.bench_function("empty_candidate_query_parsed", |b| {
+        b.iter(|| endpoint.query_parsed(&query).unwrap())
+    });
+    group.finish();
+}
+
+criterion_group!(benches, parsing, execution, empty_candidate);
 criterion_main!(benches);

@@ -10,11 +10,17 @@
 //! * **LIMIT early exit** — a `LIMIT 10` scan over tens of thousands of
 //!   matching triples: the streaming executor stops after ~10 index
 //!   entries, the naive evaluator materialises everything and truncates.
+//! * **per-plan fixed cost** — an empty two-anchor MAG candidate planned
+//!   through `Planner::for_shared_snapshot`, the constructor every
+//!   in-process endpoint request goes through (the benches above use
+//!   `Planner::new`, which installs no parallelism config).
 
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kgqan_rdf::{Store, Term, Triple};
+use kgqan_bench::empty_mag_candidate;
+use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
+use kgqan_rdf::{LiveStore, Store, Term, Triple};
 use kgqan_sparql::{execute, execute_naive, parse_query, Planner, Query};
 
 /// 20k people born across 40 cities (500 each), one tiny club with 4
@@ -98,5 +104,25 @@ fn limit_early_exit(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, join_order, limit_early_exit);
+fn serving_plan(c: &mut Criterion) {
+    let mag = GeneratedKg::generate(KgFlavor::Mag, KgScale::benchmark(KgFlavor::Mag));
+    let query = parsed(&empty_mag_candidate(&mag));
+    let snapshot = LiveStore::new(mag.store).snapshot();
+    let run = Planner::for_shared_snapshot(&snapshot)
+        .plan(&query)
+        .execute()
+        .unwrap();
+    assert!(run.results.rows().is_empty());
+
+    let mut group = c.benchmark_group("sparql_planner");
+    group
+        .sample_size(50)
+        .measurement_time(Duration::from_secs(3));
+    group.bench_function("plan_two_anchor_candidate", |b| {
+        b.iter(|| Planner::for_shared_snapshot(&snapshot).plan(&query))
+    });
+    group.finish();
+}
+
+criterion_group!(benches, join_order, limit_early_exit, serving_plan);
 criterion_main!(benches);

@@ -1,10 +1,12 @@
 //! Shared harness: build the three systems, run one system over one
-//! benchmark, collect the evaluation report.
+//! benchmark, collect the evaluation report; and the empty MAG candidate
+//! the `sparql_planner` and `sparql_bench` criterion suites both time.
 
 use kgqan::{AffinityModel, KgqanConfig, QuestionUnderstanding};
 use kgqan_baselines::{EdgqaSystem, GAnswerSystem, PipelineSystem, PreprocessingStats, QaSystem};
+use kgqan_benchmarks::kg::scholarly;
 use kgqan_benchmarks::suite::BenchmarkInstance;
-use kgqan_benchmarks::{evaluate, EvaluationReport, SuiteScale, SystemAnswer};
+use kgqan_benchmarks::{evaluate, EvaluationReport, GeneratedKg, SuiteScale, SystemAnswer};
 use kgqan_nlp::Seq2SeqVariant;
 use kgqan_rdf::vocab;
 
@@ -101,6 +103,27 @@ pub fn run_system_on_benchmark(
     }
     let report = evaluate(&instance.benchmark, system.name(), &answers);
     (report, answers)
+}
+
+/// The SPARQL text of an empty two-anchor candidate over a MAG stand-in,
+/// in the shape the candidate generator emits (`kgqan::bgp::bgp_to_query`):
+/// `<author> creator ?u . <venue> appearsInConferenceSeries ?u` plus the
+/// `OPTIONAL` type clause.  Both anchors are oriented the wrong way round,
+/// so each pattern reads one index row and finds nothing — the fate of
+/// most candidates a cold MAG question executes.
+pub fn empty_mag_candidate(mag: &GeneratedKg) -> String {
+    let iri = |term: &kgqan_rdf::Term| term.as_iri().expect("an IRI entity").to_string();
+    let author = iri(&mag.facts.authors[7].iri);
+    let venue = iri(&mag.facts.papers[0].venue_iri);
+    format!(
+        "SELECT DISTINCT ?unknown1 ?type WHERE {{ \
+         <{author}> <{creator}> ?unknown1 . \
+         <{venue}> <{appears}> ?unknown1 . \
+         OPTIONAL {{ ?unknown1 <{rdf_type}> ?type . }} }}",
+        creator = scholarly::MAG_CREATOR,
+        appears = scholarly::MAG_VENUE,
+        rdf_type = vocab::RDF_TYPE,
+    )
 }
 
 #[cfg(test)]

@@ -25,6 +25,8 @@ pub mod linking_eval;
 pub mod published;
 pub mod table;
 
-pub use harness::{build_systems, parse_scale, run_system_on_benchmark, SystemSet};
+pub use harness::{
+    build_systems, empty_mag_candidate, parse_scale, run_system_on_benchmark, SystemSet,
+};
 pub use linking_eval::{evaluate_linking, LinkingScores};
 pub use table::TableWriter;

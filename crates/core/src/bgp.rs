@@ -29,9 +29,10 @@ pub struct CandidateQuery {
     /// endpoint would receive, and what execution logs record).
     pub sparql: String,
     /// The parsed query AST.  The execution manager hands this to
-    /// [`kgqan_endpoint::SparqlEndpoint::query_parsed`] so in-process
-    /// endpoints evaluate it directly on dictionary ids, never re-parsing
-    /// the text.
+    /// [`kgqan_endpoint::SparqlEndpoint::query_traced_within`] (the
+    /// pipeline's deadline, plus the plan summary for the trace) so
+    /// in-process endpoints evaluate it directly on dictionary ids, never
+    /// re-parsing the text.
     pub query: Query,
     /// The BGP the query was generated from.
     pub bgp: BasicGraphPattern,

@@ -80,8 +80,9 @@ use crate::results::QueryResults;
 /// the sequential fast path untouched.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
-    /// Upper bound on workers per query (defaults to the machine's
-    /// available parallelism).
+    /// Upper bound on workers per query.  Defaults to the available cores,
+    /// read once per process and shared with the size of the helper pool
+    /// ([`crate::pool::available_cores`]).
     pub max_dop: usize,
     /// Driver-scan rows one worker is expected to absorb; the DOP divisor.
     pub rows_per_worker: f64,
@@ -97,9 +98,7 @@ pub struct ParallelConfig {
 impl Default for ParallelConfig {
     fn default() -> Self {
         ParallelConfig {
-            max_dop: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            max_dop: crate::pool::available_cores(),
             rows_per_worker: 50_000.0,
             morsels_per_worker: 4,
             min_page_rows: 4_096,

@@ -1,7 +1,8 @@
 //! The process's one helper pool, and the one loop that fans work out on it.
 //!
 //! **One instance.**  [`WorkerPool::shared`] is the only pool outside tests.
-//! It has one thread per available core, or as many as the largest
+//! It has one thread per available core ([`available_cores`], read once per
+//! process and shared with the planners' DOP cap), or as many as the largest
 //! `QaServiceBuilder::workers(n)` any service in the process asked for
 //! ([`WorkerPool::want_workers`]) if that is more, so legs that wait on an
 //! endpoint still overlap on a one-core box.  Threads start with the first
@@ -47,6 +48,18 @@ use std::thread::JoinHandle;
 /// counted).  Helper jobs are short and a refused one only costs
 /// parallelism, so one generous constant serves every caller.
 const QUEUE_BOUND: usize = 64;
+
+/// The cores this process may run on, read once per process.
+///
+/// `std::thread::available_parallelism` reads the cgroup quota files on
+/// Linux at every call — tens of microseconds, more than planning a small
+/// query costs — and the answer does not change while the process runs.
+/// Both users read it here: the shared pool's size ([`WorkerPool::shared`])
+/// and every planner's default DOP cap ([`crate::ParallelConfig::default`]).
+pub fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Why a submission was rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,13 +195,12 @@ impl WorkerPool {
         }
     }
 
-    /// The process-wide pool: one worker per available core, more if
-    /// [`WorkerPool::want_workers`] asked for more.
+    /// The process-wide pool: one worker per available core
+    /// ([`available_cores`]), more if [`WorkerPool::want_workers`] asked
+    /// for more.
     pub fn shared() -> &'static WorkerPool {
         static SHARED: OnceLock<WorkerPool> = OnceLock::new();
-        SHARED.get_or_init(|| {
-            WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
-        })
+        SHARED.get_or_init(|| WorkerPool::new(available_cores()))
     }
 
     /// Ask for at least `workers` threads (never fewer than the pool has).
@@ -427,6 +439,22 @@ mod tests {
         .unwrap();
         entered.recv().unwrap();
         move || drop(release)
+    }
+
+    #[test]
+    fn available_cores_is_the_one_core_count() {
+        let cores = available_cores();
+        assert_eq!(
+            cores,
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        );
+        assert_eq!(crate::ParallelConfig::default().max_dop, cores);
+        // Other tests may ask the shared pool for more, never for fewer.
+        let wanted = WorkerPool::shared().shared.wanted.load(Ordering::Relaxed);
+        assert!(
+            wanted >= cores,
+            "shared pool wants {wanted} < {cores} cores"
+        );
     }
 
     #[test]
