@@ -928,7 +928,6 @@ fn explain_shows_the_parallel_plan_the_query_route_runs() {
                 max_dop,
                 rows_per_worker: 8.0,
                 morsels_per_worker: 2,
-                min_page_rows: 0,
             }),
         )
     };

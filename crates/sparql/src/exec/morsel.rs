@@ -73,6 +73,11 @@ impl PhysicalPlan<'_> {
                 stop = Some(Stop::Deadline);
                 break;
             };
+            // A morsel that ran to completion counts even when its rows
+            // fill the page part-way through the merge.
+            if cut.is_none() {
+                completed += 1;
+            }
             if let ControlFlow::Break(full) = rows.into_iter().try_for_each(|row| out.push(row)) {
                 stop = Some(full);
                 break;
@@ -81,7 +86,6 @@ impl PhysicalPlan<'_> {
                 stop = cut;
                 break;
             }
-            completed += 1;
         }
         let rows_scanned_per_worker: Vec<u64> = scanned_by.into_iter().flatten().collect();
         let metrics = ParallelMetrics {
@@ -186,6 +190,32 @@ mod tests {
             parallel.metrics.rows_scanned
         );
         assert!(!parallel.metrics.deadline_exceeded);
+    }
+
+    #[test]
+    fn the_morsel_that_fills_the_page_is_counted() {
+        // Each of the 200 bornIn driver rows joins the 50 people born in
+        // the same city.  A 201-row page is above the driver estimate, so
+        // the query fans out, and the first morsel alone fills the page.
+        let snapshot = skewed_live();
+        let query = parse_query(
+            "SELECT ?p ?q WHERE { ?p <http://e/bornIn> ?c . \
+             ?q <http://e/bornIn> ?c . } LIMIT 201",
+        )
+        .unwrap();
+        let sequential = Planner::for_snapshot(&snapshot)
+            .plan(&query)
+            .execute()
+            .unwrap();
+        let parallel = Planner::for_shared_snapshot(&snapshot)
+            .with_parallelism(eager_parallel())
+            .plan(&query)
+            .execute()
+            .unwrap();
+        let info = parallel.metrics.parallel.as_ref().expect("ran parallel");
+        assert!(info.morsels >= 1, "{info:?}");
+        assert_eq!(parallel.results, sequential.results);
+        assert_eq!(parallel.results.rows().len(), 201);
     }
 
     #[test]

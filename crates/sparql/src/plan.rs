@@ -77,7 +77,10 @@ use crate::results::QueryResults;
 /// cardinality estimate for the driver scan:
 /// `dop = clamp(estimate / rows_per_worker, 1, max_dop)` — a query whose
 /// driving scan is estimated under `2 × rows_per_worker` therefore keeps
-/// the sequential fast path untouched.
+/// the sequential fast path untouched.  So does a `LIMIT` query whose page
+/// (`offset + limit`) is no larger than that estimate: the sequential walk
+/// stops as soon as the page is full, while a parallel run cannot stop
+/// before every partition it claimed holds a page of its own.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
     /// Upper bound on workers per query.  Defaults to the available cores,
@@ -89,10 +92,6 @@ pub struct ParallelConfig {
     /// Morsels per chosen worker: more morsels mean finer-grained work
     /// stealing at slightly more scheduling overhead.
     pub morsels_per_worker: usize,
-    /// `LIMIT`/`OFFSET` pages smaller than this stay sequential: a small
-    /// page over a huge scan finishes faster by stopping early than by
-    /// scanning every partition.
-    pub min_page_rows: usize,
 }
 
 impl Default for ParallelConfig {
@@ -101,7 +100,6 @@ impl Default for ParallelConfig {
             max_dop: crate::pool::available_cores(),
             rows_per_worker: 50_000.0,
             morsels_per_worker: 4,
-            min_page_rows: 4_096,
         }
     }
 }
@@ -779,9 +777,16 @@ impl PhysicalPlan<'_> {
     /// parallelism config and an owned snapshot are installed, the query is
     /// not an ASK and touches no SERVICE group (resolvers are borrowed and
     /// their term interner is single-threaded), a driver scan exists, its
-    /// cardinality estimate asks for at least two workers, any
-    /// `LIMIT`/`OFFSET` page is big enough to be worth full scans, and the
+    /// cardinality estimate asks for at least two workers, a `LIMIT` page
+    /// (`offset + limit`, saturating) is larger than that estimate, and the
     /// driver actually splits into more than one partition.
+    ///
+    /// The page rule: the sequential walk stops at the page, but every
+    /// morsel a parallel run claims runs until it holds a page of its own
+    /// or its partition ends, so a page that a prefix of the driver can
+    /// fill is cheapest on one walk.  A page larger than the driver's
+    /// estimated row count is expected to need every partition, and fans
+    /// out.
     pub(crate) fn parallel_decision(&self) -> Option<ParallelDecision> {
         let config = self.parallel?;
         self.shared.as_ref()?;
@@ -789,10 +794,11 @@ impl PhysicalPlan<'_> {
             return None;
         }
         let (tp, estimate) = self.driver?;
-        if let Some(limit) = self.limit {
-            if self.offset + limit < config.min_page_rows {
-                return None;
-            }
+        if self
+            .limit
+            .is_some_and(|limit| self.offset.saturating_add(limit) as f64 <= estimate)
+        {
+            return None;
         }
         let dop = ((estimate / config.rows_per_worker.max(1.0)) as usize).clamp(1, config.max_dop);
         if dop < 2 {
@@ -975,7 +981,6 @@ pub(crate) mod tests {
             max_dop: 8,
             rows_per_worker: 8.0,
             morsels_per_worker: 2,
-            min_page_rows: 0,
         }
     }
 
@@ -994,18 +999,58 @@ pub(crate) mod tests {
     #[test]
     fn ask_and_small_pages_stay_sequential_under_parallel_config() {
         let snapshot = skewed_live();
-        let planner = Planner::for_shared_snapshot(&snapshot).with_parallelism(ParallelConfig {
-            min_page_rows: 4_096,
-            ..eager_parallel()
-        });
+        let planner = Planner::for_shared_snapshot(&snapshot).with_parallelism(eager_parallel());
         let ask = parse_query("ASK { ?p <http://e/bornIn> ?c . }").unwrap();
         let run = planner.plan(&ask).execute().unwrap();
         assert!(run.metrics.parallel.is_none());
-        // LIMIT 5 pages are cheaper streamed than scanned in full.
-        let paged = parse_query("SELECT ?p WHERE { ?p <http://e/bornIn> ?c . } LIMIT 5").unwrap();
-        let run = planner.plan(&paged).execute().unwrap();
-        assert!(run.metrics.parallel.is_none());
-        assert!(run.metrics.rows_scanned <= 5);
+        // The driver scan is estimated at its 200 bornIn entries.  A page
+        // that fits inside it is one walk that stops at the page…
+        let paged = |limit: usize, offset: usize| {
+            planner.plan(
+                &parse_query(&format!(
+                    "SELECT ?p WHERE {{ ?p <http://e/bornIn> ?c . }} LIMIT {limit} OFFSET {offset}"
+                ))
+                .unwrap(),
+            )
+        };
+        for (limit, offset) in [(5, 0), (200, 0), (150, 50)] {
+            let plan = paged(limit, offset);
+            let rendered = plan.summary().to_string();
+            assert!(!rendered.contains("parallel("), "{rendered}");
+            let run = plan.execute().unwrap();
+            assert!(run.metrics.parallel.is_none());
+            assert!(run.metrics.rows_scanned <= (limit + offset) as u64);
+        }
+        // …and one row more fans out.
+        for (limit, offset) in [(201, 0), (151, 50)] {
+            let plan = paged(limit, offset);
+            let rendered = plan.summary().to_string();
+            assert!(rendered.contains("parallel("), "{rendered}");
+            assert!(plan.execute().unwrap().metrics.parallel.is_some());
+        }
+    }
+
+    #[test]
+    fn the_page_size_saturates() {
+        // `offset + limit` overflows: the page is unbounded, so the plan
+        // fans out, and its rows are still the sequential ones.
+        let snapshot = skewed_live();
+        let query = parse_query(
+            "SELECT ?p WHERE { ?p <http://e/bornIn> ?c . } LIMIT 18446744073709551615 OFFSET 1",
+        )
+        .unwrap();
+        let sequential = Planner::for_snapshot(&snapshot)
+            .plan(&query)
+            .execute()
+            .unwrap();
+        let parallel = Planner::for_shared_snapshot(&snapshot)
+            .with_parallelism(eager_parallel())
+            .plan(&query)
+            .execute()
+            .unwrap();
+        assert!(parallel.metrics.parallel.is_some());
+        assert_eq!(parallel.results, sequential.results);
+        assert_eq!(sequential.results.rows().len(), 199);
     }
 
     #[test]

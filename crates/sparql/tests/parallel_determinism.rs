@@ -25,14 +25,14 @@ fn arb_snapshot() -> impl Strategy<Value = Arc<StoreSnapshot>> {
 }
 
 /// A config that fans out on stores of a handful of triples: every worker
-/// is expected to absorb a single driver row, pages of any size may go
-/// parallel, and each worker's share splits into several morsels.
+/// is expected to absorb a single driver row, pages larger than the driver
+/// estimate go parallel, and each worker's share splits into several
+/// morsels.
 fn eager(max_dop: usize, morsels_per_worker: usize) -> ParallelConfig {
     ParallelConfig {
         max_dop,
         rows_per_worker: 1.0,
         morsels_per_worker,
-        min_page_rows: 0,
     }
 }
 
@@ -55,7 +55,9 @@ proptest! {
         snapshot in arb_snapshot(),
         pattern in arb_pattern(),
         distinct in any::<bool>(),
-        page in prop::option::of((0usize..10, 0usize..4)),
+        // Limits reach past the driver estimates of these ≤ 90-triple
+        // stores, so paged queries take the parallel path too.
+        page in prop::option::of((0usize..100, 0usize..4)),
         max_dop in 2usize..9,
         morsels_per_worker in 1usize..5,
     ) {
@@ -115,8 +117,9 @@ proptest! {
 
 /// The headline regression test: a skewed store large enough that the
 /// driver scan splits into many morsels, a paging query with `DISTINCT`,
-/// `OFFSET` and `LIMIT`, and the parallel path *provably engaged* — the
-/// answer must be byte-identical between 1 and 8 workers.
+/// `OFFSET` and a `LIMIT` whose page exceeds the 400-row driver estimate
+/// (smaller pages stay sequential), and the parallel path *provably
+/// engaged* — the answer must be byte-identical between 1 and 8 workers.
 #[test]
 fn one_and_eight_workers_page_identically() {
     let mut store = Store::new();
@@ -140,9 +143,9 @@ fn one_and_eight_workers_page_identically() {
     let snapshot = LiveStore::new(store).snapshot();
 
     let query = kgqan_sparql::parse_query(
-        "SELECT DISTINCT ?city WHERE { \
+        "SELECT DISTINCT ?a ?city WHERE { \
            ?a <http://g/knows> ?b . ?b <http://g/city> ?city . \
-         } OFFSET 2 LIMIT 3",
+         } OFFSET 2 LIMIT 600",
     )
     .expect("query parses");
 
@@ -169,5 +172,5 @@ fn one_and_eight_workers_page_identically() {
     assert!(metrics.dop >= 1 && metrics.morsels >= 2);
 
     assert_eq!(parallel.results, sequential.results);
-    assert_eq!(sequential.results.rows().len(), 3);
+    assert_eq!(sequential.results.rows().len(), 600);
 }

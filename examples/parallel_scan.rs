@@ -41,7 +41,6 @@ fn main() {
     let parallel = ParallelConfig {
         max_dop: 4,
         rows_per_worker: 50_000.0,
-        min_page_rows: 0,
         ..ParallelConfig::default()
     };
 

@@ -356,7 +356,6 @@ fn one_bounded_pool_serves_legs_and_the_morsels_they_coordinate() {
         max_dop: 8,
         rows_per_worker: 8.0,
         morsels_per_worker: 2,
-        min_page_rows: 0,
     };
     let mut builder = QaService::builder()
         .shared_understanding(understanding())
