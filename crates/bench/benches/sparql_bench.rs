@@ -65,7 +65,10 @@ fn execution(c: &mut Criterion) {
 
 /// What an executed candidate that finds nothing costs the engine: plan and
 /// execute through `InProcessEndpoint::query_parsed` (no parse, no cache)
-/// over the MAG stand-in at benchmark scale.
+/// over the MAG stand-in at benchmark scale, and through
+/// `query_traced_within`, the call the execution manager makes for every
+/// candidate (an unbounded request passes no deadline).  It also returns
+/// the executor's work counters; the two lines differ by those alone.
 fn empty_candidate(c: &mut Criterion) {
     let mag = GeneratedKg::generate(KgFlavor::Mag, KgScale::benchmark(KgFlavor::Mag));
     let query = parse_query(&empty_mag_candidate(&mag)).unwrap();
@@ -78,6 +81,9 @@ fn empty_candidate(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     group.bench_function("empty_candidate_query_parsed", |b| {
         b.iter(|| endpoint.query_parsed(&query).unwrap())
+    });
+    group.bench_function("empty_candidate_query_traced_within", |b| {
+        b.iter(|| endpoint.query_traced_within(&query, None).unwrap())
     });
     group.finish();
 }

@@ -7,6 +7,8 @@
 //! `rdf:type` clause for the main unknown (used later by post-filtering), or
 //! ASK queries for Boolean questions.
 
+use std::sync::Arc;
+
 use kgqan_rdf::vocab;
 use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
 
@@ -25,19 +27,25 @@ pub struct BasicGraphPattern {
 /// A ranked candidate SPARQL query generated from a BGP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateQuery {
-    /// The SPARQL text of the query (derived from `query`; what a remote
-    /// endpoint would receive, and what execution logs record).
-    pub sparql: String,
-    /// The parsed query AST.  The execution manager hands this to
-    /// [`kgqan_endpoint::SparqlEndpoint::query_traced_within`] (the
-    /// pipeline's deadline, plus the plan summary for the trace) so
-    /// in-process endpoints evaluate it directly on dictionary ids, never
-    /// re-parsing the text.
-    pub query: Query,
+    /// The query AST.  The execution manager hands this to
+    /// [`kgqan_endpoint::SparqlEndpoint::query_traced_within`] (with the
+    /// pipeline's deadline) so in-process endpoints evaluate it directly on
+    /// dictionary ids, and shares it with the candidate's
+    /// [`crate::QueryStat`]: one refcount, no copy.
+    pub query: Arc<Query>,
     /// The BGP the query was generated from.
     pub bgp: BasicGraphPattern,
     /// True if this is an ASK query (Boolean question).
     pub is_ask: bool,
+}
+
+impl CandidateQuery {
+    /// The SPARQL text of the query — what a remote endpoint would receive.
+    /// Rendered from the AST on every call; nothing on the serving path
+    /// reads it.
+    pub fn sparql(&self) -> String {
+        self.query.to_sparql()
+    }
 }
 
 /// Upper bound on the number of vertex/predicate combinations enumerated per
@@ -63,14 +71,10 @@ pub fn generate_candidate_queries(
     let is_ask = agp.pgp.is_boolean();
     ranked
         .into_iter()
-        .map(|bgp| {
-            let query = bgp_to_query(&bgp, is_ask);
-            CandidateQuery {
-                sparql: query.to_sparql(),
-                query,
-                bgp,
-                is_ask,
-            }
+        .map(|bgp| CandidateQuery {
+            query: Arc::new(bgp_to_query(&bgp, is_ask)),
+            bgp,
+            is_ask,
         })
         .collect()
 }
@@ -207,12 +211,6 @@ pub fn bgp_to_query(bgp: &BasicGraphPattern, is_ask: bool) -> Query {
     }
 }
 
-/// Convert a BGP into a SPARQL query string (the text form of
-/// [`bgp_to_query`]).
-pub fn bgp_to_sparql(bgp: &BasicGraphPattern, is_ask: bool) -> String {
-    bgp_to_query(bgp, is_ask).to_sparql()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,17 +308,16 @@ mod tests {
         // ?unknown1 as subject (flag o = true ⇒ anchor stays object… here the
         // anchors are the *objects*, so the unknown is the subject).
         let top = &queries[0];
-        assert!(top.sparql.contains("<http://dbpedia.org/property/outflow>"));
-        assert!(top
-            .sparql
-            .contains("<http://dbpedia.org/ontology/nearestCity>"));
-        assert!(top.sparql.contains("?unknown1 <http://dbpedia.org/property/outflow> <http://dbpedia.org/resource/Danish_straits>"));
-        assert!(top.sparql.contains("OPTIONAL"));
-        assert!(top.sparql.contains(vocab::RDF_TYPE));
+        let text = top.sparql();
+        assert!(text.contains("<http://dbpedia.org/property/outflow>"));
+        assert!(text.contains("<http://dbpedia.org/ontology/nearestCity>"));
+        assert!(text.contains("?unknown1 <http://dbpedia.org/property/outflow> <http://dbpedia.org/resource/Danish_straits>"));
+        assert!(text.contains("OPTIONAL"));
+        assert!(text.contains(vocab::RDF_TYPE));
         assert!(!top.is_ask);
         // Ranking: nearestCity (0.51) beats cities (0.50).
         assert!(queries[0].bgp.score >= queries[1].bgp.score);
-        assert!(queries[1].sparql.contains("cities"));
+        assert!(queries[1].sparql().contains("cities"));
     }
 
     #[test]
@@ -373,8 +370,9 @@ mod tests {
         let queries = generate_candidate_queries(&agp, 10);
         assert_eq!(queries.len(), 1);
         assert!(queries[0].is_ask);
-        assert!(queries[0].sparql.trim_start().starts_with("ASK"));
-        assert!(queries[0].sparql.contains("Princeton_University"));
+        let text = queries[0].sparql();
+        assert!(text.trim_start().starts_with("ASK"));
+        assert!(text.contains("Princeton_University"));
     }
 
     #[test]

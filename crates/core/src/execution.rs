@@ -9,10 +9,12 @@
 //! filtration step to remove).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kgqan_endpoint::SparqlEndpoint;
 use kgqan_rdf::Term;
+use kgqan_sparql::Query;
 
 use crate::bgp::{CandidateQuery, TYPE_VARIABLE};
 use crate::config::Budget;
@@ -32,10 +34,16 @@ pub struct CollectedAnswer {
 
 /// Execution statistics for one candidate query, surfaced per request in
 /// the response's trace (`response.trace.execution.query_stats`).
+///
+/// It carries no text and no plan: [`QueryStat::sparql`] renders the text
+/// when called, and the plan of an executed candidate comes from
+/// `InProcessEndpoint::explain(&stat.query)`, which re-plans at read time
+/// on the snapshot then current (on an unchanged epoch, the summary the
+/// execution used).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryStat {
-    /// The SPARQL text of the executed query.
-    pub sparql: String,
+    /// The executed query, shared with its [`CandidateQuery`].
+    pub query: Arc<Query>,
     /// The Equation-2 ranking score of the candidate.
     pub score: f32,
     /// Wall-clock time the endpoint took to answer it.
@@ -44,14 +52,18 @@ pub struct QueryStat {
     pub rows: usize,
     /// True for ASK candidates.
     pub is_ask: bool,
-    /// The physical plan the endpoint's engine chose for this candidate
-    /// (join order, filter placement, cardinality estimates).  `None` when
-    /// the endpoint does not expose plans — remote engines, or a semantic
-    /// cache hit that executed nothing.
-    pub plan: Option<kgqan_sparql::PlanSummary>,
     /// Index/text-index entries the engine scanned answering this
-    /// candidate; `None` under the same conditions as `plan`.
+    /// candidate.  `None` when the endpoint does not report work counters
+    /// (remote engines) and for a semantic-cache hit, which executed
+    /// nothing.
     pub rows_scanned: Option<u64>,
+}
+
+impl QueryStat {
+    /// The SPARQL text of the executed query, rendered on every call.
+    pub fn sparql(&self) -> String {
+        self.query.to_sparql()
+    }
 }
 
 /// The outcome of executing the candidate queries.
@@ -69,9 +81,10 @@ pub struct ExecutionOutcome {
 }
 
 impl ExecutionOutcome {
-    /// The SPARQL texts that were actually executed, in execution order.
+    /// The SPARQL texts that were actually executed, in execution order,
+    /// rendered on every call.
     pub fn executed_queries(&self) -> Vec<String> {
-        self.query_stats.iter().map(|s| s.sparql.clone()).collect()
+        self.query_stats.iter().map(QueryStat::sparql).collect()
     }
 
     /// Total rows the endpoint's engine scanned across every executed
@@ -145,10 +158,10 @@ impl ExecutionManager {
             // Hand over the AST: in-process endpoints evaluate it directly
             // on dictionary ids, so the candidate never round-trips through
             // a SPARQL string between generation and execution.  The traced
-            // entry point additionally reports the physical plan the engine
-            // chose and the rows it scanned, which ride along in the stats.
-            // The budget's remaining time becomes the engine's deadline, so
-            // one runaway candidate is cut *mid-query* (per morsel on the
+            // entry point additionally reports the rows the engine scanned,
+            // which ride along in the stats; it renders no plan.  The
+            // budget's remaining time becomes the engine's deadline, so one
+            // runaway candidate is cut *mid-query* (per morsel on the
             // parallel path) instead of only being noticed afterwards.
             let started = Instant::now();
             let deadline = budget.remaining().map(|left| started + left);
@@ -162,12 +175,11 @@ impl ExecutionManager {
             }
             let results = traced.results;
             outcome.query_stats.push(QueryStat {
-                sparql: candidate.sparql.clone(),
+                query: Arc::clone(&candidate.query),
                 score: candidate.bgp.score,
                 duration: started.elapsed(),
                 rows: results.as_solutions().map_or(0, |s| s.rows().len()),
                 is_ask: candidate.is_ask,
-                plan: traced.plan,
                 rows_scanned: traced.metrics.map(|m| m.rows_scanned),
             });
 
@@ -265,8 +277,7 @@ mod tests {
 
     fn select_candidate(sparql: &str, score: f32) -> CandidateQuery {
         CandidateQuery {
-            sparql: sparql.to_string(),
-            query: kgqan_sparql::parse_query(sparql).expect("test query parses"),
+            query: Arc::new(kgqan_sparql::parse_query(sparql).expect("test query parses")),
             bgp: BasicGraphPattern {
                 triples: vec![],
                 score,
@@ -356,7 +367,7 @@ mod tests {
         assert!(outcome.answers.iter().all(|a| a.classes.len() == 2));
         // First-seen order: the engine's row order, one entry per answer.
         let first_seen: Vec<Term> = {
-            let rows = ep.query(&candidate("linksTo").sparql).unwrap();
+            let rows = ep.query(&candidate("linksTo").sparql()).unwrap();
             let mut terms = rows.as_solutions().unwrap().column("unknown1");
             terms.dedup();
             terms
@@ -402,8 +413,7 @@ mod tests {
     fn ask_queries_produce_boolean_verdicts() {
         let ep = endpoint();
         let ask_candidate = |sparql: &str, score: f32| CandidateQuery {
-            sparql: sparql.to_string(),
-            query: kgqan_sparql::parse_query(sparql).expect("test query parses"),
+            query: Arc::new(kgqan_sparql::parse_query(sparql).expect("test query parses")),
             bgp: BasicGraphPattern {
                 triples: vec![],
                 score,
@@ -480,16 +490,16 @@ mod tests {
         assert_eq!(outcome.query_stats[1].score, 0.8);
         assert!(outcome.query_stats.iter().all(|s| !s.is_ask));
         assert!(outcome.query_stats[0]
-            .sparql
+            .sparql()
             .contains("http://nothing/here"));
         assert!(outcome.query_stats[1]
-            .sparql
+            .sparql()
             .contains("http://dbpedia.org/property/outflow"));
         assert_eq!(
             outcome.executed_queries(),
             vec![
-                outcome.query_stats[0].sparql.clone(),
-                outcome.query_stats[1].sparql.clone()
+                outcome.query_stats[0].sparql(),
+                outcome.query_stats[1].sparql()
             ]
         );
     }
@@ -502,12 +512,20 @@ mod tests {
              <http://dbpedia.org/property/outflow> ?o . }",
             1.0,
         );
+        let shared = Arc::clone(&q.query);
         let outcome = ExecutionManager::default()
             .execute(&[q], &ep, &Budget::unbounded())
             .unwrap();
         assert_eq!(outcome.query_stats.len(), 1);
         let stat = &outcome.query_stats[0];
-        let plan = stat.plan.as_ref().expect("in-process endpoint plans");
+        assert!(Arc::ptr_eq(&stat.query, &shared), "the AST is shared");
+        // The plan is rendered when read: EXPLAIN on the unchanged epoch is
+        // the plan a traced run of the same query reports.
+        let plan = ep.explain(&stat.query);
+        assert_eq!(
+            Some(&plan),
+            ep.query_traced(&stat.query).unwrap().plan.as_ref()
+        );
         assert!(plan.to_string().contains("scan ?unknown1"), "{plan}");
         assert!(stat.rows_scanned.is_some());
         assert!(outcome.total_rows_scanned() >= 1);

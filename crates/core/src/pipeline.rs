@@ -288,19 +288,6 @@ impl PipelineTrace {
         !self.linked.completed || self.execution.deadline_exceeded || self.filtered.skipped
     }
 
-    /// The physical plan the endpoint chose for each executed candidate
-    /// query, in execution order: `(sparql, plan, rows_scanned)`.  The plan
-    /// and counter are `None` for endpoints that don't expose them (remote
-    /// engines) and for semantic-cache hits, which executed nothing.
-    pub fn plan_summaries(
-        &self,
-    ) -> impl Iterator<Item = (&str, Option<&kgqan_sparql::PlanSummary>, Option<u64>)> {
-        self.execution
-            .query_stats
-            .iter()
-            .map(|s| (s.sparql.as_str(), s.plan.as_ref(), s.rows_scanned))
-    }
-
     /// Total rows the endpoint's engine scanned executing this request's
     /// candidate queries.
     pub fn rows_scanned(&self) -> u64 {
@@ -554,16 +541,17 @@ mod tests {
             .run("Who is the wife of Barack Obama?", &ctx)
             .unwrap();
 
-        let plans: Vec<_> = trace.plan_summaries().collect();
-        assert_eq!(plans.len(), trace.execution.query_stats.len());
-        assert!(!plans.is_empty());
-        // The uncached in-process endpoint reports a plan and scan counter
-        // for every executed candidate.
-        for (sparql, plan, scanned) in &plans {
-            assert!(!sparql.is_empty());
-            let plan = plan.expect("in-process endpoint exposes plans");
+        let stats = &trace.execution.query_stats;
+        assert!(!stats.is_empty());
+        // The uncached in-process endpoint reports a scan counter for every
+        // executed candidate, and EXPLAIN of its AST at read time is the
+        // plan a traced run of it reports.
+        for stat in stats {
+            assert!(!stat.sparql().is_empty());
+            assert!(stat.rows_scanned.is_some());
+            let plan = endpoint.explain(&stat.query);
             assert!(!plan.ops.is_empty());
-            assert!(scanned.is_some());
+            assert_eq!(Some(plan), endpoint.query_traced(&stat.query).unwrap().plan);
         }
         assert!(trace.rows_scanned() >= 1);
     }

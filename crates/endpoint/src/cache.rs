@@ -637,7 +637,7 @@ impl SparqlEndpoint for CachingEndpoint {
     }
 
     fn query_traced(&self, query: &Query) -> Result<TracedQuery, EndpointError> {
-        self.query_traced_within(query, None)
+        self.lookup_or_run(query, |inner| inner.query_traced(query))
     }
 
     fn query_traced_within(

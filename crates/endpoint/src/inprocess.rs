@@ -149,8 +149,9 @@ impl InProcessEndpoint {
     /// Evaluate a parsed query against the store, recording request stats.
     /// `services` resolves `SERVICE <kg:name>` groups; without a resolver
     /// (or with an unknown target) such a query fails at plan time.  The
-    /// plan's `EXPLAIN` summary is rendered only when `want_plan` is set
-    /// (it costs a little, so the untraced query paths skip it).
+    /// plan's `EXPLAIN` summary is rendered only when `want_plan` is set:
+    /// `query_traced` and `query_federated` set it, the query paths the QA
+    /// pipeline runs (`query_parsed`, `query_traced_within`) do not.
     ///
     /// Evaluation goes straight to the dictionary-encoded planner/executor
     /// — no SPARQL string exists on this path.
@@ -186,7 +187,9 @@ impl InProcessEndpoint {
     }
 
     /// The physical plan this endpoint's engine would choose for a query,
-    /// without executing it — the `EXPLAIN` entry point.
+    /// without executing it — the `EXPLAIN` entry point.  It plans on the
+    /// snapshot current at the call, so for a query executed earlier on an
+    /// unchanged epoch it renders the summary that execution used.
     pub fn explain(&self, query: &Query) -> PlanSummary {
         let snapshot = self.live.snapshot();
         self.planner(&snapshot, None).plan(query).summary().clone()
@@ -228,15 +231,18 @@ impl SparqlEndpoint for InProcessEndpoint {
     }
 
     fn query_traced(&self, query: &Query) -> Result<TracedQuery, EndpointError> {
-        self.query_traced_within(query, None)
+        self.execute_planned(query, None, None, true)
     }
 
+    /// The execution manager's call: results and work counters, no plan.
+    /// A reader who wants the plan of an executed candidate calls
+    /// [`InProcessEndpoint::explain`], which re-plans at read time.
     fn query_traced_within(
         &self,
         query: &Query,
         deadline: Option<Instant>,
     ) -> Result<TracedQuery, EndpointError> {
-        self.execute_planned(query, None, deadline, true)
+        self.execute_planned(query, None, deadline, false)
     }
 
     fn ingest(&self, batch: IngestBatch) -> Result<IngestReport, EndpointError> {
@@ -449,6 +455,43 @@ mod tests {
                 .unwrap();
         let err = local.query_federated(&bad, &reg).unwrap_err();
         assert!(err.to_string().contains("Wikidata"), "{err}");
+    }
+
+    #[test]
+    fn only_the_explain_paths_render_plans() {
+        use crate::cache::{CacheConfig, CachingEndpoint, QueryCache};
+        use crate::EndpointRegistry;
+
+        let ep = Arc::new(InProcessEndpoint::new("DBpedia", store()));
+        let cached = CachingEndpoint::new(ep.clone(), QueryCache::shared(CacheConfig::default()));
+        let registry = EndpointRegistry::new();
+        let parsed =
+            parse_query("SELECT ?s WHERE { ?s a <http://dbpedia.org/ontology/Sea> . }").unwrap();
+        let other = parse_query("SELECT ?s WHERE { ?s ?p ?o . }").unwrap();
+        let deadline = Some(Instant::now() + Duration::from_secs(60));
+
+        // The execution manager's call: counters, no plan — on the engine
+        // and through a cache miss alike.
+        let within = ep.query_traced_within(&parsed, deadline).unwrap();
+        let cached_within = cached.query_traced_within(&parsed, deadline).unwrap();
+        for traced in [&within, &cached_within] {
+            assert_eq!(traced.results.rows().len(), 1);
+            assert!(traced.metrics.is_some());
+            assert!(traced.plan.is_none());
+        }
+
+        // The EXPLAIN paths: the plan `explain` renders.
+        let plan = ep.explain(&parsed);
+        assert_eq!(ep.query_traced(&parsed).unwrap().plan, Some(plan.clone()));
+        let federated = ep.query_federated(&parsed, &registry).unwrap();
+        assert_eq!(federated.plan, Some(plan.clone()));
+        assert_eq!(
+            cached.query_federated(&parsed, &registry).unwrap().plan,
+            Some(plan)
+        );
+        let cached_miss = cached.query_traced(&other).unwrap();
+        assert_eq!(cached_miss.plan, Some(ep.explain(&other)));
+        assert!(cached_miss.metrics.is_some());
     }
 
     #[test]

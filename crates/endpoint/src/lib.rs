@@ -63,7 +63,8 @@ pub struct EndpointDescription {
 /// physical plan — today that is [`InProcessEndpoint`], whose cost-based
 /// planner reports the chosen join order and the rows it scanned.  Remote
 /// wire-protocol endpoints (and cache hits, which execute nothing) return
-/// `None` for both.
+/// `None` for both, and [`SparqlEndpoint::query_traced_within`] returns
+/// `metrics` without a `plan`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TracedQuery {
     /// The query results.
@@ -106,9 +107,8 @@ pub trait SparqlEndpoint: Send + Sync {
     ///
     /// The default implementation wraps [`SparqlEndpoint::query_parsed`]
     /// with no telemetry; [`InProcessEndpoint`] overrides it to report the
-    /// physical plan its cost-based planner chose and the rows the
-    /// streaming executor scanned, which the execution manager surfaces per
-    /// candidate query in `QueryStat`.
+    /// physical plan its cost-based planner chose (the `?explain=1` route
+    /// serializes it) and the rows the streaming executor scanned.
     fn query_traced(&self, query: &Query) -> Result<TracedQuery, EndpointError> {
         Ok(TracedQuery {
             results: self.query_parsed(query)?,
@@ -117,15 +117,19 @@ pub trait SparqlEndpoint: Send + Sync {
         })
     }
 
-    /// Like [`SparqlEndpoint::query_traced`], but with a deadline: the
-    /// engine should stop executing at `deadline` and return the rows
-    /// produced so far with `metrics.deadline_exceeded` set.
+    /// Like [`SparqlEndpoint::query_traced`], but with a deadline and
+    /// without the plan: the engine should stop executing at `deadline` and
+    /// return the rows produced so far with `metrics.deadline_exceeded`
+    /// set.  This is the execution manager's call for every candidate
+    /// query; the work counters it returns land in `QueryStat`, and `plan`
+    /// is `None` because nothing on that path reads one.
     ///
     /// The default implementation ignores the deadline (a stock remote
     /// endpoint has no mid-query cancellation); [`InProcessEndpoint`]
     /// overrides it — its executor checks the deadline per morsel on the
-    /// parallel path and every few hundred rows sequentially — and
-    /// [`CachingEndpoint`] forwards to its inner endpoint.
+    /// parallel path and every few hundred rows sequentially, and it
+    /// renders no plan — and [`CachingEndpoint`] forwards to its inner
+    /// endpoint.
     fn query_traced_within(
         &self,
         query: &Query,

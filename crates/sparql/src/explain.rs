@@ -5,9 +5,10 @@
 //! cardinality estimate where it has one.  It shows the decisions the
 //! executor will act on: the join order, where each `FILTER` was pushed,
 //! and whether the driver scan runs as parallel morsels.  Rendering is lazy
-//! ([`PhysicalPlan::summary`]), so untraced runs never pay for it; the
-//! in-process endpoint surfaces it per candidate query all the way up to
-//! the answer response's trace (`response.trace.execution.query_stats`).
+//! ([`PhysicalPlan::summary`]), so untraced runs never pay for it: the
+//! in-process endpoint renders it only for `EXPLAIN` and for the traced
+//! calls that serve it (`query_traced`, `query_federated`), never for the
+//! candidate queries the QA pipeline executes.
 
 use std::fmt;
 
@@ -31,8 +32,7 @@ pub struct PlanOp {
 }
 
 /// The `EXPLAIN`-able shape of a [`PhysicalPlan`]: a flattened pre-order
-/// walk of the operator tree.  Cheap to clone and carry in per-query
-/// statistics (`QueryStat` in the `kgqan` core crate).
+/// walk of the operator tree, rendered on request.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PlanSummary {
     /// Operator lines in execution order (outer operators first).

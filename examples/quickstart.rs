@@ -85,7 +85,7 @@ fn main() {
         trace.execution.query_stats.len()
     );
     for stat in &trace.execution.query_stats {
-        println!("{}\n", stat.sparql);
+        println!("{}\n", stat.sparql());
     }
 
     println!("Answers:");

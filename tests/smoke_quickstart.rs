@@ -10,6 +10,17 @@ use std::sync::Arc;
 use kgqan::{AnswerRequest, QaService};
 use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
+use kgqan_sparql::parse_query;
+
+/// The running example's one executed query, byte for byte as the pipeline
+/// rendered it when candidates still carried their text.
+const QUICKSTART_EXECUTED: &str = "SELECT DISTINCT ?unknown1 ?type WHERE {
+  ?unknown1 <http://dbpedia.org/property/outflow> <http://dbpedia.org/resource/Danish_straits> .
+  ?unknown1 <http://dbpedia.org/ontology/nearestCity> <http://dbpedia.org/resource/Kaliningrad> .
+  OPTIONAL {
+    ?unknown1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?type .
+  }
+}";
 
 fn quickstart_store() -> Store {
     let mut store = Store::new();
@@ -84,6 +95,35 @@ fn quickstart_running_example_answers_baltic_sea() {
         endpoint.stats().total_requests > 0,
         "endpoint was never queried"
     );
+}
+
+/// Candidates and stats carry the AST and render their text on demand; the
+/// rendered text is the golden string and parses back to the AST that ran.
+#[test]
+fn quickstart_executed_text_is_the_golden_string() {
+    let service = QaService::builder()
+        .endpoint(Arc::new(InProcessEndpoint::new(
+            "DBpedia",
+            quickstart_store(),
+        )))
+        .build()
+        .expect("one registered KG");
+    let response = service
+        .answer(AnswerRequest::new(
+            "Name the sea into which Danish Straits flows and has \
+             Kaliningrad as one of the city on the shore",
+        ))
+        .unwrap();
+    let execution = &response.trace.execution;
+    assert_eq!(
+        execution.executed_queries(),
+        vec![QUICKSTART_EXECUTED.to_string()]
+    );
+    let stat = &execution.query_stats[0];
+    assert_eq!(parse_query(&stat.sparql()).unwrap(), *stat.query);
+    let candidate = &response.trace.linked.candidates[0];
+    assert_eq!(candidate.sparql(), QUICKSTART_EXECUTED);
+    assert!(Arc::ptr_eq(&candidate.query, &stat.query));
 }
 
 #[test]
