@@ -9,26 +9,36 @@
 //! engine.
 //!
 //! Each ordering is stored as an immutable sorted **base run** (an
-//! `Arc`-shared vector) plus a small mutable **pending delta** (a B-tree of
-//! keys inserted since the run was last sealed).  Reads merge the two on the
-//! fly; [`TripleIndex::flush_pending`] seals the delta into a new base run by
-//! a linear merge — never a re-sort — which is what lets the live-ingest
-//! path ([`crate::live::LiveStore`]) publish a fresh epoch per batch without
-//! rebuilding the index, and lets snapshots share the base runs by bumping a
-//! reference count.
+//! `Arc`-shared vector).  Triples inserted since the runs were last sealed
+//! wait in one **pending set**, a hash set shared by all six orderings, so
+//! an insert is one hash probe.  The first read of an ordering sorts the
+//! pending set into that ordering's key layout — its **view** — and keeps
+//! it until the next new insert drops it; reads merge base-run and view
+//! slices on the fly.  [`TripleIndex::flush_pending`] seals the pending set
+//! into new base runs by a linear merge with each view, which is what lets
+//! the live-ingest path ([`crate::live::LiveStore`]) publish a fresh epoch
+//! per batch without rebuilding the index, and lets snapshots share the base
+//! runs by bumping a reference count.
+//!
+//! The write state is sized for the traffic it gets.  Every store a query is
+//! served from is sealed before anyone reads it: the live-ingest path
+//! flushes once per published epoch and the KG builders compact after
+//! loading, so a sealed read never touches the pending set.  Reads of an
+//! unsealed store come from tests, doctests, examples and benches that build
+//! a store once and then read it, and pay one sort per ordering they touch.
+//! Alternating single inserts with reads re-sorts the pending set on every
+//! read; nothing outside this module's tests does that.
 
-use std::collections::BTreeSet;
-use std::iter::Peekable;
-use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use crate::dictionary::TermId;
+use crate::hash::FxHashSet;
 use crate::triple::EncodedTriple;
 
 /// The six access orderings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IndexOrder {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum IndexOrder {
     /// subject, predicate, object
     Spo,
     /// subject, object, predicate
@@ -45,7 +55,7 @@ pub enum IndexOrder {
 
 impl IndexOrder {
     /// All six orderings.
-    pub const ALL: [IndexOrder; 6] = [
+    const ALL: [IndexOrder; 6] = [
         IndexOrder::Spo,
         IndexOrder::Sop,
         IndexOrder::Pso,
@@ -94,6 +104,13 @@ impl IndexOrder {
             IndexOrder::Ops => [o, p, s],
         }
     }
+
+    /// The pending set in this ordering's key layout, sorted.
+    fn sorted_keys(self, pending: &FxHashSet<EncodedTriple>) -> Vec<[u32; 3]> {
+        let mut keys: Vec<[u32; 3]> = pending.iter().map(|&t| self.permute(t)).collect();
+        keys.sort_unstable();
+        keys
+    }
 }
 
 /// Lifetime totals of the index-maintenance probe counters.
@@ -103,71 +120,31 @@ impl IndexOrder {
 /// it was published from.  Tests use them to assert that an ingest batch
 /// *merged* the sorted base runs instead of rebuilding them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndexCounters {
-    /// Base runs produced by linearly merging an existing run with a sorted
-    /// pending delta (`O(n + d)`, no re-sort).
-    pub base_merges: u64,
-    /// Base runs produced directly from a pending delta when no run existed
+pub(crate) struct IndexCounters {
+    /// Base runs produced by linearly merging an existing run with the
+    /// sorted pending set (`O(n + d)`, no re-sort of the run).
+    pub(crate) base_merges: u64,
+    /// Base runs produced directly from the pending set when no run existed
     /// yet (the initial bulk load).
-    pub base_builds: u64,
-    /// Incremental delta-view catches-up: keys inserted since the last range
-    /// count are sorted and linearly merged into the existing sorted view —
-    /// `O(d_new log d_new + d)`, never a from-scratch rebuild of the whole
-    /// delta.  This is the steady-state cost of counting under sustained
-    /// ingest.
-    pub pending_merges: u64,
+    pub(crate) base_builds: u64,
 }
 
 #[derive(Debug, Default)]
 struct SharedCounters {
     base_merges: AtomicU64,
     base_builds: AtomicU64,
-    pending_merges: AtomicU64,
 }
 
-/// The incrementally maintained sorted mirror of one ordering's pending
-/// delta, used for `O(log n)` range *counting*.
+/// One maintained ordering: the immutable sorted base run plus the sorted
+/// view of the index's pending set, built by the first read after an insert.
 ///
-/// `keys` mirrors the pending B-tree as of the last count; `unmerged` holds
-/// keys inserted since then, in arrival order.  A count first folds
-/// `unmerged` in (sort the small batch, linear-merge into `keys`), so a
-/// sustained insert/count workload pays `O(batch log batch + d)` per count —
-/// never a from-scratch `O(d log d)` rebuild of the whole delta.
-#[derive(Debug, Clone, Default)]
-struct DeltaView {
-    keys: Vec<[u32; 3]>,
-    unmerged: Vec<[u32; 3]>,
-}
-
-/// One maintained ordering: the immutable sorted base run plus the pending
-/// insert delta, with a [`DeltaView`] sorted mirror of the delta used for
-/// `O(log n)` range *counting*.
-///
-/// `std`'s B-tree cannot answer "how many keys fall in this range?" without
-/// walking the range, so counting through the pending delta alone would be
-/// `O(k)` in the number of matches — far too slow for a query planner that
-/// estimates the cardinality of every triple pattern of every candidate
-/// query.  Both the base run and the delta view are sorted vectors, so a
-/// range count is two `partition_point` binary searches per side.  The delta
-/// view catches up *incrementally* on first use after an insert (see
-/// [`DeltaView`]); sealed stores have an empty delta and skip it entirely.
-#[derive(Debug)]
+/// Both are sorted vectors, so a scan merges two slices and a range count is
+/// two `partition_point` binary searches per side.
+#[derive(Debug, Clone)]
 struct OrderEntry {
     order: IndexOrder,
     base: Arc<Vec<[u32; 3]>>,
-    pending: BTreeSet<[u32; 3]>,
-    delta_view: Mutex<DeltaView>,
-}
-
-impl Clone for OrderEntry {
-    fn clone(&self) -> Self {
-        OrderEntry {
-            order: self.order,
-            base: Arc::clone(&self.base),
-            pending: self.pending.clone(),
-            delta_view: Mutex::new(self.view().clone()),
-        }
-    }
+    view: OnceLock<Vec<[u32; 3]>>,
 }
 
 impl OrderEntry {
@@ -175,80 +152,58 @@ impl OrderEntry {
         OrderEntry {
             order,
             base: Arc::new(Vec::new()),
-            pending: BTreeSet::new(),
-            delta_view: Mutex::new(DeltaView::default()),
+            view: OnceLock::new(),
         }
     }
 
-    /// Every key of this ordering inside `range`, base run and pending
-    /// delta merge-iterated, decoded back to (s, p, o).
-    fn scan(&self, range: PartitionRange) -> impl Iterator<Item = EncodedTriple> + '_ {
-        let PartitionRange { lower, upper } = range;
-        let lo = self.base.partition_point(|key| key < &lower);
-        let hi = self.base.partition_point(|key| key <= &upper);
+    /// This ordering's view of `pending` (the owning index's pending set).
+    /// A sealed index has an empty set and never builds one.
+    fn view(&self, pending: &FxHashSet<EncodedTriple>) -> &[[u32; 3]] {
+        if pending.is_empty() {
+            return &[];
+        }
+        self.view.get_or_init(|| self.order.sorted_keys(pending))
+    }
+
+    /// Every key of this ordering inside `range`, base run and view
+    /// merge-iterated, decoded back to (s, p, o).
+    fn scan<'a>(
+        &'a self,
+        pending: &'a FxHashSet<EncodedTriple>,
+        range: PartitionRange,
+    ) -> impl Iterator<Item = EncodedTriple> + 'a {
         let order = self.order;
         MergedRange {
-            base: self.base[lo..hi].iter().peekable(),
-            pending: self
-                .pending
-                .range((Bound::Included(lower), Bound::Included(upper)))
-                .peekable(),
+            base: range.clip(&self.base),
+            pending: range.clip(self.view(pending)),
         }
         .map(move |key| order.unpermute(key))
-    }
-
-    /// Lock the delta view.  Every update leaves the view a valid sorted
-    /// mirror plus an arrival-order tail, so a poisoned lock is recovered
-    /// like every other mutex in the workspace.
-    fn view(&self) -> MutexGuard<'_, DeltaView> {
-        self.delta_view
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The sorted view of the pending delta, caught up to the B-tree: fresh
-    /// inserts are folded in by a linear merge.
-    fn pending_sorted(&self, counters: &SharedCounters) -> MutexGuard<'_, DeltaView> {
-        let mut view = self.view();
-        if !view.unmerged.is_empty() {
-            counters.pending_merges.fetch_add(1, Ordering::Relaxed);
-            let mut fresh = std::mem::take(&mut view.unmerged);
-            fresh.sort_unstable();
-            let old = std::mem::take(&mut view.keys);
-            let mut merged = Vec::with_capacity(old.len() + fresh.len());
-            let (mut i, mut j) = (0, 0);
-            while i < old.len() && j < fresh.len() {
-                if old[i] <= fresh[j] {
-                    merged.push(old[i]);
-                    i += 1;
-                } else {
-                    merged.push(fresh[j]);
-                    j += 1;
-                }
-            }
-            merged.extend_from_slice(&old[i..]);
-            merged.extend_from_slice(&fresh[j..]);
-            view.keys = merged;
-        }
-        view
     }
 }
 
 /// One contiguous key range of a partitioned pattern scan (a *morsel*).
 ///
-/// Produced by [`TripleIndex::partition_matching`] (or
-/// [`crate::Store::scan_partitions`]): the ranges of one call are disjoint,
-/// cover the pattern's whole match set, and are ordered so that
-/// concatenating the per-range streams of
-/// [`TripleIndex::iter_matching_within`] reproduces the exact sequential
-/// scan order.  The bounds live in the selected index ordering's key space
-/// and are only meaningful for the pattern/index pair that produced them.
+/// Produced by [`crate::Store::scan_partitions`]: the ranges of one call are
+/// disjoint, cover the pattern's whole match set, and are ordered so that
+/// concatenating the per-range streams of [`crate::Store::scan_within`]
+/// reproduces the exact sequential scan order.  The bounds live in the
+/// selected index ordering's key space and are only meaningful for the
+/// pattern/store pair that produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PartitionRange {
     /// Inclusive lower key bound.
     lower: [u32; 3],
     /// Inclusive upper key bound.
     upper: [u32; 3],
+}
+
+impl PartitionRange {
+    /// The keys of a sorted slice that fall inside this range.
+    fn clip(self, keys: &[[u32; 3]]) -> &[[u32; 3]] {
+        let lo = keys.partition_point(|key| key < &self.lower);
+        let hi = keys.partition_point(|key| key <= &self.upper);
+        &keys[lo..hi]
+    }
 }
 
 /// The largest key strictly below `key` in the lexicographic `[u32; 3]`
@@ -265,41 +220,43 @@ fn prev_key(key: [u32; 3]) -> [u32; 3] {
     }
 }
 
-/// Sorted two-way merge of a base-run slice and a pending-delta range.
+/// Sorted two-way merge of a base-run slice and a view slice.
 ///
 /// The two sides are disjoint (an index invariant) and individually sorted,
 /// so the merged stream is globally sorted with no duplicates.
 struct MergedRange<'a> {
-    base: Peekable<std::slice::Iter<'a, [u32; 3]>>,
-    pending: Peekable<std::collections::btree_set::Range<'a, [u32; 3]>>,
+    base: &'a [[u32; 3]],
+    pending: &'a [[u32; 3]],
 }
 
 impl Iterator for MergedRange<'_> {
     type Item = [u32; 3];
 
     fn next(&mut self) -> Option<[u32; 3]> {
-        match (self.base.peek(), self.pending.peek()) {
-            (Some(&&b), Some(&&p)) => {
-                if b <= p {
-                    self.base.next();
-                    Some(b)
-                } else {
-                    self.pending.next();
-                    Some(p)
-                }
-            }
-            (Some(_), None) => self.base.next().copied(),
-            (None, Some(_)) => self.pending.next().copied(),
-            (None, None) => None,
-        }
+        let side = match (self.base.first(), self.pending.first()) {
+            (Some(b), Some(p)) if p < b => &mut self.pending,
+            (Some(_), _) => &mut self.base,
+            (None, _) => &mut self.pending,
+        };
+        let (&key, rest) = side.split_first()?;
+        *side = rest;
+        Some(key)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.base.len() + self.pending.len();
+        (len, Some(len))
     }
 }
 
-/// The sextuple index: one sorted base run + pending delta per ordering.
+/// The sextuple index: one sorted base run per ordering, plus the pending
+/// set of triples inserted since the runs were sealed.
 #[derive(Debug, Clone)]
-pub struct TripleIndex {
-    orders: Vec<OrderEntry>,
-    len: usize,
+pub(crate) struct TripleIndex {
+    orders: [OrderEntry; 6],
+    /// Inserted triples not yet sealed into the base runs; disjoint from
+    /// them.
+    pending: FxHashSet<EncodedTriple>,
     counters: Arc<SharedCounters>,
 }
 
@@ -311,103 +268,94 @@ impl Default for TripleIndex {
 
 impl TripleIndex {
     /// Create an index maintaining all six orderings.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         TripleIndex {
-            orders: IndexOrder::ALL
-                .iter()
-                .map(|&o| OrderEntry::new(o))
-                .collect(),
-            len: 0,
+            orders: IndexOrder::ALL.map(OrderEntry::new),
+            pending: FxHashSet::default(),
             counters: Arc::new(SharedCounters::default()),
         }
     }
 
     /// Number of distinct triples in the index.
-    pub fn len(&self) -> usize {
-        self.len
+    pub(crate) fn len(&self) -> usize {
+        self.orders[0].base.len() + self.pending.len()
     }
 
     /// True if the index holds no triples.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    /// Insert a triple into every maintained ordering.  Returns `true` if the
-    /// triple was new.  New keys land in the pending delta; sealed base runs
-    /// are never touched by an insert.
-    pub fn insert(&mut self, t: EncodedTriple) -> bool {
-        if self.contains(t) {
+    /// Insert a triple.  Returns `true` if the triple was new.  A new triple
+    /// lands in the pending set and drops every ordering's view; sealed base
+    /// runs are never touched by an insert.
+    pub(crate) fn insert(&mut self, t: EncodedTriple) -> bool {
+        if self.in_base(t) || !self.pending.insert(t) {
             return false;
         }
         for entry in &mut self.orders {
-            let key = entry.order.permute(t);
-            entry.pending.insert(key);
-            entry
-                .delta_view
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner)
-                .unmerged
-                .push(key);
+            entry.view.take();
         }
-        self.len += 1;
         true
     }
 
-    /// Seal the pending delta into the sorted base runs.
+    /// Seal the pending set into the sorted base runs.
     ///
     /// Each ordering's new run is a linear interleave of the old run with
-    /// the (already sorted) delta — `O(n + d)`, never a re-sort — after
-    /// which the delta is empty and range counts are pure binary search over
-    /// the run.  [`crate::Store::compact`] funnels here; the live-ingest
-    /// path calls it once per published epoch so snapshots always carry
-    /// sealed runs.  Whether a merge or a from-scratch build happened is
-    /// recorded in [`TripleIndex::counters`].
-    pub fn flush_pending(&mut self) {
-        if self.orders[0].pending.is_empty() {
+    /// the ordering's view — `O(n + d)` plus the view's sort, never a
+    /// re-sort of the run — after which the pending set is empty and range
+    /// counts are pure binary search over the run.  [`crate::Store::compact`]
+    /// funnels here; the live-ingest path calls it once per published epoch
+    /// so snapshots always carry sealed runs.  Whether a merge or a
+    /// from-scratch build happened is recorded in [`TripleIndex::counters`].
+    pub(crate) fn flush_pending(&mut self) {
+        if self.pending.is_empty() {
             return;
         }
         let had_base = !self.orders[0].base.is_empty();
         for entry in &mut self.orders {
-            let merged: Vec<[u32; 3]> = MergedRange {
-                base: entry.base.iter().peekable(),
-                pending: entry.pending.range::<[u32; 3], _>(..).peekable(),
-            }
-            .collect();
-            entry.base = Arc::new(merged);
-            entry.pending.clear();
-            *entry
-                .delta_view
-                .get_mut()
-                .unwrap_or_else(PoisonError::into_inner) = DeltaView::default();
+            let view = entry
+                .view
+                .take()
+                .unwrap_or_else(|| entry.order.sorted_keys(&self.pending));
+            let run = if had_base {
+                MergedRange {
+                    base: &entry.base,
+                    pending: &view,
+                }
+                .collect()
+            } else {
+                view
+            };
+            entry.base = Arc::new(run);
         }
-        if had_base {
-            self.counters.base_merges.fetch_add(1, Ordering::Relaxed);
+        self.pending = FxHashSet::default();
+        let counter = if had_base {
+            &self.counters.base_merges
         } else {
-            self.counters.base_builds.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Number of triples still sitting in the pending delta (zero once
-    /// [`TripleIndex::flush_pending`] has sealed them).
-    pub fn pending_len(&self) -> usize {
-        self.orders[0].pending.len()
+            &self.counters.base_builds
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A snapshot of the lifetime maintenance counters, shared by every
     /// clone in this index's lineage.
-    pub fn counters(&self) -> IndexCounters {
+    pub(crate) fn counters(&self) -> IndexCounters {
         IndexCounters {
             base_merges: self.counters.base_merges.load(Ordering::Relaxed),
             base_builds: self.counters.base_builds.load(Ordering::Relaxed),
-            pending_merges: self.counters.pending_merges.load(Ordering::Relaxed),
         }
     }
 
     /// True if the exact triple is present.
-    pub fn contains(&self, t: EncodedTriple) -> bool {
+    pub(crate) fn contains(&self, t: EncodedTriple) -> bool {
+        self.pending.contains(&t) || self.in_base(t)
+    }
+
+    /// True if the triple is sealed into the base runs.
+    fn in_base(&self, t: EncodedTriple) -> bool {
         let entry = &self.orders[0];
-        let key = entry.order.permute(t);
-        entry.pending.contains(&key) || entry.base.binary_search(&key).is_ok()
+        entry.base.binary_search(&entry.order.permute(t)).is_ok()
     }
 
     /// The ordering with the longest bound key prefix for a pattern, and the
@@ -443,19 +391,19 @@ impl TripleIndex {
 
     /// Scan a triple pattern without materialising the matches; unbound
     /// positions are `None`.  Yields the matching triples in the order of the
-    /// selected index (base run and pending delta are merge-iterated, so the
-    /// stream stays globally sorted).  This is the store's hot path: the
-    /// SPARQL join loops drive these iterators directly, extending id-level
+    /// selected index (base run and view are merge-iterated, so the stream
+    /// stays globally sorted).  This is the store's hot path: the SPARQL
+    /// join loops drive these iterators directly, extending id-level
     /// bindings per yielded triple instead of buffering a
     /// `Vec<EncodedTriple>` per probe.
-    pub fn iter_matching(
+    pub(crate) fn iter_matching(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
         let (entry, range) = self.best_range(s, p, o);
-        entry.scan(range)
+        entry.scan(&self.pending, range)
     }
 
     /// Split a pattern scan into at most `n` contiguous key ranges.
@@ -469,25 +417,24 @@ impl TripleIndex {
     /// sorted base run, so ranges are balanced over the sealed data (pending
     /// inserts land in whichever range contains them).  Fewer than `n` ranges
     /// come back when the scan is too small or key space too narrow to split.
-    pub fn partition_matching(
+    pub(crate) fn partition_matching(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
         n: usize,
     ) -> Vec<PartitionRange> {
-        let (entry, PartitionRange { lower, upper }) = self.best_range(s, p, o);
-        let lo = entry.base.partition_point(|key| key < &lower);
-        let hi = entry.base.partition_point(|key| key <= &upper);
-        let total = hi - lo;
+        let (entry, range) = self.best_range(s, p, o);
+        let keys = range.clip(&entry.base);
+        let total = keys.len();
         let n = n.max(1);
         if n == 1 || total < 2 {
-            return vec![PartitionRange { lower, upper }];
+            return vec![range];
         }
-        let mut splits: Vec<[u32; 3]> = (1..n).map(|i| entry.base[lo + i * total / n]).collect();
+        let mut splits: Vec<[u32; 3]> = (1..n).map(|i| keys[i * total / n]).collect();
         splits.dedup();
         let mut ranges = Vec::with_capacity(n);
-        let mut start = lower;
+        let mut start = range.lower;
         for split in splits {
             if split <= start {
                 continue;
@@ -500,7 +447,7 @@ impl TripleIndex {
         }
         ranges.push(PartitionRange {
             lower: start,
-            upper,
+            upper: range.upper,
         });
         ranges
     }
@@ -511,53 +458,46 @@ impl TripleIndex {
     /// the range covers; the range must come from
     /// [`TripleIndex::partition_matching`] called with the *same* pattern on
     /// the *same* (unmutated) index.
-    pub fn iter_matching_within(
+    pub(crate) fn iter_matching_within(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
         range: PartitionRange,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
-        self.best_range(s, p, o).0.scan(range)
+        self.best_range(s, p, o).0.scan(&self.pending, range)
     }
 
     /// Count matches of a pattern without materialising — or walking — them.
     ///
     /// The count is two binary searches over the selected ordering's base
-    /// run plus, if a pending delta exists, two more over its lazily sorted
-    /// view: `O(log n)` whatever the match count.  Sealed stores (anything
-    /// published by the live-ingest path) have an empty delta and pay the
-    /// run searches only.  This is what makes it cheap enough for the query
-    /// planner to estimate the cardinality of every triple pattern of every
-    /// candidate query.
-    pub fn count_matching(&self, s: Option<TermId>, p: Option<TermId>, o: Option<TermId>) -> usize {
-        let (entry, PartitionRange { lower, upper }) = self.best_range(s, p, o);
-        let range_count = |keys: &[[u32; 3]]| {
-            let lo = keys.partition_point(|key| key < &lower);
-            let hi = keys.partition_point(|key| key <= &upper);
-            hi - lo
-        };
-        let mut count = range_count(&entry.base);
-        if !entry.pending.is_empty() {
-            count += range_count(&entry.pending_sorted(&self.counters).keys);
-        }
-        count
+    /// run plus, while triples are pending, two more over that ordering's
+    /// view: `O(log n)` whatever the match count, once the view is built.
+    /// Sealed stores (everything a query is served from) have no pending
+    /// triples and pay the run searches only.  This is what makes it cheap
+    /// enough for the query planner to estimate the cardinality of every
+    /// triple pattern of every candidate query.
+    pub(crate) fn count_matching(
+        &self,
+        s: Option<TermId>,
+        p: Option<TermId>,
+        o: Option<TermId>,
+    ) -> usize {
+        let (entry, range) = self.best_range(s, p, o);
+        range.clip(&entry.base).len() + range.clip(entry.view(&self.pending)).len()
     }
 
-    /// Approximate heap footprint in bytes: each maintained ordering stores
-    /// one 12-byte key per sealed triple, 12 bytes plus B-tree overhead per
-    /// pending triple, and 12 bytes per key for any sorted delta view that
-    /// has been built.
-    pub fn approx_bytes(&self) -> usize {
-        self.orders
+    /// Approximate heap footprint in bytes: one 12-byte key per sealed
+    /// triple and ordering, 12 bytes per key of every view built since the
+    /// last insert, and the pending set's table (a 12-byte slot and a
+    /// control byte per entry it has room for).
+    pub(crate) fn approx_bytes(&self) -> usize {
+        let keys: usize = self
+            .orders
             .iter()
-            .map(|entry| {
-                let view = entry.view();
-                entry.base.len() * 12
-                    + entry.pending.len() * (12 + 8)
-                    + (view.keys.len() + view.unmerged.len()) * 12
-            })
-            .sum()
+            .map(|entry| entry.base.len() + entry.view.get().map_or(0, Vec::len))
+            .sum();
+        keys * 12 + self.pending.capacity() * (12 + 1)
     }
 }
 
@@ -578,6 +518,12 @@ mod tests {
             o: Option<TermId>,
         ) -> Vec<EncodedTriple> {
             self.iter_matching(s, p, o).collect()
+        }
+
+        /// Number of triples still waiting in the pending set (zero once
+        /// [`TripleIndex::flush_pending`] has sealed them).
+        fn pending_len(&self) -> usize {
+            self.pending.len()
         }
     }
 
@@ -682,7 +628,7 @@ mod tests {
         assert_eq!(idx.count_matching(Some(TermId(1)), None, None), 1);
         idx.insert(t(1, 10, 101));
         assert_eq!(idx.count_matching(Some(TermId(1)), None, None), 2);
-        // Cloned indices answer through their own copy of the delta.
+        // Cloned indices answer through their own copy of the pending set.
         let cloned = idx.clone();
         assert_eq!(cloned.count_matching(None, None, Some(TermId(101))), 1);
     }
@@ -728,7 +674,7 @@ mod tests {
         idx.flush_pending();
         assert_eq!(idx.counters().base_builds, 1);
 
-        // A small append: keys go to the delta, the sealed run is untouched
+        // A small append: keys go to the pending set, the sealed run is untouched
         // and shared by clones (snapshot semantics).
         let snapshot = idx.clone();
         idx.insert(t(5000, 1, 2));
@@ -737,7 +683,7 @@ mod tests {
         assert_eq!(snapshot.len(), 1000);
         assert_eq!(idx.len(), 1002);
 
-        // Sealing the delta merges, never rebuilds or re-sorts.
+        // Sealing the pending set merges, never rebuilds or re-sorts.
         idx.flush_pending();
         let counters = idx.counters();
         assert_eq!(counters.base_merges, 1);
@@ -765,47 +711,6 @@ mod tests {
         let expected: Vec<u32> = (0..50).collect();
         assert_eq!(subjects, expected);
         assert_eq!(idx.count_matching(None, Some(TermId(1)), None), 50);
-        // Counting over a pending delta is an incremental merge, not a full
-        // re-sort.
-        assert!(idx.counters().pending_merges >= 1);
-    }
-
-    #[test]
-    fn sustained_insert_count_churn_merges_instead_of_rebuilding() {
-        let mut idx = TripleIndex::new();
-        for i in 0..100u32 {
-            idx.insert(t(i, 1, i));
-        }
-        idx.flush_pending();
-        // Sustained ingest with planner counts interleaved: every count
-        // catches the probed ordering's delta view up by a linear merge of
-        // just the fresh keys — the view is never rebuilt from scratch.
-        for i in 100..150u32 {
-            idx.insert(t(i, 1, i));
-            assert_eq!(
-                idx.count_matching(None, Some(TermId(1)), None),
-                i as usize + 1
-            );
-        }
-        assert_eq!(idx.counters().pending_merges, 50);
-    }
-
-    #[test]
-    fn untouched_orderings_pay_nothing_under_churn() {
-        let mut idx = TripleIndex::new();
-        for i in 0..64u32 {
-            idx.insert(t(i, i % 4, i % 8));
-        }
-        idx.flush_pending();
-        let before = idx.counters();
-        // Inserts touch every ordering's B-tree, but only the ordering a
-        // count actually probes pays a merge; the other five stay lazy.
-        for i in 64..96u32 {
-            idx.insert(t(i, i % 4, i % 8));
-        }
-        assert_eq!(idx.count_matching(Some(TermId(70)), None, None), 1);
-        let after = idx.counters();
-        assert_eq!(after.pending_merges, before.pending_merges + 1);
     }
 
     #[test]
@@ -817,7 +722,7 @@ mod tests {
             }
         }
         idx.flush_pending();
-        // Leave some keys in the pending delta so partitions must merge both
+        // Leave some keys in the pending set so partitions must merge both
         // sides.
         for s in 200..230u32 {
             idx.insert(t(s, 11, s));

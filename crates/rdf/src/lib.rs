@@ -42,7 +42,7 @@
 pub mod dictionary;
 pub mod error;
 pub mod hash;
-pub mod index;
+mod index;
 pub mod live;
 pub mod ntriples;
 pub mod stats;
@@ -54,10 +54,10 @@ pub mod vocab;
 
 pub use dictionary::{Dictionary, FrozenDictionary, TermId};
 pub use error::RdfError;
-pub use index::{IndexCounters, IndexOrder, PartitionRange, TripleIndex};
+pub use index::PartitionRange;
 pub use live::{IngestBatch, IngestReport, LiveStore, StoreSnapshot, TouchedScope};
 pub use ntriples::{parse_ntriples, serialize_ntriples};
-pub use stats::{DistinctSketch, GraphStats, PlannerStats, PredicateCard, StatsMaintenance};
+pub use stats::{GraphStats, PlannerStats, PredicateCard};
 pub use store::{MaintenanceCounters, Store, TriplePattern};
 pub use term::{Literal, Term};
 pub use text::{TextIndex, TextMatch};

@@ -343,8 +343,8 @@ impl LiveStore {
     /// all stay warm), and the returned report's scope is empty.
     ///
     /// For an effective batch, maintenance is incremental end-to-end:
-    /// planner stats fold in the encoded delta
-    /// ([`StatsMaintenance::apply`]), the text index and dictionary append
+    /// planner stats fold in the encoded delta (per-predicate counts and
+    /// distinct-count sketches), the text index and dictionary append
     /// to their head segments, and [`Store::compact`] merges — never
     /// rebuilds — the sorted index runs before the new snapshot is swapped
     /// in.

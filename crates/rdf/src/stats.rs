@@ -206,7 +206,7 @@ impl PlannerStats {
 /// per-batch stats maintenance bounded on graphs with millions of distinct
 /// subjects.
 #[derive(Debug, Clone)]
-pub struct DistinctSketch {
+pub(crate) struct DistinctSketch {
     exact_limit: usize,
     k: usize,
     exact: FxHashSet<u64>,
@@ -222,19 +222,19 @@ impl Default for DistinctSketch {
 
 impl DistinctSketch {
     /// Default cap on the exact phase (65 536 distinct values).
-    pub const DEFAULT_EXACT_LIMIT: usize = 1 << 16;
+    pub(crate) const DEFAULT_EXACT_LIMIT: usize = 1 << 16;
     /// Default number of minimum hashes kept once degraded.
-    pub const DEFAULT_K: usize = 1024;
+    pub(crate) const DEFAULT_K: usize = 1024;
 
     /// Create a sketch with the default limits.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::with_limits(Self::DEFAULT_EXACT_LIMIT, Self::DEFAULT_K)
     }
 
     /// Create a sketch with explicit limits (primarily for tests that want
     /// to exercise the degraded phase cheaply).  `k` is clamped to at
     /// least 2.
-    pub fn with_limits(exact_limit: usize, k: usize) -> Self {
+    pub(crate) fn with_limits(exact_limit: usize, k: usize) -> Self {
         DistinctSketch {
             exact_limit,
             k: k.max(2),
@@ -249,7 +249,7 @@ impl DistinctSketch {
     }
 
     /// Observe a value.  Duplicates never change the estimate.
-    pub fn insert(&mut self, value: u64) {
+    pub(crate) fn insert(&mut self, value: u64) {
         if !self.degraded {
             self.exact.insert(value);
             if self.exact.len() > self.exact_limit {
@@ -279,7 +279,7 @@ impl DistinctSketch {
 
     /// The number of distinct values observed: exact below the limit, a
     /// bottom-k estimate above it.
-    pub fn estimate(&self) -> usize {
+    pub(crate) fn estimate(&self) -> usize {
         if !self.degraded {
             return self.exact.len();
         }
@@ -291,11 +291,6 @@ impl DistinctSketch {
             return self.k;
         }
         (((self.k - 1) as f64) * (u64::MAX as f64) / (kth as f64)) as usize
-    }
-
-    /// True once the sketch has left the exact phase.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded
     }
 }
 
@@ -318,7 +313,7 @@ struct PredicateMaintenance {
 /// the ingest path; [`PlannerStats::compute`] remains the from-scratch
 /// oracle the tests compare against.
 #[derive(Debug, Clone, Default)]
-pub struct StatsMaintenance {
+pub(crate) struct StatsMaintenance {
     triples: usize,
     subjects: DistinctSketch,
     objects: DistinctSketch,
@@ -328,7 +323,7 @@ pub struct StatsMaintenance {
 
 impl StatsMaintenance {
     /// Seed the maintenance state with one full id-space scan of a store.
-    pub fn from_store(store: &Store) -> Self {
+    pub(crate) fn from_store(store: &Store) -> Self {
         let rdf_type = store.id_of(&Term::iri(vocab::RDF_TYPE));
         let mut maintenance = StatsMaintenance::default();
         for triple in store.scan(EncodedTriplePattern::any()) {
@@ -341,7 +336,7 @@ impl StatsMaintenance {
     ///
     /// `rdf_type` is the store's id for `rdf:type`, if interned — passing it
     /// in keeps this loop free of term lookups.
-    pub fn apply(&mut self, added: &[EncodedTriple], rdf_type: Option<TermId>) {
+    pub(crate) fn apply(&mut self, added: &[EncodedTriple], rdf_type: Option<TermId>) {
         for &triple in added {
             self.observe(triple, rdf_type);
         }
@@ -360,14 +355,9 @@ impl StatsMaintenance {
         }
     }
 
-    /// Total triples folded in so far.
-    pub fn triples(&self) -> usize {
-        self.triples
-    }
-
     /// Derive a fresh [`PlannerStats`] from the maintained summaries, in
     /// `O(predicates + classes)` — independent of the graph size.
-    pub fn to_planner_stats(&self) -> PlannerStats {
+    pub(crate) fn to_planner_stats(&self) -> PlannerStats {
         PlannerStats {
             triples: self.triples,
             distinct_subjects: self.subjects.estimate(),
@@ -518,7 +508,7 @@ mod tests {
             sketch.insert(v);
             sketch.insert(v); // duplicates are free
         }
-        assert!(!sketch.is_degraded());
+        assert!(!sketch.degraded);
         assert_eq!(sketch.estimate(), 1000);
     }
 
@@ -529,7 +519,7 @@ mod tests {
         for v in 0..n {
             sketch.insert(v.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         }
-        assert!(sketch.is_degraded());
+        assert!(sketch.degraded);
         let est = sketch.estimate() as f64;
         let err = (est - n as f64).abs() / n as f64;
         assert!(err < 0.2, "estimate {est} off by {:.1}%", err * 100.0);

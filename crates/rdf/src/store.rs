@@ -27,14 +27,12 @@ pub struct MaintenanceCounters {
     /// Pre-derived `PlannerStats` installs (the incremental path: a live
     /// store folds the batch delta into sketches and installs the result).
     pub stats_incremental_installs: u64,
-    /// Sorted index base runs produced by merging an existing run with a
-    /// pending delta — never a re-sort.
+    /// Sorted index base runs produced by merging an existing run with the
+    /// sorted pending triples — never a re-sort of the run.
     pub index_base_merges: u64,
-    /// Sorted index base runs built from scratch (initial bulk load).
+    /// Sorted index base runs built from the pending triples alone (the
+    /// initial bulk load).
     pub index_base_builds: u64,
-    /// Incremental catches-up of an index pending-delta view: fresh keys
-    /// linearly merged into the existing sorted mirror, never a rebuild.
-    pub index_pending_merges: u64,
     /// Dictionary head segments sealed.
     pub dict_freezes: u64,
     /// Dictionary segment compactions (geometric merges).
@@ -299,32 +297,6 @@ impl Store {
         out
     }
 
-    /// All predicates on outgoing edges of `vertex` (i.e. `p` in
-    /// `⟨vertex, p, ?obj⟩`), deduplicated — the `outgoingPredicate(v)` query.
-    pub fn outgoing_predicates(&self, vertex: &Term) -> Vec<Term> {
-        let Some(v) = self.dictionary.id_of(vertex) else {
-            return Vec::new();
-        };
-        let mut seen = std::collections::BTreeSet::new();
-        for t in self.scan(EncodedTriplePattern::any().with_subject(v)) {
-            seen.insert(t.predicate);
-        }
-        seen.into_iter().map(|id| self.decode_term(id)).collect()
-    }
-
-    /// All predicates on incoming edges of `vertex` (i.e. `p` in
-    /// `⟨?sub, p, vertex⟩`), deduplicated — the `incomingPredicate(v)` query.
-    pub fn incoming_predicates(&self, vertex: &Term) -> Vec<Term> {
-        let Some(v) = self.dictionary.id_of(vertex) else {
-            return Vec::new();
-        };
-        let mut seen = std::collections::BTreeSet::new();
-        for t in self.scan(EncodedTriplePattern::any().with_object(v)) {
-            seen.insert(t.predicate);
-        }
-        seen.into_iter().map(|id| self.decode_term(id)).collect()
-    }
-
     /// Iterate every triple in the store (SPO order), decoded.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.scan(EncodedTriplePattern::any())
@@ -358,7 +330,7 @@ impl Store {
     }
 
     /// Seal the store's mutable write state into immutable, `Arc`-shared
-    /// runs: the pending index deltas are merged into the sorted base runs,
+    /// runs: the pending index triples are merged into the sorted base runs,
     /// and the dictionary and text-index heads are frozen into segments.
     ///
     /// Ids, contents and query results are unaffected — only the storage
@@ -384,7 +356,6 @@ impl Store {
             stats_incremental_installs: self.stats_incremental_installs.load(Ordering::Relaxed),
             index_base_merges: index.base_merges,
             index_base_builds: index.base_builds,
-            index_pending_merges: index.pending_merges,
             dict_freezes,
             dict_merges,
             text_freezes,
@@ -592,33 +563,6 @@ mod tests {
         }
         let hits = store.vertices_with_description_containing(&["city"], 10);
         assert_eq!(hits.len(), 10);
-    }
-
-    #[test]
-    fn outgoing_and_incoming_predicates() {
-        let store = example_store();
-        let sea = Term::iri("http://dbpedia.org/resource/Baltic_Sea");
-        let kali = Term::iri("http://dbpedia.org/resource/Kaliningrad");
-
-        let out: Vec<String> = store
-            .outgoing_predicates(&sea)
-            .iter()
-            .filter_map(|t| t.as_iri().map(str::to_string))
-            .collect();
-        assert!(out.contains(&"http://dbpedia.org/property/outflow".to_string()));
-        assert!(out.contains(&"http://dbpedia.org/ontology/nearestCity".to_string()));
-        assert!(out.contains(&vocab::RDF_TYPE.to_string()));
-
-        let incoming = store.incoming_predicates(&kali);
-        assert_eq!(incoming.len(), 1);
-        assert_eq!(
-            incoming[0],
-            Term::iri("http://dbpedia.org/ontology/nearestCity")
-        );
-
-        assert!(store
-            .outgoing_predicates(&Term::iri("http://nowhere/x"))
-            .is_empty());
     }
 
     #[test]

@@ -1,6 +1,10 @@
 //! Property-based tests for the RDF store's core invariants.
 
-use kgqan_rdf::{parse_ntriples, serialize_ntriples, Store, Term, Triple, TriplePattern};
+use std::collections::BTreeSet;
+
+use kgqan_rdf::{
+    parse_ntriples, serialize_ntriples, EncodedTriple, Store, Term, Triple, TriplePattern,
+};
 use proptest::prelude::*;
 
 /// The term-level, decode-everything match the store used to export: encode
@@ -89,6 +93,113 @@ fn arb_triple() -> impl Strategy<Value = Triple> {
     (arb_iri(), arb_predicate(), arb_object()).prop_map(|(s, p, o)| Triple::new(s, p, o))
 }
 
+/// One step of an interleaved store history.
+#[derive(Debug, Clone)]
+enum Op {
+    Insert(Triple),
+    /// Insert again the n-th (mod the count) triple the written store holds.
+    InsertAgain(usize),
+    Compact,
+    /// Clone the written store.  One copy is frozen and checked by every
+    /// later read; `true` keeps writing to the clone, `false` to the original.
+    Clone(bool),
+    Scan(TriplePattern),
+    Count(TriplePattern),
+    /// `scan_partitions` into at most n ranges, then `scan_within` each.
+    Partitions(TriplePattern, usize),
+    Contains(Triple),
+    Len,
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_triple().prop_map(Op::Insert),
+        arb_triple().prop_map(Op::Insert),
+        any::<usize>().prop_map(Op::InsertAgain),
+        Just(Op::Compact),
+        any::<bool>().prop_map(Op::Clone),
+        arb_pattern().prop_map(Op::Scan),
+        arb_pattern().prop_map(Op::Count),
+        (arb_pattern(), 1usize..6).prop_map(|(pattern, n)| Op::Partitions(pattern, n)),
+        arb_triple().prop_map(Op::Contains),
+        Just(Op::Len),
+    ]
+}
+
+/// True if the stream is strictly increasing under one of the six (s, p, o)
+/// permutations: globally sorted, with no triple repeated.
+fn sorted_in_some_ordering(stream: &[EncodedTriple]) -> bool {
+    const ORDERINGS: [[usize; 3]; 6] = [
+        [0, 1, 2],
+        [0, 2, 1],
+        [1, 0, 2],
+        [1, 2, 0],
+        [2, 0, 1],
+        [2, 1, 0],
+    ];
+    ORDERINGS.iter().any(|ordering| {
+        let key = |t: &EncodedTriple| {
+            let spo = [t.subject.0, t.predicate.0, t.object.0];
+            ordering.map(|i| spo[i])
+        };
+        stream.windows(2).all(|pair| key(&pair[0]) < key(&pair[1]))
+    })
+}
+
+/// Check one read against a store's naive oracle.
+fn check_read(store: &Store, oracle: &BTreeSet<Triple>, op: &Op) -> Result<(), TestCaseError> {
+    let matches = |pattern: &TriplePattern| -> BTreeSet<Triple> {
+        oracle
+            .iter()
+            .filter(|t| naive_matches(pattern, t))
+            .cloned()
+            .collect()
+    };
+    match op {
+        Op::Scan(pattern) => {
+            let expected = matches(pattern);
+            let Some(encoded) = store.encode_pattern(pattern) else {
+                prop_assert!(expected.is_empty());
+                return Ok(());
+            };
+            let got: Vec<EncodedTriple> = store.scan(encoded).collect();
+            prop_assert!(sorted_in_some_ordering(&got), "{pattern:?} is not sorted");
+            let decoded: BTreeSet<Triple> = got.iter().map(|&t| store.decode(t)).collect();
+            prop_assert_eq!(decoded, expected);
+        }
+        Op::Count(pattern) => {
+            let expected = matches(pattern).len();
+            prop_assert_eq!(store.count_matching(pattern), expected);
+            if let Some(encoded) = store.encode_pattern(pattern) {
+                prop_assert_eq!(store.scan_count(encoded), expected);
+            }
+        }
+        Op::Partitions(pattern, n) => {
+            if let Some(encoded) = store.encode_pattern(pattern) {
+                let sequential: Vec<_> = store.scan(encoded).collect();
+                let ranges = store.scan_partitions(encoded, *n);
+                prop_assert!(!ranges.is_empty() && ranges.len() <= *n);
+                let concatenated: Vec<_> = ranges
+                    .iter()
+                    .flat_map(|&range| store.scan_within(encoded, range))
+                    .collect();
+                prop_assert_eq!(concatenated, sequential);
+            } else {
+                prop_assert!(matches(pattern).is_empty());
+            }
+        }
+        Op::Contains(triple) => {
+            prop_assert_eq!(store.contains(triple), oracle.contains(triple));
+        }
+        Op::Len => {
+            prop_assert_eq!(store.len(), oracle.len());
+            check_read(store, oracle, &Op::Scan(TriplePattern::any()))?;
+        }
+        Op::Insert(_) | Op::InsertAgain(_) | Op::Compact | Op::Clone(_) => {}
+    }
+    Ok(())
+}
+
 proptest! {
     /// Inserting any set of triples yields a store whose length equals the
     /// number of distinct triples, and every inserted triple is found again.
@@ -154,6 +265,53 @@ proptest! {
             .unwrap_or(0);
         prop_assert_eq!(count, naive.len());
         prop_assert_eq!(store.count_matching(&pattern), naive.len());
+    }
+
+    /// Random interleavings of inserts (new and duplicate), compactions,
+    /// clones and every read path agree with a naive set after every step,
+    /// on the written store and on every clone frozen along the way.  The
+    /// failure this guards against is a read served from a sorted view that
+    /// an insert should have dropped.
+    #[test]
+    fn interleaved_writes_reads_clones_and_compactions_agree_with_a_naive_set(
+        ops in prop::collection::vec(arb_op(), 1..80),
+    ) {
+        let mut store = Store::new();
+        let mut oracle = BTreeSet::new();
+        let mut frozen: Vec<(Store, BTreeSet<Triple>)> = Vec::new();
+        for op in &ops {
+            match op {
+                Op::Insert(triple) => {
+                    let new = oracle.insert(triple.clone());
+                    prop_assert_eq!(store.insert(triple.clone()), new);
+                }
+                Op::InsertAgain(n) => {
+                    if let Some(triple) = oracle.iter().nth(n % oracle.len().max(1)) {
+                        prop_assert!(!store.insert(triple.clone()));
+                    }
+                }
+                Op::Compact => store.compact(),
+                Op::Clone(write_to_clone) => {
+                    let clone = store.clone();
+                    let kept = if *write_to_clone {
+                        std::mem::replace(&mut store, clone)
+                    } else {
+                        clone
+                    };
+                    frozen.push((kept, oracle.clone()));
+                }
+                read => {
+                    check_read(&store, &oracle, read)?;
+                    for (copy, copy_oracle) in &frozen {
+                        check_read(copy, copy_oracle, read)?;
+                    }
+                }
+            }
+        }
+        check_read(&store, &oracle, &Op::Len)?;
+        for (copy, copy_oracle) in &frozen {
+            check_read(copy, copy_oracle, &Op::Len)?;
+        }
     }
 
     /// Any string literal — including backslashes, quotes, control

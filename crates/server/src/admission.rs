@@ -8,7 +8,8 @@
 //!   load-shed `503`; it never queues unboundedly and never blocks.
 //! * [`RateLimiter`] keeps one [`TokenBucket`] per client, keyed by the
 //!   `X-Client-Id` header when present (so load generators can multiplex
-//!   clients over few sockets) and by peer IP otherwise (`429`).
+//!   clients over few sockets) and by peer IP otherwise (`429`).  Buckets
+//!   that have refilled are swept, so fresh ids cannot grow it unbounded.
 //!
 //! The third admission mechanism, the bounded connection queue, lives with
 //! the acceptor in [`crate::server`].
@@ -176,6 +177,13 @@ impl TokenBucket {
         self.refilled = now;
     }
 
+    /// True once the bucket has refilled to `burst` by `now`: from then on
+    /// it admits exactly like a fresh bucket.
+    fn is_full(&self, now: Instant) -> bool {
+        let elapsed = now.saturating_duration_since(self.refilled).as_secs_f64();
+        self.tokens + elapsed * self.limit.per_second >= self.limit.burst
+    }
+
     /// Try to spend one token.  `Ok(())` admits the request; `Err(wait)`
     /// rejects it with the time until a token will be available (the
     /// `Retry-After` hint).
@@ -192,10 +200,23 @@ impl TokenBucket {
 }
 
 /// A map of client key → [`TokenBucket`], shared across handler threads.
+///
+/// Keys are client-chosen, so the map is swept: once it has doubled since
+/// the last sweep, buckets that have refilled to `burst` are dropped.  A
+/// full bucket admits exactly like the fresh one a later request creates,
+/// so a sweep changes no decision, and its cost is amortised `O(1)` per
+/// check.
 #[derive(Debug)]
 pub struct RateLimiter {
     limit: RateLimit,
-    buckets: Mutex<HashMap<String, TokenBucket>>,
+    buckets: Mutex<Buckets>,
+}
+
+#[derive(Debug, Default)]
+struct Buckets {
+    by_client: HashMap<String, TokenBucket>,
+    /// Clients left by the last sweep.
+    swept_len: usize,
 }
 
 impl RateLimiter {
@@ -203,7 +224,7 @@ impl RateLimiter {
     pub fn new(limit: RateLimit) -> Self {
         RateLimiter {
             limit,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(Buckets::default()),
         }
     }
 
@@ -215,21 +236,30 @@ impl RateLimiter {
 
     /// [`RateLimiter::check`] with an explicit clock, for tests.
     pub fn check_at(&self, client: &str, now: Instant) -> Result<(), Duration> {
-        let mut buckets = self
+        let mut guard = self
             .buckets
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        buckets
+        let buckets = &mut *guard;
+        let verdict = buckets
+            .by_client
             .entry(client.to_string())
             .or_insert_with(|| TokenBucket::new(self.limit))
-            .try_take(now)
+            .try_take(now);
+        if buckets.by_client.len() > 2 * buckets.swept_len {
+            buckets.by_client.retain(|_, bucket| !bucket.is_full(now));
+            buckets.swept_len = buckets.by_client.len();
+        }
+        verdict
     }
 
-    /// Number of distinct clients seen.
+    /// Number of clients holding a bucket: every client seen, less those
+    /// whose full buckets a sweep dropped.
     pub fn clients(&self) -> usize {
         self.buckets
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .by_client
             .len()
     }
 }
@@ -377,5 +407,34 @@ mod tests {
         assert!(limiter.check_at("a", now).is_err(), "a is out of burst");
         assert!(limiter.check_at("b", now).is_ok(), "b has its own bucket");
         assert_eq!(limiter.clients(), 2);
+    }
+
+    #[test]
+    fn fresh_ids_per_request_do_not_grow_the_client_map() {
+        let limit = RateLimit::per_second(10.0).with_burst(2.0);
+        let limiter = RateLimiter::new(limit);
+        let t0 = Instant::now();
+        for i in 0..10_000 {
+            assert!(limiter.check_at(&format!("burst-{i}"), t0).is_ok());
+        }
+        // None of those buckets has refilled yet, so none can be dropped.
+        assert!(limiter.clients() >= 10_000);
+
+        // From the moment they have (`burst / per_second` later), a client
+        // sends a fresh id every millisecond while a hog asks as often on
+        // one id.  Only the last 100 ms of fresh ids hold a bucket that is
+        // not full, so sweeps keep the map near that size, and the hog's
+        // drained bucket is never swept: it gets its 429s throughout.
+        let refilled = t0 + Duration::from_secs_f64(limit.burst / limit.per_second);
+        let mut hog_admitted = 0;
+        for i in 0..10_000u64 {
+            let now = refilled + Duration::from_millis(i);
+            assert!(limiter.check_at(&format!("fresh-{i}"), now).is_ok());
+            hog_admitted += usize::from(limiter.check_at("hog", now).is_ok());
+        }
+        assert!(limiter.clients() < 300, "{} clients", limiter.clients());
+        // The burst plus 10 s at 10/s: a swept hog bucket would come back
+        // full and admit more.
+        assert_eq!(hog_admitted, 101);
     }
 }
