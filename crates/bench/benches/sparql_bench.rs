@@ -66,7 +66,7 @@ fn execution(c: &mut Criterion) {
 /// What an executed candidate that finds nothing costs the engine: plan and
 /// execute through `InProcessEndpoint::query_parsed` (no parse, no cache)
 /// over the MAG stand-in at benchmark scale, and through
-/// `query_traced_within`, the call the execution manager makes for every
+/// `query_traced_within`, the call the Execute stage makes for every
 /// candidate (an unbounded request passes no deadline).  It also returns
 /// the executor's work counters; the two lines differ by those alone.
 fn empty_candidate(c: &mut Criterion) {

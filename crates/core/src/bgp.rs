@@ -27,7 +27,7 @@ pub struct BasicGraphPattern {
 /// A ranked candidate SPARQL query generated from a BGP.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateQuery {
-    /// The query AST.  The execution manager hands this to
+    /// The query AST.  The Execute stage hands this to
     /// [`kgqan_endpoint::SparqlEndpoint::query_traced_within`] (with the
     /// pipeline's deadline) so in-process endpoints evaluate it directly on
     /// dictionary ids, and shares it with the candidate's
@@ -53,10 +53,10 @@ impl CandidateQuery {
 const MAX_COMBINATIONS: usize = 2_000;
 
 /// The SPARQL variable KGQAn binds the class of the main unknown to.
-pub const TYPE_VARIABLE: &str = "type";
+pub(crate) const TYPE_VARIABLE: &str = "type";
 
 /// Generate the ranked top-k candidate queries for an AGP (Algorithm 3).
-pub fn generate_candidate_queries(
+pub(crate) fn generate_candidate_queries(
     agp: &AnnotatedGraphPattern,
     max_queries: usize,
 ) -> Vec<CandidateQuery> {
@@ -80,7 +80,7 @@ pub fn generate_candidate_queries(
 }
 
 /// Enumerate all valid BGPs of an AGP (`getBGPs` of Algorithm 3).
-pub fn enumerate_bgps(agp: &AnnotatedGraphPattern) -> Vec<BasicGraphPattern> {
+pub(crate) fn enumerate_bgps(agp: &AnnotatedGraphPattern) -> Vec<BasicGraphPattern> {
     if agp.pgp.is_empty() {
         return Vec::new();
     }
@@ -182,7 +182,7 @@ pub fn enumerate_bgps(agp: &AnnotatedGraphPattern) -> Vec<BasicGraphPattern> {
 ///
 /// For SELECT queries the main unknown and its optional `rdf:type` are
 /// projected, exactly as in Figure 6.  Building the AST (rather than text)
-/// lets the execution manager skip the parse step entirely when the target
+/// lets the Execute stage skip the parse step entirely when the target
 /// endpoint is in-process.
 pub fn bgp_to_query(bgp: &BasicGraphPattern, is_ask: bool) -> Query {
     let body = GraphPattern::Bgp(bgp.triples.clone());

@@ -48,7 +48,7 @@ pub struct KgqanConfig {
     /// generated per question.  Paper default: 40.
     pub max_candidate_queries: usize,
     /// How many of the candidate queries may contribute answers before the
-    /// execution manager stops.
+    /// Execute stage stops.
     pub max_productive_queries: usize,
     /// Which semantic-affinity model to use (Table 4).
     pub affinity: AffinityModel,

@@ -1,10 +1,11 @@
 //! Phase 3a: execution of the candidate queries.
 //!
-//! The execution manager sends the ranked candidate queries to the target
-//! endpoint and collects `(answer, class)` pairs for the main unknown, or the
-//! Boolean verdict for ASK questions.  Candidate queries are processed in
-//! rank order; collection stops once `max_productive_queries` queries have
-//! produced answers (the paper sends the "top-k most promising" queries —
+//! The default `Execute` stage ([`crate::pipeline::ManagedExecution`])
+//! sends the ranked candidate queries to the target endpoint and collects
+//! `(answer, class)` pairs for the main unknown, or the Boolean verdict for
+//! ASK questions.  Candidate queries are processed in rank order; collection
+//! stops once `KgqanConfig::max_productive_queries` queries have produced
+//! answers (the paper sends the "top-k most promising" queries —
 //! executing the entire candidate list would only add noise for the
 //! filtration step to remove).
 
@@ -94,157 +95,133 @@ impl ExecutionOutcome {
     }
 }
 
-/// The execution manager.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecutionManager {
-    /// Stop after this many queries returned at least one answer.
-    pub max_productive_queries: usize,
-    /// Once a query has produced answers, further queries only contribute if
-    /// their Equation-2 score is at least this fraction of the first
-    /// productive query's score (keeps near-tied interpretations, drops the
-    /// long tail of low-confidence candidates).
-    pub score_window: f32,
-}
+/// Once a query has produced answers, further queries only contribute if
+/// their Equation-2 score is at least this fraction of the first productive
+/// query's score (keeps near-tied interpretations, drops the long tail of
+/// low-confidence candidates).
+const SCORE_WINDOW: f32 = 0.9;
 
-impl Default for ExecutionManager {
-    fn default() -> Self {
-        ExecutionManager {
-            max_productive_queries: 3,
-            score_window: 0.9,
+/// Execute candidate queries in rank order within a time budget, stopping
+/// after `max_productive_queries` queries returned at least one answer.
+///
+/// The budget is checked before every query: once it expires the remaining
+/// candidates are skipped, `deadline_exceeded` is set, and the answers
+/// collected so far are returned (best-so-far semantics).
+pub(crate) fn execute_candidates(
+    queries: &[CandidateQuery],
+    max_productive_queries: usize,
+    endpoint: &dyn SparqlEndpoint,
+    budget: &Budget,
+) -> Result<ExecutionOutcome, KgqanError> {
+    let mut outcome = ExecutionOutcome::default();
+    let mut productive = 0usize;
+    let mut first_productive_score: Option<f32> = None;
+
+    for candidate in queries {
+        if productive >= max_productive_queries {
+            break;
         }
-    }
-}
-
-impl ExecutionManager {
-    /// Create an execution manager with the given productive-query budget.
-    pub fn new(max_productive_queries: usize) -> Self {
-        ExecutionManager {
-            max_productive_queries,
-            ..Default::default()
-        }
-    }
-
-    /// Execute candidate queries in rank order within a time budget.
-    ///
-    /// The budget is checked before every query: once it expires the
-    /// remaining candidates are skipped, `deadline_exceeded` is set, and the
-    /// answers collected so far are returned (best-so-far semantics).
-    pub fn execute(
-        &self,
-        queries: &[CandidateQuery],
-        endpoint: &dyn SparqlEndpoint,
-        budget: &Budget,
-    ) -> Result<ExecutionOutcome, KgqanError> {
-        let mut outcome = ExecutionOutcome::default();
-        let mut productive = 0usize;
-        let mut first_productive_score: Option<f32> = None;
-
-        for candidate in queries {
-            if productive >= self.max_productive_queries {
+        if let Some(best) = first_productive_score {
+            if candidate.bgp.score < best * SCORE_WINDOW {
                 break;
             }
-            if let Some(best) = first_productive_score {
-                if candidate.bgp.score < best * self.score_window {
-                    break;
-                }
+        }
+        // The deadline check comes after the stopping rules above: a run
+        // that already exhausted its productive budget is complete, not
+        // partial, even if the clock has also run out by then.
+        if budget.expired() {
+            outcome.deadline_exceeded = true;
+            break;
+        }
+        // Hand over the AST: in-process endpoints evaluate it directly
+        // on dictionary ids, so the candidate never round-trips through
+        // a SPARQL string between generation and execution.  The traced
+        // entry point additionally reports the rows the engine scanned,
+        // which ride along in the stats; it renders no plan.  The
+        // budget's remaining time becomes the engine's deadline, so one
+        // runaway candidate is cut *mid-query* (per morsel on the
+        // parallel path) instead of only being noticed afterwards.
+        let started = Instant::now();
+        let deadline = budget.remaining().map(|left| started + left);
+        let traced = endpoint.query_traced_within(&candidate.query, deadline)?;
+        if traced
+            .metrics
+            .as_ref()
+            .is_some_and(|metrics| metrics.deadline_exceeded)
+        {
+            outcome.deadline_exceeded = true;
+        }
+        let results = traced.results;
+        outcome.query_stats.push(QueryStat {
+            query: Arc::clone(&candidate.query),
+            score: candidate.bgp.score,
+            duration: started.elapsed(),
+            rows: results.as_solutions().map_or(0, |s| s.rows().len()),
+            is_ask: candidate.is_ask,
+            rows_scanned: traced.metrics.map(|m| m.rows_scanned),
+        });
+
+        if candidate.is_ask {
+            let verdict = results.as_boolean().unwrap_or(false);
+            // The highest-ranked ASK query that says "yes" settles the
+            // question; otherwise keep the (possibly false) verdict of
+            // the best query.
+            if outcome.boolean.is_none() || verdict {
+                outcome.boolean = Some(verdict);
             }
-            // The deadline check comes after the stopping rules above: a run
-            // that already exhausted its productive budget is complete, not
-            // partial, even if the clock has also run out by then.
-            if budget.expired() {
-                outcome.deadline_exceeded = true;
+            if verdict {
                 break;
             }
-            // Hand over the AST: in-process endpoints evaluate it directly
-            // on dictionary ids, so the candidate never round-trips through
-            // a SPARQL string between generation and execution.  The traced
-            // entry point additionally reports the rows the engine scanned,
-            // which ride along in the stats; it renders no plan.  The
-            // budget's remaining time becomes the engine's deadline, so one
-            // runaway candidate is cut *mid-query* (per morsel on the
-            // parallel path) instead of only being noticed afterwards.
-            let started = Instant::now();
-            let deadline = budget.remaining().map(|left| started + left);
-            let traced = endpoint.query_traced_within(&candidate.query, deadline)?;
-            if traced
-                .metrics
-                .as_ref()
-                .is_some_and(|metrics| metrics.deadline_exceeded)
-            {
-                outcome.deadline_exceeded = true;
-            }
-            let results = traced.results;
-            outcome.query_stats.push(QueryStat {
-                query: Arc::clone(&candidate.query),
-                score: candidate.bgp.score,
-                duration: started.elapsed(),
-                rows: results.as_solutions().map_or(0, |s| s.rows().len()),
-                is_ask: candidate.is_ask,
-                rows_scanned: traced.metrics.map(|m| m.rows_scanned),
+            continue;
+        }
+
+        let Some(solutions) = results.as_solutions() else {
+            continue;
+        };
+        if solutions.is_empty() {
+            continue;
+        }
+        productive += 1;
+        first_productive_score.get_or_insert(candidate.bgp.score);
+        // Group class bindings per answer term (one answer may appear in
+        // several rows, one per rdf:type).  `seen` finds an answer's
+        // entry in one lookup however many rows the candidate returns;
+        // the rows of an earlier candidate with this very score (rare)
+        // merge into the same entries, found by scanning just those.
+        let score = candidate.bgp.score;
+        let answers = &mut outcome.answers;
+        let earlier: Vec<usize> = (0..answers.len())
+            .filter(|&i| answers[i].query_score == score)
+            .collect();
+        let mut seen: HashMap<&Term, usize> = HashMap::new();
+        let Some(answer_column) = solutions.column_index("unknown1") else {
+            continue;
+        };
+        let class_column = solutions.column_index(TYPE_VARIABLE);
+        for row in solutions.rows() {
+            let Some(answer) = row.cell(answer_column) else {
+                continue;
+            };
+            let at = *seen.entry(answer).or_insert_with(|| {
+                let merged = earlier.iter().find(|&&i| &answers[i].answer == answer);
+                merged.copied().unwrap_or_else(|| {
+                    answers.push(CollectedAnswer {
+                        answer: answer.clone(),
+                        classes: Vec::new(),
+                        query_score: score,
+                    });
+                    answers.len() - 1
+                })
             });
-
-            if candidate.is_ask {
-                let verdict = results.as_boolean().unwrap_or(false);
-                // The highest-ranked ASK query that says "yes" settles the
-                // question; otherwise keep the (possibly false) verdict of
-                // the best query.
-                if outcome.boolean.is_none() || verdict {
-                    outcome.boolean = Some(verdict);
-                }
-                if verdict {
-                    break;
-                }
-                continue;
-            }
-
-            let Some(solutions) = results.as_solutions() else {
-                continue;
-            };
-            if solutions.is_empty() {
-                continue;
-            }
-            productive += 1;
-            first_productive_score.get_or_insert(candidate.bgp.score);
-            // Group class bindings per answer term (one answer may appear in
-            // several rows, one per rdf:type).  `seen` finds an answer's
-            // entry in one lookup however many rows the candidate returns;
-            // the rows of an earlier candidate with this very score (rare)
-            // merge into the same entries, found by scanning just those.
-            let score = candidate.bgp.score;
-            let answers = &mut outcome.answers;
-            let earlier: Vec<usize> = (0..answers.len())
-                .filter(|&i| answers[i].query_score == score)
-                .collect();
-            let mut seen: HashMap<&Term, usize> = HashMap::new();
-            let Some(answer_column) = solutions.column_index("unknown1") else {
-                continue;
-            };
-            let class_column = solutions.column_index(TYPE_VARIABLE);
-            for row in solutions.rows() {
-                let Some(answer) = row.cell(answer_column) else {
-                    continue;
-                };
-                let at = *seen.entry(answer).or_insert_with(|| {
-                    let merged = earlier.iter().find(|&&i| &answers[i].answer == answer);
-                    merged.copied().unwrap_or_else(|| {
-                        answers.push(CollectedAnswer {
-                            answer: answer.clone(),
-                            classes: Vec::new(),
-                            query_score: score,
-                        });
-                        answers.len() - 1
-                    })
-                });
-                if let Some(class) = class_column.and_then(|column| row.cell(column)) {
-                    let classes = &mut answers[at].classes;
-                    if !classes.contains(class) {
-                        classes.push(class.clone());
-                    }
+            if let Some(class) = class_column.and_then(|column| row.cell(column)) {
+                let classes = &mut answers[at].classes;
+                if !classes.contains(class) {
+                    classes.push(class.clone());
                 }
             }
         }
-        Ok(outcome)
     }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -295,9 +272,7 @@ mod tests {
              OPTIONAL { ?unknown1 a ?type . } }",
             1.0,
         );
-        let outcome = ExecutionManager::default()
-            .execute(&[q], &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome = execute_candidates(&[q], 3, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.answers.len(), 1);
         let answer = &outcome.answers[0];
         assert_eq!(
@@ -351,13 +326,13 @@ mod tests {
             )
         };
         let started = Instant::now();
-        let outcome = ExecutionManager::default()
-            .execute(
-                &[candidate("linksTo"), candidate("near")],
-                &ep,
-                &Budget::unbounded(),
-            )
-            .unwrap();
+        let outcome = execute_candidates(
+            &[candidate("linksTo"), candidate("near")],
+            3,
+            &ep,
+            &Budget::unbounded(),
+        )
+        .unwrap();
         let elapsed = started.elapsed();
 
         assert_eq!(outcome.query_stats.len(), 2);
@@ -388,10 +363,23 @@ mod tests {
         let queries: Vec<CandidateQuery> = (0..5)
             .map(|i| select_candidate(productive, 1.0 - i as f32 * 0.1))
             .collect();
-        let outcome = ExecutionManager::new(2)
-            .execute(&queries, &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome = execute_candidates(&queries, 2, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
+    }
+
+    #[test]
+    fn stops_at_the_first_candidate_below_the_window() {
+        // All three return rows and the productive budget would take all
+        // three, but 0.85 < 0.9 × 1.0: the window closes before it.
+        let ep = endpoint();
+        let productive = "SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }";
+        let queries: Vec<CandidateQuery> = [1.0, 0.95, 0.85]
+            .into_iter()
+            .map(|score| select_candidate(productive, score))
+            .collect();
+        let outcome = execute_candidates(&queries, 3, &ep, &Budget::unbounded()).unwrap();
+        assert_eq!(outcome.executed_queries().len(), 2);
+        assert!(outcome.query_stats.iter().all(|stat| stat.rows > 0));
     }
 
     #[test]
@@ -402,9 +390,8 @@ mod tests {
             0.9,
         );
         let productive = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 0.5);
-        let outcome = ExecutionManager::new(1)
-            .execute(&[empty, productive], &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome =
+            execute_candidates(&[empty, productive], 1, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
         assert!(!outcome.answers.is_empty());
     }
@@ -431,9 +418,7 @@ mod tests {
              <http://dbpedia.org/resource/Danish_straits> }",
             0.8,
         );
-        let outcome = ExecutionManager::default()
-            .execute(&[no, yes], &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome = execute_candidates(&[no, yes], 3, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.boolean, Some(true));
         assert!(outcome.answers.is_empty());
     }
@@ -443,9 +428,7 @@ mod tests {
         let ep = endpoint();
         let q = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
         let budget = Budget::with_deadline(Duration::ZERO);
-        let outcome = ExecutionManager::default()
-            .execute(&[q], &ep, &budget)
-            .unwrap();
+        let outcome = execute_candidates(&[q], 3, &ep, &budget).unwrap();
         assert!(outcome.deadline_exceeded);
         assert!(outcome.executed_queries().is_empty());
         assert!(outcome.answers.is_empty());
@@ -460,9 +443,8 @@ mod tests {
         // out by then.
         let ep = endpoint();
         let q = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
-        let outcome = ExecutionManager::new(0)
-            .execute(&[q], &ep, &Budget::with_deadline(Duration::ZERO))
-            .unwrap();
+        let outcome =
+            execute_candidates(&[q], 0, &ep, &Budget::with_deadline(Duration::ZERO)).unwrap();
         assert!(!outcome.deadline_exceeded);
         assert!(outcome.query_stats.is_empty());
     }
@@ -479,9 +461,8 @@ mod tests {
              <http://dbpedia.org/property/outflow> ?o . }",
             0.8,
         );
-        let outcome = ExecutionManager::default()
-            .execute(&[empty, productive], &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome =
+            execute_candidates(&[empty, productive], 3, &ep, &Budget::unbounded()).unwrap();
         assert!(!outcome.deadline_exceeded);
         assert_eq!(outcome.query_stats.len(), 2);
         assert_eq!(outcome.query_stats[0].rows, 0);
@@ -513,9 +494,7 @@ mod tests {
             1.0,
         );
         let shared = Arc::clone(&q.query);
-        let outcome = ExecutionManager::default()
-            .execute(&[q], &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome = execute_candidates(&[q], 3, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.query_stats.len(), 1);
         let stat = &outcome.query_stats[0];
         assert!(Arc::ptr_eq(&stat.query, &shared), "the AST is shared");
@@ -534,9 +513,7 @@ mod tests {
     #[test]
     fn no_queries_yields_empty_outcome() {
         let ep = endpoint();
-        let outcome = ExecutionManager::default()
-            .execute(&[], &ep, &Budget::unbounded())
-            .unwrap();
+        let outcome = execute_candidates(&[], 3, &ep, &Budget::unbounded()).unwrap();
         assert!(outcome.answers.is_empty());
         assert!(outcome.boolean.is_none());
         assert!(outcome.executed_queries().is_empty());

@@ -30,10 +30,10 @@
 //! The serving entry point is [`service::QaService`] — one trained instance
 //! (models behind `Arc`s) answering concurrently against any number of
 //! registered KGs, with per-request config overrides, deadlines, batching
-//! and a cross-request, KG-scoped semantic [`cache`] in front of the
-//! registered endpoints.  `answer(AnswerRequest) -> AnswerResponse` is the
-//! one door in; the response owns the run's full per-stage
-//! [`pipeline::PipelineTrace`]:
+//! and a cross-request, KG-scoped semantic cache in front of the registered
+//! endpoints ([`service::CacheReport`] counts its hits).
+//! `answer(AnswerRequest) -> AnswerResponse` is the one door in; the
+//! response owns the run's full per-stage [`pipeline::PipelineTrace`]:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -75,7 +75,6 @@
 pub mod affinity;
 pub mod agp;
 pub mod bgp;
-pub mod cache;
 pub mod config;
 pub mod error;
 pub mod execution;
@@ -89,11 +88,10 @@ pub mod understanding;
 pub use affinity::{AffinityModel, CoarseGrainedAffinity, FineGrainedAffinity, SemanticAffinity};
 pub use agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
 pub use bgp::{BasicGraphPattern, CandidateQuery};
-pub use cache::{CacheConfig, CacheReport, CacheStats};
 pub use config::{Budget, KgqanConfig, LinkerConfig};
 pub use error::KgqanError;
-pub use execution::{ExecutionManager, ExecutionOutcome, QueryStat};
-pub use filter::FiltrationManager;
+pub use execution::{ExecutionOutcome, QueryStat};
+pub use kgqan_endpoint::cache::{CacheConfig, CacheStats};
 pub use linker::{JitLinker, LinkOutcome};
 pub use pgp::{PgpEdge, PgpNode, PhraseGraphPattern};
 pub use pipeline::{
@@ -101,7 +99,7 @@ pub use pipeline::{
     StageTimings, Understand,
 };
 pub use service::{
-    AnswerRequest, AnswerResponse, AnswerSource, BudgetVerdict, ConfigOverrides, QaService,
-    QaServiceBuilder,
+    AnswerRequest, AnswerResponse, AnswerSource, BudgetVerdict, CacheReport, ConfigOverrides,
+    QaService, QaServiceBuilder,
 };
 pub use understanding::{QuestionUnderstanding, Understanding};

@@ -4,10 +4,10 @@
 //! endpoint API and built-in text index — no pre-processing, no per-KG
 //! indices — which is what makes KGQAn applicable to arbitrary endpoints.
 //!
-//! * [`JitLinker::link_entities`] implements Algorithm 1: for every PGP
+//! * `JitLinker::link_entities` implements Algorithm 1: for every PGP
 //!   entity node it issues the `potentialRelevantVertices` query and keeps
 //!   the `k` vertices with the highest semantic affinity.
-//! * [`JitLinker::link_relations`] implements Algorithm 2: for every PGP
+//! * `JitLinker::link_relations` implements Algorithm 2: for every PGP
 //!   edge it probes the predicates incident to the already-linked vertices
 //!   (`outgoingPredicate` / `incomingPredicate`), resolves descriptions for
 //!   non-human-readable predicate URIs, and keeps the top-k by affinity.
@@ -89,7 +89,7 @@ impl<'a> JitLinker<'a> {
 
     /// Algorithm 1 — KGQAnEntityLink, applied to every PGP node.  Returns
     /// `false` if the budget expired before every node was probed.
-    pub fn link_entities(
+    pub(crate) fn link_entities(
         &self,
         agp: &mut AnnotatedGraphPattern,
         endpoint: &dyn SparqlEndpoint,
@@ -150,7 +150,7 @@ impl<'a> JitLinker<'a> {
     /// `false` if the budget expired before every edge was probed.  An edge
     /// whose probes were cut mid-way still keeps the candidates scored so
     /// far (best-effort annotation).
-    pub fn link_relations(
+    pub(crate) fn link_relations(
         &self,
         agp: &mut AnnotatedGraphPattern,
         endpoint: &dyn SparqlEndpoint,
@@ -365,7 +365,7 @@ fn potential_relevant_vertices_query(
 
 /// The `outgoingPredicate(v)` query of §5.2: `SELECT DISTINCT ?p WHERE {
 /// <v> ?p ?obj }`.
-pub fn outgoing_predicate_query(vertex: &Term) -> Query {
+pub(crate) fn outgoing_predicate_query(vertex: &Term) -> Query {
     let (vertex, p) = (VarOrTerm::term(vertex.clone()), VarOrTerm::var("p"));
     let pattern = TriplePatternAst::new(vertex, p, VarOrTerm::var("obj"));
     select(&["p"], true, vec![pattern], None)
@@ -373,7 +373,7 @@ pub fn outgoing_predicate_query(vertex: &Term) -> Query {
 
 /// The `incomingPredicate(v)` query of §5.2: `SELECT DISTINCT ?p WHERE {
 /// ?sub ?p <v> }`.
-pub fn incoming_predicate_query(vertex: &Term) -> Query {
+pub(crate) fn incoming_predicate_query(vertex: &Term) -> Query {
     let (vertex, p) = (VarOrTerm::term(vertex.clone()), VarOrTerm::var("p"));
     let pattern = TriplePatternAst::new(VarOrTerm::var("sub"), p, vertex);
     select(&["p"], true, vec![pattern], None)

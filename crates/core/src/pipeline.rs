@@ -36,8 +36,8 @@ use crate::agp::AnnotatedGraphPattern;
 use crate::bgp::{generate_candidate_queries, CandidateQuery};
 use crate::config::{Budget, KgqanConfig};
 use crate::error::KgqanError;
-use crate::execution::{ExecutionManager, ExecutionOutcome};
-use crate::filter::FiltrationManager;
+use crate::execution::{execute_candidates, ExecutionOutcome};
+use crate::filter::filter_answers;
 use crate::linker::JitLinker;
 use crate::understanding::{QuestionUnderstanding, Understanding};
 
@@ -183,8 +183,9 @@ impl Link for JitLinkStage {
     }
 }
 
-/// The default [`Execute`] stage: rank-order execution with a
-/// productive-query budget ([`ExecutionManager`]).
+/// The default [`Execute`] stage: rank-order execution that stops after
+/// `ctx.config.max_productive_queries` productive candidates, or at the
+/// first candidate scoring below 0.9 of the first productive one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ManagedExecution;
 
@@ -194,17 +195,17 @@ impl Execute for ManagedExecution {
         linked: &LinkedQuestion,
         ctx: &StageContext<'_>,
     ) -> Result<ExecutionOutcome, KgqanError> {
-        ExecutionManager::new(ctx.config.max_productive_queries).execute(
+        execute_candidates(
             &linked.candidates,
+            ctx.config.max_productive_queries,
             ctx.endpoint,
             ctx.budget,
         )
     }
 }
 
-/// The default [`Filter`] stage: answer-type filtration
-/// ([`FiltrationManager`]), honouring the config toggle and skipping
-/// wholesale once the budget is gone.
+/// The default [`Filter`] stage: answer-type filtration (§6), honouring the
+/// config toggle and skipping wholesale once the budget is gone.
 pub struct TypeFiltration {
     affinity: Arc<dyn SemanticAffinity>,
 }
@@ -232,8 +233,11 @@ impl Filter for TypeFiltration {
             .collect();
         let skipped = ctx.config.filtration_enabled && ctx.budget.expired();
         let answers = if ctx.config.filtration_enabled && !skipped {
-            FiltrationManager::new(self.affinity.as_ref())
-                .filter(&execution.answers, &understanding.answer_type)
+            filter_answers(
+                self.affinity.as_ref(),
+                &execution.answers,
+                &understanding.answer_type,
+            )
         } else {
             unfiltered.clone()
         };
@@ -388,12 +392,6 @@ impl Pipeline {
     /// Swap the linking stage.
     pub fn with_link(mut self, stage: Arc<dyn Link>) -> Self {
         self.link = stage;
-        self
-    }
-
-    /// Swap the execution stage.
-    pub fn with_execute(mut self, stage: Arc<dyn Execute>) -> Self {
-        self.execute = stage;
         self
     }
 

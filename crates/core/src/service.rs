@@ -18,11 +18,15 @@
 //!   around the [`PipelineTrace`] the run produced — every stage's artifact
 //!   and timing, moved in, never copied.
 //! * Registered KGs are served through a cross-request **semantic cache**
-//!   ([`crate::cache`]): each KG gets its own bounded namespace of linking
-//!   probes and parsed-query results, shared by concurrent and batched
-//!   requests, so repeated and overlapping questions skip endpoint
-//!   round-trips.  [`QaServiceBuilder::cache`] tunes the capacities;
-//!   [`QaServiceBuilder::no_cache`] disables the layer.
+//!   (the mechanism is `kgqan_endpoint::cache`): each KG gets its own
+//!   bounded namespace of linking probes and parsed-query results, shared
+//!   by concurrent and batched requests and flushed when the KG is
+//!   re-registered, so repeated and overlapping questions skip endpoint
+//!   round-trips.  Caching changes latency, never answers.
+//!   [`QaServiceBuilder::cache`] tunes the capacities;
+//!   [`QaServiceBuilder::no_cache`] disables the layer;
+//!   [`QaService::cache_report`] is the one place its hit and miss counters
+//!   are read ([`CacheReport`]).
 //! * Deadlines degrade gracefully: an expired [`Budget`] stops linking
 //!   probes and candidate-query execution at the next check-point and the
 //!   response carries the best answers collected so far, flagged
@@ -49,12 +53,12 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use kgqan_endpoint::cache::{CacheConfig, CacheStats};
 use kgqan_endpoint::{EndpointRegistry, RequestStats, SparqlEndpoint};
 use kgqan_rdf::Term;
 use kgqan_sparql::pool::WorkerPool;
 
 use crate::affinity::SemanticAffinity;
-use crate::cache::{CacheConfig, CacheReport};
 use crate::config::{Budget, KgqanConfig, LinkerConfig};
 use crate::error::KgqanError;
 use crate::pipeline::{Pipeline, PipelineTrace, StageContext};
@@ -90,7 +94,7 @@ pub struct ConfigOverrides {
     pub linker: Option<LinkerConfig>,
     /// Override *Max number of Queries*.
     pub max_candidate_queries: Option<usize>,
-    /// Override the productive-query budget of the execution manager.
+    /// Override the productive-query budget of the Execute stage.
     pub max_productive_queries: Option<usize>,
     /// Override the post-filtration toggle.
     pub filtration_enabled: Option<bool>,
@@ -206,8 +210,8 @@ pub struct AnswerResponse {
     pub elapsed: Duration,
     /// Cumulative request statistics of the answering endpoint, snapshotted
     /// when this request finished (cumulative across all requests the
-    /// endpoint has served, not just this one).  For registered KGs this
-    /// includes the semantic-cache hit/miss counters.
+    /// endpoint has served, not just this one).  Semantic-cache counters
+    /// are read from [`QaService::cache_report`].
     pub endpoint_stats: RequestStats,
     /// Provenance: the KG(s) whose evidence produced the answers — one
     /// entry on the single-KG paths, one per contributing KG on federated
@@ -236,6 +240,44 @@ impl AnswerResponse {
     /// The Boolean verdict, for yes/no questions.
     pub fn boolean(&self) -> Option<bool> {
         self.trace.execution.boolean
+    }
+}
+
+/// Aggregated semantic-cache statistics of a service: one entry per cached
+/// KG namespace, sorted by KG name.  One request's cache activity is
+/// [`CacheStats::since`] over two reports.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CacheReport {
+    /// Per-KG namespace counter snapshots.
+    pub per_kg: Vec<(String, CacheStats)>,
+}
+
+impl CacheReport {
+    /// A report over a set of per-KG snapshots.
+    pub(crate) fn new(per_kg: Vec<(String, CacheStats)>) -> Self {
+        CacheReport { per_kg }
+    }
+
+    /// The snapshot of one KG's namespace, if that KG is cached.
+    pub fn kg(&self, name: &str) -> Option<&CacheStats> {
+        self.per_kg
+            .iter()
+            .find(|(kg, _)| kg == name)
+            .map(|(_, stats)| stats)
+    }
+
+    /// Counters summed across every namespace.
+    pub fn total(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for (_, stats) in &self.per_kg {
+            total.merge(stats);
+        }
+        total
+    }
+
+    /// True when the service runs uncached (no namespaces at all).
+    pub fn is_uncached(&self) -> bool {
+        self.per_kg.is_empty()
     }
 }
 
@@ -737,7 +779,6 @@ impl QaServiceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
     use kgqan_endpoint::InProcessEndpoint;
     use kgqan_rdf::{vocab, Store, Triple};
 
@@ -1057,7 +1098,7 @@ mod tests {
         let first = service.answer(AnswerRequest::new(question)).unwrap();
         let second = service.answer(AnswerRequest::new(question)).unwrap();
         assert_eq!(service.cache_report().total(), CacheStats::default());
-        assert_eq!(second.endpoint_stats.cache_hits, 0);
+        assert_eq!(service.cache_report().total().hits, 0);
         // Without the cache the repeat re-probes the endpoint.
         assert!(second.endpoint_stats.total_requests > first.endpoint_stats.total_requests);
         assert!(!service.invalidate_cache("DBpedia"));
@@ -1224,5 +1265,37 @@ mod tests {
         assert!(t.total() >= t.link);
         assert!(t.total() >= t.execute + t.filter);
         assert_eq!(t.total(), t.understand + t.link + t.execute + t.filter);
+    }
+
+    fn cache_stats(hits: u64, misses: u64) -> CacheStats {
+        CacheStats {
+            hits,
+            misses,
+            insertions: misses,
+            ..CacheStats::default()
+        }
+    }
+
+    #[test]
+    fn cache_report_aggregates_namespaces() {
+        let report = CacheReport::new(vec![
+            ("DBpedia".to_string(), cache_stats(8, 2)),
+            ("MAG".to_string(), cache_stats(1, 3)),
+        ]);
+        assert!(!report.is_uncached());
+        assert_eq!(report.kg("DBpedia").unwrap().hits, 8);
+        assert!(report.kg("YAGO").is_none());
+        let total = report.total();
+        assert_eq!(total.hits, 9);
+        assert_eq!(total.misses, 5);
+        assert_eq!(total.insertions, 5);
+        assert!((total.hit_rate() - 9.0 / 14.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_cache_report_is_uncached() {
+        let report = CacheReport::default();
+        assert!(report.is_uncached());
+        assert_eq!(report.total(), CacheStats::default());
     }
 }

@@ -63,14 +63,6 @@ impl QuestionUnderstanding {
         }
     }
 
-    /// Build from already-trained components (used by tests and ablations).
-    pub fn from_parts(generator: TriplePatternGenerator, classifier: AnswerTypeClassifier) -> Self {
-        QuestionUnderstanding {
-            generator,
-            classifier,
-        }
-    }
-
     /// The Seq2Seq variant in use.
     pub fn variant(&self) -> Seq2SeqVariant {
         self.generator.variant()

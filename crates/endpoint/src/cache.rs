@@ -19,8 +19,9 @@
 //!
 //! The KG-scoping *policy* sits one level up: [`crate::EndpointRegistry`]
 //! owns one namespace per registered KG and invalidates it when the KG is
-//! re-registered; the `kgqan` core crate exposes the whole subsystem as the
-//! service-level cache layer (`kgqan::cache`).
+//! re-registered; the `kgqan` core crate's `QaService` serves every
+//! registered KG through it and reports its counters
+//! (`QaService::cache_report`).
 //!
 //! Only successful results are cached — errors always propagate and are
 //! retried on the next request.  Values are *shared*, not copied: a
@@ -536,8 +537,8 @@ fn query_touches(query: &Query, scope: &TouchedScope) -> bool {
 ///   same query sent as an AST share one entry.  Text that does not parse
 ///   is forwarded uncached.
 /// * [`SparqlEndpoint::stats`] forwards the wrapped endpoint's counters
-///   with [`RequestStats::cache_hits`] / [`RequestStats::cache_misses`]
-///   filled in from the namespace.
+///   unchanged; hits and misses are counted once, by the namespace
+///   ([`QueryCache::stats`]).
 ///
 /// Failed queries are never cached.
 ///
@@ -675,12 +676,7 @@ impl SparqlEndpoint for CachingEndpoint {
     }
 
     fn stats(&self) -> RequestStats {
-        let cache = self.cache.stats();
-        RequestStats {
-            cache_hits: cache.hits as usize,
-            cache_misses: cache.misses as usize,
-            ..self.inner.stats()
-        }
+        self.inner.stats()
     }
 }
 
@@ -761,9 +757,9 @@ mod tests {
         assert_eq!(first, second);
         // One engine round-trip, one hit.
         assert_eq!(ep.stats().total_requests, 1);
-        assert_eq!(ep.stats().cache_hits, 1);
-        assert_eq!(ep.stats().cache_misses, 1);
-        assert!((ep.stats().cache_hit_rate() - 0.5).abs() < 1e-12);
+        assert_eq!(namespace.stats().hits, 1);
+        assert_eq!(namespace.stats().misses, 1);
+        assert!((namespace.stats().hit_rate() - 0.5).abs() < 1e-12);
 
         // The same query sent as an AST is the same entry.
         let parsed = parse_query(q).unwrap();
@@ -798,15 +794,16 @@ mod tests {
 
     #[test]
     fn caching_endpoint_does_not_cache_failures() {
+        let namespace = QueryCache::shared(CacheConfig::default());
         let ep = CachingEndpoint::new(
             Arc::new(InProcessEndpoint::new("DBpedia", store())),
-            QueryCache::shared(CacheConfig::default()),
+            namespace.clone(),
         );
         assert!(ep.query("SELECT nonsense").is_err());
         assert!(ep.query("SELECT nonsense").is_err());
         // Both attempts reached the engine.
         assert_eq!(ep.stats().failed_requests, 2);
-        assert_eq!(ep.stats().cache_hits, 0);
+        assert_eq!(namespace.stats().hits, 0);
     }
 
     #[test]

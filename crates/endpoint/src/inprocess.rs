@@ -234,7 +234,7 @@ impl SparqlEndpoint for InProcessEndpoint {
         self.execute_planned(query, None, None, true)
     }
 
-    /// The execution manager's call: results and work counters, no plan.
+    /// The Execute stage's call: results and work counters, no plan.
     /// A reader who wants the plan of an executed candidate calls
     /// [`InProcessEndpoint::explain`], which re-plans at read time.
     fn query_traced_within(
@@ -470,7 +470,7 @@ mod tests {
         let other = parse_query("SELECT ?s WHERE { ?s ?p ?o . }").unwrap();
         let deadline = Some(Instant::now() + Duration::from_secs(60));
 
-        // The execution manager's call: counters, no plan — on the engine
+        // The Execute stage's call: counters, no plan — on the engine
         // and through a cache miss alike.
         let within = ep.query_traced_within(&parsed, deadline).unwrap();
         let cached_within = cached.query_traced_within(&parsed, deadline).unwrap();

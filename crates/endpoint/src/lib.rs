@@ -120,7 +120,7 @@ pub trait SparqlEndpoint: Send + Sync {
     /// Like [`SparqlEndpoint::query_traced`], but with a deadline and
     /// without the plan: the engine should stop executing at `deadline` and
     /// return the rows produced so far with `metrics.deadline_exceeded`
-    /// set.  This is the execution manager's call for every candidate
+    /// set.  This is the Execute stage's call for every candidate
     /// query; the work counters it returns land in `QueryStat`, and `plan`
     /// is `None` because nothing on that path reads one.
     ///

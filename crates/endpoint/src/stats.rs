@@ -18,14 +18,9 @@ pub struct RequestStats {
     /// Requests that failed to parse or evaluate.
     pub failed_requests: usize,
     /// Total time spent answering requests (including injected latency).
+    /// Semantic-cache hits never reach the engine and are counted by the
+    /// cache namespace (`QueryCache::stats`), not here.
     pub total_time: Duration,
-    /// Requests answered from a semantic cache in front of this endpoint
-    /// (see `CachingEndpoint`).  Cache hits never reach the wrapped engine,
-    /// so they are *not* part of `total_requests`.
-    pub cache_hits: usize,
-    /// Requests that missed the cache and were forwarded to the engine.
-    /// Zero when no cache decorates the endpoint.
-    pub cache_misses: usize,
 }
 
 impl RequestStats {
@@ -50,19 +45,6 @@ impl RequestStats {
         self.ask_requests += other.ask_requests;
         self.failed_requests += other.failed_requests;
         self.total_time += other.total_time;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-    }
-
-    /// Fraction of lookups answered by the cache in front of the endpoint
-    /// (zero when the endpoint is uncached or has served nothing).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
     }
 }
 
@@ -107,8 +89,6 @@ mod tests {
             ask_requests: 0,
             failed_requests: 0,
             total_time: Duration::from_millis(5),
-            cache_hits: 2,
-            cache_misses: 1,
         };
         let b = RequestStats {
             total_requests: 2,
@@ -116,8 +96,6 @@ mod tests {
             ask_requests: 1,
             failed_requests: 1,
             total_time: Duration::from_millis(10),
-            cache_hits: 1,
-            cache_misses: 2,
         };
         a.merge(&b);
         assert_eq!(a.total_requests, 3);
@@ -125,18 +103,5 @@ mod tests {
         assert_eq!(a.ask_requests, 1);
         assert_eq!(a.failed_requests, 1);
         assert_eq!(a.total_time, Duration::from_millis(15));
-        assert_eq!(a.cache_hits, 3);
-        assert_eq!(a.cache_misses, 3);
-    }
-
-    #[test]
-    fn cache_hit_rate_handles_uncached_endpoints() {
-        assert_eq!(RequestStats::default().cache_hit_rate(), 0.0);
-        let stats = RequestStats {
-            cache_hits: 3,
-            cache_misses: 1,
-            ..Default::default()
-        };
-        assert!((stats.cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 }

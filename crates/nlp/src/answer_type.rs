@@ -50,7 +50,7 @@ impl AnswerDataType {
     }
 
     /// Parse a label back into a data type.
-    pub fn from_label(label: &str) -> Option<AnswerDataType> {
+    pub(crate) fn from_label(label: &str) -> Option<AnswerDataType> {
         Self::ALL.iter().copied().find(|t| t.label() == label)
     }
 }
@@ -76,7 +76,6 @@ pub struct AnswerTypePrediction {
 #[derive(Debug, Clone)]
 pub struct AnswerTypeClassifier {
     model: AveragedPerceptron,
-    trained: bool,
 }
 
 impl Default for AnswerTypeClassifier {
@@ -95,13 +94,7 @@ impl AnswerTypeClassifier {
                     .map(|t| t.label().to_string())
                     .collect(),
             ),
-            trained: false,
         }
-    }
-
-    /// True once trained.
-    pub fn is_trained(&self) -> bool {
-        self.trained
     }
 
     /// Train on `(question, data type)` pairs for `epochs` passes.
@@ -114,7 +107,6 @@ impl AnswerTypeClassifier {
             }
         }
         self.model.average();
-        self.trained = true;
     }
 
     /// Predict the data type and semantic type of a question's answer.
@@ -205,11 +197,6 @@ mod tests {
         }
         assert_eq!(AnswerDataType::from_label("other"), None);
         assert_eq!(AnswerDataType::Numeric.to_string(), "numeric");
-    }
-
-    #[test]
-    fn untrained_classifier_reports_untrained() {
-        assert!(!AnswerTypeClassifier::new().is_trained());
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct AnnotatedQuestion {
     /// The question text.
     pub question: String,
     /// Token-level BIO tags, aligned with `tokenize_question(&question)`.
-    pub tags: Vec<BioTag>,
+    pub(crate) tags: Vec<BioTag>,
     /// The gold phrase triple patterns.
     pub triples: Vec<PhraseTriplePattern>,
     /// The expected answer data type.

@@ -2,10 +2,10 @@
 //!
 //! Substitutes for the embedding models of the paper:
 //!
-//! * [`WordEmbedding`] — the FastText `wiki-news-300d-1M` substitute: a
+//! * `WordEmbedding` — the FastText `wiki-news-300d-1M` substitute: a
 //!   deterministic hashed random projection seeded by the synonym lexicon,
 //!   so that words in the same topic group are close in cosine space,
-//! * [`CharNgramEmbedding`] — the chars2vec substitute used for
+//! * `CharNgramEmbedding` — the chars2vec substitute used for
 //!   out-of-vocabulary words: character trigram hashing, so that similar
 //!   spellings ("Kaliningrad" / "Kaliningrd") are close,
 //! * [`SentenceEmbedder`] — the GPT-3 sentence-embedding substitute used by
@@ -32,7 +32,7 @@ use crate::synonyms::group_of;
 use crate::tokenizer::for_each_content_word;
 
 /// Dimensionality of all embeddings in this crate.
-pub const EMBEDDING_DIM: usize = 64;
+pub(crate) const EMBEDDING_DIM: usize = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
@@ -112,14 +112,9 @@ fn cosine_of(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
     }
 }
 
-/// Cosine similarity between two vectors (assumed same length).
-pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
-    cosine_of(dot(a, b), l2_norm(a), l2_norm(b))
-}
-
 /// An L2-normalised embedding together with its norm, computed once when
 /// the vector is built instead of once per comparison.  (The stored norm is
-/// what [`cosine`] would recompute from the values, not exactly 1.)
+/// what a cosine over the bare values would recompute, not exactly 1.)
 /// Dereferences to its values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NormedVector {
@@ -139,8 +134,8 @@ impl NormedVector {
         NormedVector { values, norm }
     }
 
-    /// Cosine similarity with `other`: [`cosine`] over the two value
-    /// slices, bit for bit, without recomputing either norm.
+    /// Cosine similarity with `other`: a cosine over the two value slices,
+    /// bit for bit, without recomputing either norm.
     pub fn cosine(&self, other: &NormedVector) -> f32 {
         cosine_of(dot(&self.values, &other.values), self.norm, other.norm)
     }
@@ -163,23 +158,18 @@ impl Deref for NormedVector {
 /// while same-group words have high similarity — the ranking property the
 /// JIT linker needs.
 #[derive(Debug, Default, Clone)]
-pub struct WordEmbedding;
+pub(crate) struct WordEmbedding;
 
 impl WordEmbedding {
-    /// Create the model (stateless; vectors are derived on demand).
-    pub fn new() -> Self {
-        WordEmbedding
-    }
-
     /// True if the word is "in vocabulary": alphabetic and at least two
     /// characters.  Mirrors FastText's behaviour of covering ordinary English
     /// words; identifiers and codes fall through to the char model.
-    pub fn knows(&self, word: &str) -> bool {
+    pub(crate) fn knows(&self, word: &str) -> bool {
         word.len() >= 2 && word.chars().all(|c| c.is_alphabetic())
     }
 
     /// The embedding of a single lowercase word.
-    pub fn embed(&self, word: &str) -> NormedVector {
+    pub(crate) fn embed(&self, word: &str) -> NormedVector {
         const GROUP: Seed = Seed::of("group:");
         const STEM: Seed = Seed::of("stem:");
         const WORD: Seed = Seed::of("word:");
@@ -216,16 +206,11 @@ pub fn stem(word: &str) -> &str {
 /// hashed character trigrams of the padded word.  Captures spelling
 /// similarity for names and identifiers FastText does not know.
 #[derive(Debug, Default, Clone)]
-pub struct CharNgramEmbedding;
+pub(crate) struct CharNgramEmbedding;
 
 impl CharNgramEmbedding {
-    /// Create the model.
-    pub fn new() -> Self {
-        CharNgramEmbedding
-    }
-
     /// The embedding of a lowercase word based on its character trigrams.
-    pub fn embed(&self, word: &str) -> NormedVector {
+    pub(crate) fn embed(&self, word: &str) -> NormedVector {
         const TRIGRAM: Seed = Seed::of("3gram:");
         const WHOLE: Seed = Seed::of("char:");
         let mut v = [0.0f32; EMBEDDING_DIM];
@@ -413,20 +398,20 @@ impl SentenceEmbedder {
         }
         NormedVector::normalized(v)
     }
-
-    /// Cosine similarity of two phrases in the sentence space.
-    pub fn similarity(&self, a: &str, b: &str) -> f32 {
-        self.embed(a).cosine(&self.embed(b))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Cosine similarity between two vectors (assumed same length).
+    fn cosine(a: &[f32], b: &[f32]) -> f32 {
+        cosine_of(dot(a, b), l2_norm(a), l2_norm(b))
+    }
+
     #[test]
     fn embeddings_are_deterministic_and_normalised() {
-        let model = WordEmbedding::new();
+        let model = WordEmbedding;
         let a = model.embed("sea");
         let b = model.embed("sea");
         assert_eq!(a, b);
@@ -437,7 +422,7 @@ mod tests {
 
     #[test]
     fn synonyms_are_closer_than_unrelated_words() {
-        let model = WordEmbedding::new();
+        let model = WordEmbedding;
         let wife = model.embed("wife");
         let spouse = model.embed("spouse");
         let river = model.embed("river");
@@ -447,7 +432,7 @@ mod tests {
 
     #[test]
     fn paper_examples_rank_correctly() {
-        let model = WordEmbedding::new();
+        let model = WordEmbedding;
         // "flow" should be closer to "outflow" than to "cities".
         let flow = model.embed("flow");
         assert!(cosine(&flow, &model.embed("outflow")) > cosine(&flow, &model.embed("cities")));
@@ -458,21 +443,21 @@ mod tests {
 
     #[test]
     fn inflected_forms_share_similarity_via_stemming() {
-        let model = WordEmbedding::new();
+        let model = WordEmbedding;
         assert!(cosine(&model.embed("flows"), &model.embed("flow")) > 0.5);
         assert!(cosine(&model.embed("cities"), &model.embed("city")) > 0.3);
     }
 
     #[test]
     fn identical_words_have_similarity_one() {
-        let model = WordEmbedding::new();
+        let model = WordEmbedding;
         let v = model.embed("kaliningrad");
         assert!((cosine(&v, &v) - 1.0).abs() < 1e-5);
     }
 
     #[test]
     fn char_embedding_captures_spelling_similarity() {
-        let chars = CharNgramEmbedding::new();
+        let chars = CharNgramEmbedding;
         let a = chars.embed("kaliningrad");
         let b = chars.embed("kaliningrd"); // typo
         let c = chars.embed("melbourne");
@@ -482,7 +467,7 @@ mod tests {
 
     #[test]
     fn char_embedding_handles_short_and_numeric_strings() {
-        let chars = CharNgramEmbedding::new();
+        let chars = CharNgramEmbedding;
         let a = chars.embed("x");
         assert_eq!(a.len(), EMBEDDING_DIM);
         let b = chars.embed("2279569217");
@@ -519,10 +504,11 @@ mod tests {
     #[test]
     fn sentence_embedder_similarity_behaves() {
         let s = SentenceEmbedder::new();
-        let sim_related = s.similarity("city on the shore", "nearest city");
-        let sim_unrelated = s.similarity("city on the shore", "academic paper citation");
+        let similarity = |a, b| s.embed(a).cosine(&s.embed(b));
+        let sim_related = similarity("city on the shore", "nearest city");
+        let sim_unrelated = similarity("city on the shore", "academic paper citation");
         assert!(sim_related > sim_unrelated);
-        assert!((s.similarity("wife", "wife") - 1.0).abs() < 1e-5);
+        assert!((similarity("wife", "wife") - 1.0).abs() < 1e-5);
         assert_eq!(s.embed("").len(), EMBEDDING_DIM);
     }
 
@@ -611,7 +597,7 @@ mod tests {
             );
             assert_eq!(eq1.to_bits(), oracle::fine_grained_score(&a, &b).to_bits());
             assert_eq!(
-                sentences.similarity(&a, &b).to_bits(),
+                sentences.embed(&a).cosine(&sentences.embed(&b)).to_bits(),
                 oracle::coarse_grained_score(&a, &b).to_bits()
             );
         }

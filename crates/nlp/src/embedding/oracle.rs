@@ -112,7 +112,7 @@ fn char_vector(word: &str) -> Vec<f32> {
 
 /// `(in the word space, vector)` of one word; the OOV rule is alphabetic
 /// and at least two bytes.
-pub fn embed_word(word: &str) -> (bool, Vec<f32>) {
+pub(crate) fn embed_word(word: &str) -> (bool, Vec<f32>) {
     if word.len() >= 2 && word.chars().all(|c| c.is_alphabetic()) {
         (true, word_vector(word))
     } else {

@@ -224,7 +224,7 @@ pub fn pos_tag(lower: &str, capitalized: bool, sentence_initial: bool) -> PosTag
 }
 
 /// Tag every token of a question.  Returns `(lowercase word, tag)` pairs.
-pub fn tag_question(question: &str) -> Vec<(String, PosTag)> {
+pub(crate) fn tag_question(question: &str) -> Vec<(String, PosTag)> {
     let tokens = crate::tokenizer::tokenize_question(question);
     tokens
         .iter()
@@ -236,7 +236,7 @@ pub fn tag_question(question: &str) -> Vec<(String, PosTag)> {
 /// The first (common) noun of the question — KGQAn's semantic-type heuristic
 /// (§4.3).  Proper nouns are skipped because they are entity mentions, not
 /// type descriptions.
-pub fn first_noun(question: &str) -> Option<String> {
+pub(crate) fn first_noun(question: &str) -> Option<String> {
     tag_question(question)
         .into_iter()
         .find(|(_, tag)| *tag == PosTag::Noun)

@@ -31,18 +31,11 @@ pub mod answer_type;
 pub mod corpus;
 pub mod embedding;
 pub mod lexicon;
-pub mod perceptron;
+mod perceptron;
 pub mod seq2seq;
 pub mod synonyms;
 pub mod tokenizer;
 
 pub use answer_type::{AnswerDataType, AnswerTypeClassifier, AnswerTypePrediction};
 pub use corpus::{training_corpus, AnnotatedQuestion};
-pub use embedding::{
-    CharNgramEmbedding, EmbeddingProvider, SentenceEmbedder, WordEmbedding, EMBEDDING_DIM,
-};
-pub use lexicon::{pos_tag, PosTag};
-pub use seq2seq::{
-    BioTag, PhraseNode, PhraseTriplePattern, Seq2SeqVariant, TriplePatternGenerator,
-};
-pub use tokenizer::{normalize_question, tokenize_question, Token};
+pub use seq2seq::{PhraseNode, PhraseTriplePattern, Seq2SeqVariant, TriplePatternGenerator};

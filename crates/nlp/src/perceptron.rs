@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// "average of all intermediate weight vectors" trick to reduce variance,
 /// implemented with lazily-accumulated totals.
 #[derive(Debug, Clone, Default)]
-pub struct AveragedPerceptron {
+pub(crate) struct AveragedPerceptron {
     classes: Vec<String>,
     weights: HashMap<String, HashMap<String, f64>>,
     totals: HashMap<(String, String), f64>,
@@ -27,25 +27,15 @@ pub struct AveragedPerceptron {
 
 impl AveragedPerceptron {
     /// Create a perceptron over the given set of classes.
-    pub fn new(classes: Vec<String>) -> Self {
+    pub(crate) fn new(classes: Vec<String>) -> Self {
         AveragedPerceptron {
             classes,
             ..Default::default()
         }
     }
 
-    /// The known classes.
-    pub fn classes(&self) -> &[String] {
-        &self.classes
-    }
-
-    /// Number of distinct features with at least one non-zero weight.
-    pub fn num_features(&self) -> usize {
-        self.weights.len()
-    }
-
     /// Score every class for a feature set.
-    pub fn scores(&self, features: &[String]) -> Vec<(String, f64)> {
+    pub(crate) fn scores(&self, features: &[String]) -> Vec<(String, f64)> {
         let mut scores: HashMap<&str, f64> =
             self.classes.iter().map(|c| (c.as_str(), 0.0)).collect();
         for feature in features {
@@ -65,7 +55,7 @@ impl AveragedPerceptron {
     }
 
     /// Predict the best class for a feature set.
-    pub fn predict(&self, features: &[String]) -> String {
+    pub(crate) fn predict(&self, features: &[String]) -> String {
         self.scores(features)
             .into_iter()
             .next()
@@ -75,7 +65,7 @@ impl AveragedPerceptron {
 
     /// One online update: if the prediction differs from the truth, promote
     /// the truth's weights and demote the prediction's.
-    pub fn update(&mut self, truth: &str, guess: &str, features: &[String]) {
+    pub(crate) fn update(&mut self, truth: &str, guess: &str, features: &[String]) {
         self.instances += 1;
         if truth == guess {
             return;
@@ -106,7 +96,7 @@ impl AveragedPerceptron {
 
     /// Replace every weight with its average over the training run.  Call
     /// once after the final epoch.
-    pub fn average(&mut self) {
+    pub(crate) fn average(&mut self) {
         if self.averaged || self.instances == 0 {
             self.averaged = true;
             return;
@@ -158,7 +148,7 @@ mod tests {
         assert_eq!(p.predict(&features(&["cat"])), "animal");
         assert_eq!(p.predict(&features(&["berlin"])), "city");
         assert_eq!(p.predict(&features(&["dog", "horse"])), "animal");
-        assert!(p.num_features() > 0);
+        assert!(!p.weights.is_empty());
     }
 
     #[test]
@@ -172,7 +162,7 @@ mod tests {
     fn update_with_correct_guess_changes_nothing() {
         let mut p = AveragedPerceptron::new(vec!["x".into(), "y".into()]);
         p.update("x", "x", &features(&["f"]));
-        assert_eq!(p.num_features(), 0);
+        assert!(p.weights.is_empty());
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //!
 //! The substitute has two stages:
 //!
-//! 1. a learned **BIO sequence tagger** (averaged perceptron,
-//!    [`crate::perceptron`]) labels each question token as part of an entity
-//!    phrase, a relation phrase, or other; it is trained on the annotated
-//!    corpus of [`crate::corpus`] — never on any target KG;
+//! 1. a learned **BIO sequence tagger** (an averaged perceptron) labels
+//!    each question token as part of an entity phrase, a relation phrase,
+//!    or other; it is trained on the annotated corpus of [`crate::corpus`] —
+//!    never on any target KG;
 //! 2. a deterministic **assembler** connects the tagged spans into triple
 //!    patterns with a main unknown (and an intermediate unknown for path
 //!    questions), reproducing the annotation conventions of §4.1.2.
@@ -33,7 +33,7 @@ use crate::tokenizer::{is_stop_word, tokenize_question, Token};
 
 /// BIO tags assigned to question tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BioTag {
+pub(crate) enum BioTag {
     /// Outside any phrase of interest.
     O,
     /// Beginning of an entity phrase.
@@ -48,7 +48,7 @@ pub enum BioTag {
 
 impl BioTag {
     /// All tags, in a fixed order.
-    pub const ALL: [BioTag; 5] = [
+    pub(crate) const ALL: [BioTag; 5] = [
         BioTag::O,
         BioTag::EntB,
         BioTag::EntI,
@@ -57,7 +57,7 @@ impl BioTag {
     ];
 
     /// Canonical string form used as perceptron class labels.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BioTag::O => "O",
             BioTag::EntB => "B-ENT",
@@ -68,7 +68,7 @@ impl BioTag {
     }
 
     /// Parse a label back to a tag.
-    pub fn from_label(label: &str) -> Option<BioTag> {
+    pub(crate) fn from_label(label: &str) -> Option<BioTag> {
         BioTag::ALL.iter().copied().find(|t| t.label() == label)
     }
 }
@@ -191,7 +191,6 @@ enum SpanKind {
 pub struct TriplePatternGenerator {
     tagger: AveragedPerceptron,
     variant: Seq2SeqVariant,
-    trained: bool,
 }
 
 impl Default for TriplePatternGenerator {
@@ -208,18 +207,12 @@ impl TriplePatternGenerator {
                 BioTag::ALL.iter().map(|t| t.label().to_string()).collect(),
             ),
             variant,
-            trained: false,
         }
     }
 
     /// The variant this generator emulates.
     pub fn variant(&self) -> Seq2SeqVariant {
         self.variant
-    }
-
-    /// True once [`TriplePatternGenerator::train`] has been called.
-    pub fn is_trained(&self) -> bool {
-        self.trained
     }
 
     /// Train the tagger on an annotated corpus for `epochs` passes.
@@ -248,11 +241,10 @@ impl TriplePatternGenerator {
             }
         }
         self.tagger.average();
-        self.trained = true;
     }
 
     /// Tag a question's tokens.
-    pub fn tag(&self, question: &str) -> Vec<(Token, BioTag)> {
+    pub(crate) fn tag(&self, question: &str) -> Vec<(Token, BioTag)> {
         let tokens = tokenize_question(question);
         let mut tags = Vec::with_capacity(tokens.len());
         let mut prev = BioTag::O;
@@ -591,16 +583,14 @@ mod tests {
     }
 
     #[test]
-    fn untrained_generator_reports_untrained() {
+    fn default_generator_is_bart_like() {
         let g = TriplePatternGenerator::default();
-        assert!(!g.is_trained());
         assert_eq!(g.variant(), Seq2SeqVariant::BartLike);
     }
 
     #[test]
     fn training_learns_to_tag_entities_and_relations() {
         let g = trained();
-        assert!(g.is_trained());
         let tagged = g.tag("Who is the wife of Barack Obama?");
         let tags: Vec<BioTag> = tagged.iter().map(|(_, t)| *t).collect();
         // "wife" must be part of a relation span, "Barack Obama" an entity span.

@@ -162,7 +162,7 @@ pub const SYNONYM_GROUPS: &[&[&str]] = &[
 
 /// The index of the first topic group containing the lowercase `word`, if
 /// any.  Callers lowercase once, where they split their input into words.
-pub fn group_of(word: &str) -> Option<usize> {
+pub(crate) fn group_of(word: &str) -> Option<usize> {
     static FIRST_GROUP: LazyLock<HashMap<&'static str, usize>> = LazyLock::new(|| {
         let mut first = HashMap::new();
         for (index, group) in SYNONYM_GROUPS.iter().enumerate() {

@@ -33,7 +33,7 @@ impl Token {
 }
 
 /// English stop words ignored by phrase matching and the affinity model.
-pub const STOP_WORDS: &[&str] = &[
+const STOP_WORDS: &[&str] = &[
     "a", "an", "the", "of", "in", "on", "at", "to", "for", "by", "with", "as", "is", "are", "was",
     "were", "be", "been", "does", "do", "did", "and", "or", "that", "which", "whose", "into",
     "from", "has", "have", "had", "one", "its", "it", "this", "these", "those", "there", "also",
@@ -46,7 +46,7 @@ pub fn is_stop_word(word: &str) -> bool {
 }
 
 /// Question words that introduce unknowns.
-pub const QUESTION_WORDS: &[&str] = &[
+pub(crate) const QUESTION_WORDS: &[&str] = &[
     "who", "whom", "what", "which", "where", "when", "how", "why", "whose", "name", "list", "give",
     "show", "tell", "count",
 ];
@@ -99,16 +99,6 @@ pub fn for_each_content_word(phrase: &str, mut f: impl FnMut(&str)) {
     }
 }
 
-/// Lowercase, strip punctuation, collapse whitespace — used as the
-/// canonical form when comparing questions or building classifier features.
-pub fn normalize_question(question: &str) -> String {
-    tokenize_question(question)
-        .into_iter()
-        .map(|t| t.lower)
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
 /// Remove stop words from a phrase (lowercased), keeping word order.
 pub fn content_words(phrase: &str) -> Vec<String> {
     let mut words = Vec::new();
@@ -152,15 +142,6 @@ mod tests {
                 .unwrap()
                 .numeric
         );
-    }
-
-    #[test]
-    fn normalization_strips_punctuation_and_case() {
-        assert_eq!(
-            normalize_question("Who is the wife of Barack Obama?"),
-            "who is the wife of barack obama"
-        );
-        assert_eq!(normalize_question("  "), "");
     }
 
     #[test]

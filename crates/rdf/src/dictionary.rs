@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::hash::FxHashMap;
+use crate::segments;
 use crate::term::Term;
 
 /// A dense identifier for an interned [`Term`].
@@ -200,26 +201,19 @@ impl Dictionary {
         frozen.push(Arc::new(segment));
         self.freezes.fetch_add(1, Ordering::Relaxed);
 
-        while frozen.len() >= 2 {
-            let last = frozen[frozen.len() - 1].len();
-            let prev = frozen[frozen.len() - 2].len();
-            if prev >= 2 * last {
-                break;
-            }
-            let b = frozen.pop().expect("checked len");
-            let a = frozen.pop().expect("checked len");
+        let merges = segments::compact(&mut frozen, DictSegment::len, |a, b| {
             let mut terms = Vec::with_capacity(a.len() + b.len());
             terms.extend(a.terms.iter().cloned());
             terms.extend(b.terms.iter().cloned());
             let mut forward = a.forward.clone();
             forward.extend(b.forward.iter().map(|(t, &id)| (t.clone(), id)));
-            frozen.push(Arc::new(DictSegment {
+            DictSegment {
                 start: a.start,
                 terms,
                 forward,
-            }));
-            self.merges.fetch_add(1, Ordering::Relaxed);
-        }
+            }
+        });
+        self.merges.fetch_add(merges, Ordering::Relaxed);
         self.frozen = FrozenDictionary {
             segments: frozen.into(),
         };

@@ -45,6 +45,7 @@ pub mod hash;
 mod index;
 pub mod live;
 pub mod ntriples;
+mod segments;
 pub mod stats;
 pub mod store;
 pub mod term;

@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use crate::dictionary::TermId;
 use crate::hash::{FxHashMap, FxHashSet};
+use crate::segments;
 
 /// A match returned from a text search: the literal that matched and how many
 /// of the query words it contained.
@@ -118,14 +119,8 @@ impl TextIndex {
         self.frozen.push(Arc::new(head));
         self.freezes.fetch_add(1, Ordering::Relaxed);
 
-        while self.frozen.len() >= 2 {
-            let last = self.frozen[self.frozen.len() - 1].literal_tokens.len();
-            let prev = self.frozen[self.frozen.len() - 2].literal_tokens.len();
-            if prev >= 2 * last {
-                break;
-            }
-            let b = self.frozen.pop().expect("checked len");
-            let a = self.frozen.pop().expect("checked len");
+        let len = |seg: &TextSegment| seg.literal_tokens.len();
+        let merges = segments::compact(&mut self.frozen, len, |a, b| {
             let mut merged = TextSegment {
                 postings: a.postings.clone(),
                 literal_tokens: a.literal_tokens.clone(),
@@ -141,9 +136,9 @@ impl TextIndex {
             merged
                 .literal_tokens
                 .extend(b.literal_tokens.iter().map(|(&id, &n)| (id, n)));
-            self.frozen.push(Arc::new(merged));
-            self.merges.fetch_add(1, Ordering::Relaxed);
-        }
+            merged
+        });
+        self.merges.fetch_add(merges, Ordering::Relaxed);
     }
 
     /// Number of frozen segments plus the head if it is non-empty.

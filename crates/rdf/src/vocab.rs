@@ -3,7 +3,8 @@
 //! evaluation.
 
 /// `rdf:type` — the predicate that links a vertex to its class.  KGQAn's
-/// filtration manager fetches it through an OPTIONAL clause (Section 6).
+/// candidate queries fetch it in an OPTIONAL clause for the Filter stage
+/// (Section 6).
 pub const RDF_TYPE: &str = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type";
 
 /// `rdfs:label` — the standard description predicate probed by the entity
