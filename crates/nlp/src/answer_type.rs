@@ -14,7 +14,7 @@
 use std::fmt;
 
 use crate::lexicon::first_noun;
-use crate::perceptron::AveragedPerceptron;
+use crate::perceptron::{AveragedPerceptron, FeatureSink, Training};
 use crate::tokenizer::tokenize_question;
 
 /// The expected data type of an answer.
@@ -88,32 +88,29 @@ impl AnswerTypeClassifier {
     /// Create an untrained classifier.
     pub fn new() -> Self {
         AnswerTypeClassifier {
-            model: AveragedPerceptron::new(
-                AnswerDataType::ALL
-                    .iter()
-                    .map(|t| t.label().to_string())
-                    .collect(),
-            ),
+            model: AveragedPerceptron::new(labels()),
         }
     }
 
-    /// Train on `(question, data type)` pairs for `epochs` passes.
+    /// Train on `(question, data type)` pairs for `epochs` passes,
+    /// replacing whatever the classifier had learnt before.
     pub fn train(&mut self, examples: &[(String, AnswerDataType)], epochs: usize) {
+        let mut training = Training::new(labels());
         for _ in 0..epochs {
             for (question, truth) in examples {
-                let features = Self::features(question);
-                let guess = self.model.predict(&features);
-                self.model.update(truth.label(), &guess, &features);
+                Self::features(question, &mut training);
+                training.learn(truth.label());
             }
         }
-        self.model.average();
+        self.model = training.average();
     }
 
     /// Predict the data type and semantic type of a question's answer.
     pub fn predict(&self, question: &str) -> AnswerTypePrediction {
-        let features = Self::features(question);
-        let label = self.model.predict(&features);
-        let data_type = AnswerDataType::from_label(&label).unwrap_or(AnswerDataType::String);
+        let mut scorer = self.model.scorer();
+        Self::features(question, &mut scorer);
+        let data_type =
+            AnswerDataType::from_label(scorer.predict()).unwrap_or(AnswerDataType::String);
         let semantic_type = if data_type == AnswerDataType::String {
             first_noun(question)
         } else {
@@ -127,19 +124,19 @@ impl AnswerTypeClassifier {
 
     /// Feature template: the first two tokens (question word and auxiliary),
     /// selected cue bigrams ("how many", "in which year"), and a small bag of
-    /// lowercase words.
-    fn features(question: &str) -> Vec<String> {
+    /// lowercase words, streamed into `sink`.
+    fn features(question: &str, sink: &mut impl FeatureSink) {
         let tokens = tokenize_question(question);
         let lower: Vec<&str> = tokens.iter().map(|t| t.lower.as_str()).collect();
-        let mut f = vec!["bias".to_string()];
+        sink.feature(format_args!("bias"));
         if let Some(first) = lower.first() {
-            f.push(format!("first={first}"));
+            sink.feature(format_args!("first={first}"));
         }
         if lower.len() >= 2 {
-            f.push(format!("first2={} {}", lower[0], lower[1]));
+            sink.feature(format_args!("first2={} {}", lower[0], lower[1]));
         }
         if let Some(last) = lower.last() {
-            f.push(format!("last={last}"));
+            sink.feature(format_args!("last={last}"));
         }
         let text = lower.join(" ");
         for cue in [
@@ -164,14 +161,21 @@ impl AnswerTypeClassifier {
             "area",
         ] {
             if text.contains(cue) {
-                f.push(format!("cue={cue}"));
+                sink.feature(format_args!("cue={cue}"));
             }
         }
         for w in lower.iter().take(12) {
-            f.push(format!("w={w}"));
+            sink.feature(format_args!("w={w}"));
         }
-        f
     }
+}
+
+/// The class labels of the data-type classifier.
+fn labels() -> Vec<String> {
+    AnswerDataType::ALL
+        .iter()
+        .map(|t| t.label().to_string())
+        .collect()
 }
 
 #[cfg(test)]

@@ -23,12 +23,15 @@
 //! (BART vs GPT-3 question understanding) has a meaningful counterpart:
 //! [`Seq2SeqVariant::BartLike`] uses lexical + part-of-speech + context
 //! features, [`Seq2SeqVariant::Gpt3Like`] uses lexical features only.
+//! Either template streams a token's features straight into the
+//! perceptron's scorer, formatted one at a time into one reused buffer, and
+//! the BART-like one tags each token's part of speech once per question.
 
 use std::fmt;
 
 use crate::corpus::AnnotatedQuestion;
-use crate::lexicon::pos_tag;
-use crate::perceptron::AveragedPerceptron;
+use crate::lexicon::{pos_tag, PosTag};
+use crate::perceptron::{AveragedPerceptron, FeatureSink, Training};
 use crate::tokenizer::{is_stop_word, tokenize_question, Token};
 
 /// BIO tags assigned to question tokens.
@@ -203,9 +206,7 @@ impl TriplePatternGenerator {
     /// Create an untrained generator for the given variant.
     pub fn new(variant: Seq2SeqVariant) -> Self {
         TriplePatternGenerator {
-            tagger: AveragedPerceptron::new(
-                BioTag::ALL.iter().map(|t| t.label().to_string()).collect(),
-            ),
+            tagger: AveragedPerceptron::new(tag_labels()),
             variant,
         }
     }
@@ -215,44 +216,50 @@ impl TriplePatternGenerator {
         self.variant
     }
 
-    /// Train the tagger on an annotated corpus for `epochs` passes.
+    /// Train the tagger on an annotated corpus for `epochs` passes,
+    /// replacing whatever it had learnt before.
     ///
     /// Mirrors Figure 5: the model is trained once, before deployment, on
     /// KG-independent annotated questions.
     pub fn train(&mut self, corpus: &[AnnotatedQuestion], epochs: usize) {
+        let examples: Vec<(Vec<Token>, Vec<PosTag>, &[BioTag])> = corpus
+            .iter()
+            .map(|example| (tokenize_question(&example.question), &example.tags[..]))
+            // A malformed example is skipped defensively.
+            .filter(|(tokens, tags)| tokens.len() == tags.len())
+            .map(|(tokens, tags)| {
+                let pos = self.pos_tags(&tokens);
+                (tokens, pos, tags)
+            })
+            .collect();
+        let mut training = Training::new(tag_labels());
         for _ in 0..epochs {
-            for example in corpus {
-                let tokens = tokenize_question(&example.question);
-                if tokens.len() != example.tags.len() {
-                    continue; // malformed example; skip defensively
-                }
+            for (tokens, pos, tags) in &examples {
                 let mut prev = BioTag::O;
                 let mut prev2 = BioTag::O;
-                for (i, token) in tokens.iter().enumerate() {
-                    let features = self.features(&tokens, i, prev, prev2);
-                    let guess_label = self.tagger.predict(&features);
-                    let truth = example.tags[i];
-                    self.tagger.update(truth.label(), &guess_label, &features);
+                for (i, &truth) in tags.iter().enumerate() {
+                    self.features(tokens, pos, i, prev, prev2, &mut training);
+                    training.learn(truth.label());
                     prev2 = prev;
                     // Teacher forcing: condition on the gold previous tag.
                     prev = truth;
-                    let _ = token;
                 }
             }
         }
-        self.tagger.average();
+        self.tagger = training.average();
     }
 
     /// Tag a question's tokens.
     pub(crate) fn tag(&self, question: &str) -> Vec<(Token, BioTag)> {
         let tokens = tokenize_question(question);
+        let pos = self.pos_tags(&tokens);
+        let mut scorer = self.tagger.scorer();
         let mut tags = Vec::with_capacity(tokens.len());
         let mut prev = BioTag::O;
         let mut prev2 = BioTag::O;
         for i in 0..tokens.len() {
-            let features = self.features(&tokens, i, prev, prev2);
-            let label = self.tagger.predict(&features);
-            let tag = BioTag::from_label(&label).unwrap_or(BioTag::O);
+            self.features(&tokens, &pos, i, prev, prev2, &mut scorer);
+            let tag = BioTag::from_label(scorer.predict()).unwrap_or(BioTag::O);
             tags.push(tag);
             prev2 = prev;
             prev = tag;
@@ -267,49 +274,88 @@ impl TriplePatternGenerator {
         assemble_triples(question, &tagged, &spans)
     }
 
-    /// Feature template for token `i`.  The BART-like variant sees POS tags
-    /// and right context; the GPT-3-like (decoder-only) variant sees only
-    /// lexical identity and left context.
-    fn features(&self, tokens: &[Token], i: usize, prev: BioTag, prev2: BioTag) -> Vec<String> {
-        let token = &tokens[i];
-        let mut f = Vec::with_capacity(16);
-        f.push("bias".to_string());
-        f.push(format!("w={}", token.lower));
-        f.push(format!("stem={}", crate::embedding::stem(&token.lower)));
-        f.push(format!("cap={}", token.capitalized));
-        f.push(format!("num={}", token.numeric));
-        f.push(format!("first={}", i == 0));
-        f.push(format!("prev_tag={}", prev.label()));
-        f.push(format!("prev2_tag={}", prev2.label()));
-        if i > 0 {
-            f.push(format!("w-1={}", tokens[i - 1].lower));
-            f.push(format!("cap-1={}", tokens[i - 1].capitalized));
-        } else {
-            f.push("w-1=<s>".to_string());
+    /// The part-of-speech tag of every token, for the variants whose
+    /// template reads them (none for the GPT-3-like one).
+    fn pos_tags(&self, tokens: &[Token]) -> Vec<PosTag> {
+        if self.variant != Seq2SeqVariant::BartLike {
+            return Vec::new();
         }
-        f.push(format!("stop={}", is_stop_word(&token.lower)));
+        tokens
+            .iter()
+            .enumerate()
+            .map(|(i, t)| pos_tag(&t.lower, t.capitalized, i == 0))
+            .collect()
+    }
+
+    /// Feature template for token `i`, streamed into `sink` one feature at
+    /// a time.  The BART-like variant sees POS tags (`pos` holds one per
+    /// token, looked up once per question, so a token's tag is the same
+    /// whether it is read as `pos`, `pos+1` or `pos-1`) and right context;
+    /// the GPT-3-like (decoder-only) variant sees only lexical identity and
+    /// left context.
+    fn features(
+        &self,
+        tokens: &[Token],
+        pos: &[PosTag],
+        i: usize,
+        prev: BioTag,
+        prev2: BioTag,
+        sink: &mut impl FeatureSink,
+    ) {
+        let token = &tokens[i];
+        sink.feature(format_args!("bias"));
+        sink.feature(format_args!("w={}", token.lower));
+        sink.feature(format_args!(
+            "stem={}",
+            crate::embedding::stem(&token.lower)
+        ));
+        sink.feature(format_args!("cap={}", token.capitalized));
+        sink.feature(format_args!("num={}", token.numeric));
+        sink.feature(format_args!("first={}", i == 0));
+        sink.feature(format_args!("prev_tag={}", prev.label()));
+        sink.feature(format_args!("prev2_tag={}", prev2.label()));
+        if i > 0 {
+            sink.feature(format_args!("w-1={}", tokens[i - 1].lower));
+            sink.feature(format_args!("cap-1={}", tokens[i - 1].capitalized));
+        } else {
+            sink.feature(format_args!("w-1=<s>"));
+        }
+        sink.feature(format_args!("stop={}", is_stop_word(&token.lower)));
 
         if self.variant == Seq2SeqVariant::BartLike {
-            let tag = pos_tag(&token.lower, token.capitalized, i == 0);
-            f.push(format!("pos={tag:?}"));
+            sink.feature(format_args!("pos={:?}", pos[i]));
             if i + 1 < tokens.len() {
-                f.push(format!("w+1={}", tokens[i + 1].lower));
-                f.push(format!("cap+1={}", tokens[i + 1].capitalized));
-                let next_tag = pos_tag(&tokens[i + 1].lower, tokens[i + 1].capitalized, false);
-                f.push(format!("pos+1={next_tag:?}"));
+                sink.feature(format_args!("w+1={}", tokens[i + 1].lower));
+                sink.feature(format_args!("cap+1={}", tokens[i + 1].capitalized));
+                sink.feature(format_args!("pos+1={:?}", pos[i + 1]));
             } else {
-                f.push("w+1=</s>".to_string());
+                sink.feature(format_args!("w+1=</s>"));
             }
             if i > 0 {
-                let prev_tag = pos_tag(&tokens[i - 1].lower, tokens[i - 1].capitalized, i == 1);
-                f.push(format!("pos-1={prev_tag:?}"));
+                sink.feature(format_args!("pos-1={:?}", pos[i - 1]));
             }
-            if token.lower.len() >= 3 {
-                f.push(format!("suf3={}", &token.lower[token.lower.len() - 3..]));
+            if let Some(suffix) = last_three_bytes(&token.lower) {
+                sink.feature(format_args!("suf3={suffix}"));
             }
         }
-        f
     }
+}
+
+/// The class labels of the tagger.
+fn tag_labels() -> Vec<String> {
+    BioTag::ALL.iter().map(|t| t.label().to_string()).collect()
+}
+
+/// The suffix of a word of three bytes or more that starts at the first
+/// character boundary at or after its last three bytes: the last three
+/// letters of an ASCII word, fewer when a multi-byte character straddles the
+/// cut ("muñoz" → "oz").
+fn last_three_bytes(word: &str) -> Option<&str> {
+    let mut start = word.len().checked_sub(3)?;
+    while !word.is_char_boundary(start) {
+        start += 1;
+    }
+    Some(&word[start..])
 }
 
 /// Group consecutive tagged tokens into entity / relation spans.
@@ -659,6 +705,22 @@ mod tests {
     fn empty_question_yields_no_triples() {
         let g = trained();
         assert!(g.generate("").is_empty());
+    }
+
+    #[test]
+    fn the_suffix_feature_starts_on_a_character_boundary() {
+        assert_eq!(last_three_bytes("obama"), Some("ama"));
+        assert_eq!(last_three_bytes("of"), None);
+        // 'ñ' straddles the cut: the suffix starts after it.
+        assert_eq!(last_three_bytes("muñoz"), Some("oz"));
+        // Where the cut already fell on a boundary the suffix is unchanged.
+        assert_eq!(last_three_bytes("citroën"), Some("ën"));
+        assert_eq!(last_three_bytes("gödel"), Some("del"));
+        for variant in [Seq2SeqVariant::BartLike, Seq2SeqVariant::Gpt3Like] {
+            let mut g = TriplePatternGenerator::new(variant);
+            g.train(&training_corpus(), 1);
+            assert_eq!(g.tag("Who is the wife of Muñoz?").len(), 6);
+        }
     }
 
     #[test]

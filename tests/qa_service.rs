@@ -6,7 +6,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use kgqan::{AnswerRequest, BudgetVerdict, ConfigOverrides, QaService, QuestionUnderstanding};
+use kgqan::{
+    AnswerRequest, BudgetVerdict, ConfigOverrides, KgqanError, QaService, QuestionUnderstanding,
+};
 use kgqan_endpoint::{InProcessEndpoint, SparqlEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
@@ -260,5 +262,19 @@ fn answer_batch_agrees_with_sequential_answers_across_kgs() {
         let response = response.as_ref().expect("batch request succeeds");
         assert_eq!(response.answers(), expected, "request {i} diverged");
         assert_eq!(response.kg, requests[i].kg.clone().unwrap());
+    }
+}
+
+#[test]
+fn a_name_with_a_multi_byte_letter_is_answered_or_not_understood_never_a_panic() {
+    let service = two_kg_service();
+    for question in [
+        "Who is the wife of Muñoz?",
+        "Who is the wife of Muñoz Obama?",
+    ] {
+        match service.answer(AnswerRequest::new(question)) {
+            Ok(_) | Err(KgqanError::UnderstandingFailed { .. }) => {}
+            Err(other) => panic!("{question}: {other}"),
+        }
     }
 }
