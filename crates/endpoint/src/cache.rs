@@ -8,14 +8,29 @@
 //! *Kaliningrad* issue the identical fan-out probes.  This module provides
 //! the mechanism:
 //!
-//! * [`LruCache`] — a plain bounded map with least-recently-used eviction,
 //! * [`QueryCache`] — one KG's thread-safe cache *namespace*: one keyspace
-//!   of query ASTs in two bounded segments — queries with a full-text
+//!   of query ASTs in two bounded LRU segments — queries with a full-text
 //!   pattern (the linker's vertex fetches) and every other query — with
 //!   atomic hit/miss/eviction counters ([`CacheStats`]) and one staleness
 //!   rule for ingests,
 //! * [`CachingEndpoint`] — a [`SparqlEndpoint`] decorator that consults the
 //!   namespace before forwarding to the wrapped endpoint.
+//!
+//! An entry is keyed by a 64-bit *fingerprint* of its query AST, taken once
+//! per call by [`CachingEndpoint`] and handed to both the lookup and the
+//! insert; the entry keeps the query itself, and a lookup hits only when
+//! the stored query equals the asked one.  On a cold workload nearly every
+//! call misses, and a miss at capacity used to hash the whole AST five
+//! times (lookup, replace check, the insert's removal, the evicted key's
+//! removal, the map insert): on the benchmark's MAG questions (2-core Xeon)
+//! that was ≈ 73 µs of call overhead a question against ≈ 90 µs of engine
+//! time.  The fingerprint is std's SipHash (`DefaultHasher`), not an
+//! Fx-style multiply hash: over the ≈ 21 k distinct candidate and probe
+//! ASTs of the benchmark's 3 600 MAG questions, Fx gave 26 full 64-bit
+//! collisions (two-triple candidates that differ in one entity id) and
+//! SipHash none.  A collision is still only a miss — the equality check
+//! rejects it and the insert that follows replaces the entry — but it
+//! would move the eviction counts.
 //!
 //! The KG-scoping *policy* sits one level up: [`crate::EndpointRegistry`]
 //! owns one namespace per registered KG and invalidates it when the KG is
@@ -33,8 +48,9 @@
 //! is not inserted at all, so per-entry memory stays bounded; what the
 //! entries add up to is reported as [`CacheStats::resident_bytes`].
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -167,10 +183,11 @@ impl CacheStats {
 ///
 /// Recency is tracked with a monotonic tick per entry and a tick-ordered
 /// index, so `get`, `insert` and eviction are all `O(log n)`.  The cache is
-/// not internally synchronised — wrap it in a lock for shared use (as
-/// [`QueryCache`] does).
+/// not internally synchronised — [`QueryCache`] wraps it in a lock.  Its
+/// keys are query fingerprints, so the map and the recency index each hold
+/// a copy of a `u64`.
 #[derive(Debug)]
-pub struct LruCache<K, V> {
+struct LruCache<K, V> {
     capacity: usize,
     entries: HashMap<K, (V, u64)>,
     recency: BTreeMap<u64, K>,
@@ -180,7 +197,7 @@ pub struct LruCache<K, V> {
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Create a cache holding at most `capacity` entries.  A zero capacity
     /// is clamped to one so the type never divides by its own emptiness.
-    pub fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         LruCache {
             capacity: capacity.max(1),
             entries: HashMap::new(),
@@ -190,13 +207,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Current number of entries (always `<= capacity`).
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True if the cache holds nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     fn next_tick(&mut self) -> u64 {
@@ -204,18 +216,9 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.tick
     }
 
-    /// Look up a key, marking it most-recently-used on a hit.
-    ///
-    /// The key is taken through [`Borrow`](std::borrow::Borrow) so a
-    /// `LruCache<Arc<Query>, _>` can be probed with a `&Query` — no
-    /// allocation on the lookup path; refreshing recency *moves* the key
-    /// between ticks in the recency index, so a hit never clones the key
-    /// either.
-    pub fn get<Q>(&mut self, key: &Q) -> Option<&V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    /// Look up a key, marking it most-recently-used on a hit.  Refreshing
+    /// recency *moves* the key between ticks in the recency index.
+    fn get(&mut self, key: &K) -> Option<&V> {
         let tick = self.next_tick();
         let (value, entry_tick) = self.entries.get_mut(key)?;
         let old_tick = std::mem::replace(entry_tick, tick);
@@ -228,17 +231,13 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Look up a key without touching recency.
-    pub fn peek<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: std::borrow::Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
+    fn peek(&self, key: &K) -> Option<&V> {
         self.entries.get(key).map(|(v, _)| v)
     }
 
     /// Insert a value, evicting the least-recently-used entry if the cache
     /// is full.  Returns the evicted `(key, value)` pair, if any.
-    pub fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
+    fn insert(&mut self, key: K, value: V) -> Option<(K, V)> {
         let tick = self.next_tick();
         let evicted = match self.entries.remove(&key) {
             // Replacing an existing entry never evicts.
@@ -264,7 +263,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Keep only the entries for which `keep` returns true, preserving the
     /// recency order of the survivors.  Returns the number of entries
     /// dropped — the scoped-invalidation primitive.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
+    fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
         let mut dropped_ticks = Vec::new();
         self.entries.retain(|key, (value, tick)| {
             let keep_it = keep(key, value);
@@ -287,20 +286,36 @@ fn lock<T>(segment: &Mutex<T>) -> MutexGuard<'_, T> {
     segment.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One cached round-trip: the shared table and its size, measured once at
-/// insert so eviction can give the bytes back without another pass.
+/// One cached round-trip: the query it answers, the shared table and its
+/// size, measured once at insert so eviction can give the bytes back
+/// without another pass.
 #[derive(Debug)]
 struct Entry {
+    query: Arc<Query>,
     results: QueryResults,
     approx_bytes: u64,
 }
 
-/// One LRU of the namespace.  A key is stored once: the map and the
-/// recency index share its `Arc`.
-type Segment = Mutex<LruCache<Arc<Query>, Entry>>;
+/// One LRU of the namespace, keyed by [`fingerprint`].
+type Segment = Mutex<LruCache<u64, Entry>>;
 
-/// One KG's cache namespace: thread-safe LRUs keyed by query AST, with
-/// atomic [`CacheStats`] counters.
+/// The cache key of a query: one SipHash pass over its AST.  Equal queries
+/// have equal fingerprints; unequal ones almost never do, and the entry's
+/// stored query settles the rest (see the module docs).
+fn fingerprint(query: &Query) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    query.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// One KG's cache namespace: thread-safe LRUs keyed by query fingerprint,
+/// with atomic [`CacheStats`] counters.
+///
+/// Each entry holds the query it was stored for, and a lookup returns it
+/// only when that query equals the asked one, so two queries sharing a
+/// fingerprint can never be served each other's table: the second misses,
+/// and its insert replaces the first (a replacement, not an eviction).
+/// Scoped invalidation tests the stored queries.
 ///
 /// The query picks its segment: one with a full-text pattern lives among
 /// the `probe_capacity` probes, any other among the `result_capacity`
@@ -352,13 +367,17 @@ impl QueryCache {
         }
     }
 
-    /// Look up a query and count the hit or miss.  A hit returns the cached
-    /// table itself — shared, not copied (see [`QueryResults`]): the clone
-    /// made under the lock is two reference-count bumps, whatever the
-    /// table's size.
-    pub fn get(&self, query: &Query) -> Option<QueryResults> {
+    /// Look up `query`, whose [`fingerprint`] is `key`, and count the hit
+    /// or miss.  An entry under `key` that holds a different query is a
+    /// miss.  A hit returns the cached table itself — shared, not copied
+    /// (see [`QueryResults`]): the clone made under the lock is two
+    /// reference-count bumps, whatever the table's size.
+    pub(crate) fn get(&self, key: u64, query: &Query) -> Option<QueryResults> {
+        // A colliding entry found here is refreshed, then replaced by the
+        // insert that follows the miss.
         let found = lock(self.segment(query))
-            .get(query)
+            .get(&key)
+            .filter(|entry| *entry.query == *query)
             .map(|entry| entry.results.clone());
         let counter = if found.is_some() {
             &self.hits
@@ -369,24 +388,25 @@ impl QueryCache {
         found
     }
 
-    /// Cache the result of a query unless it is oversized (see
-    /// [`CacheConfig::max_result_rows`]), keeping the byte gauge in step
-    /// with whatever the insert replaced or evicted.  The namespace keeps a
-    /// share of `results`; the caller's value is untouched.
-    pub fn insert(&self, query: &Query, results: &QueryResults) {
+    /// Cache the result of `query`, whose [`fingerprint`] is `key`, unless
+    /// it is oversized (see [`CacheConfig::max_result_rows`]), keeping the
+    /// byte gauge in step with whatever the insert replaced or evicted.
+    /// The namespace keeps a share of `results`; the caller's value is
+    /// untouched.
+    pub(crate) fn insert(&self, key: u64, query: &Query, results: &QueryResults) {
         if results.rows().len() > self.max_result_rows {
             return;
         }
         let approx_bytes = results.as_solutions().map_or(0, |s| s.approx_bytes()) as u64;
         let entry = Entry {
+            query: Arc::new(query.clone()),
             results: results.clone(),
             approx_bytes,
         };
-        let key = Arc::new(query.clone());
         // The gauge moves under the segment lock, so an entry's bytes are
         // always added before anything can take them off again.
         let mut segment = lock(self.segment(query));
-        let replaced = segment.peek(query).map_or(0, |old| old.approx_bytes);
+        let replaced = segment.peek(&key).map_or(0, |old| old.approx_bytes);
         let evicted = segment.insert(key, entry);
         let freed = replaced + evicted.as_ref().map_or(0, |(_, old)| old.approx_bytes);
         self.resident_bytes
@@ -405,8 +425,8 @@ impl QueryCache {
         let mut dropped = 0;
         for segment in [&self.probes, &self.results] {
             let mut freed = 0;
-            dropped += lock(segment).retain(|query, entry| {
-                let keep = !stale(query);
+            dropped += lock(segment).retain(|_, entry| {
+                let keep = !stale(&entry.query);
                 if !keep {
                     freed += entry.approx_bytes;
                 }
@@ -531,7 +551,8 @@ fn query_touches(query: &Query, scope: &TouchedScope) -> bool {
 /// shared [`QueryCache`] namespace instead of re-probing the wrapped
 /// endpoint.
 ///
-/// * Every query is keyed by its AST, so lookups never serialize it.
+/// * Every query is keyed by a fingerprint of its AST, so lookups never
+///   serialize it.
 ///   [`SparqlEndpoint::query`] parses the text once and takes the
 ///   [`SparqlEndpoint::query_parsed`] path: a query sent as text and the
 ///   same query sent as an AST share one entry.  Text that does not parse
@@ -581,7 +602,8 @@ impl CachingEndpoint {
     }
 
     /// Answer `query` from the namespace, or `run` it on the wrapped
-    /// endpoint and cache what came back.  A hit executed nothing, so it
+    /// endpoint and cache what came back.  The query is hashed once, for
+    /// both the lookup and the insert.  A hit executed nothing, so it
     /// carries no plan and no scan work — the telemetry reflects what
     /// actually ran.  A deadline-truncated answer is a *prefix*, not the
     /// answer, so it is not cached: a later, less-hurried request must not
@@ -591,7 +613,8 @@ impl CachingEndpoint {
         query: &Query,
         run: impl FnOnce(&dyn SparqlEndpoint) -> Result<TracedQuery, EndpointError>,
     ) -> Result<TracedQuery, EndpointError> {
-        if let Some(results) = self.cache.get(query) {
+        let key = fingerprint(query);
+        if let Some(results) = self.cache.get(key, query) {
             return Ok(untraced(results));
         }
         let traced = run(self.inner.as_ref())?;
@@ -600,7 +623,7 @@ impl CachingEndpoint {
             .as_ref()
             .is_some_and(|metrics| metrics.deadline_exceeded);
         if !partial {
-            self.cache.insert(query, &traced.results);
+            self.cache.insert(key, query, &traced.results);
         }
         Ok(traced)
     }
@@ -738,7 +761,7 @@ mod tests {
     #[test]
     fn lru_zero_capacity_is_clamped() {
         let mut lru: LruCache<u32, u32> = LruCache::new(0);
-        assert!(lru.is_empty());
+        assert_eq!(lru.len(), 0);
         lru.insert(1, 1);
         assert_eq!(lru.insert(2, 2), Some((1, 1)));
         assert_eq!(lru.len(), 1);
@@ -1129,7 +1152,8 @@ mod tests {
         ep.query(&probe(1)).unwrap();
         assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
         let cached = ep.query(&probe(1)).unwrap();
-        namespace.insert(&parse_query(&probe(1)).unwrap(), &cached);
+        let query = parse_query(&probe(1)).unwrap();
+        namespace.insert(fingerprint(&query), &query, &cached);
         assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
         ep.query(&probe(2)).unwrap();
         assert_eq!(namespace.stats().evictions, 1);
@@ -1145,6 +1169,66 @@ mod tests {
         assert_eq!(namespace.stats().scoped_evictions, 1);
         assert_eq!(namespace.stats().resident_bytes, one_row);
         namespace.invalidate();
+        assert_eq!(namespace.stats().resident_bytes, 0);
+    }
+
+    #[test]
+    fn a_shared_fingerprint_misses_and_its_insert_replaces_the_entry() {
+        let mut s = Store::new();
+        for (subject, predicate) in [("s1", "p1"), ("s2", "p2"), ("s3", "p2")] {
+            s.insert(Triple::new(
+                Term::iri(format!("http://e/{subject}")),
+                Term::iri(format!("http://e/{predicate}")),
+                Term::iri("http://e/o"),
+            ));
+        }
+        let engine = Arc::new(InProcessEndpoint::new("DBpedia", s));
+        let namespace = QueryCache::shared(CacheConfig::default());
+        let ep = CachingEndpoint::new(engine.clone(), namespace.clone());
+        let first = parse_query("SELECT ?s WHERE { ?s <http://e/p1> ?o . }").unwrap();
+        let second = parse_query("SELECT ?s WHERE { ?s <http://e/p2> ?o . }").unwrap();
+        let first_rows = engine.query_parsed(&first).unwrap();
+        let second_rows = engine.query_parsed(&second).unwrap();
+        let bytes = |rows: &QueryResults| rows.as_solutions().unwrap().approx_bytes() as u64;
+        assert_ne!(bytes(&first_rows), bytes(&second_rows));
+
+        // Both queries under one forced key: the second never sees the
+        // first one's table.
+        const KEY: u64 = 7;
+        namespace.insert(KEY, &first, &first_rows);
+        assert_eq!(namespace.get(KEY, &first), Some(first_rows.clone()));
+        assert_eq!(namespace.get(KEY, &second), None);
+        let stats = namespace.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(stats.resident_bytes, bytes(&first_rows));
+
+        // Its insert replaces the entry: no eviction, the gauge swaps bytes.
+        namespace.insert(KEY, &second, &second_rows);
+        assert_eq!(namespace.get(KEY, &second), Some(second_rows.clone()));
+        assert_eq!(namespace.get(KEY, &first), None);
+        let stats = namespace.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+        assert_eq!((stats.insertions, stats.evictions), (2, 0));
+        assert_eq!(stats.resident_bytes, bytes(&second_rows));
+        assert_eq!(namespace.len(), 1);
+
+        // Scoped invalidation tests the stored query: an ingest only the
+        // first query could see keeps the entry, one the second sees
+        // evicts it.
+        let ingest = |predicate: &str| {
+            ep.ingest(IngestBatch::from(vec![Triple::new(
+                Term::iri("http://e/new"),
+                Term::iri(format!("http://e/{predicate}")),
+                Term::iri("http://e/o"),
+            )]))
+            .unwrap();
+        };
+        ingest("p1");
+        assert_eq!(namespace.stats().scoped_evictions, 0);
+        assert_eq!(namespace.len(), 1);
+        ingest("p2");
+        assert_eq!(namespace.stats().scoped_evictions, 1);
+        assert!(namespace.is_empty());
         assert_eq!(namespace.stats().resident_bytes, 0);
     }
 

@@ -12,6 +12,7 @@ use kgqan::{KgqanError, QuestionUnderstanding};
 use kgqan_benchmarks::kg::{GeneratedKg, KgFlavor, KgScale};
 use kgqan_benchmarks::questions::questions_for;
 use kgqan_nlp::{training_corpus, Seq2SeqVariant};
+use proptest::prelude::*;
 
 /// The digest of [`understanding_digest`] for each variant, in
 /// `[BartLike, Gpt3Like]` order, recorded with the nested-map perceptron
@@ -77,6 +78,85 @@ fn a_multi_byte_suffix_does_not_stop_understanding() {
         match qu.understand(question) {
             Ok(u) => assert!(!u.triples.is_empty()),
             Err(e) => assert!(matches!(e, KgqanError::UnderstandingFailed { .. }), "{e}"),
+        }
+    }
+}
+
+/// One model per Seq2Seq variant, trained once for the property below.
+fn models() -> &'static [QuestionUnderstanding; 2] {
+    static MODELS: OnceLock<[QuestionUnderstanding; 2]> = OnceLock::new();
+    MODELS.get_or_init(|| {
+        [Seq2SeqVariant::BartLike, Seq2SeqVariant::Gpt3Like]
+            .map(QuestionUnderstanding::train_with_variant)
+    })
+}
+
+/// A character of the class `class` picks: printable ASCII, ASCII letters,
+/// ASCII punctuation, whitespace (ASCII and not), Latin with diacritics,
+/// combining marks, Cyrillic, Arabic, CJK, emoji, or any scalar value.
+/// `bits` picks within the class; a surrogate becomes U+FFFD.
+fn unicode_char(class: u8, bits: u32) -> char {
+    const PUNCTUATION: &[u8] = b"!\"#$%&'()*+,-./:;<=>?@[\\]^_`{|}~";
+    const SPACES: [char; 6] = [' ', '\t', '\n', '\u{A0}', '\u{3000}', '\u{200B}'];
+    let (start, len) = match class {
+        0 => (0x20, 0x5F),
+        1 => (u32::from(b'a'), 26),
+        2 => return char::from(PUNCTUATION[bits as usize % PUNCTUATION.len()]),
+        3 => return SPACES[bits as usize % SPACES.len()],
+        4 => (0xC0, 0x180),
+        5 => (0x300, 0x70),
+        6 => (0x400, 0x100),
+        7 => (0x600, 0x100),
+        8 => (0x4E00, 0x5200),
+        9 => (0x1F300, 0x700),
+        _ => (0, 0x11_0000),
+    };
+    char::from_u32(start + bits % len).unwrap_or('\u{FFFD}')
+}
+
+/// Strings drawn character by character from `classes`.
+fn unicode_text(
+    classes: std::ops::Range<u8>,
+    chars: std::ops::Range<usize>,
+) -> impl Strategy<Value = String> {
+    prop::collection::vec((classes, any::<u32>()), chars).prop_map(|picks| {
+        picks
+            .into_iter()
+            .map(|(class, bits)| unicode_char(class, bits))
+            .collect()
+    })
+}
+
+/// Questions `understand` may be sent: the empty string, mixed-script text
+/// with combining marks, punctuation and spaces only, arbitrary text inside
+/// a question template, and 10 000 characters.
+fn arbitrary_question() -> impl Strategy<Value = String> {
+    const TEMPLATES: [&str; 4] = [
+        "Who is the wife of ",
+        "What is the capital of ",
+        "Is ",
+        "When was ",
+    ];
+    prop_oneof![
+        Just(String::new()),
+        unicode_text(0..11, 0..40),
+        unicode_text(2..4, 0..20),
+        (0..TEMPLATES.len(), unicode_text(0..11, 0..12))
+            .prop_map(|(template, name)| format!("{}{name}?", TEMPLATES[template])),
+        unicode_text(0..11, 10_000..10_001),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn understand_never_panics_on_arbitrary_unicode(question in arbitrary_question()) {
+        for qu in models() {
+            let outcome = std::panic::catch_unwind(|| qu.understand(&question));
+            match outcome {
+                Ok(Ok(_)) | Ok(Err(KgqanError::UnderstandingFailed { .. })) => {}
+                Ok(Err(e)) => prop_assert!(false, "{question:?}: {e}"),
+                Err(_) => prop_assert!(false, "understand panicked on {question:?}"),
+            }
         }
     }
 }
