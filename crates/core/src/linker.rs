@@ -11,14 +11,37 @@
 //!   edge it probes the predicates incident to the already-linked vertices
 //!   (`outgoingPredicate` / `incomingPredicate`), resolves descriptions for
 //!   non-human-readable predicate URIs, and keeps the top-k by affinity.
+//!
+//! # A vertex probe is ranked once
+//!
+//! Ranking a vertex probe scores the node label against every description
+//! it fetched (up to maxVR = 400), and the endpoint cache hands the same
+//! probe table to every question whose node has the same content words.
+//! So the linker keeps its decision on the table
+//! ([`ResultSet::attach`]): the top-`k` vertices, keyed by the linker's
+//! identity, `k` and the exact node label — everything the ranking depends
+//! on besides the rows.  A later node that finds a ranking under its own
+//! key copies the `k` vertices out and scores nothing; any other key ranks
+//! as usual and leaves the first ranking in place.  The identity is a
+//! process-unique number drawn when a [`JitLinkStage`] (or a bare
+//! [`JitLinker`]) is built, and it stands for the affinity model the stage
+//! holds.  The memo needs no bound and no invalidation: it is `k` vertices
+//! on a table the cache already bounds, it goes when the cache drops the
+//! table, and an ingest that could change the probe's rows evicts the
+//! table and its ranking together.  A probe answered by an uncached
+//! endpoint is a fresh table, so its ranking is simply dropped with it.
+//! Relation linking scores batches built per edge, and keeps no memo.
+//!
+//! [`JitLinkStage`]: crate::pipeline::JitLinkStage
 
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use kgqan_endpoint::{EngineDialect, SparqlEndpoint};
 use kgqan_nlp::tokenizer::content_words;
 use kgqan_rdf::{vocab, Term};
 use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
-use kgqan_sparql::QueryResults;
+use kgqan_sparql::{QueryResults, ResultSet};
 
 use crate::affinity::SemanticAffinity;
 use crate::agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
@@ -37,6 +60,23 @@ pub struct LinkOutcome {
     pub completed: bool,
 }
 
+/// Entity linking's decision on one vertex probe, attached to the probe's
+/// table under the key it was made with (see the module docs).
+struct RankedProbe {
+    linker: u64,
+    num_vertices: usize,
+    label: String,
+    vertices: Vec<RelevantVertex>,
+}
+
+/// The source of linker identities: never reused within a process.
+static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
+
+/// A fresh linker identity.
+pub(crate) fn fresh_identity() -> u64 {
+    NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed)
+}
+
 /// One predicate candidate of an edge while it is being ranked: a row of a
 /// probe result (by position, the rows stay in the shared table) and the
 /// description it is scored by.
@@ -53,12 +93,29 @@ struct PredicateCandidate {
 pub struct JitLinker<'a> {
     affinity: &'a dyn SemanticAffinity,
     config: LinkerConfig,
+    /// Whose vertex rankings this linker may reuse (see the module docs).
+    identity: u64,
 }
 
 impl<'a> JitLinker<'a> {
     /// Create a linker using the given affinity model and configuration.
+    /// It reuses only the vertex rankings it made itself.
     pub fn new(affinity: &'a dyn SemanticAffinity, config: LinkerConfig) -> Self {
-        JitLinker { affinity, config }
+        Self::with_identity(affinity, config, fresh_identity())
+    }
+
+    /// A linker that shares its vertex rankings with every other linker of
+    /// the same `identity`, which must stand for the same affinity model.
+    pub(crate) fn with_identity(
+        affinity: &'a dyn SemanticAffinity,
+        config: LinkerConfig,
+        identity: u64,
+    ) -> Self {
+        JitLinker {
+            affinity,
+            config,
+            identity,
+        }
     }
 
     /// The linker configuration.
@@ -106,29 +163,61 @@ impl<'a> JitLinker<'a> {
             if words.is_empty() {
                 continue;
             }
-            // The probe's rows are shared with the endpoint cache, so the
-            // ≤ maxVR candidates are scored and ranked where they sit; only
-            // the `num_vertices` winners are copied out.
-            let fetched = self.potential_relevant_vertices(&words, endpoint)?;
-            let candidates: Vec<(&Term, Cow<'_, str>)> = fetched
-                .rows()
-                .filter_map(|row| {
-                    let (v, d) = (row.get("v")?, row.get("d")?);
-                    v.is_iri().then(|| (v, d.readable_form()))
-                })
-                .collect();
-            let descriptions: Vec<&str> = candidates.iter().map(|(_, d)| d.as_ref()).collect();
-            let scores = self.affinity.score_many(&node.label, &descriptions);
-            let mut ranked: Vec<usize> = (0..candidates.len()).collect();
-            ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
-            agp.node_annotations[node.id] = best_per_vertex(
-                ranked
-                    .into_iter()
-                    .map(|i| (candidates[i].0, descriptions[i], scores[i])),
-                self.config.num_vertices,
-            );
+            let QueryResults::Solutions(fetched) =
+                self.potential_relevant_vertices(&words, endpoint)?
+            else {
+                continue;
+            };
+            agp.node_annotations[node.id] = self.relevant_vertices(&node.label, &fetched);
         }
         Ok(true)
+    }
+
+    /// The `num_vertices` best vertices of a vertex probe for a node
+    /// `label`: the ranking attached to the probe's table under this
+    /// linker's key, or a fresh one that is then attached for the next
+    /// reader (see the module docs).
+    fn relevant_vertices(&self, label: &str, fetched: &ResultSet) -> Vec<RelevantVertex> {
+        let k = self.config.num_vertices;
+        let memo = fetched
+            .attached()
+            .and_then(|memo| memo.downcast_ref::<RankedProbe>())
+            .filter(|memo| {
+                memo.linker == self.identity && memo.num_vertices == k && memo.label == label
+            });
+        if let Some(memo) = memo {
+            return memo.vertices.clone();
+        }
+        let (Some(v), Some(d)) = (fetched.column_index("v"), fetched.column_index("d")) else {
+            return Vec::new();
+        };
+        // The probe's rows are shared with the endpoint cache, so the
+        // ≤ maxVR candidates are scored and ranked where they sit; only
+        // the `num_vertices` winners are copied out.
+        let candidates: Vec<(&Term, Cow<'_, str>)> = fetched
+            .rows()
+            .filter_map(|row| {
+                let (v, d) = (row.cell(v)?, row.cell(d)?);
+                v.is_iri().then(|| (v, d.readable_form()))
+            })
+            .collect();
+        let descriptions: Vec<&str> = candidates.iter().map(|(_, d)| d.as_ref()).collect();
+        let scores = self.affinity.score_many(label, &descriptions);
+        let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+        ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
+        let vertices = best_per_vertex(
+            ranked
+                .into_iter()
+                .map(|i| (candidates[i].0, descriptions[i], scores[i])),
+            k,
+        );
+        fetched.attach(RankedProbe {
+            linker: self.identity,
+            num_vertices: k,
+            label: label.to_string(),
+            vertices: vertices.clone(),
+        });
+        vertices
     }
 
     /// The `potentialRelevantVertices(l_n, maxVR)` query of §5.1, phrased
@@ -176,7 +265,7 @@ impl<'a> JitLinker<'a> {
             // A candidate is a row of a shared probe result plus where it
             // came from; the predicate and anchor terms are copied only for
             // the `num_predicates` that survive the ranking.
-            let mut probes: Vec<QueryResults> = Vec::new();
+            let mut probes: Vec<(ResultSet, usize)> = Vec::new();
             let mut candidates: Vec<PredicateCandidate> = Vec::new();
             for (anchor, (_, vertex)) in anchor_vertices.iter().enumerate() {
                 if budget.expired() {
@@ -191,9 +280,14 @@ impl<'a> JitLinker<'a> {
                     (false, outgoing_predicate_query(vertex)),
                     (true, incoming_predicate_query(vertex)),
                 ] {
-                    let results = endpoint.query_parsed(&query)?;
+                    let QueryResults::Solutions(results) = endpoint.query_parsed(&query)? else {
+                        continue;
+                    };
+                    let Some(column) = results.column_index("p") else {
+                        continue;
+                    };
                     for (position, row) in results.rows().enumerate() {
-                        let Some(p) = row.get("p") else { continue };
+                        let Some(p) = row.cell(column) else { continue };
                         if !p.is_iri() {
                             continue;
                         }
@@ -212,12 +306,13 @@ impl<'a> JitLinker<'a> {
                             vertex_is_object,
                         });
                     }
-                    probes.push(results);
+                    probes.push((results, column));
                 }
             }
             let predicate_of = |c: &PredicateCandidate| {
-                let row = probes[c.probe].rows().nth(c.row);
-                row.and_then(|row| row.get("p"))
+                let (results, column) = &probes[c.probe];
+                let row = results.rows().nth(c.row);
+                row.and_then(|row| row.cell(*column))
                     .expect("candidates are made from rows that bind ?p")
             };
 
@@ -388,11 +483,16 @@ fn description_query(predicate: &Term, via: VarOrTerm, limit: usize) -> Query {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::{Arc, Mutex};
+
     use super::*;
     use crate::affinity::FineGrainedAffinity;
+    use crate::pgp::PgpNode;
+    use kgqan_endpoint::cache::{CacheConfig, CachingEndpoint, QueryCache};
     use kgqan_endpoint::InProcessEndpoint;
     use kgqan_nlp::PhraseTriplePattern as Tp;
-    use kgqan_rdf::{Store, Triple};
+    use kgqan_rdf::{IngestBatch, Store, Triple};
+    use proptest::prelude::*;
 
     /// The running-example DBpedia fragment of Figure 4.
     fn dbpedia_fragment() -> InProcessEndpoint {
@@ -700,6 +800,237 @@ mod tests {
             // ...and the text a remote endpoint now receives are this query.
             assert_eq!(parse(&query.to_sparql()), query, "{dialect:?}");
             assert!(query.has_text_search());
+        }
+    }
+
+    /// The vertices `linker` links the one entity node `label` to.
+    fn linked_vertices(
+        linker: &JitLinker<'_>,
+        label: &str,
+        endpoint: &dyn SparqlEndpoint,
+    ) -> Vec<RelevantVertex> {
+        let pgp = PhraseGraphPattern::from_triples(&[Tp::unknown_to_entity("flow", label)]);
+        let mut agp = AnnotatedGraphPattern::new(pgp);
+        linker
+            .link_entities(&mut agp, endpoint, &Budget::unbounded())
+            .unwrap();
+        let node = agp.pgp.nodes().iter().find(|n| !n.is_unknown()).unwrap();
+        agp.vertices_of(node.id).to_vec()
+    }
+
+    /// The ranking attached to a probe table, if it is a linker's.
+    fn ranking_on(table: &QueryResults) -> Option<&RankedProbe> {
+        table.as_solutions()?.attached()?.downcast_ref()
+    }
+
+    #[test]
+    fn three_spellings_share_one_probe_and_each_links_as_without_a_cache() {
+        let engine = Arc::new(dbpedia_fragment());
+        let cached =
+            CachingEndpoint::new(engine.clone(), QueryCache::shared(CacheConfig::default()));
+        let affinity = FineGrainedAffinity::new();
+        let config = LinkerConfig {
+            num_vertices: 2,
+            ..Default::default()
+        };
+        let linker = JitLinker::new(&affinity, config);
+        let labels = ["Danish Straits", "danish straits", "the Danish Straits"];
+        for round in 0..2 {
+            for label in labels {
+                let alone = linked_vertices(&linker, label, engine.as_ref());
+                assert_eq!(alone.len(), 2, "{label}");
+                let through_cache = linked_vertices(&linker, label, &cached);
+                assert_eq!(through_cache, alone, "{label:?}, round {round}");
+            }
+        }
+        // One probe served all six nodes; the first label's ranking stayed.
+        let stats = cached.cache().stats();
+        assert_eq!((stats.misses, stats.hits), (1, 5));
+        let words = content_words("the Danish Straits");
+        let probe = potential_relevant_vertices_query(engine.dialect(), &words, 400);
+        let table = cached.query_parsed(&probe).unwrap();
+        let ranking = ranking_on(&table).expect("the probe carries a ranking");
+        assert_eq!(ranking.label, "Danish Straits");
+        assert_eq!(ranking.num_vertices, 2);
+        assert_eq!(ranking.linker, linker.identity);
+        // An uncached endpoint's table is fresh on every call.
+        assert!(ranking_on(&engine.query_parsed(&probe).unwrap()).is_none());
+    }
+
+    #[test]
+    fn another_linker_or_width_ranks_for_itself_and_leaves_the_first_ranking() {
+        let engine = Arc::new(dbpedia_fragment());
+        let cached =
+            CachingEndpoint::new(engine.clone(), QueryCache::shared(CacheConfig::default()));
+        let affinity = Counting::default();
+        let width = |num_vertices| LinkerConfig {
+            num_vertices,
+            ..Default::default()
+        };
+        let first = JitLinker::new(&affinity, width(1));
+        let wider = JitLinker::with_identity(&affinity, width(3), first.identity);
+        let other = JitLinker::new(&affinity, width(1));
+        assert_ne!(first.identity, other.identity);
+        for linker in [&first, &wider, &other, &first, &wider, &other] {
+            let alone = linked_vertices(linker, "Kaliningrad", engine.as_ref());
+            assert_eq!(linked_vertices(linker, "Kaliningrad", &cached), alone);
+        }
+        // Alone: six batches.  Through the cache: the first linker's second
+        // pass read its ranking, the other two scored every time.
+        assert_eq!(affinity.batches("Kaliningrad"), 6 + 5);
+        let probe =
+            potential_relevant_vertices_query(engine.dialect(), &content_words("Kaliningrad"), 400);
+        let table = cached.query_parsed(&probe).unwrap();
+        let ranking = ranking_on(&table).unwrap();
+        assert_eq!((ranking.linker, ranking.num_vertices), (first.identity, 1));
+    }
+
+    /// The fine-grained model, recording the phrase of every batch.
+    #[derive(Default)]
+    struct Counting {
+        model: FineGrainedAffinity,
+        phrases: Mutex<Vec<String>>,
+    }
+
+    impl Counting {
+        /// How many batches scored `phrase`.
+        fn batches(&self, phrase: &str) -> usize {
+            let phrases = self.phrases.lock().unwrap();
+            phrases.iter().filter(|p| *p == phrase).count()
+        }
+    }
+
+    impl SemanticAffinity for Counting {
+        fn score(&self, a: &str, b: &str) -> f32 {
+            self.model.score(a, b)
+        }
+
+        fn score_many(&self, phrase: &str, candidates: &[&str]) -> Vec<f32> {
+            self.phrases.lock().unwrap().push(phrase.to_string());
+            self.model.score_many(phrase, candidates)
+        }
+
+        fn label(&self) -> &'static str {
+            "counting"
+        }
+    }
+
+    /// Words the KG labels and the node labels are drawn from, so probes
+    /// overlap; the relation phrases share none of them.
+    const WORDS: &[&str] = &[
+        "danish", "straits", "baltic", "sea", "river", "port", "canal", "bay",
+    ];
+    const RELATIONS: &[&str] = &["flow", "located in", "capital of"];
+    const PREDICATES: &[&str] = &["outflow", "location", "capital", "nearestCity"];
+
+    /// A node label over one or two pool words, spelled as `form` says:
+    /// lower case, capitalised, or capitalised after "the".
+    fn node_label(words: &[usize], form: usize) -> String {
+        let words = words.iter().map(|&w| {
+            let word = WORDS[w % WORDS.len()];
+            match form % 3 {
+                0 => word.to_string(),
+                _ => word[..1].to_uppercase() + &word[1..],
+            }
+        });
+        let label = words.collect::<Vec<_>>().join(" ");
+        if form % 3 == 2 {
+            format!("the {label}")
+        } else {
+            label
+        }
+    }
+
+    /// Every vertex and predicate annotation of a linked AGP.
+    type Annotations = (Vec<Vec<RelevantVertex>>, Vec<Vec<RelevantPredicate>>);
+
+    fn annotations(outcome: LinkOutcome) -> Annotations {
+        assert!(outcome.completed);
+        (outcome.agp.node_annotations, outcome.agp.edge_annotations)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn linking_over_a_warm_cache_equals_linking_with_none(
+            kg_labels in prop::collection::vec((0usize..8, 1usize..8, 0usize..8), 1..9),
+            kg_edges in prop::collection::vec((0usize..9, 0usize..4, 0usize..9), 0..8),
+            first in (0usize..8, 0usize..3, 0usize..3),
+            others in prop::collection::vec(
+                (prop::collection::vec(0usize..8, 1..3), 0usize..3, 0usize..3),
+                0..3,
+            ),
+            num_vertices in 1usize..4,
+        ) {
+            // Every KG label has two distinct pool words (and a third that
+            // may repeat one), so none of them equals a one-word label.
+            let mut store = Store::new();
+            let label = Term::iri(vocab::RDFS_LABEL);
+            let vertex = |i: usize| Term::iri(format!("http://e/v{}", i % kg_labels.len()));
+            for (i, &(a, step, c)) in kg_labels.iter().enumerate() {
+                let (a, b) = (a % WORDS.len(), (a + step) % WORDS.len());
+                let text = format!("{} {} {}", WORDS[a], WORDS[b], WORDS[c % WORDS.len()]);
+                store.insert(Triple::new(vertex(i), label.clone(), Term::literal_str(text)));
+            }
+            for &(s, p, o) in &kg_edges {
+                let predicate = Term::iri(format!("http://e/{}", PREDICATES[p]));
+                store.insert(Triple::new(vertex(s), predicate, vertex(o)));
+            }
+            let engine = Arc::new(InProcessEndpoint::new("KG", store));
+            let cached =
+                CachingEndpoint::new(engine.clone(), QueryCache::shared(CacheConfig::default()));
+
+            // The first node is one word: a vertex labelled with exactly that
+            // word, ingested later, outranks every vertex linked before.
+            let (word, form, relation) = first;
+            let triples: Vec<Tp> = std::iter::once((vec![word], form, relation))
+                .chain(others)
+                .map(|(words, form, relation)| {
+                    Tp::unknown_to_entity(RELATIONS[relation], node_label(&words, form))
+                })
+                .collect();
+            let pgp = PhraseGraphPattern::from_triples(&triples);
+            let entities: Vec<&PgpNode> = pgp.nodes().iter().filter(|n| !n.is_unknown()).collect();
+            let node_labels: Vec<&str> = entities.iter().map(|n| n.label.as_str()).collect();
+            let entity_batches = |affinity: &Counting| {
+                node_labels.iter().map(|l| affinity.batches(l)).sum::<usize>()
+            };
+
+            let affinity = Counting::default();
+            let config = LinkerConfig { num_vertices, ..Default::default() };
+            let linker = JitLinker::new(&affinity, config);
+            let budget = Budget::unbounded();
+            let link = |endpoint: &dyn SparqlEndpoint| {
+                annotations(linker.link(&pgp, endpoint, &budget).unwrap())
+            };
+
+            let alone = link(engine.as_ref());
+            let before = entity_batches(&affinity);
+            let cold = link(&cached);
+            let after_cold = entity_batches(&affinity);
+            let warm = link(&cached);
+            let after_warm = entity_batches(&affinity);
+            prop_assert_eq!(&cold, &alone);
+            prop_assert_eq!(&warm, &alone);
+            // Every node scored on the cold pass; the first node of each
+            // probe read its own ranking on the warm one.
+            prop_assert_eq!(after_cold - before, before);
+            prop_assert!(after_warm - after_cold < after_cold - before || before == 0);
+
+            // An ingest evicts the probes it could change, and their
+            // rankings with them.
+            let newcomer = Term::iri("http://e/newcomer");
+            let exact = content_words(node_labels[0]).join(" ");
+            cached
+                .ingest(IngestBatch::from_iter([Triple::new(
+                    newcomer.clone(),
+                    label.clone(),
+                    Term::literal_str(exact),
+                )]))
+                .unwrap();
+            let alone = link(engine.as_ref());
+            prop_assert_eq!(&alone.0[entities[0].id][0].vertex, &newcomer);
+            prop_assert_eq!(&link(&cached), &alone);
+            prop_assert_eq!(&link(&cached), &alone);
         }
     }
 }

@@ -38,7 +38,7 @@ use crate::config::{Budget, KgqanConfig};
 use crate::error::KgqanError;
 use crate::execution::{execute_candidates, ExecutionOutcome};
 use crate::filter::filter_answers;
-use crate::linker::JitLinker;
+use crate::linker::{fresh_identity, JitLinker};
 use crate::understanding::{QuestionUnderstanding, Understanding};
 
 /// The per-request environment every stage runs in: the target endpoint,
@@ -155,14 +155,22 @@ pub trait Filter: Send + Sync {
 /// The default [`Link`] stage: just-in-time entity/relation linking
 /// (Algorithms 1 and 2) followed by candidate-query generation
 /// (Algorithm 3), both driven by `ctx.config`.
+///
+/// Every request's linker carries the stage's identity, so a vertex probe
+/// served from the endpoint cache is ranked once per stage, label and
+/// `num_vertices` (see [`crate::linker`]).
 pub struct JitLinkStage {
     affinity: Arc<dyn SemanticAffinity>,
+    identity: u64,
 }
 
 impl JitLinkStage {
     /// Create the stage around a shared semantic-affinity model.
     pub fn new(affinity: Arc<dyn SemanticAffinity>) -> Self {
-        JitLinkStage { affinity }
+        JitLinkStage {
+            affinity,
+            identity: fresh_identity(),
+        }
     }
 }
 
@@ -172,7 +180,8 @@ impl Link for JitLinkStage {
         understanding: &Understanding,
         ctx: &StageContext<'_>,
     ) -> Result<LinkedQuestion, KgqanError> {
-        let linker = JitLinker::new(self.affinity.as_ref(), ctx.config.linker);
+        let linker =
+            JitLinker::with_identity(self.affinity.as_ref(), ctx.config.linker, self.identity);
         let outcome = linker.link(&understanding.pgp, ctx.endpoint, ctx.budget)?;
         let candidates = generate_candidate_queries(&outcome.agp, ctx.config.max_candidate_queries);
         Ok(LinkedQuestion {

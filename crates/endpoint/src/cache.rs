@@ -43,7 +43,16 @@
 //! [`QueryResults`] is an immutable table of dictionary ids behind an `Arc`
 //! (`kgqan_sparql::results`), so a hit hands the caller the cached table for
 //! the price of a reference count, a miss inserts the very table it
-//! returns, and a cached cell costs 4 bytes whatever its term's text.  Linking probes are LIMIT-bounded and anything larger than
+//! returns, and a cached cell costs 4 bytes whatever its term's text.
+//! Because a hit is the very table the miss built, an entry also keeps
+//! what a reader derived from it: the entity linker attaches its top-k
+//! ranking of a vertex probe to the table (`ResultSet::attach`), so a
+//! repeated probe saves the ~400 affinity scores as well as the
+//! round-trip.  That costs the cache nothing to manage — no capacity, no
+//! counter, no invalidation — since the ranking lives and dies with the
+//! entry's table; it is not counted in `resident_bytes`.
+//!
+//! Linking probes are LIMIT-bounded and anything larger than
 //! [`CacheConfig::max_result_rows`] rows (candidate queries carry no LIMIT)
 //! is not inserted at all, so per-entry memory stays bounded; what the
 //! entries add up to is reported as [`CacheStats::resident_bytes`].

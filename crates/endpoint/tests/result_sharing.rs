@@ -183,3 +183,24 @@ fn a_cached_page_outlives_the_epochs_after_it() {
     assert_eq!(query_results_to_json(&hit), query_results_to_json(&fresh));
     assert!(query_results_to_json(&hit).contains("the label of 3"));
 }
+
+#[test]
+fn a_value_attached_to_a_cached_page_never_reaches_the_wire() {
+    let (engine, cached) = cached_endpoint(4);
+    let page = cached.query(PAGE).unwrap();
+    let bytes = query_results_to_json(&page);
+    let table = page.as_solutions().unwrap();
+    assert!(table.attach(String::from("a ranking derived from the rows")));
+
+    // The next hit is the same table, carrying the value.
+    let hit = cached.query(PAGE).unwrap();
+    let attached = hit.as_solutions().unwrap().attached().unwrap();
+    assert!(attached.downcast_ref::<String>().is_some());
+    let fresh = engine.query(PAGE).unwrap();
+    assert!(fresh.as_solutions().unwrap().attached().is_none());
+    assert_eq!(hit, fresh);
+    assert_eq!(fresh, hit);
+    assert_eq!(format!("{hit:?}"), format!("{fresh:?}"));
+    assert_eq!(query_results_to_json(&hit), bytes);
+    assert_eq!(query_results_to_json(&fresh), bytes);
+}

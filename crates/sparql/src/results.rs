@@ -12,6 +12,8 @@
 //! codes   [v₀, d₀, v₁, d₁, …]             rows × width u32, u32::MAX = unbound
 //! source  dictionary  FrozenDictionary    code < 2³¹: the store's term id
 //!         side        [Term, …]           code ≥ 2³¹: side[code − 2³¹]
+//! derived OnceLock<Arc<dyn Any>>          one value a reader derived from
+//!                                         these rows, written once
 //! ```
 //!
 //! The engine evaluates over dictionary ids, and a result stays in the
@@ -33,6 +35,21 @@
 //! endpoint cache hand the very table it stores to every caller
 //! (`kgqan_endpoint::cache`), and keep a page for 4 bytes a cell.
 //!
+//! # The derived slot
+//!
+//! The cache hands every hit the very table it stores, so what a reader
+//! computes from a table's rows can live on the table: the entity linker
+//! keeps its top-k ranking of a vertex probe there
+//! ([`ResultSet::attach`], [`ResultSet::attached`]), and the next question
+//! that hits the probe copies it out instead of scoring the rows again.
+//! The slot is written once and never waited on — the first attach wins, a
+//! concurrent reader that finds it empty computes for itself — and the
+//! value must identify what it was derived with, since any reader may find
+//! it.  It needs no bound and no invalidation: it lives and dies with the
+//! table, so a table the cache evicts drops its value too.  The slot never
+//! shows: equality, `Debug`, [`ResultSet::approx_bytes`] and the wire
+//! writers see only the rows.
+//!
 //! # Equality
 //!
 //! Two tables are equal when they bind the same variables to the same
@@ -48,9 +65,10 @@
 //! permutation is computed once per table (`by_name`), so iterating a row
 //! costs no comparison.
 
+use std::any::Any;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, LazyLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 use kgqan_rdf::{FrozenDictionary, Term, TermId};
 
@@ -134,6 +152,8 @@ struct Table {
     /// Kept beside the codes because a table over the empty projection
     /// still has a row count.
     rows: usize,
+    /// The value a reader derived from these rows (see the module docs).
+    derived: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Table {
@@ -151,6 +171,7 @@ static NO_ROWS: LazyLock<Table> = LazyLock::new(|| Table {
     codes: Box::default(),
     source: TermSource::default(),
     rows: 0,
+    derived: OnceLock::new(),
 });
 
 /// An ordered sequence of solutions with a projection header — see the
@@ -208,6 +229,7 @@ impl ResultSet {
             codes,
             source,
             rows,
+            derived: OnceLock::new(),
         };
         ResultSet {
             table: Arc::new(table),
@@ -249,6 +271,20 @@ impl ResultSet {
         self.rows()
             .filter_map(|row| row.cell(column).cloned())
             .collect()
+    }
+
+    /// The value [`attach`](Self::attach)ed to this table, if any.  It is
+    /// shared by every clone of the table; downcast it to the type the
+    /// attaching reader used.
+    pub fn attached(&self) -> Option<&(dyn Any + Send + Sync)> {
+        self.table.derived.get().map(|value| &**value)
+    }
+
+    /// Keep `value`, derived from this table's rows, on the table for every
+    /// later reader of any clone of it.  The first value attached stays:
+    /// returns false, dropping `value`, if the slot is already taken.
+    pub fn attach<T: Any + Send + Sync>(&self, value: T) -> bool {
+        self.table.derived.set(Arc::new(value)).is_ok()
     }
 
     /// Roughly how many bytes the table keeps alive of its own: 4 per cell,
@@ -645,6 +681,24 @@ mod tests {
             ],
         );
         assert_ne!(sealed.as_solutions().unwrap(), &other);
+    }
+
+    #[test]
+    fn an_attached_value_is_shared_written_once_and_never_shows() {
+        let (plain, marked) = (table(), table());
+        let before = (marked.approx_bytes(), format!("{marked:?}"));
+        assert!(marked.attached().is_none());
+        assert!(marked.clone().attach(7u32));
+        assert!(!marked.attach(8u32), "the first value stays");
+        assert!(!marked.attach("another type"));
+        assert_eq!(marked.attached().unwrap().downcast_ref::<u32>(), Some(&7));
+        assert!(marked.attached().unwrap().downcast_ref::<u64>().is_none());
+        assert!(plain.attached().is_none());
+
+        assert_eq!(marked, plain);
+        assert_eq!(plain, marked);
+        assert_eq!((marked.approx_bytes(), format!("{marked:?}")), before);
+        assert_eq!(format!("{marked:?}"), format!("{plain:?}"));
     }
 
     #[test]

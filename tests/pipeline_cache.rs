@@ -7,8 +7,11 @@ use std::sync::{Arc, OnceLock};
 
 use proptest::prelude::*;
 
-use kgqan::{AnswerRequest, CacheConfig, QaService, QuestionUnderstanding};
-use kgqan_endpoint::InProcessEndpoint;
+use kgqan::{
+    AffinityModel, AnswerRequest, AnswerResponse, CacheConfig, ConfigOverrides, KgqanConfig,
+    LinkerConfig, QaService, QuestionUnderstanding, RelevantPredicate, RelevantVertex,
+};
+use kgqan_endpoint::{EndpointRegistry, InProcessEndpoint};
 use kgqan_rdf::{vocab, Store, Term, Triple};
 
 const FIRST_NAMES: &[&str] = &["Ada", "Barack", "Carl", "Dora", "Edith", "Frank"];
@@ -224,4 +227,144 @@ fn responses_report_per_stage_artifacts_through_the_public_api() {
         cache().hits,
         service.cache_report().kg("People").unwrap().hits
     );
+}
+
+/// Three vertices whose labels all hold "Barack Obama", each with a
+/// spouse: one vertex probe, three candidates for a wide node.
+fn obamas() -> Store {
+    let mut store = Store::new();
+    let label = Term::iri(vocab::RDFS_LABEL);
+    let spouse = Term::iri("http://example.org/ontology/spouse");
+    for (i, name) in [
+        "Barack Obama",
+        "Barack Obama Sr.",
+        "Barack Obama Presidential Center",
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let vertex = person_iri(name);
+        let partner = person_iri(&format!("Partner {i}"));
+        store.insert_all([
+            Triple::new(vertex.clone(), label.clone(), Term::literal_str(name)),
+            Triple::new(vertex, spouse.clone(), partner),
+        ]);
+    }
+    store
+}
+
+/// What a response linked and answered: its AGP's vertex and predicate
+/// annotations, and its answers.
+fn linked(
+    response: &AnswerResponse,
+) -> (&[Vec<RelevantVertex>], &[Vec<RelevantPredicate>], Vec<Term>) {
+    let agp = &response.trace.linked.agp;
+    (
+        &agp.node_annotations,
+        &agp.edge_annotations,
+        response.answers().to_vec(),
+    )
+}
+
+#[test]
+fn a_num_vertices_override_alternating_on_one_cached_probe_links_as_uncached() {
+    let service = |cached: bool| {
+        let builder = QaService::builder()
+            .shared_understanding(understanding())
+            .endpoint(Arc::new(InProcessEndpoint::new("People", obamas())));
+        let builder = if cached { builder } else { builder.no_cache() };
+        builder.build().unwrap()
+    };
+    let (cached, uncached) = (service(true), service(false));
+    let width = |num_vertices| ConfigOverrides {
+        linker: Some(LinkerConfig {
+            num_vertices,
+            ..Default::default()
+        }),
+        ..ConfigOverrides::none()
+    };
+    let question = "Who is the wife of Barack Obama?";
+    for round in 0..3 {
+        for num_vertices in [1, 3] {
+            let request = AnswerRequest::new(question).with_overrides(width(num_vertices));
+            let through_cache = cached.answer(request.clone()).unwrap();
+            let alone = uncached.answer(request).unwrap();
+            assert_eq!(
+                linked(&through_cache),
+                linked(&alone),
+                "num_vertices {num_vertices}, round {round}"
+            );
+            let widest = alone.trace.linked.agp.node_annotations.iter().map(Vec::len);
+            assert_eq!(widest.max(), Some(num_vertices));
+        }
+    }
+    // The repeats were served from the one namespace, which never filled.
+    let stats = cached.cache_report().total();
+    assert!(stats.hits > 0);
+    assert_eq!(stats.evictions, 0);
+}
+
+#[test]
+fn two_models_over_one_registry_each_answer_as_they_do_alone() {
+    let kg = PeopleKg {
+        couples: vec![(1, 0), (1, 2), (3, 1)],
+        typed: vec![true, false, true],
+    };
+    let fine = KgqanConfig::default();
+    let coarse = KgqanConfig {
+        affinity: AffinityModel::CoarseGrained,
+        ..KgqanConfig::default()
+    };
+    let registry = |store: Store| {
+        let mut registry = EndpointRegistry::with_cache(CacheConfig::default());
+        registry.register(Arc::new(InProcessEndpoint::new("People", store)));
+        registry
+    };
+    let service = |config: KgqanConfig, registry: EndpointRegistry| {
+        QaService::builder()
+            .shared_understanding(understanding())
+            .config(config)
+            .registry(registry)
+            .build()
+            .unwrap()
+    };
+    let shared = registry(kg.store());
+    let pairs = [
+        (
+            service(fine, shared.clone()),
+            service(fine, registry(kg.store())),
+        ),
+        (
+            service(coarse, shared.clone()),
+            service(coarse, registry(kg.store())),
+        ),
+    ];
+    for round in 0..2 {
+        for question in kg.questions() {
+            for (sharing, alone) in &pairs {
+                let request = AnswerRequest::new(&question);
+                match (sharing.answer(request.clone()), alone.answer(request)) {
+                    (Ok(sharing), Ok(alone)) => assert_eq!(
+                        linked(&sharing),
+                        linked(&alone),
+                        "{question:?}, round {round}"
+                    ),
+                    (sharing, alone) => assert_eq!(
+                        sharing
+                            .map(|r| r.answers().to_vec())
+                            .map_err(|e| e.to_string()),
+                        alone
+                            .map(|r| r.answers().to_vec())
+                            .map_err(|e| e.to_string()),
+                    ),
+                }
+            }
+        }
+    }
+    // The two models did meet in one namespace.
+    let namespace = shared.cache_of("People").unwrap().stats();
+    let (fine_alone, coarse_alone) = (&pairs[0].1, &pairs[1].1);
+    let alone_misses =
+        fine_alone.cache_report().total().misses + coarse_alone.cache_report().total().misses;
+    assert!(namespace.misses < alone_misses);
 }
