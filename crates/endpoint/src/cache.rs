@@ -9,28 +9,36 @@
 //! the mechanism:
 //!
 //! * [`QueryCache`] — one KG's thread-safe cache *namespace*: one keyspace
-//!   of query ASTs in two bounded LRU segments — queries with a full-text
+//!   of queries in two bounded LRU segments — queries with a full-text
 //!   pattern (the linker's vertex fetches) and every other query — with
 //!   atomic hit/miss/eviction counters ([`CacheStats`]) and one staleness
 //!   rule for ingests,
 //! * [`CachingEndpoint`] — a [`SparqlEndpoint`] decorator that consults the
 //!   namespace before forwarding to the wrapped endpoint.
 //!
-//! An entry is keyed by a 64-bit *fingerprint* of its query AST, taken once
-//! per call by [`CachingEndpoint`] and handed to both the lookup and the
-//! insert; the entry keeps the query itself, and a lookup hits only when
-//! the stored query equals the asked one.  On a cold workload nearly every
-//! call misses, and a miss at capacity used to hash the whole AST five
-//! times (lookup, replace check, the insert's removal, the evicted key's
-//! removal, the map insert): on the benchmark's MAG questions (2-core Xeon)
-//! that was ≈ 73 µs of call overhead a question against ≈ 90 µs of engine
-//! time.  The fingerprint is std's SipHash (`DefaultHasher`), not an
-//! Fx-style multiply hash: over the ≈ 21 k distinct candidate and probe
-//! ASTs of the benchmark's 3 600 MAG questions, Fx gave 26 full 64-bit
-//! collisions (two-triple candidates that differ in one entity id) and
-//! SipHash none.  A collision is still only a miss — the equality check
-//! rejects it and the insert that follows replaces the entry — but it
-//! would move the eviction counts.
+//! An entry is keyed by its query's *canonical bytes* (`cache/key.rs`): a
+//! compact encoding of the AST, tag bytes and length-prefixed strings,
+//! equal exactly when the queries are.  [`CachingEndpoint`] writes them
+//! once per call into a reused per-thread buffer and hands them to both the
+//! lookup and the insert.  The LRU maps a 64-bit *fingerprint* of the bytes
+//! to the entry, the entry keeps one boxed copy of them, and a lookup hits
+//! only when the copy equals the asked query's bytes.  Bytes rather than
+//! the AST, because on a cold workload nearly every call misses: a
+//! two-triple candidate's AST is ≈ 16 heap objects (every IRI and variable
+//! is a `String`), which a stored copy would clone, hash field by field and
+//! free again about a thousand inserts later — ≈ 70 µs of the Execute
+//! stage's ≈ 180 µs a question on the benchmark's MAG questions (2-core
+//! Xeon).  The bytes are one allocation.
+//!
+//! The fingerprint is std's SipHash (`DefaultHasher`), not an Fx-style
+//! multiply hash: over the ≈ 21 k distinct candidate and probe ASTs of the
+//! benchmark's 3 600 MAG questions, Fx gave 26 full 64-bit collisions
+//! (two-triple candidates that differ in one entity id) and SipHash none.
+//! SipHash over the canonical bytes gives none either, over the 20 764
+//! distinct queries of the MAG questions, the 365 of the 64 hot DBpedia
+//! questions and the 4 096 joins of `sparql_join`.  A collision is still
+//! only a miss — the byte comparison rejects it and the insert that
+//! follows replaces the entry — but it would move the eviction counts.
 //!
 //! The KG-scoping *policy* sits one level up: [`crate::EndpointRegistry`]
 //! owns one namespace per registered KG and invalidates it when the KG is
@@ -57,20 +65,21 @@
 //! is not inserted at all, so per-entry memory stays bounded; what the
 //! entries add up to is reported as [`CacheStats::resident_bytes`].
 
-use std::collections::hash_map::DefaultHasher;
+mod key;
+
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use kgqan_rdf::{IngestBatch, IngestReport, Term, TouchedScope};
-use kgqan_sparql::eval::{is_text_search_pattern, parse_text_query};
+use kgqan_rdf::{IngestBatch, IngestReport, TouchedScope};
 use kgqan_sparql::{parse_query, Query, QueryResults};
 
 use crate::dialect::EngineDialect;
 use crate::error::EndpointError;
 use crate::stats::RequestStats;
 use crate::{SparqlEndpoint, TracedQuery};
+use key::{EncodedScope, QueryKey};
 
 /// Capacity configuration of one cache namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,36 +304,27 @@ fn lock<T>(segment: &Mutex<T>) -> MutexGuard<'_, T> {
     segment.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// One cached round-trip: the query it answers, the shared table and its
-/// size, measured once at insert so eviction can give the bytes back
-/// without another pass.
+/// One cached round-trip: the canonical bytes of the query it answers, the
+/// shared table and its size, measured once at insert so eviction can give
+/// the bytes back without another pass.
 #[derive(Debug)]
 struct Entry {
-    query: Arc<Query>,
+    key: Box<[u8]>,
     results: QueryResults,
     approx_bytes: u64,
 }
 
-/// One LRU of the namespace, keyed by [`fingerprint`].
+/// One LRU of the namespace, keyed by [`QueryKey::fingerprint`].
 type Segment = Mutex<LruCache<u64, Entry>>;
-
-/// The cache key of a query: one SipHash pass over its AST.  Equal queries
-/// have equal fingerprints; unequal ones almost never do, and the entry's
-/// stored query settles the rest (see the module docs).
-fn fingerprint(query: &Query) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    query.hash(&mut hasher);
-    hasher.finish()
-}
 
 /// One KG's cache namespace: thread-safe LRUs keyed by query fingerprint,
 /// with atomic [`CacheStats`] counters.
 ///
-/// Each entry holds the query it was stored for, and a lookup returns it
-/// only when that query equals the asked one, so two queries sharing a
-/// fingerprint can never be served each other's table: the second misses,
-/// and its insert replaces the first (a replacement, not an eviction).
-/// Scoped invalidation tests the stored queries.
+/// Each entry holds the canonical bytes of the query it was stored for, and
+/// a lookup returns it only when those equal the asked query's, so two
+/// queries sharing a fingerprint can never be served each other's table:
+/// the second misses, and its insert replaces the first (a replacement, not
+/// an eviction).  Scoped invalidation reads the stored bytes.
 ///
 /// The query picks its segment: one with a full-text pattern lives among
 /// the `probe_capacity` probes, any other among the `result_capacity`
@@ -367,26 +367,27 @@ impl QueryCache {
         })
     }
 
-    /// The segment `query` lives in: a full-text probe or anything else.
-    fn segment(&self, query: &Query) -> &Segment {
-        if query.has_text_search() {
+    /// The segment `key`'s query lives in: a full-text probe or anything
+    /// else.
+    fn segment(&self, key: &QueryKey) -> &Segment {
+        if key.is_probe() {
             &self.probes
         } else {
             &self.results
         }
     }
 
-    /// Look up `query`, whose [`fingerprint`] is `key`, and count the hit
-    /// or miss.  An entry under `key` that holds a different query is a
-    /// miss.  A hit returns the cached table itself — shared, not copied
-    /// (see [`QueryResults`]): the clone made under the lock is two
-    /// reference-count bumps, whatever the table's size.
-    pub(crate) fn get(&self, key: u64, query: &Query) -> Option<QueryResults> {
+    /// Look up `key` and count the hit or miss.  An entry under its
+    /// fingerprint that holds other bytes is a miss.  A hit returns the
+    /// cached table itself — shared, not copied (see [`QueryResults`]): the
+    /// clone made under the lock is two reference-count bumps, whatever the
+    /// table's size.
+    fn get(&self, key: &QueryKey) -> Option<QueryResults> {
         // A colliding entry found here is refreshed, then replaced by the
         // insert that follows the miss.
-        let found = lock(self.segment(query))
-            .get(&key)
-            .filter(|entry| *entry.query == *query)
+        let found = lock(self.segment(key))
+            .get(&key.fingerprint())
+            .filter(|entry| *entry.key == *key.bytes())
             .map(|entry| entry.results.clone());
         let counter = if found.is_some() {
             &self.hits
@@ -397,26 +398,28 @@ impl QueryCache {
         found
     }
 
-    /// Cache the result of `query`, whose [`fingerprint`] is `key`, unless
-    /// it is oversized (see [`CacheConfig::max_result_rows`]), keeping the
-    /// byte gauge in step with whatever the insert replaced or evicted.
-    /// The namespace keeps a share of `results`; the caller's value is
+    /// Cache the result of `key`'s query unless it is oversized (see
+    /// [`CacheConfig::max_result_rows`]), keeping the byte gauge in step
+    /// with whatever the insert replaced or evicted.  The entry copies the
+    /// key's bytes and keeps a share of `results`; the caller's value is
     /// untouched.
-    pub(crate) fn insert(&self, key: u64, query: &Query, results: &QueryResults) {
+    fn insert(&self, key: &QueryKey, results: &QueryResults) {
         if results.rows().len() > self.max_result_rows {
             return;
         }
         let approx_bytes = results.as_solutions().map_or(0, |s| s.approx_bytes()) as u64;
         let entry = Entry {
-            query: Arc::new(query.clone()),
+            key: Box::from(key.bytes()),
             results: results.clone(),
             approx_bytes,
         };
         // The gauge moves under the segment lock, so an entry's bytes are
         // always added before anything can take them off again.
-        let mut segment = lock(self.segment(query));
-        let replaced = segment.peek(&key).map_or(0, |old| old.approx_bytes);
-        let evicted = segment.insert(key, entry);
+        let mut segment = lock(self.segment(key));
+        let replaced = segment
+            .peek(&key.fingerprint())
+            .map_or(0, |old| old.approx_bytes);
+        let evicted = segment.insert(key.fingerprint(), entry);
         let freed = replaced + evicted.as_ref().map_or(0, |(_, old)| old.approx_bytes);
         self.resident_bytes
             .fetch_add(approx_bytes, Ordering::Relaxed);
@@ -428,14 +431,14 @@ impl QueryCache {
         }
     }
 
-    /// Drop the entries whose query is `stale` from both segments; returns
-    /// how many went and gives their bytes back to the gauge.
-    fn evict_where(&self, stale: impl Fn(&Query) -> bool) -> usize {
+    /// Drop the entries whose query's bytes are `stale` from both segments;
+    /// returns how many went and gives their bytes back to the gauge.
+    fn evict_where(&self, stale: impl Fn(&[u8]) -> bool) -> usize {
         let mut dropped = 0;
         for segment in [&self.probes, &self.results] {
             let mut freed = 0;
             dropped += lock(segment).retain(|_, entry| {
-                let keep = !stale(&entry.query);
+                let keep = !stale(&entry.key);
                 if !keep {
                     freed += entry.approx_bytes;
                 }
@@ -478,7 +481,8 @@ impl QueryCache {
             self.invalidate();
             return;
         }
-        let dropped = self.evict_where(|query| query_touches(query, scope));
+        let scope = EncodedScope::new(scope);
+        let dropped = self.evict_where(|key| scope.touches(key));
         self.scoped_invalidations.fetch_add(1, Ordering::Relaxed);
         self.scoped_evictions
             .fetch_add(dropped as u64, Ordering::Relaxed);
@@ -515,53 +519,13 @@ impl QueryCache {
 /// almost certainly all stale anyway.
 const SCOPED_INVALIDATION_MAX_BATCH: usize = 256;
 
-/// Could an ingest described by `scope` change this cached query's result?
-///
-/// Additions are monotone: a SELECT/ASK over basic graph patterns can only
-/// change if at least one of its triple patterns gained a matching triple.
-/// Each pattern is therefore tested on its own — constant positions
-/// against the added triples, full-text search patterns token-wise against
-/// the added literals' words.
-///
-/// A pattern whose object is the subject of a full-text pattern in the same
-/// BGP — `?v ?p ?d` in `?v ?p ?d . ?d <bif:contains> "'baltic'"` — is left
-/// to that pattern's test: `?d` only binds literals the search matches, so
-/// a new row needs an added triple whose literal holds a search word.  On
-/// its constants alone it would match every added triple, and every ingest
-/// would evict every linking probe.
-fn query_touches(query: &Query, scope: &TouchedScope) -> bool {
-    query.pattern.any_bgp(|bgp| {
-        let searched = |var: &str| {
-            bgp.iter()
-                .any(|tp| is_text_search_pattern(tp) && tp.subject.as_var() == Some(var))
-        };
-        bgp.iter().any(|tp| {
-            if is_text_search_pattern(tp) {
-                // A variable search string is unbounded, treat it as touched.
-                return match tp.object.as_term() {
-                    Some(Term::Literal(lit)) => parse_text_query(&lit.lexical)
-                        .iter()
-                        .any(|word| scope.literal_tokens().contains(word)),
-                    Some(_) => false,
-                    None => true,
-                };
-            }
-            !tp.object.as_var().is_some_and(searched)
-                && scope.matches_constants(
-                    tp.subject.as_term(),
-                    tp.predicate.as_term(),
-                    tp.object.as_term(),
-                )
-        })
-    })
-}
-
 /// A [`SparqlEndpoint`] decorator that answers repeated queries from a
 /// shared [`QueryCache`] namespace instead of re-probing the wrapped
 /// endpoint.
 ///
-/// * Every query is keyed by a fingerprint of its AST, so lookups never
-///   serialize it.
+/// * Every query is keyed by its canonical bytes, a compact encoding of
+///   its AST written once per call into a reused per-thread buffer (not
+///   its SPARQL text), and an entry keeps one copy of them.
 ///   [`SparqlEndpoint::query`] parses the text once and takes the
 ///   [`SparqlEndpoint::query_parsed`] path: a query sent as text and the
 ///   same query sent as an AST share one entry.  Text that does not parse
@@ -611,9 +575,9 @@ impl CachingEndpoint {
     }
 
     /// Answer `query` from the namespace, or `run` it on the wrapped
-    /// endpoint and cache what came back.  The query is hashed once, for
-    /// both the lookup and the insert.  A hit executed nothing, so it
-    /// carries no plan and no scan work — the telemetry reflects what
+    /// endpoint and cache what came back.  The query is encoded and hashed
+    /// once, for both the lookup and the insert.  A hit executed nothing,
+    /// so it carries no plan and no scan work — the telemetry reflects what
     /// actually ran.  A deadline-truncated answer is a *prefix*, not the
     /// answer, so it is not cached: a later, less-hurried request must not
     /// be served the partial rows.
@@ -622,8 +586,8 @@ impl CachingEndpoint {
         query: &Query,
         run: impl FnOnce(&dyn SparqlEndpoint) -> Result<TracedQuery, EndpointError>,
     ) -> Result<TracedQuery, EndpointError> {
-        let key = fingerprint(query);
-        if let Some(results) = self.cache.get(key, query) {
+        let key = QueryKey::of(query);
+        if let Some(results) = self.cache.get(&key) {
             return Ok(untraced(results));
         }
         let traced = run(self.inner.as_ref())?;
@@ -632,7 +596,7 @@ impl CachingEndpoint {
             .as_ref()
             .is_some_and(|metrics| metrics.deadline_exceeded);
         if !partial {
-            self.cache.insert(key, query, &traced.results);
+            self.cache.insert(&key, &traced.results);
         }
         Ok(traced)
     }
@@ -716,7 +680,7 @@ impl SparqlEndpoint for CachingEndpoint {
 mod tests {
     use super::*;
     use crate::inprocess::InProcessEndpoint;
-    use kgqan_rdf::{Store, Triple};
+    use kgqan_rdf::{Store, Term, Triple};
 
     fn store() -> Store {
         let mut s = Store::new();
@@ -1162,7 +1126,7 @@ mod tests {
         assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
         let cached = ep.query(&probe(1)).unwrap();
         let query = parse_query(&probe(1)).unwrap();
-        namespace.insert(fingerprint(&query), &query, &cached);
+        namespace.insert(&QueryKey::of(&query), &cached);
         assert_eq!(namespace.stats().resident_bytes, 2 * one_row);
         ep.query(&probe(2)).unwrap();
         assert_eq!(namespace.stats().evictions, 1);
@@ -1201,27 +1165,27 @@ mod tests {
         let bytes = |rows: &QueryResults| rows.as_solutions().unwrap().approx_bytes() as u64;
         assert_ne!(bytes(&first_rows), bytes(&second_rows));
 
-        // Both queries under one forced key: the second never sees the
-        // first one's table.
-        const KEY: u64 = 7;
-        namespace.insert(KEY, &first, &first_rows);
-        assert_eq!(namespace.get(KEY, &first), Some(first_rows.clone()));
-        assert_eq!(namespace.get(KEY, &second), None);
+        // Both queries under one forced fingerprint: the second never sees
+        // the first one's table.
+        let key = |query| QueryKey::of(query).with_fingerprint(7);
+        namespace.insert(&key(&first), &first_rows);
+        assert_eq!(namespace.get(&key(&first)), Some(first_rows.clone()));
+        assert_eq!(namespace.get(&key(&second)), None);
         let stats = namespace.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.resident_bytes, bytes(&first_rows));
 
         // Its insert replaces the entry: no eviction, the gauge swaps bytes.
-        namespace.insert(KEY, &second, &second_rows);
-        assert_eq!(namespace.get(KEY, &second), Some(second_rows.clone()));
-        assert_eq!(namespace.get(KEY, &first), None);
+        namespace.insert(&key(&second), &second_rows);
+        assert_eq!(namespace.get(&key(&second)), Some(second_rows.clone()));
+        assert_eq!(namespace.get(&key(&first)), None);
         let stats = namespace.stats();
         assert_eq!((stats.hits, stats.misses), (2, 2));
         assert_eq!((stats.insertions, stats.evictions), (2, 0));
         assert_eq!(stats.resident_bytes, bytes(&second_rows));
         assert_eq!(namespace.len(), 1);
 
-        // Scoped invalidation tests the stored query: an ingest only the
+        // Scoped invalidation tests the stored bytes: an ingest only the
         // first query could see keeps the entry, one the second sees
         // evicts it.
         let ingest = |predicate: &str| {

@@ -204,3 +204,54 @@ fn a_value_attached_to_a_cached_page_never_reaches_the_wire() {
     assert_eq!(query_results_to_json(&hit), bytes);
     assert_eq!(query_results_to_json(&fresh), bytes);
 }
+
+/// `SELECT ?s` over `patterns` triple patterns, each with its own long
+/// predicate IRI that no triple uses: the query's AST is `patterns` times
+/// three heap strings and a vector, and executing it scans nothing.
+fn wide_query(patterns: usize, variant: usize) -> kgqan_sparql::Query {
+    let long = "a-predicate-name-long-enough-to-matter/".repeat(4);
+    let body: String = (0..patterns)
+        .map(|i| format!("?s <http://e/{long}{variant}/{i}> ?o{i} . "))
+        .collect();
+    kgqan_sparql::parse_query(&format!("SELECT ?s WHERE {{ {body}}}")).unwrap()
+}
+
+/// The cache keys a query by one copy of its canonical bytes, so what a
+/// lookup and an insert allocate does not grow with the query.
+#[test]
+fn a_key_costs_the_same_allocations_whatever_the_query_holds() {
+    let mut store = Store::new();
+    store.insert(Triple::new(
+        Term::iri("http://e/s"),
+        Term::iri("http://e/p"),
+        Term::iri("http://e/o"),
+    ));
+    let engine = Arc::new(InProcessEndpoint::new("kg", store));
+    let namespace = QueryCache::shared(CacheConfig::with_capacity(4));
+    let cached = CachingEndpoint::new(engine.clone(), namespace.clone());
+    // A namespace at capacity: every miss below also evicts.
+    for variant in 0..4 {
+        cached.query_parsed(&wide_query(16, 100 + variant)).unwrap();
+    }
+
+    let mut hits = Vec::new();
+    for patterns in [1, 16] {
+        // Once per size, so the thread's key buffer has grown to it.
+        cached.query_parsed(&wide_query(patterns, 0)).unwrap();
+        let query = wide_query(patterns, 1);
+        let bare = measure(|| engine.query_parsed(&query).unwrap()).allocations;
+        let evictions = namespace.stats().evictions;
+        let miss = measure(|| cached.query_parsed(&query).unwrap()).allocations;
+        assert_eq!(namespace.stats().evictions, evictions + 1);
+        // The entry's copy of the key's bytes is the one allocation of its
+        // own (the LRU at capacity reuses its slots); one more is slack.  A
+        // deep copy of the AST would add three strings a pattern.
+        assert!(
+            miss <= bare + 2,
+            "a miss on {patterns} patterns made {miss} allocations, the engine alone {bare}"
+        );
+        hits.push(measure(|| cached.query_parsed(&query).unwrap()).allocations);
+    }
+    assert_eq!(hits[0], hits[1], "a hit on 1 or 16 patterns: {hits:?}");
+    assert_eq!(namespace.stats().hits, 2);
+}

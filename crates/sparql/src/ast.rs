@@ -337,9 +337,10 @@ pub enum QueryForm {
 
 /// A parsed SPARQL query.
 ///
-/// The AST is `Eq + Hash` so that built queries can key caches directly
-/// (see `kgqan-endpoint`'s `CachingEndpoint`) without a detour through
-/// their serialized text.
+/// The AST is `Eq + Hash`, so a built query can key a map directly without
+/// a detour through its serialized text.  (`kgqan-endpoint`'s
+/// `CachingEndpoint` keys its entries by a compact byte encoding of the
+/// AST instead, one allocation an entry rather than a deep copy.)
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Query {
     /// SELECT or ASK.
