@@ -1,12 +1,12 @@
 //! Phase 1: question understanding.
 //!
-//! Wraps the trained triple-pattern generator (the Seq2Seq substitute) and
-//! the answer-type classifier, and produces the PGP plus the predicted
-//! answer type — everything downstream phases need, independent of any KG.
+//! Wraps the trained question model of `kgqan_nlp` (the Seq2Seq substitute
+//! and the answer-type classifier, which read each question once) and adds
+//! the PGP built from its triples — everything downstream phases need,
+//! independent of any KG.
 
 use kgqan_nlp::{
-    training_corpus, AnswerDataType, AnswerTypeClassifier, AnswerTypePrediction,
-    PhraseTriplePattern, Seq2SeqVariant, TriplePatternGenerator,
+    AnswerDataType, AnswerTypePrediction, PhraseTriplePattern, QuestionModel, Seq2SeqVariant,
 };
 
 use crate::error::KgqanError;
@@ -36,8 +36,7 @@ impl Understanding {
 /// The question-understanding component: trained once before deployment
 /// (Figure 5), then applied to any question against any KG.
 pub struct QuestionUnderstanding {
-    generator: TriplePatternGenerator,
-    classifier: AnswerTypeClassifier,
+    model: QuestionModel,
 }
 
 impl QuestionUnderstanding {
@@ -48,41 +47,29 @@ impl QuestionUnderstanding {
 
     /// Train models with the chosen Seq2Seq variant (the Table 4 axis).
     pub fn train_with_variant(variant: Seq2SeqVariant) -> Self {
-        let corpus = training_corpus();
-        let mut generator = TriplePatternGenerator::new(variant);
-        generator.train(&corpus, 5);
-        let examples: Vec<(String, AnswerDataType)> = corpus
-            .iter()
-            .map(|q| (q.question.clone(), q.answer_type))
-            .collect();
-        let mut classifier = AnswerTypeClassifier::new();
-        classifier.train(&examples, 8);
         QuestionUnderstanding {
-            generator,
-            classifier,
+            model: QuestionModel::train(variant),
         }
     }
 
     /// The Seq2Seq variant in use.
     pub fn variant(&self) -> Seq2SeqVariant {
-        self.generator.variant()
+        self.model.variant()
     }
 
     /// Understand a question: extract triples, build the PGP, predict the
     /// answer type.  Fails if no triple pattern can be extracted at all.
     pub fn understand(&self, question: &str) -> Result<Understanding, KgqanError> {
-        let triples = self.generator.generate(question);
+        let (triples, answer_type) = self.model.understand(question);
         if triples.is_empty() {
             return Err(KgqanError::UnderstandingFailed {
                 question: question.to_string(),
             });
         }
-        let pgp = PhraseGraphPattern::from_triples(&triples);
-        let answer_type = self.classifier.predict(question);
         Ok(Understanding {
             question: question.to_string(),
+            pgp: PhraseGraphPattern::from_triples(&triples),
             triples,
-            pgp,
             answer_type,
         })
     }

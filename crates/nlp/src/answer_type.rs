@@ -8,14 +8,14 @@
 //!
 //! The substitute classifier is an averaged perceptron over bag-of-words and
 //! question-shape features, trained on the annotated corpus of
-//! [`crate::corpus`].  The semantic type uses the first-noun heuristic backed
-//! by the lexicon tagger of [`crate::lexicon`].
+//! [`crate::corpus`].  It reads the same tagged question as the tagger; the
+//! semantic type is that question's first noun by the part-of-speech tags of
+//! [`crate::lexicon`], read with its tokens.
 
 use std::fmt;
 
-use crate::lexicon::first_noun;
+use crate::model::TaggedQuestion;
 use crate::perceptron::{AveragedPerceptron, FeatureSink, Training};
-use crate::tokenizer::tokenize_question;
 
 /// The expected data type of an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,45 +74,38 @@ pub struct AnswerTypePrediction {
 
 /// The trainable answer-type classifier.
 #[derive(Debug, Clone)]
-pub struct AnswerTypeClassifier {
+pub(crate) struct AnswerTypeClassifier {
     model: AveragedPerceptron,
 }
 
-impl Default for AnswerTypeClassifier {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl AnswerTypeClassifier {
-    /// Create an untrained classifier.
-    pub fn new() -> Self {
-        AnswerTypeClassifier {
-            model: AveragedPerceptron::new(labels()),
-        }
-    }
-
-    /// Train on `(question, data type)` pairs for `epochs` passes,
-    /// replacing whatever the classifier had learnt before.
-    pub fn train(&mut self, examples: &[(String, AnswerDataType)], epochs: usize) {
+    /// Train on questions paired with their answers' data types for
+    /// `epochs` passes.
+    pub(crate) fn train(
+        questions: &[TaggedQuestion],
+        answer_types: &[AnswerDataType],
+        epochs: usize,
+    ) -> Self {
         let mut training = Training::new(labels());
         for _ in 0..epochs {
-            for (question, truth) in examples {
+            for (question, truth) in questions.iter().zip(answer_types) {
                 Self::features(question, &mut training);
                 training.learn(truth.label());
             }
         }
-        self.model = training.average();
+        AnswerTypeClassifier {
+            model: training.average(),
+        }
     }
 
     /// Predict the data type and semantic type of a question's answer.
-    pub fn predict(&self, question: &str) -> AnswerTypePrediction {
+    pub(crate) fn predict(&self, question: &TaggedQuestion) -> AnswerTypePrediction {
         let mut scorer = self.model.scorer();
         Self::features(question, &mut scorer);
         let data_type =
             AnswerDataType::from_label(scorer.predict()).unwrap_or(AnswerDataType::String);
         let semantic_type = if data_type == AnswerDataType::String {
-            first_noun(question)
+            question.first_noun()
         } else {
             None
         };
@@ -125,9 +118,8 @@ impl AnswerTypeClassifier {
     /// Feature template: the first two tokens (question word and auxiliary),
     /// selected cue bigrams ("how many", "in which year"), and a small bag of
     /// lowercase words, streamed into `sink`.
-    fn features(question: &str, sink: &mut impl FeatureSink) {
-        let tokens = tokenize_question(question);
-        let lower: Vec<&str> = tokens.iter().map(|t| t.lower.as_str()).collect();
+    fn features(question: &TaggedQuestion, sink: &mut impl FeatureSink) {
+        let lower: Vec<&str> = question.tokens.iter().map(|t| t.lower.as_str()).collect();
         sink.feature(format_args!("bias"));
         if let Some(first) = lower.first() {
             sink.feature(format_args!("first={first}"));
@@ -181,17 +173,15 @@ fn labels() -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::training_corpus;
+    use crate::model::training_questions;
 
     fn trained() -> AnswerTypeClassifier {
-        let corpus = training_corpus();
-        let examples: Vec<(String, AnswerDataType)> = corpus
-            .iter()
-            .map(|q| (q.question.clone(), q.answer_type))
-            .collect();
-        let mut clf = AnswerTypeClassifier::new();
-        clf.train(&examples, 8);
-        clf
+        let (questions, answer_types) = training_questions();
+        AnswerTypeClassifier::train(&questions, &answer_types, 8)
+    }
+
+    fn predict(question: &str) -> AnswerTypePrediction {
+        trained().predict(&TaggedQuestion::new(question))
     }
 
     #[test]
@@ -205,30 +195,26 @@ mod tests {
 
     #[test]
     fn predicts_boolean_for_yes_no_questions() {
-        let clf = trained();
-        let p = clf.predict("Did Albert Einstein work at Princeton University?");
+        let p = predict("Did Albert Einstein work at Princeton University?");
         assert_eq!(p.data_type, AnswerDataType::Boolean);
         assert_eq!(p.semantic_type, None);
     }
 
     #[test]
     fn predicts_numeric_for_how_many_questions() {
-        let clf = trained();
-        let p = clf.predict("How many papers did Jim Gray write?");
+        let p = predict("How many papers did Jim Gray write?");
         assert_eq!(p.data_type, AnswerDataType::Numeric);
     }
 
     #[test]
     fn predicts_date_for_when_questions() {
-        let clf = trained();
-        let p = clf.predict("When was Albert Einstein born?");
+        let p = predict("When was Albert Einstein born?");
         assert_eq!(p.data_type, AnswerDataType::Date);
     }
 
     #[test]
     fn predicts_string_with_semantic_type_for_entity_questions() {
-        let clf = trained();
-        let p = clf.predict(
+        let p = predict(
             "Name the sea into which Danish Straits flows and has Kaliningrad as one of the city on the shore",
         );
         assert_eq!(p.data_type, AnswerDataType::String);
@@ -237,8 +223,7 @@ mod tests {
 
     #[test]
     fn semantic_type_is_first_noun_only_for_strings() {
-        let clf = trained();
-        let p = clf.predict("Who is the wife of Barack Obama?");
+        let p = predict("Who is the wife of Barack Obama?");
         assert_eq!(p.data_type, AnswerDataType::String);
         assert_eq!(p.semantic_type.as_deref(), Some("wife"));
     }

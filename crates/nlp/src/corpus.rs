@@ -27,7 +27,8 @@ use crate::tokenizer::tokenize_question;
 pub struct AnnotatedQuestion {
     /// The question text.
     pub question: String,
-    /// Token-level BIO tags, aligned with `tokenize_question(&question)`.
+    /// Token-level BIO tags, one per token the question model reads off
+    /// `question` (the tokens of `tokenize_question`).
     pub(crate) tags: Vec<BioTag>,
     /// The gold phrase triple patterns.
     pub triples: Vec<PhraseTriplePattern>,

@@ -7,7 +7,8 @@
 //! words (determiners, prepositions, pronouns, auxiliaries, question words)
 //! are enumerable, verbs and adverbs are recognised by suffix or by a list of
 //! frequent forms, and everything else defaults to noun — which is exactly
-//! the right default for the first-noun heuristic.
+//! the right default for the first-noun heuristic.  A question is tagged once,
+//! when it is read; the BART-like tagger's features read the same tags.
 
 use crate::tokenizer::QUESTION_WORDS;
 
@@ -223,26 +224,6 @@ pub fn pos_tag(lower: &str, capitalized: bool, sentence_initial: bool) -> PosTag
     PosTag::Noun
 }
 
-/// Tag every token of a question.  Returns `(lowercase word, tag)` pairs.
-pub(crate) fn tag_question(question: &str) -> Vec<(String, PosTag)> {
-    let tokens = crate::tokenizer::tokenize_question(question);
-    tokens
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (t.lower.clone(), pos_tag(&t.lower, t.capitalized, i == 0)))
-        .collect()
-}
-
-/// The first (common) noun of the question — KGQAn's semantic-type heuristic
-/// (§4.3).  Proper nouns are skipped because they are entity mentions, not
-/// type descriptions.
-pub(crate) fn first_noun(question: &str) -> Option<String> {
-    tag_question(question)
-        .into_iter()
-        .find(|(_, tag)| *tag == PosTag::Noun)
-        .map(|(word, _)| word)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,42 +258,5 @@ mod tests {
         assert_eq!(pos_tag("running", false, false), PosTag::Verb);
         assert_eq!(pos_tag("famous", false, false), PosTag::Adjective);
         assert_eq!(pos_tag("sea", false, false), PosTag::Noun);
-    }
-
-    #[test]
-    fn first_noun_matches_paper_example() {
-        // For q_E the predicted semantic type is "sea".
-        let q = "Name the sea into which Danish Straits flows and has Kaliningrad as one of the city on the shore";
-        assert_eq!(first_noun(q), Some("sea".to_string()));
-    }
-
-    #[test]
-    fn first_noun_skips_proper_nouns_and_question_words() {
-        assert_eq!(
-            first_noun("Who is the wife of Barack Obama?"),
-            Some("wife".to_string())
-        );
-        assert_eq!(
-            first_noun("Which river does the Brooklyn Bridge cross?"),
-            Some("river".to_string())
-        );
-        assert_eq!(
-            first_noun("Who wrote The Hobbit?"),
-            None.or(first_noun("Who wrote The Hobbit?"))
-        );
-    }
-
-    #[test]
-    fn tag_question_produces_one_tag_per_token() {
-        let q = "When did the Danish Straits freeze?";
-        let tags = tag_question(q);
-        assert_eq!(tags.len(), 6);
-        assert_eq!(tags[0].1, PosTag::QuestionWord);
-    }
-
-    #[test]
-    fn first_noun_of_empty_question_is_none() {
-        assert_eq!(first_noun(""), None);
-        assert_eq!(first_noun("Who is he?"), None);
     }
 }

@@ -17,10 +17,12 @@
 //!   n-gram embeddings for out-of-vocabulary words (chars2vec substitute) and
 //!   mean-pooled sentence embeddings (GPT-3 coarse-grained substitute),
 //! * [`seq2seq`] — the **triple pattern generator**: a trainable averaged
-//!   perceptron sequence tagger plus a deterministic triple assembler, the
+//!   perceptron sequence tagger plus a one-pass span and triple assembler, the
 //!   substitute for the fine-tuned BART/GPT-3 Seq2Seq model of Section 4,
 //! * [`answer_type`] — the answer data-type classifier (date / numeric /
 //!   boolean / string) and the first-noun semantic-type heuristic of §4.3,
+//! * [`QuestionModel`] — both of them as one trained model that reads each
+//!   question once,
 //! * [`corpus`] — the annotated training corpus generator standing in for
 //!   the 1,752 manually annotated questions of §4.1.2.
 
@@ -31,11 +33,13 @@ pub mod answer_type;
 pub mod corpus;
 pub mod embedding;
 pub mod lexicon;
+mod model;
 mod perceptron;
 pub mod seq2seq;
 pub mod synonyms;
 pub mod tokenizer;
 
-pub use answer_type::{AnswerDataType, AnswerTypeClassifier, AnswerTypePrediction};
+pub use answer_type::{AnswerDataType, AnswerTypePrediction};
 pub use corpus::{training_corpus, AnnotatedQuestion};
-pub use seq2seq::{PhraseNode, PhraseTriplePattern, Seq2SeqVariant, TriplePatternGenerator};
+pub use model::QuestionModel;
+pub use seq2seq::{PhraseNode, PhraseTriplePattern, Seq2SeqVariant};

@@ -24,15 +24,21 @@
 //! [`Seq2SeqVariant::BartLike`] uses lexical + part-of-speech + context
 //! features, [`Seq2SeqVariant::Gpt3Like`] uses lexical features only.
 //! Either template streams a token's features straight into the
-//! perceptron's scorer, formatted one at a time into one reused buffer, and
-//! the BART-like one tags each token's part of speech once per question.
+//! perceptron's scorer, formatted one at a time into one reused buffer.  The
+//! tagger reads a `TaggedQuestion`, whose tokens and
+//! part-of-speech tags were read off the question once, and writes its BIO
+//! tags into it; the assembler groups those tags into spans in one pass and
+//! copies a span's words out only when a triple uses them.
 
+use std::cell::OnceCell;
 use std::fmt;
 
-use crate::corpus::AnnotatedQuestion;
-use crate::lexicon::{pos_tag, PosTag};
+use crate::model::TaggedQuestion;
 use crate::perceptron::{AveragedPerceptron, FeatureSink, Training};
-use crate::tokenizer::{is_stop_word, tokenize_question, Token};
+use crate::tokenizer::is_stop_word;
+
+#[cfg(test)]
+mod oracle;
 
 /// BIO tags assigned to question tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -175,12 +181,25 @@ impl Seq2SeqVariant {
     }
 }
 
-/// A tagged span of consecutive question tokens.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A span of question tokens, `tokens[start..end]`, that forms one entity
+/// or relation phrase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Span {
     kind: SpanKind,
-    text: String,
     start: usize,
+    end: usize,
+}
+
+impl Span {
+    /// The span's words as they appear in the question, joined by single
+    /// spaces.
+    fn text(&self, question: &TaggedQuestion) -> String {
+        let words: Vec<&str> = question.tokens[self.start..self.end]
+            .iter()
+            .map(|t| t.surface.as_str())
+            .collect();
+        words.join(" ")
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,56 +208,32 @@ enum SpanKind {
     Relation,
 }
 
-/// The trainable triple-pattern generator.
+/// The trainable triple-pattern tagger.
 #[derive(Debug, Clone)]
-pub struct TriplePatternGenerator {
+pub(crate) struct TriplePatternGenerator {
     tagger: AveragedPerceptron,
     variant: Seq2SeqVariant,
 }
 
-impl Default for TriplePatternGenerator {
-    fn default() -> Self {
-        Self::new(Seq2SeqVariant::BartLike)
-    }
-}
-
 impl TriplePatternGenerator {
-    /// Create an untrained generator for the given variant.
-    pub fn new(variant: Seq2SeqVariant) -> Self {
-        TriplePatternGenerator {
-            tagger: AveragedPerceptron::new(tag_labels()),
-            variant,
-        }
-    }
-
-    /// The variant this generator emulates.
-    pub fn variant(&self) -> Seq2SeqVariant {
-        self.variant
-    }
-
-    /// Train the tagger on an annotated corpus for `epochs` passes,
-    /// replacing whatever it had learnt before.
-    ///
-    /// Mirrors Figure 5: the model is trained once, before deployment, on
-    /// KG-independent annotated questions.
-    pub fn train(&mut self, corpus: &[AnnotatedQuestion], epochs: usize) {
-        let examples: Vec<(Vec<Token>, Vec<PosTag>, &[BioTag])> = corpus
-            .iter()
-            .map(|example| (tokenize_question(&example.question), &example.tags[..]))
-            // A malformed example is skipped defensively.
-            .filter(|(tokens, tags)| tokens.len() == tags.len())
-            .map(|(tokens, tags)| {
-                let pos = self.pos_tags(&tokens);
-                (tokens, pos, tags)
-            })
-            .collect();
+    /// Train a tagger of the given variant for `epochs` passes over tagged
+    /// corpus questions; an example whose tags do not align with its tokens
+    /// is skipped.
+    pub(crate) fn train(
+        variant: Seq2SeqVariant,
+        questions: &[TaggedQuestion],
+        epochs: usize,
+    ) -> Self {
         let mut training = Training::new(tag_labels());
         for _ in 0..epochs {
-            for (tokens, pos, tags) in &examples {
+            for question in questions {
+                if question.tags.len() != question.tokens.len() {
+                    continue;
+                }
                 let mut prev = BioTag::O;
                 let mut prev2 = BioTag::O;
-                for (i, &truth) in tags.iter().enumerate() {
-                    self.features(tokens, pos, i, prev, prev2, &mut training);
+                for (i, &truth) in question.tags.iter().enumerate() {
+                    features(variant, question, i, prev, prev2, &mut training);
                     training.learn(truth.label());
                     prev2 = prev;
                     // Teacher forcing: condition on the gold previous tag.
@@ -246,97 +241,80 @@ impl TriplePatternGenerator {
                 }
             }
         }
-        self.tagger = training.average();
+        TriplePatternGenerator {
+            tagger: training.average(),
+            variant,
+        }
     }
 
-    /// Tag a question's tokens.
-    pub(crate) fn tag(&self, question: &str) -> Vec<(Token, BioTag)> {
-        let tokens = tokenize_question(question);
-        let pos = self.pos_tags(&tokens);
+    /// The variant this generator emulates.
+    pub(crate) fn variant(&self) -> Seq2SeqVariant {
+        self.variant
+    }
+
+    /// Write the BIO tag of every token into `question`.
+    pub(crate) fn tag(&self, question: &mut TaggedQuestion) {
         let mut scorer = self.tagger.scorer();
-        let mut tags = Vec::with_capacity(tokens.len());
+        question.tags.clear();
         let mut prev = BioTag::O;
         let mut prev2 = BioTag::O;
-        for i in 0..tokens.len() {
-            self.features(&tokens, &pos, i, prev, prev2, &mut scorer);
+        for i in 0..question.tokens.len() {
+            features(self.variant, question, i, prev, prev2, &mut scorer);
             let tag = BioTag::from_label(scorer.predict()).unwrap_or(BioTag::O);
-            tags.push(tag);
+            question.tags.push(tag);
             prev2 = prev;
             prev = tag;
         }
-        tokens.into_iter().zip(tags).collect()
     }
+}
 
-    /// Generate the phrase triple patterns for a question (Definition 4.1).
-    pub fn generate(&self, question: &str) -> Vec<PhraseTriplePattern> {
-        let tagged = self.tag(question);
-        let spans = collect_spans(&tagged);
-        assemble_triples(question, &tagged, &spans)
+/// Feature template for token `i`, streamed into `sink` one feature at
+/// a time.  The BART-like variant sees the POS tags read with the question
+/// and right context; the GPT-3-like (decoder-only) variant sees only
+/// lexical identity and left context.
+fn features(
+    variant: Seq2SeqVariant,
+    question: &TaggedQuestion,
+    i: usize,
+    prev: BioTag,
+    prev2: BioTag,
+    sink: &mut impl FeatureSink,
+) {
+    let TaggedQuestion { tokens, pos, .. } = question;
+    let token = &tokens[i];
+    sink.feature(format_args!("bias"));
+    sink.feature(format_args!("w={}", token.lower));
+    sink.feature(format_args!(
+        "stem={}",
+        crate::embedding::stem(&token.lower)
+    ));
+    sink.feature(format_args!("cap={}", token.capitalized));
+    sink.feature(format_args!("num={}", token.numeric));
+    sink.feature(format_args!("first={}", i == 0));
+    sink.feature(format_args!("prev_tag={}", prev.label()));
+    sink.feature(format_args!("prev2_tag={}", prev2.label()));
+    if i > 0 {
+        sink.feature(format_args!("w-1={}", tokens[i - 1].lower));
+        sink.feature(format_args!("cap-1={}", tokens[i - 1].capitalized));
+    } else {
+        sink.feature(format_args!("w-1=<s>"));
     }
+    sink.feature(format_args!("stop={}", is_stop_word(&token.lower)));
 
-    /// The part-of-speech tag of every token, for the variants whose
-    /// template reads them (none for the GPT-3-like one).
-    fn pos_tags(&self, tokens: &[Token]) -> Vec<PosTag> {
-        if self.variant != Seq2SeqVariant::BartLike {
-            return Vec::new();
-        }
-        tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| pos_tag(&t.lower, t.capitalized, i == 0))
-            .collect()
-    }
-
-    /// Feature template for token `i`, streamed into `sink` one feature at
-    /// a time.  The BART-like variant sees POS tags (`pos` holds one per
-    /// token, looked up once per question, so a token's tag is the same
-    /// whether it is read as `pos`, `pos+1` or `pos-1`) and right context;
-    /// the GPT-3-like (decoder-only) variant sees only lexical identity and
-    /// left context.
-    fn features(
-        &self,
-        tokens: &[Token],
-        pos: &[PosTag],
-        i: usize,
-        prev: BioTag,
-        prev2: BioTag,
-        sink: &mut impl FeatureSink,
-    ) {
-        let token = &tokens[i];
-        sink.feature(format_args!("bias"));
-        sink.feature(format_args!("w={}", token.lower));
-        sink.feature(format_args!(
-            "stem={}",
-            crate::embedding::stem(&token.lower)
-        ));
-        sink.feature(format_args!("cap={}", token.capitalized));
-        sink.feature(format_args!("num={}", token.numeric));
-        sink.feature(format_args!("first={}", i == 0));
-        sink.feature(format_args!("prev_tag={}", prev.label()));
-        sink.feature(format_args!("prev2_tag={}", prev2.label()));
-        if i > 0 {
-            sink.feature(format_args!("w-1={}", tokens[i - 1].lower));
-            sink.feature(format_args!("cap-1={}", tokens[i - 1].capitalized));
+    if variant == Seq2SeqVariant::BartLike {
+        sink.feature(format_args!("pos={:?}", pos[i]));
+        if i + 1 < tokens.len() {
+            sink.feature(format_args!("w+1={}", tokens[i + 1].lower));
+            sink.feature(format_args!("cap+1={}", tokens[i + 1].capitalized));
+            sink.feature(format_args!("pos+1={:?}", pos[i + 1]));
         } else {
-            sink.feature(format_args!("w-1=<s>"));
+            sink.feature(format_args!("w+1=</s>"));
         }
-        sink.feature(format_args!("stop={}", is_stop_word(&token.lower)));
-
-        if self.variant == Seq2SeqVariant::BartLike {
-            sink.feature(format_args!("pos={:?}", pos[i]));
-            if i + 1 < tokens.len() {
-                sink.feature(format_args!("w+1={}", tokens[i + 1].lower));
-                sink.feature(format_args!("cap+1={}", tokens[i + 1].capitalized));
-                sink.feature(format_args!("pos+1={:?}", pos[i + 1]));
-            } else {
-                sink.feature(format_args!("w+1=</s>"));
-            }
-            if i > 0 {
-                sink.feature(format_args!("pos-1={:?}", pos[i - 1]));
-            }
-            if let Some(suffix) = last_three_bytes(&token.lower) {
-                sink.feature(format_args!("suf3={suffix}"));
-            }
+        if i > 0 {
+            sink.feature(format_args!("pos-1={:?}", pos[i - 1]));
+        }
+        if let Some(suffix) = last_three_bytes(&token.lower) {
+            sink.feature(format_args!("suf3={suffix}"));
         }
     }
 }
@@ -358,142 +336,75 @@ fn last_three_bytes(word: &str) -> Option<&str> {
     Some(&word[start..])
 }
 
-/// Group consecutive tagged tokens into entity / relation spans.
+/// The entity and relation spans of a tagged question, in one pass under
+/// one join rule: a tagged token joins the span before it when
 ///
-/// Relation spans separated only by stop words are merged back into one
-/// phrase ("city" + "on the" + "shore" → "city on the shore"), recovering
-/// noun-phrase relations the tagger fragments around function words.
-fn collect_spans(tagged: &[(Token, BioTag)]) -> Vec<Span> {
-    let spans = collect_raw_spans(tagged);
-    merge_relation_spans(tagged, spans)
-}
-
-fn collect_raw_spans(tagged: &[(Token, BioTag)]) -> Vec<Span> {
+/// * its tag continues that span's kind (`I-ENT`, `I-REL`) and the span ends
+///   right before it, or
+/// * both are relations and at most three stop words lie between them
+///   ("city" + "on the" + "shore" → "city on the shore"), which recovers the
+///   noun-phrase relations the tagger fragments around function words.
+///
+/// An entity never joins across a gap; any other tagged token opens a span.
+fn spans(question: &TaggedQuestion) -> Vec<Span> {
     let mut spans: Vec<Span> = Vec::new();
-    for (i, (token, tag)) in tagged.iter().enumerate() {
-        match tag {
-            BioTag::EntB | BioTag::RelB => {
-                let kind = if matches!(tag, BioTag::EntB) {
-                    SpanKind::Entity
-                } else {
-                    SpanKind::Relation
-                };
-                spans.push(Span {
-                    kind,
-                    text: token.surface.clone(),
-                    start: i,
-                });
+    for (i, tag) in question.tags.iter().enumerate() {
+        let (kind, continues) = match tag {
+            BioTag::O => continue,
+            BioTag::EntB => (SpanKind::Entity, false),
+            BioTag::EntI => (SpanKind::Entity, true),
+            BioTag::RelB => (SpanKind::Relation, false),
+            BioTag::RelI => (SpanKind::Relation, true),
+        };
+        match spans.last_mut() {
+            Some(last)
+                if last.kind == kind
+                    && ((continues && last.end == i)
+                        || (kind == SpanKind::Relation
+                            && i - last.end <= 3
+                            && question.tokens[last.end..i]
+                                .iter()
+                                .all(|t| is_stop_word(&t.lower)))) =>
+            {
+                last.end = i + 1;
             }
-            BioTag::EntI | BioTag::RelI => {
-                let kind = if matches!(tag, BioTag::EntI) {
-                    SpanKind::Entity
-                } else {
-                    SpanKind::Relation
-                };
-                match spans.last_mut() {
-                    Some(last)
-                        if last.kind == kind && last.start + count_tokens(&last.text) == i =>
-                    {
-                        last.text.push(' ');
-                        last.text.push_str(&token.surface);
-                    }
-                    _ => {
-                        // Orphan continuation: treat as a new span.
-                        spans.push(Span {
-                            kind,
-                            text: token.surface.clone(),
-                            start: i,
-                        });
-                    }
-                }
-            }
-            BioTag::O => {}
+            _ => spans.push(Span {
+                kind,
+                start: i,
+                end: i + 1,
+            }),
         }
     }
     spans
 }
 
-fn count_tokens(text: &str) -> usize {
-    text.split_whitespace().count()
-}
-
-/// Merge consecutive relation spans whose gap consists only of stop words
-/// (and is at most three tokens wide), keeping the intermediate words.
-fn merge_relation_spans(tagged: &[(Token, BioTag)], spans: Vec<Span>) -> Vec<Span> {
-    let mut merged: Vec<Span> = Vec::new();
-    for span in spans {
-        if span.kind == SpanKind::Relation {
-            if let Some(last) = merged.last_mut() {
-                if last.kind == SpanKind::Relation {
-                    let last_end = last.start + count_tokens(&last.text);
-                    let gap = span.start.saturating_sub(last_end);
-                    let gap_is_stop_words = gap <= 3
-                        && tagged[last_end..span.start]
-                            .iter()
-                            .all(|(t, _)| is_stop_word(&t.lower));
-                    if gap_is_stop_words {
-                        for (t, _) in &tagged[last_end..span.start] {
-                            last.text.push(' ');
-                            last.text.push_str(&t.surface);
-                        }
-                        last.text.push(' ');
-                        last.text.push_str(&span.text);
-                        continue;
-                    }
-                }
-            }
-        }
-        merged.push(span);
-    }
-    merged
-}
-
-/// True if the question is a Boolean (yes/no) question: it starts with an
-/// auxiliary verb rather than a wh-word or imperative.
-fn is_boolean_question(question: &str) -> bool {
-    let first = tokenize_question(question)
-        .into_iter()
-        .next()
-        .map(|t| t.lower)
-        .unwrap_or_default();
-    matches!(
-        first.as_str(),
-        "is" | "are" | "was" | "were" | "did" | "does" | "do" | "has" | "have" | "can" | "could"
-    )
-}
-
-/// Assemble triple patterns out of the tagged spans, following the annotation
-/// conventions of §4.1.2 (one main unknown; intermediate unknowns for path
-/// questions; Boolean questions relate two mentioned entities).
-fn assemble_triples(
-    question: &str,
-    tagged: &[(Token, BioTag)],
-    spans: &[Span],
-) -> Vec<PhraseTriplePattern> {
-    let entities: Vec<&Span> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Entity)
-        .collect();
-    let relations: Vec<&Span> = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Relation)
-        .collect();
-
-    let mut triples = Vec::new();
+/// Assemble the triple patterns of a tagged question out of its spans,
+/// following the annotation conventions of §4.1.2 (one main unknown;
+/// intermediate unknowns for path questions; Boolean questions relate two
+/// mentioned entities).
+pub(crate) fn assemble_triples(question: &TaggedQuestion) -> Vec<PhraseTriplePattern> {
+    let spans = spans(question);
+    let (entities, relations): (Vec<&Span>, Vec<&Span>) =
+        spans.iter().partition(|s| s.kind == SpanKind::Entity);
+    let phrase = |span: &Span| PhraseNode::Phrase(span.text(question));
+    let to_entity = |relation: String, entity: &Span| {
+        PhraseTriplePattern::new(PhraseNode::Unknown(1), relation, phrase(entity))
+    };
+    let fallback_text = OnceCell::new();
+    let fallback = || {
+        fallback_text
+            .get_or_init(|| fallback_relation(question))
+            .clone()
+    };
 
     // Boolean question with two entities and at most one relation:
     // ⟨E1, rel, E2⟩ (e.g. "Did Tolkien write The Hobbit?").
-    if is_boolean_question(question) && entities.len() >= 2 {
+    if question.is_boolean() && entities.len() >= 2 {
         let relation = relations
             .first()
-            .map(|r| r.text.clone())
-            .unwrap_or_else(|| fallback_relation(tagged));
-        triples.push(PhraseTriplePattern::new(
-            PhraseNode::Phrase(entities[0].text.clone()),
-            relation,
-            PhraseNode::Phrase(entities[1].text.clone()),
-        ));
-        return triples;
+            .map_or_else(fallback, |r| r.text(question));
+        let (subject, object) = (phrase(entities[0]), phrase(entities[1]));
+        return vec![PhraseTriplePattern::new(subject, relation, object)];
     }
 
     // Path question: two relations but only one entity, with the second
@@ -501,97 +412,74 @@ fn assemble_triples(
     // ("capital of the country whose president is X" →
     //  ⟨?u1, capital, ?u2⟩, ⟨?u2, president, X⟩).
     if relations.len() >= 2 && entities.len() == 1 && relations[1].start < entities[0].start {
-        triples.push(PhraseTriplePattern::new(
-            PhraseNode::Unknown(1),
-            relations[0].text.clone(),
-            PhraseNode::Unknown(2),
-        ));
-        triples.push(PhraseTriplePattern::new(
-            PhraseNode::Unknown(2),
-            relations[1].text.clone(),
-            PhraseNode::Phrase(entities[0].text.clone()),
-        ));
-        return triples;
-    }
-
-    // General star shape: pair every relation with its nearest entity in
-    // either direction (entities already claimed by another relation are
-    // penalised, so a two-relation question distributes over two entities),
-    // all sharing the main unknown.
-    if !relations.is_empty() && !entities.is_empty() {
-        let mut used = vec![false; entities.len()];
-        for rel in &relations {
-            let mut best: Option<(usize, usize)> = None; // (distance, entity idx)
-            for (idx, ent) in entities.iter().enumerate() {
-                let distance = ent.start.abs_diff(rel.start);
-                let penalty = if used[idx] { 6 } else { 0 };
-                let score = distance + penalty;
-                if best.is_none_or(|(d, _)| score < d) {
-                    best = Some((score, idx));
-                }
-            }
-            if let Some((_, idx)) = best {
-                used[idx] = true;
-                triples.push(PhraseTriplePattern::new(
-                    PhraseNode::Unknown(1),
-                    rel.text.clone(),
-                    PhraseNode::Phrase(entities[idx].text.clone()),
-                ));
-            }
-        }
-        // Entities not linked to any relation (more entities than relations)
-        // still constrain the unknown; attach them with the fallback relation.
-        for (idx, ent) in entities.iter().enumerate() {
-            if !used[idx] && !triples.is_empty() {
-                triples.push(PhraseTriplePattern::new(
-                    PhraseNode::Unknown(1),
-                    fallback_relation(tagged),
-                    PhraseNode::Phrase(ent.text.clone()),
-                ));
-            }
-        }
-        return triples;
-    }
-
-    // Only entities, no relation (e.g. "What is Kaliningrad?"): relate the
-    // unknown to the entity through a generic relation derived from leftover
-    // content words.
-    if !entities.is_empty() {
-        for ent in &entities {
-            triples.push(PhraseTriplePattern::new(
-                PhraseNode::Unknown(1),
-                fallback_relation(tagged),
-                PhraseNode::Phrase(ent.text.clone()),
-            ));
-        }
-        return triples;
+        let (first, second) = (relations[0].text(question), relations[1].text(question));
+        return vec![
+            PhraseTriplePattern::new(PhraseNode::Unknown(1), first, PhraseNode::Unknown(2)),
+            PhraseTriplePattern::new(PhraseNode::Unknown(2), second, phrase(entities[0])),
+        ];
     }
 
     // Only relations, no entity (e.g. "How many seas are there?"):
     // ⟨?u1, rel, ?u2⟩.
-    for rel in &relations {
-        triples.push(PhraseTriplePattern::new(
-            PhraseNode::Unknown(1),
-            rel.text.clone(),
-            PhraseNode::Unknown(2),
-        ));
+    if entities.is_empty() {
+        return relations
+            .iter()
+            .map(|r| {
+                PhraseTriplePattern::new(
+                    PhraseNode::Unknown(1),
+                    r.text(question),
+                    PhraseNode::Unknown(2),
+                )
+            })
+            .collect();
     }
+
+    // General star shape: pair every relation with its nearest entity in
+    // either direction (entities already claimed by another relation are
+    // penalised, so a two-relation question distributes over two entities;
+    // the first of equally near ones wins), all sharing the main unknown.
+    let mut used = vec![false; entities.len()];
+    let mut triples: Vec<PhraseTriplePattern> = relations
+        .iter()
+        .map(|rel| {
+            let nearest = (0..entities.len())
+                .min_by_key(|&idx| {
+                    entities[idx].start.abs_diff(rel.start) + if used[idx] { 6 } else { 0 }
+                })
+                .expect("at least one entity");
+            used[nearest] = true;
+            to_entity(rel.text(question), entities[nearest])
+        })
+        .collect();
+    // Entities no relation claimed (every entity of a question without a
+    // relation, e.g. "What is Kaliningrad?") still constrain the unknown;
+    // attach them through the fallback relation, derived from leftover
+    // content words.
+    triples.extend(
+        entities
+            .iter()
+            .zip(&used)
+            .filter(|(_, &used)| !used)
+            .map(|(entity, _)| to_entity(fallback(), entity)),
+    );
     triples
 }
 
 /// When the tagger found no usable relation phrase, fall back to the
 /// non-stop-word, non-entity content of the question (mirrors how the paper's
 /// model copies arbitrary noun phrases as relations).
-fn fallback_relation(tagged: &[(Token, BioTag)]) -> String {
-    let words: Vec<String> = tagged
+fn fallback_relation(question: &TaggedQuestion) -> String {
+    let words: Vec<&str> = question
+        .tokens
         .iter()
+        .zip(&question.tags)
         .filter(|(t, tag)| {
-            *tag == BioTag::O
+            **tag == BioTag::O
                 && !is_stop_word(&t.lower)
                 && !t.capitalized
                 && !crate::tokenizer::QUESTION_WORDS.contains(&t.lower.as_str())
         })
-        .map(|(t, _)| t.lower.clone())
+        .map(|(t, _)| t.lower.as_str())
         .collect();
     if words.is_empty() {
         "related to".to_string()
@@ -603,13 +491,26 @@ fn fallback_relation(tagged: &[(Token, BioTag)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::training_corpus;
+    use crate::model::training_questions;
+    use crate::tokenizer::Token;
+    use proptest::prelude::*;
+
+    fn corpus() -> Vec<TaggedQuestion> {
+        training_questions().0
+    }
 
     fn trained() -> TriplePatternGenerator {
-        let corpus = training_corpus();
-        let mut generator = TriplePatternGenerator::new(Seq2SeqVariant::BartLike);
-        generator.train(&corpus, 5);
-        generator
+        TriplePatternGenerator::train(Seq2SeqVariant::BartLike, &corpus(), 5)
+    }
+
+    fn tag(g: &TriplePatternGenerator, question: &str) -> TaggedQuestion {
+        let mut question = TaggedQuestion::new(question);
+        g.tag(&mut question);
+        question
+    }
+
+    fn generate(g: &TriplePatternGenerator, question: &str) -> Vec<PhraseTriplePattern> {
+        assemble_triples(&tag(g, question))
     }
 
     #[test]
@@ -629,30 +530,24 @@ mod tests {
     }
 
     #[test]
-    fn default_generator_is_bart_like() {
-        let g = TriplePatternGenerator::default();
-        assert_eq!(g.variant(), Seq2SeqVariant::BartLike);
-    }
-
-    #[test]
     fn training_learns_to_tag_entities_and_relations() {
         let g = trained();
-        let tagged = g.tag("Who is the wife of Barack Obama?");
-        let tags: Vec<BioTag> = tagged.iter().map(|(_, t)| *t).collect();
+        let tagged = tag(&g, "Who is the wife of Barack Obama?");
+        let position = |word: &str| tagged.tokens.iter().position(|t| t.lower == word);
         // "wife" must be part of a relation span, "Barack Obama" an entity span.
-        let wife_idx = tagged.iter().position(|(t, _)| t.lower == "wife").unwrap();
-        assert!(matches!(tags[wife_idx], BioTag::RelB | BioTag::RelI));
-        let barack_idx = tagged
-            .iter()
-            .position(|(t, _)| t.lower == "barack")
-            .unwrap();
-        assert!(matches!(tags[barack_idx], BioTag::EntB | BioTag::EntI));
+        let wife_idx = position("wife").unwrap();
+        assert!(matches!(tagged.tags[wife_idx], BioTag::RelB | BioTag::RelI));
+        let barack_idx = position("barack").unwrap();
+        assert!(matches!(
+            tagged.tags[barack_idx],
+            BioTag::EntB | BioTag::EntI
+        ));
     }
 
     #[test]
     fn generates_single_fact_triple() {
         let g = trained();
-        let triples = g.generate("Who is the spouse of Angela Merkel?");
+        let triples = generate(&g, "Who is the spouse of Angela Merkel?");
         assert!(!triples.is_empty());
         let t = &triples[0];
         assert!(t.subject.is_unknown() || t.object.is_unknown());
@@ -667,7 +562,8 @@ mod tests {
     #[test]
     fn generates_two_triples_for_running_example_style_question() {
         let g = trained();
-        let triples = g.generate(
+        let triples = generate(
+            &g,
             "Name the sea into which Danish Straits flows and has Kaliningrad as one of the city on the shore",
         );
         assert!(
@@ -684,7 +580,7 @@ mod tests {
     #[test]
     fn boolean_question_relates_two_entities() {
         let g = trained();
-        let triples = g.generate("Did Albert Einstein work at Princeton University?");
+        let triples = generate(&g, "Did Albert Einstein work at Princeton University?");
         assert_eq!(triples.len(), 1);
         let t = &triples[0];
         assert!(!t.subject.is_unknown());
@@ -693,18 +589,26 @@ mod tests {
 
     #[test]
     fn gpt3_variant_also_trains_and_generates() {
-        let corpus = training_corpus();
-        let mut g = TriplePatternGenerator::new(Seq2SeqVariant::Gpt3Like);
-        g.train(&corpus, 5);
+        let g = TriplePatternGenerator::train(Seq2SeqVariant::Gpt3Like, &corpus(), 5);
         assert_eq!(g.variant().label(), "GPT-3");
-        let triples = g.generate("Who is the author of Dune?");
-        assert!(!triples.is_empty());
+        assert!(!generate(&g, "Who is the author of Dune?").is_empty());
     }
 
     #[test]
     fn empty_question_yields_no_triples() {
-        let g = trained();
-        assert!(g.generate("").is_empty());
+        assert!(generate(&trained(), "").is_empty());
+    }
+
+    #[test]
+    fn a_misaligned_example_is_skipped_by_training() {
+        let mut examples = corpus();
+        let aligned = TriplePatternGenerator::train(Seq2SeqVariant::BartLike, &examples, 1);
+        let mut misaligned = TaggedQuestion::new("Who is the wife of Barack Obama?");
+        misaligned.tags = vec![BioTag::RelB];
+        examples.insert(0, misaligned);
+        let skipped = TriplePatternGenerator::train(Seq2SeqVariant::BartLike, &examples, 1);
+        let question = "Who is the mayor of Berlin?";
+        assert_eq!(tag(&skipped, question).tags, tag(&aligned, question).tags);
     }
 
     #[test]
@@ -717,9 +621,8 @@ mod tests {
         assert_eq!(last_three_bytes("citroën"), Some("ën"));
         assert_eq!(last_three_bytes("gödel"), Some("del"));
         for variant in [Seq2SeqVariant::BartLike, Seq2SeqVariant::Gpt3Like] {
-            let mut g = TriplePatternGenerator::new(variant);
-            g.train(&training_corpus(), 1);
-            assert_eq!(g.tag("Who is the wife of Muñoz?").len(), 6);
+            let g = TriplePatternGenerator::train(variant, &corpus(), 1);
+            assert_eq!(tag(&g, "Who is the wife of Muñoz?").tags.len(), 6);
         }
     }
 
@@ -727,7 +630,91 @@ mod tests {
     fn fallback_relation_uses_content_words() {
         let g = trained();
         // A question with an entity but (likely) no tagged relation phrase.
-        let triples = g.generate("What is Kaliningrad?");
+        let triples = generate(&g, "What is Kaliningrad?");
         assert!(!triples.is_empty());
+    }
+
+    fn question(words: &[&str], tags: &[BioTag]) -> TaggedQuestion {
+        TaggedQuestion {
+            tokens: words.iter().map(|w| Token::new(w)).collect(),
+            pos: Vec::new(),
+            tags: tags.to_vec(),
+        }
+    }
+
+    fn texts(question: &TaggedQuestion) -> Vec<(SpanKind, String, usize)> {
+        spans(question)
+            .iter()
+            .map(|s| (s.kind, s.text(question), s.start))
+            .collect()
+    }
+
+    #[test]
+    fn relations_join_across_three_stop_words_and_no_more() {
+        use BioTag::{EntB, EntI, RelB, RelI, O};
+        let rel = SpanKind::Relation;
+        let q = question(
+            &["city", "on", "the", "shore", "of", "the", "a", "in", "lake"],
+            &[RelB, O, O, RelB, O, O, O, O, RelI],
+        );
+        assert_eq!(
+            texts(&q),
+            [
+                (rel, "city on the shore".to_string(), 0),
+                (rel, "lake".to_string(), 8)
+            ]
+        );
+        // A content word in the gap, or an entity, keeps relations apart.
+        let q = question(&["born", "near", "in"], &[RelB, O, RelB]);
+        assert_eq!(spans(&q).len(), 2);
+        // Entities join only a continuation right after them.
+        let q = question(&["New", "York", "of", "City"], &[EntB, EntI, O, EntI]);
+        assert_eq!(
+            texts(&q),
+            [
+                (SpanKind::Entity, "New York".to_string(), 0),
+                (SpanKind::Entity, "City".to_string(), 3)
+            ]
+        );
+    }
+
+    /// Stop words first, then content words, a capitalised one and a
+    /// numeral: a gap drawn from the first eight is all stop words.
+    const WORDS: [&str; 12] = [
+        "of", "the", "in", "a", "on", "and", "is", "s", "wife", "flows", "Obama", "1984",
+    ];
+
+    /// 0–20 tokens: runs of 0–5 `O` words, each followed by 1–3 words of
+    /// any tag, so orphan `I-` tags, `I-` tags of the other kind and gaps of
+    /// every width up to five all occur.
+    fn arb_tagged() -> impl Strategy<Value = (Vec<Token>, Vec<BioTag>)> {
+        let gap = prop::collection::vec(0usize..12, 0..6);
+        let run = prop::collection::vec((0usize..12, 0usize..5), 1..4);
+        prop::collection::vec((gap, run), 0..5).prop_map(|segments| {
+            let mut tagged: Vec<(Token, BioTag)> = Vec::new();
+            for (gap, run) in segments {
+                tagged.extend(gap.into_iter().map(|w| (Token::new(WORDS[w]), BioTag::O)));
+                tagged.extend(
+                    run.into_iter()
+                        .map(|(w, t)| (Token::new(WORDS[w]), BioTag::ALL[t])),
+                );
+            }
+            tagged.truncate(20);
+            tagged.into_iter().unzip()
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn one_pass_spans_equal_the_two_pass_oracle((tokens, tags) in arb_tagged()) {
+            let tagged: Vec<(Token, BioTag)> =
+                tokens.iter().cloned().zip(tags.iter().copied()).collect();
+            let expected: Vec<(SpanKind, String, usize)> = oracle::collect_spans(&tagged)
+                .into_iter()
+                .map(|s| (s.kind, s.text, s.start))
+                .collect();
+            let question = TaggedQuestion { tokens, pos: Vec::new(), tags };
+            prop_assert_eq!(texts(&question), expected);
+        }
     }
 }
