@@ -106,7 +106,7 @@ pub fn run_system_on_benchmark(
 }
 
 /// The SPARQL text of an empty two-anchor candidate over a MAG stand-in,
-/// in the shape the candidate generator emits (`kgqan::bgp::bgp_to_query`):
+/// in the shape the candidate generator emits (`kgqan::bgp`):
 /// `<author> creator ?u . <venue> appearsInConferenceSeries ?u` plus the
 /// `OPTIONAL` type clause.  Both anchors are oriented the wrong way round,
 /// so each pattern reads one index row and finds nothing — the fate of

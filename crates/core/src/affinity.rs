@@ -11,12 +11,11 @@
 //! The linker scores one phrase against every description a probe fetched,
 //! so the models embed the phrase once per batch
 //! ([`SemanticAffinity::score_many`]) and take word vectors from the
-//! process-wide memo of [`kgqan_nlp::embedding`].  A vertex probe is scored
-//! so only the first time a linker ranks it: the ranking stays on the
-//! probe's cached table, and a node that hits the probe again copies it
-//! out (see [`crate::linker`]).  Relation linking and filtration score on
-//! every call.  Every score is
-//! bit-identical to the memo-free reference in
+//! process-wide memo of [`kgqan_nlp::embedding`].  A vertex or predicate
+//! probe is scored so only the first time a linker ranks it: the ranking
+//! stays on the probe's cached table, and a node or edge that hits the
+//! probe again reads it (see [`crate::linker`]).  Filtration scores on
+//! every call.  Every score is bit-identical to the memo-free reference in
 //! [`kgqan_nlp::embedding::oracle`].
 //!
 //! # The fine-grained batch table

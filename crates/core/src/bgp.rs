@@ -13,7 +13,8 @@
 //! cut at `MAX_COMBINATIONS`) and ranked by a stable sort.  The
 //! triples and the query of a combination are built only after it made the
 //! top-k, so a question pays for `max_candidate_queries` BGPs, not for the
-//! up to 2 000 the enumeration scores.  The `#[cfg(test)]` `oracle` module
+//! up to 2 000 the enumeration scores; a candidate holds its triples once,
+//! in its query.  The `#[cfg(test)]` `oracle` module
 //! keeps the materialise-everything version as the reference the ranking
 //! is checked against.
 
@@ -24,29 +25,18 @@ use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrT
 
 use crate::agp::AnnotatedGraphPattern;
 
-/// A fully instantiated basic graph pattern: one concrete triple per PGP
-/// edge, plus its Equation-2 score.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BasicGraphPattern {
-    /// The instantiated triple patterns.
-    pub triples: Vec<TriplePatternAst>,
-    /// The Equation-2 score (mean of vertex + predicate + vertex scores).
-    pub score: f32,
-}
-
-/// A ranked candidate SPARQL query generated from a BGP.
+/// A ranked candidate SPARQL query: one concrete triple per PGP edge in the
+/// query body, plus its Equation-2 score.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CandidateQuery {
-    /// The query AST.  The Execute stage hands this to
-    /// [`kgqan_endpoint::SparqlEndpoint::query_traced_within`] (with the
-    /// pipeline's deadline) so in-process endpoints evaluate it directly on
-    /// dictionary ids, and shares it with the candidate's
+    /// The query AST, SELECT or ASK ([`Query::is_ask`]).  The Execute stage
+    /// hands this to [`kgqan_endpoint::SparqlEndpoint::query_traced_within`]
+    /// (with the pipeline's deadline) so in-process endpoints evaluate it
+    /// directly on dictionary ids, and shares it with the candidate's
     /// [`crate::QueryStat`]: one refcount, no copy.
     pub query: Arc<Query>,
-    /// The BGP the query was generated from.
-    pub bgp: BasicGraphPattern,
-    /// True if this is an ASK query (Boolean question).
-    pub is_ask: bool,
+    /// The Equation-2 score (mean of vertex + predicate + vertex scores).
+    pub score: f32,
 }
 
 impl CandidateQuery {
@@ -81,16 +71,11 @@ pub(crate) fn generate_candidate_queries(
     ranked
         .into_iter()
         .map(|(index, score)| {
-            let bgp = BasicGraphPattern {
-                triples: combination(&per_edge, index)
-                    .map(|option| option.triple.clone())
-                    .collect(),
-                score,
-            };
+            let triples = combination(&per_edge, index).map(|option| option.triple.clone());
+            let query = bgp_to_query(triples.collect(), is_ask);
             CandidateQuery {
-                query: Arc::new(bgp_to_query(&bgp, is_ask)),
-                bgp,
-                is_ask,
+                query: Arc::new(query),
+                score,
             }
         })
         .collect()
@@ -212,14 +197,14 @@ fn combination(
         .map(|(options, digit)| &options[digit])
 }
 
-/// Convert a BGP into a SPARQL query AST.
+/// Convert the triples of a BGP into a SPARQL query AST.
 ///
 /// For SELECT queries the main unknown and its optional `rdf:type` are
 /// projected, exactly as in Figure 6.  Building the AST (rather than text)
 /// lets the Execute stage skip the parse step entirely when the target
 /// endpoint is in-process.
-pub fn bgp_to_query(bgp: &BasicGraphPattern, is_ask: bool) -> Query {
-    let body = GraphPattern::Bgp(bgp.triples.clone());
+fn bgp_to_query(triples: Vec<TriplePatternAst>, is_ask: bool) -> Query {
+    let body = GraphPattern::Bgp(triples);
     if is_ask {
         return Query {
             form: QueryForm::Ask,
@@ -253,26 +238,23 @@ pub fn bgp_to_query(bgp: &BasicGraphPattern, is_ask: bool) -> Query {
 mod oracle {
     use super::*;
 
+    /// A materialised BGP: its triples and its Equation-2 score.
+    type Bgp = (Vec<TriplePatternAst>, f32);
+
     /// Every valid BGP of an AGP, in enumeration order.
-    pub(super) fn enumerate_bgps(agp: &AnnotatedGraphPattern) -> Vec<BasicGraphPattern> {
+    fn enumerate_bgps(agp: &AnnotatedGraphPattern) -> Vec<Bgp> {
         let per_edge = edge_options(agp);
         if per_edge.is_empty() {
             return Vec::new();
         }
-        let mut bgps: Vec<BasicGraphPattern> = vec![BasicGraphPattern {
-            triples: Vec::new(),
-            score: 0.0,
-        }];
+        let mut bgps: Vec<Bgp> = vec![(Vec::new(), 0.0)];
         for options in &per_edge {
             let mut next = Vec::with_capacity(bgps.len() * options.len());
-            'outer: for partial in &bgps {
+            'outer: for (triples, score) in &bgps {
                 for option in options {
-                    let mut triples = partial.triples.clone();
+                    let mut triples = triples.clone();
                     triples.push(option.triple.clone());
-                    next.push(BasicGraphPattern {
-                        triples,
-                        score: partial.score + option.score_contribution,
-                    });
+                    next.push((triples, score + option.score_contribution));
                     if next.len() >= MAX_COMBINATIONS {
                         break 'outer;
                     }
@@ -281,8 +263,8 @@ mod oracle {
             bgps = next;
         }
         let num_triples = agp.pgp.edges().len() as f32;
-        for bgp in &mut bgps {
-            bgp.score /= num_triples;
+        for (_, score) in &mut bgps {
+            *score /= num_triples;
         }
         bgps
     }
@@ -292,19 +274,14 @@ mod oracle {
         max_queries: usize,
     ) -> Vec<CandidateQuery> {
         let mut ranked = enumerate_bgps(agp);
-        ranked.sort_by(|a, b| {
-            b.score
-                .partial_cmp(&a.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
         ranked.truncate(max_queries);
         let is_ask = agp.pgp.is_boolean();
         ranked
             .into_iter()
-            .map(|bgp| CandidateQuery {
-                query: Arc::new(bgp_to_query(&bgp, is_ask)),
-                bgp,
-                is_ask,
+            .map(|(triples, score)| CandidateQuery {
+                query: Arc::new(bgp_to_query(triples, is_ask)),
+                score,
             })
             .collect()
     }
@@ -395,7 +372,8 @@ mod tests {
         // 1 option for edge 0 × 2 options for edge 1.
         assert_eq!(queries.len(), 2);
         for query in &queries {
-            assert_eq!(query.bgp.triples.len(), 2);
+            // Two edge triples, and the type clause of the main unknown.
+            assert_eq!(query.query.pattern.all_triple_patterns().len(), 3);
         }
     }
 
@@ -414,16 +392,16 @@ mod tests {
         assert!(text.contains("?unknown1 <http://dbpedia.org/property/outflow> <http://dbpedia.org/resource/Danish_straits>"));
         assert!(text.contains("OPTIONAL"));
         assert!(text.contains(vocab::RDF_TYPE));
-        assert!(!top.is_ask);
+        assert!(!top.query.is_ask());
         // Ranking: nearestCity (0.51) beats cities (0.50).
-        assert!(queries[0].bgp.score >= queries[1].bgp.score);
+        assert!(queries[0].score >= queries[1].score);
         assert!(queries[1].sparql().contains("cities"));
     }
 
     #[test]
     fn equation2_scores_are_mean_over_triples() {
         let agp = figure4_agp();
-        let best = &generate_candidate_queries(&agp, 1)[0].bgp;
+        let best = &generate_candidate_queries(&agp, 1)[0];
         // ((0.60 + 0.59 + 0) + (1.00 + 0.51 + 0)) / 2 = 1.35
         assert!((best.score - 1.35).abs() < 1e-5);
     }
@@ -465,7 +443,7 @@ mod tests {
         }];
         let queries = generate_candidate_queries(&agp, 10);
         assert_eq!(queries.len(), 1);
-        assert!(queries[0].is_ask);
+        assert!(queries[0].query.is_ask());
         let text = queries[0].sparql();
         assert!(text.trim_start().starts_with("ASK"));
         assert!(text.contains("Princeton_University"));
@@ -573,14 +551,13 @@ mod tests {
             prop_assert_eq!(fast.len(), reference.len());
             for (rank, (got, want)) in fast.iter().zip(&reference).enumerate() {
                 prop_assert!(
-                    got.bgp.score.to_bits() == want.bgp.score.to_bits(),
+                    got.score.to_bits() == want.score.to_bits(),
                     "rank {rank}: score {} vs {}",
-                    got.bgp.score,
-                    want.bgp.score
+                    got.score,
+                    want.score
                 );
-                prop_assert_eq!(&got.bgp.triples, &want.bgp.triples);
+                // The query holds the triples and the form (SELECT or ASK).
                 prop_assert_eq!(&got.query, &want.query);
-                prop_assert_eq!(got.is_ask, want.is_ask);
             }
         }
     }

@@ -51,8 +51,6 @@ pub struct QueryStat {
     pub duration: Duration,
     /// Solution rows returned (ASK queries report 0).
     pub rows: usize,
-    /// True for ASK candidates.
-    pub is_ask: bool,
     /// Index/text-index entries the engine scanned answering this
     /// candidate.  `None` when the endpoint does not report work counters
     /// (remote engines) and for a semantic-cache hit, which executed
@@ -122,7 +120,7 @@ pub(crate) fn execute_candidates(
             break;
         }
         if let Some(best) = first_productive_score {
-            if candidate.bgp.score < best * SCORE_WINDOW {
+            if candidate.score < best * SCORE_WINDOW {
                 break;
             }
         }
@@ -154,14 +152,13 @@ pub(crate) fn execute_candidates(
         let results = traced.results;
         outcome.query_stats.push(QueryStat {
             query: Arc::clone(&candidate.query),
-            score: candidate.bgp.score,
+            score: candidate.score,
             duration: started.elapsed(),
             rows: results.as_solutions().map_or(0, |s| s.rows().len()),
-            is_ask: candidate.is_ask,
             rows_scanned: traced.metrics.map(|m| m.rows_scanned),
         });
 
-        if candidate.is_ask {
+        if candidate.query.is_ask() {
             let verdict = results.as_boolean().unwrap_or(false);
             // The highest-ranked ASK query that says "yes" settles the
             // question; otherwise keep the (possibly false) verdict of
@@ -182,13 +179,13 @@ pub(crate) fn execute_candidates(
             continue;
         }
         productive += 1;
-        first_productive_score.get_or_insert(candidate.bgp.score);
+        first_productive_score.get_or_insert(candidate.score);
         // Group class bindings per answer term (one answer may appear in
         // several rows, one per rdf:type).  `seen` finds an answer's
         // entry in one lookup however many rows the candidate returns;
         // the rows of an earlier candidate with this very score (rare)
         // merge into the same entries, found by scanning just those.
-        let score = candidate.bgp.score;
+        let score = candidate.score;
         let answers = &mut outcome.answers;
         let earlier: Vec<usize> = (0..answers.len())
             .filter(|&i| answers[i].query_score == score)
@@ -227,7 +224,6 @@ pub(crate) fn execute_candidates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bgp::BasicGraphPattern;
     use kgqan_endpoint::InProcessEndpoint;
     use kgqan_rdf::{vocab, Store, Triple};
 
@@ -252,21 +248,17 @@ mod tests {
         InProcessEndpoint::new("DBpedia", store)
     }
 
-    fn select_candidate(sparql: &str, score: f32) -> CandidateQuery {
+    fn candidate_query(sparql: &str, score: f32) -> CandidateQuery {
         CandidateQuery {
             query: Arc::new(kgqan_sparql::parse_query(sparql).expect("test query parses")),
-            bgp: BasicGraphPattern {
-                triples: vec![],
-                score,
-            },
-            is_ask: false,
+            score,
         }
     }
 
     #[test]
     fn collects_answers_with_their_classes() {
         let ep = endpoint();
-        let q = select_candidate(
+        let q = candidate_query(
             "SELECT DISTINCT ?unknown1 ?type WHERE { ?unknown1 \
              <http://dbpedia.org/property/outflow> <http://dbpedia.org/resource/Danish_straits> . \
              OPTIONAL { ?unknown1 a ?type . } }",
@@ -317,7 +309,7 @@ mod tests {
         }
         let ep = InProcessEndpoint::new("Hub", store);
         let candidate = |predicate: &str| {
-            select_candidate(
+            candidate_query(
                 &format!(
                     "SELECT DISTINCT ?unknown1 ?type WHERE {{ ?unknown1 <http://e/{predicate}> \
                      <http://e/hub> . OPTIONAL {{ ?unknown1 a ?type . }} }}"
@@ -361,7 +353,7 @@ mod tests {
         let ep = endpoint();
         let productive = "SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }";
         let queries: Vec<CandidateQuery> = (0..5)
-            .map(|i| select_candidate(productive, 1.0 - i as f32 * 0.1))
+            .map(|i| candidate_query(productive, 1.0 - i as f32 * 0.1))
             .collect();
         let outcome = execute_candidates(&queries, 2, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
@@ -375,7 +367,7 @@ mod tests {
         let productive = "SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }";
         let queries: Vec<CandidateQuery> = [1.0, 0.95, 0.85]
             .into_iter()
-            .map(|score| select_candidate(productive, score))
+            .map(|score| candidate_query(productive, score))
             .collect();
         let outcome = execute_candidates(&queries, 3, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
@@ -385,11 +377,11 @@ mod tests {
     #[test]
     fn empty_queries_do_not_consume_budget() {
         let ep = endpoint();
-        let empty = select_candidate(
+        let empty = candidate_query(
             "SELECT ?unknown1 WHERE { ?unknown1 <http://nothing/here> ?o . }",
             0.9,
         );
-        let productive = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 0.5);
+        let productive = candidate_query("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 0.5);
         let outcome =
             execute_candidates(&[empty, productive], 1, &ep, &Budget::unbounded()).unwrap();
         assert_eq!(outcome.executed_queries().len(), 2);
@@ -399,20 +391,12 @@ mod tests {
     #[test]
     fn ask_queries_produce_boolean_verdicts() {
         let ep = endpoint();
-        let ask_candidate = |sparql: &str, score: f32| CandidateQuery {
-            query: Arc::new(kgqan_sparql::parse_query(sparql).expect("test query parses")),
-            bgp: BasicGraphPattern {
-                triples: vec![],
-                score,
-            },
-            is_ask: true,
-        };
-        let no = ask_candidate(
+        let no = candidate_query(
             "ASK { <http://dbpedia.org/resource/Baltic_Sea> \
              <http://dbpedia.org/property/outflow> <http://nowhere/x> }",
             0.9,
         );
-        let yes = ask_candidate(
+        let yes = candidate_query(
             "ASK { <http://dbpedia.org/resource/Baltic_Sea> \
              <http://dbpedia.org/property/outflow> \
              <http://dbpedia.org/resource/Danish_straits> }",
@@ -426,7 +410,7 @@ mod tests {
     #[test]
     fn expired_budget_skips_all_candidates_and_flags_outcome() {
         let ep = endpoint();
-        let q = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
+        let q = candidate_query("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
         let budget = Budget::with_deadline(Duration::ZERO);
         let outcome = execute_candidates(&[q], 3, &ep, &budget).unwrap();
         assert!(outcome.deadline_exceeded);
@@ -442,7 +426,7 @@ mod tests {
         // mislabelled as deadline-partial just because the clock also ran
         // out by then.
         let ep = endpoint();
-        let q = select_candidate("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
+        let q = candidate_query("SELECT ?unknown1 WHERE { ?unknown1 ?p ?o . }", 1.0);
         let outcome =
             execute_candidates(&[q], 0, &ep, &Budget::with_deadline(Duration::ZERO)).unwrap();
         assert!(!outcome.deadline_exceeded);
@@ -452,11 +436,11 @@ mod tests {
     #[test]
     fn query_stats_record_scores_rows_and_kind() {
         let ep = endpoint();
-        let empty = select_candidate(
+        let empty = candidate_query(
             "SELECT ?unknown1 WHERE { ?unknown1 <http://nothing/here> ?o . }",
             1.0,
         );
-        let productive = select_candidate(
+        let productive = candidate_query(
             "SELECT DISTINCT ?unknown1 WHERE { ?unknown1 \
              <http://dbpedia.org/property/outflow> ?o . }",
             0.8,
@@ -469,7 +453,7 @@ mod tests {
         assert_eq!(outcome.query_stats[0].score, 1.0);
         assert_eq!(outcome.query_stats[1].rows, 1);
         assert_eq!(outcome.query_stats[1].score, 0.8);
-        assert!(outcome.query_stats.iter().all(|s| !s.is_ask));
+        assert!(outcome.query_stats.iter().all(|s| !s.query.is_ask()));
         assert!(outcome.query_stats[0]
             .sparql()
             .contains("http://nothing/here"));
@@ -488,7 +472,7 @@ mod tests {
     #[test]
     fn query_stats_carry_plan_summaries_and_scan_counters() {
         let ep = endpoint();
-        let q = select_candidate(
+        let q = candidate_query(
             "SELECT DISTINCT ?unknown1 WHERE { ?unknown1 \
              <http://dbpedia.org/property/outflow> ?o . }",
             1.0,

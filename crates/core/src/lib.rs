@@ -87,7 +87,7 @@ pub mod understanding;
 
 pub use affinity::{AffinityModel, CoarseGrainedAffinity, FineGrainedAffinity, SemanticAffinity};
 pub use agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
-pub use bgp::{BasicGraphPattern, CandidateQuery};
+pub use bgp::CandidateQuery;
 pub use config::{Budget, KgqanConfig, LinkerConfig};
 pub use error::KgqanError;
 pub use execution::{ExecutionOutcome, QueryStat};

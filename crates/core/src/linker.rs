@@ -12,25 +12,31 @@
 //!   (`outgoingPredicate` / `incomingPredicate`), resolves descriptions for
 //!   non-human-readable predicate URIs, and keeps the top-k by affinity.
 //!
-//! # A vertex probe is ranked once
+//! # One rule ranks every probe, once
 //!
-//! Ranking a vertex probe scores the node label against every description
-//! it fetched (up to maxVR = 400), and the endpoint cache hands the same
-//! probe table to every question whose node has the same content words.
-//! So the linker keeps its decision on the table
-//! ([`ResultSet::attach`]): the top-`k` vertices, keyed by the linker's
-//! identity, `k` and the exact node label — everything the ranking depends
-//! on besides the rows.  A later node that finds a ranking under its own
-//! key copies the `k` vertices out and scores nothing; any other key ranks
-//! as usual and leaves the first ranking in place.  The identity is a
-//! process-unique number drawn when a [`JitLinkStage`] (or a bare
-//! [`JitLinker`]) is built, and it stands for the affinity model the stage
-//! holds.  The memo needs no bound and no invalidation: it is `k` vertices
-//! on a table the cache already bounds, it goes when the cache drops the
-//! table, and an ingest that could change the probe's rows evicts the
-//! table and its ranking together.  A probe answered by an uncached
-//! endpoint is a fresh table, so its ranking is simply dropped with it.
-//! Relation linking scores batches built per edge, and keeps no memo.
+//! Both algorithms rank a probe alike: score each row's description
+//! against a phrase (node label or relation phrase), sort stably by
+//! descending affinity, and keep the first `k` rows with distinct key terms
+//! (`?v` of a vertex probe, `?p` of a predicate probe).  An edge's
+//! annotation is the first `num_predicates` entries of its probes' rankings
+//! merged by score, ties to the earlier probe, then the earlier row: what
+//! one stable sort over all the edge's rows keeps, since a row in the
+//! edge's top `k` is in its own probe's top `k`.
+//!
+//! The endpoint cache hands one probe table to every question that asks
+//! the probe, so the ranking stays on the table ([`ResultSet::attach`]):
+//! `(row, score)` pairs keyed by the linker's identity, `k` and the exact
+//! phrase — all it depends on besides the rows.  A probe that finds a
+//! ranking under its own key scores nothing; another key ranks afresh and
+//! leaves the first ranking in place.  The identity is a process-unique
+//! number drawn when a [`JitLinkStage`] (or a bare [`JitLinker`]) is built;
+//! it stands for the stage's affinity model.  The memo needs no bound and
+//! no invalidation: the cache bounds the table, and an ingest that could
+//! change the rows evicts the table and its ranking together (an uncached
+//! endpoint's table is fresh on every call).  One ranking is never
+//! attached: a predicate probe's with an opaque predicate, whose
+//! description comes from *another* query's rows that an ingest may change
+//! without evicting this table.
 //!
 //! [`JitLinkStage`]: crate::pipeline::JitLinkStage
 
@@ -41,7 +47,7 @@ use kgqan_endpoint::{EngineDialect, SparqlEndpoint};
 use kgqan_nlp::tokenizer::content_words;
 use kgqan_rdf::{vocab, Term};
 use kgqan_sparql::ast::{GraphPattern, Query, QueryForm, TriplePatternAst, VarOrTerm};
-use kgqan_sparql::{QueryResults, ResultSet};
+use kgqan_sparql::{QueryResults, ResultSet, Row};
 
 use crate::affinity::SemanticAffinity;
 use crate::agp::{AnnotatedGraphPattern, RelevantPredicate, RelevantVertex};
@@ -60,13 +66,14 @@ pub struct LinkOutcome {
     pub completed: bool,
 }
 
-/// Entity linking's decision on one vertex probe, attached to the probe's
-/// table under the key it was made with (see the module docs).
+/// A linker's ranking of one probe, attached to the probe's table under
+/// the key it was made with (see the module docs): the kept rows, best
+/// first, by position in the table, with their scores.
 struct RankedProbe {
     linker: u64,
-    num_vertices: usize,
-    label: String,
-    vertices: Vec<RelevantVertex>,
+    k: usize,
+    phrase: String,
+    rows: Vec<(usize, f32)>,
 }
 
 /// The source of linker identities: never reused within a process.
@@ -77,14 +84,12 @@ pub(crate) fn fresh_identity() -> u64 {
     NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed)
 }
 
-/// One predicate candidate of an edge while it is being ranked: a row of a
-/// probe result (by position, the rows stay in the shared table) and the
-/// description it is scored by.
-struct PredicateCandidate {
-    probe: usize,
-    row: usize,
-    description: String,
-    /// Position in the edge's anchor-vertex list.
+/// One predicate probe of an edge: the shared table, its `?p` column, and
+/// the anchor (by position in the edge's anchor list) and direction it was
+/// asked for.
+struct PredicateProbe {
+    table: ResultSet,
+    column: usize,
     anchor: usize,
     vertex_is_object: bool,
 }
@@ -93,19 +98,19 @@ struct PredicateCandidate {
 pub struct JitLinker<'a> {
     affinity: &'a dyn SemanticAffinity,
     config: LinkerConfig,
-    /// Whose vertex rankings this linker may reuse (see the module docs).
+    /// Whose rankings this linker may reuse (see the module docs).
     identity: u64,
 }
 
 impl<'a> JitLinker<'a> {
     /// Create a linker using the given affinity model and configuration.
-    /// It reuses only the vertex rankings it made itself.
+    /// It reuses only the rankings it made itself.
     pub fn new(affinity: &'a dyn SemanticAffinity, config: LinkerConfig) -> Self {
         Self::with_identity(affinity, config, fresh_identity())
     }
 
-    /// A linker that shares its vertex rankings with every other linker of
-    /// the same `identity`, which must stand for the same affinity model.
+    /// A linker that shares its rankings with every other linker of the
+    /// same `identity`, which must stand for the same affinity model.
     pub(crate) fn with_identity(
         affinity: &'a dyn SemanticAffinity,
         config: LinkerConfig,
@@ -152,7 +157,7 @@ impl<'a> JitLinker<'a> {
         endpoint: &dyn SparqlEndpoint,
         budget: &Budget,
     ) -> Result<bool, KgqanError> {
-        for node in agp.pgp.nodes().to_vec() {
+        for node in agp.pgp.nodes() {
             if node.is_unknown() {
                 continue; // line 1-3: unknowns get no relevant vertices here
             }
@@ -174,50 +179,79 @@ impl<'a> JitLinker<'a> {
     }
 
     /// The `num_vertices` best vertices of a vertex probe for a node
-    /// `label`: the ranking attached to the probe's table under this
-    /// linker's key, or a fresh one that is then attached for the next
-    /// reader (see the module docs).
+    /// `label`, copied out of the probe's ranking.
     fn relevant_vertices(&self, label: &str, fetched: &ResultSet) -> Vec<RelevantVertex> {
-        let k = self.config.num_vertices;
-        let memo = fetched
-            .attached()
-            .and_then(|memo| memo.downcast_ref::<RankedProbe>())
-            .filter(|memo| {
-                memo.linker == self.identity && memo.num_vertices == k && memo.label == label
-            });
-        if let Some(memo) = memo {
-            return memo.vertices.clone();
-        }
         let (Some(v), Some(d)) = (fetched.column_index("v"), fetched.column_index("d")) else {
             return Vec::new();
         };
-        // The probe's rows are shared with the endpoint cache, so the
-        // ≤ maxVR candidates are scored and ranked where they sit; only
-        // the `num_vertices` winners are copied out.
-        let candidates: Vec<(&Term, Cow<'_, str>)> = fetched
-            .rows()
-            .filter_map(|row| {
-                let (v, d) = (row.cell(v)?, row.cell(d)?);
-                v.is_iri().then(|| (v, d.readable_form()))
-            })
-            .collect();
-        let descriptions: Vec<&str> = candidates.iter().map(|(_, d)| d.as_ref()).collect();
-        let scores = self.affinity.score_many(label, &descriptions);
-        let mut ranked: Vec<usize> = (0..candidates.len()).collect();
-        ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
-        let vertices = best_per_vertex(
-            ranked
-                .into_iter()
-                .map(|i| (candidates[i].0, descriptions[i], scores[i])),
-            k,
-        );
-        fetched.attach(RankedProbe {
-            linker: self.identity,
-            num_vertices: k,
-            label: label.to_string(),
-            vertices: vertices.clone(),
+        let describe = |_: &mut bool, row| Ok(vertex_description(row, v, d));
+        let ranking = self.ranking(fetched, v, label, self.config.num_vertices, describe);
+        let (kept, _) = ranking.expect("a vertex row is described without a query");
+        let rows = fetched.rows();
+        let kept = kept.iter().map(|&(position, score)| {
+            let row = rows.clone().nth(position).expect("a ranked row");
+            RelevantVertex {
+                vertex: row.cell(v).expect("a ranked row binds ?v").clone(),
+                description: vertex_description(row, v, d).expect("ranked").into_owned(),
+                score,
+            }
         });
-        vertices
+        kept.collect()
+    }
+
+    /// The ranking of a probe `table` for `phrase` under the rule of the
+    /// module docs: the one attached under this linker's key, or a fresh
+    /// one, attached for the next reader unless `describe` flagged it
+    /// foreign.  `describe` gives the text a row is scored by (`None`
+    /// skips the row); column `key` holds the terms kept once each.
+    fn ranking<'t>(
+        &self,
+        table: &'t ResultSet,
+        key: usize,
+        phrase: &str,
+        k: usize,
+        mut describe: impl FnMut(&mut bool, Row<'t>) -> Result<Option<Cow<'t, str>>, KgqanError>,
+    ) -> Result<Ranking<'t>, KgqanError> {
+        let memo = table
+            .attached()
+            .and_then(|memo| memo.downcast_ref::<RankedProbe>());
+        let ours = (self.identity, k, phrase);
+        if let Some(memo) = memo.filter(|m| (m.linker, m.k, m.phrase.as_str()) == ours) {
+            return Ok((Cow::Borrowed(&memo.rows), Vec::new()));
+        }
+        // The rows stay in the shared table: they are scored and ranked
+        // where they sit, and only the kept positions are recorded.
+        let (mut foreign, mut described) = (false, Vec::new());
+        for (position, row) in table.rows().enumerate() {
+            if let Some(description) = describe(&mut foreign, row)? {
+                described.push((position, description));
+            }
+        }
+        let descriptions: Vec<&str> = described.iter().map(|(_, d)| d.as_ref()).collect();
+        let scores = self.affinity.score_many(phrase, &descriptions);
+        let mut order: Vec<usize> = (0..described.len()).collect();
+        order.sort_by(|&a, &b| descending(scores[a], scores[b]));
+        let rows = table.rows();
+        let key_of = |position: usize| rows.clone().nth(position).and_then(|row| row.cell(key));
+        let mut kept: Vec<(usize, f32)> = Vec::new();
+        for (position, score) in order.into_iter().map(|i| (described[i].0, scores[i])) {
+            if kept.len() == k {
+                break;
+            }
+            let term = key_of(position);
+            if !kept.iter().any(|&(at, _)| key_of(at) == term) {
+                kept.push((position, score));
+            }
+        }
+        if !foreign {
+            table.attach(RankedProbe {
+                linker: self.identity,
+                k,
+                phrase: phrase.to_string(),
+                rows: kept.clone(),
+            });
+        }
+        Ok((Cow::Owned(kept), described))
     }
 
     /// The `potentialRelevantVertices(l_n, maxVR)` query of §5.1, phrased
@@ -237,7 +271,7 @@ impl<'a> JitLinker<'a> {
 
     /// Algorithm 2 — KGQAnRelationLink, applied to every PGP edge.  Returns
     /// `false` if the budget expired before every edge was probed.  An edge
-    /// whose probes were cut mid-way still keeps the candidates scored so
+    /// whose probes were cut mid-way still keeps the candidates ranked so
     /// far (best-effort annotation).
     pub(crate) fn link_relations(
         &self,
@@ -246,27 +280,22 @@ impl<'a> JitLinker<'a> {
         budget: &Budget,
     ) -> Result<bool, KgqanError> {
         let mut completed = true;
-        let edges = agp.pgp.edges().to_vec();
-        for (edge_index, edge) in edges.iter().enumerate() {
+        for (edge_index, edge) in agp.pgp.edges().iter().enumerate() {
             if budget.expired() {
                 return Ok(false);
             }
             // Line 2: union of the relevant vertices of both endpoints,
             // remembering which node each vertex annotates.
-            let mut anchor_vertices: Vec<(usize, Term)> = Vec::new();
+            let mut anchor_vertices: Vec<(usize, &Term)> = Vec::new();
             for node_id in [edge.source, edge.target] {
                 for rv in &agp.node_annotations[node_id] {
-                    if !anchor_vertices.iter().any(|(_, v)| v == &rv.vertex) {
-                        anchor_vertices.push((node_id, rv.vertex.clone()));
+                    if !anchor_vertices.iter().any(|(_, v)| *v == &rv.vertex) {
+                        anchor_vertices.push((node_id, &rv.vertex));
                     }
                 }
             }
 
-            // A candidate is a row of a shared probe result plus where it
-            // came from; the predicate and anchor terms are copied only for
-            // the `num_predicates` that survive the ranking.
-            let mut probes: Vec<(ResultSet, usize)> = Vec::new();
-            let mut candidates: Vec<PredicateCandidate> = Vec::new();
+            let mut probes: Vec<PredicateProbe> = Vec::new();
             for (anchor, (_, vertex)) in anchor_vertices.iter().enumerate() {
                 if budget.expired() {
                     completed = false;
@@ -280,70 +309,64 @@ impl<'a> JitLinker<'a> {
                     (false, outgoing_predicate_query(vertex)),
                     (true, incoming_predicate_query(vertex)),
                 ] {
-                    let QueryResults::Solutions(results) = endpoint.query_parsed(&query)? else {
+                    let QueryResults::Solutions(table) = endpoint.query_parsed(&query)? else {
                         continue;
                     };
-                    let Some(column) = results.column_index("p") else {
-                        continue;
-                    };
-                    for (position, row) in results.rows().enumerate() {
-                        let Some(p) = row.cell(column) else { continue };
-                        if !p.is_iri() {
-                            continue;
-                        }
-                        // Lines 10-12: resolve a description for opaque URIs.
-                        let description = if p.is_human_readable() {
-                            p.readable_form().into_owned()
-                        } else {
-                            self.predicate_description(p, endpoint)?
-                                .unwrap_or_else(|| p.readable_form().into_owned())
-                        };
-                        candidates.push(PredicateCandidate {
-                            probe: probes.len(),
-                            row: position,
-                            description,
+                    if let Some(column) = table.column_index("p") {
+                        probes.push(PredicateProbe {
+                            table,
+                            column,
                             anchor,
                             vertex_is_object,
                         });
                     }
-                    probes.push((results, column));
                 }
             }
-            let predicate_of = |c: &PredicateCandidate| {
-                let (results, column) = &probes[c.probe];
-                let row = results.rows().nth(c.row);
-                row.and_then(|row| row.cell(*column))
-                    .expect("candidates are made from rows that bind ?p")
-            };
 
-            // The whole edge is scored in one batch.
-            let descriptions: Vec<&str> =
-                candidates.iter().map(|c| c.description.as_str()).collect();
-            let scores = self.affinity.score_many(&edge.relation, &descriptions);
-
-            // Line 15: keep the top-k by affinity.  Deduplicate on
-            // (predicate, anchor, direction) first so one predicate does not
-            // crowd out the rest.  Anchor vertices are distinct, so equal
-            // anchors are equal positions.
-            let mut ranked: Vec<usize> = (0..candidates.len()).collect();
-            ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
-            ranked.dedup_by(|a, b| {
-                let (a, b) = (&candidates[*a], &candidates[*b]);
-                a.anchor == b.anchor
-                    && a.vertex_is_object == b.vertex_is_object
-                    && predicate_of(a) == predicate_of(b)
+            // Lines 10-12: an opaque URI is described by the KG's text about
+            // the predicate, a foreign description.
+            let k = self.config.num_predicates;
+            let rankings = probes.iter().map(|PredicateProbe { table, column, .. }| {
+                self.ranking(table, *column, &edge.relation, k, |foreign, row| {
+                    let Some(p) = row.cell(*column).filter(|p| p.is_iri()) else {
+                        return Ok(None);
+                    };
+                    if p.is_human_readable() {
+                        return Ok(Some(p.readable_form()));
+                    }
+                    *foreign = true;
+                    let fetched = self.predicate_description(p, endpoint)?;
+                    Ok(Some(fetched.map_or_else(|| p.readable_form(), Cow::Owned)))
+                })
             });
-            ranked.truncate(self.config.num_predicates);
-            let kept = ranked.into_iter().map(|i| {
-                let candidate = &candidates[i];
-                let (anchor_node, anchor_vertex) = &anchor_vertices[candidate.anchor];
+            let rankings = rankings.collect::<Result<Vec<_>, _>>()?;
+
+            // Line 15: keep the top-k by affinity.  The probes' own top-k,
+            // concatenated in probe order and stably sorted, are in the
+            // order of one stable sort over every row of the edge.
+            let mut merged: Vec<(usize, usize, f32)> = Vec::new();
+            for (index, (kept, _)) in rankings.iter().enumerate() {
+                merged.extend(kept.iter().map(|&(row, score)| (index, row, score)));
+            }
+            merged.sort_by(|a, b| descending(a.2, b.2));
+            merged.truncate(k);
+            let kept = merged.into_iter().map(|(index, position, score)| {
+                let (probe, (_, described)) = (&probes[index], &rankings[index]);
+                let row = probe.table.rows().nth(position).expect("a ranked row");
+                let predicate = row.cell(probe.column).expect("a ranked row binds ?p");
+                // A kept ranking's descriptions are the rows' own.
+                let description = match described.binary_search_by_key(&position, |(at, _)| *at) {
+                    Ok(at) => described[at].1.to_string(),
+                    Err(_) => predicate.readable_form().into_owned(),
+                };
+                let (anchor_node, anchor_vertex) = anchor_vertices[probe.anchor];
                 RelevantPredicate {
-                    predicate: predicate_of(candidate).clone(),
-                    description: candidate.description.clone(),
-                    score: scores[i],
+                    predicate: predicate.clone(),
+                    description,
+                    score,
                     anchor_vertex: anchor_vertex.clone(),
-                    anchor_node: *anchor_node,
-                    vertex_is_object: candidate.vertex_is_object,
+                    anchor_node,
+                    vertex_is_object: probe.vertex_is_object,
                 }
             });
             agp.edge_annotations[edge_index] = kept.collect();
@@ -359,61 +382,40 @@ impl<'a> JitLinker<'a> {
         predicate: &Term,
         endpoint: &dyn SparqlEndpoint,
     ) -> Result<Option<String>, KgqanError> {
-        if predicate.as_iri().is_none() {
-            return Ok(None);
-        }
         // Prefer rdfs:label, fall back to any literal.  Both lookups are
         // built as ASTs and issued through the parsed path, like every
         // other probe.
         let labelled = description_query(predicate, VarOrTerm::iri(vocab::RDFS_LABEL), 1);
         let results = endpoint.query_parsed(&labelled)?;
-        if let Some(first) = results.rows().first() {
-            if let Some(Term::Literal(lit)) = first.get("d") {
-                return Ok(Some(lit.lexical.clone()));
-            }
+        if let Some(Term::Literal(lit)) = results.rows().first().and_then(|row| row.get("d")) {
+            return Ok(Some(lit.lexical.clone()));
         }
         let any = description_query(predicate, VarOrTerm::var("p"), 5);
         let results = endpoint.query_parsed(&any)?;
-        for row in results.rows() {
-            if let Some(Term::Literal(lit)) = row.get("d") {
-                if lit.is_string() {
-                    return Ok(Some(lit.lexical.clone()));
-                }
-            }
-        }
-        Ok(None)
+        let literal = results.rows().find_map(|row| match row.get("d") {
+            Some(Term::Literal(lit)) if lit.is_string() => Some(lit.lexical.clone()),
+            _ => None,
+        });
+        Ok(literal)
     }
 }
+
+/// The description a vertex probe row is scored by: the text of its `?d`,
+/// for a row whose `?v` is an IRI.
+fn vertex_description(row: Row<'_>, v: usize, d: usize) -> Option<Cow<'_, str>> {
+    let (v, d) = (row.cell(v)?, row.cell(d)?);
+    v.is_iri().then(|| d.readable_form())
+}
+
+/// A probe's ranking as a caller reads it: the kept `(row, score)` pairs,
+/// best first, and — if it was just made — every ranked row's description,
+/// by row.
+type Ranking<'t> = (Cow<'t, [(usize, f32)]>, Vec<(usize, Cow<'t, str>)>);
 
 /// The ranking both linking algorithms sort by: higher affinity first.
 /// Used with the stable `sort_by`, so equal scores keep their fetch order.
 fn descending(a: f32, b: f32) -> std::cmp::Ordering {
     b.partial_cmp(&a).unwrap_or(std::cmp::Ordering::Equal)
-}
-
-/// The first `k` distinct vertices of `(vertex, description, score)`
-/// candidates ranked by descending score: a vertex fetched under several
-/// descriptions (label and alternative label) keeps its best-scoring entry
-/// and takes one slot, wherever its other entries landed in the order.
-/// Only the kept candidates are copied.
-fn best_per_vertex<'a>(
-    ranked: impl Iterator<Item = (&'a Term, &'a str, f32)>,
-    k: usize,
-) -> Vec<RelevantVertex> {
-    let mut kept: Vec<RelevantVertex> = Vec::new();
-    for (vertex, description, score) in ranked {
-        if kept.len() == k {
-            break;
-        }
-        if !kept.iter().any(|best| &best.vertex == vertex) {
-            kept.push(RelevantVertex {
-                vertex: vertex.clone(),
-                description: description.to_string(),
-                score,
-            });
-        }
-    }
-    kept
 }
 
 /// `SELECT [DISTINCT] ?variables WHERE { bgp } [LIMIT n]`: the shape of
@@ -481,16 +483,131 @@ fn description_query(predicate: &Term, via: VarOrTerm, limit: usize) -> Query {
     select(&["d"], false, vec![pattern], Some(limit))
 }
 
+/// Relation linking as first written, kept as the reference the merged
+/// per-probe rankings must reproduce: every predicate row of every probe of
+/// an edge described and scored in one batch, stably sorted, deduplicated
+/// on (anchor, direction, predicate) and cut to the top `num_predicates`.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    struct Candidate {
+        probe: usize,
+        row: usize,
+        description: String,
+        anchor: usize,
+        vertex_is_object: bool,
+    }
+
+    pub(super) fn link_relations(
+        linker: &JitLinker<'_>,
+        agp: &mut AnnotatedGraphPattern,
+        endpoint: &dyn SparqlEndpoint,
+        budget: &Budget,
+    ) -> Result<bool, KgqanError> {
+        let mut completed = true;
+        let edges = agp.pgp.edges().to_vec();
+        for (edge_index, edge) in edges.iter().enumerate() {
+            if budget.expired() {
+                return Ok(false);
+            }
+            let mut anchor_vertices: Vec<(usize, Term)> = Vec::new();
+            for node_id in [edge.source, edge.target] {
+                for rv in &agp.node_annotations[node_id] {
+                    if !anchor_vertices.iter().any(|(_, v)| v == &rv.vertex) {
+                        anchor_vertices.push((node_id, rv.vertex.clone()));
+                    }
+                }
+            }
+            let mut probes: Vec<(ResultSet, usize)> = Vec::new();
+            let mut candidates: Vec<Candidate> = Vec::new();
+            for (anchor, (_, vertex)) in anchor_vertices.iter().enumerate() {
+                if budget.expired() {
+                    completed = false;
+                    break;
+                }
+                for (vertex_is_object, query) in [
+                    (false, outgoing_predicate_query(vertex)),
+                    (true, incoming_predicate_query(vertex)),
+                ] {
+                    let QueryResults::Solutions(results) = endpoint.query_parsed(&query)? else {
+                        continue;
+                    };
+                    let Some(column) = results.column_index("p") else {
+                        continue;
+                    };
+                    for (position, row) in results.rows().enumerate() {
+                        let Some(p) = row.cell(column) else { continue };
+                        if !p.is_iri() {
+                            continue;
+                        }
+                        let description = if p.is_human_readable() {
+                            p.readable_form().into_owned()
+                        } else {
+                            linker
+                                .predicate_description(p, endpoint)?
+                                .unwrap_or_else(|| p.readable_form().into_owned())
+                        };
+                        candidates.push(Candidate {
+                            probe: probes.len(),
+                            row: position,
+                            description,
+                            anchor,
+                            vertex_is_object,
+                        });
+                    }
+                    probes.push((results, column));
+                }
+            }
+            let predicate_of = |c: &Candidate| {
+                let (results, column) = &probes[c.probe];
+                let row = results.rows().nth(c.row);
+                row.and_then(|row| row.cell(*column))
+                    .expect("candidates are made from rows that bind ?p")
+            };
+            let descriptions: Vec<&str> =
+                candidates.iter().map(|c| c.description.as_str()).collect();
+            let scores = linker.affinity.score_many(&edge.relation, &descriptions);
+            let mut ranked: Vec<usize> = (0..candidates.len()).collect();
+            ranked.sort_by(|&a, &b| descending(scores[a], scores[b]));
+            ranked.dedup_by(|a, b| {
+                let (a, b) = (&candidates[*a], &candidates[*b]);
+                a.anchor == b.anchor
+                    && a.vertex_is_object == b.vertex_is_object
+                    && predicate_of(a) == predicate_of(b)
+            });
+            ranked.truncate(linker.config.num_predicates);
+            let kept = ranked.into_iter().map(|i| {
+                let candidate = &candidates[i];
+                let (anchor_node, anchor_vertex) = &anchor_vertices[candidate.anchor];
+                RelevantPredicate {
+                    predicate: predicate_of(candidate).clone(),
+                    description: candidate.description.clone(),
+                    score: scores[i],
+                    anchor_vertex: anchor_vertex.clone(),
+                    anchor_node: *anchor_node,
+                    vertex_is_object: candidate.vertex_is_object,
+                }
+            });
+            agp.edge_annotations[edge_index] = kept.collect();
+        }
+        Ok(completed)
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicUsize;
     use std::sync::{Arc, Mutex};
+    use std::time::Duration;
 
     use super::*;
     use crate::affinity::FineGrainedAffinity;
     use crate::pgp::PgpNode;
     use kgqan_endpoint::cache::{CacheConfig, CachingEndpoint, QueryCache};
+    use kgqan_endpoint::EndpointError;
     use kgqan_endpoint::InProcessEndpoint;
-    use kgqan_nlp::PhraseTriplePattern as Tp;
+    use kgqan_nlp::{PhraseNode, PhraseTriplePattern as Tp};
     use kgqan_rdf::{IngestBatch, Store, Triple};
     use proptest::prelude::*;
 
@@ -850,8 +967,8 @@ mod tests {
         let probe = potential_relevant_vertices_query(engine.dialect(), &words, 400);
         let table = cached.query_parsed(&probe).unwrap();
         let ranking = ranking_on(&table).expect("the probe carries a ranking");
-        assert_eq!(ranking.label, "Danish Straits");
-        assert_eq!(ranking.num_vertices, 2);
+        assert_eq!(ranking.phrase, "Danish Straits");
+        assert_eq!(ranking.k, 2);
         assert_eq!(ranking.linker, linker.identity);
         // An uncached endpoint's table is fresh on every call.
         assert!(ranking_on(&engine.query_parsed(&probe).unwrap()).is_none());
@@ -882,7 +999,7 @@ mod tests {
             potential_relevant_vertices_query(engine.dialect(), &content_words("Kaliningrad"), 400);
         let table = cached.query_parsed(&probe).unwrap();
         let ranking = ranking_on(&table).unwrap();
-        assert_eq!((ranking.linker, ranking.num_vertices), (first.identity, 1));
+        assert_eq!((ranking.linker, ranking.k), (first.identity, 1));
     }
 
     /// The fine-grained model, recording the phrase of every batch.
@@ -994,6 +1111,9 @@ mod tests {
             let entity_batches = |affinity: &Counting| {
                 node_labels.iter().map(|l| affinity.batches(l)).sum::<usize>()
             };
+            let relation_batches = |affinity: &Counting| {
+                RELATIONS.iter().map(|r| affinity.batches(r)).sum::<usize>()
+            };
 
             let affinity = Counting::default();
             let config = LinkerConfig { num_vertices, ..Default::default() };
@@ -1004,17 +1124,23 @@ mod tests {
             };
 
             let alone = link(engine.as_ref());
-            let before = entity_batches(&affinity);
+            let before = (entity_batches(&affinity), relation_batches(&affinity));
             let cold = link(&cached);
-            let after_cold = entity_batches(&affinity);
+            let after_cold = (entity_batches(&affinity), relation_batches(&affinity));
             let warm = link(&cached);
-            let after_warm = entity_batches(&affinity);
+            let after_warm = (entity_batches(&affinity), relation_batches(&affinity));
+            // Vertex and predicate annotations alike.
             prop_assert_eq!(&cold, &alone);
             prop_assert_eq!(&warm, &alone);
-            // Every node scored on the cold pass; the first node of each
-            // probe read its own ranking on the warm one.
-            prop_assert_eq!(after_cold - before, before);
-            prop_assert!(after_warm - after_cold < after_cold - before || before == 0);
+            // Every node and every probe scored on the cold pass; the first
+            // node or edge of each probe read its own ranking on the warm one.
+            let cold_batches = (after_cold.0 - before.0, after_cold.1 - before.1);
+            let warm_batches = (after_warm.0 - after_cold.0, after_warm.1 - after_cold.1);
+            // (Two edges of one phrase may share a probe in a pass.)
+            prop_assert_eq!(cold_batches.0, before.0);
+            prop_assert!(cold_batches.1 <= before.1);
+            prop_assert!(warm_batches.0 < cold_batches.0 || before.0 == 0);
+            prop_assert!(warm_batches.1 < cold_batches.1 || cold_batches.1 == 0);
 
             // An ingest evicts the probes it could change, and their
             // rankings with them.
@@ -1031,6 +1157,226 @@ mod tests {
             prop_assert_eq!(&alone.0[entities[0].id][0].vertex, &newcomer);
             prop_assert_eq!(&link(&cached), &alone);
             prop_assert_eq!(&link(&cached), &alone);
+
+            // The newcomer anchors the first edge; an edge triple ingested
+            // at it evicts its outgoing probe, and the ranking with it.
+            let outgoing = outgoing_predicate_query(&newcomer);
+            let probe = cached.query_parsed(&outgoing).unwrap();
+            prop_assert!(ranking_on(&probe).is_some_and(|r| r.phrase == RELATIONS[relation]));
+            let predicate = Term::iri(format!("http://e/{}", PREDICATES[relation]));
+            cached
+                .ingest(IngestBatch::from_iter([Triple::new(newcomer, predicate, vertex(0))]))
+                .unwrap();
+            prop_assert!(ranking_on(&cached.query_parsed(&outgoing).unwrap()).is_none());
+            let alone = link(engine.as_ref());
+            prop_assert_eq!(&link(&cached), &alone);
+            prop_assert_eq!(&link(&cached), &alone);
         }
+
+        #[test]
+        fn merged_probe_rankings_equal_the_per_edge_oracle(
+            edges in prop::collection::vec((0usize..3, any::<bool>(), 0usize..TIED_PREDICATES.len()), 0..40),
+            labels in prop::collection::vec((0usize..TIED_PREDICATES.len(), 0usize..4), 0..4),
+            anchors in (1usize..3, 0usize..3),
+            second_edge in any::<bool>(),
+            relations in (0usize..RELATIONS.len(), 0usize..RELATIONS.len()),
+            num_predicates in 0usize..26,
+            cut in prop::option::of(1usize..8),
+        ) {
+            // Anchors v0..v2 with predicates from a pool of readable and
+            // opaque IRIs, some of the opaque ones labelled.
+            let vertex = |i: usize| Term::iri(format!("http://e/v{i}"));
+            let mut store = Store::new();
+            for (i, &(at, incoming, p)) in edges.iter().enumerate() {
+                let (p, other) = (Term::iri(TIED_PREDICATES[p]), Term::iri(format!("http://e/o{i}")));
+                let (s, o) = if incoming { (other, vertex(at)) } else { (vertex(at), other) };
+                store.insert(Triple::new(s, p, o));
+            }
+            for &(p, label) in &labels {
+                let text = ["nearest city", "flow", "capital", "x"][label];
+                store.insert(Triple::new(Term::iri(TIED_PREDICATES[p]), Term::iri(vocab::RDFS_LABEL), Term::literal_str(text)));
+            }
+            let engine = InProcessEndpoint::new("KG", store);
+
+            // A–B, and B–C: node A takes one or two anchors, B none, v0
+            // (shared with A) or v2, and C v2.
+            let phrase = |label: &str| PhraseNode::Phrase(label.to_string());
+            let mut triples = vec![Tp::new(phrase("A"), RELATIONS[relations.0], phrase("B"))];
+            if second_edge {
+                triples.push(Tp::new(phrase("B"), RELATIONS[relations.1], phrase("C")));
+            }
+            let mut agp = AnnotatedGraphPattern::new(PhraseGraphPattern::from_triples(&triples));
+            let linked = |vertices: &[usize]| -> Vec<RelevantVertex> {
+                vertices.iter().map(|&i| RelevantVertex { vertex: vertex(i), description: String::new(), score: 1.0 }).collect()
+            };
+            for node in agp.pgp.nodes().to_vec() {
+                agp.node_annotations[node.id] = match node.label.as_str() {
+                    "A" => linked(&[0, 1][..anchors.0]),
+                    "B" => linked([[].as_slice(), &[0], &[2]][anchors.1]),
+                    _ => linked(&[2]),
+                };
+            }
+
+            let affinity = Tied;
+            let config = LinkerConfig { num_predicates, ..Default::default() };
+            let linker = JitLinker::new(&affinity, config);
+            let run = |oracle: bool| {
+                // The budget expires at the `cut`-th predicate probe, the
+                // same place in both runs.
+                for _attempt in 0..5 {
+                    let budget = match cut {
+                        Some(_) => Budget::with_deadline(Duration::from_millis(2)),
+                        None => Budget::unbounded(),
+                    };
+                    let stalling = Stalling { inner: &engine, budget: &budget, cut, probes: AtomicUsize::new(0), early: AtomicUsize::new(0) };
+                    let mut agp = agp.clone();
+                    let completed = if oracle {
+                        oracle::link_relations(&linker, &mut agp, &stalling, &budget)
+                    } else {
+                        linker.link_relations(&mut agp, &stalling, &budget)
+                    };
+                    if stalling.early.load(Ordering::Relaxed) == 0 {
+                        return (completed.unwrap(), agp.edge_annotations);
+                    }
+                }
+                panic!("the budget expired before its cut five times");
+            };
+            let merged = run(false);
+            prop_assert_eq!(&merged, &run(true));
+            prop_assert!(merged.1.iter().all(|kept| kept.len() <= num_predicates));
+        }
+    }
+
+    /// A model with few distinct scores, so ties are everywhere: a
+    /// description scores by its length modulo three.
+    struct Tied;
+
+    impl SemanticAffinity for Tied {
+        fn score(&self, _: &str, description: &str) -> f32 {
+            (description.len() % 3) as f32 * 0.25
+        }
+
+        fn label(&self) -> &'static str {
+            "tied"
+        }
+    }
+
+    /// Readable and opaque predicates; the readable forms of several share
+    /// a length modulo three.
+    const TIED_PREDICATES: &[&str] = &[
+        "http://e/outflow",
+        "http://e/nearestCity",
+        "http://e/cities",
+        "http://e/capital",
+        "http://e/location",
+        "http://e/P131",
+        "http://e/P17",
+        "http://e/Q5",
+        "http://e/flowsInto",
+        "http://e/P2279569217",
+    ];
+
+    /// An endpoint that lets `budget` expire while it answers the `cut`-th
+    /// predicate probe, and counts probes that found it expired earlier.
+    struct Stalling<'a> {
+        inner: &'a InProcessEndpoint,
+        budget: &'a Budget,
+        cut: Option<usize>,
+        probes: AtomicUsize,
+        early: AtomicUsize,
+    }
+
+    impl SparqlEndpoint for Stalling<'_> {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+
+        fn dialect(&self) -> EngineDialect {
+            self.inner.dialect()
+        }
+
+        fn query(&self, sparql: &str) -> Result<QueryResults, EndpointError> {
+            self.inner.query(sparql)
+        }
+
+        fn stats(&self) -> kgqan_endpoint::RequestStats {
+            self.inner.stats()
+        }
+
+        fn query_parsed(&self, query: &Query) -> Result<QueryResults, EndpointError> {
+            if query.projected_variables() == ["p"] {
+                let probe = self.probes.fetch_add(1, Ordering::Relaxed) + 1;
+                if self.cut.is_some_and(|cut| probe < cut) && self.budget.expired() {
+                    self.early.fetch_add(1, Ordering::Relaxed);
+                }
+                if Some(probe) == self.cut {
+                    while !self.budget.expired() {
+                        std::thread::sleep(Duration::from_micros(100));
+                    }
+                }
+            }
+            self.inner.query_parsed(query)
+        }
+    }
+
+    #[test]
+    fn labelling_an_opaque_predicate_relinks_warm_as_uncached() {
+        // Kaliningrad's one predicate is opaque: its ranking depends on the
+        // predicate's label, another query's rows, so it is never kept.
+        let mut store = Store::new();
+        let kali = Term::iri("http://e/Kaliningrad");
+        let p131 = Term::iri("http://e/P131");
+        store.insert_all([
+            Triple::new(
+                kali.clone(),
+                Term::iri(vocab::RDFS_LABEL),
+                Term::literal_str("Kaliningrad"),
+            ),
+            Triple::new(Term::iri("http://e/Baltic_Sea"), p131.clone(), kali.clone()),
+        ]);
+        let engine = Arc::new(InProcessEndpoint::new("Opaque", store));
+        let cached =
+            CachingEndpoint::new(engine.clone(), QueryCache::shared(CacheConfig::default()));
+        let affinity = FineGrainedAffinity::new();
+        let linker = JitLinker::new(&affinity, LinkerConfig::default());
+        let pgp = PhraseGraphPattern::from_triples(&[Tp::unknown_to_entity(
+            "city on the shore",
+            "Kaliningrad",
+        )]);
+        let link = |endpoint: &dyn SparqlEndpoint| {
+            let outcome = linker.link(&pgp, endpoint, &Budget::unbounded()).unwrap();
+            annotations(outcome).1
+        };
+        let incoming = incoming_predicate_query(&kali);
+
+        let opaque = |annotations: &[Vec<RelevantPredicate>]| {
+            let kept = annotations[0].iter().find(|p| p.predicate == p131);
+            kept.expect("P131 is linked").clone()
+        };
+
+        let before = link(engine.as_ref());
+        assert_eq!(opaque(&before).description, "p131");
+        assert_eq!(link(&cached), before);
+        assert_eq!(link(&cached), before);
+        assert!(ranking_on(&cached.query_parsed(&incoming).unwrap()).is_none());
+        // Kaliningrad's outgoing probe (its label) is all readable: kept.
+        let outgoing = cached.query_parsed(&outgoing_predicate_query(&kali));
+        assert!(ranking_on(&outgoing.unwrap()).is_some());
+
+        // The label touches no probe of Kaliningrad, only the lookup.
+        let label = Triple::new(
+            p131.clone(),
+            Term::iri(vocab::RDFS_LABEL),
+            Term::literal_str("nearest city"),
+        );
+        cached.ingest(IngestBatch::from_iter([label])).unwrap();
+        let misses = cached.cache().stats().misses;
+        assert!(cached.query_parsed(&incoming).unwrap().rows().len() == 1);
+        assert_eq!(cached.cache().stats().misses, misses, "the probe stayed");
+        let after = link(engine.as_ref());
+        assert_eq!(opaque(&after).description, "nearest city");
+        assert!(opaque(&after).score > opaque(&before).score);
+        assert_eq!(link(&cached), after);
+        assert_eq!(link(&cached), after);
     }
 }

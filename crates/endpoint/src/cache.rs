@@ -53,10 +53,10 @@
 //! the price of a reference count, a miss inserts the very table it
 //! returns, and a cached cell costs 4 bytes whatever its term's text.
 //! Because a hit is the very table the miss built, an entry also keeps
-//! what a reader derived from it: the entity linker attaches its top-k
-//! ranking of a vertex probe to the table (`ResultSet::attach`), so a
-//! repeated probe saves the ~400 affinity scores as well as the
-//! round-trip.  That costs the cache nothing to manage — no capacity, no
+//! what a reader derived from it: the linker attaches its top-k ranking of
+//! a vertex or predicate probe to the table (`ResultSet::attach`), so a
+//! repeated probe saves the affinity scores (~400 for a vertex probe) as
+//! well as the round-trip.  That costs the cache nothing to manage — no capacity, no
 //! counter, no invalidation — since the ranking lives and dies with the
 //! entry's table; it is not counted in `resident_bytes`.
 //!

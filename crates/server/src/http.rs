@@ -353,11 +353,13 @@ fn read_chunked_body<R: BufRead>(reader: &mut R, limits: &Limits) -> Result<Vec<
                 }
             }
         }
-        if body.len() + size > limits.max_body_bytes {
-            return Err(HttpError::BodyTooLarge);
-        }
+        // `size` is the client's number: a sum that wraps is too large too.
+        let end = match body.len().checked_add(size) {
+            Some(end) if end <= limits.max_body_bytes => end,
+            _ => return Err(HttpError::BodyTooLarge),
+        };
         let start = body.len();
-        body.resize(start + size, 0);
+        body.resize(end, 0);
         read_exact(reader, &mut body[start..])?;
         let crlf = read_line(reader, limits)?;
         if !crlf.is_empty() {
@@ -554,6 +556,17 @@ mod tests {
         let err = read_request(
             &mut BufReader::new(
                 &b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\nff\r\n"[..],
+            ),
+            &limits,
+        )
+        .unwrap_err();
+        assert_eq!(err, HttpError::BodyTooLarge);
+
+        // A chunk size that wraps the running body length is too large,
+        // not a panic.
+        let err = read_request(
+            &mut BufReader::new(
+                &b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n1\r\nA\r\nffffffffffffffff\r\n"[..],
             ),
             &limits,
         )

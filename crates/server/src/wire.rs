@@ -20,41 +20,15 @@ use std::time::Duration;
 use kgqan::{AnswerRequest, AnswerResponse, AnswerSource};
 use kgqan_endpoint::json::{write_json_number, write_json_string, Json};
 use kgqan_endpoint::EndpointDescription;
-use kgqan_federate::{FederatedRequest, FederatedResponse, KgStatus};
+use kgqan_federate::{FederatedRequest, FederatedResponse, KgSelection, KgStatus};
 use kgqan_rdf::{IngestReport, Term};
 use kgqan_sparql::QueryResults;
 
 /// Parse the body of an ask request into an [`AnswerRequest`] targeting
 /// `kg`.  Returns a human-readable message for the 400 body on failure.
 pub fn parse_ask_request(body: &str, kg: &str) -> Result<AnswerRequest, String> {
-    let doc = Json::parse(body).map_err(|e| format!("invalid JSON body: {e}"))?;
-    let question = doc
-        .get("question")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "missing required string field \"question\"".to_string())?;
-    if question.trim().is_empty() {
-        return Err("field \"question\" must not be empty".to_string());
-    }
-    let mut request = AnswerRequest::new(question).on_kg(kg);
-    if let Some(id) = doc.get("id") {
-        let id = id
-            .as_str()
-            .ok_or_else(|| "field \"id\" must be a string".to_string())?;
-        request = request.with_id(id);
-    }
-    if let Some(deadline) = doc.get("deadline_ms") {
-        let ms = deadline
-            .as_u64()
-            .ok_or_else(|| "field \"deadline_ms\" must be a non-negative number".to_string())?;
-        request = request.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(max_queries) = doc.get("max_queries") {
-        let n = max_queries
-            .as_u64()
-            .ok_or_else(|| "field \"max_queries\" must be a non-negative number".to_string())?;
-        request.overrides.max_candidate_queries = Some(n as usize);
-    }
-    Ok(request)
+    let (request, ()) = parse_ask_fields(body, |_| Ok(()))?;
+    Ok(request.on_kg(kg))
 }
 
 /// Parse the body of `POST /federate/ask` into a [`FederatedRequest`].
@@ -63,6 +37,38 @@ pub fn parse_ask_request(body: &str, kg: &str) -> Result<AnswerRequest, String> 
 /// string `"*"` (every registered KG, the default) or an array of KG
 /// names.  Returns a human-readable message for the 400 body on failure.
 pub fn parse_federate_request(body: &str) -> Result<FederatedRequest, String> {
+    let (ask, kgs) = parse_ask_fields(body, |doc| match doc.get("kgs") {
+        // Absent, or the explicit wildcard: every registered KG.
+        None => Ok(KgSelection::All),
+        Some(kgs) if kgs.as_str() == Some("*") => Ok(KgSelection::All),
+        Some(kgs) => {
+            let entries = kgs
+                .as_array()
+                .ok_or_else(|| "field \"kgs\" must be \"*\" or an array of KG names".to_string())?;
+            let names = entries.iter().map(|entry| {
+                let name = entry.as_str().map(str::to_string);
+                name.ok_or_else(|| "field \"kgs\" must be an array of strings".to_string())
+            });
+            names.collect::<Result<_, _>>().map(KgSelection::Named)
+        }
+    })?;
+    Ok(FederatedRequest {
+        question: ask.question,
+        kgs,
+        deadline: ask.deadline,
+        overrides: ask.overrides,
+        id: ask.id,
+    })
+}
+
+/// Parse the fields every ask body shares, in a fixed order: the required
+/// non-empty `question`, then the route's own fields through `route`, then
+/// the optional `id`, `deadline_ms` and `max_queries`.  The first wrong
+/// field names the error.
+fn parse_ask_fields<T>(
+    body: &str,
+    route: impl FnOnce(&Json) -> Result<T, String>,
+) -> Result<(AnswerRequest, T), String> {
     let doc = Json::parse(body).map_err(|e| format!("invalid JSON body: {e}"))?;
     let question = doc
         .get("question")
@@ -71,42 +77,22 @@ pub fn parse_federate_request(body: &str) -> Result<FederatedRequest, String> {
     if question.trim().is_empty() {
         return Err("field \"question\" must not be empty".to_string());
     }
-    let mut request = FederatedRequest::new(question);
-    if let Some(kgs) = doc.get("kgs") {
-        if kgs.as_str() == Some("*") {
-            // Explicit wildcard: keep the default all-KGs selection.
-        } else if let Some(entries) = kgs.as_array() {
-            let mut names = Vec::with_capacity(entries.len());
-            for entry in entries {
-                let name = entry
-                    .as_str()
-                    .ok_or_else(|| "field \"kgs\" must be an array of strings".to_string())?;
-                names.push(name.to_string());
-            }
-            request = request.on_kgs(names);
-        } else {
-            return Err("field \"kgs\" must be \"*\" or an array of KG names".to_string());
-        }
-    }
+    let route = route(&doc)?;
+    let mut request = AnswerRequest::new(question);
     if let Some(id) = doc.get("id") {
-        let id = id
-            .as_str()
-            .ok_or_else(|| "field \"id\" must be a string".to_string())?;
-        request = request.with_id(id);
+        let id = id.as_str().ok_or("field \"id\" must be a string")?;
+        request.id = Some(id.to_string());
     }
-    if let Some(deadline) = doc.get("deadline_ms") {
-        let ms = deadline
-            .as_u64()
-            .ok_or_else(|| "field \"deadline_ms\" must be a non-negative number".to_string())?;
-        request = request.with_deadline(Duration::from_millis(ms));
-    }
-    if let Some(max_queries) = doc.get("max_queries") {
-        let n = max_queries
-            .as_u64()
-            .ok_or_else(|| "field \"max_queries\" must be a non-negative number".to_string())?;
-        request.overrides.max_candidate_queries = Some(n as usize);
-    }
-    Ok(request)
+    let number = |field: &str| {
+        let value = doc.get(field).map(|value| {
+            let n = value.as_u64();
+            n.ok_or_else(|| format!("field \"{field}\" must be a non-negative number"))
+        });
+        value.transpose()
+    };
+    request.deadline = number("deadline_ms")?.map(Duration::from_millis);
+    request.overrides.max_candidate_queries = number("max_queries")?.map(|n| n as usize);
+    Ok((request, route))
 }
 
 /// Append one RDF term in SPARQL-JSON form:

@@ -22,6 +22,11 @@ fn parse(bytes: &[u8]) -> Result<(), HttpError> {
     read_request(&mut BufReader::new(bytes), &Limits::default()).map(|_| ())
 }
 
+/// A chunked request whose second chunk size wraps the body length: the
+/// size check must refuse it, not overflow and panic the handler thread.
+const CHUNK_SIZE_OVERFLOW: &[u8] =
+    b"POST / HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n1\r\nA\r\nffffffffffffffff\r\n";
+
 /// A pool of wire fragments biased towards protocol edge cases.
 fn arb_fragment() -> impl Strategy<Value = Vec<u8>> {
     prop_oneof![
@@ -34,6 +39,7 @@ fn arb_fragment() -> impl Strategy<Value = Vec<u8>> {
         Just(b"5\r\nhello\r\n".to_vec()),
         Just(b"ffffffff\r\n".to_vec()),
         Just(b"0\r\n\r\n".to_vec()),
+        Just(CHUNK_SIZE_OVERFLOW.to_vec()),
         Just(b"%%%\x00\x01\x02".to_vec()),
         Just(b"\xff\xfe\xfd".to_vec()),
         "[ -~]{0,30}".prop_map(|s| s.into_bytes()),
@@ -113,7 +119,7 @@ fn live_server_survives_malformed_connections() {
     )
     .unwrap();
 
-    let attacks: &[&[u8]] = &[
+    let mut attacks: Vec<&[u8]> = vec![
         b"",
         b"\r\n\r\n",
         b"GARBAGE\r\n\r\n",
@@ -124,6 +130,12 @@ fn live_server_survives_malformed_connections() {
         b"POST / HTTP/1.1\r\ncontent-length: 10\r\n\r\nab", // truncated body
         b"\x00\x01\x02\x03\xff\xfe",
     ];
+    // One for every handler thread: a request that killed its handler
+    // would leave none to answer the final check.
+    attacks.extend(std::iter::repeat_n(
+        CHUNK_SIZE_OVERFLOW,
+        ServerConfig::default().handler_threads,
+    ));
     for attack in attacks {
         let mut stream = TcpStream::connect(handle.addr()).unwrap();
         stream
@@ -145,6 +157,9 @@ fn live_server_survives_malformed_connections() {
                 (400..600).contains(&status),
                 "attack {attack:?} got non-error reply {reply:?}"
             );
+        }
+        if attack == CHUNK_SIZE_OVERFLOW {
+            assert!(reply.starts_with("HTTP/1.1 413"), "{reply:?}");
         }
     }
 

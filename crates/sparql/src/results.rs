@@ -38,10 +38,11 @@
 //! # The derived slot
 //!
 //! The cache hands every hit the very table it stores, so what a reader
-//! computes from a table's rows can live on the table: the entity linker
-//! keeps its top-k ranking of a vertex probe there
-//! ([`ResultSet::attach`], [`ResultSet::attached`]), and the next question
-//! that hits the probe copies it out instead of scoring the rows again.
+//! computes from a table's rows can live on the table: the linker keeps
+//! its top-k ranking of a vertex or predicate probe there, as `(row,
+//! score)` pairs ([`ResultSet::attach`], [`ResultSet::attached`]), and the
+//! next question that hits the probe reads it instead of scoring the rows
+//! again.
 //! The slot is written once and never waited on — the first attach wins, a
 //! concurrent reader that finds it empty computes for itself — and the
 //! value must identify what it was derived with, since any reader may find
