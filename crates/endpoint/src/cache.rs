@@ -940,6 +940,64 @@ mod tests {
     }
 
     #[test]
+    fn labelling_an_opaque_predicate_keeps_an_unrelated_vertex_probe_warm() {
+        const LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
+        let entity = |name: &str| Term::iri(format!("http://www.wikidata.org/entity/{name}"));
+        let mut s = Store::new();
+        s.insert(Triple::new(
+            entity("Q1829"),
+            Term::iri(LABEL),
+            Term::literal_str("Kaliningrad"),
+        ));
+        s.insert(Triple::new(
+            entity("Q3000"),
+            entity("P131"),
+            entity("Q1829"),
+        ));
+        let namespace = QueryCache::shared(CacheConfig::default());
+        let ep = CachingEndpoint::new(
+            Arc::new(InProcessEndpoint::new("Wikidata", s)),
+            namespace.clone(),
+        );
+        let probe = parse_query(
+            r#"SELECT DISTINCT ?v ?d WHERE { ?v ?p ?d . ?d <bif:contains> "'kaliningrad'" } LIMIT 400"#,
+        )
+        .unwrap();
+        assert_eq!(ep.query_parsed(&probe).unwrap().rows().len(), 1);
+
+        // `?v ?p ?d` matches the new label triple, but its literal does not
+        // hold the searched word: the probe stays a hit.
+        let before = namespace.stats();
+        ep.ingest(IngestBatch::from(vec![Triple::new(
+            entity("P131"),
+            Term::iri(LABEL),
+            Term::literal_str("nearest city"),
+        )]))
+        .unwrap();
+        assert_eq!(ep.query_parsed(&probe).unwrap().rows().len(), 1);
+        let delta = namespace.stats().since(&before);
+        assert_eq!(
+            (delta.hits, delta.misses, delta.scoped_evictions),
+            (1, 0, 0)
+        );
+
+        // A literal that holds the word evicts it, and the re-run sees it.
+        let before = namespace.stats();
+        ep.ingest(IngestBatch::from(vec![Triple::new(
+            entity("Q1749"),
+            Term::iri(LABEL),
+            Term::literal_str("Kaliningrad Oblast"),
+        )]))
+        .unwrap();
+        assert_eq!(ep.query_parsed(&probe).unwrap().rows().len(), 2);
+        let delta = namespace.stats().since(&before);
+        assert_eq!(
+            (delta.hits, delta.misses, delta.scoped_evictions),
+            (0, 1, 1)
+        );
+    }
+
+    #[test]
     fn huge_ingest_batches_fall_back_to_a_full_flush() {
         let namespace = QueryCache::shared(CacheConfig::default());
         let ep = CachingEndpoint::new(

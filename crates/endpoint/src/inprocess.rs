@@ -5,7 +5,8 @@
 //! so that experiments which care about request round-trips (the linking
 //! phase issues several) exhibit a realistic cost profile.
 
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kgqan_rdf::{GraphStats, IngestBatch, IngestReport, LiveStore, Store, StoreSnapshot};
@@ -35,7 +36,20 @@ pub struct InProcessEndpoint {
     /// builds.  The default config keeps small queries on the sequential
     /// fast path and parallelises only large driving scans.
     parallel: ParallelConfig,
-    stats: Mutex<RequestStats>,
+    stats: RequestCounters,
+}
+
+/// The endpoint's request counters, one atomic each: recording a request
+/// takes no lock.  A read while requests are in flight may see one
+/// request's counts in some fields and not yet in others; each field is
+/// exact once they finish.
+#[derive(Default)]
+struct RequestCounters {
+    total: AtomicUsize,
+    text_search: AtomicUsize,
+    ask: AtomicUsize,
+    failed: AtomicUsize,
+    nanos: AtomicU64,
 }
 
 impl InProcessEndpoint {
@@ -54,7 +68,7 @@ impl InProcessEndpoint {
             live,
             latency: Duration::ZERO,
             parallel: ParallelConfig::default(),
-            stats: Mutex::new(RequestStats::default()),
+            stats: RequestCounters::default(),
         }
     }
 
@@ -104,28 +118,23 @@ impl InProcessEndpoint {
         self.live.snapshot().stats()
     }
 
-    /// Lock the request counters.  They are plain sums, valid at every
-    /// step, so a lock poisoned by a panicking holder is recovered.
-    fn lock_stats(&self) -> MutexGuard<'_, RequestStats> {
-        self.stats.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Record one served request in the endpoint statistics; the single
     /// bookkeeping point shared by the parsed and parse-failure paths.  The
     /// kind (text search, ASK) is read off the AST: text that did not parse
     /// has none and only counts as failed.
     fn record_request(&self, elapsed: Duration, query: Option<&Query>, failed: bool) {
-        let mut stats = self.lock_stats();
-        stats.total_requests += 1;
-        stats.total_time += elapsed;
+        let stats = &self.stats;
+        stats.total.fetch_add(1, Ordering::Relaxed);
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        stats.nanos.fetch_add(nanos, Ordering::Relaxed);
         if query.is_some_and(Query::has_text_search) {
-            stats.text_search_requests += 1;
+            stats.text_search.fetch_add(1, Ordering::Relaxed);
         }
         if query.is_some_and(Query::is_ask) {
-            stats.ask_requests += 1;
+            stats.ask.fetch_add(1, Ordering::Relaxed);
         }
         if failed {
-            stats.failed_requests += 1;
+            stats.failed.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -268,7 +277,14 @@ impl SparqlEndpoint for InProcessEndpoint {
     }
 
     fn stats(&self) -> RequestStats {
-        *self.lock_stats()
+        let stats = &self.stats;
+        RequestStats {
+            total_requests: stats.total.load(Ordering::Relaxed),
+            text_search_requests: stats.text_search.load(Ordering::Relaxed),
+            ask_requests: stats.ask.load(Ordering::Relaxed),
+            failed_requests: stats.failed.load(Ordering::Relaxed),
+            total_time: Duration::from_nanos(stats.nanos.load(Ordering::Relaxed)),
+        }
     }
 }
 

@@ -315,10 +315,21 @@ impl Store {
     /// same snapshot for free; inserting a new triple invalidates the cache
     /// and the next call recomputes.
     pub fn planner_stats(&self) -> Arc<PlannerStats> {
-        Arc::clone(self.planner_stats.get_or_init(|| {
+        Arc::clone(self.cached_planner_stats())
+    }
+
+    /// [`Store::planner_stats`], borrowed for as long as the store is: a
+    /// planner that holds the store reads them without touching the
+    /// `Arc`'s shared reference count.
+    pub fn planner_stats_ref(&self) -> &PlannerStats {
+        self.cached_planner_stats()
+    }
+
+    fn cached_planner_stats(&self) -> &Arc<PlannerStats> {
+        self.planner_stats.get_or_init(|| {
             self.stats_full_scans.fetch_add(1, Ordering::Relaxed);
             Arc::new(PlannerStats::compute(self))
-        }))
+        })
     }
 
     /// Install pre-derived planner stats (the incremental maintenance path

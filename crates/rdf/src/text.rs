@@ -229,12 +229,18 @@ impl TextIndex {
                 matched_words,
             })
             .collect();
-        matches.sort_by(|a, b| {
+        // A total order (literal ids are distinct), so selecting the first
+        // `limit` and sorting only those gives the full sort's prefix.
+        let rank = |a: &TextMatch, b: &TextMatch| {
             b.matched_words
                 .cmp(&a.matched_words)
                 .then(a.literal.cmp(&b.literal))
-        });
-        matches.truncate(limit);
+        };
+        if limit < matches.len() {
+            matches.select_nth_unstable_by(limit, rank);
+            matches.truncate(limit);
+        }
+        matches.sort_unstable_by(rank);
         matches
     }
 
@@ -311,6 +317,27 @@ mod tests {
         assert_eq!(hits[0].literal, TermId(2));
         assert_eq!(hits[0].matched_words, 2);
         assert_eq!(hits.len(), 3);
+    }
+
+    #[test]
+    fn a_limited_search_is_the_prefix_of_the_unlimited_one() {
+        // 60 literals holding 0–3 of the words, ids out of rank order, and
+        // spread over several segments.
+        let words = ["alpha", "beta", "gamma"];
+        let mut idx = TextIndex::new();
+        for i in 0..60u32 {
+            let id = (i * 37) % 61;
+            let text: Vec<&str> = (0..(i % 4) as usize).map(|w| words[w]).collect();
+            idx.index_literal(TermId(id), &format!("{} filler", text.join(" ")));
+            if i % 9 == 0 {
+                idx.freeze();
+            }
+        }
+        let all = idx.search_any(&words, usize::MAX);
+        assert_eq!(all.len(), 45);
+        for limit in 0..=all.len() + 1 {
+            assert_eq!(idx.search_any(&words, limit), all[..limit.min(all.len())]);
+        }
     }
 
     #[test]

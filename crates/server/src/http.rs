@@ -16,7 +16,7 @@
 //! the crate's fuzz tests).
 
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Byte budgets a connection may not exceed; requests past them are
 /// answered with `431` (head) / `413` (body) instead of buffering
@@ -462,8 +462,19 @@ impl Response {
             head.push_str("\r\n");
         }
         head.push_str("\r\n");
-        writer.write_all(head.as_bytes())?;
-        writer.write_all(&self.body)?;
+        // Head and body leave in one vectored write: on a `TCP_NODELAY`
+        // socket two writes are two segments, and the client may wake for
+        // each.  The body is not copied next to the head.
+        let mut slices = [IoSlice::new(head.as_bytes()), IoSlice::new(&self.body)];
+        let mut unsent = &mut slices[..];
+        while !unsent.is_empty() {
+            match writer.write_vectored(unsent) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(written) => IoSlice::advance_slices(&mut unsent, written),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         writer.flush()
     }
 }
@@ -633,5 +644,62 @@ mod tests {
         assert!(text.contains("connection: keep-alive\r\n"));
         assert!(text.contains("retry-after: 1\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    /// A writer that records each call and accepts at most `cap` bytes of
+    /// it, like a socket whose send buffer is nearly full.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.cap - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_survives_short_writes() {
+        let response =
+            Response::json(200, "{\"answers\":[]}".into()).with_header("retry-after", "1");
+        let mut wire = Vec::new();
+        response.write_to(&mut wire, true).unwrap();
+
+        let mut whole = CountingWriter {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: usize::MAX,
+        };
+        response.write_to(&mut whole, true).unwrap();
+        assert_eq!(whole.calls, 1, "head and body must leave in one write");
+        assert_eq!(whole.bytes, wire);
+
+        // A writer that takes 7 bytes a call still gets every byte, in order.
+        let mut trickle = CountingWriter {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: 7,
+        };
+        response.write_to(&mut trickle, false).unwrap();
+        let mut closing = Vec::new();
+        response.write_to(&mut closing, false).unwrap();
+        assert_eq!(trickle.bytes, closing);
+        assert_eq!(trickle.calls, closing.len().div_ceil(7));
     }
 }

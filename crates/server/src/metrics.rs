@@ -156,7 +156,14 @@ impl Metrics {
             .kg_requests
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner());
-        *map.entry(kg.to_string()).or_insert(0) += 1;
+        // A KG already counted costs a lookup; only the first request
+        // against it copies the name.
+        match map.get_mut(kg) {
+            Some(count) => *count += 1,
+            None => {
+                map.insert(kg.to_string(), 1);
+            }
+        }
     }
 
     /// Requests recorded against one KG.

@@ -85,15 +85,38 @@ pub(crate) struct VarRegistry {
 
 impl VarRegistry {
     /// Number every variable appearing in the query's graph pattern, in
-    /// first-seen order.
+    /// first-seen order.  One walk of the pattern; the only allocations are
+    /// the list and the names it keeps.
     pub(crate) fn from_pattern(pattern: &GraphPattern) -> Self {
-        VarRegistry {
-            names: pattern.variables(),
-        }
+        let mut vars = VarRegistry::default();
+        pattern.any_bgp(|tps| {
+            for tp in tps {
+                for position in [&tp.subject, &tp.predicate, &tp.object] {
+                    if let Some(name) = position.as_var() {
+                        vars.register(name);
+                    }
+                }
+            }
+            false
+        });
+        vars
+    }
+
+    /// The slot of `name`, numbering it next if it is new.
+    pub(crate) fn register(&mut self, name: &str) -> usize {
+        self.id_of(name).unwrap_or_else(|| {
+            self.names.push(name.to_string());
+            self.names.len() - 1
+        })
     }
 
     pub(crate) fn id_of(&self, name: &str) -> Option<usize> {
         self.names.iter().position(|n| n == name)
+    }
+
+    /// The name of a slot.
+    pub(crate) fn name(&self, slot: usize) -> &str {
+        &self.names[slot]
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -160,15 +183,17 @@ pub(crate) fn compile_triple_pattern(
     })
 }
 
-/// Flatten the projected id rows of a finished run into the result table
-/// — the point where query evaluation hands its ids over.  A cell keeps its
+/// Flatten the projected id rows of a finished run (`rows` rows of
+/// `variables.len()` cells, row-major) into the result table — the point
+/// where query evaluation hands its ids over.  A cell keeps its
 /// id as its code, resolved later through the store's sealed dictionary;
 /// `foreign` (the run's `SERVICE` terms, already coded by [`side_code`])
 /// starts the table's side table, and an id of the store's unsealed head
 /// (a bare, never-compacted `Store`) is copied there once per table.
 pub(crate) fn flatten_rows(
     variables: Vec<String>,
-    rows: &[IdRow],
+    cells: &[Option<TermId>],
+    rows: usize,
     store: &Store,
     foreign: Vec<Term>,
 ) -> ResultSet {
@@ -176,11 +201,11 @@ pub(crate) fn flatten_rows(
     let sealed = dictionary.len();
     let mut side = foreign;
     let mut unsealed = std::collections::HashMap::new();
-    let width = variables.len();
-    // Driven by a range so that `collect` knows the length up front and
-    // allocates the code array once, with no intermediate vector.
-    let codes: Box<[u32]> = (0..rows.len() * width)
-        .map(|cell| match rows[cell / width][cell % width] {
+    // An exact-size iterator: `collect` allocates the code array once,
+    // with no intermediate vector.
+    let codes: Box<[u32]> = cells
+        .iter()
+        .map(|&cell| match cell {
             None => UNBOUND,
             Some(id) if id.index() < sealed || is_side_code(id.0) => id.0,
             Some(id) => *unsealed
@@ -194,12 +219,7 @@ pub(crate) fn flatten_rows(
                 }),
         })
         .collect();
-    ResultSet::from_codes(
-        variables,
-        rows.len(),
-        codes,
-        TermSource::new(dictionary, side),
-    )
+    ResultSet::from_codes(variables, rows, codes, TermSource::new(dictionary, side))
 }
 
 /// The text-search query words of a `?lit <bif:contains> …` pattern under a

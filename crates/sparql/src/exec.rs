@@ -51,11 +51,12 @@
 //! [`WorkerPool::shared`]: crate::pool::WorkerPool::shared
 
 use std::cell::{Cell, OnceCell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use kgqan_rdf::hash::FxHashSet;
 use kgqan_rdf::{EncodedTriple, PartitionRange, Store, Term, TermId, TextMatch};
 
 use crate::ast::{Expression, Query, VarOrTerm};
@@ -199,62 +200,87 @@ type ServiceRow = Vec<(usize, TermId)>;
 
 /// The match set of one text-search step: the ranked matches (for
 /// generatively binding an unbound subject) plus a membership set (for
-/// subjects already bound by an earlier step).
+/// subjects already bound by an earlier step), built by the first
+/// membership test: a generative probe never needs it.
 struct TextMatches {
     matches: Vec<TextMatch>,
-    literals: HashSet<TermId>,
+    literals: OnceCell<FxHashSet<TermId>>,
+}
+
+impl TextMatches {
+    fn contains(&self, literal: TermId) -> bool {
+        self.literals
+            .get_or_init(|| self.matches.iter().map(|m| m.literal).collect())
+            .contains(&literal)
+    }
 }
 
 /// The output operators of a run, applied to rows while they are still
 /// ids: projection, `DISTINCT`, `OFFSET`, `LIMIT`.  The sequential run, each
 /// morsel and the coordinator's merge all collect through this one type.
+///
+/// Kept rows are projected straight into one flat cell array; only a row
+/// new to a `DISTINCT` set is copied again, into the set.
 struct Collector<'a> {
     /// Projection: variable slot per output column.
-    slots: &'a [Option<usize>],
-    seen: Option<HashSet<IdRow>>,
+    slots: &'a [usize],
+    /// The distinct projected rows seen so far, kept or skipped.  Term ids
+    /// of local data, so the fast non-keyed hash is safe.
+    seen: Option<FxHashSet<Box<[Option<TermId>]>>>,
     to_skip: usize,
     limit: Option<usize>,
-    rows: Vec<IdRow>,
+    /// The kept rows, row-major, `slots.len()` cells a row.
+    cells: Vec<Option<TermId>>,
+    /// How many rows `cells` holds (it holds no cells at width 0).
+    rows: usize,
 }
 
 impl<'a> Collector<'a> {
-    fn new(
-        slots: &'a [Option<usize>],
-        distinct: bool,
-        offset: usize,
-        limit: Option<usize>,
-    ) -> Self {
+    fn new(slots: &'a [usize], distinct: bool, offset: usize, limit: Option<usize>) -> Self {
         Collector {
             slots,
-            seen: distinct.then(HashSet::new),
+            seen: distinct.then(FxHashSet::default),
             to_skip: offset,
             limit,
-            rows: Vec::new(),
+            cells: Vec::new(),
+            rows: 0,
         }
     }
 
     fn is_full(&self) -> bool {
-        self.limit.is_some_and(|limit| self.rows.len() >= limit)
+        self.limit.is_some_and(|limit| self.rows >= limit)
     }
 
     /// Project one row of the walk and collect it.
     fn push_row(&mut self, row: &IdRow) -> Flow {
-        let projected = self.slots.iter().map(|slot| slot.and_then(|i| row[i]));
-        self.push(projected.collect())
+        self.cells.extend(self.slots.iter().map(|&slot| row[slot]));
+        self.keep_last()
     }
 
     /// Collect one already-projected row; `Break` once the page is full.
-    fn push(&mut self, projected: IdRow) -> Flow {
+    fn push(&mut self, projected: &[Option<TermId>]) -> Flow {
+        self.cells.extend_from_slice(projected);
+        self.keep_last()
+    }
+
+    /// Apply `DISTINCT`, `OFFSET` and `LIMIT` to the row just appended to
+    /// `cells`: keep it, or take it back off.
+    fn keep_last(&mut self) -> Flow {
+        let start = self.rows * self.slots.len();
         if let Some(seen) = &mut self.seen {
-            if !seen.insert(projected.clone()) {
+            let row = &self.cells[start..];
+            if seen.contains(row) {
+                self.cells.truncate(start);
                 return ControlFlow::Continue(());
             }
+            seen.insert(row.into());
         }
         if self.to_skip > 0 {
             self.to_skip -= 1;
+            self.cells.truncate(start);
             return ControlFlow::Continue(());
         }
-        self.rows.push(projected);
+        self.rows += 1;
         if self.is_full() {
             ControlFlow::Break(Stop::Full)
         } else {
@@ -392,7 +418,7 @@ impl<'a> Exec<'a> {
         match &step.kind {
             // A constant absent from the dictionary matches nothing,
             // whatever the input.
-            StepKind::NeverMatches => ControlFlow::Continue(()),
+            StepKind::NeverMatches(_) => ControlFlow::Continue(()),
             StepKind::Scan(tp) => {
                 let pattern = tp.encoded(|v| row[v]);
                 match self.clip.filter(|_| step.driver) {
@@ -405,6 +431,7 @@ impl<'a> Exec<'a> {
                 }
             }
             StepKind::TextSearch {
+                pattern,
                 cache_slot,
                 constant_words,
             } => {
@@ -414,18 +441,18 @@ impl<'a> Exec<'a> {
                         self.text_cache[*cache_slot].get_or_init(|| self.search_text(words))
                     }
                     None => {
-                        let words = text_query_words(self.store, &self.body.vars, &step.ast, row);
+                        let words = text_query_words(self.store, &self.body.vars, pattern, row);
                         searched = self.search_text(&lift(words)?);
                         &searched
                     }
                 };
                 // An already-bound subject is a set membership test, not a
                 // walk of the match list.
-                let bound_subject = match &step.ast.subject {
+                let bound_subject = match &pattern.subject {
                     VarOrTerm::Var(var) => {
                         // Cannot fail: `body.vars` is built from the whole
                         // graph pattern (`VarRegistry::from_pattern`) and
-                        // `step.ast` is one of that pattern's triples.
+                        // `pattern` is one of that pattern's triples.
                         let slot = self
                             .body
                             .vars
@@ -441,7 +468,7 @@ impl<'a> Exec<'a> {
                     }
                     VarOrTerm::Term(term) => self.store.id_of(term),
                 };
-                if bound_subject.is_some_and(|id| matches.literals.contains(&id)) {
+                if bound_subject.is_some_and(|id| matches.contains(id)) {
                     next(row)
                 } else {
                     ControlFlow::Continue(())
@@ -508,8 +535,10 @@ impl<'a> Exec<'a> {
             .text_index()
             .search_any(&word_refs, self.body.text_cap);
         self.scanned.set(self.scanned.get() + matches.len() as u64);
-        let literals = matches.iter().map(|m| m.literal).collect();
-        TextMatches { matches, literals }
+        TextMatches {
+            matches,
+            literals: OnceCell::new(),
+        }
     }
 
     /// Run one SERVICE group's query against the remote KG and project each
@@ -588,17 +617,12 @@ impl PhysicalPlan<'_> {
     /// interleaving, because morsel outputs are merged in partition order
     /// before `DISTINCT`/`OFFSET`/`LIMIT` are applied.
     pub fn execute_with(&self, opts: ExecOptions) -> Result<PlannedExecution, SparqlError> {
-        let slots: Vec<Option<usize>> = self
-            .projection
-            .iter()
-            .map(|v| self.body.vars.id_of(v))
-            .collect();
         // ASK is a one-row page over the empty projection.
         let (offset, limit) = match self.is_ask {
             true => (0, Some(1)),
             false => (self.offset, self.limit),
         };
-        let mut out = Collector::new(&slots, self.distinct, offset, limit);
+        let mut out = Collector::new(&self.projection, self.distinct, offset, limit);
 
         // Only a sequential run can meet a SERVICE group, so only it can
         // intern foreign terms.
@@ -607,9 +631,8 @@ impl PhysicalPlan<'_> {
         let (stop, rows_scanned) = if out.is_full() {
             // `LIMIT 0`: the page is decided before anything runs.
             (None, 0)
-        } else if let (Some(decision), Some(snapshot)) = (self.parallel_decision(), &self.shared) {
-            let (stop, metrics) =
-                self.run_morsels(decision, snapshot, &slots, opts.deadline, &mut out);
+        } else if let (Some(decision), Some(snapshot)) = (self.parallel_decision(), self.shared) {
+            let (stop, metrics) = self.run_morsels(decision, snapshot, opts.deadline, &mut out);
             let scanned = metrics.rows_scanned_per_worker.iter().sum();
             parallel = Some(metrics);
             (stop, scanned)
@@ -626,20 +649,23 @@ impl PhysicalPlan<'_> {
         };
 
         let results = if self.is_ask {
-            QueryResults::Boolean(!out.rows.is_empty())
+            QueryResults::Boolean(out.rows > 0)
         } else {
+            // The column names are copied here, once per run.
+            let columns = self
+                .projection
+                .iter()
+                .map(|&slot| self.body.vars.name(slot).to_string())
+                .collect();
             QueryResults::Solutions(flatten_rows(
-                self.projection.clone(),
-                &out.rows,
-                self.store,
-                foreign,
+                columns, &out.cells, out.rows, self.store, foreign,
             ))
         };
         Ok(PlannedExecution {
             results,
             metrics: ExecMetrics {
                 rows_scanned,
-                rows_emitted: out.rows.len() as u64,
+                rows_emitted: out.rows as u64,
                 deadline_exceeded,
                 parallel,
             },

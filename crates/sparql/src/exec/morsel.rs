@@ -10,10 +10,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kgqan_rdf::{PartitionRange, StoreSnapshot};
+use kgqan_rdf::{PartitionRange, StoreSnapshot, TermId};
 
 use super::{Collector, Exec, ParallelMetrics, Stop, PARALLEL_QUERIES};
-use crate::eval::IdRow;
 use crate::plan::{ParallelDecision, PhysicalPlan, PlanBody};
 use crate::pool::WorkerPool;
 
@@ -33,7 +32,6 @@ impl PhysicalPlan<'_> {
         &self,
         decision: ParallelDecision,
         snapshot: &Arc<StoreSnapshot>,
-        slots: &[Option<usize>],
         deadline: Option<Instant>,
         out: &mut Collector<'_>,
     ) -> (Option<Stop>, ParallelMetrics) {
@@ -41,8 +39,8 @@ impl PhysicalPlan<'_> {
         let morsels = ranges.len();
         let run = MorselRun {
             snapshot: Arc::clone(snapshot),
-            body: Arc::clone(&self.body),
-            slots: slots.to_vec(),
+            body: Arc::new(self.body.clone()),
+            slots: self.projection.clone(),
             distinct: self.distinct,
             cap: self.limit.map(|limit| self.offset.saturating_add(limit)),
             ranges,
@@ -68,17 +66,22 @@ impl PhysicalPlan<'_> {
         // the rows it produced, which are a prefix of its own output.
         let mut stop = None;
         let mut completed = 0usize;
+        let width = self.projection.len();
         for output in outputs {
-            let Some((_, MorselOutput { rows, cut, .. })) = output else {
+            let Some((_, morsel)) = output else {
                 stop = Some(Stop::Deadline);
                 break;
             };
+            let MorselOutput {
+                cells, rows, cut, ..
+            } = morsel;
             // A morsel that ran to completion counts even when its rows
             // fill the page part-way through the merge.
             if cut.is_none() {
                 completed += 1;
             }
-            if let ControlFlow::Break(full) = rows.into_iter().try_for_each(|row| out.push(row)) {
+            let mut morsel_rows = (0..rows).map(|row| &cells[row * width..][..width]);
+            if let ControlFlow::Break(full) = morsel_rows.try_for_each(|row| out.push(row)) {
                 stop = Some(full);
                 break;
             }
@@ -99,8 +102,10 @@ impl PhysicalPlan<'_> {
 
 /// One morsel's output.
 struct MorselOutput {
-    /// The projected id-rows the morsel collected.
-    rows: Vec<IdRow>,
+    /// The projected id-rows the morsel collected, row-major.
+    cells: Vec<Option<TermId>>,
+    /// How many rows `cells` holds.
+    rows: usize,
     /// Why it was cut short (deadline or error), if it was.
     cut: Option<Stop>,
     /// Index entries its walk scanned.
@@ -114,7 +119,7 @@ struct MorselRun {
     snapshot: Arc<StoreSnapshot>,
     body: Arc<PlanBody>,
     /// Projection: variable slot per output column.
-    slots: Vec<Option<usize>>,
+    slots: Vec<usize>,
     distinct: bool,
     /// `offset + limit` when the query pages: no morsel can contribute more
     /// than the whole page, so each stops after this many (distinct,
@@ -148,6 +153,7 @@ impl MorselRun {
             cut => cut,
         };
         MorselOutput {
+            cells: out.cells,
             rows: out.rows,
             cut,
             scanned: exec.scanned.get(),

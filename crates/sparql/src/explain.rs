@@ -9,12 +9,19 @@
 //! in-process endpoint renders it only for `EXPLAIN` and for the traced
 //! calls that serve it (`query_traced`, `query_federated`), never for the
 //! candidate queries the QA pipeline executes.
+//!
+//! A scan step keeps no pattern, only its compiled ids and variable slots,
+//! so its label is rendered from those: each constant is the term its id
+//! resolves to in the plan's store, each variable the name the plan's
+//! registry numbered — the same text the query's pattern prints.  Text and
+//! never-matches steps keep their pattern and print it.
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use kgqan_rdf::Store;
 
 use crate::ast::Query;
+use crate::eval::{CompiledTriplePattern, Slot, VarRegistry};
 use crate::plan::{PhysicalPlan, PlanNode, Planner, StepKind};
 
 /// One operator line of a rendered plan: its nesting depth, a label such as
@@ -99,7 +106,11 @@ impl PhysicalPlan<'_> {
         let mut header = if self.is_ask {
             "ask".to_string()
         } else {
-            let vars: Vec<String> = self.projection.iter().map(|v| format!("?{v}")).collect();
+            let vars: Vec<String> = self
+                .projection
+                .iter()
+                .map(|&slot| format!("?{}", self.body.vars.name(slot)))
+                .collect();
             format!("select {}", vars.join(" "))
         };
         if self.distinct {
@@ -121,77 +132,103 @@ impl PhysicalPlan<'_> {
                     format!("parallel({})", decision.dop),
                     Some(decision.ranges.len() as f64),
                 );
-                summarize_node(
+                self.summarize_node(
                     &self.body.root,
                     2,
                     Some(decision.ranges.len()),
                     &mut summary,
                 );
             }
-            None => summarize_node(&self.body.root, 1, None, &mut summary),
+            None => self.summarize_node(&self.body.root, 1, None, &mut summary),
         }
         summary
     }
-}
 
-/// Render one node.  `partition` carries the morsel count of a parallel
-/// run down the left spine so the driver scan can show a `partition` child
-/// op; it is `None` everywhere a driver cannot live.
-fn summarize_node(node: &PlanNode, depth: usize, partition: Option<usize>, out: &mut PlanSummary) {
-    match node {
-        PlanNode::Bgp { pre_filters, steps } => {
-            out.push(depth, "bgp", None);
-            for expr in pre_filters {
-                out.push(depth + 1, format!("filter {expr}"), None);
-            }
-            for step in steps {
-                let label = match &step.kind {
-                    StepKind::Scan(_) => format!("scan {}", step.ast),
-                    StepKind::TextSearch { .. } => format!("text {}", step.ast),
-                    StepKind::NeverMatches => format!("never-matches {}", step.ast),
-                };
-                out.push(depth + 1, label, Some(step.estimate));
-                if step.driver {
-                    if let Some(morsels) = partition {
-                        out.push(depth + 2, format!("partition ({morsels} morsels)"), None);
+    /// Render one node.  `partition` carries the morsel count of a parallel
+    /// run down the left spine so the driver scan can show a `partition`
+    /// child op; it is `None` everywhere a driver cannot live.
+    fn summarize_node(
+        &self,
+        node: &PlanNode,
+        depth: usize,
+        partition: Option<usize>,
+        out: &mut PlanSummary,
+    ) {
+        match node {
+            PlanNode::Bgp { pre_filters, steps } => {
+                out.push(depth, "bgp", None);
+                for expr in pre_filters {
+                    out.push(depth + 1, format!("filter {expr}"), None);
+                }
+                for step in steps {
+                    let label = match &step.kind {
+                        StepKind::Scan(tp) => scan_label(self.store, &self.body.vars, tp),
+                        StepKind::TextSearch { pattern, .. } => format!("text {pattern}"),
+                        StepKind::NeverMatches(pattern) => format!("never-matches {pattern}"),
+                    };
+                    out.push(depth + 1, label, Some(step.estimate));
+                    if step.driver {
+                        if let Some(morsels) = partition {
+                            out.push(depth + 2, format!("partition ({morsels} morsels)"), None);
+                        }
+                    }
+                    for expr in &step.filters {
+                        out.push(depth + 2, format!("filter {expr}"), None);
                     }
                 }
-                for expr in &step.filters {
-                    out.push(depth + 2, format!("filter {expr}"), None);
-                }
             }
-        }
-        PlanNode::Join(a, b) => {
-            out.push(depth, "join", None);
-            summarize_node(a, depth + 1, partition, out);
-            summarize_node(b, depth + 1, None, out);
-        }
-        PlanNode::LeftJoin(a, b) => {
-            out.push(depth, "left-join (optional)", None);
-            summarize_node(a, depth + 1, partition, out);
-            summarize_node(b, depth + 1, None, out);
-        }
-        PlanNode::Union(a, b) => {
-            out.push(depth, "union", None);
-            summarize_node(a, depth + 1, None, out);
-            summarize_node(b, depth + 1, None, out);
-        }
-        PlanNode::Filter(inner, expr) => {
-            out.push(depth, format!("filter {expr}"), None);
-            summarize_node(inner, depth + 1, partition, out);
-        }
-        PlanNode::Service {
-            kg,
-            query,
-            estimate,
-            ..
-        } => {
-            out.push(depth, format!("service <kg:{kg}>"), Some(*estimate));
-            for tp in query.pattern.all_triple_patterns() {
-                out.push(depth + 1, format!("remote {tp}"), None);
+            PlanNode::Join(a, b) => {
+                out.push(depth, "join", None);
+                self.summarize_node(a, depth + 1, partition, out);
+                self.summarize_node(b, depth + 1, None, out);
+            }
+            PlanNode::LeftJoin(a, b) => {
+                out.push(depth, "left-join (optional)", None);
+                self.summarize_node(a, depth + 1, partition, out);
+                self.summarize_node(b, depth + 1, None, out);
+            }
+            PlanNode::Union(a, b) => {
+                out.push(depth, "union", None);
+                self.summarize_node(a, depth + 1, None, out);
+                self.summarize_node(b, depth + 1, None, out);
+            }
+            PlanNode::Filter(inner, expr) => {
+                out.push(depth, format!("filter {expr}"), None);
+                self.summarize_node(inner, depth + 1, partition, out);
+            }
+            PlanNode::Service {
+                kg,
+                query,
+                estimate,
+                ..
+            } => {
+                out.push(depth, format!("service <kg:{kg}>"), Some(*estimate));
+                for tp in query.pattern.all_triple_patterns() {
+                    out.push(depth + 1, format!("remote {tp}"), None);
+                }
             }
         }
     }
+}
+
+/// A scan's label, `scan ?s <p> "o" .`, rendered from its compiled ids and
+/// slots as the pattern it was compiled from would print itself.
+fn scan_label(store: &Store, vars: &VarRegistry, tp: &CompiledTriplePattern) -> String {
+    let mut label = String::from("scan");
+    for slot in [tp.subject, tp.predicate, tp.object] {
+        // Writing into a `String` cannot fail.
+        let _ = match slot {
+            Slot::Var(v) => write!(label, " ?{}", vars.name(v)),
+            Slot::Const(id) => {
+                let term = store
+                    .term_of(id)
+                    .expect("a compiled constant is a term of the plan's store");
+                write!(label, " {term}")
+            }
+        };
+    }
+    label.push_str(" .");
+    label
 }
 
 #[cfg(test)]

@@ -28,6 +28,19 @@
 //!   splits exactly that scan into key-range morsels and runs them on the
 //!   shared pool.
 //!
+//! A plan keeps ids, not copies of the query.  A scan step holds only its
+//! compiled pattern: a dictionary id per constant, a variable slot per
+//! variable.  Text and never-matches steps keep their triple pattern, the
+//! one because its search string or subject is resolved per row, the other
+//! because its absent constant has no id.  The projection is a list of
+//! slots; a run copies their names into the result's header, once.
+//! `EXPLAIN` renders a scan's label back from its ids and the registry's
+//! names ([`crate::explain`]), byte for byte what the pattern prints.
+//! Planning is cheap scratch work: each pattern is counted once with
+//! nothing bound and the greedy steps only divide that count, bound slots
+//! are a bitset, and the plan borrows its snapshot handle, which only a
+//! parallel run clones.
+//!
 //! Every executed plan reports [`crate::ExecMetrics`] — most importantly
 //! `rows_scanned`, the number of index/text-index entries the joins
 //! touched.
@@ -54,7 +67,6 @@
 //! assert_eq!(run.metrics.rows_scanned, 1); // one index entry touched
 //! ```
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -135,7 +147,9 @@ struct SlotCounters {
     service: usize,
 }
 
-/// What one join step does.
+/// What one join step does.  A scan keeps only its compiled ids and
+/// variable slots; the two kinds that need their pattern at run time or to
+/// be rendered keep it.
 #[derive(Debug, Clone)]
 pub(crate) enum StepKind {
     /// An index scan of an id-compiled pattern.
@@ -143,6 +157,9 @@ pub(crate) enum StepKind {
     /// A full-text probe (generative when its subject is unbound, a
     /// membership filter once it is bound).
     TextSearch {
+        /// The probe's pattern: its subject and, when the search string is
+        /// not a constant, its object are resolved per row.
+        pattern: TriplePatternAst,
         /// Index into the run's text-match cache.  The cache lives on the
         /// *execution*, so a constant-string search runs once per run even
         /// when OPTIONAL/UNION re-enter the step once per input row.
@@ -153,17 +170,51 @@ pub(crate) enum StepKind {
         constant_words: Option<Vec<String>>,
     },
     /// A constant term of the pattern is absent from the dictionary, so the
-    /// pattern provably matches nothing in this store.
-    NeverMatches,
+    /// pattern provably matches nothing in this store.  The pattern is
+    /// kept for its label: the absent term has no id to render.
+    NeverMatches(TriplePatternAst),
 }
 
-/// One planned join step of a basic graph pattern: the operation, the AST
-/// pattern it came from (for text resolution and labels), the planner's
-/// estimate, and the filters pushed down to run right after it.
+impl StepKind {
+    /// The variable slots the step mentions.
+    fn var_slots(&self, vars: &VarRegistry) -> [Option<usize>; 3] {
+        match self {
+            StepKind::Scan(tp) => [tp.subject, tp.predicate, tp.object].map(|slot| match slot {
+                Slot::Var(v) => Some(v),
+                Slot::Const(_) => None,
+            }),
+            StepKind::TextSearch { pattern, .. } | StepKind::NeverMatches(pattern) => {
+                [&pattern.subject, &pattern.predicate, &pattern.object]
+                    .map(|position| position.as_var().and_then(|v| vars.id_of(v)))
+            }
+        }
+    }
+
+    /// The variable slots the step binds when it runs: a scan binds every
+    /// variable it mentions, a text probe its subject (the object is the
+    /// query string, the predicate the magic IRI), a never-matches step
+    /// nothing.
+    fn bound_slots(&self, vars: &VarRegistry) -> [Option<usize>; 3] {
+        match self {
+            StepKind::Scan(_) => self.var_slots(vars),
+            StepKind::TextSearch { pattern, .. } => [
+                pattern.subject.as_var().and_then(|v| vars.id_of(v)),
+                None,
+                None,
+            ],
+            StepKind::NeverMatches(_) => [None; 3],
+        }
+    }
+}
+
+/// One planned join step of a basic graph pattern: the operation, the
+/// planner's estimate, and the filters pushed down to run right after it.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanStep {
     pub(crate) kind: StepKind,
-    pub(crate) ast: TriplePatternAst,
+    /// Expected rows per input row (absolute rows for a BGP's first step).
+    /// While the BGP is being ordered, a step not yet picked holds here its
+    /// count with no variable bound, which the greedy steps divide.
     pub(crate) estimate: f64,
     pub(crate) filters: Vec<Expression>,
     /// `true` on the plan's *driver* scan: the first step of the leftmost
@@ -206,9 +257,9 @@ pub(crate) enum PlanNode {
 }
 
 /// The part of a plan every walk of it reads: the operator tree, the
-/// variable numbering and the sizes of the run-scoped caches.  Behind an
-/// `Arc` so a parallel run can hand it to `'static` morsel jobs.
-#[derive(Debug)]
+/// variable numbering and the sizes of the run-scoped caches.  A parallel
+/// run copies it behind an `Arc` for its `'static` morsel jobs.
+#[derive(Debug, Clone)]
 pub(crate) struct PlanBody {
     pub(crate) root: PlanNode,
     pub(crate) vars: VarRegistry,
@@ -227,18 +278,21 @@ pub(crate) struct PlanBody {
 /// (see [`crate::exec`]); render it with [`PhysicalPlan::summary`].
 pub struct PhysicalPlan<'s> {
     pub(crate) store: &'s Store,
-    pub(crate) body: Arc<PlanBody>,
+    pub(crate) body: PlanBody,
     /// The driver scan's compiled pattern and cardinality estimate, when
     /// the plan has one (see [`PlanStep::driver`]).
     driver: Option<(CompiledTriplePattern, f64)>,
     /// The epoch snapshot this plan was compiled against, when the planner
-    /// was built from one ([`Planner::for_shared_snapshot`]).  Owning the
-    /// `Arc` is what lets a parallel run hand `'static` morsel jobs to the
-    /// shared executor pool without copying the store.
-    pub(crate) shared: Option<Arc<StoreSnapshot>>,
+    /// was built from one ([`Planner::for_shared_snapshot`]).  A parallel
+    /// run clones the `Arc` to hand `'static` morsel jobs to the shared
+    /// executor pool without copying the store; a sequential one never
+    /// touches its count.
+    pub(crate) shared: Option<&'s Arc<StoreSnapshot>>,
     /// Morsel-parallelism knobs; `None` plans always execute sequentially.
     parallel: Option<ParallelConfig>,
-    pub(crate) projection: Vec<String>,
+    /// Projection: the variable slot of each output column.  A projected
+    /// variable the pattern never mentions has a slot no step binds.
+    pub(crate) projection: Vec<usize>,
     pub(crate) is_ask: bool,
     pub(crate) distinct: bool,
     pub(crate) limit: Option<usize>,
@@ -267,11 +321,11 @@ impl fmt::Debug for PhysicalPlan<'_> {
 /// store's cached [`PlannerStats`] for cardinality estimation.
 pub struct Planner<'s> {
     store: &'s Store,
-    stats: Arc<PlannerStats>,
+    stats: &'s PlannerStats,
     services: Option<&'s dyn ServiceResolver>,
     /// Set by [`Planner::for_shared_snapshot`]: the owned snapshot handle
-    /// its plans carry for parallel execution.
-    shared: Option<Arc<StoreSnapshot>>,
+    /// its plans lend to a parallel run.
+    shared: Option<&'s Arc<StoreSnapshot>>,
     parallel: Option<ParallelConfig>,
 }
 
@@ -279,7 +333,7 @@ impl<'s> Planner<'s> {
     /// Create a planner over `store`.
     pub fn new(store: &'s Store) -> Self {
         Planner {
-            stats: store.planner_stats(),
+            stats: store.planner_stats_ref(),
             store,
             services: None,
             shared: None,
@@ -376,17 +430,17 @@ impl<'s> Planner<'s> {
     /// [`ParallelConfig::default`]; tune or effectively disable it via
     /// [`Planner::with_parallelism`]).
     ///
-    /// The plans this planner compiles keep a clone of the `Arc`, so a
-    /// parallel run can ship `'static` morsel jobs to the shared executor
+    /// The plans this planner compiles borrow the `Arc`, and a parallel
+    /// run clones it to ship `'static` morsel jobs to the shared executor
     /// pool — every worker reads the *same pinned epoch* the plan was
     /// costed against, however many ingest batches are published while the
     /// query runs.
     pub fn for_shared_snapshot(snapshot: &'s Arc<StoreSnapshot>) -> Self {
         Planner {
-            stats: snapshot.planner_stats(),
+            stats: snapshot.planner_stats_ref(),
             store: snapshot,
             services: None,
-            shared: Some(Arc::clone(snapshot)),
+            shared: Some(snapshot),
             parallel: Some(ParallelConfig::default()),
         }
     }
@@ -397,39 +451,42 @@ impl<'s> Planner<'s> {
     /// `never-matches` steps (scheduled first, so they empty the pipeline
     /// immediately) instead of errors.
     pub fn plan(&self, query: &Query) -> PhysicalPlan<'s> {
-        let vars = VarRegistry::from_pattern(&query.pattern);
+        let mut vars = VarRegistry::from_pattern(&query.pattern);
+        let (projection, is_ask, distinct) = match &query.form {
+            QueryForm::Ask => (Vec::new(), true, false),
+            // `SELECT *` projects the pattern's variables in first-seen
+            // order, which is their numbering.
+            QueryForm::Select {
+                variables,
+                distinct,
+            } if variables.is_empty() => ((0..vars.len()).collect(), false, *distinct),
+            QueryForm::Select {
+                variables,
+                distinct,
+            } => (
+                variables.iter().map(|v| vars.register(v)).collect(),
+                false,
+                *distinct,
+            ),
+        };
+
         let text_cap = effective_text_cap(query);
-        let mut bound: HashSet<usize> = HashSet::new();
+        let mut bound = SlotSet::default();
         let mut slots = SlotCounters::default();
         let mut root = self.compile(&query.pattern, &vars, &mut bound, text_cap, &mut slots);
         let driver = mark_driver(&mut root);
 
-        let (projection, is_ask, distinct) = match &query.form {
-            QueryForm::Ask => (Vec::new(), true, false),
-            QueryForm::Select {
-                variables,
-                distinct,
-            } => {
-                let projected = if variables.is_empty() {
-                    query.pattern.variables()
-                } else {
-                    variables.clone()
-                };
-                (projected, false, *distinct)
-            }
-        };
-
         PhysicalPlan {
             store: self.store,
-            body: Arc::new(PlanBody {
+            body: PlanBody {
                 root,
                 vars,
                 text_cap,
                 text_slots: slots.text,
                 service_slots: slots.service,
-            }),
+            },
             driver,
-            shared: self.shared.clone(),
+            shared: self.shared,
             parallel: self.parallel,
             projection,
             is_ask,
@@ -448,7 +505,7 @@ impl<'s> Planner<'s> {
         &self,
         pattern: &GraphPattern,
         vars: &VarRegistry,
-        bound: &mut HashSet<usize>,
+        bound: &mut SlotSet,
         text_cap: usize,
         slots: &mut SlotCounters,
     ) -> PlanNode {
@@ -469,8 +526,8 @@ impl<'s> Planner<'s> {
                 let left = self.compile(a, vars, &mut bound_a, text_cap, slots);
                 let mut bound_b = bound.clone();
                 let right = self.compile(b, vars, &mut bound_b, text_cap, slots);
-                bound.extend(bound_a);
-                bound.extend(bound_b);
+                bound.union_with(&bound_a);
+                bound.union_with(&bound_b);
                 PlanNode::Union(Box::new(left), Box::new(right))
             }
             GraphPattern::Filter(inner, expr) => {
@@ -497,7 +554,9 @@ impl<'s> Planner<'s> {
                     .into_iter()
                     .filter_map(|v| vars.id_of(&v).map(|slot| (v, slot)))
                     .collect();
-                bound.extend(binds.iter().map(|(_, slot)| *slot));
+                for (_, slot) in &binds {
+                    bound.insert(*slot);
+                }
                 let cache_slot = slots.service;
                 slots.service += 1;
                 PlanNode::Service {
@@ -516,135 +575,109 @@ impl<'s> Planner<'s> {
         &self,
         tps: &[TriplePatternAst],
         vars: &VarRegistry,
-        bound: &mut HashSet<usize>,
+        bound: &mut SlotSet,
         text_cap: usize,
         slots: &mut SlotCounters,
     ) -> PlanNode {
-        struct Candidate {
-            kind: StepKind,
-            ast: TriplePatternAst,
-            /// Variable slots this pattern mentions.
-            var_slots: Vec<usize>,
-            /// Variable slots this pattern binds when it runs.
-            binds: Vec<usize>,
-        }
-
-        let mut remaining: Vec<Candidate> = tps
+        // Each pattern is compiled and counted once, with no variable
+        // bound; the greedy steps below only divide that count.
+        let mut steps: Vec<PlanStep> = tps
             .iter()
             .map(|tp| {
-                let var_slots: Vec<usize> = tp
-                    .variables()
-                    .iter()
-                    .filter_map(|v| vars.id_of(v))
-                    .collect();
-                if is_text_search_pattern(tp) {
-                    // A text probe binds its subject variable; the object is
-                    // the query string, the predicate the magic IRI.
-                    let binds = tp
-                        .subject
-                        .as_var()
-                        .and_then(|v| vars.id_of(v))
-                        .into_iter()
-                        .collect();
+                let (kind, count) = if is_text_search_pattern(tp) {
+                    let constant_words = constant_text_words(tp);
+                    let count = match &constant_words {
+                        Some(words) => {
+                            let refs: Vec<&str> = words.iter().map(String::as_str).collect();
+                            self.store.text_index().estimate_any(&refs).min(text_cap)
+                        }
+                        // Query string only known at run time: assume the cap.
+                        None => text_cap.min(self.store.text_index().num_literals()),
+                    };
                     let cache_slot = slots.text;
                     slots.text += 1;
-                    Candidate {
-                        kind: StepKind::TextSearch {
-                            cache_slot,
-                            constant_words: constant_text_words(tp),
-                        },
-                        ast: tp.clone(),
-                        var_slots,
-                        binds,
-                    }
+                    let kind = StepKind::TextSearch {
+                        pattern: tp.clone(),
+                        cache_slot,
+                        constant_words,
+                    };
+                    (kind, count as f64)
                 } else {
                     match compile_triple_pattern(self.store, vars, tp) {
-                        Some(compiled) => Candidate {
-                            kind: StepKind::Scan(compiled),
-                            ast: tp.clone(),
-                            binds: var_slots.clone(),
-                            var_slots,
-                        },
-                        None => Candidate {
-                            kind: StepKind::NeverMatches,
-                            ast: tp.clone(),
-                            var_slots,
-                            binds: Vec::new(),
-                        },
+                        Some(compiled) => {
+                            let count = self.store.scan_count(compiled.encoded(|_| None));
+                            (StepKind::Scan(compiled), count as f64)
+                        }
+                        None => (StepKind::NeverMatches(tp.clone()), 0.0),
                     }
+                };
+                PlanStep {
+                    kind,
+                    estimate: count,
+                    filters: Vec::new(),
+                    driver: false,
                 }
             })
             .collect();
 
-        let mut steps = Vec::with_capacity(remaining.len());
-        while !remaining.is_empty() {
+        // The steps not yet picked are `steps[..remaining]`.  A pick is
+        // swapped to the end of that range, which leaves the rest in the
+        // order a `swap_remove` would, so ties break as they always have;
+        // the picks, collected back to front, are reversed at the end.
+        for remaining in (1..=steps.len()).rev() {
+            let unpicked = &steps[..remaining];
             // Prefer patterns connected to what is already joined (shared
             // variable or no variables at all); fall back to every pattern
             // when nothing connects — the cartesian product is then forced
             // by the query, and we at least start from the cheapest side.
-            let connected = |c: &Candidate| {
-                c.var_slots.is_empty() || c.var_slots.iter().any(|v| bound.contains(v))
+            let connected = |step: &PlanStep| {
+                let mut mentioned = step.kind.var_slots(vars).into_iter().flatten().peekable();
+                mentioned.peek().is_none() || mentioned.any(|slot| bound.contains(slot))
             };
-            let any_connected = !steps.is_empty() && remaining.iter().any(connected);
-            let pick = remaining
+            let any_connected = remaining < steps.len() && unpicked.iter().any(connected);
+            let (index, estimate) = unpicked
                 .iter()
                 .enumerate()
-                .filter(|(_, c)| !any_connected || connected(c))
-                .map(|(i, c)| (i, self.estimate(&c.ast, &c.kind, bound, vars, text_cap)))
+                .filter(|(_, step)| !any_connected || connected(step))
+                .map(|(i, step)| (i, self.estimate(step, bound, vars)))
                 .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
                 .expect("remaining is non-empty");
-            let (index, estimate) = pick;
-            let candidate = remaining.swap_remove(index);
-            bound.extend(candidate.binds.iter().copied());
-            steps.push(PlanStep {
-                kind: candidate.kind,
-                ast: candidate.ast,
-                estimate,
-                filters: Vec::new(),
-                driver: false,
-            });
+            steps.swap(index, remaining - 1);
+            let picked = &mut steps[remaining - 1];
+            picked.estimate = estimate;
+            for slot in picked.kind.bound_slots(vars).into_iter().flatten() {
+                bound.insert(slot);
+            }
         }
+        steps.reverse();
         PlanNode::Bgp {
             pre_filters: Vec::new(),
             steps,
         }
     }
 
-    /// Estimate how many rows one step yields per input row, given which
-    /// variable slots are already bound.
-    fn estimate(
-        &self,
-        ast: &TriplePatternAst,
-        kind: &StepKind,
-        bound: &HashSet<usize>,
-        vars: &VarRegistry,
-        text_cap: usize,
-    ) -> f64 {
-        match kind {
-            StepKind::NeverMatches => 0.0,
-            StepKind::TextSearch { .. } => {
-                let subject_bound = match &ast.subject {
-                    VarOrTerm::Var(v) => vars.id_of(v).is_some_and(|slot| bound.contains(&slot)),
+    /// Estimate how many rows a step not yet picked yields per input row,
+    /// given which variable slots are already bound.
+    fn estimate(&self, step: &PlanStep, bound: &SlotSet, vars: &VarRegistry) -> f64 {
+        // Until the step is picked, its estimate is its unbound count.
+        let count = step.estimate;
+        match &step.kind {
+            StepKind::NeverMatches(_) => 0.0,
+            StepKind::TextSearch { pattern, .. } => {
+                let subject_bound = match &pattern.subject {
+                    VarOrTerm::Var(v) => vars.id_of(v).is_some_and(|slot| bound.contains(slot)),
                     VarOrTerm::Term(_) => true,
                 };
+                // A bound subject is a membership test against the match
+                // set: ~1 row out per row in.
                 if subject_bound {
-                    // Membership test against the match set: ~1 row out per
-                    // row in.
-                    return 1.0;
-                }
-                match &ast.object {
-                    VarOrTerm::Term(Term::Literal(lit)) => {
-                        let words = crate::eval::parse_text_query(&lit.lexical);
-                        let refs: Vec<&str> = words.iter().map(String::as_str).collect();
-                        self.store.text_index().estimate_any(&refs).min(text_cap) as f64
-                    }
-                    // Query string only known at run time: assume the cap.
-                    _ => text_cap.min(self.store.text_index().num_literals()) as f64,
+                    1.0
+                } else {
+                    count
                 }
             }
             StepKind::Scan(tp) => {
-                let base = self.store.scan_count(tp.encoded(|_| None)) as f64;
-                if base == 0.0 {
+                if count == 0.0 {
                     return 0.0;
                 }
                 // Positions held by an already-joined variable divide the
@@ -656,9 +689,9 @@ impl<'s> Planner<'s> {
                     Slot::Const(p) => self.stats.predicate(p).copied(),
                     Slot::Var(_) => None,
                 };
-                let mut est = base;
+                let mut est = count;
                 if let Slot::Var(v) = tp.subject {
-                    if bound.contains(&v) {
+                    if bound.contains(v) {
                         let distinct = pred_card
                             .map(|c| c.distinct_subjects)
                             .unwrap_or(self.stats.distinct_subjects);
@@ -666,12 +699,12 @@ impl<'s> Planner<'s> {
                     }
                 }
                 if let Slot::Var(v) = tp.predicate {
-                    if bound.contains(&v) {
+                    if bound.contains(v) {
                         est /= self.stats.distinct_predicates.max(1) as f64;
                     }
                 }
                 if let Slot::Var(v) = tp.object {
-                    if bound.contains(&v) {
+                    if bound.contains(v) {
                         let distinct = pred_card
                             .map(|c| c.distinct_objects)
                             .unwrap_or(self.stats.distinct_objects);
@@ -680,6 +713,47 @@ impl<'s> Planner<'s> {
                 }
                 est
             }
+        }
+    }
+}
+
+/// The variable slots that may be bound by the time rows reach a node: a
+/// bitset, inline for the first 64 slots.
+#[derive(Debug, Clone, Default)]
+struct SlotSet {
+    first: u64,
+    rest: Vec<u64>,
+}
+
+impl SlotSet {
+    fn contains(&self, slot: usize) -> bool {
+        let word = match slot / 64 {
+            0 => self.first,
+            n => self.rest.get(n - 1).copied().unwrap_or(0),
+        };
+        word & (1 << (slot % 64)) != 0
+    }
+
+    fn insert(&mut self, slot: usize) {
+        let word = match slot / 64 {
+            0 => &mut self.first,
+            n => {
+                if self.rest.len() < n {
+                    self.rest.resize(n, 0);
+                }
+                &mut self.rest[n - 1]
+            }
+        };
+        *word |= 1 << (slot % 64);
+    }
+
+    fn union_with(&mut self, other: &SlotSet) {
+        self.first |= other.first;
+        if self.rest.len() < other.rest.len() {
+            self.rest.resize(other.rest.len(), 0);
+        }
+        for (word, theirs) in self.rest.iter_mut().zip(&other.rest) {
+            *word |= theirs;
         }
     }
 }
@@ -701,30 +775,13 @@ fn push_filter(node: &mut PlanNode, expr: &Expression, vars: &VarRegistry) -> bo
         .iter()
         .filter_map(|v| vars.id_of(v))
         .collect();
-    let step_binds = |step: &PlanStep| -> Vec<usize> {
-        match &step.kind {
-            StepKind::Scan(_) => step
-                .ast
-                .variables()
-                .iter()
-                .filter_map(|v| vars.id_of(v))
-                .collect(),
-            StepKind::TextSearch { .. } => step
-                .ast
-                .subject
-                .as_var()
-                .and_then(|v| vars.id_of(v))
-                .into_iter()
-                .collect(),
-            StepKind::NeverMatches => Vec::new(),
-        }
-    };
-    let position = steps
-        .iter()
-        .enumerate()
-        .filter(|(_, step)| step_binds(step).iter().any(|v| filter_slots.contains(v)))
-        .map(|(i, _)| i)
-        .next_back();
+    let position = steps.iter().rposition(|step| {
+        step.kind
+            .bound_slots(vars)
+            .into_iter()
+            .flatten()
+            .any(|slot| filter_slots.contains(&slot))
+    });
     match position {
         Some(i) => steps[i].filters.push(expr.clone()),
         None => pre_filters.push(expr.clone()),

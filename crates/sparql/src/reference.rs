@@ -67,7 +67,8 @@ pub fn execute_naive(store: &Store, query: &Query) -> Result<QueryResults, Sparq
             if let Some(limit) = query.limit {
                 id_rows.truncate(limit);
             }
-            let table = flatten_rows(projected, &id_rows, run.store, Vec::new());
+            let cells = id_rows.concat();
+            let table = flatten_rows(projected, &cells, id_rows.len(), run.store, Vec::new());
             Ok(QueryResults::Solutions(table))
         }
     }
