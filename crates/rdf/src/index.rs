@@ -53,6 +53,12 @@ pub(crate) enum IndexOrder {
     Ops,
 }
 
+/// The position in [`IndexOrder::ALL`] of the ordering a pattern is scanned
+/// from, by which positions it binds (bit 0 subject, 1 predicate, 2 object):
+/// the last ordering whose key prefix the bound positions fill.  In shape
+/// order: Ops, Sop, Pos, Pso, Ops, Osp, Ops, Ops.
+const BEST_ORDER: [usize; 8] = [5, 1, 3, 2, 5, 4, 5, 5];
+
 impl IndexOrder {
     /// All six orderings.
     const ALL: [IndexOrder; 6] = [
@@ -139,7 +145,9 @@ struct SharedCounters {
 /// view of the index's pending set, built by the first read after an insert.
 ///
 /// Both are sorted vectors, so a scan merges two slices and a range count is
-/// two `partition_point` binary searches per side.
+/// one finger search per side ([`PartitionRange::seek`]): a lower bound
+/// galloped from the side's [`ScanCursor`] finger, then an upper bound
+/// galloped from the lower one.
 #[derive(Debug, Clone)]
 struct OrderEntry {
     order: IndexOrder,
@@ -165,19 +173,68 @@ impl OrderEntry {
         self.view.get_or_init(|| self.order.sorted_keys(pending))
     }
 
+    /// The keys of this ordering inside `range`, base run and view, each
+    /// found by a finger search from `cursor`, which is left where they
+    /// start.
+    fn seek<'a>(
+        &'a self,
+        pending: &'a FxHashSet<EncodedTriple>,
+        range: PartitionRange,
+        cursor: &mut ScanCursor,
+    ) -> MergedRange<'a> {
+        let (base, view) = cursor.fingers(self.order);
+        MergedRange {
+            base: range.seek(&self.base, base),
+            pending: range.seek(self.view(pending), view),
+        }
+    }
+
     /// Every key of this ordering inside `range`, base run and view
     /// merge-iterated, decoded back to (s, p, o).
     fn scan<'a>(
         &'a self,
         pending: &'a FxHashSet<EncodedTriple>,
         range: PartitionRange,
+        cursor: &mut ScanCursor,
     ) -> impl Iterator<Item = EncodedTriple> + 'a {
         let order = self.order;
-        MergedRange {
-            base: range.clip(&self.base),
-            pending: range.clip(self.view(pending)),
+        self.seek(pending, range, cursor)
+            .map(move |key| order.unpermute(key))
+    }
+}
+
+/// Where the last seek of one scan landed: the ordering it ran on and the
+/// first matching position in that ordering's base run and view.
+///
+/// A join step seeks its pattern once per input row, and a driver that
+/// walks an index in key order hands it ascending keys, so the next range
+/// usually starts a few keys after the last one.  Threading one cursor
+/// through those seeks ([`crate::Store::scan_from`]) turns each into a
+/// gallop over that distance instead of two binary searches over the whole
+/// run.  A cursor is only where the search starts: a seek finds the same
+/// range whatever the cursor holds, from another pattern, ordering or store
+/// included.  A fresh cursor (`ScanCursor::default()`) seeks like a plain
+/// binary search, which is what [`crate::Store::scan`] runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCursor {
+    /// The ordering the fingers point into; `None` on a fresh cursor.
+    order: Option<IndexOrder>,
+    base: usize,
+    view: usize,
+}
+
+impl ScanCursor {
+    /// The fingers into `order`'s base run and view.  A cursor last used on
+    /// another ordering (or never) starts past the end of both.
+    fn fingers(&mut self, order: IndexOrder) -> (&mut usize, &mut usize) {
+        if self.order != Some(order) {
+            *self = ScanCursor {
+                order: Some(order),
+                base: usize::MAX,
+                view: usize::MAX,
+            };
         }
-        .map(move |key| order.unpermute(key))
+        (&mut self.base, &mut self.view)
     }
 }
 
@@ -198,12 +255,46 @@ pub struct PartitionRange {
 }
 
 impl PartitionRange {
-    /// The keys of a sorted slice that fall inside this range.
-    fn clip(self, keys: &[[u32; 3]]) -> &[[u32; 3]] {
-        let lo = keys.partition_point(|key| key < &self.lower);
-        let hi = keys.partition_point(|key| key <= &self.upper);
+    /// The keys of a sorted slice that fall inside this range, found by a
+    /// finger search from `*finger`, which is left at the range's first
+    /// position.
+    ///
+    /// When no key before the finger reaches the lower bound, the lower
+    /// bound gallops forward from the finger (probes 1, 2, 4, … keys on,
+    /// then a binary search inside the last doubling): `O(log d)` for a
+    /// range that starts `d` keys on.  Otherwise it is a binary search over
+    /// the keys before the finger.  The upper bound gallops on from the
+    /// lower one, `O(log m)` for `m` matches.  A finger past the end (a
+    /// fresh cursor's) makes the lower bound one binary search over the
+    /// whole slice.
+    fn seek<'k>(self, keys: &'k [[u32; 3]], finger: &mut usize) -> &'k [[u32; 3]] {
+        let hint = (*finger).min(keys.len());
+        let lo = match hint.checked_sub(1) {
+            Some(last) if keys[last] >= self.lower => {
+                keys[..hint].partition_point(|key| key < &self.lower)
+            }
+            _ => gallop(keys, hint, |key| key < &self.lower),
+        };
+        let hi = gallop(keys, lo, |key| key <= &self.upper);
+        *finger = lo;
         &keys[lo..hi]
     }
+}
+
+/// The first position at or after `from` whose key fails `before`, where
+/// `before` holds on a prefix of `keys` that reaches at least `from`.
+/// Probes `from`, `from + 1`, `from + 3`, `from + 7`, … until one fails,
+/// then binary-searches the last doubling.
+fn gallop(keys: &[[u32; 3]], from: usize, before: impl Fn(&[u32; 3]) -> bool) -> usize {
+    let rest = &keys[from..];
+    let mut bound = 1;
+    while bound <= rest.len() && before(&rest[bound - 1]) {
+        bound *= 2;
+    }
+    // Every key before `rest[bound / 2]` passed; `rest[bound - 1]`, if it
+    // exists, failed.
+    let start = bound / 2;
+    from + start + rest[start..(bound - 1).min(rest.len())].partition_point(before)
 }
 
 /// The largest key strictly below `key` in the lexicographic `[u32; 3]`
@@ -248,6 +339,8 @@ impl Iterator for MergedRange<'_> {
         (len, Some(len))
     }
 }
+
+impl ExactSizeIterator for MergedRange<'_> {}
 
 /// The sextuple index: one sorted base run per ordering, plus the pending
 /// set of triples inserted since the runs were sealed.
@@ -369,19 +462,17 @@ impl TripleIndex {
         o: Option<TermId>,
     ) -> (&OrderEntry, PartitionRange) {
         let (s, p, o) = (s.map(|x| x.0), p.map(|x| x.0), o.map(|x| x.0));
-        let (entry, prefix, prefix_len) = self
-            .orders
-            .iter()
-            .map(|entry| {
-                let prefix = entry.order.prefix_values(s, p, o);
-                let bound = prefix.iter().take_while(|x| x.is_some()).count();
-                (entry, prefix, bound)
-            })
-            .max_by_key(|&(_, _, bound)| bound)
-            .expect("index always has at least one ordering");
+        let shape = usize::from(s.is_some())
+            | usize::from(p.is_some()) << 1
+            | usize::from(o.is_some()) << 2;
+        let entry = &self.orders[BEST_ORDER[shape]];
+        let prefix = entry.order.prefix_values(s, p, o);
         // Nothing is bound past the prefix, so unbound positions alone span
         // the range.
-        debug_assert_eq!(prefix_len, prefix.iter().flatten().count());
+        debug_assert_eq!(
+            prefix.iter().take_while(|x| x.is_some()).count(),
+            prefix.iter().flatten().count()
+        );
         let range = PartitionRange {
             lower: prefix.map(|bound| bound.unwrap_or(u32::MIN)),
             upper: prefix.map(|bound| bound.unwrap_or(u32::MAX)),
@@ -395,15 +486,18 @@ impl TripleIndex {
     /// stays globally sorted).  This is the store's hot path: the SPARQL
     /// join loops drive these iterators directly, extending id-level
     /// bindings per yielded triple instead of buffering a
-    /// `Vec<EncodedTriple>` per probe.
+    /// `Vec<EncodedTriple>` per probe.  The range is sought from `cursor`
+    /// (see [`ScanCursor`]) when the call is made, and the cursor is left
+    /// where it starts.
     pub(crate) fn iter_matching(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
+        cursor: &mut ScanCursor,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
         let (entry, range) = self.best_range(s, p, o);
-        entry.scan(&self.pending, range)
+        entry.scan(&self.pending, range, cursor)
     }
 
     /// Split a pattern scan into at most `n` contiguous key ranges.
@@ -425,7 +519,9 @@ impl TripleIndex {
         n: usize,
     ) -> Vec<PartitionRange> {
         let (entry, range) = self.best_range(s, p, o);
-        let keys = range.clip(&entry.base);
+        let keys = entry
+            .seek(&self.pending, range, &mut ScanCursor::default())
+            .base;
         let total = keys.len();
         let n = n.max(1);
         if n == 1 || total < 2 {
@@ -465,14 +561,17 @@ impl TripleIndex {
         o: Option<TermId>,
         range: PartitionRange,
     ) -> impl Iterator<Item = EncodedTriple> + '_ {
-        self.best_range(s, p, o).0.scan(&self.pending, range)
+        self.best_range(s, p, o)
+            .0
+            .scan(&self.pending, range, &mut ScanCursor::default())
     }
 
     /// Count matches of a pattern without materialising — or walking — them.
     ///
-    /// The count is two binary searches over the selected ordering's base
-    /// run plus, while triples are pending, two more over that ordering's
-    /// view: `O(log n)` whatever the match count, once the view is built.
+    /// The count is one seek from a fresh cursor over the selected
+    /// ordering's base run plus, while triples are pending, one more over
+    /// that ordering's view: `O(log n)` whatever the match count, once the
+    /// view is built.
     /// Sealed stores (everything a query is served from) have no pending
     /// triples and pay the run searches only.  This is what makes it cheap
     /// enough for the query planner to estimate the cardinality of every
@@ -484,7 +583,9 @@ impl TripleIndex {
         o: Option<TermId>,
     ) -> usize {
         let (entry, range) = self.best_range(s, p, o);
-        range.clip(&entry.base).len() + range.clip(entry.view(&self.pending)).len()
+        entry
+            .seek(&self.pending, range, &mut ScanCursor::default())
+            .len()
     }
 
     /// Approximate heap footprint in bytes: one 12-byte key per sealed
@@ -517,7 +618,8 @@ mod tests {
             p: Option<TermId>,
             o: Option<TermId>,
         ) -> Vec<EncodedTriple> {
-            self.iter_matching(s, p, o).collect()
+            self.iter_matching(s, p, o, &mut ScanCursor::default())
+                .collect()
         }
 
         /// Number of triples still waiting in the pending set (zero once
@@ -582,6 +684,31 @@ mod tests {
     }
 
     #[test]
+    fn each_shape_scans_the_last_ordering_its_bound_positions_prefix() {
+        for (shape, &best) in BEST_ORDER.iter().enumerate() {
+            let bound = |bit: usize| (shape >> bit & 1 == 1).then_some(7);
+            let (s, p, o) = (bound(0), bound(1), bound(2));
+            let prefix_len = |order: &IndexOrder| {
+                order
+                    .prefix_values(s, p, o)
+                    .iter()
+                    .take_while(|x| x.is_some())
+                    .count()
+            };
+            let longest = IndexOrder::ALL.iter().map(prefix_len).max().unwrap();
+            let last = IndexOrder::ALL
+                .iter()
+                .rposition(|order| prefix_len(order) == longest)
+                .unwrap();
+            assert_eq!(best, last, "shape {shape:03b}");
+            assert_eq!(
+                longest,
+                usize::from(s.is_some()) + usize::from(p.is_some()) + usize::from(o.is_some())
+            );
+        }
+    }
+
+    #[test]
     fn permute_unpermute_roundtrip() {
         let triple = t(7, 8, 9);
         for order in IndexOrder::ALL {
@@ -613,7 +740,7 @@ mod tests {
             let o = o.map(TermId);
             assert_eq!(
                 idx.count_matching(s, p, o),
-                idx.iter_matching(s, p, o).count(),
+                idx.matching(s, p, o).len(),
                 "pattern {:?}",
                 (s, p, o)
             );
@@ -705,7 +832,8 @@ mod tests {
         }
         // Reads see both sides, in sorted subject order.
         let subjects: Vec<u32> = idx
-            .iter_matching(None, Some(TermId(1)), None)
+            .matching(None, Some(TermId(1)), None)
+            .into_iter()
             .map(|tr| tr.subject.0)
             .collect();
         let expected: Vec<u32> = (0..50).collect();
@@ -738,7 +866,7 @@ mod tests {
             let s = s.map(TermId);
             let p = p.map(TermId);
             let o = o.map(TermId);
-            let sequential: Vec<EncodedTriple> = idx.iter_matching(s, p, o).collect();
+            let sequential = idx.matching(s, p, o);
             for n in [1usize, 2, 3, 8, 64] {
                 let ranges = idx.partition_matching(s, p, o, n);
                 assert!(!ranges.is_empty());
@@ -790,6 +918,104 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    /// `n` keys `[0, 0, 0]`, `[2, 0, 0]`, …: every odd first component
+    /// falls between two keys.
+    fn even_keys(n: u32) -> Vec<[u32; 3]> {
+        (0..n).map(|i| [2 * i, 0, 0]).collect()
+    }
+
+    #[test]
+    fn gallop_finds_the_partition_point_from_every_start() {
+        for n in 0..40u32 {
+            let keys = even_keys(n);
+            for target in 0..=2 * n + 1 {
+                let before = |key: &[u32; 3]| key[0] < target;
+                let expected = keys.partition_point(before);
+                // Every start the precondition allows: at or before the
+                // answer, from the first key to the answer itself.
+                for from in 0..=expected {
+                    assert_eq!(
+                        gallop(&keys, from, before),
+                        expected,
+                        "{n} keys, target {target}, from {from}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gallop_edge_cases() {
+        let keys = even_keys(16);
+        // Empty slice, and a start at the end: nothing left to probe.
+        assert_eq!(gallop(&[], 0, |_| true), 0);
+        assert_eq!(gallop(&keys, 16, |_| true), 16);
+        // The first probe fails: the answer is the start itself.
+        assert_eq!(gallop(&keys, 5, |key| key[0] < 10), 5);
+        // Answers on each probe (1, 2, 4, 8 keys on) and just past it.
+        for offset in [1, 2, 3, 4, 7, 8, 9] {
+            let target = 2 * (3 + offset);
+            assert_eq!(gallop(&keys, 3, |key| key[0] < target), 3 + offset as usize);
+        }
+        // Every key passes: the answer is the end, reached by a doubling
+        // that overshoots it.
+        assert_eq!(gallop(&keys, 3, |_| true), 16);
+    }
+
+    #[test]
+    fn a_seek_finds_the_same_keys_from_any_finger() {
+        let keys = even_keys(24);
+        let len = keys.len();
+        let fingers = (0..=len + 2).chain([usize::MAX]);
+        for finger in fingers {
+            for lower in 0..50u32 {
+                // Empty ranges (upper below lower, or between two keys),
+                // one key, many keys, and ranges past either end.
+                for upper in lower.saturating_sub(1)..52 {
+                    let range = PartitionRange {
+                        lower: [lower, 0, 0],
+                        upper: [upper, u32::MAX, u32::MAX],
+                    };
+                    let lo = keys.partition_point(|key| key < &range.lower);
+                    let hi = keys.partition_point(|key| key <= &range.upper).max(lo);
+                    let mut at = finger;
+                    assert_eq!(
+                        range.seek(&keys, &mut at),
+                        &keys[lo..hi],
+                        "finger {finger}, range {lower}..={upper}"
+                    );
+                    assert_eq!(at, lo, "the finger is left where the range starts");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cursor_moves_to_a_new_ordering_from_past_the_end() {
+        let mut idx = TripleIndex::new();
+        for s in 0..30u32 {
+            idx.insert(t(s, 1 + s % 3, 100 + s));
+        }
+        idx.flush_pending();
+        let mut cursor = ScanCursor::default();
+        // (s, ?, ?) and then (?, p, ?): two orderings, one cursor.
+        let by_subject: Vec<_> = idx
+            .iter_matching(Some(TermId(29)), None, None, &mut cursor)
+            .collect();
+        assert_eq!(by_subject, vec![t(29, 3, 129)]);
+        let spo = cursor;
+        let by_predicate = idx
+            .iter_matching(None, Some(TermId(2)), None, &mut cursor)
+            .count();
+        assert_eq!(by_predicate, 10);
+        assert_ne!(cursor.order, spo.order);
+        // Back on the first ordering, a lower key than the cursor's last.
+        let back: Vec<_> = idx
+            .iter_matching(Some(TermId(0)), None, None, &mut cursor)
+            .collect();
+        assert_eq!(back, vec![t(0, 1, 100)]);
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod vocab;
 
 pub use dictionary::{Dictionary, FrozenDictionary, TermId};
 pub use error::RdfError;
-pub use index::PartitionRange;
+pub use index::{PartitionRange, ScanCursor};
 pub use live::{IngestBatch, IngestReport, LiveStore, StoreSnapshot, TouchedScope};
 pub use ntriples::{parse_ntriples, serialize_ntriples};
 pub use stats::{GraphStats, PlannerStats, PredicateCard};

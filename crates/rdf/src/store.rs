@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock};
 
 use crate::dictionary::{Dictionary, TermId};
 use crate::error::RdfError;
-use crate::index::{PartitionRange, TripleIndex};
+use crate::index::{PartitionRange, ScanCursor, TripleIndex};
 use crate::stats::{GraphStats, PlannerStats};
 use crate::term::Term;
 use crate::text::TextIndex;
@@ -221,10 +221,28 @@ impl Store {
     /// Scan an id-level pattern, yielding matching triples without
     /// materialising them.  This is the native access path; callers holding
     /// [`Term`]s encode once ([`Store::encode_pattern`]) and decode only the
-    /// triples they keep ([`Store::decode`]).
+    /// triples they keep ([`Store::decode`]).  It is [`Store::scan_from`]
+    /// with a fresh cursor: the range is found by one binary search for its
+    /// start and a gallop from there to its end.
     pub fn scan(&self, pattern: EncodedTriplePattern) -> impl Iterator<Item = EncodedTriple> + '_ {
+        self.scan_from(pattern, &mut ScanCursor::default())
+    }
+
+    /// [`Store::scan`], seeking the pattern's range from where `cursor`'s
+    /// last seek landed and leaving the cursor where this range starts.
+    ///
+    /// A caller that scans many patterns in ascending key order — a join
+    /// step fed by a driver that walks an index — threads one cursor
+    /// through them, and each seek gallops over the keys since the last one
+    /// instead of binary-searching the whole run.  The triples are the
+    /// same whatever the cursor holds (see [`ScanCursor`]).
+    pub fn scan_from(
+        &self,
+        pattern: EncodedTriplePattern,
+        cursor: &mut ScanCursor,
+    ) -> impl Iterator<Item = EncodedTriple> + '_ {
         self.index
-            .iter_matching(pattern.subject, pattern.predicate, pattern.object)
+            .iter_matching(pattern.subject, pattern.predicate, pattern.object, cursor)
     }
 
     /// Count the matches of an id-level pattern without materialising them.
@@ -283,12 +301,15 @@ impl Store {
         let mut out = Vec::new();
         // Over-fetch literals: several vertices may share one literal value.
         let literal_matches = self.text.search_any(words, max_results.saturating_mul(4));
+        // One cursor for every literal's seek: the matches of one match
+        // count come in ascending id order, so most seeks gallop forward.
+        let mut cursor = ScanCursor::default();
         'outer: for m in literal_matches {
+            let literal = self.decode_term(m.literal);
             // All triples with this literal as object, via the OPS index.
-            for triple in self.scan(EncodedTriplePattern::any().with_object(m.literal)) {
-                let subject = self.decode_term(triple.subject);
-                let literal = self.decode_term(m.literal);
-                out.push((subject, literal));
+            let pattern = EncodedTriplePattern::any().with_object(m.literal);
+            for triple in self.scan_from(pattern, &mut cursor) {
+                out.push((self.decode_term(triple.subject), literal.clone()));
                 if out.len() >= max_results {
                     break 'outer;
                 }
@@ -297,7 +318,8 @@ impl Store {
         out
     }
 
-    /// Iterate every triple in the store (SPO order), decoded.
+    /// Iterate every triple in the store, decoded, in (object, predicate,
+    /// subject) id order: the ordering a fully unbound scan reads.
     pub fn iter(&self) -> impl Iterator<Item = Triple> + '_ {
         self.scan(EncodedTriplePattern::any())
             .map(move |t| self.decode(t))

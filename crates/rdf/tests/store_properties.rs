@@ -3,7 +3,8 @@
 use std::collections::BTreeSet;
 
 use kgqan_rdf::{
-    parse_ntriples, serialize_ntriples, EncodedTriple, Store, Term, Triple, TriplePattern,
+    parse_ntriples, serialize_ntriples, EncodedTriple, EncodedTriplePattern, ScanCursor, Store,
+    Term, TermId, Triple, TriplePattern,
 };
 use proptest::prelude::*;
 
@@ -200,7 +201,126 @@ fn check_read(store: &Store, oracle: &BTreeSet<Triple>, op: &Op) -> Result<(), T
     Ok(())
 }
 
+/// A triple over a small closed set of IRIs, so that subjects reappear as
+/// objects and most id-level seeks find a range.
+fn arb_dense_triple() -> impl Strategy<Value = Triple> {
+    (0u32..24, 0u32..4, 0u32..24).prop_map(|(s, p, o)| {
+        Triple::new(
+            Term::iri(format!("http://example.org/node/{s}")),
+            Term::iri(format!("http://example.org/pred/{p}")),
+            Term::iri(format!("http://example.org/node/{o}")),
+        )
+    })
+}
+
+/// The ids seeks are made with: a little past the 28 terms a dense store
+/// interns at most, so some seeks land past the end of every run.
+const SEEK_IDS: u32 = 32;
+
+/// How one run of seeks orders its keys.
+#[derive(Debug, Clone, Copy)]
+enum SeekOrder {
+    Ascending,
+    Descending,
+    AsDrawn,
+}
+
+/// One run of seeks threaded through the cursor: a pattern shape (which
+/// positions are bound), the keys it is sought with in one order, and the
+/// store it runs on.
+#[derive(Debug, Clone)]
+struct SeekRun {
+    bound: (bool, bool, bool),
+    keys: Vec<(u32, u32, u32)>,
+    order: SeekOrder,
+    on_small_store: bool,
+}
+
+fn arb_seek_run() -> impl Strategy<Value = SeekRun> {
+    (
+        (any::<bool>(), any::<bool>(), any::<bool>()),
+        prop::collection::vec((0..SEEK_IDS, 0..SEEK_IDS, 0..SEEK_IDS), 1..24),
+        prop_oneof![
+            Just(SeekOrder::Ascending),
+            Just(SeekOrder::Descending),
+            Just(SeekOrder::AsDrawn),
+        ],
+        any::<bool>(),
+    )
+        .prop_map(|(bound, keys, order, on_small_store)| SeekRun {
+            bound,
+            keys,
+            order,
+            on_small_store,
+        })
+}
+
+impl SeekRun {
+    /// The run's patterns in seek order.  Keys are ordered on (o, p, s),
+    /// which for every shape is the order of its bound positions in the
+    /// index ordering the store scans it from today (`Ops` or `Osp` for a
+    /// bound object, `Pos` or `Pso` for a bound predicate, `Sop` for a
+    /// bound subject alone); were that choice to change, the runs would
+    /// still be sorted, only no longer in the scan's key order.
+    fn patterns(&self) -> Vec<EncodedTriplePattern> {
+        let (s, p, o) = self.bound;
+        let bind = |on: bool, id: u32| on.then_some(TermId(id));
+        let mut patterns: Vec<EncodedTriplePattern> = self
+            .keys
+            .iter()
+            .map(|&(a, b, c)| EncodedTriplePattern::new(bind(s, a), bind(p, b), bind(o, c)))
+            .collect();
+        let key = |t: &EncodedTriplePattern| (t.object, t.predicate, t.subject);
+        match self.order {
+            SeekOrder::Ascending => patterns.sort_by_key(key),
+            SeekOrder::Descending => patterns.sort_by_key(|t| std::cmp::Reverse(key(t))),
+            SeekOrder::AsDrawn => {}
+        }
+        patterns
+    }
+}
+
 proptest! {
+    /// Scans threaded through one cursor yield exactly what the same scans
+    /// from fresh cursors yield, and `scan_count` agrees with both: over
+    /// ascending, descending and unordered key runs, switches between
+    /// shapes (and so index orderings), empty ranges and ranges at either
+    /// end of a run, seeks past the end of every run, a store with a
+    /// pending view, and a cursor carried over from a larger store, which
+    /// points past the end of the smaller one's runs.
+    #[test]
+    fn scans_threaded_through_one_cursor_equal_scans_from_fresh_cursors(
+        sealed in prop::collection::vec(arb_dense_triple(), 0..150),
+        pending in prop::collection::vec(arb_dense_triple(), 0..16),
+        small_len in 0usize..40,
+        compact_small in any::<bool>(),
+        runs in prop::collection::vec(arb_seek_run(), 1..8),
+    ) {
+        let mut large = Store::new();
+        large.insert_all(sealed.clone());
+        large.compact();
+        large.insert_all(pending);
+        let mut small = Store::new();
+        small.insert_all(sealed.into_iter().take(small_len));
+        if compact_small {
+            small.compact();
+        }
+
+        let mut cursor = ScanCursor::default();
+        for run in &runs {
+            let store = if run.on_small_store { &small } else { &large };
+            for pattern in run.patterns() {
+                let fresh: Vec<EncodedTriple> = store.scan(pattern).collect();
+                let threaded: Vec<EncodedTriple> = store.scan_from(pattern, &mut cursor).collect();
+                prop_assert!(
+                    threaded == fresh,
+                    "{pattern:?} on {run:?}: threaded {threaded:?}, fresh {fresh:?}"
+                );
+                prop_assert_eq!(store.scan_count(pattern), fresh.len());
+            }
+        }
+    }
+
     /// Inserting any set of triples yields a store whose length equals the
     /// number of distinct triples, and every inserted triple is found again.
     #[test]

@@ -57,7 +57,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use kgqan_rdf::hash::FxHashSet;
-use kgqan_rdf::{EncodedTriple, PartitionRange, Store, Term, TermId, TextMatch};
+use kgqan_rdf::{EncodedTriple, PartitionRange, ScanCursor, Store, Term, TermId, TextMatch};
 
 use crate::ast::{Expression, Query, VarOrTerm};
 use crate::error::SparqlError;
@@ -310,6 +310,9 @@ struct Exec<'a> {
     /// One lazily-filled remote-result slot per SERVICE group: the remote
     /// query runs once per walk, however many rows reach the join.
     service_cache: Vec<OnceCell<Result<Vec<ServiceRow>, SparqlError>>>,
+    /// One cursor per scan step: where the step's last seek landed in this
+    /// walk, so its next seek gallops on from there.
+    cursors: Vec<Cell<ScanCursor>>,
     foreign: ForeignTerms,
 }
 
@@ -330,6 +333,7 @@ impl<'a> Exec<'a> {
             scanned: Cell::new(0),
             text_cache: (0..body.text_slots).map(|_| OnceCell::new()).collect(),
             service_cache: (0..body.service_slots).map(|_| OnceCell::new()).collect(),
+            cursors: vec![Cell::default(); body.scan_slots],
             foreign: ForeignTerms::default(),
         }
     }
@@ -419,7 +423,10 @@ impl<'a> Exec<'a> {
             // A constant absent from the dictionary matches nothing,
             // whatever the input.
             StepKind::NeverMatches(_) => ControlFlow::Continue(()),
-            StepKind::Scan(tp) => {
+            StepKind::Scan {
+                pattern: tp,
+                cursor_slot,
+            } => {
                 let pattern = tp.encoded(|v| row[v]);
                 match self.clip.filter(|_| step.driver) {
                     // The driver scan of one morsel: same pattern, same
@@ -427,7 +434,13 @@ impl<'a> Exec<'a> {
                     Some(range) => {
                         self.scan(self.store.scan_within(pattern, range), *tp, row, next)
                     }
-                    None => self.scan(self.store.scan(pattern), *tp, row, next),
+                    None => {
+                        let cursor = &self.cursors[*cursor_slot];
+                        let mut at = cursor.get();
+                        let entries = self.store.scan_from(pattern, &mut at);
+                        cursor.set(at);
+                        self.scan(entries, *tp, row, next)
+                    }
                 }
             }
             StepKind::TextSearch {

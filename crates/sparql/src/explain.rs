@@ -162,7 +162,9 @@ impl PhysicalPlan<'_> {
                 }
                 for step in steps {
                     let label = match &step.kind {
-                        StepKind::Scan(tp) => scan_label(self.store, &self.body.vars, tp),
+                        StepKind::Scan { pattern, .. } => {
+                            scan_label(self.store, &self.body.vars, pattern)
+                        }
                         StepKind::TextSearch { pattern, .. } => format!("text {pattern}"),
                         StepKind::NeverMatches(pattern) => format!("never-matches {pattern}"),
                     };

@@ -139,12 +139,13 @@ pub trait ServiceResolver: Send + Sync {
 /// step still schedules.
 const SERVICE_ESTIMATE: f64 = 256.0;
 
-/// Per-plan counters sizing the run-scoped caches: one slot per
-/// constant-string text step, one per SERVICE group.
+/// Per-plan counters sizing the run-scoped state: one slot per
+/// constant-string text step, one per SERVICE group, one per scan step.
 #[derive(Default)]
 struct SlotCounters {
     text: usize,
     service: usize,
+    scan: usize,
 }
 
 /// What one join step does.  A scan keeps only its compiled ids and
@@ -153,7 +154,13 @@ struct SlotCounters {
 #[derive(Debug, Clone)]
 pub(crate) enum StepKind {
     /// An index scan of an id-compiled pattern.
-    Scan(CompiledTriplePattern),
+    Scan {
+        pattern: CompiledTriplePattern,
+        /// Index into the walk's scan cursors: the step seeks its range
+        /// from where its seek for the previous input row landed, and a
+        /// driver walking an index in key order hands it ascending keys.
+        cursor_slot: usize,
+    },
     /// A full-text probe (generative when its subject is unbound, a
     /// membership filter once it is bound).
     TextSearch {
@@ -179,10 +186,12 @@ impl StepKind {
     /// The variable slots the step mentions.
     fn var_slots(&self, vars: &VarRegistry) -> [Option<usize>; 3] {
         match self {
-            StepKind::Scan(tp) => [tp.subject, tp.predicate, tp.object].map(|slot| match slot {
-                Slot::Var(v) => Some(v),
-                Slot::Const(_) => None,
-            }),
+            StepKind::Scan { pattern: tp, .. } => {
+                [tp.subject, tp.predicate, tp.object].map(|slot| match slot {
+                    Slot::Var(v) => Some(v),
+                    Slot::Const(_) => None,
+                })
+            }
             StepKind::TextSearch { pattern, .. } | StepKind::NeverMatches(pattern) => {
                 [&pattern.subject, &pattern.predicate, &pattern.object]
                     .map(|position| position.as_var().and_then(|v| vars.id_of(v)))
@@ -196,7 +205,7 @@ impl StepKind {
     /// nothing.
     fn bound_slots(&self, vars: &VarRegistry) -> [Option<usize>; 3] {
         match self {
-            StepKind::Scan(_) => self.var_slots(vars),
+            StepKind::Scan { .. } => self.var_slots(vars),
             StepKind::TextSearch { pattern, .. } => [
                 pattern.subject.as_var().and_then(|v| vars.id_of(v)),
                 None,
@@ -268,6 +277,8 @@ pub(crate) struct PlanBody {
     pub(crate) text_slots: usize,
     /// Number of SERVICE groups in the plan (sizes the per-run cache).
     pub(crate) service_slots: usize,
+    /// Number of scan steps in the plan (sizes each walk's cursors).
+    pub(crate) scan_slots: usize,
 }
 
 /// A query compiled against one store: variables numbered, constants
@@ -484,6 +495,7 @@ impl<'s> Planner<'s> {
                 text_cap,
                 text_slots: slots.text,
                 service_slots: slots.service,
+                scan_slots: slots.scan,
             },
             driver,
             shared: self.shared,
@@ -606,7 +618,13 @@ impl<'s> Planner<'s> {
                     match compile_triple_pattern(self.store, vars, tp) {
                         Some(compiled) => {
                             let count = self.store.scan_count(compiled.encoded(|_| None));
-                            (StepKind::Scan(compiled), count as f64)
+                            let cursor_slot = slots.scan;
+                            slots.scan += 1;
+                            let kind = StepKind::Scan {
+                                pattern: compiled,
+                                cursor_slot,
+                            };
+                            (kind, count as f64)
                         }
                         None => (StepKind::NeverMatches(tp.clone()), 0.0),
                     }
@@ -676,7 +694,7 @@ impl<'s> Planner<'s> {
                     count
                 }
             }
-            StepKind::Scan(tp) => {
+            StepKind::Scan { pattern: tp, .. } => {
                 if count == 0.0 {
                     return 0.0;
                 }
@@ -798,7 +816,7 @@ fn mark_driver(node: &mut PlanNode) -> Option<(CompiledTriplePattern, f64)> {
     match node {
         PlanNode::Bgp { steps, .. } => {
             let step = steps.first_mut()?;
-            let StepKind::Scan(tp) = step.kind else {
+            let StepKind::Scan { pattern: tp, .. } = step.kind else {
                 return None;
             };
             step.driver = true;

@@ -7,7 +7,7 @@
 mod common;
 
 use common::{arb_pattern, arb_store, row_multiset, select_query};
-use kgqan_rdf::{Store, Term, Triple};
+use kgqan_rdf::{Store, Term, Triple, TriplePattern};
 use kgqan_sparql::ast::{Query, QueryForm};
 use kgqan_sparql::{execute, execute_naive, parse_query, Planner};
 use proptest::prelude::*;
@@ -120,6 +120,118 @@ proptest! {
             k, run.metrics.rows_scanned, total
         );
     }
+}
+
+/// A store of directed edges `n{from} p{hop} n{to}`: a few on hop 0, many
+/// on every later hop, so the planner drives a join from hop 0.  The later
+/// hops are inserted first and so number the nodes.  Edges past `sealed`
+/// are inserted after a compaction and wait in the pending view, so seeks
+/// run over a base run and a view at once.
+fn hop_store(first_hop: &[(u32, u32)], later_hops: &[(u32, u32, u32)], sealed: usize) -> Store {
+    let edge = |from: u32, hop: u32, to: u32| {
+        Triple::new(
+            Term::iri(format!("http://g/n{from}")),
+            Term::iri(format!("http://g/p{hop}")),
+            Term::iri(format!("http://g/n{to}")),
+        )
+    };
+    let edges: Vec<Triple> = later_hops
+        .iter()
+        .map(|&(from, hop, to)| edge(from, hop, to))
+        .chain(first_hop.iter().map(|&(from, to)| edge(from, 0, to)))
+        .collect();
+    let mut store = Store::new();
+    store.insert_all(edges.iter().take(sealed).cloned());
+    store.compact();
+    store.insert_all(edges.into_iter().skip(sealed));
+    store
+}
+
+/// `SELECT * WHERE { ?x0 <p0> ?x1 . ?xa <p1> ?x2 . ?xb <p2> ?x3 … }`: hop
+/// `i` (from 1) leaves from the variable `attach[i - 1] % (i + 1)`, so the
+/// query is a chain, a star on `?x0`, or a tree between the two.
+fn hop_query(attach: &[usize]) -> Query {
+    let patterns: String = attach
+        .iter()
+        .enumerate()
+        .map(|(i, &a)| {
+            let hop = i + 1;
+            format!("?x{} <http://g/p{hop}> ?x{} . ", a % (hop + 1), hop + 1)
+        })
+        .collect();
+    parse_query(&format!(
+        "SELECT * WHERE {{ ?x0 <http://g/p0> ?x1 . {patterns}}}"
+    ))
+    .unwrap()
+}
+
+proptest! {
+    /// Multi-step joins whose inner seeks are not monotone.  The driver
+    /// scans `?x0 <p0> ?x1` in (p, o, s) order: `?x1` rises, `?x0` jumps, so
+    /// a hop leaving `?x0` seeks falling keys; a hop leaving `?x1` gets
+    /// rising keys, and the hop after it gets keys that rise within one
+    /// `?x1` and fall back at the next.  Each step threads one index cursor
+    /// through its seeks (forward gallops and backward searches, over a
+    /// base run and a pending view); the planned rows, in full and paged,
+    /// equal the naive evaluator's.
+    #[test]
+    fn joins_with_non_monotone_inner_seeks_equal_naive(
+        first_hop in prop::collection::vec((0u32..30, 0u32..30), 1..12),
+        later_hops in prop::collection::vec((0u32..30, 1u32..4, 0u32..30), 40..160),
+        sealed in 0usize..200,
+        attach in prop::collection::vec(0usize..4, 1..4),
+        limit in 0usize..12,
+    ) {
+        let store = hop_store(&first_hop, &later_hops, sealed);
+        let mut query = hop_query(&attach);
+        let full = Planner::new(&store).plan(&query).execute().unwrap();
+        let naive = execute_naive(&store, &query).unwrap();
+        let naive_rows = row_multiset(&naive);
+        prop_assert_eq!(row_multiset(&full.results), naive_rows.clone());
+
+        query.limit = Some(limit);
+        let page = execute(&store, &query).unwrap();
+        prop_assert_eq!(page.rows().len(), limit.min(naive_rows.len()));
+        for row in page.rows() {
+            let key = format!("{row:?}");
+            prop_assert!(naive_rows.contains(&key), "page row {key} not in the naive rows");
+        }
+    }
+}
+
+/// The star shape above does seek backwards: in a fixed store, the driver
+/// scan hands the hop leaving `?x0` ids that fall twice, and the planned
+/// run still equals the naive one.
+#[test]
+fn a_star_driver_hands_its_inner_step_falling_keys() {
+    let later_hops: Vec<(u32, u32, u32)> = (0..30).map(|i| (i % 10, 1, (i * 7) % 10)).collect();
+    let first_hop = [(0, 3), (0, 7), (1, 1), (1, 5), (2, 2)];
+    let store = hop_store(&first_hop, &later_hops, 3);
+    let query = hop_query(&[0]);
+
+    let plan = Planner::new(&store).plan(&query);
+    let summary = plan.summary();
+    let driver = &summary
+        .ops
+        .iter()
+        .find(|op| op.label.starts_with("scan"))
+        .unwrap()
+        .label;
+    assert!(
+        driver.contains("<http://g/p0>"),
+        "hop 0 must drive:\n{summary}"
+    );
+    let hop0 = store
+        .encode_pattern(&TriplePattern::any().with_predicate(Term::iri("http://g/p0")))
+        .unwrap();
+    let seeks: Vec<u32> = store.scan(hop0).map(|t| t.subject.0).collect();
+    let falls = seeks.windows(2).filter(|pair| pair[1] < pair[0]).count();
+    assert_eq!(falls, 2, "driver subjects in scan order: {seeks:?}");
+
+    let run = plan.execute().unwrap();
+    let naive = execute_naive(&store, &query).unwrap();
+    assert_eq!(row_multiset(&run.results), row_multiset(&naive));
+    assert!(!naive.rows().is_empty());
 }
 
 /// A deterministic two-hop join: planned and naive execution agree, and the
