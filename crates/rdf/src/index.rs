@@ -196,12 +196,39 @@ impl OrderEntry {
         pending: &'a FxHashSet<EncodedTriple>,
         range: PartitionRange,
         cursor: &mut ScanCursor,
-    ) -> impl Iterator<Item = EncodedTriple> + 'a {
-        let order = self.order;
-        self.seek(pending, range, cursor)
-            .map(move |key| order.unpermute(key))
+    ) -> RangeScan<'a> {
+        RangeScan {
+            order: self.order,
+            keys: self.seek(pending, range, cursor),
+        }
     }
 }
+
+/// The keys of one sought range decoded back to (s, p, o) triples.  Its
+/// length is exact and `nth` skips keys without decoding or merging them
+/// one by one (a `map` over the keys would walk them).
+struct RangeScan<'a> {
+    order: IndexOrder,
+    keys: MergedRange<'a>,
+}
+
+impl Iterator for RangeScan<'_> {
+    type Item = EncodedTriple;
+
+    fn next(&mut self) -> Option<EncodedTriple> {
+        self.keys.next().map(|key| self.order.unpermute(key))
+    }
+
+    fn nth(&mut self, n: usize) -> Option<EncodedTriple> {
+        self.keys.nth(n).map(|key| self.order.unpermute(key))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.keys.size_hint()
+    }
+}
+
+impl ExactSizeIterator for RangeScan<'_> {}
 
 /// Where the last seek of one scan landed: the ordering it ran on and the
 /// first matching position in that ordering's base run and view.
@@ -332,6 +359,34 @@ impl Iterator for MergedRange<'_> {
         let (&key, rest) = side.split_first()?;
         *side = rest;
         Some(key)
+    }
+
+    /// Skip `n` keys by slicing both sides, then yield the next one.  The
+    /// first `n` keys of the merge are the first `i` of the base run and
+    /// the first `n - i` of the view for the one split `i` at which the
+    /// base key `i` sorts above the view key `n - i - 1`: a binary search
+    /// over `i`, `O(log n)` instead of `n` merge steps.
+    fn nth(&mut self, n: usize) -> Option<[u32; 3]> {
+        if n >= self.len() {
+            *self = MergedRange {
+                base: &[],
+                pending: &[],
+            };
+            return None;
+        }
+        let mut lo = n.saturating_sub(self.pending.len());
+        let mut hi = n.min(self.base.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.base[mid] < self.pending[n - mid - 1] {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.base = &self.base[lo..];
+        self.pending = &self.pending[n - lo..];
+        self.next()
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -488,14 +543,15 @@ impl TripleIndex {
     /// bindings per yielded triple instead of buffering a
     /// `Vec<EncodedTriple>` per probe.  The range is sought from `cursor`
     /// (see [`ScanCursor`]) when the call is made, and the cursor is left
-    /// where it starts.
+    /// where it starts.  The iterator knows its exact length, and `nth`
+    /// skips keys without walking them.
     pub(crate) fn iter_matching(
         &self,
         s: Option<TermId>,
         p: Option<TermId>,
         o: Option<TermId>,
         cursor: &mut ScanCursor,
-    ) -> impl Iterator<Item = EncodedTriple> + '_ {
+    ) -> impl ExactSizeIterator<Item = EncodedTriple> + '_ {
         let (entry, range) = self.best_range(s, p, o);
         entry.scan(&self.pending, range, cursor)
     }
@@ -839,6 +895,65 @@ mod tests {
         let expected: Vec<u32> = (0..50).collect();
         assert_eq!(subjects, expected);
         assert_eq!(idx.count_matching(None, Some(TermId(1)), None), 50);
+    }
+
+    #[test]
+    fn nth_skips_like_repeated_next() {
+        // Base and view interleave, the view runs on past the base, and
+        // the slices below start and end on either side.
+        let base: Vec<[u32; 3]> = (0..40u32)
+            .filter(|i| i % 3 != 0)
+            .map(|i| [i, 0, 0])
+            .collect();
+        let view: Vec<[u32; 3]> = (0..40u32)
+            .filter(|i| i % 3 == 0)
+            .chain(40..45)
+            .map(|i| [i, 0, 0])
+            .collect();
+        let sides = [
+            (&base[..], &view[..]),
+            (&base[5..], &view[..3]),
+            (&base[..4], &view[6..]),
+            (&base[..], &view[..0]),
+            (&base[..0], &view[..]),
+        ];
+        for (base, view) in sides {
+            let len = base.len() + view.len();
+            for k in 0..=len + 1 {
+                let mut walked = MergedRange {
+                    base,
+                    pending: view,
+                };
+                for _ in 0..k {
+                    walked.next();
+                }
+                let mut skipped = MergedRange {
+                    base,
+                    pending: view,
+                };
+                assert_eq!(skipped.nth(k), walked.next(), "nth({k}) of {len}");
+                assert_eq!(skipped.len(), walked.len());
+                assert!(skipped.eq(walked), "the rest after nth({k}) of {len}");
+            }
+        }
+
+        // The same through a store scan with a pending view.
+        let mut idx = TripleIndex::new();
+        for i in (0..60u32).step_by(2) {
+            idx.insert(t(i, 1, i));
+        }
+        idx.flush_pending();
+        for i in (1..60u32).step_by(4) {
+            idx.insert(t(i, 1, i));
+        }
+        let all = idx.matching(None, Some(TermId(1)), None);
+        for k in 0..=all.len() {
+            let mut scan =
+                idx.iter_matching(None, Some(TermId(1)), None, &mut ScanCursor::default());
+            assert_eq!(scan.len(), all.len());
+            assert_eq!(scan.nth(k), all.get(k).copied());
+            assert!(scan.eq(all.iter().copied().skip(k + 1)));
+        }
     }
 
     #[test]

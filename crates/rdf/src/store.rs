@@ -224,7 +224,15 @@ impl Store {
     /// triples they keep ([`Store::decode`]).  It is [`Store::scan_from`]
     /// with a fresh cursor: the range is found by one binary search for its
     /// start and a gallop from there to its end.
-    pub fn scan(&self, pattern: EncodedTriplePattern) -> impl Iterator<Item = EncodedTriple> + '_ {
+    ///
+    /// The iterator's length is exact (the size of the sought range), and
+    /// `nth(k)` skips `k` matches in `O(log k)` without walking them: an
+    /// `OFFSET` that covers a whole range, or ends inside one, is counted
+    /// off, not scanned.
+    pub fn scan(
+        &self,
+        pattern: EncodedTriplePattern,
+    ) -> impl ExactSizeIterator<Item = EncodedTriple> + '_ {
         self.scan_from(pattern, &mut ScanCursor::default())
     }
 
@@ -235,12 +243,13 @@ impl Store {
     /// step fed by a driver that walks an index — threads one cursor
     /// through them, and each seek gallops over the keys since the last one
     /// instead of binary-searching the whole run.  The triples are the
-    /// same whatever the cursor holds (see [`ScanCursor`]).
+    /// same whatever the cursor holds (see [`ScanCursor`]), and so is the
+    /// exact length and the cheap `nth` of [`Store::scan`].
     pub fn scan_from(
         &self,
         pattern: EncodedTriplePattern,
         cursor: &mut ScanCursor,
-    ) -> impl Iterator<Item = EncodedTriple> + '_ {
+    ) -> impl ExactSizeIterator<Item = EncodedTriple> + '_ {
         self.index
             .iter_matching(pattern.subject, pattern.predicate, pattern.object, cursor)
     }

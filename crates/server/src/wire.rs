@@ -305,8 +305,14 @@ pub fn query_results_to_json(results: &QueryResults) -> String {
         }
         QueryResults::Solutions(rs) => {
             // The head and every binding object repeat the same names:
-            // escape each once per table.
+            // escape each once per table.  A binding object lists its
+            // bound cells in name order, one per distinct name (the
+            // stable sort and dedup of the table's own name order, which
+            // `Row::iter` reads).
             let variables = rs.variables();
+            let mut by_name: Vec<usize> = (0..variables.len()).collect();
+            by_name.sort_by_key(|&column| &variables[column]);
+            by_name.dedup_by_key(|column| &variables[*column]);
             let names: Vec<String> = variables
                 .iter()
                 .map(|var| {
@@ -333,12 +339,14 @@ pub fn query_results_to_json(results: &QueryResults) -> String {
                     out.push(',');
                 }
                 out.push('{');
-                for (j, (var, term)) in row.iter().enumerate() {
+                let cells = by_name
+                    .iter()
+                    .filter_map(|&column| Some((column, row.cell(column)?)));
+                for (j, (column, term)) in cells.enumerate() {
                     if j > 0 {
                         out.push(',');
                     }
-                    let column = variables.iter().position(|name| name == var);
-                    out.push_str(&names[column.expect("a row binds only projected variables")]);
+                    out.push_str(&names[column]);
                     out.push(':');
                     write_term(&mut out, term);
                 }

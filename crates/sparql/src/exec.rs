@@ -20,7 +20,14 @@
 //! The rows that reach the root go through one `Collector` (projection →
 //! `DISTINCT` → `OFFSET` → `LIMIT`) and are flattened into the result
 //! table last, still as ids.  A
-//! sequential run is one walk with no clip feeding that collector.  A
+//! sequential run is one walk with no clip feeding that collector.  When
+//! the plan says every index entry of its root BGP's last step is one
+//! output row (`PlanBody::offset_at_last_step`), the walk borrows the
+//! collector's `OFFSET` counter and that step counts it off by range
+//! length: a range no longer than what is left to skip is skipped whole,
+//! and the range the offset ends in starts at the first kept entry
+//! (`nth`).  Those entries are never touched, so
+//! [`ExecMetrics::rows_scanned`] does not count them.  A
 //! morsel-parallel run (see [`crate::plan::ParallelConfig`]) does the same
 //! walk once per *morsel* — a key range of the plan's driver scan — each
 //! into a collector of its own, and the coordinator feeds the morsels'
@@ -75,7 +82,10 @@ mod morsel;
 pub struct ExecMetrics {
     /// Index entries and text-index matches the joins touched.  This is the
     /// engine's unit of work: a `LIMIT k` query over a large store should
-    /// keep it near `k / selectivity`, not near the store size.
+    /// keep it near `k / selectivity`, not near the store size.  Entries an
+    /// `OFFSET` skipped by count at the last join step (see the module
+    /// docs) were not touched and are not counted; an offset walked through
+    /// the collector is.
     pub rows_scanned: u64,
     /// Rows in the final result (1/0 for ASK).
     pub rows_emitted: u64,
@@ -219,6 +229,10 @@ impl TextMatches {
 /// ids: projection, `DISTINCT`, `OFFSET`, `LIMIT`.  The sequential run, each
 /// morsel and the coordinator's merge all collect through this one type.
 ///
+/// `to_skip` is the run's one `OFFSET` counter.  A walk whose plan counts
+/// the offset at its last step takes it for the walk and hands back what
+/// is left ([`Exec::run_root`]); the rows it skipped never arrive here.
+///
 /// Kept rows are projected straight into one flat cell array; only a row
 /// new to a `DISTINCT` set is copied again, into the set.
 struct Collector<'a> {
@@ -313,6 +327,10 @@ struct Exec<'a> {
     /// One cursor per scan step: where the step's last seek landed in this
     /// walk, so its next seek gallops on from there.
     cursors: Vec<Cell<ScanCursor>>,
+    /// The `OFFSET` rows still to skip, lent by the collector for the walk
+    /// when the plan counts them off its last step
+    /// ([`PlanBody::offset_at_last_step`]); 0 otherwise.
+    to_skip: Cell<usize>,
     foreign: ForeignTerms,
 }
 
@@ -334,6 +352,7 @@ impl<'a> Exec<'a> {
             text_cache: (0..body.text_slots).map(|_| OnceCell::new()).collect(),
             service_cache: (0..body.service_slots).map(|_| OnceCell::new()).collect(),
             cursors: vec![Cell::default(); body.scan_slots],
+            to_skip: Cell::new(0),
             foreign: ForeignTerms::default(),
         }
     }
@@ -348,8 +367,16 @@ impl<'a> Exec<'a> {
             return Some(Stop::Deadline);
         }
         let mut row: IdRow = vec![None; self.body.vars.len()];
-        self.run(&self.body.root, &mut row, &mut |row| out.push_row(row))
-            .break_value()
+        // Rows the last step counts off never reach the collector, so its
+        // skip counter moves to the walk and back: one counter either way.
+        if self.body.offset_at_last_step {
+            self.to_skip.set(std::mem::take(&mut out.to_skip));
+        }
+        let stop = self
+            .run(&self.body.root, &mut row, &mut |row| out.push_row(row))
+            .break_value();
+        out.to_skip += self.to_skip.take();
+        stop
     }
 
     /// Evaluate `node` for one input row, calling `emit` once per solution
@@ -437,8 +464,22 @@ impl<'a> Exec<'a> {
                     None => {
                         let cursor = &self.cursors[*cursor_slot];
                         let mut at = cursor.get();
-                        let entries = self.store.scan_from(pattern, &mut at);
+                        let mut entries = self.store.scan_from(pattern, &mut at);
                         cursor.set(at);
+                        // A count is lent only when the root is one BGP,
+                        // so the step with no `rest` is its last step.
+                        let to_skip = self.to_skip.get();
+                        if to_skip > 0 && rest.is_empty() {
+                            // Each entry is one output row: skip the whole
+                            // range by its length, or up to where the
+                            // `OFFSET` runs out inside it.
+                            let len = entries.len();
+                            self.to_skip.set(to_skip.saturating_sub(len));
+                            if len <= to_skip {
+                                return ControlFlow::Continue(());
+                            }
+                            entries.nth(to_skip - 1);
+                        }
                         self.scan(entries, *tp, row, next)
                     }
                 }

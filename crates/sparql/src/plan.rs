@@ -279,6 +279,11 @@ pub(crate) struct PlanBody {
     pub(crate) service_slots: usize,
     /// Number of scan steps in the plan (sizes each walk's cursors).
     pub(crate) scan_slots: usize,
+    /// `true` when the root is one BGP whose last step yields exactly one
+    /// output row per index entry, so a sequential walk counts the page's
+    /// `OFFSET` off that step's ranges by their length instead of walking
+    /// them (see [`offset_counts_at_last_step`]).
+    pub(crate) offset_at_last_step: bool,
 }
 
 /// A query compiled against one store: variables numbered, constants
@@ -486,6 +491,9 @@ impl<'s> Planner<'s> {
         let mut slots = SlotCounters::default();
         let mut root = self.compile(&query.pattern, &vars, &mut bound, text_cap, &mut slots);
         let driver = mark_driver(&mut root);
+        let offset = query.offset.unwrap_or(0);
+        let offset_at_last_step =
+            offset > 0 && !is_ask && !distinct && offset_counts_at_last_step(&root, &vars);
 
         PhysicalPlan {
             store: self.store,
@@ -496,6 +504,7 @@ impl<'s> Planner<'s> {
                 text_slots: slots.text,
                 service_slots: slots.service,
                 scan_slots: slots.scan,
+                offset_at_last_step,
             },
             driver,
             shared: self.shared,
@@ -504,7 +513,7 @@ impl<'s> Planner<'s> {
             is_ask,
             distinct,
             limit: query.limit,
-            offset: query.offset.unwrap_or(0),
+            offset,
             services: self.services,
             summary: OnceLock::new(),
         }
@@ -826,6 +835,30 @@ fn mark_driver(node: &mut PlanNode) -> Option<(CompiledTriplePattern, f64)> {
         PlanNode::Filter(inner, _) => mark_driver(inner),
         PlanNode::Union(..) | PlanNode::Service { .. } => None,
     }
+}
+
+/// Whether every index entry the last step of the plan's root scans is
+/// exactly one row of the output, so that an `OFFSET` can be counted off
+/// that step's ranges by their length: the root is one BGP, and its last
+/// step is a scan with no filter pushed after it and no variable twice in
+/// its pattern (`?x p ?x` drops the entries whose subject is not their
+/// object).  Variables an earlier step bound are constants of the seek, so
+/// every entry of the range agrees with them.  `DISTINCT` is the caller's
+/// to rule out.
+fn offset_counts_at_last_step(root: &PlanNode, vars: &VarRegistry) -> bool {
+    let PlanNode::Bgp { steps, .. } = root else {
+        return false;
+    };
+    let Some(last) = steps.last() else {
+        return false;
+    };
+    let [s, p, o] = last.kind.var_slots(vars);
+    let repeated = |a: Option<usize>, b| a.is_some() && a == b;
+    matches!(last.kind, StepKind::Scan { .. })
+        && last.filters.is_empty()
+        && !repeated(s, p)
+        && !repeated(s, o)
+        && !repeated(p, o)
 }
 
 /// The search words of a text pattern whose query string is a constant

@@ -53,6 +53,27 @@ pub fn arb_store(max_triples: usize) -> impl Strategy<Value = Store> {
     })
 }
 
+/// A random store of fewer than `max_triples` triples, a third of them
+/// self-loops (`n p n`, the entries `?x p ?x` keeps), with a random prefix
+/// compacted into the base runs and the rest left pending, so scans merge a
+/// base run with a pending view.
+pub fn arb_partly_sealed_store(max_triples: usize) -> impl Strategy<Value = Store> {
+    let self_loop =
+        || (arb_node(), arb_predicate()).prop_map(|(n, p)| Triple::new(n.clone(), p, n));
+    let triple = prop_oneof![arb_triple(), arb_triple(), self_loop()];
+    (
+        prop::collection::vec(triple, 0..max_triples),
+        0..max_triples,
+    )
+        .prop_map(|(triples, sealed)| {
+            let mut store = Store::new();
+            store.insert_all(triples.iter().take(sealed).cloned());
+            store.compact();
+            store.insert_all(triples.into_iter().skip(sealed));
+            store
+        })
+}
+
 // ---------------------------------------------------------------------------
 // Pattern generation: variables from a 4-name pool (repeats guaranteed),
 // every position independently var-or-term, plus text search, and
@@ -111,7 +132,7 @@ fn arb_text_tp() -> impl Strategy<Value = TriplePatternAst> {
 
 /// A BGP of 1–3 ordinary patterns, optionally carrying a text-search
 /// pattern as its first or last pattern.
-fn arb_bgp() -> impl Strategy<Value = GraphPattern> {
+pub fn arb_bgp() -> impl Strategy<Value = GraphPattern> {
     (
         prop::collection::vec(arb_tp(), 1..4),
         prop::option::of(arb_text_tp()),
@@ -129,7 +150,7 @@ fn arb_bgp() -> impl Strategy<Value = GraphPattern> {
         })
 }
 
-fn arb_filter_expr() -> impl Strategy<Value = Expression> {
+pub fn arb_filter_expr() -> impl Strategy<Value = Expression> {
     let var = || arb_var().prop_map(|v| Box::new(Expression::Var(v)));
     prop_oneof![
         (var(), var()).prop_map(|(a, b)| Expression::Neq(a, b)),
