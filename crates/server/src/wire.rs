@@ -14,6 +14,36 @@
 //! * **errors** — every error body is `{"error": {"status": N,
 //!   "message": ...}}`, with the status duplicated from the response line
 //!   so bodies are self-describing in logs.
+//!
+//! # What a SPARQL-JSON cell costs
+//!
+//! A page of SELECT results is the largest body the server writes (a
+//! 4 100-row page is ≈ 466 KB), so [`query_results_to_json`] writes it at
+//! close to copy speed, in two passes over the table:
+//!
+//! * **Sizing.**  The first pass resolves every cell once and adds up the
+//!   page's length, so the page is written into one allocation whatever
+//!   the number of rows or the length of the terms.  The length is exact
+//!   unless some text needs escaping, whose escapes then grow the buffer.
+//! * **Keys.**  A binding's `"name":` is escaped once per table, and each
+//!   kind of term object opens with a constant.
+//! * **Text.**  A value is checked for `"`, `\` and control bytes eight
+//!   bytes at a time; a clean value (nearly every IRI) is copied in one
+//!   piece, and only one that needs escaping goes through
+//!   [`write_json_string`].
+//! * **Repeats.**  Each column keeps a direct-mapped memo of 256 slots
+//!   from a term's *address* to the byte range of the cell that wrote it,
+//!   and a repeat is one copy from within the page.  A cell borrows its
+//!   term from the table's dictionary segment or side table, so equal
+//!   addresses are the same term; two equal terms at different addresses
+//!   are written twice, never wrongly.  A page of joins repeats its driving
+//!   variable on nearly every row.
+//!
+//! The writer writes a `String` from `str` pieces, so nothing re-validates
+//! UTF-8, and the `/sparql` route moves the body into the response as
+//! bytes.  The bytes equal those of the term-by-term writer it replaced
+//! (`tests/wire_properties.rs`), and its allocations are pinned
+//! (`tests/wire_allocations.rs`).
 
 use std::time::Duration;
 
@@ -22,7 +52,7 @@ use kgqan_endpoint::json::{write_json_number, write_json_string, Json};
 use kgqan_endpoint::EndpointDescription;
 use kgqan_federate::{FederatedRequest, FederatedResponse, KgSelection, KgStatus};
 use kgqan_rdf::{IngestReport, Term};
-use kgqan_sparql::QueryResults;
+use kgqan_sparql::{QueryResults, ResultSet};
 
 /// Parse the body of an ask request into an [`AnswerRequest`] targeting
 /// `kg`.  Returns a human-readable message for the 400 body on failure.
@@ -95,34 +125,119 @@ fn parse_ask_fields<T>(
     Ok((request, route))
 }
 
+/// The opening of each kind of term object, up to its `"value":`.
+const IRI_OPENING: &str = "{\"type\":\"uri\",\"value\":";
+const LITERAL_OPENING: &str = "{\"type\":\"literal\",\"value\":";
+const BLANK_OPENING: &str = "{\"type\":\"bnode\",\"value\":";
+const DATATYPE_KEY: &str = ",\"datatype\":";
+const LANGUAGE_KEY: &str = ",\"xml:lang\":";
+
 /// Append one RDF term in SPARQL-JSON form:
 /// `{"type": "uri"|"literal"|"bnode", "value": ..., "datatype"?,
 /// "xml:lang"?}`.
 pub fn write_term(out: &mut String, term: &Term) {
-    out.push_str("{\"type\":");
+    write_cell(out, "", term);
+}
+
+/// Append `key` (a binding's `"name":`, or nothing) and `term` as
+/// [`write_term`] writes it.
+#[inline]
+fn write_cell(out: &mut String, key: &str, term: &Term) {
+    out.push_str(key);
     match term {
         Term::Iri(iri) => {
-            out.push_str("\"uri\",\"value\":");
-            write_json_string(out, iri);
-        }
-        Term::Blank(label) => {
-            out.push_str("\"bnode\",\"value\":");
-            write_json_string(out, label);
+            out.push_str(IRI_OPENING);
+            push_json_string(out, iri);
         }
         Term::Literal(lit) => {
-            out.push_str("\"literal\",\"value\":");
-            write_json_string(out, &lit.lexical);
+            out.push_str(LITERAL_OPENING);
+            push_json_string(out, &lit.lexical);
             if let Some(dt) = &lit.datatype {
-                out.push_str(",\"datatype\":");
-                write_json_string(out, dt);
+                out.push_str(DATATYPE_KEY);
+                push_json_string(out, dt);
             }
             if let Some(lang) = &lit.language {
-                out.push_str(",\"xml:lang\":");
-                write_json_string(out, lang);
+                out.push_str(LANGUAGE_KEY);
+                push_json_string(out, lang);
             }
+        }
+        Term::Blank(label) => {
+            out.push_str(BLANK_OPENING);
+            push_json_string(out, label);
         }
     }
     out.push('}');
+}
+
+/// The bytes [`write_cell`] writes when no text of the term needs
+/// escaping (fewer than it writes otherwise).
+fn cell_len(key: &str, term: &Term) -> usize {
+    let quoted = |text: &str| text.len() + 2;
+    let term_len = match term {
+        Term::Iri(iri) => IRI_OPENING.len() + quoted(iri),
+        Term::Literal(lit) => {
+            LITERAL_OPENING.len()
+                + quoted(&lit.lexical)
+                + lit
+                    .datatype
+                    .as_deref()
+                    .map_or(0, |dt| DATATYPE_KEY.len() + quoted(dt))
+                + lit
+                    .language
+                    .as_deref()
+                    .map_or(0, |lang| LANGUAGE_KEY.len() + quoted(lang))
+        }
+        Term::Blank(label) => BLANK_OPENING.len() + quoted(label),
+    };
+    key.len() + term_len + "}".len()
+}
+
+/// The bytes [`write_json_string`] writes for `text`.
+fn json_string_len(text: &str) -> usize {
+    let escaped = text.bytes().map(|byte| match byte {
+        b'"' | b'\\' | b'\n' | b'\r' | b'\t' => 2,
+        0..=0x1f => 6,
+        _ => 1,
+    });
+    "\"\"".len() + escaped.sum::<usize>()
+}
+
+/// Append `text` as a JSON string: one copy between two quotes when nothing
+/// in it needs escaping, [`write_json_string`] otherwise.
+#[inline]
+fn push_json_string(out: &mut String, text: &str) {
+    if needs_escape(text.as_bytes()) {
+        write_json_string(out, text);
+    } else {
+        out.push('"');
+        out.push_str(text);
+        out.push('"');
+    }
+}
+
+/// True if `bytes` holds a byte a JSON string must escape: `"`, `\` or a
+/// control byte below 0x20.  Eight bytes a step, each word tested with the
+/// exact "has a byte below n" and "has a zero byte" bit tricks; a tail
+/// shorter than a word is tested as the last eight bytes, overlapping the
+/// words before it.
+#[inline]
+fn needs_escape(bytes: &[u8]) -> bool {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let flagged = |word: u64| {
+        let below_space = word.wrapping_sub(ONES * 0x20);
+        let quote = word ^ (ONES * u64::from(b'"'));
+        let backslash = word ^ (ONES * u64::from(b'\\'));
+        let zero_in = |x: u64| x.wrapping_sub(ONES) & !x;
+        ((below_space & !word) | zero_in(quote) | zero_in(backslash)) & HIGH != 0
+    };
+    let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("eight bytes"));
+    if bytes.len() < 8 {
+        return bytes.iter().any(|&b| b == b'"' || b == b'\\' || b < 0x20);
+    }
+    let mut words = bytes.chunks_exact(8);
+    let tail = !words.remainder().is_empty();
+    words.any(|chunk| flagged(word(chunk))) || (tail && flagged(word(&bytes[bytes.len() - 8..])))
 }
 
 /// Serialize an [`AnswerResponse`] as the ask-route response body.
@@ -299,63 +414,142 @@ pub fn kg_list_to_json(kgs: &[(String, Option<EndpointDescription>)]) -> String 
 
 /// Serialize query results in the W3C SPARQL 1.1 JSON results format.
 pub fn query_results_to_json(results: &QueryResults) -> String {
+    let mut out = String::new();
+    write_query_results(&mut out, results);
+    out
+}
+
+/// Append query results in the W3C SPARQL 1.1 JSON results format.
+fn write_query_results(out: &mut String, results: &QueryResults) {
     match results {
         QueryResults::Boolean(b) => {
-            format!("{{\"head\":{{}},\"boolean\":{b}}}")
+            out.push_str(if *b {
+                "{\"head\":{},\"boolean\":true}"
+            } else {
+                "{\"head\":{},\"boolean\":false}"
+            });
         }
-        QueryResults::Solutions(rs) => {
-            // The head and every binding object repeat the same names:
-            // escape each once per table.  A binding object lists its
-            // bound cells in name order, one per distinct name (the
-            // stable sort and dedup of the table's own name order, which
-            // `Row::iter` reads).
-            let variables = rs.variables();
-            let mut by_name: Vec<usize> = (0..variables.len()).collect();
-            by_name.sort_by_key(|&column| &variables[column]);
-            by_name.dedup_by_key(|column| &variables[*column]);
-            let names: Vec<String> = variables
-                .iter()
-                .map(|var| {
-                    let mut name = String::new();
-                    write_json_string(&mut name, var);
-                    name
-                })
-                .collect();
-            // A bound IRI cell's `:{"type":"uri","value":"…"}` is about 57
-            // bytes with a 30-byte IRI; reserving for that spares most
-            // regrowth copies of a large page.
-            let row_bytes: usize = 3 + names.iter().map(|name| name.len() + 57).sum::<usize>();
-            let mut out = String::with_capacity(64 + rs.len() * row_bytes);
-            out.push_str("{\"head\":{\"vars\":[");
-            for (i, name) in names.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(name);
-            }
-            out.push_str("]},\"results\":{\"bindings\":[");
-            for (i, row) in rs.rows().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('{');
-                let cells = by_name
-                    .iter()
-                    .filter_map(|&column| Some((column, row.cell(column)?)));
-                for (j, (column, term)) in cells.enumerate() {
-                    if j > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&names[column]);
-                    out.push(':');
-                    write_term(&mut out, term);
-                }
-                out.push('}');
-            }
-            out.push_str("]}}");
-            out
-        }
+        QueryResults::Solutions(rs) => write_solutions(out, rs),
     }
+}
+
+const HEAD_OPEN: &str = "{\"head\":{\"vars\":[";
+const BINDINGS_OPEN: &str = "]},\"results\":{\"bindings\":[";
+
+/// Slots in a column's memo (a power of two).
+const MEMO_SLOTS: usize = 256;
+
+/// A column memo slot: the address of a term this page has written in the
+/// column, and where: the byte range of its cell (`"name":{…}`) in the page.
+/// Address 0 is no term's, so the zeroed slot is empty.
+#[derive(Clone, Copy, Default)]
+struct MemoSlot {
+    term: usize,
+    start: usize,
+    end: usize,
+}
+
+/// The memo slot of a term's address: its top bits after a multiplicative
+/// (Fibonacci) hash, so terms side by side in a dictionary segment take
+/// different slots.
+fn memo_slot(term: usize) -> usize {
+    let hash = (term as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    (hash >> (u64::BITS - MEMO_SLOTS.trailing_zeros())) as usize
+}
+
+/// Append a SELECT table: the head, then one binding object a row, its
+/// bound cells in variable-name order, one per distinct name (the stable
+/// sort and dedup of the table's own name order, which `Row::iter` reads).
+///
+/// Two passes.  The first resolves every cell once and sizes the page, so
+/// the second writes it into one allocation.  The size is exact unless some
+/// text needs escaping, whose escapes then grow the buffer.
+fn write_solutions(out: &mut String, rs: &ResultSet) {
+    let variables = rs.variables();
+    let mut by_name: Vec<usize> = (0..variables.len()).collect();
+    by_name.sort_by_key(|&column| &variables[column]);
+    by_name.dedup_by_key(|column| &variables[*column]);
+    // A cell's key, `"name":`, per distinct name.
+    let keys: Vec<String> = by_name
+        .iter()
+        .map(|&column| {
+            let name = &variables[column];
+            let mut key = String::with_capacity(json_string_len(name) + ":".len());
+            write_json_string(&mut key, name);
+            key.push(':');
+            key
+        })
+        .collect();
+
+    // Sizing pass.
+    let width = by_name.len();
+    let rows = rs.len();
+    let mut cells: Vec<Option<&Term>> = Vec::with_capacity(rows * width);
+    let names: usize = variables.iter().map(|name| json_string_len(name)).sum();
+    let mut len = HEAD_OPEN.len() + names + variables.len().saturating_sub(1);
+    len += BINDINGS_OPEN.len() + "]}}".len();
+    len += rows * "{}".len() + rows.saturating_sub(1);
+    for row in rs.rows() {
+        let mut bound = 0usize;
+        for (&column, key) in by_name.iter().zip(&keys) {
+            let cell = row.cell(column);
+            if let Some(term) = cell {
+                len += cell_len(key, term);
+                bound += 1;
+            }
+            cells.push(cell);
+        }
+        len += bound.saturating_sub(1);
+    }
+    out.reserve(len);
+    let start = out.len();
+
+    out.push_str(HEAD_OPEN);
+    for (i, name) in variables.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_json_string(out, name);
+    }
+    out.push_str(BINDINGS_OPEN);
+    // Writing pass.  A term a column has written before is copied from an
+    // earlier cell: each column keeps a direct-mapped memo from the term's
+    // address (a cell borrows its term from the table's dictionary or side
+    // table, so one address is one term) to that cell's bytes.
+    let mut memo = vec![MemoSlot::default(); width * MEMO_SLOTS];
+    for i in 0..rows {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        let mut first = true;
+        for (k, cell) in cells[i * width..(i + 1) * width].iter().enumerate() {
+            let Some(term) = cell else { continue };
+            if !first {
+                out.push(',');
+            }
+            first = false;
+            let address = std::ptr::from_ref::<Term>(term) as usize;
+            let slot = &mut memo[k * MEMO_SLOTS + memo_slot(address)];
+            if slot.term == address {
+                out.extend_from_within(slot.start..slot.end);
+            } else {
+                let cell_start = out.len();
+                write_cell(out, &keys[k], term);
+                *slot = MemoSlot {
+                    term: address,
+                    start: cell_start,
+                    end: out.len(),
+                };
+            }
+        }
+        out.push('}');
+    }
+    out.push_str("]}}");
+    debug_assert!(
+        out.len() - start >= len,
+        "the sizing pass counts no byte too many"
+    );
 }
 
 /// Serialize a traced query for the `?explain=1` SPARQL route: the W3C
@@ -363,7 +557,7 @@ pub fn query_results_to_json(results: &QueryResults) -> String {
 /// estimate}` operator lines, and the executor's work counters.
 pub fn traced_query_to_json(traced: &kgqan_endpoint::TracedQuery) -> String {
     let mut out = String::from("{\"results\":");
-    out.push_str(&query_results_to_json(&traced.results));
+    write_query_results(&mut out, &traced.results);
     out.push_str(",\"plan\":");
     match &traced.plan {
         Some(plan) => {
@@ -511,6 +705,39 @@ mod tests {
 
         let ask = query_results_to_json(&QueryResults::Boolean(true));
         assert_eq!(ask, r#"{"head":{},"boolean":true}"#);
+    }
+
+    #[test]
+    fn the_escape_scan_flags_exactly_the_bytes_json_escapes() {
+        let escapes = |byte: u8| byte == b'"' || byte == b'\\' || byte < 0x20;
+        // Every byte value at every position of texts of 1 to 17 bytes: the
+        // scan's whole words, its overlapping tail and its short path.
+        for len in 1..=17 {
+            for at in 0..len {
+                for byte in 0..=u8::MAX {
+                    let mut text = vec![b'a'; len];
+                    text[at] = byte;
+                    assert_eq!(
+                        needs_escape(&text),
+                        escapes(byte),
+                        "{byte:#x} at {at} of {len}"
+                    );
+                }
+            }
+        }
+        assert!(!needs_escape(b""));
+        assert!(!needs_escape(
+            "http://e/Ostsee_\u{e9}\u{65e5}\u{7f}".as_bytes()
+        ));
+    }
+
+    #[test]
+    fn string_lengths_match_the_escaper() {
+        for text in ["", "plain", "q\"b\\n\nr\rt\t", "\u{0}\u{1f}\u{7f}\u{e9}"] {
+            let mut out = String::new();
+            write_json_string(&mut out, text);
+            assert_eq!(json_string_len(text), out.len(), "{text:?}");
+        }
     }
 
     #[test]
