@@ -14,9 +14,6 @@ pub const RDFS_LABEL: &str = "http://www.w3.org/2000/01/rdf-schema#label";
 /// `foaf:name` — the description predicate used by MAG for people/papers.
 pub const FOAF_NAME: &str = "http://xmlns.com/foaf/0.1/name";
 
-/// `rdfs:comment` — long-form description predicate.
-pub const RDFS_COMMENT: &str = "http://www.w3.org/2000/01/rdf-schema#comment";
-
 /// XSD datatypes.
 pub const XSD_STRING: &str = "http://www.w3.org/2001/XMLSchema#string";
 /// `xsd:integer`.

@@ -256,12 +256,13 @@ fn arb_seek_run() -> impl Strategy<Value = SeekRun> {
 }
 
 impl SeekRun {
-    /// The run's patterns in seek order.  Keys are ordered on (o, p, s),
-    /// which for every shape is the order of its bound positions in the
-    /// index ordering the store scans it from today (`Ops` or `Osp` for a
-    /// bound object, `Pos` or `Pso` for a bound predicate, `Sop` for a
-    /// bound subject alone); were that choice to change, the runs would
-    /// still be sorted, only no longer in the scan's key order.
+    /// The run's patterns in seek order.  Keys are ordered on their bound
+    /// positions in the order of the index ordering the store scans the
+    /// shape from today: (p, s, o) with all three bound (`Pso`), (p, o, s)
+    /// otherwise (`Pos` or `Pso` for a bound predicate, `Ops` or `Osp` for
+    /// an object without one, `Sop` for a subject alone).  Were that
+    /// choice to change, the runs would still be sorted, only no longer in
+    /// the scan's key order.
     fn patterns(&self) -> Vec<EncodedTriplePattern> {
         let (s, p, o) = self.bound;
         let bind = |on: bool, id: u32| on.then_some(TermId(id));
@@ -270,7 +271,10 @@ impl SeekRun {
             .iter()
             .map(|&(a, b, c)| EncodedTriplePattern::new(bind(s, a), bind(p, b), bind(o, c)))
             .collect();
-        let key = |t: &EncodedTriplePattern| (t.object, t.predicate, t.subject);
+        let key = |t: &EncodedTriplePattern| match (s, o) {
+            (true, true) => (t.predicate, t.subject, t.object),
+            _ => (t.predicate, t.object, t.subject),
+        };
         match self.order {
             SeekOrder::Ascending => patterns.sort_by_key(key),
             SeekOrder::Descending => patterns.sort_by_key(|t| std::cmp::Reverse(key(t))),
@@ -318,6 +322,52 @@ proptest! {
                 );
                 prop_assert_eq!(store.scan_count(pattern), fresh.len());
             }
+        }
+    }
+
+    /// One `scan_counts` call counts each of 1 to 16 patterns of one
+    /// shape as `scan_count` does: ids absent from the store, empty
+    /// ranges, runs of repeated patterns, and a store with a pending view.
+    /// Up to 24 more patterns of any shapes also cover a call that spans
+    /// several rounds and mixes index orderings within one.
+    #[test]
+    fn batched_counts_equal_one_count_at_a_time(
+        sealed in prop::collection::vec(arb_dense_triple(), 0..150),
+        pending in prop::collection::vec(arb_dense_triple(), 0..16),
+        bound in (any::<bool>(), any::<bool>(), any::<bool>()),
+        keys in prop::collection::vec(((0..SEEK_IDS, 0..SEEK_IDS, 0..SEEK_IDS), 0u32..3), 1..17),
+        more in prop::collection::vec(
+            ((0..SEEK_IDS, 0..SEEK_IDS, 0..SEEK_IDS), (any::<bool>(), any::<bool>(), any::<bool>())),
+            0..24,
+        ),
+    ) {
+        let mut store = Store::new();
+        store.insert_all(sealed);
+        store.compact();
+        store.insert_all(pending);
+        let (s, p, o) = bound;
+        let bind = |on: bool, id: u32| on.then_some(TermId(id));
+        let shaped = |(a, b, c): (u32, u32, u32), (s, p, o): (bool, bool, bool)| {
+            EncodedTriplePattern::new(bind(s, a), bind(p, b), bind(o, c))
+        };
+        let pattern = |key| shaped(key, (s, p, o));
+        // Each key is sought once, twice or three times in a row.
+        let few: Vec<EncodedTriplePattern> = keys
+            .iter()
+            .flat_map(|&(key, repeats)| std::iter::repeat_n(pattern(key), 1 + repeats as usize))
+            .take(16)
+            .collect();
+        let many: Vec<EncodedTriplePattern> =
+            few.iter().copied().chain(more.into_iter().map(|(key, bound)| shaped(key, bound))).collect();
+        for patterns in [few, many] {
+            let mut counts = vec![usize::MAX; patterns.len()];
+            store.scan_counts(&patterns, &mut counts);
+            let one_at_a_time: Vec<usize> =
+                patterns.iter().map(|&pattern| store.scan_count(pattern)).collect();
+            prop_assert!(
+                counts == one_at_a_time,
+                "{patterns:?}: batched {counts:?}, one at a time {one_at_a_time:?}"
+            );
         }
     }
 

@@ -130,13 +130,7 @@ impl Request {
 
     /// The percent-decoded value of a query-string parameter.
     pub fn query_param(&self, name: &str) -> Option<String> {
-        for pair in self.query.split('&') {
-            let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
-            if percent_decode(k) == name {
-                return Some(percent_decode(v));
-            }
-        }
-        None
+        form_param(&self.query, name)
     }
 
     /// Whether the connection should stay open after this request:
@@ -150,6 +144,19 @@ impl Request {
             !connection.eq_ignore_ascii_case("close")
         }
     }
+}
+
+/// The percent-decoded value of the first `name` parameter of a
+/// form-encoded string (`k=v&k2=v2`): a URI's query string or an
+/// `application/x-www-form-urlencoded` body.
+pub(crate) fn form_param(encoded: &str, name: &str) -> Option<String> {
+    for pair in encoded.split('&') {
+        let (k, v) = pair.split_once('=').unwrap_or((pair, ""));
+        if percent_decode(k) == name {
+            return Some(percent_decode(v));
+        }
+    }
+    None
 }
 
 /// Percent-decode a URI component; `+` decodes to a space (form encoding),

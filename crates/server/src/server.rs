@@ -50,7 +50,7 @@ use kgqan_federate::FederatedEndpoint;
 use kgqan_rdf::IngestBatch;
 
 use crate::admission::{Admission, RateLimit, RateLimiter};
-use crate::http::{read_request, Limits, Request, Response};
+use crate::http::{form_param, read_request, Limits, Request, Response};
 use crate::metrics::{write_sample, Metrics, Route};
 use crate::wire;
 
@@ -564,12 +564,7 @@ fn sparql(shared: &Shared, request: &Request, kg: &str) -> Result<Response, Resp
         let body = utf8_body(request)?;
         let content_type = request.header("content-type").unwrap_or("");
         if content_type.starts_with("application/x-www-form-urlencoded") {
-            // Re-use the query-string parser on the form body.
-            Request {
-                query: body.to_string(),
-                ..request.clone()
-            }
-            .query_param("query")
+            form_param(body, "query")
         } else {
             Some(body.to_string()).filter(|b| !b.trim().is_empty())
         }

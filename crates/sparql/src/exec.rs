@@ -23,11 +23,18 @@
 //! sequential run is one walk with no clip feeding that collector.  When
 //! the plan says every index entry of its root BGP's last step is one
 //! output row (`PlanBody::offset_at_last_step`), the walk borrows the
-//! collector's `OFFSET` counter and that step counts it off by range
-//! length: a range no longer than what is left to skip is skipped whole,
-//! and the range the offset ends in starts at the first kept entry
-//! (`nth`).  Those entries are never touched, so
-//! [`ExecMetrics::rows_scanned`] does not count them.  A
+//! collector's `OFFSET` counter and counts it off by range length instead
+//! of walking those rows.  The step before the last does the counting: it
+//! binds and filters up to `OFFSET_BATCH` of its entries, counts the last
+//! step's range under each in one [`Store::scan_counts`] call (interleaved
+//! index searches, so their memory loads overlap), and skips every entry
+//! whose rows the offset still covers.  The entry whose range the offset
+//! ends in, and the rest, go to the normal walk, where the last step starts
+//! that range at its first kept entry (`nth`).  A BGP of one step, or one
+//! whose step before the last is not a scan, counts at the last step one
+//! range at a time.  The last step's skipped entries are never touched, so
+//! [`ExecMetrics::rows_scanned`] does not count them; the skipped entries
+//! of the step before it are counted, as the walk would count them.  A
 //! morsel-parallel run (see [`crate::plan::ParallelConfig`]) does the same
 //! walk once per *morsel* — a key range of the plan's driver scan — each
 //! into a collector of its own, and the coordinator feeds the morsels'
@@ -64,7 +71,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use kgqan_rdf::hash::FxHashSet;
-use kgqan_rdf::{EncodedTriple, PartitionRange, ScanCursor, Store, Term, TermId, TextMatch};
+use kgqan_rdf::{
+    EncodedTriple, EncodedTriplePattern, PartitionRange, ScanCursor, Store, Term, TermId, TextMatch,
+};
 
 use crate::ast::{Expression, Query, VarOrTerm};
 use crate::error::SparqlError;
@@ -137,6 +146,14 @@ pub struct PlannedExecution {
 /// Index entries scanned between two reads of the clock, which amortises
 /// the read; a run without a deadline pays one branch per entry.
 const DEADLINE_CHECK_INTERVAL: u64 = 256;
+
+/// Entries of the step before the last whose last-step ranges an `OFFSET`
+/// counts in one [`Store::scan_counts`] call: as many as the store counts
+/// in one interleaved round.  On a 2-core Xeon VM over the 400 000-triple
+/// benchmark join KG a count cost about 20 % more a pattern in calls of 4
+/// than of 16, and no less in calls of 32, which also bind and filter
+/// more entries past the one the offset ends in.
+const OFFSET_BATCH: usize = 16;
 
 /// Why a walk ended before its scans were exhausted.
 #[derive(Debug)]
@@ -469,16 +486,27 @@ impl<'a> Exec<'a> {
                         // A count is lent only when the root is one BGP,
                         // so the step with no `rest` is its last step.
                         let to_skip = self.to_skip.get();
-                        if to_skip > 0 && rest.is_empty() {
-                            // Each entry is one output row: skip the whole
-                            // range by its length, or up to where the
-                            // `OFFSET` runs out inside it.
-                            let len = entries.len();
-                            self.to_skip.set(to_skip.saturating_sub(len));
-                            if len <= to_skip {
-                                return ControlFlow::Continue(());
+                        match rest {
+                            [] if to_skip > 0 => {
+                                // Each entry is one output row: skip the
+                                // whole range by its length, or up to where
+                                // the `OFFSET` runs out inside it.
+                                let len = entries.len();
+                                self.to_skip.set(to_skip.saturating_sub(len));
+                                if len <= to_skip {
+                                    return ControlFlow::Continue(());
+                                }
+                                entries.nth(to_skip - 1);
                             }
-                            entries.nth(to_skip - 1);
+                            [PlanStep {
+                                kind: StepKind::Scan { pattern: last, .. },
+                                ..
+                            }] if to_skip > 0 => {
+                                let skipped =
+                                    self.skip_last_ranges(&mut entries, step, *tp, *last, row)?;
+                                return self.scan(skipped.chain(entries), *tp, row, next);
+                            }
+                            _ => {}
                         }
                         self.scan(entries, *tp, row, next)
                     }
@@ -542,30 +570,93 @@ impl<'a> Exec<'a> {
         next: &mut Emit<'_>,
     ) -> Flow {
         for triple in entries {
-            let scanned = self.scanned.get();
-            if let Some(deadline) = self.deadline {
-                if scanned.is_multiple_of(DEADLINE_CHECK_INTERVAL) && Instant::now() >= deadline {
-                    return ControlFlow::Break(Stop::Deadline);
-                }
-            }
-            self.scanned.set(scanned + 1);
-            let mut pairs = [(0, triple.subject); 3];
-            let mut count = 0;
-            for (slot, id) in [
-                (tp.subject, triple.subject),
-                (tp.predicate, triple.predicate),
-                (tp.object, triple.object),
-            ] {
-                if let Slot::Var(v) = slot {
-                    pairs[count] = (v, id);
-                    count += 1;
-                }
-            }
-            // An incompatible pair here is a variable repeated within the
-            // pattern that matched two different ids.
-            bind(row, &pairs[..count], next)?;
+            self.tick()?;
+            extend(row, tp, triple, next)?;
         }
         ControlFlow::Continue(())
+    }
+
+    /// Count one index entry as scanned, and read the clock once every
+    /// [`DEADLINE_CHECK_INTERVAL`] entries.
+    fn tick(&self) -> Flow {
+        let scanned = self.scanned.get();
+        if let Some(deadline) = self.deadline {
+            if scanned.is_multiple_of(DEADLINE_CHECK_INTERVAL) && Instant::now() >= deadline {
+                return ControlFlow::Break(Stop::Deadline);
+            }
+        }
+        self.scanned.set(scanned + 1);
+        ControlFlow::Continue(())
+    }
+
+    /// Count the lent `OFFSET` off the ranges the last step would scan for
+    /// the next entries of the step before it, [`OFFSET_BATCH`] entries at
+    /// a time, and return the entries the walk must still run: the one
+    /// whose range the offset ends in and the rest of its batch.  The
+    /// remaining `entries` follow them.
+    ///
+    /// Each entry is bound and filtered as the walk would, and the last
+    /// step's pattern under it is taken; the batch's ranges are counted in
+    /// one [`Store::scan_counts`] call.  An entry the walk would drop counts
+    /// no rows.  One whose filter fails to evaluate is handed back, so the
+    /// walk meets the error where it would have.  Every entry skipped here
+    /// is counted as scanned, as the walk counts it; the last step's
+    /// entries are not.
+    fn skip_last_ranges(
+        &self,
+        entries: &mut impl Iterator<Item = EncodedTriple>,
+        step: &PlanStep,
+        tp: CompiledTriplePattern,
+        last: CompiledTriplePattern,
+        row: &mut IdRow,
+    ) -> Flow<impl Iterator<Item = EncodedTriple>> {
+        let mut batch = [EncodedTriple::new(TermId(0), TermId(0), TermId(0)); OFFSET_BATCH];
+        let mut patterns = [EncodedTriplePattern::any(); OFFSET_BATCH];
+        let mut counts = [0; OFFSET_BATCH];
+        let (start, len) = 'batches: loop {
+            // Entry `i` yields `counts[lane[i]]` rows at the last step, or
+            // none when it has no lane.
+            let mut lane = [None; OFFSET_BATCH];
+            let (mut len, mut lanes, mut failed) = (0, 0, None);
+            for triple in entries.by_ref() {
+                let mut pattern = None;
+                let flow = extend(row, tp, triple, &mut |row| {
+                    if self.keep(&step.filters, row)? {
+                        pattern = Some(last.encoded(|v| row[v]));
+                    }
+                    ControlFlow::Continue(())
+                });
+                batch[len] = triple;
+                if flow.is_break() {
+                    failed = Some(len);
+                } else if let Some(pattern) = pattern {
+                    patterns[lanes] = pattern;
+                    lane[len] = Some(lanes);
+                    lanes += 1;
+                }
+                len += 1;
+                if len == OFFSET_BATCH || failed.is_some() {
+                    break;
+                }
+            }
+            self.store
+                .scan_counts(&patterns[..lanes], &mut counts[..lanes]);
+            let mut to_skip = self.to_skip.get();
+            for i in 0..len {
+                let rows = lane[i].map_or(0, |lane| counts[lane]);
+                if rows > to_skip || failed == Some(i) {
+                    self.to_skip.set(to_skip);
+                    break 'batches (i, len);
+                }
+                self.tick()?;
+                to_skip -= rows;
+            }
+            self.to_skip.set(to_skip);
+            if len < OFFSET_BATCH || to_skip == 0 {
+                break (0, 0);
+            }
+        };
+        ControlFlow::Continue(batch.into_iter().take(len).skip(start))
     }
 
     /// `true` when every expression holds for the row (an expression that
@@ -634,6 +725,31 @@ impl<'a> Exec<'a> {
             })
             .collect())
     }
+}
+
+/// Extend the row by one index entry of a scan of `tp`: bind the pattern's
+/// variables to the entry's ids and call `next`.  A variable repeated within
+/// the pattern that matched two different ids makes the extension
+/// incompatible: `next` is not called.
+fn extend(
+    row: &mut IdRow,
+    tp: CompiledTriplePattern,
+    triple: EncodedTriple,
+    next: &mut Emit<'_>,
+) -> Flow {
+    let mut pairs = [(0, triple.subject); 3];
+    let mut count = 0;
+    for (slot, id) in [
+        (tp.subject, triple.subject),
+        (tp.predicate, triple.predicate),
+        (tp.object, triple.object),
+    ] {
+        if let Slot::Var(v) = slot {
+            pairs[count] = (v, id);
+            count += 1;
+        }
+    }
+    bind(row, &pairs[..count], next)
 }
 
 /// Bind `(slot, id)` pairs in the row one after another, call `next` for

@@ -8,7 +8,9 @@
 //! from the boxed-iterator executor that preceded the depth-first one; the
 //! entries whose count differs from that recording say so.  The entries
 //! added since pin rows the executor produced before it learned to count
-//! an `OFFSET` off by index range length, and the counts it makes now.
+//! an `OFFSET` off by index range length, and the counts it makes now; the
+//! four batched-count entries pin the rows and counts the executor made
+//! before it counted a batch of ranges in one call.
 
 mod common;
 
@@ -64,6 +66,37 @@ const GOLDEN: &[Golden] = &[
         query: "SELECT ?p ?r ?o WHERE { ?p e:bornIn e:city3 . ?p ?r ?o . } LIMIT 3 OFFSET 6",
         rows_scanned: 7,
         rows: &["person11 http://www.w3.org/2000/01/rdf-schema#label \"person number 11\"", "person15 bornIn city3", "person15 http://www.w3.org/2000/01/rdf-schema#label \"person number 15\""],
+    },
+    // The offset is counted off the last step's ranges a batch of the
+    // first step's entries at a time.  Here it crosses two full batches
+    // (37 whole ranges) and ends inside the 38th, person151's.
+    Golden {
+        query: "SELECT ?p ?r ?o WHERE { ?p e:bornIn e:city3 . ?p ?r ?o . } LIMIT 3 OFFSET 76",
+        rows_scanned: 42,
+        rows: &["person151 http://www.w3.org/2000/01/rdf-schema#label \"person number 151\"", "person155 bornIn city3", "person155 http://www.w3.org/2000/01/rdf-schema#label \"person number 155\""],
+    },
+    // The first step's entries come in city order, so a batch seeks one
+    // last-step pattern (`?x bornIn city0`) over and over: 24 ranges of
+    // 50 are skipped, and the offset ends 34 rows into the 25th.
+    Golden {
+        query: "SELECT ?p ?x WHERE { ?p e:bornIn ?c . ?x e:bornIn ?c . } LIMIT 3 OFFSET 1234",
+        rows_scanned: 28,
+        rows: &["person96 person136", "person96 person140", "person96 person144"],
+    },
+    // The step before the last repeats a variable, and its one entry
+    // (person7 memberOf club) does not bind: it yields no rows to skip.
+    Golden {
+        query: "SELECT ?s ?c WHERE { ?s e:memberOf ?s . ?s e:bornIn ?c . } LIMIT 3 OFFSET 1",
+        rows_scanned: 1,
+        rows: &[],
+    },
+    // A filter on the step before the last: the 50 city0 entries are
+    // dropped there and yield no rows to skip, then 20 city1 ranges are
+    // skipped and the offset ends inside the 21st.
+    Golden {
+        query: "SELECT ?p ?r ?o WHERE { ?p e:bornIn ?c . ?p ?r ?o . FILTER (?c != e:city0) } LIMIT 3 OFFSET 41",
+        rows_scanned: 75,
+        rows: &["person81 http://www.w3.org/2000/01/rdf-schema#label \"person number 81\"", "person85 bornIn city1", "person85 http://www.w3.org/2000/01/rdf-schema#label \"person number 85\""],
     },
     // Where an entry need not be one row the offset is walked: DISTINCT,
     // a filter after the last step, and a variable twice in one pattern
